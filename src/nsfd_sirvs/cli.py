@@ -20,8 +20,9 @@ from . import __version__
 from .consistency import consistency_sweep, lambda_steps
 from .dynamics import Trajectory, integrate_continuous, simulate_discrete
 from .errors import ConfigError, StepError
-from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, load_config,
-                        load_observed, run_scenario, spec_to_config)
+from .scenarios import (BUILTIN_NAMES, builtin, builtin_description,
+                        consistency_skip_reason, load_config, load_observed, run_scenario,
+                        spec_to_config)
 from .schedules import mickens_discretize
 from .thresholds import continuous_thresholds, discrete_thresholds
 
@@ -76,10 +77,15 @@ def _manifest(out: Path, args, spec_echo: dict, extra: dict | None = None) -> No
     _write_json(out / "manifest.json", entry)
 
 
+_TRAJECTORY_ROW = ",".join(["%.17g"] * 5) + "\n"  # same digits as _F
+
+
 def _write_trajectory(out: Path, traj: Trajectory, method: str, h: float) -> Path:
     path = out / f"trajectory_{method}_h{h:g}.csv"
-    rows = [[t, s, i, r, v] for t, (s, i, r, v) in zip(traj.times, traj.states)]
-    _write_rows(path, ["t", "S", "I", "R", "V"], rows)
+    rows = np.column_stack((traj.times, traj.states)).tolist()
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("t,S,I,R,V\n")
+        fh.writelines(_TRAJECTORY_ROW % tuple(row) for row in rows)
     return path
 
 
@@ -149,18 +155,19 @@ def _h_bound_json(value):
     return value
 
 
-def _consistency_payload(spec, lam, burn_in, scan, sweep: bool) -> dict:
-    from .consistency import consistency_report
-    from .scenarios import consistency_skip_reason
+def _consistency_payload(rep, discrete, reason: str = "") -> dict:
+    """Serialise a step-bound report and the discrete reports beside it.
 
-    reason = consistency_skip_reason(spec)
+    `rep` is the ConsistencyReport (None when `reason` says why the analysis
+    does not apply); `discrete` holds one (h, lambda_steps, ThresholdReport)
+    per declared step size, the literal window evaluation kept next to any
+    quoted closed forms in the notes.
+    """
     if reason:
         return {"applicable": False, "reason": reason}
-    rep = consistency_report(spec.schedules, spec.incidence_phi, spec.incidence_psi,
-                             lam, notes=dict(spec.reference_values))
     payload = {
         "applicable": True,
-        "lambda": lam,
+        "lambda": rep.lam,
         "r_c_lower": rep.r_c_lower,
         "r_c_upper": rep.r_c_upper,
         "continuous_verdict": rep.continuous_verdict.value,
@@ -173,33 +180,17 @@ def _consistency_payload(spec, lam, burn_in, scan, sweep: bool) -> dict:
         "f_samples": {"t": rep.f_samples[0, ::4].tolist(),
                       "f": rep.f_samples[1, ::4].tolist()},
     }
-    # discrete side at the scenario's declared step sizes: the literal window
-    # evaluation, kept next to any quoted closed forms in the notes
-    discrete = []
+    rows = []
     inconsistent = []
-    for h in spec.h_values:
-        dp = mickens_discretize(spec.schedules, h, spec.denominator)
-        lam_d = lambda_steps(lam, h)
-        drep = discrete_thresholds(dp, spec.incidence_phi, spec.incidence_psi, lam_d,
-                                   burn_in=burn_in, scan=max(scan, lam_d + 1))
-        discrete.append({"h": h, "lambda_steps": lam_d, "r_lower": drep.r_lower,
-                         "r_upper": drep.r_upper, "verdict": drep.verdict.value})
+    for h, lam_d, drep in discrete:
+        rows.append({"h": h, "lambda_steps": lam_d, "r_lower": drep.r_lower,
+                     "r_upper": drep.r_upper, "verdict": drep.verdict.value})
         if (rep.continuous_verdict.value != "Inconclusive"
                 and drep.verdict is not rep.continuous_verdict):
             inconsistent.append(h)
-    payload["discrete_literal"] = discrete
+    payload["discrete_literal"] = rows
     payload["inconsistent_h"] = inconsistent
     payload["inconsistency_flag"] = bool(inconsistent)
-
-    if sweep and rep.continuous_verdict.value != "Inconclusive":
-        rows = consistency_sweep(spec.schedules, spec.incidence_phi,
-                                 spec.incidence_psi, spec.denominator, lam,
-                                 report=rep, burn_in=burn_in, scan=scan)
-        payload["sweep"] = [
-            {"h": r.h, "lambda_steps": r.lam_steps, "r_lower": r.r_lower,
-             "r_upper": r.r_upper, "verdict": r.verdict.value, "matches": r.matches}
-            for r in rows]
-        payload["sweep_all_match"] = all(r.matches for r in rows)
     return payload
 
 
@@ -207,7 +198,33 @@ def _cmd_consistency(args) -> int:
     spec, echo = _load_spec(args.spec)
     out = _out_dir(args)
     lam = args.lam if args.lam is not None else spec.lam
-    payload = _consistency_payload(spec, lam, args.burn_in, args.scan, args.sweep)
+    # imported here, so the call resolves through the consistency module, where
+    # perfbench/tracing.py wraps it
+    from .consistency import consistency_report
+
+    reason = consistency_skip_reason(spec)
+    if reason:
+        payload = _consistency_payload(None, (), reason)
+    else:
+        rep = consistency_report(spec.schedules, spec.incidence_phi, spec.incidence_psi,
+                                 lam, notes=dict(spec.reference_values))
+        discrete = []
+        for h in spec.h_values:
+            dp = mickens_discretize(spec.schedules, h, spec.denominator)
+            lam_d = lambda_steps(lam, h)
+            discrete.append((h, lam_d, discrete_thresholds(
+                dp, spec.incidence_phi, spec.incidence_psi, lam_d,
+                burn_in=args.burn_in, scan=max(args.scan, lam_d + 1))))
+        payload = _consistency_payload(rep, discrete)
+        if args.sweep and rep.continuous_verdict.value != "Inconclusive":
+            rows = consistency_sweep(spec.schedules, spec.incidence_phi,
+                                     spec.incidence_psi, spec.denominator, lam,
+                                     report=rep, burn_in=args.burn_in, scan=args.scan)
+            payload["sweep"] = [
+                {"h": r.h, "lambda_steps": r.lam_steps, "r_lower": r.r_lower,
+                 "r_upper": r.r_upper, "verdict": r.verdict.value, "matches": r.matches}
+                for r in rows]
+            payload["sweep_all_match"] = all(r.matches for r in rows)
     path = out / "consistency.json"
     _write_json(path, payload)
     _manifest(out, args, echo, {"lambda": lam, "outputs": [path.name]})
@@ -296,8 +313,10 @@ def _cmd_scenario(args) -> int:
     _write_rows(ver_path, ["method", "h", "verdict"], verdict_rows)
     outputs.append(ver_path.name)
 
-    cons_payload = _consistency_payload(spec, spec.lam, args.burn_in, args.scan,
-                                        sweep=False)
+    cons_payload = _consistency_payload(
+        report.consistency,
+        [(h, report.per_h[h].lam_steps, report.per_h[h].thresholds) for h in spec.h_values],
+        report.consistency_skip_reason)
     cons_path = out / "consistency.json"
     _write_json(cons_path, cons_payload)
     outputs.append(cons_path.name)

@@ -431,12 +431,15 @@ def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
 def _d2_closure(inc: IncidenceFn):
     # Separable bridge g(x) = d2 f(x, 0), extended below the axis so explicit
     # integrators can keep running after an overshoot (flagged, not clamped).
+    # A zero population carries no infection (S, V <= N gives g*I <= I = 0),
+    # so the standard bridge is 0 there rather than 0/0.
     if inc.kind in ("mass_action", "saturated"):
         return lambda x, pop: x
     if inc.kind == "standard":
-        return lambda x, pop: x / pop
+        return lambda x, pop: x / pop if pop else 0.0
     g = inc._g
-    return lambda x, pop: float(g(x)) if x > 0.0 else 0.0
+    # g sees a NumPy scalar, so overflow inside a user g gives inf, not an exception
+    return lambda x, pop: float(g(np.float64(x))) if x > 0.0 else 0.0
 
 
 def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
@@ -450,9 +453,12 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
     V' = p(t) S - (mu(t) + eta(t)) V - sigma(t) g_psi(V) I
 
     with g_phi, g_psi the separable bridge of the supplied incidence pair.
-    Explicit
-    methods may produce negative components at large h; the trajectory is
-    still returned, carrying the first offending index in `negative_at`.
+    For `standard` incidence the bridge g(x) = x/N is taken as 0 when the
+    population N = S + I + R + V is 0, its limit there (S, V <= N forces
+    g I <= I = 0); a zero initial population thus gives the disease-free run.
+    Explicit methods may produce negative components at large h; the
+    trajectory is still returned, carrying the first offending index in
+    `negative_at`.
     """
     method = method.lower()
     if method not in ("euler", "rk4"):
@@ -462,40 +468,49 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
     s0 = validate_state(s0)
 
     n_steps = max(1, int(math.ceil(t_end / h - 1e-9)))
+    # coefficients at every half step, one row per time, SCHEDULE_NAMES order
     ts_half = np.arange(2 * n_steps + 1) * (h / 2.0)
-    P = {name: np.asarray(getattr(schedules, name).eval(ts_half), dtype=float)
-         for name in SCHEDULE_NAMES}
+    table = np.empty((ts_half.size, len(SCHEDULE_NAMES)))
+    for k, name in enumerate(SCHEDULE_NAMES):
+        table[:, k] = getattr(schedules, name).eval(ts_half)
     g_phi = _d2_closure(phi)
     g_psi = _d2_closure(psi)
     needs_pop = phi.needs_population or psi.needs_population
 
-    def rhs(j, y):
-        S, I, R, V = y
+    def rhs(c, S, I, R, V):
+        # same operation order as the vector form y' = F(t, y)
+        lam, mu, p, eta, alpha, beta, sigma, gamma = c
         pop = (S + I + R + V) if needs_pop else None
-        inc_s = P["beta"][j] * g_phi(S, pop) * I
-        inc_v = P["sigma"][j] * g_psi(V, pop) * I
-        mu = P["mu"][j]
-        dS = P["Lambda"][j] - inc_s - (mu + P["p"][j]) * S + P["eta"][j] * V
-        dI = inc_s + inc_v - (mu + P["alpha"][j] + P["gamma"][j]) * I
-        dR = P["gamma"][j] * I - mu * R
-        dV = P["p"][j] * S - (mu + P["eta"][j]) * V - inc_v
-        return np.array([dS, dI, dR, dV])
+        inc_s = beta * g_phi(S, pop) * I
+        inc_v = sigma * g_psi(V, pop) * I
+        return (lam - inc_s - (mu + p) * S + eta * V,
+                inc_s + inc_v - (mu + alpha + gamma) * I,
+                gamma * I - mu * R,
+                p * S - (mu + eta) * V - inc_v)
 
     out = np.empty((n_steps + 1, 4))
     out[0] = s0
-    y = np.array(s0, dtype=float)
+    S, I, R, V = s0
+    hh, h6 = h / 2.0, h / 6.0
     negative_at = None
+    c0 = table[0].tolist()
     with np.errstate(all="ignore"):
         for n in range(n_steps):
+            c2 = table[2 * n + 2].tolist()
+            a1, b1, r1, v1 = rhs(c0, S, I, R, V)
             if method == "euler":
-                y = y + h * rhs(2 * n, y)
+                S, I, R, V = S + h * a1, I + h * b1, R + h * r1, V + h * v1
             else:
-                k1 = rhs(2 * n, y)
-                k2 = rhs(2 * n + 1, y + (h / 2.0) * k1)
-                k3 = rhs(2 * n + 1, y + (h / 2.0) * k2)
-                k4 = rhs(2 * n + 2, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[n + 1] = y
-            if negative_at is None and np.any(y < 0):
+                c1 = table[2 * n + 1].tolist()
+                a2, b2, r2, v2 = rhs(c1, S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1)
+                a3, b3, r3, v3 = rhs(c1, S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2)
+                a4, b4, r4, v4 = rhs(c2, S + h * a3, I + h * b3, R + h * r3, V + h * v3)
+                S = S + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                I = I + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                R = R + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                V = V + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+            out[n + 1] = (S, I, R, V)
+            if negative_at is None and (S < 0 or I < 0 or R < 0 or V < 0):
                 negative_at = n + 1
+            c0 = c2
     return Trajectory(t0=0.0, dt=h, states=out, method=method, negative_at=negative_at)

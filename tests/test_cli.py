@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -241,6 +242,43 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
     replay = tmp_path / "replay"
     assert main(manifest["argv"] + ["--out", str(replay)]) == 0
     assert (first / "thresholds.csv").read_bytes() == (replay / "thresholds.csv").read_bytes()
+
+
+# sha256 over each bundle's files, in name order: name, NUL, 8-byte little-endian
+# length, contents.  Pinned from the array-based integrator and per-value writer
+# that the current fast paths replaced; any byte change in a bundle shows here.
+GOLDEN_BUNDLE_DIGESTS = {
+    "extinction_5_1": "8bf6ffe578acb072201aa28463a1a0ce671f4c50c8569cc005daccc861c32a93",
+    "persistence_5_1": "a8c2bda1512546324adb868184e8101a9a63cdb589c07bd49ba31a9eeb69731c",
+    "saturated_5_1_ext": "8499fd8b1de7e33b415e91e83c7f0329b5f05ab15f97c79ce173121db81b2591",
+    "saturated_5_1_per": "2f28428a2ef6540566c02c8b442eabbdfc83c71d5147d9811e8d50d63ac9094b",
+    "inconsistency_4": "f23bbac457813282cc0963aeb60fa391c33af2065d5152f5025d29db8f307c3a",
+    "measles_france_5_2": "c6ebf5147c0e32a853b3c3cea285eeaeacfaeeadce47dd5ac0cd561f9ffa6f0c",
+}
+
+
+def _dir_digest(path):
+    h = hashlib.sha256()
+    for f in sorted(path.iterdir()):
+        data = f.read_bytes()
+        h.update(f.name.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_scenario_bundle_matches_golden_digest(tmp_path, name):
+    assert main(["scenario", "run", name, "--out", str(tmp_path)]) == 0
+    assert _dir_digest(tmp_path) == GOLDEN_BUNDLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["persistence_5_1", "measles_france_5_2"])
+def test_consistency_command_matches_bundle_payload(tmp_path, name):
+    # one serialiser: the subcommand's report equals the one in the bundle
+    bundle, alone = tmp_path / "bundle", tmp_path / "alone"
+    assert main(["scenario", "run", name, "--out", str(bundle)]) == 0
+    assert main(["consistency", name, "--out", str(alone)]) == 0
+    assert ((alone / "consistency.json").read_bytes()
+            == (bundle / "consistency.json").read_bytes())
 
 
 def test_config_error_exit_code(tmp_path):
