@@ -17,12 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .consistency import consistency_sweep, lambda_steps
+from .consistency import consistency_skip_reason, consistency_sweep, lambda_steps
 from .dynamics import Trajectory, integrate_continuous, simulate_discrete
 from .errors import ConfigError, StepError
-from .scenarios import (BUILTIN_NAMES, builtin, builtin_description,
-                        consistency_skip_reason, load_config, load_observed, run_scenario,
-                        spec_to_config)
+from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, load_config,
+                        load_observed, run_scenario, spec_to_config)
 from .schedules import mickens_discretize
 from .thresholds import continuous_thresholds, discrete_thresholds
 
@@ -202,7 +201,7 @@ def _cmd_consistency(args) -> int:
     # perfbench/tracing.py wraps it
     from .consistency import consistency_report
 
-    reason = consistency_skip_reason(spec)
+    reason = consistency_skip_reason(spec.schedules)
     if reason:
         payload = _consistency_payload(None, (), reason)
     else:

@@ -25,10 +25,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import State, aux_equilibrium
+from .dynamics import AuxState, State
 from .incidence import IncidenceFn
 from .schedules import DenominatorFn, ParamSchedule, ScheduleSet, mickens_discretize
-from .thresholds import Verdict, continuous_thresholds, discrete_thresholds
+from .thresholds import (Verdict, continuous_thresholds, discrete_thresholds,
+                         disease_free_equilibrium)
 
 _CD_STEP = 1e-5
 _SUP_GRID = 100_000
@@ -64,31 +65,47 @@ class FprimeSup(NamedTuple):
     argmax: float
 
 
-def _require_constant(schedules: ScheduleSet):
-    non_constant = [n for n in ("Lambda", "mu", "eta", "p")
-                    if not getattr(schedules, n).is_constant]
-    if non_constant:
-        raise ValueError("step-bound analysis needs constant Lambda, mu, eta, p; "
-                         f"non-constant: {', '.join(non_constant)}")
+def consistency_skip_reason(schedules: ScheduleSet) -> str:
+    """Empty string when the step-bound analysis applies, else the reason.
+
+    The analysis needs constant Lambda, mu, eta, p (so the disease-free
+    solution is the equilibrium) and a differentiable f, which a
+    non-constant step-function beta, sigma, alpha or gamma rules out.
+    """
+    for name in ("Lambda", "mu", "eta", "p"):
+        if not getattr(schedules, name).is_constant:
+            return f"schedule {name!r} is not constant"
+    for name in ("beta", "sigma", "alpha", "gamma"):
+        s = getattr(schedules, name)
+        if s.kind == "piecewise" and not s.is_constant:
+            return f"schedule {name!r} is a step function (not differentiable)"
+    return ""
+
+
+def _applicable_equilibrium(schedules: ScheduleSet) -> AuxState:
+    reason = consistency_skip_reason(schedules)
+    if reason:
+        raise ValueError(f"step-bound analysis does not apply: {reason}")
+    return disease_free_equilibrium(schedules)
 
 
 def net_growth_function(schedules: ScheduleSet, phi: IncidenceFn,
                         psi: IncidenceFn) -> tuple[Callable, Callable, bool]:
     """Build f(t) and f'(t) along the disease-free equilibrium.
 
-    Requires constant Lambda, mu, eta, p.  f' is assembled from the
-    schedules' analytic derivatives when beta, sigma, alpha, gamma all carry
-    one; otherwise it falls back to Richardson-extrapolated central
-    differences with step 1e-5.  Returns (f, fprime, analytic).
+    Requires constant Lambda, mu, eta, p and no step-function beta, sigma,
+    alpha, gamma; otherwise raises ValueError with `consistency_skip_reason`.
+    f' is assembled from the schedules' analytic derivatives when beta,
+    sigma, alpha, gamma all carry one; otherwise it falls back to
+    Richardson-extrapolated central differences with step 1e-5.  Returns
+    (f, fprime, analytic).
     """
-    _require_constant(schedules)
-    for name in ("beta", "sigma", "alpha", "gamma"):
-        if getattr(schedules, name).kind == "piecewise" and not getattr(schedules, name).is_constant:
-            raise ValueError(f"schedule {name!r} is a step function; f is not differentiable")
-    a, b = aux_equilibrium(schedules.Lambda.constant_value(),
-                           schedules.mu.constant_value(),
-                           schedules.eta.constant_value(),
-                           schedules.p.constant_value())
+    return _net_growth(schedules, phi, psi, _applicable_equilibrium(schedules))
+
+
+def _net_growth(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
+                equilibrium: AuxState) -> tuple[Callable, Callable, bool]:
+    a, b = equilibrium
     pop = a + b if (phi.needs_population or psi.needs_population) else None
     ga = float(phi.d2_at_zero(a, pop))
     gb = float(psi.d2_at_zero(b, pop))
@@ -167,14 +184,11 @@ def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceF
                        notes: dict | None = None) -> ConsistencyReport:
     """Assemble the full step-bound report for one model."""
     cont = continuous_thresholds(schedules, phi, psi, lam, scan=scan, quad_step=quad_step)
-    f, fprime, analytic = net_growth_function(schedules, phi, psi)
+    equilibrium = _applicable_equilibrium(schedules)
+    f, fprime, analytic = _net_growth(schedules, phi, psi, equilibrium)
     T = schedules.common_period()
     sup_scan = (0.0, T) if T is not None else (0.0, _APERIODIC_HORIZON)
     sup = sup_abs_fprime(fprime, sup_scan)
-    a, b = aux_equilibrium(schedules.Lambda.constant_value(),
-                           schedules.mu.constant_value(),
-                           schedules.eta.constant_value(),
-                           schedules.p.constant_value())
     ts = np.linspace(sup_scan[0], sup_scan[1], 257)
     report_notes = dict(notes or {})
     if T is None:
@@ -191,7 +205,7 @@ def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceF
         fprime_argmax=sup.argmax,
         h_max_upper=h_max(cont.r_upper, sup.value, lam, "upper"),
         h_max_lower=h_max(cont.r_lower, sup.value, lam, "lower"),
-        equilibrium=(a, b),
+        equilibrium=tuple(equilibrium),
         f_samples=np.vstack([ts, np.asarray(f(ts), dtype=float)]),
         continuous_verdict=cont.verdict,
         notes=report_notes,

@@ -11,17 +11,23 @@ Three ways to advance a SIRVS model live here:
         I+ = (beta_n f(S+, I_n) + sigma_n g(V+, I_n) + I_n) / (1 + mu_n + alpha_n + gamma_n)
         R+ = (gamma_n I+ + R_n) / (1 + mu_n)
 
-    The (S+, V+) pair is implicit.  Summing the four updates gives the exact
-    balance identity (1 + mu_n) N+ + alpha_n I+ = N_n + Lam_n, which every
-    step is checked against: it is the correctness oracle for the implicit
-    solve and holds whatever the incidence functions are.
+    The (S+, V+) pair is implicit.  When both incidences are linear in
+    their first argument (f(x, y) = q(y) x: mass action, saturated,
+    standard) it is a closed-form 2x2 solve; otherwise (separable) a damped
+    fixed-point iteration with a guaranteed bisection fallback.  Which one
+    applies, and every other per-kind form, comes from `IncidenceFn`, once
+    per run.  Summing the four updates gives the exact balance identity
+    (1 + mu_n) N+ + alpha_n I+ = N_n + Lam_n, which every step is checked
+    against: it is the correctness oracle for the implicit solve and holds
+    whatever the incidence functions are.
 
   * `aux_step` / `simulate_aux` / `periodic_aux_solution` — the disease-free
     auxiliary pair (x_n, y_n), an affine 2x2 recurrence solved exactly per
     step.  Its attracting orbit feeds the threshold quantities.
 
   * `integrate_continuous` — fixed-step Euler and classical RK4 for the
-    continuous model, using the separable incidence bridge g(x) * I.
+    continuous model, using the separable incidence bridge g(x) * I
+    (`IncidenceFn.bridge`).
     Explicit methods may leave the nonnegative cone; that is flagged on the
     returned trajectory, never clamped.
 """
@@ -41,7 +47,6 @@ from .schedules import SCHEDULE_NAMES, DiscreteParams, ScheduleSet
 _BALANCE_RTOL = 1e-10
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 200
-_LINEAR_KINDS = ("mass_action", "standard")
 
 
 class State(NamedTuple):
@@ -229,43 +234,21 @@ def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
 # NSFD discrete model
 # ---------------------------------------------------------------------------
 
-def _linear_rate(inc: IncidenceFn, I, pop):
-    # for kinds with f(x, y) = q(y) * x, the per-unit-x rate q(I)
-    if inc.kind == "mass_action":
-        return I
-    if inc.kind == "saturated":
-        return I / (1.0 + inc.a * I)
-    return I / pop  # standard
+def _inner_v(target, mu, eta, sigma, q_psi, f_psi, I, pop):
+    """Solve v (1+mu+eta) = target - sigma*f_psi(v, I, pop) for v >= 0.
 
-
-def _fast_eval(inc: IncidenceFn, pop):
-    """Scalar evaluator f(x, I) without the public API's domain checks."""
-    if inc.kind == "mass_action":
-        return lambda x, y: x * y
-    if inc.kind == "saturated":
-        a = inc.a
-        return lambda x, y: x * y / (1.0 + a * y)
-    if inc.kind == "standard":
-        return lambda x, y: x * y / pop
-    g = inc._g
-    return lambda x, y: float(g(x)) * y
-
-
-def _inner_v(target, mu, eta, sigma, psi, f_psi, I, pop):
-    """Solve v (1+mu+eta) = target - sigma*f_psi(v, I) for v >= 0.
-
-    Exact for kinds linear in the first argument; the separable kind uses a
-    damped fixed-point loop to 1e-14 with a monotone bisection backstop.
+    Exact when psi has a linear rate `q_psi` (f linear in its first
+    argument); otherwise a damped fixed-point loop to 1e-14 with a monotone
+    bisection backstop.
     """
     denom = 1.0 + mu + eta
-    q = _linear_rate(psi, I, pop) if psi.kind != "separable" else None
-    if q is not None:
-        return max(target, 0.0) / (denom + sigma * q)
+    if q_psi is not None:
+        return max(target, 0.0) / (denom + sigma * q_psi(I, pop))
     v = max(target, 0.0) / denom
     prev = math.inf
     omega_damp = 1.0
     for _ in range(_FP_MAX_ITER):
-        v_t = max((target - sigma * f_psi(max(v, 0.0), I)) / denom, 0.0)
+        v_t = max((target - sigma * f_psi(max(v, 0.0), I, pop)) / denom, 0.0)
         res = abs(v_t - v)
         if res < 1e-14:
             return v_t
@@ -279,14 +262,14 @@ def _inner_v(target, mu, eta, sigma, psi, f_psi, I, pop):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if mid * denom + sigma * f_psi(mid, I) - target > 0.0:
+        if mid * denom + sigma * f_psi(mid, I, pop) - target > 0.0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def _bisect_sv(lam, mu, p, eta, beta, sigma, phi, psi, f_phi, f_psi, S, I, V, pop):
+def _bisect_sv(lam, mu, p, eta, beta, sigma, q_psi, f_phi, f_psi, S, I, V, pop):
     """Guaranteed fallback: bisection on the reduced scalar equation in S+.
 
     g(s) = s (1+mu+p) - (lam + S - beta f(s, I) + eta v(s)) is strictly
@@ -295,10 +278,10 @@ def _bisect_sv(lam, mu, p, eta, beta, sigma, phi, psi, f_phi, f_psi, S, I, V, po
     """
 
     def v_of(s):
-        return _inner_v(p * s + V, mu, eta, sigma, psi, f_psi, I, pop)
+        return _inner_v(p * s + V, mu, eta, sigma, q_psi, f_psi, I, pop)
 
     def g(s):
-        return s * (1.0 + mu + p) - (lam + S - beta * f_phi(s, I) + eta * v_of(s))
+        return s * (1.0 + mu + p) - (lam + S - beta * f_phi(s, I, pop) + eta * v_of(s))
 
     hi = (((1.0 + mu + eta) * (lam + S) + eta * V)
           / ((1.0 + mu + p) * (1.0 + mu + eta) - eta * p)) + 1.0
@@ -319,10 +302,8 @@ def _bisect_sv(lam, mu, p, eta, beta, sigma, phi, psi, f_phi, f_psi, S, I, V, po
     return s, v_of(s)
 
 
-def _implicit_sv(lam, mu, p, eta, beta, sigma, phi, psi, S, I, V, pop):
+def _implicit_sv(lam, mu, p, eta, beta, sigma, q_psi, f_phi, f_psi, S, I, V, pop):
     """Damped fixed-point iteration on the rewritten update, from (S_n, V_n)."""
-    f_phi = _fast_eval(phi, pop)
-    f_psi = _fast_eval(psi, pop)
     denom_s = 1.0 + mu + p
     denom_v = 1.0 + mu + eta
     s, v = S, V
@@ -331,8 +312,8 @@ def _implicit_sv(lam, mu, p, eta, beta, sigma, phi, psi, S, I, V, pop):
     for _ in range(_FP_MAX_ITER):
         s_cl = max(s, 0.0)
         v_cl = max(v, 0.0)
-        s_t = max((lam + S - beta * f_phi(s_cl, I) + eta * v_cl) / denom_s, 0.0)
-        v_t = max((p * s_t + V - sigma * f_psi(v_cl, I)) / denom_v, 0.0)
+        s_t = max((lam + S - beta * f_phi(s_cl, I, pop) + eta * v_cl) / denom_s, 0.0)
+        v_t = max((p * s_t + V - sigma * f_psi(v_cl, I, pop)) / denom_v, 0.0)
         res = max(abs(s_t - s), abs(v_t - v))
         if res < _FP_TOL:
             return s_t, v_t
@@ -341,66 +322,75 @@ def _implicit_sv(lam, mu, p, eta, beta, sigma, phi, psi, S, I, V, pop):
         prev = res
         s += omega_damp * (s_t - s)
         v += omega_damp * (v_t - v)
-    return _bisect_sv(lam, mu, p, eta, beta, sigma, phi, psi, f_phi, f_psi, S, I, V, pop)
+    return _bisect_sv(lam, mu, p, eta, beta, sigma, q_psi, f_phi, f_psi, S, I, V, pop)
 
 
-def _nsfd_advance(lam, mu, p, eta, alpha, gamma, beta, sigma,
-                  phi: IncidenceFn, psi: IncidenceFn, S, I, R, V, n):
-    N = S + I + R + V
-    if I == 0.0:
-        # disease-free step: incidence vanishes (f(x, 0) = 0) and the (S, V)
-        # update coincides with the auxiliary recurrence
-        S1, V1 = _aux_advance(lam, mu, p, eta, S, V)
-        phi_term = psi_term = 0.0
-    else:
-        pop = N if (phi.needs_population or psi.needs_population) else None
-        if phi.kind in _LINEAR_KINDS and psi.kind in _LINEAR_KINDS:
-            q_phi = _linear_rate(phi, I, pop)
-            q_psi = _linear_rate(psi, I, pop)
-            A_s = 1.0 + mu + p + beta * q_phi
-            A_v = 1.0 + mu + eta + sigma * q_psi
+def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
+    """The NSFD update for one incidence pair, as a function of the step's
+    coefficients and state.  The per-kind forms are taken from the incidences
+    once, here; the closed-form (S+, V+) solve is used exactly when both have
+    a linear rate.
+    """
+    q_phi = phi.linear_rate()
+    q_psi = psi.linear_rate()
+    f_phi = phi.unchecked_f()
+    f_psi = psi.unchecked_f()
+    closed_form = q_phi is not None and q_psi is not None
+    needs_pop = phi.needs_population or psi.needs_population
+
+    def advance(lam, mu, p, eta, alpha, gamma, beta, sigma, S, I, R, V, n):
+        N = S + I + R + V
+        pop = N if needs_pop else None
+        if I == 0.0:
+            # disease-free step: incidence vanishes (f(x, 0) = 0) and the (S, V)
+            # update coincides with the auxiliary recurrence
+            S1, V1 = _aux_advance(lam, mu, p, eta, S, V)
+            phi_term = psi_term = 0.0
+        elif closed_form:
+            qs = q_phi(I, pop)
+            qv = q_psi(I, pop)
+            A_s = 1.0 + mu + p + beta * qs
+            A_v = 1.0 + mu + eta + sigma * qv
             D = A_s * A_v - eta * p
             S1 = (A_v * (lam + S) + eta * V) / D
             V1 = (p * S1 + V) / A_v
-            phi_term = beta * q_phi * S1
-            psi_term = sigma * q_psi * V1
+            phi_term = beta * qs * S1
+            psi_term = sigma * qv * V1
         else:
-            S1, V1 = _implicit_sv(lam, mu, p, eta, beta, sigma, phi, psi, S, I, V, pop)
-            f_phi = _fast_eval(phi, pop)
-            f_psi = _fast_eval(psi, pop)
-            phi_term = beta * f_phi(S1, I)
-            psi_term = sigma * f_psi(V1, I)
-    I1 = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
-    R1 = (gamma * I1 + R) / (1.0 + mu)
+            S1, V1 = _implicit_sv(lam, mu, p, eta, beta, sigma, q_psi, f_phi, f_psi,
+                                  S, I, V, pop)
+            phi_term = beta * f_phi(S1, I, pop)
+            psi_term = sigma * f_psi(V1, I, pop)
+        I1 = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
+        R1 = (gamma * I1 + R) / (1.0 + mu)
 
-    resid = abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
-    if resid > _BALANCE_RTOL * (1.0 + N):
-        if I > 0.0 and not (phi.kind in _LINEAR_KINDS and psi.kind in _LINEAR_KINDS):
-            # retry once with the machine-accurate bisection path
-            pop = N if (phi.needs_population or psi.needs_population) else None
-            f_phi = _fast_eval(phi, pop)
-            f_psi = _fast_eval(psi, pop)
-            S1, V1 = _bisect_sv(lam, mu, p, eta, beta, sigma, phi, psi,
-                                f_phi, f_psi, S, I, V, pop)
-            phi_term = beta * f_phi(S1, I)
-            psi_term = sigma * f_psi(V1, I)
-            I1 = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
-            R1 = (gamma * I1 + R) / (1.0 + mu)
-            resid = abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
+        resid = abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
         if resid > _BALANCE_RTOL * (1.0 + N):
-            raise StepError(f"balance identity violated at step {n} "
-                            f"(residual {resid:.3g})", step=n, residual=resid)
-    return S1, I1, R1, V1
+            if I > 0.0 and not closed_form:
+                # retry once with the machine-accurate bisection path
+                S1, V1 = _bisect_sv(lam, mu, p, eta, beta, sigma, q_psi, f_phi, f_psi,
+                                    S, I, V, pop)
+                phi_term = beta * f_phi(S1, I, pop)
+                psi_term = sigma * f_psi(V1, I, pop)
+                I1 = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
+                R1 = (gamma * I1 + R) / (1.0 + mu)
+                resid = abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
+            if resid > _BALANCE_RTOL * (1.0 + N):
+                raise StepError(f"balance identity violated at step {n} "
+                                f"(residual {resid:.3g})", step=n, residual=resid)
+        return S1, I1, R1, V1
+
+    return advance
 
 
 def nsfd_step(dp: DiscreteParams, n: int, phi: IncidenceFn, psi: IncidenceFn,
               s: State) -> State:
     """One step of the nonstandard scheme; preserves nonnegativity exactly."""
     s = validate_state(s)
-    out = _nsfd_advance(float(dp.Lambda(n)), float(dp.mu(n)), float(dp.p(n)),
-                        float(dp.eta(n)), float(dp.alpha(n)), float(dp.gamma(n)),
-                        float(dp.beta(n)), float(dp.sigma(n)),
-                        phi, psi, s.S, s.I, s.R, s.V, n)
+    out = _nsfd_stepper(phi, psi)(
+        float(dp.Lambda(n)), float(dp.mu(n)), float(dp.p(n)), float(dp.eta(n)),
+        float(dp.alpha(n)), float(dp.gamma(n)), float(dp.beta(n)), float(dp.sigma(n)),
+        s.S, s.I, s.R, s.V, n)
     return State(*out)
 
 
@@ -415,11 +405,12 @@ def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     out = np.empty((n_steps + 1, 4))
     out[0] = s0
     S, I, R, V = s0
+    advance = _nsfd_stepper(phi, psi)
     for n in range(n_steps):
-        S, I, R, V = _nsfd_advance(
+        S, I, R, V = advance(
             params["Lambda"][n], params["mu"][n], params["p"][n], params["eta"][n],
             params["alpha"][n], params["gamma"][n], params["beta"][n], params["sigma"][n],
-            phi, psi, S, I, R, V, n)
+            S, I, R, V, n)
         out[n + 1] = (S, I, R, V)
     return Trajectory(t0=0.0, dt=dp.h, states=out, method="nsfd")
 
@@ -427,20 +418,6 @@ def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
 # ---------------------------------------------------------------------------
 # continuous model (explicit reference integrators)
 # ---------------------------------------------------------------------------
-
-def _d2_closure(inc: IncidenceFn):
-    # Separable bridge g(x) = d2 f(x, 0), extended below the axis so explicit
-    # integrators can keep running after an overshoot (flagged, not clamped).
-    # A zero population carries no infection (S, V <= N gives g*I <= I = 0),
-    # so the standard bridge is 0 there rather than 0/0.
-    if inc.kind in ("mass_action", "saturated"):
-        return lambda x, pop: x
-    if inc.kind == "standard":
-        return lambda x, pop: x / pop if pop else 0.0
-    g = inc._g
-    # g sees a NumPy scalar, so overflow inside a user g gives inf, not an exception
-    return lambda x, pop: float(g(np.float64(x))) if x > 0.0 else 0.0
-
 
 def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
                          s0: State, t_end: float, h: float,
@@ -473,8 +450,8 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
     table = np.empty((ts_half.size, len(SCHEDULE_NAMES)))
     for k, name in enumerate(SCHEDULE_NAMES):
         table[:, k] = getattr(schedules, name).eval(ts_half)
-    g_phi = _d2_closure(phi)
-    g_psi = _d2_closure(psi)
+    g_phi = phi.bridge()
+    g_psi = psi.bridge()
     needs_pop = phi.needs_population or psi.needs_population
 
     def rhs(c, S, I, R, V):

@@ -2,8 +2,9 @@
 
 The discrete model consumes two-argument incidences f(susceptible-like, I);
 the continuous model consumes the separable form g(x)*I where
-g(x) = d/dy f(x, y) at y = 0.  Both views are bridged by `d2_at_zero`, which
-is all the threshold machinery ever needs.
+g(x) = d/dy f(x, y) at y = 0.  Both views are bridged by that slope
+(`d2_at_zero`, unchecked `slope`), which is all the threshold machinery ever
+needs.
 
 Standing hypotheses on an incidence:
   * f(x, 0) = f(0, y) = 0,
@@ -16,6 +17,7 @@ of these numerically on a grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,15 +37,27 @@ class IncidenceFn:
 
     kinds:
       mass_action   f(x, y) = x*y
-      saturated(a)  f(x, y) = x*y / (1 + a*y)
+      saturated(a)  f(x, y) = x*y / (1 + a*y)  (a finite, >= 0)
       standard      f(x, y) = x*y / P   (P supplied per call, `needs_population`)
       separable(g)  f(x, y) = g(x)*y    (g nonnegative, nondecreasing, Lipschitz)
+
+    Every decision that depends on the kind is made here.  The checked
+    surface is `eval`, `d2_at_zero` and `d2_lipschitz`.  The stepper and the
+    threshold code use unchecked forms of the same formulas; the factories
+    resolve the kind once, so hot loops call the closures they return:
+
+      linear_rate()  q(y, pop) with f(x, y) = q(y, pop) * x, or None when f
+                     is not linear in x (separable).  The NSFD (S+, V+)
+                     update is a closed-form 2x2 solve exactly when both
+                     incidences have one.
+      unchecked_f()  f(x, y, pop)
+      slope(x, pop)  d2f(x, 0), scalars or arrays
+      bridge()       g(x, pop) of the continuous model, scalars
     """
 
     kind: str
     a: float = 0.0
     lipschitz_k: float = 1.0
-    needs_population: bool = False
     _g: Callable | None = field(default=None, compare=False, repr=False)
 
     @classmethod
@@ -52,21 +66,15 @@ class IncidenceFn:
 
     @classmethod
     def saturated(cls, a: float) -> "IncidenceFn":
-        a = float(a)
-        if a < 0:
-            raise ValueError(f"saturation coefficient must be >= 0, got {a}")
-        return cls("saturated", a=a)
+        return cls("saturated", a=float(a))
 
     @classmethod
     def standard(cls) -> "IncidenceFn":
         # lipschitz_k is per unit population; effective constant is 1/P.
-        return cls("standard", needs_population=True)
+        return cls("standard")
 
     @classmethod
     def separable(cls, g: Callable, lipschitz_k: float) -> "IncidenceFn":
-        lipschitz_k = float(lipschitz_k)
-        if lipschitz_k < 0:
-            raise ValueError("lipschitz_k must be >= 0")
         if abs(float(g(0.0))) > 1e-12:
             raise ValueError(f"separable incidence needs g(0) = 0, got {g(0.0)}")
         xs = np.linspace(0.0, 100.0, 1024)
@@ -75,11 +83,22 @@ class IncidenceFn:
             raise ValueError("separable incidence needs g >= 0")
         if np.any(np.diff(gv) < -1e-9 * (1.0 + np.max(np.abs(gv)))):
             raise ValueError("separable incidence needs nondecreasing g")
-        return cls("separable", lipschitz_k=lipschitz_k, _g=g)
+        return cls("separable", lipschitz_k=float(lipschitz_k), _g=g)
 
     def __post_init__(self):
         if self.kind not in ("mass_action", "saturated", "standard", "separable"):
             raise ConfigError(f"unknown incidence kind {self.kind!r}")
+        if not (math.isfinite(self.a) and self.a >= 0.0):
+            raise ValueError(f"saturation coefficient must be finite and >= 0, got {self.a}")
+        if not self.lipschitz_k >= 0.0:  # also rejects NaN
+            raise ValueError("lipschitz_k must be >= 0")
+        if self.kind == "separable" and not callable(self._g):
+            raise ValueError("separable incidence needs a callable g")
+
+    @property
+    def needs_population(self) -> bool:
+        """True when f is scaled by the total population (`standard`)."""
+        return self.kind == "standard"
 
     def _pop(self, pop):
         if self.needs_population:
@@ -88,35 +107,75 @@ class IncidenceFn:
             return pop
         return None
 
+    # -- unchecked forms ----------------------------------------------------
+
+    def linear_rate(self):
+        """q(y, pop) with f(x, y) = q(y, pop) * x, or None when f is not linear in x."""
+        if self.kind == "mass_action":
+            return lambda y, pop: y
+        if self.kind == "saturated":
+            a = self.a
+            return lambda y, pop: y / (1.0 + a * y)
+        if self.kind == "standard":
+            return lambda y, pop: y / pop
+        return None
+
+    def unchecked_f(self):
+        """Unchecked f(x, y, pop); scalars, or arrays for every kind but separable."""
+        if self.kind == "mass_action":
+            return lambda x, y, pop: x * y
+        if self.kind == "saturated":
+            a = self.a
+            return lambda x, y, pop: x * y / (1.0 + a * y)
+        if self.kind == "standard":
+            return lambda x, y, pop: x * y / pop
+        g = self._g
+        return lambda x, y, pop: float(g(x)) * y
+
+    def slope(self, x, pop=None):
+        """d2f(x, 0) without domain checks; scalars or arrays."""
+        if self.kind in ("mass_action", "saturated"):
+            return x * 1.0
+        if self.kind == "standard":
+            return x / pop
+        if isinstance(x, np.ndarray):  # g takes scalars
+            return np.array([float(self._g(v)) for v in x.ravel()]).reshape(x.shape)
+        return float(self._g(x))
+
+    def bridge(self):
+        """g(x, pop) = d2f(x, 0) for the continuous model, on scalars.
+
+        Extended below the axis so explicit integrators can keep running
+        after an overshoot (flagged by the caller, not clamped): `separable`
+        gives 0 for x <= 0.  A zero population carries no infection (S, V <= N
+        gives g*I <= I = 0), so `standard` gives 0 there rather than 0/0.
+        """
+        if self.kind in ("mass_action", "saturated"):
+            return lambda x, pop: x
+        if self.kind == "standard":
+            return lambda x, pop: x / pop if pop else 0.0
+        g = self._g
+        # g sees a NumPy scalar, so overflow inside a user g gives inf, not an exception
+        return lambda x, pop: float(g(np.float64(x))) if x > 0.0 else 0.0
+
+    # -- checked surface ----------------------------------------------------
+
     def eval(self, x, y, pop=None):
         """f(x, y); x, y >= 0 (scalars or arrays)."""
         _check_xy(x, y)
-        if self.kind == "mass_action":
-            return x * y
-        if self.kind == "saturated":
-            return x * y / (1.0 + self.a * y)
-        if self.kind == "standard":
-            return x * y / self._pop(pop)
-        if isinstance(x, np.ndarray):
-            gx = np.array([float(self._g(v)) for v in x.ravel()]).reshape(x.shape)
-        else:
-            gx = float(self._g(x))
-        return gx * y
+        pop = self._pop(pop)
+        if self.kind == "separable":
+            return self.slope(x) * y  # g(x) y, with g applied point by point
+        return self.unchecked_f()(x, y, pop)
 
     def d2_at_zero(self, x, pop=None):
         """d/dy f(x, y) evaluated at y = 0."""
         _check_xy(x, 0.0)
-        if self.kind in ("mass_action", "saturated"):
-            return x * 1.0
-        if self.kind == "standard":
-            return x / self._pop(pop)
-        if isinstance(x, np.ndarray):
-            return np.array([float(self._g(v)) for v in x.ravel()]).reshape(x.shape)
-        return float(self._g(x))
+        return self.slope(x, self._pop(pop))
 
     def d2_lipschitz(self, pop=None) -> float:
         """Effective Lipschitz constant of x -> d2_at_zero(x)."""
-        if self.kind == "standard":
+        if self.needs_population:
             return self.lipschitz_k / float(self._pop(pop))
         return self.lipschitz_k
 

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .consistency import (ConsistencyReport, consistency_report, inconsistency_example,
-                          lambda_steps)
+from .consistency import (ConsistencyReport, consistency_report, consistency_skip_reason,
+                          inconsistency_example, lambda_steps)
 from .dynamics import (State, Trajectory, integrate_continuous, simulate_discrete,
                        validate_state)
 from .errors import ConfigError
@@ -520,18 +520,6 @@ def _residuals(traj: Trajectory, observed: ObservedSeries) -> ResidualReport:
     return ResidualReport(times=ts, observed=obs, model=model, residual=residual, rms=rms)
 
 
-def consistency_skip_reason(spec: ScenarioSpec) -> str:
-    """Empty string when the step-bound analysis applies, else the reason."""
-    for name in ("Lambda", "mu", "eta", "p"):
-        if not getattr(spec.schedules, name).is_constant:
-            return f"schedule {name!r} is not constant"
-    for name in ("beta", "sigma", "alpha", "gamma"):
-        s = getattr(spec.schedules, name)
-        if s.kind == "piecewise" and not s.is_constant:
-            return f"schedule {name!r} is a step function (not differentiable)"
-    return ""
-
-
 def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000,
                  reference: bool = True) -> ScenarioReport:
     """Execute a scenario across its declared step sizes."""
@@ -550,7 +538,7 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000,
     continuous = continuous_thresholds(spec.schedules, spec.incidence_phi,
                                        spec.incidence_psi, spec.lam)
 
-    skip_reason = consistency_skip_reason(spec)
+    skip_reason = consistency_skip_reason(spec.schedules)
     consistency = None
     if not skip_reason:
         consistency = consistency_report(spec.schedules, spec.incidence_phi,

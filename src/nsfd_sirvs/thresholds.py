@@ -88,14 +88,6 @@ def _classify(r_lower: float, r_upper: float, neutral: float, tol: float) -> Ver
     return Verdict.INCONCLUSIVE
 
 
-def _d2_along(inc: IncidenceFn, xs: np.ndarray, pop):
-    if inc.kind in ("mass_action", "saturated"):
-        return xs
-    if inc.kind == "standard":
-        return xs / pop
-    return inc.d2_at_zero(xs)
-
-
 def _window_products(ratios: np.ndarray, width: int) -> np.ndarray:
     # log-space sliding sums: safe against over/underflow for wide windows
     logs = np.log(ratios)
@@ -138,7 +130,7 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         notes.append("population-scaled incidence: population along the "
                      "disease-free orbit taken as x* + y*")
 
-    num = 1.0 + beta * _d2_along(phi, x_next, pop) + sigma * _d2_along(psi, y_next, pop)
+    num = 1.0 + beta * phi.slope(x_next, pop) + sigma * psi.slope(y_next, pop)
     den = 1.0 + mu + alpha + gamma
     window = _window_products(num / den, lam + 1)
 
@@ -171,7 +163,7 @@ def periodic_discrete_threshold(dp: DiscreteParams, phi: IncidenceFn,
     mu = dp.array("mu", 0, omega)
     alpha = dp.array("alpha", 0, omega)
     gamma = dp.array("gamma", 0, omega)
-    num = 1.0 + beta * _d2_along(phi, x_next, pop) + sigma * _d2_along(psi, y_next, pop)
+    num = 1.0 + beta * phi.slope(x_next, pop) + sigma * psi.slope(y_next, pop)
     den = 1.0 + mu + alpha + gamma
     prod = 1.0
     for r in num / den:
@@ -179,7 +171,9 @@ def periodic_discrete_threshold(dp: DiscreteParams, phi: IncidenceFn,
     return prod
 
 
-def _aux_equilibrium_values(schedules: ScheduleSet):
+def disease_free_equilibrium(schedules: ScheduleSet) -> AuxState:
+    """The equilibrium (a, b) of the disease-free pair; needs constant
+    Lambda, mu, eta and p."""
     return aux_equilibrium(schedules.Lambda.constant_value(),
                            schedules.mu.constant_value(),
                            schedules.eta.constant_value(),
@@ -220,7 +214,7 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
 
     aux_constant = all(getattr(schedules, n).is_constant for n in ("Lambda", "mu", "eta", "p"))
     if aux_constant:
-        a, b = _aux_equilibrium_values(schedules)
+        a, b = disease_free_equilibrium(schedules)
         x_star = np.full(ts.shape, a)
         y_star = np.full(ts.shape, b)
     else:
@@ -240,8 +234,8 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     mu = np.asarray(schedules.mu.eval(ts), dtype=float)
     alpha = np.asarray(schedules.alpha.eval(ts), dtype=float)
     gamma = np.asarray(schedules.gamma.eval(ts), dtype=float)
-    integrand = (beta * _d2_along(phi, x_star, pop)
-                 + sigma * _d2_along(psi, y_star, pop) - mu - alpha - gamma)
+    integrand = (beta * phi.slope(x_star, pop)
+                 + sigma * psi.slope(y_star, pop) - mu - alpha - gamma)
 
     weights = np.ones(2 * m + 1)
     weights[1:-1:2] = 4.0

@@ -196,6 +196,23 @@ def test_saturated_step_matches_bisection_oracle():
         assert abs(got.V - V1) <= 1e-12
 
 
+def test_linear_incidences_take_the_closed_form(monkeypatch):
+    # every kind linear in x (saturated included) avoids the iterative solve
+    import nsfd_sirvs.dynamics as dynamics
+
+    def no_iteration(*args):
+        raise AssertionError("fixed-point solve used for an incidence linear in x")
+
+    monkeypatch.setattr(dynamics, "_implicit_sv", no_iteration)
+    dp = seasonal_dp(b=0.9)
+    for phi, psi in ((SAT, MASS), (MASS, SAT), (SAT, IncidenceFn.standard())):
+        traj = simulate_discrete(dp, phi, psi, State(1.0, 0.2, 0.1, 1.0), 40)
+        assert traj.I[-1] > 0.0
+    sep = IncidenceFn.separable(lambda x: x / (1.0 + x), 1.0)
+    with pytest.raises(AssertionError, match="fixed-point"):
+        simulate_discrete(dp, sep, MASS, State(1.0, 0.2, 0.1, 1.0), 1)
+
+
 def test_balance_identity_random_draws():
     rng = np.random.default_rng(3)
     for i in range(2000):

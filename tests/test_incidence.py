@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,26 @@ def test_separable_needs_vanishing_g_at_zero():
         IncidenceFn.separable(lambda x: x + 1.0, lipschitz_k=1.0)
 
 
+def test_separable_without_g_rejected():
+    with pytest.raises(ValueError, match="callable g"):
+        IncidenceFn("separable")
+
+
+@pytest.mark.parametrize("a", [-1.0, math.nan, math.inf])
+def test_saturated_needs_finite_nonnegative_coefficient(a):
+    with pytest.raises(ValueError, match="saturation coefficient"):
+        IncidenceFn("saturated", a=a)
+    with pytest.raises(ValueError, match="saturation coefficient"):
+        IncidenceFn.saturated(a)
+
+
+@pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
+def test_needs_population_follows_kind(inc):
+    assert inc.needs_population == (inc.kind == "standard")
+    with pytest.raises(TypeError):
+        IncidenceFn(inc.kind, needs_population=True)
+
+
 # ---------------------------------------------------------------------------
 # slope at zero infectives
 # ---------------------------------------------------------------------------
@@ -104,6 +126,57 @@ def test_growth_bound(inc):
     k = inc.d2_lipschitz(**_kw(inc))
     f = inc.eval(xy[:, 0], xy[:, 1], **_kw(inc))
     assert np.all(f <= k * xy[:, 0] * xy[:, 1] + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# unchecked forms: the same formulas as the checked surface, bit for bit
+# ---------------------------------------------------------------------------
+
+_XS = np.linspace(0.0, 40.0, 33)
+_YS = np.linspace(0.0, 40.0, 29)
+
+
+@pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
+def test_unchecked_f_equals_eval(inc):
+    pop = 50.0 if inc.needs_population else None
+    f = inc.unchecked_f()
+    X, Y = np.meshgrid(_XS, _YS, indexing="ij")
+    checked = inc.eval(X, Y, **_kw(inc))
+    unchecked = np.array([[f(float(x), float(y), pop) for y in _YS] for x in _XS])
+    assert checked.tobytes() == unchecked.tobytes()
+
+
+@pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
+def test_slope_equals_d2_at_zero(inc):
+    pop = 50.0 if inc.needs_population else None
+    assert inc.slope(_XS, pop).tobytes() == inc.d2_at_zero(_XS, **_kw(inc)).tobytes()
+    for x in (0.0, 0.3, 7.0):
+        assert inc.slope(x, pop) == inc.d2_at_zero(x, **_kw(inc))
+
+
+@pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
+def test_linear_rate_is_eval_per_unit_x(inc):
+    q = inc.linear_rate()
+    if inc.kind == "separable":
+        assert q is None
+        return
+    pop = 50.0 if inc.needs_population else None
+    for y in _YS:
+        assert q(float(y), pop) == inc.eval(1.0, float(y), **_kw(inc))
+
+
+@pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
+def test_bridge_is_d2_on_the_quadrant_with_its_edge_conventions(inc):
+    pop = 50.0 if inc.needs_population else None
+    g = inc.bridge()
+    for x in _XS[1:]:
+        assert g(float(x), pop) == inc.d2_at_zero(float(x), **_kw(inc))
+    if inc.kind == "standard":
+        assert g(3.0, 0.0) == 0.0
+    elif inc.kind == "separable":
+        assert g(0.0, None) == 0.0 and g(-2.0, None) == 0.0
+    else:
+        assert g(-2.0, None) == -2.0
 
 
 # ---------------------------------------------------------------------------

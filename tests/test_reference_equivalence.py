@@ -2,7 +2,9 @@
 
 The scalar Euler/RK4 loop, the whole-grid incidence validator and the
 streaming trajectory writer must give exactly the numbers (and bytes) of the
-array-based, point-by-point and per-value implementations kept below.
+array-based, point-by-point and per-value implementations kept below.  The
+closed-form saturated NSFD step changes the arithmetic, so it must agree with
+the damped fixed-point step it replaced to a tolerance fixed beforehand.
 """
 
 import math
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsfd_sirvs.cli import _write_trajectory
-from nsfd_sirvs.dynamics import State, Trajectory, integrate_continuous, validate_state
+from nsfd_sirvs.dynamics import (State, Trajectory, _nsfd_stepper, integrate_continuous,
+                                 validate_state)
 from nsfd_sirvs.incidence import IncidenceFn, IncidenceReport, validate_incidence
 from nsfd_sirvs.schedules import SCHEDULE_NAMES
 
@@ -122,6 +125,107 @@ def test_standard_incidence_from_zero_population_is_disease_free(method):
     assert traj.negative_at is None
     assert np.all(traj.I == 0.0)
     assert np.array_equal(traj.states, free.states)
+
+
+# ---------------------------------------------------------------------------
+# saturated NSFD step: damped fixed-point reference
+# ---------------------------------------------------------------------------
+
+def _reference_saturated_step(lam, mu, p, eta, alpha, gamma, beta, sigma,
+                              a_phi, a_psi, S, I, R, V):
+    """The fixed-point step that saturated incidence took before the closed
+    form, for f(x, y) = x y / (1 + a y) in both slots and I > 0: damped
+    iteration on (S+, V+), bisection fallback, one bisection retry when the
+    balance identity fails."""
+
+    def f_phi(x, y):
+        return x * y / (1.0 + a_phi * y)
+
+    def f_psi(x, y):
+        return x * y / (1.0 + a_psi * y)
+
+    q_psi = I / (1.0 + a_psi * I)
+
+    def bisect():
+        def v_of(s):
+            return max(p * s + V, 0.0) / (1.0 + mu + eta + sigma * q_psi)
+
+        def g(s):
+            return s * (1.0 + mu + p) - (lam + S - beta * f_phi(s, I) + eta * v_of(s))
+
+        hi = (((1.0 + mu + eta) * (lam + S) + eta * V)
+              / ((1.0 + mu + p) * (1.0 + mu + eta) - eta * p)) + 1.0
+        for _ in range(60):
+            if g(hi) >= 0.0:
+                break
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if g(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        s = 0.5 * (lo + hi)
+        return s, v_of(s)
+
+    def fixed_point():
+        s, v = S, V
+        prev = math.inf
+        omega_damp = 1.0
+        for _ in range(200):
+            s_t = max((lam + S - beta * f_phi(max(s, 0.0), I) + eta * max(v, 0.0))
+                      / (1.0 + mu + p), 0.0)
+            v_t = max((p * s_t + V - sigma * f_psi(max(v, 0.0), I)) / (1.0 + mu + eta), 0.0)
+            res = max(abs(s_t - s), abs(v_t - v))
+            if res < 1e-12:
+                return s_t, v_t
+            if res >= prev:
+                omega_damp = max(0.5 * omega_damp, 1.0 / 64.0)
+            prev = res
+            s += omega_damp * (s_t - s)
+            v += omega_damp * (v_t - v)
+        return bisect()
+
+    N = S + I + R + V
+
+    def finish(S1, V1):
+        I1 = (beta * f_phi(S1, I) + sigma * f_psi(V1, I) + I) / (1.0 + mu + alpha + gamma)
+        R1 = (gamma * I1 + R) / (1.0 + mu)
+        return S1, I1, R1, V1
+
+    out = finish(*fixed_point())
+    if _balance_residual(out, N, lam, mu, alpha) > 1e-10 * (1.0 + N):
+        out = finish(*bisect())
+    return out
+
+
+def _balance_residual(state, N, lam, mu, alpha):
+    S1, I1, R1, V1 = state
+    return abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(S=st.floats(0.0, 5.0), I=st.floats(1e-3, 5.0), R=st.floats(0.0, 5.0),
+       V=st.floats(0.0, 5.0), lam=st.floats(0.0, 2.0), mu=st.floats(1e-3, 1.0),
+       p=_UNIT, eta=_UNIT, alpha=_UNIT, gamma=_UNIT, beta=st.floats(0.0, 3.0),
+       sigma=st.floats(0.0, 3.0), a_phi=st.floats(0.0, 5.0), a_psi=st.floats(0.0, 5.0))
+def test_saturated_closed_form_step_matches_fixed_point_reference(
+        S, I, R, V, lam, mu, p, eta, alpha, gamma, beta, sigma, a_phi, a_psi):
+    coeffs = (lam, mu, p, eta, alpha, gamma, beta, sigma)
+    step = _nsfd_stepper(IncidenceFn.saturated(a_phi), IncidenceFn.saturated(a_psi))
+    got = step(*coeffs, S, I, R, V, 0)
+    ref = _reference_saturated_step(*coeffs, a_phi, a_psi, S, I, R, V)
+    N = S + I + R + V
+    for new, old in zip(got, ref):
+        assert abs(new - old) <= 1e-12 * (1.0 + N)
+    assert _balance_residual(got, N, lam, mu, alpha) <= 1e-10 * (1.0 + N)
+    assert _balance_residual(ref, N, lam, mu, alpha) <= 1e-10 * (1.0 + N)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import pytest
 from nsfd_sirvs.dynamics import State
 from nsfd_sirvs.errors import ConfigError
 from nsfd_sirvs.incidence import validate_incidence
-from nsfd_sirvs.scenarios import (BUILTIN_NAMES, ObservedSeries, builtin,
-                                  consistency_skip_reason, load_config, load_observed,
-                                  run_scenario, spec_to_config)
+from nsfd_sirvs.consistency import consistency_skip_reason
+from nsfd_sirvs.scenarios import (BUILTIN_NAMES, ObservedSeries, builtin, load_config,
+                                  load_observed, run_scenario, spec_to_config)
 from nsfd_sirvs.schedules import mickens_discretize, validate_hypotheses
 from nsfd_sirvs.thresholds import Verdict
 
@@ -148,6 +148,17 @@ def test_config_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+def test_config_nan_saturation_names_field(tmp_path):
+    # json.loads accepts the NaN literal, so the incidence check must catch it
+    cfg = spec_to_config(builtin("saturated_5_1_ext"))
+    cfg["incidence"]["phi"]["params"]["a"] = float("nan")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert '"a": NaN' in path.read_text()
+    with pytest.raises(ConfigError, match="incidence.phi"):
+        load_config(path)
+
+
 def test_config_parse_error_carries_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "x",\n  "schedules": }')
@@ -255,7 +266,7 @@ def test_run_inconsistency_scenario_flags():
 
 def test_measles_consistency_not_applicable():
     spec = builtin("measles_france_5_2")
-    assert "beta" in consistency_skip_reason(spec)
+    assert "beta" in consistency_skip_reason(spec.schedules)
     rep = run_scenario(spec, reference=False)
     assert rep.consistency is None
     assert rep.consistency_skip_reason
