@@ -27,9 +27,10 @@ import numpy as np
 
 from .dynamics import AuxState, State
 from .incidence import IncidenceFn
-from .schedules import DenominatorFn, ParamSchedule, ScheduleSet, mickens_discretize
-from .thresholds import (Verdict, continuous_thresholds, discrete_thresholds,
-                         disease_free_equilibrium)
+from .schedules import (DenominatorFn, DiscreteParams, ParamSchedule, ScheduleSet,
+                        mickens_discretize)
+from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,
+                         discrete_thresholds, disease_free_equilibrium)
 
 _CD_STEP = 1e-5
 _SUP_GRID = 100_000
@@ -179,11 +180,18 @@ def h_max(r_c: float, sup_fprime: float, lam: float, side: str) -> float | None:
 
 
 def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
-                       lam: float, scan: tuple[float, float] | None = None,
-                       quad_step: float | None = None,
+                       lam: float, continuous: ThresholdReport | None = None,
                        notes: dict | None = None) -> ConsistencyReport:
-    """Assemble the full step-bound report for one model."""
-    cont = continuous_thresholds(schedules, phi, psi, lam, scan=scan, quad_step=quad_step)
+    """Assemble the full step-bound report for one model.
+
+    `continuous` is `continuous_thresholds(schedules, phi, psi, lam)`, passed
+    by a caller that already holds it; without it the report computes it.
+    """
+    if continuous is None:
+        continuous = continuous_thresholds(schedules, phi, psi, lam)
+    elif continuous.mode != "continuous" or continuous.lam != float(lam):
+        raise ValueError(f"{continuous.mode} report for window {continuous.lam} given, "
+                         f"continuous report for window {lam} needed")
     equilibrium = _applicable_equilibrium(schedules)
     f, fprime, analytic = _net_growth(schedules, phi, psi, equilibrium)
     T = schedules.common_period()
@@ -199,15 +207,15 @@ def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceF
         report_notes.setdefault("fprime", "central differences (no analytic derivative)")
     return ConsistencyReport(
         lam=lam,
-        r_c_lower=cont.r_lower,
-        r_c_upper=cont.r_upper,
+        r_c_lower=continuous.r_lower,
+        r_c_upper=continuous.r_upper,
         sup_abs_fprime=sup.value,
         fprime_argmax=sup.argmax,
-        h_max_upper=h_max(cont.r_upper, sup.value, lam, "upper"),
-        h_max_lower=h_max(cont.r_lower, sup.value, lam, "lower"),
+        h_max_upper=h_max(continuous.r_upper, sup.value, lam, "upper"),
+        h_max_lower=h_max(continuous.r_lower, sup.value, lam, "lower"),
         equilibrium=tuple(equilibrium),
         f_samples=np.vstack([ts, np.asarray(f(ts), dtype=float)]),
-        continuous_verdict=cont.verdict,
+        continuous_verdict=continuous.verdict,
         notes=report_notes,
     )
 
@@ -222,6 +230,15 @@ def lambda_steps(lam: float, h: float) -> int:
     if not (lam >= 0 and h > 0):
         raise ValueError("need lam >= 0 and h > 0")
     return max(0, int(math.ceil(lam / h - 1e-9)) - 1)
+
+
+def window_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
+                      lam: float, burn_in: int = 2000, scan: int = 4000) -> ThresholdReport:
+    """Discrete thresholds at dp's step for the continuous window lam: window
+    index `lambda_steps(lam, dp.h)` (the report's `lam`), scan at least one window."""
+    lam_d = lambda_steps(lam, dp.h)
+    return discrete_thresholds(dp, phi, psi, lam_d, burn_in=burn_in,
+                               scan=max(scan, lam_d + 1))
 
 
 @dataclass(frozen=True)
@@ -258,10 +275,8 @@ def consistency_sweep(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn
     rows = []
     for h in np.geomspace(bound * lo_frac, bound * hi_frac, int(n)):
         dp = mickens_discretize(schedules, float(h), denominator)
-        lam_d = lambda_steps(lam, float(h))
-        rep = discrete_thresholds(dp, phi, psi, lam_d, burn_in=burn_in,
-                                  scan=max(scan, lam_d + 1))
-        rows.append(SweepRow(h=float(h), lam_steps=lam_d, r_lower=rep.r_lower,
+        rep = window_thresholds(dp, phi, psi, lam, burn_in=burn_in, scan=scan)
+        rows.append(SweepRow(h=dp.h, lam_steps=rep.lam, r_lower=rep.r_lower,
                              r_upper=rep.r_upper, verdict=rep.verdict,
                              matches=rep.verdict is report.continuous_verdict))
     return rows

@@ -18,14 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .consistency import (ConsistencyReport, consistency_report, consistency_skip_reason,
-                          inconsistency_example, lambda_steps)
+                          inconsistency_example, window_thresholds)
 from .dynamics import (State, Trajectory, integrate_continuous, simulate_discrete,
                        validate_state)
 from .errors import ConfigError
 from .incidence import IncidenceFn, validate_incidence
-from .schedules import (SCHEDULE_NAMES, DenominatorFn, ParamSchedule, ScheduleSet,
-                        mickens_discretize, validate_hypotheses)
-from .thresholds import ThresholdReport, Verdict, continuous_thresholds, discrete_thresholds
+from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSchedule,
+                        ScheduleSet, mickens_discretize, validate_hypotheses)
+# discrete_thresholds is called through consistency.window_thresholds; it stays
+# importable here because perfbench/tracing.py looks it up in this module
+from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
+                         discrete_thresholds)
 
 RK4_REFERENCE_STEP = 0.01
 
@@ -84,6 +87,8 @@ class ScenarioSpec:
             raise ConfigError("h_values must be nonempty")
         if any(not h > 0 for h in self.h_values):
             raise ConfigError("h_values must be positive")
+        if len(set(self.h_values)) != len(self.h_values):
+            raise ConfigError("h_values must be distinct")
         if not self.lam > 0:
             raise ConfigError("lambda must be positive")
         if self.t_end < self.lam:
@@ -469,30 +474,52 @@ class ResidualReport:
 
 @dataclass(eq=False)
 class PerStepResult:
-    h: float
-    lam_steps: int
     nsfd: Trajectory
     euler: Trajectory
-    thresholds: ThresholdReport
     euler_empirical: Verdict
     residuals: ResidualReport | None = None
 
 
 @dataclass(eq=False)
-class ScenarioReport:
-    name: str
-    per_h: dict
-    continuous: ThresholdReport
+class ThresholdComparison:
+    """Continuous and discrete threshold reports for one window, compared.
+
+    `discrete` holds (h, report) pairs; `consistency` is None where the
+    step-bound analysis does not apply, and `consistency_skip_reason` says why.
+    """
+
+    continuous: ThresholdReport | None
+    discrete: tuple
     consistency: ConsistencyReport | None
     consistency_skip_reason: str
-    rk4_reference: Trajectory | None
-    verdict_matrix: dict
-    inconsistent_h: tuple
-    warnings: tuple
+
+    @property
+    def inconsistent_h(self) -> tuple:
+        """(h, verdict) wherever it contradicts a decisive continuous verdict."""
+        cont = self.continuous.verdict if self.continuous else Verdict.INCONCLUSIVE
+        return tuple((h, rep.verdict) for h, rep in self.discrete
+                     if cont is not Verdict.INCONCLUSIVE and rep.verdict is not cont)
 
     @property
     def inconsistency_flag(self) -> bool:
         return len(self.inconsistent_h) > 0
+
+
+@dataclass(eq=False)
+class ScenarioReport(ThresholdComparison):
+    name: str
+    per_h: dict
+    rk4_reference: Trajectory | None
+    warnings: tuple
+
+    @property
+    def verdict_matrix(self) -> dict:
+        """Verdict per (method, h); the continuous one is keyed (continuous, None)."""
+        matrix = {("continuous", None): self.continuous.verdict}
+        for h, rep in self.discrete:
+            matrix[("nsfd", h)] = rep.verdict
+            matrix[("euler", h)] = self.per_h[h].euler_empirical
+        return matrix
 
 
 def _empirical_verdict(traj: Trajectory) -> Verdict:
@@ -520,6 +547,77 @@ def _residuals(traj: Trajectory, observed: ObservedSeries) -> ResidualReport:
     return ResidualReport(times=ts, observed=obs, model=model, residual=residual, rms=rms)
 
 
+def steps_for(t_end: float, h: float) -> int:
+    """Number of steps of size h that run to t_end; at least one."""
+    return max(1, int(round(t_end / h)))
+
+
+def discretize(spec: ScenarioSpec, hs) -> list[DiscreteParams]:
+    return [mickens_discretize(spec.schedules, h, spec.denominator) for h in hs]
+
+
+def _nsfd_and_euler(spec: ScenarioSpec, dp: DiscreteParams, t_end: float):
+    """The NSFD run and the Euler run at dp's step size, both to t_end."""
+    nsfd = simulate_discrete(dp, spec.incidence_phi, spec.incidence_psi,
+                             spec.initial_state, steps_for(t_end, dp.h))
+    euler = integrate_continuous(spec.schedules, spec.incidence_phi,
+                                 spec.incidence_psi, spec.initial_state,
+                                 t_end, dp.h, method="euler")
+    return nsfd, euler
+
+
+def _rk4_reference(spec: ScenarioSpec, t_end: float) -> Trajectory:
+    return integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
+                                spec.initial_state, t_end, RK4_REFERENCE_STEP,
+                                method="rk4")
+
+
+def _step_bound_report(spec: ScenarioSpec, lam: float,
+                       continuous: ThresholdReport | None) -> ConsistencyReport:
+    return consistency_report(spec.schedules, spec.incidence_phi, spec.incidence_psi,
+                              lam, continuous=continuous,
+                              notes=dict(spec.reference_values))
+
+
+def threshold_reports(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
+                      burn_in: int = 2000, scan: int = 4000) -> tuple:
+    """The continuous report for window lam, None for a zero-length window,
+    and the (h, discrete report) pairs for the discrete models dps."""
+    continuous = continuous_thresholds(spec.schedules, spec.incidence_phi,
+                                       spec.incidence_psi, lam) if lam > 0 else None
+    return continuous, tuple(
+        (dp.h, window_thresholds(dp, spec.incidence_phi, spec.incidence_psi, lam,
+                                 burn_in=burn_in, scan=scan)) for dp in dps)
+
+
+def compare_thresholds(spec: ScenarioSpec, lam: float, burn_in: int = 2000,
+                       scan: int = 4000) -> ThresholdComparison:
+    """Threshold reports for window lam at the declared step sizes, with the
+    step-bound report; only the skip reason where that does not apply."""
+    reason = consistency_skip_reason(spec.schedules)
+    if reason:
+        return ThresholdComparison(None, (), None, reason)
+    continuous, discrete = threshold_reports(spec, lam, discretize(spec, spec.h_values),
+                                             burn_in, scan)
+    return ThresholdComparison(continuous, discrete,
+                               _step_bound_report(spec, lam, continuous), "")
+
+
+def compare_methods(spec: ScenarioSpec, hs, t_end: float) -> tuple[list, list]:
+    """Rows (h, method, sup |I - I_ref|, left the nonnegative cone) for the NSFD
+    and Euler runs at each step size against one RK4 run, and the step sizes
+    where NSFD deviates more."""
+    ref = _rk4_reference(spec, t_end)
+    rows, nsfd_worse = [], []
+    for dp in discretize(spec, hs):
+        runs = _nsfd_and_euler(spec, dp, t_end)
+        devs = [float(np.max(np.abs(t.I - np.interp(t.times, ref.times, ref.I)))) for t in runs]
+        rows += [(dp.h, t.method, d, t.negative_at is not None) for t, d in zip(runs, devs)]
+        if devs[0] > devs[1]:
+            nsfd_worse.append(dp.h)
+    return rows, nsfd_worse
+
+
 def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000,
                  reference: bool = True) -> ScenarioReport:
     """Execute a scenario across its declared step sizes."""
@@ -535,21 +633,14 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000,
             warnings.append(f"incidence {label} failed grid validation")
         warnings.extend(f"incidence {label}: {n}" for n in rep.notes)
 
-    continuous = continuous_thresholds(spec.schedules, spec.incidence_phi,
-                                       spec.incidence_psi, spec.lam)
-
+    dps = discretize(spec, spec.h_values)
+    continuous, discrete = threshold_reports(spec, spec.lam, dps, burn_in, scan)
     skip_reason = consistency_skip_reason(spec.schedules)
-    consistency = None
-    if not skip_reason:
-        consistency = consistency_report(spec.schedules, spec.incidence_phi,
-                                         spec.incidence_psi, spec.lam,
-                                         notes=dict(spec.reference_values))
+    consistency = None if skip_reason else _step_bound_report(spec, spec.lam, continuous)
 
     per_h = {}
-    verdicts = {("continuous", None): continuous.verdict}
-    inconsistent = []
-    for h in spec.h_values:
-        dp = mickens_discretize(spec.schedules, h, spec.denominator)
+    for dp in dps:
+        h = dp.h
         omega = dp.step_period or 1
         hyp = validate_hypotheses(dp, horizons=(omega, omega, omega),
                                   scan=(0, max(100, 2 * omega)))
@@ -557,43 +648,22 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000,
             warnings.append(f"h={h:g}: attractivity hypotheses fail (H3/H4)")
         warnings.extend(f"h={h:g}: {w}" for w in hyp.warnings)
 
-        n_steps = max(1, int(round(spec.t_end / h)))
-        nsfd = simulate_discrete(dp, spec.incidence_phi, spec.incidence_psi,
-                                 spec.initial_state, n_steps)
-        euler = integrate_continuous(spec.schedules, spec.incidence_phi,
-                                     spec.incidence_psi, spec.initial_state,
-                                     spec.t_end, h, method="euler")
+        nsfd, euler = _nsfd_and_euler(spec, dp, spec.t_end)
         if euler.negative_at is not None:
             warnings.append(f"h={h:g}: euler trajectory leaves the nonnegative "
                             f"cone at step {euler.negative_at}")
-
-        lam_d = lambda_steps(spec.lam, h)
-        thr = discrete_thresholds(dp, spec.incidence_phi, spec.incidence_psi,
-                                  lam_d, burn_in=burn_in, scan=max(scan, lam_d + 1))
-        eul_verdict = _empirical_verdict(euler)
         res = _residuals(nsfd, spec.observed) if spec.observed is not None else None
-        per_h[h] = PerStepResult(h=h, lam_steps=lam_d, nsfd=nsfd, euler=euler,
-                                 thresholds=thr, euler_empirical=eul_verdict,
+        per_h[h] = PerStepResult(nsfd=nsfd, euler=euler,
+                                 euler_empirical=_empirical_verdict(euler),
                                  residuals=res)
-        verdicts[("nsfd", h)] = thr.verdict
-        verdicts[("euler", h)] = eul_verdict
-        if continuous.verdict is not Verdict.INCONCLUSIVE and thr.verdict is not continuous.verdict:
-            inconsistent.append((h, thr.verdict))
-
-    rk4 = None
-    if reference:
-        rk4 = integrate_continuous(spec.schedules, spec.incidence_phi,
-                                   spec.incidence_psi, spec.initial_state,
-                                   spec.t_end, RK4_REFERENCE_STEP, method="rk4")
 
     return ScenarioReport(
         name=spec.name,
         per_h=per_h,
         continuous=continuous,
+        discrete=discrete,
         consistency=consistency,
         consistency_skip_reason=skip_reason,
-        rk4_reference=rk4,
-        verdict_matrix=verdicts,
-        inconsistent_h=tuple(inconsistent),
+        rk4_reference=_rk4_reference(spec, spec.t_end) if reference else None,
         warnings=tuple(warnings),
     )

@@ -95,6 +95,17 @@ def _window_products(ratios: np.ndarray, width: int) -> np.ndarray:
     return np.exp(c[width:] - c[:-width])
 
 
+def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
+                   orbit_next: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
+    """r_k for k in [k_lo, k_hi); row i of `orbit_next` is (x*, y*) at k_lo + i + 1."""
+    x_next, y_next = orbit_next[:, 0], orbit_next[:, 1]
+    pop = x_next + y_next if (phi.needs_population or psi.needs_population) else None
+    beta, sigma, mu, alpha, gamma = (dp.array(name, k_lo, k_hi) for name in
+                                     ("beta", "sigma", "mu", "alpha", "gamma"))
+    num = 1.0 + beta * phi.slope(x_next, pop) + sigma * psi.slope(y_next, pop)
+    return num / (1.0 + mu + alpha + gamma)
+
+
 def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                         lam: int, burn_in: int = 2000, scan: int = 4000,
                         aux_start: AuxState = AuxState(1.0, 1.0)) -> ThresholdReport:
@@ -111,28 +122,14 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     if burn_in < 0 or scan < lam + 1:
         raise ValueError("need burn_in >= 0 and scan >= lam + 1")
 
-    n_hi = burn_in + scan + lam + 1
-    orbit = simulate_aux(dp, AuxState(*aux_start), n_hi)
-
     ks_lo, ks_hi = burn_in, burn_in + scan + lam + 1
-    beta = dp.array("beta", ks_lo, ks_hi)
-    sigma = dp.array("sigma", ks_lo, ks_hi)
-    mu = dp.array("mu", ks_lo, ks_hi)
-    alpha = dp.array("alpha", ks_lo, ks_hi)
-    gamma = dp.array("gamma", ks_lo, ks_hi)
-    x_next = orbit[ks_lo + 1: ks_hi + 1, 0]
-    y_next = orbit[ks_lo + 1: ks_hi + 1, 1]
-
-    notes = []
-    pop = None
+    orbit = simulate_aux(dp, AuxState(*aux_start), ks_hi)
+    ratios = _growth_ratios(dp, phi, psi, orbit[ks_lo + 1: ks_hi + 1], ks_lo, ks_hi)
+    window = _window_products(ratios, lam + 1)
+    notes = ()
     if phi.needs_population or psi.needs_population:
-        pop = x_next + y_next
-        notes.append("population-scaled incidence: population along the "
-                     "disease-free orbit taken as x* + y*")
-
-    num = 1.0 + beta * phi.slope(x_next, pop) + sigma * psi.slope(y_next, pop)
-    den = 1.0 + mu + alpha + gamma
-    window = _window_products(num / den, lam + 1)
+        notes = ("population-scaled incidence: population along the "
+                 "disease-free orbit taken as x* + y*",)
 
     r_lower = float(window.min())
     r_upper = float(window.max())
@@ -142,7 +139,7 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         mode="discrete", lam=lam, r_lower=r_lower, r_upper=r_upper,
         window_products=window, burn_in=burn_in, scan=scan,
         verdict=_classify(r_lower, r_upper, 1.0, BOUNDARY_TOL),
-        exact_periodic=exact, notes=tuple(notes),
+        exact_periodic=exact, notes=notes,
     )
 
 
@@ -155,18 +152,9 @@ def periodic_discrete_threshold(dp: DiscreteParams, phi: IncidenceFn,
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     orbit = periodic_aux_solution(dp, omega)
-    x_next = orbit[(np.arange(omega) + 1) % omega, 0]
-    y_next = orbit[(np.arange(omega) + 1) % omega, 1]
-    pop = x_next + y_next if (phi.needs_population or psi.needs_population) else None
-    beta = dp.array("beta", 0, omega)
-    sigma = dp.array("sigma", 0, omega)
-    mu = dp.array("mu", 0, omega)
-    alpha = dp.array("alpha", 0, omega)
-    gamma = dp.array("gamma", 0, omega)
-    num = 1.0 + beta * phi.slope(x_next, pop) + sigma * psi.slope(y_next, pop)
-    den = 1.0 + mu + alpha + gamma
+    ratios = _growth_ratios(dp, phi, psi, orbit[(np.arange(omega) + 1) % omega], 0, omega)
     prod = 1.0
-    for r in num / den:
+    for r in ratios:
         prod *= float(r)
     return prod
 

@@ -274,6 +274,28 @@ def test_scenario_bundle_matches_golden_digest(tmp_path, name):
     assert _dir_digest(tmp_path) == GOLDEN_BUNDLE_DIGESTS[name]
 
 
+# the same digest over the other subcommands' output directories, manifest
+# included; the three sweeps equal perfbench/baseline.json
+GOLDEN_COMMAND_DIGESTS = {
+    ("consistency", "extinction_5_1", "--sweep"):
+        "56ade0bf6bc9010d20c5601f1d969e71943e7642ea48aa1d57a1271d7993cab9",
+    ("consistency", "persistence_5_1", "--sweep"):
+        "eb229ae0c94e569278a0a335892ea31eac7ce5591028b7444a8d85dd310c6b6c",
+    ("consistency", "inconsistency_4", "--sweep"):
+        "2232357fc98ae5a6d520c5871314e721b27653a9d91783889b890abeea2a9399",
+    ("thresholds", "persistence_5_1"):
+        "59e2358896da5ab8cc96295e5e1585429e2879e3d2404162ac9e145ca64c03a0",
+    ("compare", "extinction_5_1"):
+        "11f4c0a8aecd3cfd90bc4251863659ff9ba19de0f6548184122f8399e2ca1682",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_COMMAND_DIGESTS), ids=" ".join)
+def test_command_output_matches_golden_digest(tmp_path, argv):
+    assert main(list(argv) + ["--out", str(tmp_path)]) == 0
+    assert _dir_digest(tmp_path) == GOLDEN_COMMAND_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("name", ["persistence_5_1", "measles_france_5_2"])
 def test_consistency_command_matches_bundle_payload(tmp_path, name):
     # one serialiser: the subcommand's report equals the one in the bundle
@@ -282,6 +304,31 @@ def test_consistency_command_matches_bundle_payload(tmp_path, name):
     assert main(["consistency", name, "--out", str(alone)]) == 0
     assert ((alone / "consistency.json").read_bytes()
             == (bundle / "consistency.json").read_bytes())
+
+
+# each subcommand registers only the flags it reads; these were accepted and
+# ignored before, and echoed in the manifest as if they had taken effect
+UNREAD_FLAGS = [
+    ["simulate", "extinction_5_1", "--burn-in", "10"],
+    ["simulate", "extinction_5_1", "--scan", "10"],
+    ["simulate", "extinction_5_1", "--lambda", "2"],
+    ["compare", "extinction_5_1", "--burn-in", "10"],
+    ["compare", "extinction_5_1", "--scan", "10"],
+    ["compare", "extinction_5_1", "--lambda", "2"],
+    ["scenario", "run", "extinction_5_1", "--lambda", "2"],
+    ["scenario", "run", "extinction_5_1", "--t-end", "10"],
+    ["thresholds", "extinction_5_1", "--t-end", "10"],
+    ["consistency", "extinction_5_1", "--t-end", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=" ".join)
+def test_unread_flag_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_config_error_exit_code(tmp_path):

@@ -5,11 +5,12 @@ import pytest
 
 from nsfd_sirvs.consistency import (consistency_report, consistency_sweep, h_max,
                                     inconsistency_example, lambda_steps,
-                                    net_growth_function, sup_abs_fprime)
+                                    net_growth_function, sup_abs_fprime,
+                                    window_thresholds)
 from nsfd_sirvs.dynamics import aux_equilibrium
 from nsfd_sirvs.incidence import IncidenceFn
-from nsfd_sirvs.schedules import DenominatorFn, ParamSchedule, ScheduleSet
-from nsfd_sirvs.thresholds import Verdict
+from nsfd_sirvs.schedules import DenominatorFn, ParamSchedule, ScheduleSet, mickens_discretize
+from nsfd_sirvs.thresholds import Verdict, continuous_thresholds, discrete_thresholds
 
 from test_schedules import full_set
 from test_dynamics import _decay_only_set
@@ -121,6 +122,27 @@ def test_consistency_report_extinction_benchmark():
     assert rep.continuous_verdict is Verdict.EXTINCTION
     a, b = rep.equilibrium
     assert a + b == pytest.approx(5.0 / 3.0, rel=1e-12)
+
+
+def test_consistency_report_reuses_a_given_continuous_report():
+    sched = full_set(0.3)
+    cont = continuous_thresholds(sched, MASS, MASS, 4.0)
+    given = consistency_report(sched, MASS, MASS, 4.0, continuous=cont)
+    computed = consistency_report(sched, MASS, MASS, 4.0)
+    assert given == computed
+    assert np.array_equal(given.f_samples, computed.f_samples)
+    with pytest.raises(ValueError, match="window 4.0"):
+        consistency_report(sched, MASS, MASS, 4.0,
+                           continuous=continuous_thresholds(sched, MASS, MASS, 3.0))
+
+
+def test_window_thresholds_is_the_discrete_report_for_the_time_window():
+    dp = mickens_discretize(full_set(0.3), 0.5, DenominatorFn.quadratic(0.2))
+    rep = window_thresholds(dp, MASS, MASS, 4.0, burn_in=100, scan=4)
+    assert rep.lam == lambda_steps(4.0, 0.5) == 7
+    assert rep.scan == 8  # widened to one whole window
+    direct = discrete_thresholds(dp, MASS, MASS, 7, burn_in=100, scan=8)
+    assert (rep.r_lower, rep.r_upper) == (direct.r_lower, direct.r_upper)
 
 
 def test_equilibrium_satisfies_stationarity():

@@ -7,8 +7,8 @@ from nsfd_sirvs.dynamics import State
 from nsfd_sirvs.errors import ConfigError
 from nsfd_sirvs.incidence import validate_incidence
 from nsfd_sirvs.consistency import consistency_skip_reason
-from nsfd_sirvs.scenarios import (BUILTIN_NAMES, ObservedSeries, builtin, load_config,
-                                  load_observed, run_scenario, spec_to_config)
+from nsfd_sirvs.scenarios import (BUILTIN_NAMES, ObservedSeries, builtin, config_to_spec,
+                                  load_config, load_observed, run_scenario, spec_to_config)
 from nsfd_sirvs.schedules import mickens_discretize, validate_hypotheses
 from nsfd_sirvs.thresholds import Verdict
 
@@ -262,6 +262,13 @@ def test_run_inconsistency_scenario_flags():
     h = builtin("inconsistency_4").h_values[0]
     assert rep.verdict_matrix[("nsfd", h)] is not Verdict.PERMANENCE
     assert rep.inconsistency_flag
+    # both derived from the one discrete report per step size
+    (h_d, disc), = rep.discrete
+    assert h_d == h
+    assert rep.inconsistent_h == ((h, disc.verdict),)
+    assert rep.verdict_matrix == {("continuous", None): Verdict.PERMANENCE,
+                                  ("nsfd", h): disc.verdict,
+                                  ("euler", h): rep.per_h[h].euler_empirical}
 
 
 def test_measles_consistency_not_applicable():
@@ -290,3 +297,30 @@ def test_rk4_reference_attached_when_requested():
     assert rep.rk4_reference is not None
     assert rep.rk4_reference.dt == 0.01
     assert rep.rk4_reference.times[-1] == pytest.approx(spec.t_end, abs=1e-9)
+
+
+def test_run_scenario_computes_the_continuous_report_once(monkeypatch):
+    # the step-bound report reuses run_scenario's continuous report
+    import nsfd_sirvs.consistency as consistency_module
+    import nsfd_sirvs.scenarios as scenarios_module
+    import nsfd_sirvs.thresholds as thresholds_module
+
+    calls = []
+    original = thresholds_module.continuous_thresholds
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (thresholds_module, consistency_module, scenarios_module):
+        monkeypatch.setattr(module, "continuous_thresholds", counting)
+    rep = run_scenario(builtin("extinction_5_1"), reference=False)
+    assert rep.consistency is not None
+    assert len(calls) == 1
+
+
+def test_duplicate_step_sizes_rejected():
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    cfg["h_values"] = [1.0, 0.5, 1.0]
+    with pytest.raises(ConfigError, match="distinct"):
+        config_to_spec(cfg)
