@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .consistency import consistency_sweep
+from .consistency import consistency_sweep, sweep_skip_reason
 from .dynamics import Trajectory, integrate_continuous, simulate_discrete
 from .errors import ConfigError, StepError
 from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, compare_methods,
@@ -26,7 +26,7 @@ from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, compare_met
 from .schedules import mickens_discretize
 # the scenarios module computes every threshold report; the two *_thresholds names
 # stay importable here because perfbench/tracing.py looks them up in this module
-from .thresholds import Verdict, continuous_thresholds, discrete_thresholds  # noqa: F401
+from .thresholds import continuous_thresholds, discrete_thresholds  # noqa: F401
 
 _F = "{:.17g}".format  # round-trip exact for doubles
 
@@ -184,15 +184,19 @@ def _cmd_consistency(args) -> int:
     comparison = compare_thresholds(spec, lam, burn_in=args.burn_in, scan=args.scan)
     payload = _consistency_payload(comparison)
     rep = comparison.consistency
-    if args.sweep and rep is not None and rep.continuous_verdict is not Verdict.INCONCLUSIVE:
-        rows = consistency_sweep(spec.schedules, spec.incidence_phi,
-                                 spec.incidence_psi, spec.denominator, lam,
-                                 report=rep, burn_in=args.burn_in, scan=args.scan)
-        payload["sweep"] = [
-            {"h": r.h, "lambda_steps": r.lam_steps, "r_lower": r.r_lower,
-             "r_upper": r.r_upper, "verdict": r.verdict.value, "matches": r.matches}
-            for r in rows]
-        payload["sweep_all_match"] = all(r.matches for r in rows)
+    if args.sweep and rep is not None:
+        skip = sweep_skip_reason(rep)
+        if skip:
+            print(f"no sweep: {skip}")
+        else:
+            rows = consistency_sweep(spec.schedules, spec.incidence_phi,
+                                     spec.incidence_psi, spec.denominator, lam,
+                                     report=rep, burn_in=args.burn_in, scan=args.scan)
+            payload["sweep"] = [
+                {"h": r.h, "lambda_steps": r.lam_steps, "r_lower": r.r_lower,
+                 "r_upper": r.r_upper, "verdict": r.verdict.value, "matches": r.matches}
+                for r in rows]
+            payload["sweep_all_match"] = all(r.matches for r in rows)
     path = _write_json(out / "consistency.json", payload)
     _manifest(out, args, echo, {"lambda": lam, "outputs": [path.name]})
     print(f"wrote {path}")

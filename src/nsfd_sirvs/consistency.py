@@ -60,6 +60,16 @@ class ConsistencyReport:
     continuous_verdict: Verdict
     notes: dict = field(default_factory=dict)
 
+    @property
+    def verdict_bound(self) -> float | None:
+        """The step bound on the side of the continuous verdict; None when
+        the verdict is inconclusive."""
+        if self.continuous_verdict is Verdict.EXTINCTION:
+            return self.h_max_upper
+        if self.continuous_verdict is Verdict.PERMANENCE:
+            return self.h_max_lower
+        return None
+
 
 class FprimeSup(NamedTuple):
     value: float
@@ -241,6 +251,17 @@ def window_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                                scan=max(scan, lam_d + 1))
 
 
+def sweep_skip_reason(report: ConsistencyReport) -> str:
+    """Empty string when the report has a finite step bound to sweep below,
+    else the reason there is nothing to sweep."""
+    if report.continuous_verdict is Verdict.INCONCLUSIVE:
+        return "continuous verdict is inconclusive; no bound to sweep"
+    bound = report.verdict_bound
+    if bound is None or not math.isfinite(bound):
+        return "step bound is unbounded or undefined; nothing to sweep"
+    return ""
+
+
 @dataclass(frozen=True)
 class SweepRow:
     h: float
@@ -258,19 +279,15 @@ def consistency_sweep(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn
                       burn_in: int = 2000, scan: int = 4000) -> list[SweepRow]:
     """Empirical check of the guarantee: verdicts at n log-spaced h below h_max.
 
-    Raises when the continuous verdict is inconclusive or the bound is
-    unbounded (nothing to sweep against).
+    Raises ValueError with `sweep_skip_reason` when there is no finite bound
+    to sweep against.
     """
     if report is None:
         report = consistency_report(schedules, phi, psi, lam)
-    if report.continuous_verdict is Verdict.EXTINCTION:
-        bound = report.h_max_upper
-    elif report.continuous_verdict is Verdict.PERMANENCE:
-        bound = report.h_max_lower
-    else:
-        raise ValueError("continuous verdict is inconclusive; no bound to sweep")
-    if bound is None or not math.isfinite(bound):
-        raise ValueError("step bound is unbounded or undefined; nothing to sweep")
+    reason = sweep_skip_reason(report)
+    if reason:
+        raise ValueError(reason)
+    bound = report.verdict_bound
 
     rows = []
     for h in np.geomspace(bound * lo_frac, bound * hi_frac, int(n)):

@@ -13,10 +13,11 @@ Three ways to advance a SIRVS model live here:
 
     The (S+, V+) pair is implicit.  When both incidences are linear in
     their first argument (f(x, y) = q(y) x: mass action, saturated,
-    standard) it is a closed-form 2x2 solve; otherwise (separable) a damped
-    fixed-point iteration with a guaranteed bisection fallback.  Which one
-    applies, and every other per-kind form, comes from `IncidenceFn`, once
-    per run.  Summing the four updates gives the exact balance identity
+    standard) it is a closed-form 2x2 solve; otherwise (separable) one
+    safeguarded Newton-secant solve of the pair, kept inside the brackets
+    that every evaluation shrinks (`_implicit_sv`).  Which one applies, and
+    every other per-kind form, comes from `IncidenceFn`, once per run.
+    Summing the four updates gives the exact balance identity
     (1 + mu_n) N+ + alpha_n I+ = N_n + Lam_n, which every step is checked
     against: it is the correctness oracle for the implicit solve and holds
     whatever the incidence functions are.
@@ -35,6 +36,8 @@ Three ways to advance a SIRVS model live here:
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,8 +48,13 @@ from .incidence import IncidenceFn
 from .schedules import SCHEDULE_NAMES, DiscreteParams, ScheduleSet
 
 _BALANCE_RTOL = 1e-10
-_FP_TOL = 1e-12
-_FP_MAX_ITER = 200
+_SOLVE_RTOL = 1e-13  # residual of each (S+, V+) equation, relative to its inflow
+_SOLVE_MAX_ITER = 200
+_COLLAPSED = 4.0 * sys.float_info.epsilon  # relative width of a spent bracket
+_ROWS_PER_CHUNK = 1024
+
+# coefficient order of the NSFD update (`_nsfd_stepper`'s `advance`)
+_STEP_COEFFS = ("Lambda", "mu", "p", "eta", "alpha", "gamma", "beta", "sigma")
 
 
 class State(NamedTuple):
@@ -123,6 +131,22 @@ class Trajectory:
         return State(*self.states[n])
 
 
+def _zero_denominator(n: int) -> StepError:
+    # only coefficients summing to -1 (e.g. mu = -1) can zero a denominator
+    return StepError(f"zero denominator at step {n}", step=n)
+
+
+def _coefficient_rows(dp: DiscreteParams, names, n_steps: int):
+    """Coefficients of steps 0 .. n_steps-1, one list of Python floats per step:
+    the same IEEE results as np.float64 scalars at a fraction of the cost per
+    operation.  Converting a chunk at a time keeps the boxed copies small."""
+    table = np.empty((n_steps, len(names)))
+    for k, name in enumerate(names):
+        table[:, k] = dp.array(name, 0, n_steps)
+    for start in range(0, n_steps, _ROWS_PER_CHUNK):
+        yield from table[start:start + _ROWS_PER_CHUNK].tolist()
+
+
 # ---------------------------------------------------------------------------
 # disease-free auxiliary system
 # ---------------------------------------------------------------------------
@@ -166,17 +190,16 @@ def simulate_aux(dp: DiscreteParams, a0: AuxState, n_steps: int) -> np.ndarray:
         raise ValueError("n_steps must be >= 1")
     if a0[0] < 0 or a0[1] < 0:
         raise ValueError(f"auxiliary state must be nonnegative, got {a0}")
-    lam = dp.array("Lambda", 0, n_steps)
-    mu = dp.array("mu", 0, n_steps)
-    p = dp.array("p", 0, n_steps)
-    eta = dp.array("eta", 0, n_steps)
-    out = np.empty((n_steps + 1, 2))
     x, y = float(a0[0]), float(a0[1])
-    out[0] = (x, y)
-    for n in range(n_steps):
-        x, y = _aux_advance(lam[n], mu[n], p[n], eta[n], x, y)
-        out[n + 1] = (x, y)
-    return out
+    out = array("d", (x, y))
+    try:
+        for lam, mu, p, eta in _coefficient_rows(dp, ("Lambda", "mu", "p", "eta"), n_steps):
+            x, y = _aux_advance(lam, mu, p, eta, x, y)
+            out.append(x)
+            out.append(y)
+    except ZeroDivisionError as exc:
+        raise _zero_denominator(len(out) // 2 - 1) from exc
+    return np.frombuffer(out).reshape(-1, 2)
 
 
 def verify_step_periodic(dp: DiscreteParams, omega: int,
@@ -234,102 +257,88 @@ def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
 # NSFD discrete model
 # ---------------------------------------------------------------------------
 
-def _inner_v(target, mu, eta, sigma, q_psi, f_psi, I, pop):
-    """Solve v (1+mu+eta) = target - sigma*f_psi(v, I, pop) for v >= 0.
+def _implicit_sv(lam, mu, p, eta, beta, sigma, f_phi, f_psi, S, I, V, pop):
+    """(S+, V+) and the terms beta f_phi(S+), sigma f_psi(V+) for incidences
+    not linear in x: the root of
 
-    Exact when psi has a linear rate `q_psi` (f linear in its first
-    argument); otherwise a damped fixed-point loop to 1e-14 with a monotone
-    bisection backstop.
+        F1(s, v) = (1+mu+p) s - eta v + beta f_phi(s, I) - (Lam + S)
+        F2(s, v) = (1+mu+eta) v - p s + sigma f_psi(v, I) - V,
+
+    an M-function (f nondecreasing in x) with its root between (0, 0) and the
+    disease-free update.  A residual (r1, r2) fixes the side of s* when r2 has
+    r1's sign or |r1| > eta |r2| / (1+mu+eta), and of v* when r1 has r2's sign
+    or |r2| > p |r1| / (1+mu+p); one always holds, so each evaluation shrinks
+    a bracket.  Steps from (S, V) are Newton steps with secant slopes of the
+    incidence terms; a coordinate bisects its bracket instead when the step
+    leaves it or exceeds half its step before last.  Stops when each equation
+    holds to `_SOLVE_RTOL` of its inflow (Lam + S + eta v, V + p s) or its
+    variable's bracket has collapsed.
     """
-    denom = 1.0 + mu + eta
-    if q_psi is not None:
-        return max(target, 0.0) / (denom + sigma * q_psi(I, pop))
-    v = max(target, 0.0) / denom
-    prev = math.inf
-    omega_damp = 1.0
-    for _ in range(_FP_MAX_ITER):
-        v_t = max((target - sigma * f_psi(max(v, 0.0), I, pop)) / denom, 0.0)
-        res = abs(v_t - v)
-        if res < 1e-14:
-            return v_t
-        if res >= prev:
-            omega_damp = max(0.5 * omega_damp, 1.0 / 64.0)
-        prev = res
-        v += omega_damp * (v_t - v)
-    # monotone backstop: F(v) = v*denom + sigma*f_psi(v, I) - target increases
-    lo, hi = 0.0, max(target, 0.0) / denom + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    a_s = 1.0 + mu + p
+    a_v = 1.0 + mu + eta
+    b_s = lam + S
+    c_s = eta / a_v  # |F1(s, v(s)) - r1| <= c_s |r2|
+    c_v = p / a_s  # |F2(s(v), v) - r2| <= c_v |r1|
+    s_lo = v_lo = 0.0
+    s_hi, v_hi = _aux_advance(lam, mu, p, eta, S, V)
+    s = S if S < s_hi else s_hi
+    v = V if V < v_hi else v_hi
+    u = beta * f_phi(s, I, pop)
+    w = sigma * f_psi(v, I, pop)
+    du = dw = 0.0  # secant slopes of u in s and of w in v
+    step_s = step_v = last_s = last_v = math.inf
+    for _ in range(_SOLVE_MAX_ITER):
+        r1 = a_s * s - eta * v + u - b_s
+        r2 = a_v * v - p * s + w - V
+        a1 = r1 if r1 >= 0.0 else -r1  # abs() is a call; this loop is hot
+        a2 = r2 if r2 >= 0.0 else -r2
+        s_done = s_hi - s_lo <= _COLLAPSED * s_hi
+        v_done = v_hi - v_lo <= _COLLAPSED * v_hi
+        if ((s_done or a1 <= _SOLVE_RTOL * (b_s + eta * v))
+                and (v_done or a2 <= _SOLVE_RTOL * (V + p * s))):
             break
-        if mid * denom + sigma * f_psi(mid, I, pop) - target > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _bisect_sv(lam, mu, p, eta, beta, sigma, q_psi, f_phi, f_psi, S, I, V, pop):
-    """Guaranteed fallback: bisection on the reduced scalar equation in S+.
-
-    g(s) = s (1+mu+p) - (lam + S - beta f(s, I) + eta v(s)) is strictly
-    increasing (f nondecreasing in its first argument, dv/ds bounded by
-    p/(1+mu+eta)), negative at 0 and positive beyond the no-incidence bound.
-    """
-
-    def v_of(s):
-        return _inner_v(p * s + V, mu, eta, sigma, q_psi, f_psi, I, pop)
-
-    def g(s):
-        return s * (1.0 + mu + p) - (lam + S - beta * f_phi(s, I, pop) + eta * v_of(s))
-
-    hi = (((1.0 + mu + eta) * (lam + S) + eta * V)
-          / ((1.0 + mu + p) * (1.0 + mu + eta) - eta * p)) + 1.0
-    for _ in range(60):
-        if g(hi) >= 0.0:
+        # a collapsed bracket pins its variable; the other one's side is then r's
+        m1 = 0.0 if v_done else c_s * a2
+        m2 = 0.0 if s_done else c_v * a1
+        if r1 > m1 or (r1 > 0.0 and r2 >= 0.0):
+            s_hi = s
+        elif r1 < -m1 or (r1 < 0.0 and r2 <= 0.0):
+            s_lo = s
+        if r2 > m2 or (r2 > 0.0 and r1 >= 0.0):
+            v_hi = v
+        elif r2 < -m2 or (r2 < 0.0 and r1 <= 0.0):
+            v_lo = v
+        j_s = a_s + du
+        j_v = a_v + dw
+        det = j_s * j_v - eta * p
+        s1 = s - (j_v * r1 + eta * r2) / det
+        v1 = v - (p * r1 + j_s * r2) / det
+        if not (s_lo <= s1 <= s_hi and (s1 - s) * (s1 - s) <= 0.25 * last_s):
+            s1 = 0.5 * (s_lo + s_hi)
+        if not (v_lo <= v1 <= v_hi and (v1 - v) * (v1 - v) <= 0.25 * last_v):
+            v1 = 0.5 * (v_lo + v_hi)
+        if s1 == s and v1 == v:
             break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    s = 0.5 * (lo + hi)
-    return s, v_of(s)
-
-
-def _implicit_sv(lam, mu, p, eta, beta, sigma, q_psi, f_phi, f_psi, S, I, V, pop):
-    """Damped fixed-point iteration on the rewritten update, from (S_n, V_n)."""
-    denom_s = 1.0 + mu + p
-    denom_v = 1.0 + mu + eta
-    s, v = S, V
-    prev = math.inf
-    omega_damp = 1.0
-    for _ in range(_FP_MAX_ITER):
-        s_cl = max(s, 0.0)
-        v_cl = max(v, 0.0)
-        s_t = max((lam + S - beta * f_phi(s_cl, I, pop) + eta * v_cl) / denom_s, 0.0)
-        v_t = max((p * s_t + V - sigma * f_psi(v_cl, I, pop)) / denom_v, 0.0)
-        res = max(abs(s_t - s), abs(v_t - v))
-        if res < _FP_TOL:
-            return s_t, v_t
-        if res >= prev:
-            omega_damp = max(0.5 * omega_damp, 1.0 / 64.0)
-        prev = res
-        s += omega_damp * (s_t - s)
-        v += omega_damp * (v_t - v)
-    return _bisect_sv(lam, mu, p, eta, beta, sigma, q_psi, f_phi, f_psi, S, I, V, pop)
+        last_s, step_s = step_s, (s1 - s) * (s1 - s)  # squared step lengths
+        last_v, step_v = step_v, (v1 - v) * (v1 - v)
+        if s1 != s:
+            u1 = beta * f_phi(s1, I, pop)
+            du = (u1 - u) / (s1 - s)
+            du = du if du > 0.0 else 0.0
+            s, u = s1, u1
+        if v1 != v:
+            w1 = sigma * f_psi(v1, I, pop)
+            dw = (w1 - w) / (v1 - v)
+            dw = dw if dw > 0.0 else 0.0
+            v, w = v1, w1
+    return s, v, u, w
 
 
 def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
     """The NSFD update for one incidence pair, as a function of the step's
-    coefficients and state.  The per-kind forms are taken from the incidences
-    once, here; the closed-form (S+, V+) solve is used exactly when both have
-    a linear rate.
+    coefficients (`_STEP_COEFFS` order) and state.  The per-kind forms are
+    taken from the incidences once, here; the closed-form (S+, V+) solve is
+    used exactly when both have a linear rate.
     """
     q_phi = phi.linear_rate()
     q_psi = psi.linear_rate()
@@ -357,28 +366,16 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
             phi_term = beta * qs * S1
             psi_term = sigma * qv * V1
         else:
-            S1, V1 = _implicit_sv(lam, mu, p, eta, beta, sigma, q_psi, f_phi, f_psi,
-                                  S, I, V, pop)
-            phi_term = beta * f_phi(S1, I, pop)
-            psi_term = sigma * f_psi(V1, I, pop)
+            S1, V1, phi_term, psi_term = _implicit_sv(lam, mu, p, eta, beta, sigma,
+                                                      f_phi, f_psi, S, I, V, pop)
         I1 = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
         R1 = (gamma * I1 + R) / (1.0 + mu)
 
         resid = abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
         if resid > _BALANCE_RTOL * (1.0 + N):
-            if I > 0.0 and not closed_form:
-                # retry once with the machine-accurate bisection path
-                S1, V1 = _bisect_sv(lam, mu, p, eta, beta, sigma, q_psi, f_phi, f_psi,
-                                    S, I, V, pop)
-                phi_term = beta * f_phi(S1, I, pop)
-                psi_term = sigma * f_psi(V1, I, pop)
-                I1 = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
-                R1 = (gamma * I1 + R) / (1.0 + mu)
-                resid = abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
-            if resid > _BALANCE_RTOL * (1.0 + N):
-                raise StepError(f"balance identity violated at step {n} "
-                                f"(residual {resid:.3g})", step=n, residual=resid)
-        return S1, I1, R1, V1
+            raise StepError(f"balance identity violated at step {n} "
+                            f"(residual {resid:.3g})", step=n, residual=resid)
+        return [S1, I1, R1, V1]
 
     return advance
 
@@ -387,11 +384,11 @@ def nsfd_step(dp: DiscreteParams, n: int, phi: IncidenceFn, psi: IncidenceFn,
               s: State) -> State:
     """One step of the nonstandard scheme; preserves nonnegativity exactly."""
     s = validate_state(s)
-    out = _nsfd_stepper(phi, psi)(
-        float(dp.Lambda(n)), float(dp.mu(n)), float(dp.p(n)), float(dp.eta(n)),
-        float(dp.alpha(n)), float(dp.gamma(n)), float(dp.beta(n)), float(dp.sigma(n)),
-        s.S, s.I, s.R, s.V, n)
-    return State(*out)
+    coeffs = [float(getattr(dp, name)(n)) for name in _STEP_COEFFS]
+    try:
+        return State(*_nsfd_stepper(phi, psi)(*coeffs, *s, n))
+    except ZeroDivisionError as exc:
+        raise _zero_denominator(n) from exc
 
 
 def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
@@ -401,18 +398,18 @@ def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     s0 = validate_state(s0)
-    params = {name: dp.array(name, 0, n_steps) for name in SCHEDULE_NAMES}
-    out = np.empty((n_steps + 1, 4))
-    out[0] = s0
-    S, I, R, V = s0
     advance = _nsfd_stepper(phi, psi)
-    for n in range(n_steps):
-        S, I, R, V = advance(
-            params["Lambda"][n], params["mu"][n], params["p"][n], params["eta"][n],
-            params["alpha"][n], params["gamma"][n], params["beta"][n], params["sigma"][n],
-            S, I, R, V, n)
-        out[n + 1] = (S, I, R, V)
-    return Trajectory(t0=0.0, dt=dp.h, states=out, method="nsfd")
+    out = array("d", s0)
+    S, I, R, V = s0
+    try:
+        for n, c in enumerate(_coefficient_rows(dp, _STEP_COEFFS, n_steps)):
+            state = advance(*c, S, I, R, V, n)
+            out.fromlist(state)
+            S, I, R, V = state
+    except ZeroDivisionError as exc:
+        raise _zero_denominator(n) from exc
+    return Trajectory(t0=0.0, dt=dp.h, states=np.frombuffer(out).reshape(-1, 4),
+                      method="nsfd")
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,8 @@ class IncidenceFn:
                      is not linear in x (separable).  The NSFD (S+, V+)
                      update is a closed-form 2x2 solve exactly when both
                      incidences have one.
-      unchecked_f()  f(x, y, pop)
+      unchecked_f()  f(x, y, pop); for separable, a closure that keeps g
+                     of its latest x (the next NSFD step starts there)
       slope(x, pop)  d2f(x, 0), scalars or arrays
       bridge()       g(x, pop) of the continuous model, scalars
     """
@@ -130,7 +131,15 @@ class IncidenceFn:
         if self.kind == "standard":
             return lambda x, y, pop: x * y / pop
         g = self._g
-        return lambda x, y, pop: float(g(x)) * y
+        x_last, g_last = math.nan, 0.0
+
+        def f(x, y, pop):
+            nonlocal x_last, g_last
+            if x != x_last:
+                x_last, g_last = x, float(g(x))
+            return g_last * y
+
+        return f
 
     def slope(self, x, pop=None):
         """d2f(x, 0) without domain checks; scalars or arrays."""

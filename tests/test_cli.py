@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nsfd_sirvs
 from nsfd_sirvs.cli import main
 from nsfd_sirvs.scenarios import BUILTIN_NAMES, builtin, spec_to_config
 
@@ -122,17 +127,53 @@ def test_consistency_inconsistency_example(tmp_path):
     assert payload["notes"]["discrete_threshold_reported_closed_form"] == 0.6875
 
 
-def test_consistency_unbounded_for_constant_coefficients(tmp_path):
+def _constant_rates_config(tmp_path):
     cfg = spec_to_config(builtin("extinction_5_1"))
     cfg["schedules"]["beta"] = {"kind": "constant", "params": {"value": 0.1}}
     cfg["schedules"]["sigma"] = {"kind": "constant", "params": {"value": 0.1}}
     cfg_path = tmp_path / "const.json"
     cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+def test_consistency_unbounded_for_constant_coefficients(tmp_path):
+    cfg_path = _constant_rates_config(tmp_path)
     rc = main(["consistency", str(cfg_path), "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "consistency.json").read_text())
     assert payload["sup_abs_fprime"] == 0.0
     assert payload["h_max_upper"] == "unbounded"
+
+
+def test_consistency_sweep_with_unbounded_bound_writes_the_report(tmp_path, capsys):
+    cfg_path = _constant_rates_config(tmp_path)
+    rc = main(["consistency", str(cfg_path), "--sweep", "--out", str(tmp_path / "sweep")])
+    assert rc == 0
+    assert "nothing to sweep" in capsys.readouterr().out
+    assert main(["consistency", str(cfg_path), "--out", str(tmp_path / "plain")]) == 0
+    swept = (tmp_path / "sweep" / "consistency.json").read_bytes()
+    assert swept == (tmp_path / "plain" / "consistency.json").read_bytes()
+    assert json.loads(swept)["h_max_upper"] == "unbounded"
+
+
+@pytest.mark.parametrize("command", ["thresholds", "consistency"])
+def test_window_longer_than_the_period(tmp_path, command):
+    # inconsistency_4 has period 1; the window integral over two periods is
+    # twice the closed-form one-period value d (1 + c/2) - mu - alpha - gamma
+    rc = main([command, "inconsistency_4", "--lambda", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    two_periods = 2.0 * (0.6 * (1.0 + 1.5 / 2.0) - 0.25 - 0.05 - 0.3)
+    if command == "thresholds":
+        header, rows = _read_csv(tmp_path / "thresholds.csv")
+        cont = dict(zip(header, rows[0]))
+        assert cont["kind"] == "continuous" and cont["lambda"] == "2"
+        bounds = (float(cont["r_lower"]), float(cont["r_upper"]))
+    else:
+        payload = json.loads((tmp_path / "consistency.json").read_text())
+        assert payload["lambda"] == 2.0
+        bounds = (payload["r_c_lower"], payload["r_c_upper"])
+    for r in bounds:
+        assert r == pytest.approx(two_periods, abs=1e-9)
 
 
 def test_consistency_sweep_flag(tmp_path):
@@ -348,3 +389,13 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     rc = main(["simulate", "extinction_5_1", "--h", "1", "--out", str(tmp_path)])
     assert rc == 3
     assert "step 17" in capsys.readouterr().err
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(nsfd_sirvs.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "nsfd_sirvs", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: nsfd-sirvs")

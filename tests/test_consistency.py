@@ -6,7 +6,7 @@ import pytest
 from nsfd_sirvs.consistency import (consistency_report, consistency_sweep, h_max,
                                     inconsistency_example, lambda_steps,
                                     net_growth_function, sup_abs_fprime,
-                                    window_thresholds)
+                                    sweep_skip_reason, window_thresholds)
 from nsfd_sirvs.dynamics import aux_equilibrium
 from nsfd_sirvs.incidence import IncidenceFn
 from nsfd_sirvs.schedules import DenominatorFn, ParamSchedule, ScheduleSet, mickens_discretize
@@ -165,6 +165,27 @@ def test_sweep_matches_continuous_verdict():
 def test_sweep_needs_a_decisive_verdict():
     with pytest.raises(ValueError):
         consistency_sweep(_decay_only_set(), MASS, MASS, DenominatorFn.identity(), 1.0)
+
+
+def test_sweep_needs_a_finite_bound():
+    # constant coefficients: sup |f'| = 0, so the guarantee holds for every h
+    sched = constant_set(beta=0.1, sigma=0.1)
+    rep = consistency_report(sched, MASS, MASS, 4.0)
+    assert rep.continuous_verdict is Verdict.EXTINCTION
+    assert rep.verdict_bound == math.inf
+    reason = sweep_skip_reason(rep)
+    assert reason == "step bound is unbounded or undefined; nothing to sweep"
+    with pytest.raises(ValueError, match="nothing to sweep"):
+        consistency_sweep(sched, MASS, MASS, DenominatorFn.identity(), 4.0, report=rep)
+
+
+def test_sweep_skip_reason_follows_the_verdict_side():
+    ext = consistency_report(full_set(0.3), MASS, MASS, 4.0)
+    assert ext.verdict_bound == ext.h_max_upper and math.isfinite(ext.verdict_bound)
+    assert sweep_skip_reason(ext) == ""
+    per = consistency_report(full_set(0.9), MASS, MASS, 4.0)
+    assert per.verdict_bound == per.h_max_lower and math.isfinite(per.verdict_bound)
+    assert sweep_skip_reason(per) == ""
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from nsfd_sirvs.dynamics import (AuxState, State, aux_equilibrium, aux_step,
                                  integrate_continuous, nsfd_step, periodic_aux_solution,
                                  simulate_aux, simulate_discrete)
+from nsfd_sirvs.errors import StepError
 from nsfd_sirvs.incidence import IncidenceFn
 from nsfd_sirvs.schedules import DenominatorFn, DiscreteParams, ParamSchedule, ScheduleSet, \
     mickens_discretize
@@ -211,6 +212,19 @@ def test_linear_incidences_take_the_closed_form(monkeypatch):
     sep = IncidenceFn.separable(lambda x: x / (1.0 + x), 1.0)
     with pytest.raises(AssertionError, match="fixed-point"):
         simulate_discrete(dp, sep, MASS, State(1.0, 0.2, 0.1, 1.0), 1)
+
+
+def test_zero_denominator_is_a_step_error():
+    # mu = -1 zeroes 1 + mu: a named failure, not inf/nan states
+    dp = DiscreteParams.from_sequences(1.0, Lambda=0.5, mu=-1.0, p=0.0, eta=0.0,
+                                       alpha=0.0, beta=0.3, sigma=0.3, gamma=0.0)
+    s = State(1.0, 0.2, 0.1, 1.0)
+    for run in (lambda: simulate_discrete(dp, MASS, MASS, s, 3),
+                lambda: nsfd_step(dp, 0, MASS, MASS, s),
+                lambda: simulate_aux(dp, AuxState(1.0, 1.0), 3)):
+        with pytest.raises(StepError, match="zero denominator at step 0") as exc:
+            run()
+        assert exc.value.step == 0
 
 
 def test_balance_identity_random_draws():

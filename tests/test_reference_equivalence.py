@@ -1,10 +1,13 @@
 """Fast paths against straightforward reference copies of the code they replaced.
 
-The scalar Euler/RK4 loop, the whole-grid incidence validator and the
-streaming trajectory writer must give exactly the numbers (and bytes) of the
-array-based, point-by-point and per-value implementations kept below.  The
-closed-form saturated NSFD step changes the arithmetic, so it must agree with
-the damped fixed-point step it replaced to a tolerance fixed beforehand.
+The scalar Euler/RK4 loop, the Python-float NSFD and disease-free loops, the
+whole-grid incidence validator and the streaming trajectory writer must give
+exactly the numbers (and bytes) of the array-based, np.float64, point-by-point
+and per-value implementations kept below.  The closed-form saturated NSFD step
+and the bracketed separable solve change the arithmetic, so they must agree
+with the damped fixed-point step they replaced to a tolerance fixed
+beforehand; the separable solve also meets a bisection oracle and a budget of
+calls to g.
 """
 
 import math
@@ -16,9 +19,10 @@ from hypothesis import strategies as st
 
 from nsfd_sirvs.cli import _write_trajectory
 from nsfd_sirvs.dynamics import (State, Trajectory, _nsfd_stepper, integrate_continuous,
-                                 validate_state)
+                                 simulate_aux, simulate_discrete, validate_state)
 from nsfd_sirvs.incidence import IncidenceFn, IncidenceReport, validate_incidence
-from nsfd_sirvs.schedules import SCHEDULE_NAMES
+from nsfd_sirvs.scenarios import builtin
+from nsfd_sirvs.schedules import SCHEDULE_NAMES, DiscreteParams, mickens_discretize
 
 from test_incidence import _BrokenIncidence
 from test_schedules import full_set
@@ -128,28 +132,46 @@ def test_standard_incidence_from_zero_population_is_disease_free(method):
 
 
 # ---------------------------------------------------------------------------
-# saturated NSFD step: damped fixed-point reference
+# NSFD step: damped fixed-point reference
 # ---------------------------------------------------------------------------
 
-def _reference_saturated_step(lam, mu, p, eta, alpha, gamma, beta, sigma,
-                              a_phi, a_psi, S, I, R, V):
-    """The fixed-point step that saturated incidence took before the closed
-    form, for f(x, y) = x y / (1 + a y) in both slots and I > 0: damped
-    iteration on (S+, V+), bisection fallback, one bisection retry when the
-    balance identity fails."""
+def _reference_fixed_point_step(lam, mu, p, eta, alpha, gamma, beta, sigma,
+                                f_phi, f_psi, q_psi, S, I, R, V):
+    """The step that incidences without a closed form took before, for I > 0:
+    damped iteration on (S+, V+), bisection fallback on S+ (V+ exact when psi
+    has a linear rate q_psi(y), else a damped iteration with a bisection
+    backstop), one bisection retry when the balance identity fails.  Saturated
+    incidence took it too, before its closed form.  f(x, y); q_psi or None."""
 
-    def f_phi(x, y):
-        return x * y / (1.0 + a_phi * y)
-
-    def f_psi(x, y):
-        return x * y / (1.0 + a_psi * y)
-
-    q_psi = I / (1.0 + a_psi * I)
+    def v_of(s):
+        target = p * s + V
+        denom = 1.0 + mu + eta
+        if q_psi is not None:
+            return max(target, 0.0) / (denom + sigma * q_psi(I))
+        v = max(target, 0.0) / denom
+        prev = math.inf
+        omega_damp = 1.0
+        for _ in range(200):
+            v_t = max((target - sigma * f_psi(max(v, 0.0), I)) / denom, 0.0)
+            res = abs(v_t - v)
+            if res < 1e-14:
+                return v_t
+            if res >= prev:
+                omega_damp = max(0.5 * omega_damp, 1.0 / 64.0)
+            prev = res
+            v += omega_damp * (v_t - v)
+        lo, hi = 0.0, max(target, 0.0) / denom + 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if mid * denom + sigma * f_psi(mid, I) - target > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
 
     def bisect():
-        def v_of(s):
-            return max(p * s + V, 0.0) / (1.0 + mu + eta + sigma * q_psi)
-
         def g(s):
             return s * (1.0 + mu + p) - (lam + S - beta * f_phi(s, I) + eta * v_of(s))
 
@@ -207,25 +229,256 @@ def _balance_residual(state, N, lam, mu, alpha):
     return abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
 
 
+def _saturated(a):
+    return lambda x, y: x * y / (1.0 + a * y)
+
+
 _UNIT = st.floats(0.0, 1.0)
+_STEP_DRAWS = dict(
+    S=st.floats(0.0, 5.0), I=st.floats(1e-3, 5.0), R=st.floats(0.0, 5.0),
+    V=st.floats(0.0, 5.0), lam=st.floats(0.0, 2.0), mu=st.floats(1e-3, 1.0),
+    p=_UNIT, eta=_UNIT, alpha=_UNIT, gamma=_UNIT, beta=st.floats(0.0, 3.0),
+    sigma=st.floats(0.0, 3.0))
 
 
 @settings(max_examples=300, deadline=None)
-@given(S=st.floats(0.0, 5.0), I=st.floats(1e-3, 5.0), R=st.floats(0.0, 5.0),
-       V=st.floats(0.0, 5.0), lam=st.floats(0.0, 2.0), mu=st.floats(1e-3, 1.0),
-       p=_UNIT, eta=_UNIT, alpha=_UNIT, gamma=_UNIT, beta=st.floats(0.0, 3.0),
-       sigma=st.floats(0.0, 3.0), a_phi=st.floats(0.0, 5.0), a_psi=st.floats(0.0, 5.0))
+@given(a_phi=st.floats(0.0, 5.0), a_psi=st.floats(0.0, 5.0), **_STEP_DRAWS)
 def test_saturated_closed_form_step_matches_fixed_point_reference(
         S, I, R, V, lam, mu, p, eta, alpha, gamma, beta, sigma, a_phi, a_psi):
     coeffs = (lam, mu, p, eta, alpha, gamma, beta, sigma)
     step = _nsfd_stepper(IncidenceFn.saturated(a_phi), IncidenceFn.saturated(a_psi))
     got = step(*coeffs, S, I, R, V, 0)
-    ref = _reference_saturated_step(*coeffs, a_phi, a_psi, S, I, R, V)
+    ref = _reference_fixed_point_step(*coeffs, _saturated(a_phi), _saturated(a_psi),
+                                      lambda y: y / (1.0 + a_psi * y), S, I, R, V)
     N = S + I + R + V
     for new, old in zip(got, ref):
         assert abs(new - old) <= 1e-12 * (1.0 + N)
     assert _balance_residual(got, N, lam, mu, alpha) <= 1e-10 * (1.0 + N)
     assert _balance_residual(ref, N, lam, mu, alpha) <= 1e-10 * (1.0 + N)
+
+
+# separable g: smooth and saturating, and steep with a flat start
+_SEPARABLE_G = {
+    "x/(1+x)": (lambda x: x / (1.0 + x), 1.0),
+    "2 tanh(x)^2": (lambda x: 2.0 * math.tanh(x) ** 2, 4.0),
+}
+
+
+@pytest.mark.parametrize("pair", ["sep-sep", "sep-mass"])
+@settings(max_examples=150, deadline=None)
+@given(g_name=st.sampled_from(sorted(_SEPARABLE_G)), **_STEP_DRAWS)
+def test_separable_step_matches_fixed_point_reference(
+        pair, g_name, S, I, R, V, lam, mu, p, eta, alpha, gamma, beta, sigma):
+    g, k = _SEPARABLE_G[g_name]
+    phi = IncidenceFn.separable(g, k)
+    psi = phi if pair == "sep-sep" else IncidenceFn.mass_action()
+    coeffs = (lam, mu, p, eta, alpha, gamma, beta, sigma)
+    got = _nsfd_stepper(phi, psi)(*coeffs, S, I, R, V, 0)
+
+    def f_sep(x, y):
+        return g(x) * y
+
+    if pair == "sep-sep":
+        ref = _reference_fixed_point_step(*coeffs, f_sep, f_sep, None, S, I, R, V)
+    else:
+        ref = _reference_fixed_point_step(*coeffs, f_sep, lambda x, y: x * y,
+                                          lambda y: y, S, I, R, V)
+    N = S + I + R + V
+    tol = 1e-12 * (1.0 + N)
+    assert _balance_residual(got, N, lam, mu, alpha) <= 1e-10 * (1.0 + N)
+    if all(abs(new - old) <= tol for new, old in zip(got, ref)):
+        return
+    # the frozen step stops on the length of a damped step, so where its
+    # iteration is not contractive it misses the root by more than tol; the
+    # new step must then be at least as close to the bisection oracle
+    g_psi = g if pair == "sep-sep" else (lambda x: x)
+    exact = _separable_bisection_oracle(lam, mu, p, eta, beta, sigma, g, g_psi, S, I, V)
+    for new, old, x in zip((got[0], got[3]), (ref[0], ref[3]), exact):
+        assert abs(new - x) <= abs(old - x) + tol
+
+
+def _separable_bisection_oracle(lam, mu, p, eta, beta, sigma, g_phi, g_psi, S, I, V):
+    """Nested bisection to a collapsed bracket: V+ for each trial S+, then S+."""
+
+    def bisect(fn, hi):
+        lo = 0.0
+        while fn(hi) < 0.0:
+            hi *= 2.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return mid
+            if fn(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+
+    def v_of(s):
+        return bisect(lambda v: v * (1.0 + mu + eta) + sigma * g_psi(v) * I - (p * s + V),
+                      p * s + V + 1.0)
+
+    s = bisect(lambda s: s * (1.0 + mu + p) + beta * g_phi(s) * I - (lam + S + eta * v_of(s)),
+               lam + S + 1.0)
+    return s, v_of(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g_name=st.sampled_from(sorted(_SEPARABLE_G)), **_STEP_DRAWS)
+def test_separable_step_matches_bisection_oracle(
+        g_name, S, I, R, V, lam, mu, p, eta, alpha, gamma, beta, sigma):
+    g, k = _SEPARABLE_G[g_name]
+    sep = IncidenceFn.separable(g, k)
+    S1, _, _, V1 = _nsfd_stepper(sep, sep)(lam, mu, p, eta, alpha, gamma, beta, sigma,
+                                           S, I, R, V, 0)
+    s_ref, v_ref = _separable_bisection_oracle(lam, mu, p, eta, beta, sigma, g, g, S, I, V)
+    N = S + I + R + V
+    assert abs(S1 - s_ref) <= 1e-12 * (1.0 + N)
+    assert abs(V1 - v_ref) <= 1e-12 * (1.0 + N)
+
+
+def _counted(g):
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return g(x)
+
+    return counted, calls
+
+
+def test_separable_long_run_calls_g_at_most_six_times_per_step():
+    # the long NSFD run of the benchmark: persistence_5_1 at h = 0.01, g in both
+    # slots; the damped fixed point it replaced made about 10 calls per step
+    spec = builtin("persistence_5_1")
+    dp = mickens_discretize(spec.schedules, 0.01, spec.denominator)
+    g, calls = _counted(lambda x: x / (1.0 + x))
+    sep = IncidenceFn.separable(g, 1.0)
+    calls[0] = 0
+    simulate_discrete(dp, sep, sep, spec.initial_state, 20_000)
+    assert calls[0] / 20_000 <= 6.0
+
+
+@pytest.mark.parametrize("h", [0.5, 2.0])
+def test_separable_stiff_step_calls_g_at_most_300_times_per_step(h):
+    # beta f' up to a few hundred: the damped fixed point needed about 15 400
+    # calls per step here
+    spec = builtin("measles_france_5_2")
+    dp = mickens_discretize(spec.schedules, h, spec.denominator)
+    g, calls = _counted(lambda x: 5.0 * math.tanh(x))
+    sep = IncidenceFn.separable(g, 5.0)
+    calls[0] = 0
+    traj = simulate_discrete(dp, sep, sep, State(16.0, 3.0, 1.0, 20.0), 20)
+    assert calls[0] / 20 <= 300.0
+    assert np.all(traj.states >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# NSFD and disease-free loops: np.float64 reference
+# ---------------------------------------------------------------------------
+
+def _reference_simulate_aux(dp, a0, n_steps):
+    """simulate_aux as it was, on np.float64 scalars from the sequence arrays."""
+    lam = dp.array("Lambda", 0, n_steps)
+    mu = dp.array("mu", 0, n_steps)
+    p = dp.array("p", 0, n_steps)
+    eta = dp.array("eta", 0, n_steps)
+    out = np.empty((n_steps + 1, 2))
+    x, y = float(a0[0]), float(a0[1])
+    out[0] = (x, y)
+    for n in range(n_steps):
+        A = 1.0 + mu[n] + p[n]
+        B = 1.0 + mu[n] + eta[n]
+        D = A * B - eta[n] * p[n]
+        x = (B * (lam[n] + x) + eta[n] * y) / D
+        y = (p[n] * x + y) / B
+        out[n + 1] = (x, y)
+    return out
+
+
+def _reference_simulate_linear(dp, phi, psi, s0, n_steps):
+    """simulate_discrete as it was for incidences with a linear rate, on
+    np.float64 scalars from the sequence arrays."""
+    q_phi, q_psi = phi.linear_rate(), psi.linear_rate()
+    needs_pop = phi.needs_population or psi.needs_population
+    P = {name: dp.array(name, 0, n_steps) for name in SCHEDULE_NAMES}
+    out = np.empty((n_steps + 1, 4))
+    out[0] = s0
+    S, I, R, V = s0
+    for n in range(n_steps):
+        lam, mu, p, eta, alpha, beta, sigma, gamma = (P[name][n] for name in SCHEDULE_NAMES)
+        N = S + I + R + V
+        pop = N if needs_pop else None
+        if I == 0.0:
+            A = 1.0 + mu + p
+            B = 1.0 + mu + eta
+            D = A * B - eta * p
+            S1 = (B * (lam + S) + eta * V) / D
+            V1 = (p * S1 + V) / B
+            phi_term = psi_term = 0.0
+        else:
+            qs = q_phi(I, pop)
+            qv = q_psi(I, pop)
+            A_s = 1.0 + mu + p + beta * qs
+            A_v = 1.0 + mu + eta + sigma * qv
+            D = A_s * A_v - eta * p
+            S1 = (A_v * (lam + S) + eta * V) / D
+            V1 = (p * S1 + V) / A_v
+            phi_term = beta * qs * S1
+            psi_term = sigma * qv * V1
+        I = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
+        R = (gamma * I + R) / (1.0 + mu)
+        S, V = S1, V1
+        out[n + 1] = (S, I, R, V)
+    return out
+
+
+def _seasonal_dp(h, base, amp):
+    """Sequences c_n = h base_c (1 + amp_c sin(n + k)), k the coefficient's index."""
+    return DiscreteParams.from_sequences(h, **{
+        name: (lambda n, c=h * b, a=a, k=k: c * (1.0 + a * np.sin(n + k)))
+        for k, (name, b, a) in enumerate(zip(SCHEDULE_NAMES, base, amp))})
+
+
+_LINEAR = sorted(k for k in KINDS if k != "separable")
+_STATES_WITH_ZEROS = st.one_of(
+    st.just(State(0.0, 0.0, 0.0, 0.0)),
+    st.tuples(*[st.floats(0.0, 5.0, allow_subnormal=False)] * 4).map(lambda s: State(*s)),
+    st.tuples(*[st.floats(0.0, 5.0, allow_subnormal=False)] * 3).map(
+        lambda s: State(s[0], 0.0, s[1], s[2])))
+_SEQUENCE_DRAWS = dict(
+    h=st.floats(1e-3, 10.0),
+    base=st.tuples(*[st.floats(0.0, 1.0)] * len(SCHEDULE_NAMES)),
+    amp=st.tuples(*[st.floats(0.0, 0.9)] * len(SCHEDULE_NAMES)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=st.sampled_from(_LINEAR), psi=st.sampled_from(_LINEAR), s0=_STATES_WITH_ZEROS,
+       **_SEQUENCE_DRAWS)
+def test_nsfd_loop_bit_identical_to_float64_reference(phi, psi, s0, h, base, amp):
+    dp = _seasonal_dp(h, base, amp)
+    traj = simulate_discrete(dp, KINDS[phi], KINDS[psi], s0, 60)
+    ref = _reference_simulate_linear(dp, KINDS[phi], KINDS[psi], s0, 60)
+    assert traj.states.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(a0=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)), **_SEQUENCE_DRAWS)
+def test_aux_loop_bit_identical_to_float64_reference(a0, h, base, amp):
+    dp = _seasonal_dp(h, base, amp)
+    out = simulate_aux(dp, a0, 60)
+    assert out.tobytes() == _reference_simulate_aux(dp, a0, 60).tobytes()
+
+
+@pytest.mark.parametrize("kind", _LINEAR)
+def test_builtin_nsfd_runs_bit_identical_to_float64_reference(kind):
+    # the benchmark's long run, shortened, plus its disease-free orbit
+    spec = builtin("persistence_5_1")
+    dp = mickens_discretize(spec.schedules, 0.01, spec.denominator)
+    traj = simulate_discrete(dp, KINDS[kind], KINDS[kind], spec.initial_state, 2000)
+    ref = _reference_simulate_linear(dp, KINDS[kind], KINDS[kind], spec.initial_state, 2000)
+    assert traj.states.tobytes() == ref.tobytes()
+    out = simulate_aux(dp, (1.0, 1.0), 2000)
+    assert out.tobytes() == _reference_simulate_aux(dp, (1.0, 1.0), 2000).tobytes()
 
 
 # ---------------------------------------------------------------------------

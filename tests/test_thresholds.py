@@ -158,9 +158,23 @@ def test_quad_step_too_coarse_rejected():
         continuous_thresholds(full_set(0.3), MASS, MASS, 4.0, quad_step=1.0)
 
 
-def test_scan_shorter_than_window_rejected():
-    with pytest.raises(ValueError):
-        continuous_thresholds(full_set(0.3), MASS, MASS, 4.0, scan=(0.0, 2.0))
+def test_scan_shorter_than_window_is_a_range_of_starts():
+    # the scan lists window starts; the grid runs one window past its end
+    half = continuous_thresholds(full_set(0.3), MASS, MASS, 4.0, scan=(0.0, 2.0))
+    full = continuous_thresholds(full_set(0.3), MASS, MASS, 4.0, scan=(0.0, 4.0))
+    n = half.window_products.size
+    assert n < full.window_products.size
+    assert np.array_equal(half.window_products, full.window_products[:n])
+
+
+def test_window_longer_than_the_period_uses_one_period_of_starts():
+    # F is T-periodic in its start, so the default one-period scan covers every
+    # start for any window; a whole number of periods gives a constant F
+    one = continuous_thresholds(full_set(0.3), MASS, MASS, 4.0)
+    two = continuous_thresholds(full_set(0.3), MASS, MASS, 8.0)
+    assert two.scan == one.scan == 4.0
+    assert two.r_lower == pytest.approx(2.0 * one.r_lower, rel=1e-12)
+    assert two.r_upper - two.r_lower <= 1e-12
 
 
 def test_nonconstant_aux_integration_converges_to_equilibrium_values():
