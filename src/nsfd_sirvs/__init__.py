@@ -12,9 +12,9 @@ from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, Hypothesi
                         ParamSchedule, ScheduleSet, eval_denominator, mickens_discretize,
                         validate_hypotheses)
 from .incidence import IncidenceFn, IncidenceReport, validate_incidence
-from .dynamics import (AuxState, State, Trajectory, aux_equilibrium, aux_step,
-                       integrate_continuous, nsfd_step, periodic_aux_solution,
-                       simulate_aux, simulate_discrete, validate_state)
+from .dynamics import (AuxState, State, Trajectory, aux_equilibrium, integrate_continuous,
+                       nsfd_step, periodic_aux_solution, simulate_aux, simulate_discrete,
+                       validate_state)
 from .thresholds import (IndependenceResult, ThresholdReport, Verdict, classify,
                          continuous_thresholds, discrete_thresholds, independence_check,
                          periodic_discrete_threshold)
@@ -34,7 +34,7 @@ __all__ = [
     "IndependenceResult", "InconsistencyExample", "ObservedSeries", "ParamSchedule",
     "ResidualReport", "SCHEDULE_NAMES", "ScenarioReport", "ScenarioSpec", "ScheduleSet",
     "SirvsError", "State", "StepError", "SweepRow", "ThresholdReport", "Trajectory",
-    "Verdict", "aux_equilibrium", "aux_step", "builtin", "classify",
+    "Verdict", "aux_equilibrium", "builtin", "classify",
     "consistency_report", "consistency_sweep", "continuous_thresholds",
     "discrete_thresholds", "eval_denominator", "h_max", "inconsistency_example",
     "independence_check", "integrate_continuous", "lambda_steps", "load_config",

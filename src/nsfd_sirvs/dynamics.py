@@ -22,9 +22,9 @@ Three ways to advance a SIRVS model live here:
     against: it is the correctness oracle for the implicit solve and holds
     whatever the incidence functions are.
 
-  * `aux_step` / `simulate_aux` / `periodic_aux_solution` — the disease-free
-    auxiliary pair (x_n, y_n), an affine 2x2 recurrence solved exactly per
-    step.  Its attracting orbit feeds the threshold quantities.
+  * `simulate_aux` / `periodic_aux_solution` — the disease-free pair (x_n, y_n),
+    an affine 2x2 recurrence solved exactly per step, iterated from a start or
+    as the exact periodic orbit of its period map.  It feeds the thresholds.
 
   * `integrate_continuous` — fixed-step Euler and classical RK4 for the
     continuous model, using the separable incidence bridge g(x) * I
@@ -176,13 +176,6 @@ def aux_equilibrium(lam: float, mu: float, eta: float, p: float) -> AuxState:
     return AuxState(lam * (mu + eta) / denom, p * lam / denom)
 
 
-def aux_step(dp: DiscreteParams, n: int, a: AuxState) -> AuxState:
-    """One exact step of the disease-free (x, y) recurrence."""
-    x1, y1 = _aux_advance(float(dp.Lambda(n)), float(dp.mu(n)), float(dp.p(n)),
-                          float(dp.eta(n)), a.x, a.y)
-    return AuxState(x1, y1)
-
-
 def simulate_aux(dp: DiscreteParams, a0: AuxState, n_steps: int) -> np.ndarray:
     """Iterate the auxiliary system; returns an (n_steps + 1, 2) array."""
     n_steps = int(n_steps)
@@ -211,46 +204,39 @@ def verify_step_periodic(dp: DiscreteParams, omega: int,
     for name in names:
         base = dp.array(name, 0, omega * n_periods)
         shifted = dp.array(name, omega, omega * (n_periods + 1))
-        bad = np.abs(shifted - base) > 1e-12 * (1.0 + np.abs(base))
-        if np.any(bad):
+        if np.any(np.abs(shifted - base) > 1e-12 * (1.0 + np.abs(base))):
             raise ValueError(f"sequence {name!r} is not {omega}-periodic "
                              f"(max defect {np.max(np.abs(shifted - base)):.3g})")
 
 
 def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
-    """The unique periodic orbit of an omega-periodic auxiliary system.
+    """The periodic orbit z*_0 .. z*_{omega-1} of an omega-periodic aux system.
 
-    Each step is affine, so the period map is z -> M z + q; the orbit is the
-    fixed point of that map, obtained by one 2x2 linear solve and rolled
-    forward.  Returns an (omega, 2) array (z*_0 .. z*_{omega-1}).
+    The period map z -> M z + q is composed from the step (q: image of (0, 0);
+    columns of M: images of the unit vectors with Lambda = 0); its fixed point
+    is rolled forward with `simulate_aux`.  StepError unless some mu_n > 0.
     """
     omega = int(omega)
     verify_step_periodic(dp, omega, names=("Lambda", "mu", "p", "eta"))
-    M = np.eye(2)
-    q = np.zeros(2)
-    for n in range(omega):
-        lam, mu, p, eta = (float(dp.Lambda(n)), float(dp.mu(n)),
-                           float(dp.p(n)), float(dp.eta(n)))
-        A = 1.0 + mu + p
-        B = 1.0 + mu + eta
-        D = A * B - eta * p
-        Mn = np.array([[B / D, eta / D], [p / D, A / D]])
-        qn = np.array([B * lam / D, p * lam / D])
-        M = Mn @ M
-        q = Mn @ q + qn
+    q, e1, e2, shrink = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 1.0
     try:
-        z0 = np.linalg.solve(np.eye(2) - M, q)
-    except np.linalg.LinAlgError as exc:
-        raise StepError(f"singular period map for omega={omega}: {exc}") from exc
-    orbit = np.empty((omega, 2))
-    z = AuxState(float(z0[0]), float(z0[1]))
-    for n in range(omega):
-        orbit[n] = z
-        z = aux_step(dp, n, z)
-    defect = max(abs(z.x - z0[0]), abs(z.y - z0[1]))
-    if defect > 1e-12 * (1.0 + float(np.max(np.abs(z0)))):
+        for lam, mu, p, eta in _coefficient_rows(dp, ("Lambda", "mu", "p", "eta"), omega):
+            q = _aux_advance(lam, mu, p, eta, *q)
+            e1 = _aux_advance(0.0, mu, p, eta, *e1)
+            e2 = _aux_advance(0.0, mu, p, eta, *e2)
+            shrink *= 1.0 + mu
+    except ZeroDivisionError as exc:
+        raise StepError(f"zero denominator in the period map for omega={omega}") from exc
+    det = (1.0 - e1[0]) * (1.0 - e2[1]) - e2[0] * e1[1]  # of I - M
+    if not (shrink > 1.0 and det > 0.0):
+        raise StepError(f"singular period map for omega={omega}")
+    z0 = (((1.0 - e2[1]) * q[0] + e2[0] * q[1]) / det,
+          ((1.0 - e1[0]) * q[1] + e1[1] * q[0]) / det)
+    orbit = simulate_aux(dp, z0, omega)
+    defect = float(np.max(np.abs(orbit[omega] - z0)))
+    if defect > 1e-12 * (1.0 + max(abs(z0[0]), abs(z0[1]))):
         raise StepError(f"periodic orbit defect {defect:.3g} exceeds tolerance")
-    return orbit
+    return orbit[:omega]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +358,7 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
         R1 = (gamma * I1 + R) / (1.0 + mu)
 
         resid = abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
-        if resid > _BALANCE_RTOL * (1.0 + N):
+        if not resid <= _BALANCE_RTOL * (1.0 + N):  # a NaN residual fails too
             raise StepError(f"balance identity violated at step {n} "
                             f"(residual {resid:.3g})", step=n, residual=resid)
         return [S1, I1, R1, V1]

@@ -8,9 +8,10 @@ per-step growth ratio of the infectives is
 
 and the window quantities are products of lam + 1 consecutive ratios.  The
 liminf/limsup over the window start are approximated by the min/max over a
-finite scan after a burn-in; for step-periodic coefficients with the window
-an exact multiple of the period, the surrogate is exact.  A window product
-above 1 forces permanence; below 1, extinction.
+finite scan after a burn-in.  The disease-free orbit is exact where known
+(`_disease_free_orbit`), so burn-in and scan only place the window starts; with
+step-periodic coefficients and a window of whole periods the surrogate is exact.
+A window product above 1 forces permanence; below 1, extinction.
 
 Continuous side: the analogous quantity is the sliding integral
 
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StepError
 from .dynamics import (AuxState, aux_equilibrium, periodic_aux_solution,
                        simulate_aux, verify_step_periodic)
 from .incidence import IncidenceFn
@@ -49,8 +50,8 @@ class ThresholdReport:
 
     `window_products` holds the per-window series so non-stabilizing scans
     can be diagnosed.  `exact_periodic` marks reports where the finite
-    surrogate is exact (step-periodic coefficients, window a whole number of
-    periods); then r_lower == r_upper up to rounding.
+    surrogate is exact (exact disease-free orbit, step-periodic coefficients,
+    window a whole number of periods); then r_lower == r_upper up to rounding.
     """
 
     mode: str  # "discrete" | "continuous"
@@ -106,6 +107,22 @@ def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     return num / (1.0 + mu + alpha + gamma)
 
 
+def _disease_free_orbit(dp: DiscreteParams, omega: int | None, k_lo: int, k_hi: int,
+                        aux_start: AuxState | None) -> tuple[np.ndarray, bool]:
+    """(x*, y*) at steps k_lo + 1 .. k_hi and whether it is exact: the periodic orbit of
+    period 1 if Lambda, mu, p, eta are constant up to k_hi, else `omega`.  Iterated from
+    `aux_start` if neither applies or the period map is singular; raised if no start."""
+    if all(np.ptp(dp.array(name, 0, k_hi)) == 0.0 for name in ("Lambda", "mu", "p", "eta")):
+        omega = 1
+    if omega is not None:
+        try:
+            return periodic_aux_solution(dp, omega)[np.arange(k_lo + 1, k_hi + 1) % omega], True
+        except (ValueError, StepError):
+            if aux_start is None:
+                raise
+    return simulate_aux(dp, aux_start, k_hi)[k_lo + 1:], False
+
+
 def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                         lam: int, burn_in: int = 2000, scan: int = 4000,
                         aux_start: AuxState = AuxState(1.0, 1.0)) -> ThresholdReport:
@@ -123,8 +140,8 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         raise ValueError("need burn_in >= 0 and scan >= lam + 1")
 
     ks_lo, ks_hi = burn_in, burn_in + scan + lam + 1
-    orbit = simulate_aux(dp, AuxState(*aux_start), ks_hi)
-    ratios = _growth_ratios(dp, phi, psi, orbit[ks_lo + 1: ks_hi + 1], ks_lo, ks_hi)
+    orbit, exact_orbit = _disease_free_orbit(dp, dp.step_period, ks_lo, ks_hi, aux_start)
+    ratios = _growth_ratios(dp, phi, psi, orbit, ks_lo, ks_hi)
     window = _window_products(ratios, lam + 1)
     notes = ()
     if phi.needs_population or psi.needs_population:
@@ -134,7 +151,7 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     r_lower = float(window.min())
     r_upper = float(window.max())
     omega = dp.step_period
-    exact = omega is not None and (lam + 1) % omega == 0
+    exact = exact_orbit and omega is not None and (lam + 1) % omega == 0
     return ThresholdReport(
         mode="discrete", lam=lam, r_lower=r_lower, r_upper=r_upper,
         window_products=window, burn_in=burn_in, scan=scan,
@@ -151,12 +168,8 @@ def periodic_discrete_threshold(dp: DiscreteParams, phi: IncidenceFn,
         verify_step_periodic(dp, omega)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    orbit = periodic_aux_solution(dp, omega)
-    ratios = _growth_ratios(dp, phi, psi, orbit[(np.arange(omega) + 1) % omega], 0, omega)
-    prod = 1.0
-    for r in ratios:
-        prod *= float(r)
-    return prod
+    orbit, _ = _disease_free_orbit(dp, omega, 0, omega, None)
+    return float(_window_products(_growth_ratios(dp, phi, psi, orbit, 0, omega), omega)[0])
 
 
 def disease_free_equilibrium(schedules: ScheduleSet) -> AuxState:

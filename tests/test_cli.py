@@ -291,13 +291,17 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
 # The two saturated bundles were re-pinned when saturated incidence moved from
 # the fixed-point loop to the closed-form NSFD step: their NSFD trajectories
 # moved by at most 6.3e-13 of each column's largest value, nothing else changed.
+# inconsistency_4 and measles_france_5_2 were re-pinned when the discrete
+# thresholds moved onto the exact disease-free orbit: only their discrete
+# threshold values changed, to 1 (the closed form, was 1 - 1.3e-15) and to
+# 49.638... on both sides (the long burn-in's value, was 50.80 and 80.21).
 GOLDEN_BUNDLE_DIGESTS = {
     "extinction_5_1": "8bf6ffe578acb072201aa28463a1a0ce671f4c50c8569cc005daccc861c32a93",
     "persistence_5_1": "a8c2bda1512546324adb868184e8101a9a63cdb589c07bd49ba31a9eeb69731c",
     "saturated_5_1_ext": "fdbbfd78cbd05b8adda13e63b76db07f723673d971dfa572a4e1c628ab2d38fc",
     "saturated_5_1_per": "e1c74a56aab6d981ad4e320688fb124fb703b28f902f489c3301ee52d52d1c93",
-    "inconsistency_4": "f23bbac457813282cc0963aeb60fa391c33af2065d5152f5025d29db8f307c3a",
-    "measles_france_5_2": "c6ebf5147c0e32a853b3c3cea285eeaeacfaeeadce47dd5ac0cd561f9ffa6f0c",
+    "inconsistency_4": "704f129baf097a41f8d40c6ce081cb45c94b9fb1cb097a5d9b5eebd4cd87081f",
+    "measles_france_5_2": "5e2a36461cd915364663a8ffdc3b5c3809c7f04147025a379b677c629f01eeed",
 }
 
 
@@ -316,14 +320,16 @@ def test_scenario_bundle_matches_golden_digest(tmp_path, name):
 
 
 # the same digest over the other subcommands' output directories, manifest
-# included; the three sweeps equal perfbench/baseline.json
+# included.  The three sweeps were re-pinned with the exact disease-free orbit:
+# only their r_lower/r_upper changed, onto the values along the closed-form
+# equilibrium orbit (within 7.4e-12 relative); every verdict is unchanged.
 GOLDEN_COMMAND_DIGESTS = {
     ("consistency", "extinction_5_1", "--sweep"):
-        "56ade0bf6bc9010d20c5601f1d969e71943e7642ea48aa1d57a1271d7993cab9",
+        "0ffdcfd6ef6be37e8041b078d6176d7a4537a1192d145498c9d15714ffc2de61",
     ("consistency", "persistence_5_1", "--sweep"):
-        "eb229ae0c94e569278a0a335892ea31eac7ce5591028b7444a8d85dd310c6b6c",
+        "ebad9c4eb13e890a102d7481af55fc7e3959aeb6762a5597f248a760bf73f77f",
     ("consistency", "inconsistency_4", "--sweep"):
-        "2232357fc98ae5a6d520c5871314e721b27653a9d91783889b890abeea2a9399",
+        "a7c75338fafea93ca720e2388d884ba9a0aa0713ff65f7128efe5c64b188238b",
     ("thresholds", "persistence_5_1"):
         "59e2358896da5ab8cc96295e5e1585429e2879e3d2404162ac9e145ca64c03a0",
     ("compare", "extinction_5_1"):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nsfd_sirvs.dynamics import (AuxState, State, aux_equilibrium, aux_step,
-                                 integrate_continuous, nsfd_step, periodic_aux_solution,
-                                 simulate_aux, simulate_discrete)
+from nsfd_sirvs.dynamics import (AuxState, State, aux_equilibrium, integrate_continuous,
+                                 nsfd_step, periodic_aux_solution, simulate_aux,
+                                 simulate_discrete)
 from nsfd_sirvs.errors import StepError
 from nsfd_sirvs.incidence import IncidenceFn
 from nsfd_sirvs.schedules import DenominatorFn, DiscreteParams, ParamSchedule, ScheduleSet, \
@@ -39,9 +39,9 @@ def test_aux_equilibrium_is_fixed_point_for_any_denominator_scale():
     for scale in (1.0, 1.2, 7.2, 0.55):
         dp = constant_dp(Lambda=0.5 * scale, mu=0.3 * scale, p=2.0 / 3.0 * scale,
                          eta=0.05 * scale)
-        nxt = aux_step(dp, 0, eq)
-        assert nxt.x == pytest.approx(eq.x, rel=1e-14)
-        assert nxt.y == pytest.approx(eq.y, rel=1e-14)
+        nxt = simulate_aux(dp, eq, 1)[1]
+        assert nxt[0] == pytest.approx(eq.x, rel=1e-14)
+        assert nxt[1] == pytest.approx(eq.y, rel=1e-14)
 
 
 def test_aux_converges_to_benchmark_equilibrium():
@@ -96,12 +96,10 @@ def _periodic_inflow_set():
 def test_periodic_aux_solution_matches_long_run():
     dp = mickens_discretize(_periodic_inflow_set(), 1.0, DenominatorFn.quadratic(0.2))
     orbit = periodic_aux_solution(dp, 4)
-    # the period map returns to its start
-    z = AuxState(*orbit[0])
-    for n in range(4):
-        assert z.x == pytest.approx(orbit[n][0], rel=1e-12)
-        assert z.y == pytest.approx(orbit[n][1], rel=1e-12)
-        z = aux_step(dp, n, z)
+    # the orbit is the recurrence from its start, and the period map returns there
+    z = simulate_aux(dp, AuxState(*orbit[0]), 4)
+    for n in range(5):
+        assert z[n] == pytest.approx(orbit[n % 4], rel=1e-12)
     # and attracts a generic orbit, phase by phase
     long = simulate_aux(dp, AuxState(5.0, 3.0), 400)
     for n in range(4):
@@ -123,11 +121,12 @@ def test_periodic_orbit_invariant_under_common_scale():
 def test_disease_free_step_equals_aux_step():
     dp = seasonal_dp()
     s = State(0.8, 0.0, 0.4, 1.1)
-    out = nsfd_step(dp, 3, MASS, MASS, s)
-    aux = aux_step(dp, 3, AuxState(s.S, s.V))
-    assert out.I == 0.0
-    assert out.S == aux.x and out.V == aux.y
-    assert out.R == pytest.approx(s.R / (1.0 + dp.mu(3)), rel=1e-15)
+    out = simulate_discrete(dp, MASS, MASS, s, 4).states
+    aux = simulate_aux(dp, AuxState(s.S, s.V), 4)
+    assert np.all(out[:, 1] == 0.0)
+    assert np.array_equal(out[:, [0, 3]], aux)
+    step = nsfd_step(dp, 3, MASS, MASS, State(*out[3]))
+    assert step.R == pytest.approx(out[3, 2] / (1.0 + dp.mu(3)), rel=1e-15)
 
 
 def test_mass_action_step_matches_linear_solve_oracle():
@@ -225,6 +224,17 @@ def test_zero_denominator_is_a_step_error():
         with pytest.raises(StepError, match="zero denominator at step 0") as exc:
             run()
         assert exc.value.step == 0
+
+
+def test_nan_coefficient_is_a_step_error():
+    # a NaN residual must fail the balance check, not pass it
+    dp = DiscreteParams.from_sequences(0.5, Lambda=0.5, mu=0.3, p=0.2, eta=0.05,
+                                       alpha=0.05, beta=float("nan"), sigma=0.3, gamma=0.3)
+    s = State(1.0, 0.2, 0.1, 1.0)
+    for run in (lambda: simulate_discrete(dp, MASS, MASS, s, 5),
+                lambda: nsfd_step(dp, 0, MASS, MASS, s)):
+        with pytest.raises(StepError, match="balance identity violated at step 0"):
+            run()
 
 
 def test_balance_identity_random_draws():

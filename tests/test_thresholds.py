@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nsfd_sirvs.dynamics import AuxState, aux_equilibrium
-from nsfd_sirvs.errors import ConfigError
+from nsfd_sirvs import thresholds
+from nsfd_sirvs.consistency import consistency_sweep, window_thresholds
+from nsfd_sirvs.dynamics import AuxState, aux_equilibrium, periodic_aux_solution, simulate_aux
+from nsfd_sirvs.errors import ConfigError, StepError
 from nsfd_sirvs.incidence import IncidenceFn
+from nsfd_sirvs.scenarios import builtin
 from nsfd_sirvs.schedules import (DenominatorFn, DiscreteParams, ParamSchedule,
                                   ScheduleSet, mickens_discretize)
 from nsfd_sirvs.thresholds import (ThresholdReport, Verdict, classify,
@@ -95,6 +100,139 @@ def test_periodic_threshold_matches_window_product(b):
 def test_periodic_threshold_rejects_aperiodic_input():
     with pytest.raises(ConfigError):
         periodic_discrete_threshold(seasonal_dp(0.3, 0.7), MASS, MASS, 4)
+
+
+# ---------------------------------------------------------------------------
+# the disease-free orbit: exact where it is known
+# ---------------------------------------------------------------------------
+
+def _builtin_dp(name, h):
+    spec = builtin(name)
+    return spec, mickens_discretize(spec.schedules, h, spec.denominator)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.1, 0.01])
+def test_exact_periodic_report_is_the_periodic_threshold(h):
+    # one period of persistence_5_1 (400 steps at h = 0.01, far past the
+    # default 2000-step burn-in's reach): the window product cannot depend on
+    # where the scan sits
+    spec, dp = _builtin_dp("persistence_5_1", h)
+    rep = window_thresholds(dp, spec.incidence_phi, spec.incidence_psi, spec.lam)
+    assert rep.exact_periodic
+    assert (rep.r_upper - rep.r_lower) / rep.r_lower <= 1e-10
+    per = periodic_discrete_threshold(dp, spec.incidence_phi, spec.incidence_psi,
+                                      dp.step_period)
+    assert rep.r_lower == pytest.approx(per, rel=1e-10)
+    assert rep.r_upper == pytest.approx(per, rel=1e-10)
+
+
+def test_aperiodic_beta_with_constant_inflow_uses_the_equilibrium():
+    # measles_france_5_2: beta is a table then constant, so the report is not
+    # exact_periodic, but Lambda, mu, p, eta are constant and the orbit is exact
+    spec, dp = _builtin_dp("measles_france_5_2", 1.0)
+    phi, psi = spec.incidence_phi, spec.incidence_psi
+    rep = window_thresholds(dp, phi, psi, spec.lam)
+    assert dp.step_period is None and not rep.exact_periodic
+    assert rep.r_upper == pytest.approx(rep.r_lower, rel=1e-10)
+    long = discrete_thresholds(dp, phi, psi, rep.lam, burn_in=60000, scan=rep.scan)
+    assert rep.r_lower == pytest.approx(long.r_lower, rel=1e-9)
+    assert rep.r_upper == pytest.approx(long.r_upper, rel=1e-9)
+    # the orbit iterated for 60000 steps has reached the exact one
+    iterated = simulate_aux(dp, AuxState(1.0, 1.0), 60000)[-1]
+    assert iterated == pytest.approx(periodic_aux_solution(dp, 1)[0], rel=1e-9)
+
+
+def test_inconsistency_sweep_rows_follow_the_closed_form():
+    # down to h ~ 3e-5 a 2000-step burn-in covers 0.07 time units; along the
+    # exact orbit every row's log window product is R_C = 0.45 to first order in h
+    spec = builtin("inconsistency_4")
+    r_c = spec.reference_values["r_c_lower_closed_form"]
+    assert r_c == pytest.approx(0.45)
+    rows = consistency_sweep(spec.schedules, spec.incidence_phi, spec.incidence_psi,
+                             spec.denominator, spec.lam)
+    assert len(rows) == 16
+    for row in rows:
+        assert abs(math.log(row.r_lower) - r_c) <= 2e-3
+        assert abs(math.log(row.r_upper) - r_c) <= 2e-3
+
+
+def test_vanishing_mortality_falls_back_to_the_iterated_orbit():
+    # mu = 0: the period map is singular, so the orbit is iterated and the
+    # report is not claimed exact
+    dp = DiscreteParams.from_sequences(1.0, Lambda=1.0, mu=0.0, p=0.5, eta=0.05,
+                                       alpha=0.1, beta=0.3, sigma=0.2, gamma=0.2,
+                                       step_period=1)
+    with pytest.raises(StepError, match="singular"):
+        periodic_aux_solution(dp, 1)
+    with pytest.raises(StepError, match="singular"):
+        periodic_discrete_threshold(dp, MASS, MASS, 1)
+    rep = discrete_thresholds(dp, MASS, MASS, 2, burn_in=10, scan=20)
+    assert not rep.exact_periodic
+    assert np.all(np.isfinite(rep.window_products))
+
+
+def test_independence_check_iterates_without_a_whole_period(monkeypatch):
+    # harmonic Lambda with period 4 at h = 0.7: no whole number of steps per
+    # period, so the orbit is iterated from each start and must converge
+    s = full_set(0.3)
+    seasonal_inflow = ScheduleSet(
+        Lambda=ParamSchedule.harmonic("Lambda", 0.5, 0.25, math.pi / 2.0),
+        mu=s.mu, p=s.p, eta=s.eta, alpha=s.alpha, beta=s.beta, sigma=s.sigma,
+        gamma=s.gamma)
+    dp = mickens_discretize(seasonal_inflow, 0.7, DenominatorFn.quadratic(0.2))
+    assert dp.step_period is None
+    calls = []
+
+    def counting_simulate_aux(*args):
+        calls.append(args[1])
+        return simulate_aux(*args)
+
+    monkeypatch.setattr(thresholds, "simulate_aux", counting_simulate_aux)
+    starts = [AuxState(1, 1), AuxState(100, 5)]
+    res = independence_check(dp, MASS, MASS, 5, starts)
+    assert calls == starts
+    assert not res.skipped
+    assert res.spread <= 1e-9
+
+
+_POSITIVE = st.floats(0.05, 2.0)
+_NONNEGATIVE = st.floats(0.0, 1.0)
+_DENOMINATORS = st.one_of(st.just(DenominatorFn.identity()),
+                          st.floats(0.0, 1.0).map(DenominatorFn.quadratic),
+                          st.floats(0.01, 2.0).map(DenominatorFn.exp_decay))
+_INCIDENCES = st.one_of(st.just(IncidenceFn.mass_action()),
+                        st.floats(0.0, 2.0).map(IncidenceFn.saturated))
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.floats(0.5, 12.0), k=st.integers(1, 64), periods=st.integers(1, 2),
+       Lambda=_POSITIVE, mu=st.floats(0.05, 1.0), p=_NONNEGATIVE, eta=_NONNEGATIVE,
+       alpha=_NONNEGATIVE, gamma=_NONNEGATIVE, beta=_POSITIVE, sigma=_POSITIVE,
+       beta_amp=st.floats(0.0, 0.9), sigma_amp=st.floats(0.0, 0.9),
+       phi=_INCIDENCES, psi=_INCIDENCES, denominator=_DENOMINATORS,
+       start=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)))
+def test_exact_periodic_reports_are_exact(T, k, periods, Lambda, mu, p, eta, alpha,
+                                          gamma, beta, sigma, beta_amp, sigma_amp,
+                                          phi, psi, denominator, start):
+    w = 2.0 * math.pi / T
+    schedules = ScheduleSet(
+        Lambda=ParamSchedule.constant("Lambda", Lambda), mu=ParamSchedule.constant("mu", mu),
+        p=ParamSchedule.constant("p", p), eta=ParamSchedule.constant("eta", eta),
+        alpha=ParamSchedule.constant("alpha", alpha),
+        beta=ParamSchedule.harmonic("beta", beta, beta_amp * beta, w),
+        sigma=ParamSchedule.harmonic("sigma", sigma, sigma_amp * sigma, w, 1.0),
+        gamma=ParamSchedule.constant("gamma", gamma))
+    dp = mickens_discretize(schedules, T / k, denominator)
+    lam = periods * k - 1
+    rep = discrete_thresholds(dp, phi, psi, lam, burn_in=100, scan=3 * k)
+    assert rep.exact_periodic  # mu > 0 and k steps per period
+    assert (rep.r_upper - rep.r_lower) / rep.r_lower <= 1e-10
+    per = periodic_discrete_threshold(dp, phi, psi, dp.step_period)
+    assert rep.r_lower == pytest.approx(per ** periods, rel=1e-10)
+    other = discrete_thresholds(dp, phi, psi, lam, burn_in=100, scan=3 * k,
+                                aux_start=AuxState(*start))
+    assert (other.r_lower, other.r_upper) == (rep.r_lower, rep.r_upper)
+    assert other.window_products.tobytes() == rep.window_products.tobytes()
 
 
 def test_exp_decay_denominator_keeps_the_verdict():
