@@ -35,6 +35,7 @@ from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,
 _CD_STEP = 1e-5
 _SUP_GRID = 100_000
 _APERIODIC_HORIZON = 100.0
+_SWEEP_FRACS = (0.01, 0.99)  # the sweep's step sizes, as fractions of the bound
 
 
 @dataclass
@@ -88,7 +89,7 @@ def consistency_skip_reason(schedules: ScheduleSet) -> str:
             return f"schedule {name!r} is not constant"
     for name in ("beta", "sigma", "alpha", "gamma"):
         s = getattr(schedules, name)
-        if s.kind == "piecewise" and not s.is_constant:
+        if not (s.smooth or s.is_constant):
             return f"schedule {name!r} is a step function (not differentiable)"
     return ""
 
@@ -146,20 +147,15 @@ def _net_growth(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
     return f, fprime, analytic
 
 
-def sup_abs_fprime(fprime: Callable, scan: tuple[float, float],
-                   grid: int = _SUP_GRID) -> FprimeSup:
-    """Grid maximum of |f'| over the scan range, with its argmax.
-
-    One period suffices for periodic f; the result is exact up to grid
-    resolution, so use at least 1e3 points per period.
+def sup_abs_fprime(fprime: Callable, scan: tuple[float, float]) -> FprimeSup:
+    """Maximum of |f'| over a grid of 1e5 steps across the scan range, with
+    its argmax.  One period suffices for periodic f; the result is exact up to
+    grid resolution.
     """
     t0, t1 = (float(s) for s in scan)
-    grid = int(grid)
     if not t1 > t0:
         raise ValueError("empty scan range")
-    if grid < 1000:
-        raise ValueError("grid must be >= 1000 points")
-    ts = np.linspace(t0, t1, grid + 1)
+    ts = np.linspace(t0, t1, _SUP_GRID + 1)
     vals = np.abs(np.asarray(fprime(ts), dtype=float))
     i = int(np.argmax(vals))
     return FprimeSup(value=float(vals[i]), argmax=float(ts[i]))
@@ -275,9 +271,9 @@ class SweepRow:
 def consistency_sweep(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
                       denominator: DenominatorFn, lam: float,
                       report: ConsistencyReport | None = None, n: int = 16,
-                      lo_frac: float = 0.01, hi_frac: float = 0.99,
                       burn_in: int = 2000, scan: int = 4000) -> list[SweepRow]:
-    """Empirical check of the guarantee: verdicts at n log-spaced h below h_max.
+    """Empirical check of the guarantee: verdicts at n log-spaced h from 1% to
+    99% of h_max.
 
     Raises ValueError with `sweep_skip_reason` when there is no finite bound
     to sweep against.
@@ -290,7 +286,7 @@ def consistency_sweep(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn
     bound = report.verdict_bound
 
     rows = []
-    for h in np.geomspace(bound * lo_frac, bound * hi_frac, int(n)):
+    for h in np.geomspace(bound * _SWEEP_FRACS[0], bound * _SWEEP_FRACS[1], int(n)):
         dp = mickens_discretize(schedules, float(h), denominator)
         rep = window_thresholds(dp, phi, psi, lam, burn_in=burn_in, scan=scan)
         rows.append(SweepRow(h=dp.h, lam_steps=rep.lam, r_lower=rep.r_lower,

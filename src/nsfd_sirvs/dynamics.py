@@ -195,18 +195,28 @@ def simulate_aux(dp: DiscreteParams, a0: AuxState, n_steps: int) -> np.ndarray:
     return np.frombuffer(out).reshape(-1, 2)
 
 
-def verify_step_periodic(dp: DiscreteParams, omega: int,
-                         names=SCHEDULE_NAMES, n_periods: int = 2) -> None:
-    """Raise unless every named sequence satisfies c_{n+omega} = c_n."""
+def verify_step_periodic(dp: DiscreteParams, omega: int, names=SCHEDULE_NAMES) -> None:
+    """Raise unless every named sequence satisfies c_{n+omega} = c_n over the
+    first two periods."""
     omega = int(omega)
     if omega < 1:
         raise ValueError("period must be a positive integer")
     for name in names:
-        base = dp.array(name, 0, omega * n_periods)
-        shifted = dp.array(name, omega, omega * (n_periods + 1))
+        base = dp.array(name, 0, 2 * omega)
+        shifted = dp.array(name, omega, 3 * omega)
         if np.any(np.abs(shifted - base) > 1e-12 * (1.0 + np.abs(base))):
             raise ValueError(f"sequence {name!r} is not {omega}-periodic "
                              f"(max defect {np.max(np.abs(shifted - base)):.3g})")
+
+
+def period_map_fixed_point(q, e1, e2) -> tuple[float, float] | None:
+    """Fixed point of the affine period map z -> M z + q, M with columns e1, e2,
+    by Cramer's rule; None unless det(I - M) > 0."""
+    det = (1.0 - e1[0]) * (1.0 - e2[1]) - e2[0] * e1[1]  # of I - M
+    if not det > 0.0:
+        return None
+    return (((1.0 - e2[1]) * q[0] + e2[0] * q[1]) / det,
+            ((1.0 - e1[0]) * q[1] + e1[1] * q[0]) / det)
 
 
 def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
@@ -227,11 +237,9 @@ def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
             shrink *= 1.0 + mu
     except ZeroDivisionError as exc:
         raise StepError(f"zero denominator in the period map for omega={omega}") from exc
-    det = (1.0 - e1[0]) * (1.0 - e2[1]) - e2[0] * e1[1]  # of I - M
-    if not (shrink > 1.0 and det > 0.0):
+    z0 = period_map_fixed_point(q, e1, e2)
+    if not shrink > 1.0 or z0 is None:
         raise StepError(f"singular period map for omega={omega}")
-    z0 = (((1.0 - e2[1]) * q[0] + e2[0] * q[1]) / det,
-          ((1.0 - e1[0]) * q[1] + e1[1] * q[0]) / det)
     orbit = simulate_aux(dp, z0, omega)
     defect = float(np.max(np.abs(orbit[omega] - z0)))
     if defect > 1e-12 * (1.0 + max(abs(z0[0]), abs(z0[1]))):

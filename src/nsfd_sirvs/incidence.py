@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -56,6 +56,14 @@ class IncidenceFn:
       bridge()       g(x, pop) of the continuous model, scalars
     """
 
+    # configuration schema: kind -> (required, optional) keyword params of the
+    # classmethod of that name; `separable` wraps a callable, so it has no entry
+    CONFIG_KINDS: ClassVar[dict] = {
+        "mass_action": ((), ()),
+        "saturated": (("a",), ()),
+        "standard": ((), ()),
+    }
+
     kind: str
     a: float = 0.0
     lipschitz_k: float = 1.0
@@ -87,7 +95,7 @@ class IncidenceFn:
         return cls("separable", lipschitz_k=float(lipschitz_k), _g=g)
 
     def __post_init__(self):
-        if self.kind not in ("mass_action", "saturated", "standard", "separable"):
+        if self.kind not in (*self.CONFIG_KINDS, "separable"):
             raise ConfigError(f"unknown incidence kind {self.kind!r}")
         if not (math.isfinite(self.a) and self.a >= 0.0):
             raise ValueError(f"saturation coefficient must be finite and >= 0, got {self.a}")

@@ -241,14 +241,6 @@ _TOP_REQUIRED = ("name", "schedules", "incidence", "denominator", "h_values",
                  "lambda", "t_end", "initial_state")
 _TOP_OPTIONAL = ("observed_path", "notes", "reference_values")
 
-_SCHEDULE_PARAMS = {
-    "constant": {"value"},
-    "harmonic": {"base", "amplitude", "omega", "phase"},
-    "piecewise": {"breakpoints", "values"},
-}
-_INCIDENCE_PARAMS = {"mass_action": set(), "saturated": {"a"}, "standard": set()}
-_DENOMINATOR_PARAMS = {"identity": set(), "quadratic": {"a"}, "exp_decay": {"c"}}
-
 
 def _check_keys(obj: dict, required, optional, path: str):
     if not isinstance(obj, dict):
@@ -262,58 +254,32 @@ def _check_keys(obj: dict, required, optional, path: str):
         raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
 
 
-def _build_schedule(name: str, obj: dict, path: str) -> ParamSchedule:
+def _build(cls, obj: dict, path: str, *args):
+    """The component {"kind", "params"} declares: the classmethod of cls named by
+    its kind, called with args and the params that `cls.CONFIG_KINDS` allows."""
     _check_keys(obj, ("kind",), ("params",), path)
     kind = obj["kind"]
-    if kind not in _SCHEDULE_PARAMS:
-        raise ConfigError(f"{path}.kind: unknown schedule kind {kind!r}")
+    if not isinstance(kind, str) or kind not in cls.CONFIG_KINDS:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}; "
+                          f"valid kinds: {', '.join(cls.CONFIG_KINDS)}")
     params = obj.get("params", {})
-    allowed = _SCHEDULE_PARAMS[kind]
-    required = allowed - ({"phase"} if kind == "harmonic" else set())
-    _check_keys(params, tuple(sorted(required)), tuple(allowed - required), f"{path}.params")
+    _check_keys(params, *cls.CONFIG_KINDS[kind], f"{path}.params")
     try:
-        if kind == "constant":
-            return ParamSchedule.constant(name, params["value"])
-        if kind == "harmonic":
-            return ParamSchedule.harmonic(name, params["base"], params["amplitude"],
-                                          params["omega"], params.get("phase", 0.0))
-        return ParamSchedule.piecewise(name, params["breakpoints"], params["values"])
+        return getattr(cls, kind)(*args, **params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _build_incidence(obj: dict, path: str) -> IncidenceFn:
-    _check_keys(obj, ("kind",), ("params",), path)
-    kind = obj["kind"]
-    if kind not in _INCIDENCE_PARAMS:
-        raise ConfigError(f"{path}.kind: unknown incidence kind {kind!r}")
-    params = obj.get("params", {})
-    _check_keys(params, tuple(sorted(_INCIDENCE_PARAMS[kind])), (), f"{path}.params")
-    try:
-        if kind == "mass_action":
-            return IncidenceFn.mass_action()
-        if kind == "saturated":
-            return IncidenceFn.saturated(params["a"])
-        return IncidenceFn.standard()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _build_denominator(obj: dict, path: str) -> DenominatorFn:
-    _check_keys(obj, ("kind",), ("params",), path)
-    kind = obj["kind"]
-    if kind not in _DENOMINATOR_PARAMS:
-        raise ConfigError(f"{path}.kind: unknown denominator kind {kind!r}")
-    params = obj.get("params", {})
-    _check_keys(params, tuple(sorted(_DENOMINATOR_PARAMS[kind])), (), f"{path}.params")
-    try:
-        if kind == "identity":
-            return DenominatorFn.identity()
-        if kind == "quadratic":
-            return DenominatorFn.quadratic(params["a"])
-        return DenominatorFn.exp_decay(params["c"])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _encode(component, path: str) -> dict:
+    """The {"kind", "params"} object `_build` reads back; "params" only when
+    the kind has any."""
+    kinds = type(component).CONFIG_KINDS
+    if component.kind not in kinds:
+        raise ConfigError(f"{path}: {component.kind} {type(component).__name__} wraps a "
+                          "callable and cannot be serialized to a configuration document")
+    values = component.params if isinstance(component, ParamSchedule) else vars(component)
+    params = {key: values[key] for keys in kinds[component.kind] for key in keys}
+    return {"kind": component.kind, "params": params} if params else {"kind": component.kind}
 
 
 def config_to_spec(cfg: dict, base_dir: Path | None = None) -> ScenarioSpec:
@@ -323,15 +289,15 @@ def config_to_spec(cfg: dict, base_dir: Path | None = None) -> ScenarioSpec:
     sched_obj = cfg["schedules"]
     _check_keys(sched_obj, SCHEDULE_NAMES, (), "schedules")
     schedules = ScheduleSet.from_mapping({
-        name: _build_schedule(name, sched_obj[name], f"schedules.{name}")
+        name: _build(ParamSchedule, sched_obj[name], f"schedules.{name}", name)
         for name in SCHEDULE_NAMES})
 
     inc_obj = cfg["incidence"]
     _check_keys(inc_obj, ("phi", "psi"), (), "incidence")
-    phi = _build_incidence(inc_obj["phi"], "incidence.phi")
-    psi = _build_incidence(inc_obj["psi"], "incidence.psi")
+    phi = _build(IncidenceFn, inc_obj["phi"], "incidence.phi")
+    psi = _build(IncidenceFn, inc_obj["psi"], "incidence.psi")
 
-    denominator = _build_denominator(cfg["denominator"], "denominator")
+    denominator = _build(DenominatorFn, cfg["denominator"], "denominator")
 
     state_obj = cfg["initial_state"]
     _check_keys(state_obj, ("S", "I", "R", "V"), (), "initial_state")
@@ -385,37 +351,17 @@ def load_config(path) -> ScenarioSpec:
 def spec_to_config(spec: ScenarioSpec) -> dict:
     """Serialize a scenario back to its configuration document.
 
-    Only declarative pieces round-trip; schedules built from raw callables
-    cannot be serialized.
+    Only declarative pieces round-trip: a component whose kind wraps a
+    callable (a `custom` schedule, a `separable` incidence) raises ConfigError
+    naming its field path.
     """
-    sched_out = {}
-    for name in SCHEDULE_NAMES:
-        s = getattr(spec.schedules, name)
-        if s.kind == "custom":
-            raise ConfigError(f"schedule {name!r} wraps a callable and cannot be "
-                              "serialized to a configuration document")
-        sched_out[name] = {"kind": s.kind, "params": dict(s.params)}
-
-    def inc_out(inc: IncidenceFn) -> dict:
-        if inc.kind == "separable":
-            raise ConfigError("separable incidence wraps a callable and cannot be "
-                              "serialized to a configuration document")
-        out = {"kind": inc.kind}
-        if inc.kind == "saturated":
-            out["params"] = {"a": inc.a}
-        return out
-
-    den_out = {"kind": spec.denominator.kind}
-    if spec.denominator.kind == "quadratic":
-        den_out["params"] = {"a": spec.denominator.a}
-    elif spec.denominator.kind == "exp_decay":
-        den_out["params"] = {"c": spec.denominator.c}
-
     cfg = {
         "name": spec.name,
-        "schedules": sched_out,
-        "incidence": {"phi": inc_out(spec.incidence_phi), "psi": inc_out(spec.incidence_psi)},
-        "denominator": den_out,
+        "schedules": {name: _encode(getattr(spec.schedules, name), f"schedules.{name}")
+                      for name in SCHEDULE_NAMES},
+        "incidence": {"phi": _encode(spec.incidence_phi, "incidence.phi"),
+                      "psi": _encode(spec.incidence_psi, "incidence.psi")},
+        "denominator": _encode(spec.denominator, "denominator"),
         "h_values": list(spec.h_values),
         "lambda": spec.lam,
         "t_end": spec.t_end,

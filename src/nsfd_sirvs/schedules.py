@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -65,6 +65,14 @@ class ParamSchedule:
     classmethod constructors (`constant`, `harmonic`, `piecewise`, `custom`);
     they validate nonnegativity, declared periods and supplied derivatives.
     """
+
+    # configuration schema: kind -> (required, optional) keyword params of the
+    # classmethod of that name; `custom` wraps a callable, so it has no entry
+    CONFIG_KINDS: ClassVar[dict] = {
+        "constant": (("value",), ()),
+        "harmonic": (("base", "amplitude", "omega"), ("phase",)),
+        "piecewise": (("breakpoints", "values"), ()),
+    }
 
     name: str
     kind: str  # "constant" | "harmonic" | "piecewise" | "custom"
@@ -298,6 +306,14 @@ class DenominatorFn:
     numerically at construction.
     """
 
+    # configuration schema: kind -> (required, optional) keyword params of the
+    # classmethod of that name
+    CONFIG_KINDS: ClassVar[dict] = {
+        "identity": ((), ()),
+        "quadratic": (("a",), ()),
+        "exp_decay": (("c",), ()),
+    }
+
     kind: str  # "identity" | "quadratic" | "exp_decay"
     a: float = 0.0
     c: float = 0.0
@@ -321,7 +337,7 @@ class DenominatorFn:
         return cls("exp_decay", c=c)
 
     def __post_init__(self):
-        if self.kind not in ("identity", "quadratic", "exp_decay"):
+        if self.kind not in self.CONFIG_KINDS:
             raise ConfigError(f"unknown denominator kind {self.kind!r}")
         ratio = eval_denominator(self, 1e-8) / 1e-8
         if abs(ratio - 1.0) > 1e-6:

@@ -23,17 +23,18 @@ compared against 0, evaluated by composite Simpson quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, StepError
-from .dynamics import (AuxState, aux_equilibrium, periodic_aux_solution,
-                       simulate_aux, verify_step_periodic)
+from .dynamics import (AuxState, State, aux_equilibrium, integrate_continuous,
+                       period_map_fixed_point, periodic_aux_solution, simulate_aux,
+                       verify_step_periodic)
 from .incidence import IncidenceFn
-from .schedules import DiscreteParams, ScheduleSet, validate_hypotheses
+from .schedules import DiscreteParams, ParamSchedule, ScheduleSet, validate_hypotheses
 
 BOUNDARY_TOL = 1e-12
 
@@ -66,19 +67,17 @@ class ThresholdReport:
     notes: tuple[str, ...] = ()
 
 
-def classify(report: ThresholdReport, mode: str | None = None,
-             boundary_tol: float = BOUNDARY_TOL) -> Verdict:
+def classify(report: ThresholdReport) -> Verdict:
     """Map threshold values to a verdict.
 
-    The theorems are strict inequalities, so values within `boundary_tol`
+    The theorems are strict inequalities, so values within `BOUNDARY_TOL`
     of the neutral level (1 for discrete windows, 0 for continuous
     integrals) are reported as Inconclusive rather than rounded either way.
     """
-    mode = mode or report.mode
-    if mode not in ("discrete", "continuous"):
-        raise ValueError(f"unknown mode {mode!r}")
-    neutral = 1.0 if mode == "discrete" else 0.0
-    return _classify(report.r_lower, report.r_upper, neutral, boundary_tol)
+    if report.mode not in ("discrete", "continuous"):
+        raise ValueError(f"unknown mode {report.mode!r}")
+    neutral = 1.0 if report.mode == "discrete" else 0.0
+    return _classify(report.r_lower, report.r_upper, neutral, BOUNDARY_TOL)
 
 
 def _classify(r_lower: float, r_upper: float, neutral: float, tol: float) -> Verdict:
@@ -152,6 +151,11 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     r_upper = float(window.max())
     omega = dp.step_period
     exact = exact_orbit and omega is not None and (lam + 1) % omega == 0
+    if exact:
+        try:  # the growth ratios read every coefficient, not only the orbit's four
+            verify_step_periodic(dp, omega)
+        except ValueError:
+            exact = False
     return ThresholdReport(
         mode="discrete", lam=lam, r_lower=r_lower, r_upper=r_upper,
         window_products=window, burn_in=burn_in, scan=scan,
@@ -191,9 +195,10 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     period, which covers every start whatever lam is, because F is
     T-periodic in t for T-periodic coefficients.  With Lambda, mu, eta, p
     constant the disease-free solution is the exact equilibrium (a, b);
-    otherwise the auxiliary pair is integrated with RK4 on the quadrature
-    grid (same order as the quadrature), so the scan start should sit past
-    the attraction transient.
+    otherwise it is the periodic solution, integrated with RK4 on the
+    quadrature grid (same order as the quadrature) from its value at t = 0.
+    Only without a common period does the scan start need to sit past an
+    attraction transient (`_disease_free_solution`).
     """
     lam = float(lam)
     if not lam > 0:
@@ -215,17 +220,17 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     n_grid = int(math.ceil(t1 / q - 1e-9)) + 2 * m
     ts = q * np.arange(n_grid + 1)
 
+    notes = []
     aux_constant = all(getattr(schedules, n).is_constant for n in ("Lambda", "mu", "eta", "p"))
     if aux_constant:
         a, b = disease_free_equilibrium(schedules)
         x_star = np.full(ts.shape, a)
         y_star = np.full(ts.shape, b)
     else:
-        # integrate the disease-free pair from (1, 1) at t = 0; callers must
-        # place the scan start past the attraction transient
-        x_star, y_star = _integrate_aux_ode(schedules, ts, q)
+        x_star, y_star, note = _disease_free_solution(schedules, n_grid, q)
+        if note:
+            notes.append(note)
 
-    notes = []
     pop = None
     if phi.needs_population or psi.needs_population:
         pop = x_star + y_star
@@ -262,33 +267,33 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     )
 
 
-def _integrate_aux_ode(schedules: ScheduleSet, ts: np.ndarray, q: float):
-    """RK4 for x' = Lam - (mu+p) x + eta y, y' = p x - (mu+eta) y on the grid."""
-    half = np.empty(2 * (ts.size - 1) + 1)
-    half[0::2] = ts
-    half[1::2] = ts[:-1] + q / 2.0
-    lam = np.asarray(schedules.Lambda.eval(half), dtype=float)
-    mu = np.asarray(schedules.mu.eval(half), dtype=float)
-    p = np.asarray(schedules.p.eval(half), dtype=float)
-    eta = np.asarray(schedules.eta.eval(half), dtype=float)
+def _disease_free_solution(schedules: ScheduleSet, n_steps: int, q: float):
+    """(x*, y*) at t = 0, q, .., n_steps q and a note: RK4 on the disease-free pair,
+    which is the continuous model with I = R = 0.  The start is the fixed point
+    of the period map z -> M z + c (Bacaer & Guernaoui 2006), composed from runs
+    over one common period T from (0, 0) and, with Lambda = 0, from the unit
+    vectors, so the solution is the periodic one.  Without a common period, or
+    with mu = 0 (the map is singular), it starts at (1, 1) and the note says so."""
+    def run(sched, x, y, t_end, h):  # rows (x, y)
+        inc = IncidenceFn.mass_action()  # I = 0 switches any incidence off
+        return integrate_continuous(sched, inc, inc, State(x, 0.0, 0.0, y),
+                                    t_end, h).states[:, [0, 3]]
 
-    def rhs(j, x, y):
-        return (lam[j] - (mu[j] + p[j]) * x + eta[j] * y,
-                p[j] * x - (mu[j] + eta[j]) * y)
-
-    xs = np.empty(ts.size)
-    ys = np.empty(ts.size)
-    x, y = 1.0, 1.0
-    xs[0], ys[0] = x, y
-    for n in range(ts.size - 1):
-        k1 = rhs(2 * n, x, y)
-        k2 = rhs(2 * n + 1, x + q / 2 * k1[0], y + q / 2 * k1[1])
-        k3 = rhs(2 * n + 1, x + q / 2 * k2[0], y + q / 2 * k2[1])
-        k4 = rhs(2 * n + 2, x + q * k3[0], y + q * k3[1])
-        x += q / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y += q / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        xs[n + 1], ys[n + 1] = x, y
-    return xs, ys
+    T = schedules.common_period()
+    start, note = None, ""
+    if T is not None and not (schedules.mu.is_constant and schedules.mu.constant_value() == 0):
+        h = T / math.ceil(T / q - 1e-9)
+        free = replace(schedules, Lambda=ParamSchedule.constant("Lambda", 0.0))
+        start = period_map_fixed_point(run(schedules, 0.0, 0.0, T, h)[-1],
+                                       run(free, 1.0, 0.0, T, h)[-1],
+                                       run(free, 0.0, 1.0, T, h)[-1])
+    if start is None:
+        start = (1.0, 1.0)
+        note = ("no periodic disease-free solution (no common period, or mu = 0): "
+                "integrated from (1, 1) at t = 0, so the scan may read the "
+                "attraction transient")
+    orbit = run(schedules, *start, n_steps * q, q)
+    return orbit[:, 0], orbit[:, 1], note
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsfd_sirvs.dynamics import State
 from nsfd_sirvs.errors import ConfigError
-from nsfd_sirvs.incidence import validate_incidence
+from nsfd_sirvs.incidence import IncidenceFn, validate_incidence
 from nsfd_sirvs.consistency import consistency_skip_reason
 from nsfd_sirvs.scenarios import (BUILTIN_NAMES, ObservedSeries, builtin, config_to_spec,
                                   load_config, load_observed, run_scenario, spec_to_config)
-from nsfd_sirvs.schedules import mickens_discretize, validate_hypotheses
+from nsfd_sirvs.schedules import (SCHEDULE_NAMES, DenominatorFn, ParamSchedule, ScheduleSet,
+                                  mickens_discretize, validate_hypotheses)
 from nsfd_sirvs.thresholds import Verdict
 
 
@@ -157,6 +161,76 @@ def test_config_nan_saturation_names_field(tmp_path):
     assert '"a": NaN' in path.read_text()
     with pytest.raises(ConfigError, match="incidence.phi"):
         load_config(path)
+
+
+# every config kind: the drawn component, and whether its config omits `phase`
+_POS = st.floats(0.01, 10.0)
+
+
+def _schedule(name):
+    constant = st.builds(ParamSchedule.constant, st.just(name), st.floats(0.0, 10.0))
+    harmonic = st.tuples(_POS, st.floats(-1.0, 1.0), _POS,
+                         st.none() | st.floats(-3.0, 3.0)).map(
+        lambda d: ParamSchedule.harmonic(name, d[0], d[1] * d[0], d[2],
+                                         *(() if d[3] is None else (d[3],))))
+    piecewise = st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.0, 10.0)),
+                         min_size=1, max_size=4).map(
+        lambda rows: ParamSchedule.piecewise(
+            name, np.cumsum([0.0] + [dt for dt, _ in rows[1:]]), [v for _, v in rows]))
+    return constant | harmonic | piecewise
+
+
+_INCIDENCES = st.sampled_from([IncidenceFn.mass_action(), IncidenceFn.standard()]) | st.builds(
+    IncidenceFn.saturated, st.floats(0.0, 5.0))
+_DENOMINATORS = (st.just(DenominatorFn.identity())
+                 | st.builds(DenominatorFn.quadratic, st.floats(0.0, 5.0))
+                 | st.builds(DenominatorFn.exp_decay, _POS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules=st.fixed_dictionaries({n: _schedule(n) for n in SCHEDULE_NAMES}),
+       phi=_INCIDENCES, psi=_INCIDENCES, denominator=_DENOMINATORS,
+       drop_zero_phase=st.booleans())
+def test_config_roundtrip_every_kind(tmp_path_factory, schedules, phi, psi, denominator,
+                                     drop_zero_phase):
+    spec = replace(builtin("extinction_5_1"), schedules=ScheduleSet.from_mapping(schedules),
+                   incidence_phi=phi, incidence_psi=psi, denominator=denominator)
+    cfg = spec_to_config(spec)
+    doc = json.loads(json.dumps(cfg))
+    if drop_zero_phase:  # `phase` is optional and 0 by default
+        for obj in doc["schedules"].values():
+            if obj["params"].get("phase") == 0.0:
+                del obj["params"]["phase"]
+    path = tmp_path_factory.mktemp("roundtrip") / "cfg.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_config(path)
+    assert loaded == spec
+    assert json.dumps(spec_to_config(loaded)) == json.dumps(cfg)
+
+
+def test_config_encoding_a_callable_names_its_field():
+    spec = builtin("extinction_5_1")
+    custom = ParamSchedule.custom("sigma", lambda t: 0.3 + 0.0 * t)
+    with pytest.raises(ConfigError, match="schedules.sigma"):
+        spec_to_config(replace(spec, schedules=replace(spec.schedules, sigma=custom)))
+    separable = IncidenceFn.separable(lambda x: x, lipschitz_k=1.0)
+    with pytest.raises(ConfigError, match="incidence.psi"):
+        spec_to_config(replace(spec, incidence_psi=separable))
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda c: c["schedules"]["mu"].update(kind="custom"), "schedules.mu.kind"),
+    (lambda c: c["incidence"]["phi"].update(kind="separable"), "incidence.phi.kind"),
+    (lambda c: c["denominator"].update(kind="cubic"), "denominator.kind"),
+    (lambda c: c["denominator"]["params"].update(c=1.0), "denominator.params"),
+    (lambda c: c["schedules"]["beta"]["params"].update(period=4.0), "schedules.beta.params"),
+    (lambda c: c["incidence"]["psi"].update(params={"a": 0.5}), "incidence.psi.params"),
+])
+def test_config_unknown_kind_or_param_names_its_field(edit, path):
+    cfg = _valid_config()
+    edit(cfg)
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+        config_to_spec(cfg)
 
 
 def test_config_parse_error_carries_position(tmp_path):

@@ -325,8 +325,51 @@ def test_nonconstant_aux_integration_converges_to_equilibrium_values():
         mu=s.mu, p=s.p, eta=s.eta, alpha=s.alpha, beta=s.beta, sigma=s.sigma,
         gamma=s.gamma)
     rep0 = continuous_thresholds(s, MASS, MASS, 4.0)
-    rep1 = continuous_thresholds(wobble, MASS, MASS, 4.0, scan=(60.0, 64.0))
+    rep1 = continuous_thresholds(wobble, MASS, MASS, 4.0)
     assert rep1.r_upper == pytest.approx(rep0.r_upper, abs=1e-6)
+
+
+@pytest.mark.parametrize("extra, r_c", [
+    ({}, 3.4190),
+    ({"mu": 0.02, "p": 0.05}, 88.52),
+])
+def test_seasonal_inflow_reads_the_periodic_disease_free_solution(extra, r_c):
+    # a seasonal Lambda: the default scan over one period must read the
+    # periodic solution, not the transient from an arbitrary start
+    spec = builtin("persistence_5_1")
+    s = spec.schedules.as_dict()
+    s["Lambda"] = ParamSchedule.harmonic("Lambda", 0.5, 0.3, math.pi / 2.0)
+    s.update({name: ParamSchedule.constant(name, v) for name, v in extra.items()})
+    sched = ScheduleSet.from_mapping(s)
+    rep = continuous_thresholds(sched, MASS, MASS, 4.0)
+    far = continuous_thresholds(sched, MASS, MASS, 4.0, scan=(400.0, 404.0))
+    assert rep.r_lower == pytest.approx(r_c, rel=1e-4)
+    assert rep.r_lower == pytest.approx(far.r_lower, rel=1e-12)
+    assert rep.r_upper == pytest.approx(far.r_upper, rel=1e-12)
+    assert rep.notes == ()
+
+
+def test_aperiodic_inflow_notes_the_transient_start():
+    s = full_set(0.9).as_dict()
+    s["Lambda"] = ParamSchedule.piecewise("Lambda", [0.0, 3.0], [0.5, 0.6])
+    rep = continuous_thresholds(ScheduleSet.from_mapping(s), MASS, MASS, 4.0)
+    assert any("(1, 1)" in note for note in rep.notes)
+
+
+def test_exact_periodic_needs_every_coefficient_periodic():
+    # step_period is declared, Lambda, mu, p, eta are constant, but beta drifts
+    dp = DiscreteParams.from_sequences(1.0, step_period=2, Lambda=0.5, mu=0.3, p=0.6,
+                                       eta=0.05, alpha=0.05, beta=lambda n: 0.3 + 0.001 * n,
+                                       sigma=0.3, gamma=0.3)
+    rep = discrete_thresholds(dp, MASS, MASS, 1)
+    assert not rep.exact_periodic
+    assert rep.r_upper - rep.r_lower > 1.0
+    # the same declaration with a 2-periodic beta is exact
+    dp2 = DiscreteParams.from_sequences(1.0, step_period=2, Lambda=0.5, mu=0.3, p=0.6,
+                                        eta=0.05, alpha=0.05,
+                                        beta=lambda n: 0.3 + 0.1 * (np.asarray(n) % 2),
+                                        sigma=0.3, gamma=0.3)
+    assert discrete_thresholds(dp2, MASS, MASS, 1).exact_periodic
 
 
 # ---------------------------------------------------------------------------
