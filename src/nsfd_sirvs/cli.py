@@ -5,6 +5,9 @@ run writes a manifest echoing the resolved inputs; runs are deterministic,
 so identical inputs give byte-identical output files.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
+A run too long to hold in memory is a configuration error, raised before its
+first step.  Trajectory CSVs are written one chunk of rows at a time, so
+writing adds no memory that grows with the run length.
 """
 
 from __future__ import annotations
@@ -84,11 +87,12 @@ _TRAJECTORY_ROW = ",".join(["%.17g"] * 5) + "\n"  # same digits as _F
 
 
 def _write_trajectory(out: Path, traj: Trajectory, method: str, h: float) -> Path:
+    """Stream `traj.rows()` to a CSV: the writer holds one chunk of rows, never
+    the whole trajectory as Python floats."""
     path = out / f"trajectory_{method}_h{h:g}.csv"
-    rows = np.column_stack((traj.times, traj.states)).tolist()
     with path.open("w", encoding="utf-8") as fh:
         fh.write("t,S,I,R,V\n")
-        fh.writelines(_TRAJECTORY_ROW % tuple(row) for row in rows)
+        fh.writelines(_TRAJECTORY_ROW % tuple(row) for row in traj.rows())
     return path
 
 

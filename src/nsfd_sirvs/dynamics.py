@@ -31,6 +31,13 @@ Three ways to advance a SIRVS model live here:
     (`IncidenceFn.bridge`).
     Explicit methods may leave the nonnegative cone; that is flagged on the
     returned trajectory, never clamped.
+
+Memory: a run holds its returned states (32 B per step; 16 B per disease-free
+step), allocated before the first step, so a run too long to hold fails at
+once with a ConfigError.  Everything else is bounded by one chunk of
+`_ROWS_PER_CHUNK` rows: `_coefficient_rows` evaluates the coefficients one
+chunk at a time, and each loop collects one chunk of new states before
+storing it.
 """
 
 from __future__ import annotations
@@ -39,11 +46,12 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StepError
+from .errors import ConfigError, StepError
 from .incidence import IncidenceFn
 from .schedules import SCHEDULE_NAMES, DiscreteParams, ScheduleSet
 
@@ -55,6 +63,7 @@ _ROWS_PER_CHUNK = 1024
 
 # coefficient order of the NSFD update (`_nsfd_stepper`'s `advance`)
 _STEP_COEFFS = ("Lambda", "mu", "p", "eta", "alpha", "gamma", "beta", "sigma")
+_AUX_COEFFS = ("Lambda", "mu", "p", "eta")
 
 
 class State(NamedTuple):
@@ -130,21 +139,56 @@ class Trajectory:
     def state(self, n: int) -> State:
         return State(*self.states[n])
 
+    def rows(self):
+        """(t, S, I, R, V) of every state, one list of Python floats per state,
+        converted one `_ROWS_PER_CHUNK` chunk at a time; t equals `times`."""
+        n_rows = self.states.shape[0]
+        for a in range(0, n_rows, _ROWS_PER_CHUNK):
+            b = min(a + _ROWS_PER_CHUNK, n_rows)
+            times = self.t0 + self.dt * np.arange(a, b)
+            yield from np.column_stack((times, self.states[a:b])).tolist()
+
 
 def _zero_denominator(n: int) -> StepError:
     # only coefficients summing to -1 (e.g. mu = -1) can zero a denominator
     return StepError(f"zero denominator at step {n}", step=n)
 
 
-def _coefficient_rows(dp: DiscreteParams, names, n_steps: int):
-    """Coefficients of steps 0 .. n_steps-1, one list of Python floats per step:
-    the same IEEE results as np.float64 scalars at a fraction of the cost per
-    operation.  Converting a chunk at a time keeps the boxed copies small."""
-    table = np.empty((n_steps, len(names)))
-    for k, name in enumerate(names):
-        table[:, k] = dp.array(name, 0, n_steps)
-    for start in range(0, n_steps, _ROWS_PER_CHUNK):
-        yield from table[start:start + _ROWS_PER_CHUNK].tolist()
+def _coefficient_rows(columns, n_rows: int):
+    """Rows 0 .. n_rows-1 of a coefficient table, one list of Python floats per
+    row; columns(a, b) gives the table's columns over rows [a, b), in the order
+    a row is unpacked.  Python floats are the same IEEE results as np.float64
+    scalars at a fraction of the cost per operation.  One `_ROWS_PER_CHUNK`
+    chunk is evaluated and converted at a time, whatever n_rows is; schedules
+    and sequences are elementwise, so the values equal a whole-table evaluation."""
+    for a in range(0, n_rows, _ROWS_PER_CHUNK):
+        b = min(a + _ROWS_PER_CHUNK, n_rows)
+        cols = columns(a, b)
+        chunk = np.empty((b - a, len(cols)))
+        for k, col in enumerate(cols):
+            chunk[:, k] = col
+        yield from chunk.tolist()
+
+
+def _sequence_columns(dp: DiscreteParams, names):
+    """`_coefficient_rows` columns of the named sequences of dp, indexed by step."""
+    return lambda a, b: [dp.array(name, a, b) for name in names]
+
+
+def _state_array(n_steps: int, width: int) -> np.ndarray:
+    """The (n_steps + 1, width) output of a run, allocated before its first
+    step: a run too long to hold fails here, not after hours of stepping."""
+    try:
+        return np.empty((n_steps + 1, width))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise ConfigError(f"a run of {n_steps:.3g} steps does not fit in memory "
+                          f"({8 * width * (n_steps + 1):.3g} bytes of states)") from exc
+
+
+def _put_rows(out: np.ndarray, n0: int, chunk: array) -> None:
+    """Store `chunk`, consecutive states flattened, as the rows of out after row n0."""
+    k = out.shape[1] * (n0 + 1)
+    out.reshape(-1)[k:k + len(chunk)] = chunk
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +227,21 @@ def simulate_aux(dp: DiscreteParams, a0: AuxState, n_steps: int) -> np.ndarray:
         raise ValueError("n_steps must be >= 1")
     if a0[0] < 0 or a0[1] < 0:
         raise ValueError(f"auxiliary state must be nonnegative, got {a0}")
+    out = _state_array(n_steps, 2)
     x, y = float(a0[0]), float(a0[1])
-    out = array("d", (x, y))
+    out[0] = x, y
+    rows = _coefficient_rows(_sequence_columns(dp, _AUX_COEFFS), n_steps)
     try:
-        for lam, mu, p, eta in _coefficient_rows(dp, ("Lambda", "mu", "p", "eta"), n_steps):
-            x, y = _aux_advance(lam, mu, p, eta, x, y)
-            out.append(x)
-            out.append(y)
+        for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
+            chunk = array("d")
+            for lam, mu, p, eta in islice(rows, _ROWS_PER_CHUNK):
+                x, y = _aux_advance(lam, mu, p, eta, x, y)
+                chunk.append(x)
+                chunk.append(y)
+            _put_rows(out, n0, chunk)
     except ZeroDivisionError as exc:
-        raise _zero_denominator(len(out) // 2 - 1) from exc
-    return np.frombuffer(out).reshape(-1, 2)
+        raise _zero_denominator(n0 + len(chunk) // 2) from exc
+    return out
 
 
 def verify_step_periodic(dp: DiscreteParams, omega: int, names=SCHEDULE_NAMES) -> None:
@@ -227,10 +276,10 @@ def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
     is rolled forward with `simulate_aux`.  StepError unless some mu_n > 0.
     """
     omega = int(omega)
-    verify_step_periodic(dp, omega, names=("Lambda", "mu", "p", "eta"))
+    verify_step_periodic(dp, omega, names=_AUX_COEFFS)
     q, e1, e2, shrink = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 1.0
     try:
-        for lam, mu, p, eta in _coefficient_rows(dp, ("Lambda", "mu", "p", "eta"), omega):
+        for lam, mu, p, eta in _coefficient_rows(_sequence_columns(dp, _AUX_COEFFS), omega):
             q = _aux_advance(lam, mu, p, eta, *q)
             e1 = _aux_advance(0.0, mu, p, eta, *e1)
             e2 = _aux_advance(0.0, mu, p, eta, *e2)
@@ -393,17 +442,21 @@ def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         raise ValueError("n_steps must be >= 1")
     s0 = validate_state(s0)
     advance = _nsfd_stepper(phi, psi)
-    out = array("d", s0)
+    out = _state_array(n_steps, 4)
+    out[0] = s0
     S, I, R, V = s0
+    rows = _coefficient_rows(_sequence_columns(dp, _STEP_COEFFS), n_steps)
     try:
-        for n, c in enumerate(_coefficient_rows(dp, _STEP_COEFFS, n_steps)):
-            state = advance(*c, S, I, R, V, n)
-            out.fromlist(state)
-            S, I, R, V = state
+        for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
+            chunk = array("d")
+            for n, c in enumerate(islice(rows, _ROWS_PER_CHUNK), n0):
+                state = advance(*c, S, I, R, V, n)
+                chunk.fromlist(state)
+                S, I, R, V = state
+            _put_rows(out, n0, chunk)
     except ZeroDivisionError as exc:
         raise _zero_denominator(n) from exc
-    return Trajectory(t0=0.0, dt=dp.h, states=np.frombuffer(out).reshape(-1, 4),
-                      method="nsfd")
+    return Trajectory(t0=0.0, dt=dp.h, states=out, method="nsfd")
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +487,11 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
     if not (h > 0 and t_end > 0):
         raise ValueError("h and t_end must be positive")
     s0 = validate_state(s0)
+    if not math.isfinite(t_end / h):
+        raise ConfigError(f"a run of t_end / h = {t_end / h} steps does not fit in memory")
 
     n_steps = max(1, int(math.ceil(t_end / h - 1e-9)))
-    # coefficients at every half step, one row per time, SCHEDULE_NAMES order
-    ts_half = np.arange(2 * n_steps + 1) * (h / 2.0)
-    table = np.empty((ts_half.size, len(SCHEDULE_NAMES)))
-    for k, name in enumerate(SCHEDULE_NAMES):
-        table[:, k] = getattr(schedules, name).eval(ts_half)
+    out = _state_array(n_steps, 4)
     g_phi = phi.bridge()
     g_psi = psi.bridge()
     needs_pop = phi.needs_population or psi.needs_population
@@ -456,29 +507,34 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
                 gamma * I - mu * R,
                 p * S - (mu + eta) * V - inc_v)
 
-    out = np.empty((n_steps + 1, 4))
+    def half_step_columns(a, b):  # rows are times 0, h/2, h, .., n_steps h
+        t = np.arange(a, b) * (h / 2.0)
+        return [getattr(schedules, name).eval(t) for name in SCHEDULE_NAMES]
+
+    rows = _coefficient_rows(half_step_columns, 2 * n_steps + 1)
     out[0] = s0
     S, I, R, V = s0
     hh, h6 = h / 2.0, h / 6.0
     negative_at = None
-    c0 = table[0].tolist()
+    c0 = next(rows)
     with np.errstate(all="ignore"):
-        for n in range(n_steps):
-            c2 = table[2 * n + 2].tolist()
-            a1, b1, r1, v1 = rhs(c0, S, I, R, V)
-            if method == "euler":
-                S, I, R, V = S + h * a1, I + h * b1, R + h * r1, V + h * v1
-            else:
-                c1 = table[2 * n + 1].tolist()
-                a2, b2, r2, v2 = rhs(c1, S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1)
-                a3, b3, r3, v3 = rhs(c1, S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2)
-                a4, b4, r4, v4 = rhs(c2, S + h * a3, I + h * b3, R + h * r3, V + h * v3)
-                S = S + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                I = I + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                R = R + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-                V = V + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-            out[n + 1] = (S, I, R, V)
-            if negative_at is None and (S < 0 or I < 0 or R < 0 or V < 0):
-                negative_at = n + 1
-            c0 = c2
+        for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
+            chunk = array("d")
+            for n, (c1, c2) in enumerate(islice(zip(rows, rows), _ROWS_PER_CHUNK), n0 + 1):
+                a1, b1, r1, v1 = rhs(c0, S, I, R, V)
+                if method == "euler":
+                    S, I, R, V = S + h * a1, I + h * b1, R + h * r1, V + h * v1
+                else:
+                    a2, b2, r2, v2 = rhs(c1, S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1)
+                    a3, b3, r3, v3 = rhs(c1, S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2)
+                    a4, b4, r4, v4 = rhs(c2, S + h * a3, I + h * b3, R + h * r3, V + h * v3)
+                    S = S + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                    I = I + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                    R = R + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                    V = V + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+                chunk.fromlist([S, I, R, V])
+                if negative_at is None and (S < 0 or I < 0 or R < 0 or V < 0):
+                    negative_at = n
+                c0 = c2
+            _put_rows(out, n0, chunk)
     return Trajectory(t0=0.0, dt=h, states=out, method=method, negative_at=negative_at)

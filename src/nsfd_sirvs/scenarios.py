@@ -495,6 +495,8 @@ def _residuals(traj: Trajectory, observed: ObservedSeries) -> ResidualReport:
 
 def steps_for(t_end: float, h: float) -> int:
     """Number of steps of size h that run to t_end; at least one."""
+    if not math.isfinite(t_end / h):
+        raise ConfigError(f"a run of t_end / h = {t_end / h} steps does not fit in memory")
     return max(1, int(round(t_end / h)))
 
 

@@ -270,14 +270,14 @@ class ScheduleSet:
     def as_dict(self) -> dict:
         return {n: getattr(self, n) for n in SCHEDULE_NAMES}
 
-    def common_period(self) -> float | None:
-        """Common declared period of the non-constant schedules, if any.
+    def common_period(self, names=SCHEDULE_NAMES) -> float | None:
+        """Common declared period of the non-constant named schedules, if any.
 
-        Returns None when any non-constant schedule is aperiodic or periods
-        disagree; returns None as well when every schedule is constant.
+        Returns None when any of them is aperiodic or periods disagree;
+        returns None as well when every one is constant.
         """
         periods = []
-        for name in SCHEDULE_NAMES:
+        for name in names:
             s = getattr(self, name)
             if s.is_constant:
                 continue
@@ -425,6 +425,9 @@ def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> Di
     ph = eval_denominator(d, h)
 
     def make(sched):
+        if sched.is_constant:  # the same product, taken once instead of per index
+            return _wrap_sequence(sched.name, ph * sched.constant_value())
+
         def seq(n, sched=sched, ph=ph, h=h):
             t = np.asarray(n, dtype=float) * h if isinstance(n, np.ndarray) else n * h
             return ph * sched.eval(t)
@@ -436,8 +439,8 @@ def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> Di
     if T is None:
         step_period = 1 if schedules.all_constant() else None
     else:
-        ratio = T / h
-        step_period = int(round(ratio)) if (
+        ratio = T / h  # inf for a subnormal h: no whole number of steps then
+        step_period = int(round(ratio)) if math.isfinite(ratio) and (
             abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio) and round(ratio) >= 1
         ) else None
 

@@ -36,6 +36,8 @@ from .dynamics import (AuxState, State, aux_equilibrium, integrate_continuous,
 from .incidence import IncidenceFn
 from .schedules import DiscreteParams, ParamSchedule, ScheduleSet, validate_hypotheses
 
+_DISEASE_FREE = ("Lambda", "mu", "p", "eta")  # the coefficients of the disease-free pair
+
 BOUNDARY_TOL = 1e-12
 
 
@@ -111,7 +113,7 @@ def _disease_free_orbit(dp: DiscreteParams, omega: int | None, k_lo: int, k_hi: 
     """(x*, y*) at steps k_lo + 1 .. k_hi and whether it is exact: the periodic orbit of
     period 1 if Lambda, mu, p, eta are constant up to k_hi, else `omega`.  Iterated from
     `aux_start` if neither applies or the period map is singular; raised if no start."""
-    if all(np.ptp(dp.array(name, 0, k_hi)) == 0.0 for name in ("Lambda", "mu", "p", "eta")):
+    if all(np.ptp(dp.array(name, 0, k_hi)) == 0.0 for name in _DISEASE_FREE):
         omega = 1
     if omega is not None:
         try:
@@ -221,7 +223,7 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     ts = q * np.arange(n_grid + 1)
 
     notes = []
-    aux_constant = all(getattr(schedules, n).is_constant for n in ("Lambda", "mu", "eta", "p"))
+    aux_constant = all(getattr(schedules, n).is_constant for n in _DISEASE_FREE)
     if aux_constant:
         a, b = disease_free_equilibrium(schedules)
         x_star = np.full(ts.shape, a)
@@ -271,15 +273,16 @@ def _disease_free_solution(schedules: ScheduleSet, n_steps: int, q: float):
     """(x*, y*) at t = 0, q, .., n_steps q and a note: RK4 on the disease-free pair,
     which is the continuous model with I = R = 0.  The start is the fixed point
     of the period map z -> M z + c (Bacaer & Guernaoui 2006), composed from runs
-    over one common period T from (0, 0) and, with Lambda = 0, from the unit
-    vectors, so the solution is the periodic one.  Without a common period, or
-    with mu = 0 (the map is singular), it starts at (1, 1) and the note says so."""
+    over one common period T of Lambda, mu, p and eta (the pair reads no other
+    coefficient) from (0, 0) and, with Lambda = 0, from the unit vectors, so the
+    solution is the periodic one.  Without a common period, or with mu = 0 (the
+    map is singular), it starts at (1, 1) and the note says so."""
     def run(sched, x, y, t_end, h):  # rows (x, y)
         inc = IncidenceFn.mass_action()  # I = 0 switches any incidence off
         return integrate_continuous(sched, inc, inc, State(x, 0.0, 0.0, y),
                                     t_end, h).states[:, [0, 3]]
 
-    T = schedules.common_period()
+    T = schedules.common_period(_DISEASE_FREE)
     start, note = None, ""
     if T is not None and not (schedules.mu.is_constant and schedules.mu.constant_value() == 0):
         h = T / math.ceil(T / q - 1e-9)

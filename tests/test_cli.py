@@ -397,11 +397,27 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "step 17" in capsys.readouterr().err
 
 
-def test_python_m_runs_the_cli():
+def _python_m(*args, timeout):
     src = str(Path(nsfd_sirvs.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-m", "nsfd_sirvs", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "nsfd_sirvs", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_python_m_runs_the_cli():
+    proc = _python_m("--help", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: nsfd-sirvs")
+
+
+@pytest.mark.parametrize("h, steps", [("1e-15", "2e+17"), ("1e-320", "t_end / h = inf")])
+@pytest.mark.parametrize("method", ["nsfd", "euler", "rk4"])
+def test_simulate_too_long_to_hold_fails_at_once(tmp_path, method, h, steps):
+    # 2e17 steps need exabytes of states, and h = 1e-320 makes t_end / h infinite:
+    # either is refused before the first step, on any host
+    proc = _python_m("simulate", "extinction_5_1", "--method", method, "--h", h,
+                     "--out", str(tmp_path), timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"configuration error: a run of {steps} steps")
+    assert "Traceback" not in proc.stderr

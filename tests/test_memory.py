@@ -1,0 +1,75 @@
+"""Working memory of the steppers and the trajectory writer.
+
+A run keeps its returned states (32 B per step, 16 B per disease-free step);
+everything else it holds is at most one fixed-size chunk of rows, so the peak
+traced allocation stays within a small factor of the state bytes plus a fixed
+slack, and the writer's peak does not depend on the number of rows.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from nsfd_sirvs.cli import _write_trajectory
+from nsfd_sirvs.dynamics import Trajectory, integrate_continuous, simulate_aux, simulate_discrete
+from nsfd_sirvs.incidence import IncidenceFn
+from nsfd_sirvs.scenarios import builtin
+from nsfd_sirvs.schedules import mickens_discretize
+
+# Tracing costs microseconds per Python float allocated, so the RK4 and NSFD runs,
+# which box a float per coefficient and per state value, are kept shorter.
+_STEPS = 100_000
+_SLACK = 1 << 19  # bytes: one chunk of coefficient rows as Python floats is ~0.3 MiB
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _within_state_bytes(peak, states):
+    assert peak <= 1.25 * states.nbytes + _SLACK, (peak, states.nbytes)
+
+
+@pytest.fixture(scope="module")
+def spec():
+    return builtin("persistence_5_1")
+
+
+def test_rk4_peak_is_the_trajectory(spec):
+    h, n_steps = 0.001, _STEPS // 4
+    mass = IncidenceFn.mass_action()
+    traj, peak = _traced_peak(lambda: integrate_continuous(
+        spec.schedules, mass, mass, spec.initial_state, n_steps * h, h, method="rk4"))
+    assert traj.n_steps == n_steps
+    _within_state_bytes(peak, traj.states)
+
+
+def test_nsfd_peak_is_the_trajectory(spec):
+    dp = mickens_discretize(spec.schedules, 0.01, spec.denominator)
+    mass = IncidenceFn.mass_action()
+    traj, peak = _traced_peak(lambda: simulate_discrete(dp, mass, mass, spec.initial_state,
+                                                        _STEPS // 2))
+    _within_state_bytes(peak, traj.states)
+
+
+def test_aux_peak_is_the_orbit(spec):
+    dp = mickens_discretize(spec.schedules, 0.01, spec.denominator)
+    orbit, peak = _traced_peak(lambda: simulate_aux(dp, (1.0, 1.0), _STEPS))
+    assert orbit.shape == (_STEPS + 1, 2)
+    _within_state_bytes(peak, orbit)
+
+
+def test_writer_peak_does_not_grow_with_rows(tmp_path):
+    states = np.random.default_rng(3).random((_STEPS + 1, 4))
+    traj = Trajectory(t0=0.0, dt=0.01, states=states, method="nsfd")
+    path, peak = _traced_peak(lambda: _write_trajectory(tmp_path, traj, "nsfd", 0.01))
+    assert path.stat().st_size > 80 * _STEPS
+    assert peak <= _SLACK, peak
+

@@ -3,11 +3,13 @@
 The scalar Euler/RK4 loop, the Python-float NSFD and disease-free loops, the
 whole-grid incidence validator and the streaming trajectory writer must give
 exactly the numbers (and bytes) of the array-based, np.float64, point-by-point
-and per-value implementations kept below.  The closed-form saturated NSFD step
-and the bracketed separable solve change the arithmetic, so they must agree
-with the damped fixed-point step they replaced to a tolerance fixed
-beforehand; the separable solve also meets a bisection oracle and a budget of
-calls to g.
+and per-value implementations kept below.  The loops and the writer read and
+write one fixed-size chunk of rows at a time, so they must also give the bytes
+of the whole-table versions kept below, across chunk boundaries.  The
+closed-form saturated NSFD step and the bracketed separable solve change the
+arithmetic, so they must agree with the damped fixed-point step they replaced
+to a tolerance fixed beforehand; the separable solve also meets a bisection
+oracle and a budget of calls to g.
 """
 
 import math
@@ -18,11 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsfd_sirvs.cli import _write_trajectory
-from nsfd_sirvs.dynamics import (State, Trajectory, _nsfd_stepper, integrate_continuous,
-                                 simulate_aux, simulate_discrete, validate_state)
+from nsfd_sirvs.dynamics import (_STEP_COEFFS, State, Trajectory, _aux_advance, _nsfd_stepper,
+                                 integrate_continuous, simulate_aux, simulate_discrete,
+                                 validate_state)
 from nsfd_sirvs.incidence import IncidenceFn, IncidenceReport, validate_incidence
 from nsfd_sirvs.scenarios import builtin
-from nsfd_sirvs.schedules import SCHEDULE_NAMES, DiscreteParams, mickens_discretize
+from nsfd_sirvs.schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSchedule,
+                                  ScheduleSet, mickens_discretize)
 
 from test_incidence import _BrokenIncidence
 from test_schedules import full_set
@@ -579,3 +583,170 @@ def test_trajectory_writer_bytes_match_per_value_format(tmp_path):
                            in zip(traj.times, traj.states)])
     assert path.name == "trajectory_rk4_h0.01.csv"
     assert path.read_bytes() == expected.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# chunked loops and writer: whole-table references
+# ---------------------------------------------------------------------------
+
+def _whole_table_integrate(schedules, phi, psi, s0, t_end, h, method):
+    """integrate_continuous with its (2n+1, 8) table of half-step coefficients."""
+    s0 = validate_state(s0)
+    n_steps = max(1, int(math.ceil(t_end / h - 1e-9)))
+    ts_half = np.arange(2 * n_steps + 1) * (h / 2.0)
+    table = np.empty((ts_half.size, len(SCHEDULE_NAMES)))
+    for k, name in enumerate(SCHEDULE_NAMES):
+        table[:, k] = getattr(schedules, name).eval(ts_half)
+    g_phi = phi.bridge()
+    g_psi = psi.bridge()
+    needs_pop = phi.needs_population or psi.needs_population
+
+    def rhs(c, S, I, R, V):
+        lam, mu, p, eta, alpha, beta, sigma, gamma = c
+        pop = (S + I + R + V) if needs_pop else None
+        inc_s = beta * g_phi(S, pop) * I
+        inc_v = sigma * g_psi(V, pop) * I
+        return (lam - inc_s - (mu + p) * S + eta * V,
+                inc_s + inc_v - (mu + alpha + gamma) * I,
+                gamma * I - mu * R,
+                p * S - (mu + eta) * V - inc_v)
+
+    out = np.empty((n_steps + 1, 4))
+    out[0] = s0
+    S, I, R, V = s0
+    hh, h6 = h / 2.0, h / 6.0
+    negative_at = None
+    c0 = table[0].tolist()
+    with np.errstate(all="ignore"):
+        for n in range(n_steps):
+            c2 = table[2 * n + 2].tolist()
+            a1, b1, r1, v1 = rhs(c0, S, I, R, V)
+            if method == "euler":
+                S, I, R, V = S + h * a1, I + h * b1, R + h * r1, V + h * v1
+            else:
+                c1 = table[2 * n + 1].tolist()
+                a2, b2, r2, v2 = rhs(c1, S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1)
+                a3, b3, r3, v3 = rhs(c1, S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2)
+                a4, b4, r4, v4 = rhs(c2, S + h * a3, I + h * b3, R + h * r3, V + h * v3)
+                S = S + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                I = I + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                R = R + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                V = V + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+            out[n + 1] = (S, I, R, V)
+            if negative_at is None and (S < 0 or I < 0 or R < 0 or V < 0):
+                negative_at = n + 1
+            c0 = c2
+    return out, negative_at
+
+
+def _whole_table(dp, names, n_steps):
+    table = np.empty((n_steps, len(names)))
+    for k, name in enumerate(names):
+        table[:, k] = dp.array(name, 0, n_steps)
+    return table.tolist()
+
+
+def _whole_table_simulate_discrete(dp, phi, psi, s0, n_steps):
+    """simulate_discrete with its (n, 8) coefficient table."""
+    advance = _nsfd_stepper(phi, psi)
+    out = [list(s0)]
+    S, I, R, V = s0
+    for n, c in enumerate(_whole_table(dp, _STEP_COEFFS, n_steps)):
+        S, I, R, V = advance(*c, S, I, R, V, n)
+        out.append([S, I, R, V])
+    return np.array(out)
+
+
+def _whole_table_simulate_aux(dp, a0, n_steps):
+    """simulate_aux with its (n, 4) coefficient table."""
+    x, y = float(a0[0]), float(a0[1])
+    out = [[x, y]]
+    for lam, mu, p, eta in _whole_table(dp, ("Lambda", "mu", "p", "eta"), n_steps):
+        x, y = _aux_advance(lam, mu, p, eta, x, y)
+        out.append([x, y])
+    return np.array(out)
+
+
+def _whole_trajectory_write(path, traj):
+    """_write_trajectory with the whole trajectory converted at once."""
+    rows = np.column_stack((traj.times, traj.states)).tolist()
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("t,S,I,R,V\n")
+        fh.writelines(",".join(["%.17g"] * 5) % tuple(row) + "\n" for row in rows)
+
+
+def _mixed_set():
+    """Harmonic, custom and piecewise schedules side by side."""
+    s = full_set(0.9).as_dict()
+    s["Lambda"] = ParamSchedule.custom("Lambda", lambda t: 0.5 + 0.2 * np.sin(0.7 * t))
+    s["gamma"] = ParamSchedule.piecewise("gamma", [0.0, 3.3, 170.0], [0.3, 0.45, 0.2])
+    return ScheduleSet.from_mapping(s)
+
+
+def _assert_chunked_loops_match(schedules, s0, h, n_steps, tmp_path):
+    sep = KINDS["separable"]
+    for method in ("rk4", "euler"):
+        traj = integrate_continuous(schedules, sep, KINDS["mass_action"], s0,
+                                    n_steps * h, h, method=method)
+        states, negative_at = _whole_table_integrate(schedules, sep, KINDS["mass_action"],
+                                                     s0, n_steps * h, h, method)
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.negative_at == negative_at
+        path = _write_trajectory(tmp_path, traj, method, h)
+        _whole_trajectory_write(tmp_path / "whole.csv", traj)
+        assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    dp = mickens_discretize(schedules, h, DenominatorFn.quadratic(0.2))
+    for phi, psi in ((KINDS["mass_action"], KINDS["standard"]), (sep, sep)):
+        traj = simulate_discrete(dp, phi, psi, s0, n_steps)
+        ref = _whole_table_simulate_discrete(dp, phi, psi, s0, n_steps)
+        assert traj.states.tobytes() == ref.tobytes()
+    a0 = (s0.S, s0.V)
+    assert simulate_aux(dp, a0, n_steps).tobytes() == \
+        _whole_table_simulate_aux(dp, a0, n_steps).tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [1, 1023, 1024, 1025, 2049])
+def test_chunked_loops_bit_identical_to_whole_table_at_chunk_edges(n_steps, tmp_path):
+    _assert_chunked_loops_match(_mixed_set(), State(3.0, 0.4, 0.2, 1.5), 0.1, n_steps,
+                                tmp_path)
+
+
+_SCHEDULE_KINDS = ("harmonic", "custom", "piecewise")
+
+
+@st.composite
+def _schedule_sets(draw):
+    scheds = {}
+    for name in SCHEDULE_NAMES:
+        kind = draw(st.sampled_from(_SCHEDULE_KINDS))
+        base = draw(st.floats(0.01, 1.0))
+        amp = base * draw(st.floats(0.0, 0.9))
+        omega = draw(st.floats(0.05, 5.0))
+        if kind == "harmonic":
+            scheds[name] = ParamSchedule.harmonic(name, base, amp, omega,
+                                                  draw(st.floats(0.0, 6.3)))
+        elif kind == "custom":
+            scheds[name] = ParamSchedule.custom(
+                name, lambda t, b=base, a=amp, w=omega: b + a * np.sin(w * t))
+        else:
+            cuts = draw(st.lists(st.floats(0.01, 200.0), min_size=1, max_size=5, unique=True))
+            values = draw(st.lists(st.floats(0.0, 1.0), min_size=len(cuts) + 1,
+                                   max_size=len(cuts) + 1))
+            scheds[name] = ParamSchedule.piecewise(name, [0.0] + sorted(cuts), values)
+    return ScheduleSet.from_mapping(scheds)
+
+
+@settings(max_examples=20, deadline=None)
+@given(schedules=_schedule_sets(), s0=_STATES, h=st.floats(0.01, 0.5),
+       n_steps=st.sampled_from([1, 1023, 1024, 1025, 2049]) | st.integers(1, 2100))
+def test_chunked_loops_bit_identical_to_whole_table(schedules, s0, h, n_steps, tmp_path_factory):
+    _assert_chunked_loops_match(schedules, s0, h, n_steps, tmp_path_factory.mktemp("chunks"))
+
+
+def test_chunked_writer_bytes_match_whole_trajectory(tmp_path):
+    # a trajectory that starts after t = 0 and crosses two chunk boundaries
+    states = np.random.default_rng(5).standard_normal((2049, 4)) * 1e3
+    traj = Trajectory(t0=7.25, dt=0.1, states=states, method="euler")
+    path = _write_trajectory(tmp_path, traj, "euler", 0.1)
+    _whole_trajectory_write(tmp_path / "whole.csv", traj)
+    assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()

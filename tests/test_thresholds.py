@@ -349,6 +349,19 @@ def test_seasonal_inflow_reads_the_periodic_disease_free_solution(extra, r_c):
     assert rep.notes == ()
 
 
+def test_seasonal_inflow_with_an_aperiodic_gamma_reads_the_periodic_solution():
+    # the disease-free pair reads Lambda, mu, p, eta only: an aperiodic gamma must
+    # not send it back to the (1, 1) start and its attraction transient
+    spec = builtin("persistence_5_1")
+    s = spec.schedules.as_dict()
+    s["Lambda"] = ParamSchedule.harmonic("Lambda", 0.5, 0.3, math.pi / 2.0)
+    s["gamma"] = ParamSchedule.piecewise("gamma", [0.0, 50.0], [0.3, 0.3000001])
+    rep = continuous_thresholds(ScheduleSet.from_mapping(s), MASS, MASS, 4.0)
+    assert rep.r_upper - rep.r_lower <= 1e-6
+    assert rep.r_lower == pytest.approx(3.4190033, rel=1e-7)
+    assert rep.notes == ()
+
+
 def test_aperiodic_inflow_notes_the_transient_start():
     s = full_set(0.9).as_dict()
     s["Lambda"] = ParamSchedule.piecewise("Lambda", [0.0, 3.0], [0.5, 0.6])
