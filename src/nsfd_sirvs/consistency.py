@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dynamics import AuxState, State
+from .errors import ConfigError
 from .incidence import IncidenceFn
 from .schedules import (DenominatorFn, DiscreteParams, ParamSchedule, ScheduleSet,
                         mickens_discretize)
@@ -235,6 +236,9 @@ def lambda_steps(lam: float, h: float) -> int:
     """
     if not (lam >= 0 and h > 0):
         raise ValueError("need lam >= 0 and h > 0")
+    if not math.isfinite(lam / h):
+        raise ConfigError(f"a threshold window of lam / h = {lam / h} steps "
+                          "does not fit in memory")
     return max(0, int(math.ceil(lam / h - 1e-9)) - 1)
 
 

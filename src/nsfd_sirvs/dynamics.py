@@ -38,6 +38,14 @@ once with a ConfigError.  Everything else is bounded by one chunk of
 `_ROWS_PER_CHUNK` rows: `_coefficient_rows` evaluates the coefficients one
 chunk at a time, and each loop collects one chunk of new states before
 storing it.
+
+Cost per step: every loop reads its coefficients as rows of Python floats
+from `_coefficient_rows`, the one producer of rows.  A coefficient known to be
+constant (`ParamSchedule.constant_value`, `DiscreteParams.constant`) is one
+float, repeated into every row, so it costs nothing per step; only the other
+columns are evaluated and converted, once per chunk.  The NSFD loop runs
+inside `_nsfd_stepper`, one call per chunk, so what is left per step is the
+step's own arithmetic and its balance check.
 """
 
 from __future__ import annotations
@@ -46,14 +54,14 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, StepError
 from .incidence import IncidenceFn
-from .schedules import SCHEDULE_NAMES, DiscreteParams, ScheduleSet
+from .schedules import DISEASE_FREE_NAMES, SCHEDULE_NAMES, DiscreteParams, ScheduleSet
 
 _BALANCE_RTOL = 1e-10
 _SOLVE_RTOL = 1e-13  # residual of each (S+, V+) equation, relative to its inflow
@@ -63,7 +71,6 @@ _ROWS_PER_CHUNK = 1024
 
 # coefficient order of the NSFD update (`_nsfd_stepper`'s `advance`)
 _STEP_COEFFS = ("Lambda", "mu", "p", "eta", "alpha", "gamma", "beta", "sigma")
-_AUX_COEFFS = ("Lambda", "mu", "p", "eta")
 
 
 class State(NamedTuple):
@@ -155,24 +162,28 @@ def _zero_denominator(n: int) -> StepError:
 
 
 def _coefficient_rows(columns, n_rows: int):
-    """Rows 0 .. n_rows-1 of a coefficient table, one list of Python floats per
+    """Rows 0 .. n_rows-1 of a coefficient table, one tuple of Python floats per
     row; columns(a, b) gives the table's columns over rows [a, b), in the order
-    a row is unpacked.  Python floats are the same IEEE results as np.float64
-    scalars at a fraction of the cost per operation.  One `_ROWS_PER_CHUNK`
-    chunk is evaluated and converted at a time, whatever n_rows is; schedules
-    and sequences are elementwise, so the values equal a whole-table evaluation."""
-    for a in range(0, n_rows, _ROWS_PER_CHUNK):
+    a row is unpacked: an array, or a Python float for a constant column.
+    Python floats are the same IEEE results as np.float64 scalars at a
+    fraction of the cost per operation.  A constant is repeated as it is, so
+    it costs nothing per row; an array column is converted one
+    `_ROWS_PER_CHUNK` chunk at a time, whatever n_rows is.  Schedules and
+    sequences are elementwise, so the values equal a whole-table evaluation."""
+    def chunk(a):
         b = min(a + _ROWS_PER_CHUNK, n_rows)
-        cols = columns(a, b)
-        chunk = np.empty((b - a, len(cols)))
-        for k, col in enumerate(cols):
-            chunk[:, k] = col
-        yield from chunk.tolist()
+        return zip(*[repeat(col, b - a) if isinstance(col, float) else col.tolist()
+                     for col in columns(a, b)])
+
+    return chain.from_iterable(map(chunk, range(0, n_rows, _ROWS_PER_CHUNK)))
 
 
 def _sequence_columns(dp: DiscreteParams, names):
-    """`_coefficient_rows` columns of the named sequences of dp, indexed by step."""
-    return lambda a, b: [dp.array(name, a, b) for name in names]
+    """`_coefficient_rows` columns of the named sequences of dp, indexed by step;
+    a sequence built constant is its value."""
+    consts = [dp.constant(name) for name in names]
+    return lambda a, b: [dp.array(name, a, b) if c is None else c
+                         for name, c in zip(names, consts)]
 
 
 def _state_array(n_steps: int, width: int) -> np.ndarray:
@@ -230,7 +241,7 @@ def simulate_aux(dp: DiscreteParams, a0: AuxState, n_steps: int) -> np.ndarray:
     out = _state_array(n_steps, 2)
     x, y = float(a0[0]), float(a0[1])
     out[0] = x, y
-    rows = _coefficient_rows(_sequence_columns(dp, _AUX_COEFFS), n_steps)
+    rows = _coefficient_rows(_sequence_columns(dp, DISEASE_FREE_NAMES), n_steps)
     try:
         for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
             chunk = array("d")
@@ -276,10 +287,11 @@ def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
     is rolled forward with `simulate_aux`.  StepError unless some mu_n > 0.
     """
     omega = int(omega)
-    verify_step_periodic(dp, omega, names=_AUX_COEFFS)
+    verify_step_periodic(dp, omega, names=DISEASE_FREE_NAMES)
     q, e1, e2, shrink = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 1.0
     try:
-        for lam, mu, p, eta in _coefficient_rows(_sequence_columns(dp, _AUX_COEFFS), omega):
+        rows = _coefficient_rows(_sequence_columns(dp, DISEASE_FREE_NAMES), omega)
+        for lam, mu, p, eta in rows:
             q = _aux_advance(lam, mu, p, eta, *q)
             e1 = _aux_advance(0.0, mu, p, eta, *e1)
             e2 = _aux_advance(0.0, mu, p, eta, *e2)
@@ -378,10 +390,15 @@ def _implicit_sv(lam, mu, p, eta, beta, sigma, f_phi, f_psi, S, I, V, pop):
 
 
 def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
-    """The NSFD update for one incidence pair, as a function of the step's
-    coefficients (`_STEP_COEFFS` order) and state.  The per-kind forms are
+    """The NSFD scheme for one incidence pair, as a function
+    advance(rows, state, n0, out): it steps `state` (S, I, R, V) once per row
+    of coefficients (`_STEP_COEFFS` order), the first being step n0, appends
+    each new state to `out`, an empty array("d"), and returns the last one.  The loop
+    over steps runs here, one call per chunk of rows, so a step costs its
+    arithmetic and its balance check but no call.  The per-kind forms are
     taken from the incidences once, here; the closed-form (S+, V+) solve is
-    used exactly when both have a linear rate.
+    used exactly when both have a linear rate.  A failed balance check or a
+    zero denominator raises a StepError naming its step.
     """
     q_phi = phi.linear_rate()
     q_psi = psi.linear_rate()
@@ -390,35 +407,43 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
     closed_form = q_phi is not None and q_psi is not None
     needs_pop = phi.needs_population or psi.needs_population
 
-    def advance(lam, mu, p, eta, alpha, gamma, beta, sigma, S, I, R, V, n):
-        N = S + I + R + V
-        pop = N if needs_pop else None
-        if I == 0.0:
-            # disease-free step: incidence vanishes (f(x, 0) = 0) and the (S, V)
-            # update coincides with the auxiliary recurrence
-            S1, V1 = _aux_advance(lam, mu, p, eta, S, V)
-            phi_term = psi_term = 0.0
-        elif closed_form:
-            qs = q_phi(I, pop)
-            qv = q_psi(I, pop)
-            A_s = 1.0 + mu + p + beta * qs
-            A_v = 1.0 + mu + eta + sigma * qv
-            D = A_s * A_v - eta * p
-            S1 = (A_v * (lam + S) + eta * V) / D
-            V1 = (p * S1 + V) / A_v
-            phi_term = beta * qs * S1
-            psi_term = sigma * qv * V1
-        else:
-            S1, V1, phi_term, psi_term = _implicit_sv(lam, mu, p, eta, beta, sigma,
-                                                      f_phi, f_psi, S, I, V, pop)
-        I1 = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
-        R1 = (gamma * I1 + R) / (1.0 + mu)
+    def advance(rows, state, n0, out):
+        S, I, R, V = state
+        try:
+            for lam, mu, p, eta, alpha, gamma, beta, sigma in rows:
+                N = S + I + R + V
+                pop = N if needs_pop else None
+                if I == 0.0:
+                    # disease-free step: incidence vanishes (f(x, 0) = 0) and the
+                    # (S, V) update coincides with the auxiliary recurrence
+                    S1, V1 = _aux_advance(lam, mu, p, eta, S, V)
+                    phi_term = psi_term = 0.0
+                elif closed_form:
+                    qs = q_phi(I, pop)
+                    qv = q_psi(I, pop)
+                    A_s = 1.0 + mu + p + beta * qs
+                    A_v = 1.0 + mu + eta + sigma * qv
+                    D = A_s * A_v - eta * p
+                    S1 = (A_v * (lam + S) + eta * V) / D
+                    V1 = (p * S1 + V) / A_v
+                    phi_term = beta * qs * S1
+                    psi_term = sigma * qv * V1
+                else:
+                    S1, V1, phi_term, psi_term = _implicit_sv(lam, mu, p, eta, beta, sigma,
+                                                              f_phi, f_psi, S, I, V, pop)
+                I = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
+                R = (gamma * I + R) / (1.0 + mu)
+                S, V = S1, V1
 
-        resid = abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
-        if not resid <= _BALANCE_RTOL * (1.0 + N):  # a NaN residual fails too
-            raise StepError(f"balance identity violated at step {n} "
-                            f"(residual {resid:.3g})", step=n, residual=resid)
-        return [S1, I1, R1, V1]
+                resid = abs((1.0 + mu) * (S + I + R + V) + alpha * I - (N + lam))
+                if not resid <= _BALANCE_RTOL * (1.0 + N):  # a NaN residual fails too
+                    n = n0 + len(out) // 4
+                    raise StepError(f"balance identity violated at step {n} "
+                                    f"(residual {resid:.3g})", step=n, residual=resid)
+                out.fromlist([S, I, R, V])
+        except ZeroDivisionError as exc:
+            raise _zero_denominator(n0 + len(out) // 4) from exc
+        return S, I, R, V
 
     return advance
 
@@ -427,11 +452,8 @@ def nsfd_step(dp: DiscreteParams, n: int, phi: IncidenceFn, psi: IncidenceFn,
               s: State) -> State:
     """One step of the nonstandard scheme; preserves nonnegativity exactly."""
     s = validate_state(s)
-    coeffs = [float(getattr(dp, name)(n)) for name in _STEP_COEFFS]
-    try:
-        return State(*_nsfd_stepper(phi, psi)(*coeffs, *s, n))
-    except ZeroDivisionError as exc:
-        raise _zero_denominator(n) from exc
+    row = tuple(float(getattr(dp, name)(n)) for name in _STEP_COEFFS)
+    return State(*_nsfd_stepper(phi, psi)((row,), s, n, array("d")))
 
 
 def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
@@ -443,19 +465,12 @@ def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     s0 = validate_state(s0)
     advance = _nsfd_stepper(phi, psi)
     out = _state_array(n_steps, 4)
-    out[0] = s0
-    S, I, R, V = s0
+    out[0] = state = s0
     rows = _coefficient_rows(_sequence_columns(dp, _STEP_COEFFS), n_steps)
-    try:
-        for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
-            chunk = array("d")
-            for n, c in enumerate(islice(rows, _ROWS_PER_CHUNK), n0):
-                state = advance(*c, S, I, R, V, n)
-                chunk.fromlist(state)
-                S, I, R, V = state
-            _put_rows(out, n0, chunk)
-    except ZeroDivisionError as exc:
-        raise _zero_denominator(n) from exc
+    for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
+        chunk = array("d")
+        state = advance(islice(rows, _ROWS_PER_CHUNK), state, n0, chunk)
+        _put_rows(out, n0, chunk)
     return Trajectory(t0=0.0, dt=dp.h, states=out, method="nsfd")
 
 
@@ -507,9 +522,12 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
                 gamma * I - mu * R,
                 p * S - (mu + eta) * V - inc_v)
 
+    scheds = [getattr(schedules, name) for name in SCHEDULE_NAMES]
+    consts = [s.constant_value() if s.is_constant else None for s in scheds]
+
     def half_step_columns(a, b):  # rows are times 0, h/2, h, .., n_steps h
         t = np.arange(a, b) * (h / 2.0)
-        return [getattr(schedules, name).eval(t) for name in SCHEDULE_NAMES]
+        return [s.eval(t) if c is None else c for s, c in zip(scheds, consts)]
 
     rows = _coefficient_rows(half_step_columns, 2 * n_steps + 1)
     out[0] = s0

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError
 
 SCHEDULE_NAMES = ("Lambda", "mu", "p", "eta", "alpha", "beta", "sigma", "gamma")
+DISEASE_FREE_NAMES = ("Lambda", "mu", "p", "eta")  # the coefficients of the disease-free pair
 
 # Construction-time validation knobs.
 _NONNEG_SAMPLES = 10_000
@@ -104,6 +105,7 @@ class ParamSchedule:
                  omega: float, phase: float = 0.0) -> "ParamSchedule":
         """Schedule c(t) = base + amplitude*cos(omega*t + phase)."""
         base, amplitude, omega, phase = map(float, (base, amplitude, omega, phase))
+        base += 0.0  # -0.0 -> 0.0: with amplitude 0, c(t) is then `base` bit for bit
         if omega <= 0:
             raise ValueError(f"schedule {name!r}: harmonic omega must be > 0 (use constant otherwise)")
         if base - abs(amplitude) < 0:
@@ -128,7 +130,7 @@ class ParamSchedule:
         so the whole domain t >= 0 is covered.
         """
         bp = np.asarray(breakpoints, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        vals = np.asarray(values, dtype=float) + 0.0  # -0.0 -> 0.0: equal values, equal bits
         if bp.size == 0 or vals.size == 0:
             raise ConfigError(f"schedule {name!r}: empty piecewise table")
         if bp.size != vals.size:
@@ -199,7 +201,7 @@ class ParamSchedule:
     def eval(self, t):
         """Evaluate at time t (scalar or ndarray); t must be >= 0."""
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError(f"schedule {self.name!r} evaluated at negative time")
         return _scalar_or_array(t, self._fn(arr if isinstance(t, np.ndarray) else float(arr)))
 
@@ -211,7 +213,7 @@ class ParamSchedule:
         if self._dfn is None:
             raise ValueError(f"schedule {self.name!r} has no derivative")
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError(f"schedule {self.name!r} derivative at negative time")
         return _scalar_or_array(t, self._dfn(arr if isinstance(t, np.ndarray) else float(arr)))
 
@@ -227,6 +229,7 @@ class ParamSchedule:
         return False
 
     def constant_value(self) -> float:
+        """The value of a constant schedule: `eval` gives it, bit for bit, at every t."""
         if not self.is_constant:
             raise ValueError(f"schedule {self.name!r} is not constant")
         if self.kind == "constant":
@@ -292,9 +295,6 @@ class ScheduleSet:
                 return None
         return ref
 
-    def all_constant(self) -> bool:
-        return all(getattr(self, n).is_constant for n in SCHEDULE_NAMES)
-
 
 @dataclass(frozen=True)
 class DenominatorFn:
@@ -358,6 +358,8 @@ def eval_denominator(d: DenominatorFn, h: float) -> float:
 
 
 def _wrap_sequence(name, value):
+    """A callable sequence as given; a number as the constant sequence of its
+    value, which is recorded on it for `DiscreteParams.constant`."""
     if callable(value):
         return value
 
@@ -366,6 +368,7 @@ def _wrap_sequence(name, value):
     def fn(n, v=v):
         return np.full(np.shape(n), v) if isinstance(n, np.ndarray) else v
 
+    fn.constant = v
     return fn
 
 
@@ -375,12 +378,15 @@ class DiscreteParams:
 
     Each coefficient is a callable of the step index n (scalar or integer
     ndarray).  When produced by `mickens_discretize`, the value at n is
-    exactly phi(h) * c(n*h).
+    exactly phi(h) * c(n*h).  `step_period` is a common period in steps of
+    all eight sequences, `aux_step_period` one of the disease-free four
+    (`DISEASE_FREE_NAMES`); None where there is none.
     """
 
     h: float
     phi_h: float
     step_period: int | None
+    aux_step_period: int | None
     Lambda: Callable = field(compare=False)
     mu: Callable = field(compare=False)
     p: Callable = field(compare=False)
@@ -393,7 +399,8 @@ class DiscreteParams:
     @classmethod
     def from_sequences(cls, h: float, step_period: int | None = None,
                        phi_h: float = float("nan"), **seqs) -> "DiscreteParams":
-        """Build directly from index sequences (callables or constants)."""
+        """Build directly from index sequences (callables or constants); a
+        period of all eight is one of the disease-free four."""
         missing = [n for n in SCHEDULE_NAMES if n not in seqs]
         if missing:
             raise ConfigError(f"missing sequences: {', '.join(missing)}")
@@ -403,12 +410,21 @@ class DiscreteParams:
         if not h > 0:
             raise ValueError(f"step size must be positive, got {h}")
         wrapped = {n: _wrap_sequence(n, seqs[n]) for n in SCHEDULE_NAMES}
-        return cls(h=float(h), phi_h=phi_h, step_period=step_period, **wrapped)
+        return cls(h=float(h), phi_h=phi_h, step_period=step_period,
+                   aux_step_period=step_period, **wrapped)
 
     def array(self, name: str, start: int, stop: int) -> np.ndarray:
-        """Vectorized sequence values over the index range [start, stop)."""
+        """Vectorized sequence values over the index range [start, stop), one per
+        index, also for a callable that returns a scalar."""
         ns = np.arange(start, stop)
-        return np.asarray(getattr(self, name)(ns), dtype=float)
+        vals = np.asarray(getattr(self, name)(ns), dtype=float)
+        return vals if vals.shape == ns.shape else np.broadcast_to(vals, ns.shape)
+
+    def constant(self, name: str) -> float | None:
+        """The value of a sequence built constant (a number given to
+        `from_sequences`, a constant schedule in `mickens_discretize`), else
+        None; it equals every value of the sequence bit for bit."""
+        return getattr(getattr(self, name), "constant", None)
 
 
 def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> DiscreteParams:
@@ -434,18 +450,22 @@ def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> Di
 
         return seq
 
-    T = schedules.common_period()
-    step_period: int | None
-    if T is None:
-        step_period = 1 if schedules.all_constant() else None
-    else:
-        ratio = T / h  # inf for a subnormal h: no whole number of steps then
-        step_period = int(round(ratio)) if math.isfinite(ratio) and (
-            abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio) and round(ratio) >= 1
-        ) else None
-
     seqs = {n: make(getattr(schedules, n)) for n in SCHEDULE_NAMES}
-    return DiscreteParams(h=h, phi_h=ph, step_period=step_period, **seqs)
+    return DiscreteParams(h=h, phi_h=ph, step_period=_step_period(schedules, SCHEDULE_NAMES, h),
+                          aux_step_period=_step_period(schedules, DISEASE_FREE_NAMES, h),
+                          **seqs)
+
+
+def _step_period(schedules: ScheduleSet, names, h: float) -> int | None:
+    """Steps of size h in one common period of the named schedules: 1 when all
+    are constant, None without a common period or a whole number of steps in it."""
+    T = schedules.common_period(names)
+    if T is None:
+        return 1 if all(getattr(schedules, n).is_constant for n in names) else None
+    ratio = T / h  # inf for a subnormal h: no whole number of steps then
+    if not math.isfinite(ratio) or round(ratio) < 1:
+        return None
+    return int(round(ratio)) if abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio) else None
 
 
 @dataclass(frozen=True)

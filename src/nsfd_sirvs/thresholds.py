@@ -34,9 +34,8 @@ from .dynamics import (AuxState, State, aux_equilibrium, integrate_continuous,
                        period_map_fixed_point, periodic_aux_solution, simulate_aux,
                        verify_step_periodic)
 from .incidence import IncidenceFn
-from .schedules import DiscreteParams, ParamSchedule, ScheduleSet, validate_hypotheses
-
-_DISEASE_FREE = ("Lambda", "mu", "p", "eta")  # the coefficients of the disease-free pair
+from .schedules import (DISEASE_FREE_NAMES, DiscreteParams, ParamSchedule, ScheduleSet,
+                        validate_hypotheses)
 
 BOUNDARY_TOL = 1e-12
 
@@ -111,9 +110,10 @@ def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
 def _disease_free_orbit(dp: DiscreteParams, omega: int | None, k_lo: int, k_hi: int,
                         aux_start: AuxState | None) -> tuple[np.ndarray, bool]:
     """(x*, y*) at steps k_lo + 1 .. k_hi and whether it is exact: the periodic orbit of
-    period 1 if Lambda, mu, p, eta are constant up to k_hi, else `omega`.  Iterated from
-    `aux_start` if neither applies or the period map is singular; raised if no start."""
-    if all(np.ptp(dp.array(name, 0, k_hi)) == 0.0 for name in _DISEASE_FREE):
+    period 1 if Lambda, mu, p, eta are constant up to k_hi, else `omega`, a period of
+    those four.  Iterated from `aux_start` if neither applies or the period map is
+    singular; raised if no start."""
+    if all(np.ptp(dp.array(name, 0, k_hi)) == 0.0 for name in DISEASE_FREE_NAMES):
         omega = 1
     if omega is not None:
         try:
@@ -141,7 +141,12 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         raise ValueError("need burn_in >= 0 and scan >= lam + 1")
 
     ks_lo, ks_hi = burn_in, burn_in + scan + lam + 1
-    orbit, exact_orbit = _disease_free_orbit(dp, dp.step_period, ks_lo, ks_hi, aux_start)
+    try:  # the orbit is the largest of the window's arrays
+        np.empty((ks_hi - ks_lo, 2))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise ConfigError(f"a threshold window of {lam + 1:.3g} steps does not fit in memory "
+                          f"({16 * (ks_hi - ks_lo):.3g} bytes of disease-free orbit)") from exc
+    orbit, exact_orbit = _disease_free_orbit(dp, dp.aux_step_period, ks_lo, ks_hi, aux_start)
     ratios = _growth_ratios(dp, phi, psi, orbit, ks_lo, ks_hi)
     window = _window_products(ratios, lam + 1)
     notes = ()
@@ -223,7 +228,7 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     ts = q * np.arange(n_grid + 1)
 
     notes = []
-    aux_constant = all(getattr(schedules, n).is_constant for n in _DISEASE_FREE)
+    aux_constant = all(getattr(schedules, n).is_constant for n in DISEASE_FREE_NAMES)
     if aux_constant:
         a, b = disease_free_equilibrium(schedules)
         x_star = np.full(ts.shape, a)
@@ -282,7 +287,7 @@ def _disease_free_solution(schedules: ScheduleSet, n_steps: int, q: float):
         return integrate_continuous(sched, inc, inc, State(x, 0.0, 0.0, y),
                                     t_end, h).states[:, [0, 3]]
 
-    T = schedules.common_period(_DISEASE_FREE)
+    T = schedules.common_period(DISEASE_FREE_NAMES)
     start, note = None, ""
     if T is not None and not (schedules.mu.is_constant and schedules.mu.constant_value() == 0):
         h = T / math.ceil(T / q - 1e-9)

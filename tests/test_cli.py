@@ -421,3 +421,14 @@ def test_simulate_too_long_to_hold_fails_at_once(tmp_path, method, h, steps):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"configuration error: a run of {steps} steps")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("h", ["1e-15", "1e-320"])
+def test_thresholds_window_too_long_to_hold_fails_at_once(tmp_path, h):
+    # a window of 4e15 steps cannot be held, and one of lam / h = inf steps
+    # cannot be counted: both are refused before any orbit is computed
+    proc = _python_m("thresholds", "extinction_5_1", "--h", h, "--out", str(tmp_path),
+                     timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("configuration error: a threshold window of ")
+    assert "Traceback" not in proc.stderr

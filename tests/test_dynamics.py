@@ -8,6 +8,7 @@ from nsfd_sirvs.dynamics import (AuxState, State, aux_equilibrium, integrate_con
                                  simulate_discrete)
 from nsfd_sirvs.errors import StepError
 from nsfd_sirvs.incidence import IncidenceFn
+from nsfd_sirvs.scenarios import builtin
 from nsfd_sirvs.schedules import DenominatorFn, DiscreteParams, ParamSchedule, ScheduleSet, \
     mickens_discretize
 
@@ -375,3 +376,41 @@ def test_nsfd_first_order_convergence_to_rk4():
         errs.append(np.max(np.abs(traj.states - ref.states[::stride])))
     slope = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1])
     assert 0.7 < slope < 1.3
+
+
+# ---------------------------------------------------------------------------
+# cost of coefficient rows
+# ---------------------------------------------------------------------------
+
+def test_only_varying_coefficients_are_evaluated_per_chunk(monkeypatch):
+    # persistence_5_1 varies beta and sigma only: each 1024-row chunk evaluates
+    # those two columns, and the six constants are repeated into the rows as they are
+    spec = builtin("persistence_5_1")
+    dp = mickens_discretize(spec.schedules, 0.01, spec.denominator)
+    seen = []
+    array, evaluate = DiscreteParams.array, ParamSchedule.eval
+    monkeypatch.setattr(DiscreteParams, "array",
+                        lambda self, name, a, b: seen.append(name) or array(self, name, a, b))
+    simulate_discrete(dp, MASS, MASS, spec.initial_state, 2049)  # 3 chunks
+    assert sorted(seen) == ["beta"] * 3 + ["sigma"] * 3
+    seen.clear()
+    simulate_aux(dp, AuxState(1.0, 1.0), 2049)
+    assert seen == []
+    monkeypatch.setattr(ParamSchedule, "eval",
+                        lambda self, t: seen.append(self.name) or evaluate(self, t))
+    for method in ("rk4", "euler"):
+        seen.clear()
+        integrate_continuous(spec.schedules, MASS, MASS, spec.initial_state, 10.24, 0.01,
+                             method=method)  # 1024 steps: 2049 half-step rows, 3 chunks
+        assert sorted(seen) == ["beta"] * 3 + ["sigma"] * 3
+
+
+def test_scalar_valued_sequence_is_a_sequence_of_its_value():
+    # a callable that ignores the shape of its index array gives one value per step
+    s = State(1.0, 0.2, 0.1, 1.0)
+    dp = constant_dp(mu=lambda n: 0.3)
+    assert dp.array("mu", 0, 5).tolist() == [0.3] * 5
+    assert dp.constant("mu") is None
+    assert np.array_equal(simulate_discrete(dp, MASS, MASS, s, 1500).states,
+                          simulate_discrete(constant_dp(), MASS, MASS, s, 1500).states)
+

@@ -5,7 +5,8 @@ whole-grid incidence validator and the streaming trajectory writer must give
 exactly the numbers (and bytes) of the array-based, np.float64, point-by-point
 and per-value implementations kept below.  The loops and the writer read and
 write one fixed-size chunk of rows at a time, so they must also give the bytes
-of the whole-table versions kept below, across chunk boundaries.  The
+of the whole-table versions kept below, across chunk boundaries, also where a
+constant coefficient is repeated into the rows instead of evaluated.  The
 closed-form saturated NSFD step and the bracketed separable solve change the
 arithmetic, so they must agree with the damped fixed-point step they replaced
 to a tolerance fixed beforehand; the separable solve also meets a bisection
@@ -13,6 +14,7 @@ oracle and a budget of calls to g.
 """
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 
 from nsfd_sirvs.cli import _write_trajectory
 from nsfd_sirvs.dynamics import (_STEP_COEFFS, State, Trajectory, _aux_advance, _nsfd_stepper,
-                                 integrate_continuous, simulate_aux, simulate_discrete,
+                                 integrate_continuous, period_map_fixed_point,
+                                 periodic_aux_solution, simulate_aux, simulate_discrete,
                                  validate_state)
 from nsfd_sirvs.incidence import IncidenceFn, IncidenceReport, validate_incidence
 from nsfd_sirvs.scenarios import builtin
@@ -228,6 +231,11 @@ def _reference_fixed_point_step(lam, mu, p, eta, alpha, gamma, beta, sigma,
     return out
 
 
+def _one_step(phi, psi, coeffs, S, I, R, V, n=0):
+    """One NSFD step through the chunk stepper: a single row of coefficients."""
+    return _nsfd_stepper(phi, psi)((tuple(coeffs),), (S, I, R, V), n, array("d"))
+
+
 def _balance_residual(state, N, lam, mu, alpha):
     S1, I1, R1, V1 = state
     return abs((1.0 + mu) * (S1 + I1 + R1 + V1) + alpha * I1 - (N + lam))
@@ -250,8 +258,8 @@ _STEP_DRAWS = dict(
 def test_saturated_closed_form_step_matches_fixed_point_reference(
         S, I, R, V, lam, mu, p, eta, alpha, gamma, beta, sigma, a_phi, a_psi):
     coeffs = (lam, mu, p, eta, alpha, gamma, beta, sigma)
-    step = _nsfd_stepper(IncidenceFn.saturated(a_phi), IncidenceFn.saturated(a_psi))
-    got = step(*coeffs, S, I, R, V, 0)
+    got = _one_step(IncidenceFn.saturated(a_phi), IncidenceFn.saturated(a_psi), coeffs,
+                    S, I, R, V)
     ref = _reference_fixed_point_step(*coeffs, _saturated(a_phi), _saturated(a_psi),
                                       lambda y: y / (1.0 + a_psi * y), S, I, R, V)
     N = S + I + R + V
@@ -277,7 +285,7 @@ def test_separable_step_matches_fixed_point_reference(
     phi = IncidenceFn.separable(g, k)
     psi = phi if pair == "sep-sep" else IncidenceFn.mass_action()
     coeffs = (lam, mu, p, eta, alpha, gamma, beta, sigma)
-    got = _nsfd_stepper(phi, psi)(*coeffs, S, I, R, V, 0)
+    got = _one_step(phi, psi, coeffs, S, I, R, V)
 
     def f_sep(x, y):
         return g(x) * y
@@ -332,8 +340,8 @@ def test_separable_step_matches_bisection_oracle(
         g_name, S, I, R, V, lam, mu, p, eta, alpha, gamma, beta, sigma):
     g, k = _SEPARABLE_G[g_name]
     sep = IncidenceFn.separable(g, k)
-    S1, _, _, V1 = _nsfd_stepper(sep, sep)(lam, mu, p, eta, alpha, gamma, beta, sigma,
-                                           S, I, R, V, 0)
+    S1, _, _, V1 = _one_step(sep, sep, (lam, mu, p, eta, alpha, gamma, beta, sigma),
+                             S, I, R, V)
     s_ref, v_ref = _separable_bisection_oracle(lam, mu, p, eta, beta, sigma, g, g, S, I, V)
     N = S + I + R + V
     assert abs(S1 - s_ref) <= 1e-12 * (1.0 + N)
@@ -648,11 +656,10 @@ def _whole_table(dp, names, n_steps):
 
 def _whole_table_simulate_discrete(dp, phi, psi, s0, n_steps):
     """simulate_discrete with its (n, 8) coefficient table."""
-    advance = _nsfd_stepper(phi, psi)
     out = [list(s0)]
     S, I, R, V = s0
     for n, c in enumerate(_whole_table(dp, _STEP_COEFFS, n_steps)):
-        S, I, R, V = advance(*c, S, I, R, V, n)
+        S, I, R, V = _one_step(phi, psi, c, S, I, R, V, n)
         out.append([S, I, R, V])
     return np.array(out)
 
@@ -750,3 +757,105 @@ def test_chunked_writer_bytes_match_whole_trajectory(tmp_path):
     path = _write_trajectory(tmp_path, traj, "euler", 0.1)
     _whole_trajectory_write(tmp_path / "whole.csv", traj)
     assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# constant coefficients, repeated instead of evaluated: whole-table references
+# ---------------------------------------------------------------------------
+
+def _whole_table_periodic_aux(dp, omega):
+    """periodic_aux_solution with its (omega, 4) coefficient table."""
+    q, e1, e2 = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)
+    for lam, mu, p, eta in _whole_table(dp, ("Lambda", "mu", "p", "eta"), omega):
+        q = _aux_advance(lam, mu, p, eta, *q)
+        e1 = _aux_advance(0.0, mu, p, eta, *e1)
+        e2 = _aux_advance(0.0, mu, p, eta, *e2)
+    return _whole_table_simulate_aux(dp, period_map_fixed_point(q, e1, e2), omega)[:omega]
+
+
+def _constant_form(name, form, value):
+    """A schedule that is constant at `value` in the given form."""
+    if form == "constant":
+        return ParamSchedule.constant(name, value)
+    if form == "harmonic":  # amplitude 0
+        return ParamSchedule.harmonic(name, value, 0.0, 1.3, 0.4)
+    return ParamSchedule.piecewise(name, [0.0, 0.35, 60.0], [value] * 3)
+
+
+def _constant_forms_set(zero):
+    """Every constant form, and the zero `zero` (0.0 or -0.0) in each, beside
+    harmonic, custom and piecewise schedules that vary."""
+    s = _mixed_set().as_dict()
+    s["mu"] = _constant_form("mu", "harmonic", 0.3)
+    s["p"] = _constant_form("p", "piecewise", 0.6)
+    s["eta"] = _constant_form("eta", "constant", zero)
+    s["alpha"] = _constant_form("alpha", "harmonic", zero)
+    s["sigma"] = _constant_form("sigma", "piecewise", zero)
+    return ScheduleSet.from_mapping(s)
+
+
+def _periodic_dp(h, omega, consts):
+    """Sequences of step period omega; the coefficients named in `consts` are
+    the numbers given there (constants of `from_sequences`)."""
+    seqs = {name: (lambda n, c=0.1 * (k + 1), w=2.0 * math.pi / omega:
+                   c * (1.0 + 0.5 * np.sin(w * n + 1.0)))
+            for k, name in enumerate(SCHEDULE_NAMES)}
+    return DiscreteParams.from_sequences(h, step_period=omega, **{**seqs, **consts})
+
+
+def _assert_sequence_loops_match(dp, s0, n_steps):
+    for phi, psi in ((KINDS["mass_action"], KINDS["saturated"]),
+                     (KINDS["separable"], KINDS["separable"])):
+        traj = simulate_discrete(dp, phi, psi, s0, n_steps)
+        assert traj.states.tobytes() == \
+            _whole_table_simulate_discrete(dp, phi, psi, s0, n_steps).tobytes()
+    a0 = (s0.S, s0.V)
+    assert simulate_aux(dp, a0, n_steps).tobytes() == \
+        _whole_table_simulate_aux(dp, a0, n_steps).tobytes()
+    omega = dp.aux_step_period
+    assert periodic_aux_solution(dp, omega).tobytes() == \
+        _whole_table_periodic_aux(dp, omega).tobytes()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("n_steps", [1, 1023, 1024, 1025, 2049])
+def test_constant_forms_bit_identical_to_whole_table_at_chunk_edges(n_steps, zero, tmp_path):
+    _assert_chunked_loops_match(_constant_forms_set(zero), State(3.0, 0.4, 0.2, 1.5), 0.1,
+                                n_steps, tmp_path)
+    consts = dict(mu=0.03, p=zero, eta=0.005, alpha=zero, gamma=0.03, sigma=zero)
+    _assert_sequence_loops_match(_periodic_dp(0.1, n_steps, consts),
+                                 State(3.0, 0.4, 0.2, 1.5), n_steps)
+
+
+_ZERO_OR_POSITIVE = st.sampled_from([0.0, -0.0]) | st.floats(0.01, 1.0)
+
+
+@st.composite
+def _constant_or_varying_sets(draw):
+    scheds = draw(_schedule_sets()).as_dict()
+    for name in SCHEDULE_NAMES:
+        form = draw(st.sampled_from(("varying", "constant", "harmonic", "piecewise")))
+        if form != "varying":
+            scheds[name] = _constant_form(name, form, draw(_ZERO_OR_POSITIVE))
+    return ScheduleSet.from_mapping(scheds)
+
+
+_N_STEPS = st.sampled_from([1, 1023, 1024, 1025, 2049]) | st.integers(1, 2100)
+
+
+@settings(max_examples=20, deadline=None)
+@given(schedules=_constant_or_varying_sets(), s0=_STATES, h=st.floats(0.01, 0.5),
+       n_steps=_N_STEPS)
+def test_constant_schedules_bit_identical_to_whole_table(schedules, s0, h, n_steps,
+                                                         tmp_path_factory):
+    _assert_chunked_loops_match(schedules, s0, h, n_steps, tmp_path_factory.mktemp("consts"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(consts=st.dictionaries(st.sampled_from(SCHEDULE_NAMES), _ZERO_OR_POSITIVE).filter(
+           lambda c: c.get("mu", 1.0) > 0.0),
+       s0=_STATES, h=st.floats(0.01, 0.5), n_steps=_N_STEPS)
+def test_constant_sequences_bit_identical_to_whole_table(consts, s0, h, n_steps):
+    # numbers given to from_sequences, beside sequences of step period n_steps
+    _assert_sequence_loops_match(_periodic_dp(h, n_steps, consts), s0, n_steps)
+

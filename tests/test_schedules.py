@@ -203,6 +203,57 @@ def test_step_period_detection(h, expected):
     assert dp.step_period == expected
 
 
+def test_disease_free_step_period_reads_lambda_mu_p_eta_only():
+    s = full_set().as_dict()
+    s["Lambda"] = ParamSchedule.harmonic("Lambda", 0.5, 0.3, math.pi)  # period 2
+    s["gamma"] = ParamSchedule.piecewise("gamma", [0.0, 50.0], [0.3, 0.31])
+    dp = mickens_discretize(ScheduleSet.from_mapping(s), 0.5, DenominatorFn.identity())
+    assert (dp.step_period, dp.aux_step_period) == (None, 4)
+    dp = mickens_discretize(full_set(), 0.5, DenominatorFn.identity())  # Lambda .. eta constant
+    assert (dp.step_period, dp.aux_step_period) == (8, 1)
+
+
+_T = np.linspace(0.0, 200.0, 4001)
+
+
+@pytest.mark.parametrize("sched", [
+    ParamSchedule.constant("mu", 0.3),
+    ParamSchedule.constant("mu", 0.0),
+    ParamSchedule.constant("mu", -0.0),
+    ParamSchedule.harmonic("mu", 0.3, 0.0, 1.3, 0.4),
+    ParamSchedule.harmonic("mu", 0.3, -0.0, 1.3, 0.4),
+    ParamSchedule.harmonic("mu", 0.0, 0.0, 1.3, 0.4),
+    ParamSchedule.harmonic("mu", -0.0, 0.0, 1.3, 0.4),
+    ParamSchedule.harmonic("mu", -0.0, -0.0, 1.3, 0.4),
+    ParamSchedule.piecewise("mu", [0.0, 1.0, 7.0], [0.3, 0.3, 0.3]),
+    ParamSchedule.piecewise("mu", [0.0, 1.0, 7.0], [0.0, -0.0, 0.0]),
+    ParamSchedule.piecewise("mu", [0.0, 1.0], [-0.0, -0.0]),
+], ids=lambda s: f"{s.kind}{s.params}")
+def test_constant_value_is_every_evaluation_bit_for_bit(sched):
+    # the stepping loops repeat constant_value() instead of evaluating the schedule
+    assert sched.is_constant
+    assert sched.eval(_T).tobytes() == np.full(_T.shape, sched.constant_value()).tobytes()
+    dp = mickens_discretize(ScheduleSet.from_mapping({**full_set().as_dict(), "mu": sched}),
+                            0.01, DenominatorFn.quadratic(0.2))
+    value = dp.constant("mu")
+    assert type(value) is float
+    assert value == eval_denominator(DenominatorFn.quadratic(0.2), 0.01) * sched.constant_value()
+    assert dp.array("mu", 0, 4001).tobytes() == np.full(4001, value).tobytes()
+
+
+def test_sequence_constants_are_recorded_where_built():
+    dp = DiscreteParams.from_sequences(0.5, Lambda=1, mu=0.3, p=-0.0, eta=np.float64(0.05),
+                                       alpha=0.0, beta=lambda n: 0.3 + 0.0 * n, sigma=0.2,
+                                       gamma=0.1)
+    assert [dp.constant(n) for n in ("Lambda", "mu", "p", "eta", "beta")] == \
+        [1.0, 0.3, 0.0, 0.05, None]
+    assert all(type(dp.constant(n)) is float for n in ("Lambda", "eta", "alpha"))
+    assert math.copysign(1.0, dp.constant("p")) == -1.0  # the value as given
+    assert dp.array("p", 0, 3).tobytes() == np.full(3, -0.0).tobytes()
+    dp = mickens_discretize(full_set(), 0.5, DenominatorFn.identity())
+    assert dp.constant("beta") is None and dp.constant("gamma") == 0.5 * 0.3
+
+
 def test_missing_schedule_is_config_error():
     with pytest.raises(ConfigError, match="missing"):
         ScheduleSet.from_mapping({"mu": ParamSchedule.constant("mu", 0.3)})

@@ -362,6 +362,21 @@ def test_seasonal_inflow_with_an_aperiodic_gamma_reads_the_periodic_solution():
     assert rep.notes == ()
 
 
+def test_discrete_orbit_with_an_aperiodic_gamma_is_the_periodic_one():
+    # the discrete analog: the period of the disease-free orbit is that of Lambda,
+    # mu, p, eta (8 steps at h = 0.5), not the missing period of all eight, so no
+    # burn-in is needed to read the periodic orbit instead of the (1, 1) transient
+    spec = builtin("persistence_5_1")
+    s = spec.schedules.as_dict()
+    s["Lambda"] = ParamSchedule.harmonic("Lambda", 0.5, 0.3, math.pi / 2.0)
+    s["gamma"] = ParamSchedule.piecewise("gamma", [0.0, 50.0], [0.3, 0.3000001])
+    dp = mickens_discretize(ScheduleSet.from_mapping(s), 0.5, spec.denominator)
+    assert dp.step_period is None and dp.aux_step_period == 8
+    rep = discrete_thresholds(dp, MASS, MASS, 8, burn_in=0, scan=400)
+    assert rep.r_upper == pytest.approx(16.440606582569895, rel=1e-9)
+    assert not rep.exact_periodic  # gamma is aperiodic
+
+
 def test_aperiodic_inflow_notes_the_transient_start():
     s = full_set(0.9).as_dict()
     s["Lambda"] = ParamSchedule.piecewise("Lambda", [0.0, 3.0], [0.5, 0.6])
