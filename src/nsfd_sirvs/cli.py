@@ -21,11 +21,11 @@ import numpy as np
 
 from . import __version__
 from .consistency import consistency_sweep, sweep_skip_reason
-from .dynamics import Trajectory, integrate_continuous, simulate_discrete
+from .dynamics import Trajectory, integrate_continuous, simulate_discrete, steps_for
 from .errors import ConfigError, StepError
 from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, compare_methods,
                         compare_thresholds, discretize, load_config, load_observed,
-                        run_scenario, spec_to_config, steps_for, threshold_reports)
+                        run_scenario, spec_to_config, threshold_reports)
 from .schedules import mickens_discretize
 # the scenarios module computes every threshold report; the two *_thresholds names
 # stay importable here because perfbench/tracing.py looks them up in this module

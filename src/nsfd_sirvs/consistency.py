@@ -25,17 +25,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import AuxState, State
+from .dynamics import AuxState, State, steps_for
 from .errors import ConfigError
 from .incidence import IncidenceFn
-from .schedules import (DenominatorFn, DiscreteParams, ParamSchedule, ScheduleSet,
-                        mickens_discretize)
+from .schedules import (APERIODIC_HORIZON, DenominatorFn, DiscreteParams, ParamSchedule,
+                        ScheduleSet, mickens_discretize)
 from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,
                          discrete_thresholds, disease_free_equilibrium)
 
 _CD_STEP = 1e-5
 _SUP_GRID = 100_000
-_APERIODIC_HORIZON = 100.0
 _SWEEP_FRACS = (0.01, 0.99)  # the sweep's step sizes, as fractions of the bound
 
 
@@ -202,14 +201,14 @@ def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceF
     equilibrium = _applicable_equilibrium(schedules)
     f, fprime, analytic = _net_growth(schedules, phi, psi, equilibrium)
     T = schedules.common_period()
-    sup_scan = (0.0, T) if T is not None else (0.0, _APERIODIC_HORIZON)
+    sup_scan = (0.0, T) if T is not None else (0.0, APERIODIC_HORIZON)
     sup = sup_abs_fprime(fprime, sup_scan)
     ts = np.linspace(sup_scan[0], sup_scan[1], 257)
     report_notes = dict(notes or {})
     if T is None:
         report_notes.setdefault(
             "sup_fprime_scan",
-            f"aperiodic coefficients: sup |f'| taken over [0, {_APERIODIC_HORIZON:g}] only")
+            f"aperiodic coefficients: sup |f'| taken over [0, {APERIODIC_HORIZON:g}] only")
     if not analytic:
         report_notes.setdefault("fprime", "central differences (no analytic derivative)")
     return ConsistencyReport(
@@ -230,7 +229,7 @@ def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceF
 def lambda_steps(lam: float, h: float) -> int:
     """Discrete window index for continuous window lam at step h.
 
-    The product then has ceil(lam/h) factors, the smallest step window
+    The product then has `steps_for(lam, h)` factors, the smallest step window
     spanning at least lam time units; for h not dividing lam this equals
     floor(lam/h).
     """
@@ -239,7 +238,7 @@ def lambda_steps(lam: float, h: float) -> int:
     if not math.isfinite(lam / h):
         raise ConfigError(f"a threshold window of lam / h = {lam / h} steps "
                           "does not fit in memory")
-    return max(0, int(math.ceil(lam / h - 1e-9)) - 1)
+    return steps_for(lam, h) - 1
 
 
 def window_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,

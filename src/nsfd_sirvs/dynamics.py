@@ -143,9 +143,6 @@ class Trajectory:
     def V(self) -> np.ndarray:
         return self.states[:, 3]
 
-    def state(self, n: int) -> State:
-        return State(*self.states[n])
-
     def rows(self):
         """(t, S, I, R, V) of every state, one list of Python floats per state,
         converted one `_ROWS_PER_CHUNK` chunk at a time; t equals `times`."""
@@ -154,6 +151,15 @@ class Trajectory:
             b = min(a + _ROWS_PER_CHUNK, n_rows)
             times = self.t0 + self.dt * np.arange(a, b)
             yield from np.column_stack((times, self.states[a:b])).tolist()
+
+
+def steps_for(span: float, h: float) -> int:
+    """Number of steps of size h that cover span: ceil(span / h), at least one.
+    The one rule for every stepper, so runs of each method at one h share
+    their times; a ConfigError when span / h is not finite."""
+    if not math.isfinite(span / h):
+        raise ConfigError(f"a run of t_end / h = {span / h} steps does not fit in memory")
+    return max(1, int(math.ceil(span / h - 1e-9)))
 
 
 def _zero_denominator(n: int) -> StepError:
@@ -502,10 +508,7 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
     if not (h > 0 and t_end > 0):
         raise ValueError("h and t_end must be positive")
     s0 = validate_state(s0)
-    if not math.isfinite(t_end / h):
-        raise ConfigError(f"a run of t_end / h = {t_end / h} steps does not fit in memory")
-
-    n_steps = max(1, int(math.ceil(t_end / h - 1e-9)))
+    n_steps = steps_for(t_end, h)
     out = _state_array(n_steps, 4)
     g_phi = phi.bridge()
     g_psi = psi.bridge()

@@ -20,7 +20,7 @@ import numpy as np
 from .consistency import (ConsistencyReport, consistency_report, consistency_skip_reason,
                           inconsistency_example, window_thresholds)
 from .dynamics import (State, Trajectory, integrate_continuous, simulate_discrete,
-                       validate_state)
+                       steps_for, validate_state)
 from .errors import ConfigError
 from .incidence import IncidenceFn, validate_incidence
 from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSchedule,
@@ -493,19 +493,12 @@ def _residuals(traj: Trajectory, observed: ObservedSeries) -> ResidualReport:
     return ResidualReport(times=ts, observed=obs, model=model, residual=residual, rms=rms)
 
 
-def steps_for(t_end: float, h: float) -> int:
-    """Number of steps of size h that run to t_end; at least one."""
-    if not math.isfinite(t_end / h):
-        raise ConfigError(f"a run of t_end / h = {t_end / h} steps does not fit in memory")
-    return max(1, int(round(t_end / h)))
-
-
 def discretize(spec: ScenarioSpec, hs) -> list[DiscreteParams]:
     return [mickens_discretize(spec.schedules, h, spec.denominator) for h in hs]
 
 
 def _nsfd_and_euler(spec: ScenarioSpec, dp: DiscreteParams, t_end: float):
-    """The NSFD run and the Euler run at dp's step size, both to t_end."""
+    """The NSFD run and the Euler run at dp's step size, both `steps_for(t_end, dp.h)` long."""
     nsfd = simulate_discrete(dp, spec.incidence_phi, spec.incidence_psi,
                              spec.initial_state, steps_for(t_end, dp.h))
     euler = integrate_continuous(spec.schedules, spec.incidence_phi,
@@ -554,10 +547,11 @@ def compare_thresholds(spec: ScenarioSpec, lam: float, burn_in: int = 2000,
 def compare_methods(spec: ScenarioSpec, hs, t_end: float) -> tuple[list, list]:
     """Rows (h, method, sup |I - I_ref|, left the nonnegative cone) for the NSFD
     and Euler runs at each step size against one RK4 run, and the step sizes
-    where NSFD deviates more."""
-    ref = _rk4_reference(spec, t_end)
+    where NSFD deviates more.  The reference runs to the latest time compared."""
+    dps = discretize(spec, hs)
+    ref = _rk4_reference(spec, max(steps_for(t_end, dp.h) * dp.h for dp in dps))
     rows, nsfd_worse = [], []
-    for dp in discretize(spec, hs):
+    for dp in dps:
         runs = _nsfd_and_euler(spec, dp, t_end)
         devs = [float(np.max(np.abs(t.I - np.interp(t.times, ref.times, ref.I)))) for t in runs]
         rows += [(dp.h, t.method, d, t.negative_at is not None) for t, d in zip(runs, devs)]

@@ -25,10 +25,10 @@ from .errors import ConfigError
 
 SCHEDULE_NAMES = ("Lambda", "mu", "p", "eta", "alpha", "beta", "sigma", "gamma")
 DISEASE_FREE_NAMES = ("Lambda", "mu", "p", "eta")  # the coefficients of the disease-free pair
+APERIODIC_HORIZON = 100.0  # the time span read where schedules have no common period
 
 # Construction-time validation knobs.
 _NONNEG_SAMPLES = 10_000
-_APERIODIC_HORIZON = 100.0
 _PERIOD_RTOL = 1e-12
 _DERIV_STEP = 1e-5
 _DERIV_RTOL = 1e-6
@@ -167,7 +167,7 @@ class ParamSchedule:
         fn = _ensure_vectorized(fn)
         if derivative is not None:
             derivative = _ensure_vectorized(derivative)
-        horizon = period if period is not None else _APERIODIC_HORIZON
+        horizon = period if period is not None else APERIODIC_HORIZON
         ts = np.linspace(0.0, horizon, _NONNEG_SAMPLES)
         vals = np.asarray(fn(ts), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -380,11 +380,11 @@ class DiscreteParams:
     ndarray).  When produced by `mickens_discretize`, the value at n is
     exactly phi(h) * c(n*h).  `step_period` is a common period in steps of
     all eight sequences, `aux_step_period` one of the disease-free four
-    (`DISEASE_FREE_NAMES`); None where there is none.
+    (`DISEASE_FREE_NAMES`); None where there is none.  Both are declared, never
+    observed from values: 1 where every sequence involved is built `constant`.
     """
 
     h: float
-    phi_h: float
     step_period: int | None
     aux_step_period: int | None
     Lambda: Callable = field(compare=False)
@@ -398,9 +398,10 @@ class DiscreteParams:
 
     @classmethod
     def from_sequences(cls, h: float, step_period: int | None = None,
-                       phi_h: float = float("nan"), **seqs) -> "DiscreteParams":
-        """Build directly from index sequences (callables or constants); a
-        period of all eight is one of the disease-free four."""
+                       **seqs) -> "DiscreteParams":
+        """Build directly from index sequences (callables or numbers); a declared
+        period of all eight is one of the disease-free four, else names all
+        given as numbers have period 1."""
         missing = [n for n in SCHEDULE_NAMES if n not in seqs]
         if missing:
             raise ConfigError(f"missing sequences: {', '.join(missing)}")
@@ -410,8 +411,10 @@ class DiscreteParams:
         if not h > 0:
             raise ValueError(f"step size must be positive, got {h}")
         wrapped = {n: _wrap_sequence(n, seqs[n]) for n in SCHEDULE_NAMES}
-        return cls(h=float(h), phi_h=phi_h, step_period=step_period,
-                   aux_step_period=step_period, **wrapped)
+        full, aux = (step_period if step_period is not None else
+                     1 if all(hasattr(wrapped[n], "constant") for n in names) else None
+                     for names in (SCHEDULE_NAMES, DISEASE_FREE_NAMES))
+        return cls(h=float(h), step_period=full, aux_step_period=aux, **wrapped)
 
     def array(self, name: str, start: int, stop: int) -> np.ndarray:
         """Vectorized sequence values over the index range [start, stop), one per
@@ -451,7 +454,7 @@ def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> Di
         return seq
 
     seqs = {n: make(getattr(schedules, n)) for n in SCHEDULE_NAMES}
-    return DiscreteParams(h=h, phi_h=ph, step_period=_step_period(schedules, SCHEDULE_NAMES, h),
+    return DiscreteParams(h=h, step_period=_step_period(schedules, SCHEDULE_NAMES, h),
                           aux_step_period=_step_period(schedules, DISEASE_FREE_NAMES, h),
                           **seqs)
 

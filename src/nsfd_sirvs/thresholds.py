@@ -22,7 +22,6 @@ compared against 0, evaluated by composite Simpson quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -32,10 +31,10 @@ import numpy as np
 from .errors import ConfigError, StepError
 from .dynamics import (AuxState, State, aux_equilibrium, integrate_continuous,
                        period_map_fixed_point, periodic_aux_solution, simulate_aux,
-                       verify_step_periodic)
+                       steps_for, verify_step_periodic)
 from .incidence import IncidenceFn
-from .schedules import (DISEASE_FREE_NAMES, DiscreteParams, ParamSchedule, ScheduleSet,
-                        validate_hypotheses)
+from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DiscreteParams,
+                        ParamSchedule, ScheduleSet, validate_hypotheses)
 
 BOUNDARY_TOL = 1e-12
 
@@ -110,11 +109,9 @@ def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
 def _disease_free_orbit(dp: DiscreteParams, omega: int | None, k_lo: int, k_hi: int,
                         aux_start: AuxState | None) -> tuple[np.ndarray, bool]:
     """(x*, y*) at steps k_lo + 1 .. k_hi and whether it is exact: the periodic orbit of
-    period 1 if Lambda, mu, p, eta are constant up to k_hi, else `omega`, a period of
-    those four.  Iterated from `aux_start` if neither applies or the period map is
-    singular; raised if no start."""
-    if all(np.ptp(dp.array(name, 0, k_hi)) == 0.0 for name in DISEASE_FREE_NAMES):
-        omega = 1
+    `omega`, a declared step period of Lambda, mu, p, eta (constancy is declared,
+    never observed).  Iterated from `aux_start` without one or when the period map
+    is singular; raised if no start."""
     if omega is not None:
         try:
             return periodic_aux_solution(dp, omega)[np.arange(k_lo + 1, k_hi + 1) % omega], True
@@ -217,14 +214,14 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
                           "(need quad_step <= lam/16)")
     if scan is None:
         T = schedules.common_period()
-        scan = (0.0, T if T is not None else max(lam, 100.0))
+        scan = (0.0, T if T is not None else max(lam, APERIODIC_HORIZON))
     t0, t1 = (float(s) for s in scan)
 
     # quadrature grid from t = 0: the window is exactly 2m subintervals of
     # width q, and window starts are the grid points inside [t0, t1]
-    m = max(8, int(math.ceil(lam / (2.0 * quad_step))))
+    m = max(8, steps_for(lam, 2.0 * quad_step))
     q = lam / (2.0 * m)
-    n_grid = int(math.ceil(t1 / q - 1e-9)) + 2 * m
+    n_grid = steps_for(t1, q) + 2 * m
     ts = q * np.arange(n_grid + 1)
 
     notes = []
@@ -290,7 +287,7 @@ def _disease_free_solution(schedules: ScheduleSet, n_steps: int, q: float):
     T = schedules.common_period(DISEASE_FREE_NAMES)
     start, note = None, ""
     if T is not None and not (schedules.mu.is_constant and schedules.mu.constant_value() == 0):
-        h = T / math.ceil(T / q - 1e-9)
+        h = T / steps_for(T, q)
         free = replace(schedules, Lambda=ParamSchedule.constant("Lambda", 0.0))
         start = period_map_fixed_point(run(schedules, 0.0, 0.0, T, h)[-1],
                                        run(free, 1.0, 0.0, T, h)[-1],

@@ -185,6 +185,19 @@ def test_consistency_sweep_flag(tmp_path):
     assert payload["sweep_all_match"]
 
 
+def test_simulate_methods_share_their_times(tmp_path):
+    # h = 0.4 does not divide t_end = 1: each method takes ceil(1 / 0.4) = 3 steps
+    times = {}
+    for method in ("nsfd", "euler", "rk4"):
+        rc = main(["simulate", "extinction_5_1", "--h", "0.4", "--t-end", "1",
+                   "--method", method, "--out", str(tmp_path / method)])
+        assert rc == 0
+        _, rows = _read_csv(tmp_path / method / f"trajectory_{method}_h0.4.csv")
+        times[method] = [row[0] for row in rows]
+    assert len(times["nsfd"]) == 4
+    assert times["nsfd"] == times["euler"] == times["rk4"]
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

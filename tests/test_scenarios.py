@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsfd_sirvs.dynamics import State
+from nsfd_sirvs.dynamics import State, integrate_continuous
 from nsfd_sirvs.errors import ConfigError
 from nsfd_sirvs.incidence import IncidenceFn, validate_incidence
 from nsfd_sirvs.consistency import consistency_skip_reason
-from nsfd_sirvs.scenarios import (BUILTIN_NAMES, ObservedSeries, builtin, config_to_spec,
+from nsfd_sirvs.scenarios import (BUILTIN_NAMES, RK4_REFERENCE_STEP, ObservedSeries,
+                                  _nsfd_and_euler, builtin, compare_methods, config_to_spec,
                                   load_config, load_observed, run_scenario, spec_to_config)
 from nsfd_sirvs.schedules import (SCHEDULE_NAMES, DenominatorFn, ParamSchedule, ScheduleSet,
                                   mickens_discretize, validate_hypotheses)
@@ -371,6 +373,40 @@ def test_rk4_reference_attached_when_requested():
     assert rep.rk4_reference is not None
     assert rep.rk4_reference.dt == 0.01
     assert rep.rk4_reference.times[-1] == pytest.approx(spec.t_end, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t_end=st.floats(0.05, 12.0), h=st.floats(0.05, 3.0))
+def test_every_method_runs_over_the_same_times(t_end, h):
+    # ceil(t_end / h) steps for NSFD, Euler and RK4 alike, also where h does not
+    # divide t_end
+    spec = builtin("extinction_5_1")
+    dp = mickens_discretize(spec.schedules, h, spec.denominator)
+    nsfd, euler = _nsfd_and_euler(spec, dp, t_end)
+    rk4 = integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
+                               spec.initial_state, t_end, h, method="rk4")
+    assert np.array_equal(nsfd.times, euler.times)
+    assert np.array_equal(nsfd.times, rk4.times)
+    assert nsfd.n_steps == max(1, math.ceil(t_end / h - 1e-9))
+    assert nsfd.times[-1] >= t_end * (1.0 - 1e-9)
+    assert nsfd.n_steps == 1 or nsfd.times[-2] < t_end
+
+
+def test_compare_reads_the_reference_at_every_compared_time():
+    # at h = 0.4 both runs end at t = 1.2, past t_end = 1; the RK4 reference
+    # must reach 1.2 instead of being held at its value at t = 1
+    spec = builtin("extinction_5_1")
+    rows, _ = compare_methods(spec, [0.4], 1.0)
+    ref = integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
+                               spec.initial_state, 1.2, RK4_REFERENCE_STEP)
+    assert ref.times[-1] == pytest.approx(1.2)
+    assert ref.I[-1] == pytest.approx(0.19958, abs=1e-5)
+    dp = mickens_discretize(spec.schedules, 0.4, spec.denominator)
+    runs = _nsfd_and_euler(spec, dp, 1.0)
+    assert [(row[1], row[0]) for row in rows] == [("nsfd", 0.4), ("euler", 0.4)]
+    for run, row in zip(runs, rows):
+        assert run.times[-1] == pytest.approx(1.2)
+        assert row[2] == float(np.max(np.abs(run.I - np.interp(run.times, ref.times, ref.I))))
 
 
 def test_run_scenario_computes_the_continuous_report_once(monkeypatch):

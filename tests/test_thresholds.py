@@ -377,6 +377,50 @@ def test_discrete_orbit_with_an_aperiodic_gamma_is_the_periodic_one():
     assert not rep.exact_periodic  # gamma is aperiodic
 
 
+def test_numbers_given_to_from_sequences_declare_period_one():
+    # eight numbers and no step_period: every sequence is declared constant, so
+    # both periods are 1 and the report is exact
+    dp = DiscreteParams.from_sequences(1.0, Lambda=0.6, mu=0.36, p=0.8, eta=0.06,
+                                       alpha=0.06, beta=0.4, sigma=0.2, gamma=0.36)
+    assert dp.aux_step_period == dp.step_period == 1
+    rep = discrete_thresholds(dp, MASS, MASS, 2, burn_in=0, scan=10)
+    assert rep.exact_periodic
+    assert rep.r_upper == pytest.approx(periodic_discrete_threshold(dp, MASS, MASS, 1) ** 3,
+                                        rel=1e-12)
+    # a callable beta leaves the disease-free four declared constant; a callable
+    # Lambda does not, even when it returns one value everywhere
+    dp = DiscreteParams.from_sequences(1.0, Lambda=0.6, mu=0.36, p=0.8, eta=0.06,
+                                       alpha=0.06, beta=lambda n: 0.4 + 0.0 * n,
+                                       sigma=0.2, gamma=0.36)
+    assert (dp.step_period, dp.aux_step_period) == (None, 1)
+    dp = DiscreteParams.from_sequences(1.0, Lambda=lambda n: 0.6 + 0.0 * n, mu=0.36,
+                                       p=0.8, eta=0.06, alpha=0.06, beta=0.4, sigma=0.2,
+                                       gamma=0.36)
+    assert (dp.step_period, dp.aux_step_period) == (None, None)
+
+
+def test_inflow_constant_only_over_the_window_is_not_exact():
+    # Lambda steps up at t = 50, far past a window that ends at step 13: constancy
+    # is declared, not read off the window, so the orbit is iterated from (1, 1)
+    # and the window products follow its transient
+    s = full_set(0.3).as_dict()
+    s["Lambda"] = ParamSchedule.piecewise("Lambda", [0.0, 50.0], [0.5, 0.6])
+    s["beta"] = ParamSchedule.constant("beta", 0.3)
+    s["sigma"] = ParamSchedule.constant("sigma", 0.3)
+    dp = mickens_discretize(ScheduleSet.from_mapping(s), 1.0, DenominatorFn.identity())
+    assert dp.aux_step_period is None and dp.step_period is None
+    rep = discrete_thresholds(dp, MASS, MASS, 2, burn_in=0, scan=10)
+    assert not rep.exact_periodic
+    # the same window products from the orbit iterated by hand
+    orbit = simulate_aux(dp, AuxState(1.0, 1.0), 13)
+    mu, alpha, gamma = (dp.constant(n) for n in ("mu", "alpha", "gamma"))
+    ratios = ((1.0 + 0.3 * orbit[1:, 0] + 0.3 * orbit[1:, 1])
+              / (1.0 + mu + alpha + gamma))
+    expected = [np.prod(ratios[n:n + 3]) for n in range(11)]
+    np.testing.assert_allclose(rep.window_products, expected, rtol=1e-12)
+    assert rep.r_upper - rep.r_lower > 0.05
+
+
 def test_aperiodic_inflow_notes_the_transient_start():
     s = full_set(0.9).as_dict()
     s["Lambda"] = ParamSchedule.piecewise("Lambda", [0.0, 3.0], [0.5, 0.6])
