@@ -18,13 +18,12 @@ from .dynamics import (AuxState, State, Trajectory, aux_equilibrium, integrate_c
 from .thresholds import (IndependenceResult, ThresholdReport, Verdict, classify,
                          continuous_thresholds, discrete_thresholds, independence_check,
                          periodic_discrete_threshold)
-from .consistency import (ConsistencyReport, InconsistencyExample, SweepRow,
-                          consistency_report, consistency_sweep, h_max,
-                          inconsistency_example, lambda_steps, net_growth_function,
+from .consistency import (ConsistencyReport, SweepRow, consistency_report,
+                          consistency_sweep, h_max, lambda_steps, net_growth_function,
                           sup_abs_fprime)
-from .scenarios import (BUILTIN_NAMES, ObservedSeries, ResidualReport, ScenarioReport,
-                        ScenarioSpec, builtin, load_config, load_observed, run_scenario,
-                        spec_to_config)
+from .scenarios import (BUILTIN_NAMES, InconsistencyExample, ObservedSeries, ResidualReport,
+                        ScenarioReport, ScenarioSpec, builtin, inconsistency_example,
+                        load_config, load_observed, run_scenario, spec_to_config)
 
 __version__ = "0.1.0"
 

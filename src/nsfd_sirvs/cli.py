@@ -185,7 +185,8 @@ def _cmd_consistency(args) -> int:
     spec, echo = _load_spec(args.spec)
     out = _out_dir(args)
     lam = args.lam if args.lam is not None else spec.lam
-    comparison = compare_thresholds(spec, lam, burn_in=args.burn_in, scan=args.scan)
+    comparison = compare_thresholds(spec, lam, discretize(spec, spec.h_values),
+                                    burn_in=args.burn_in, scan=args.scan)
     payload = _consistency_payload(comparison)
     rep = comparison.consistency
     if args.sweep and rep is not None:
@@ -194,8 +195,8 @@ def _cmd_consistency(args) -> int:
             print(f"no sweep: {skip}")
         else:
             rows = consistency_sweep(spec.schedules, spec.incidence_phi,
-                                     spec.incidence_psi, spec.denominator, lam,
-                                     report=rep, burn_in=args.burn_in, scan=args.scan)
+                                     spec.incidence_psi, spec.denominator, rep,
+                                     burn_in=args.burn_in, scan=args.scan)
             payload["sweep"] = [
                 {"h": r.h, "lambda_steps": r.lam_steps, "r_lower": r.r_lower,
                  "r_upper": r.r_upper, "verdict": r.verdict.value, "matches": r.matches}

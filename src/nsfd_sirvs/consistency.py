@@ -12,9 +12,7 @@ discrete window product at step h keeps the same verdict for every
 
 the upper bound using R_C^u < 0, the lower one R_C^l > 0.  A constant f
 (sup |f'| = 0) yields an unbounded guarantee.  This module builds f, takes
-the sup, evaluates the bounds, runs empirical h-sweeps, and constructs the
-deliberate period-1 counterexample in which sampling at h = 1/L hits the
-minima of a spiky seasonal transmission rate and flips the verdict.
+the sup, evaluates the bounds and runs empirical h-sweeps.
 """
 
 from __future__ import annotations
@@ -25,12 +23,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import AuxState, State, steps_for
+from .dynamics import AuxState, steps_for
 from .errors import ConfigError
 from .incidence import IncidenceFn
-from .schedules import (APERIODIC_HORIZON, DenominatorFn, DiscreteParams, ParamSchedule,
-                        ScheduleSet, mickens_discretize)
-from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,
+from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DenominatorFn,
+                        DiscreteParams, ScheduleSet, mickens_discretize)
+# consistency_report takes the continuous report from its caller; continuous_thresholds
+# stays importable here because perfbench/tracing.py looks it up in this module
+from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
                          discrete_thresholds, disease_free_equilibrium)
 
 _CD_STEP = 1e-5
@@ -84,7 +84,7 @@ def consistency_skip_reason(schedules: ScheduleSet) -> str:
     solution is the equilibrium) and a differentiable f, which a
     non-constant step-function beta, sigma, alpha or gamma rules out.
     """
-    for name in ("Lambda", "mu", "eta", "p"):
+    for name in DISEASE_FREE_NAMES:
         if not getattr(schedules, name).is_constant:
             return f"schedule {name!r} is not constant"
     for name in ("beta", "sigma", "alpha", "gamma"):
@@ -186,18 +186,14 @@ def h_max(r_c: float, sup_fprime: float, lam: float, side: str) -> float | None:
 
 
 def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
-                       lam: float, continuous: ThresholdReport | None = None,
+                       continuous: ThresholdReport,
                        notes: dict | None = None) -> ConsistencyReport:
     """Assemble the full step-bound report for one model.
 
-    `continuous` is `continuous_thresholds(schedules, phi, psi, lam)`, passed
-    by a caller that already holds it; without it the report computes it.
+    `continuous` is `continuous_thresholds(schedules, phi, psi, lam)`; the
+    bounds are for its window lam.
     """
-    if continuous is None:
-        continuous = continuous_thresholds(schedules, phi, psi, lam)
-    elif continuous.mode != "continuous" or continuous.lam != float(lam):
-        raise ValueError(f"{continuous.mode} report for window {continuous.lam} given, "
-                         f"continuous report for window {lam} needed")
+    lam = continuous.lam
     equilibrium = _applicable_equilibrium(schedules)
     f, fprime, analytic = _net_growth(schedules, phi, psi, equilibrium)
     T = schedules.common_period()
@@ -272,17 +268,14 @@ class SweepRow:
 
 
 def consistency_sweep(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
-                      denominator: DenominatorFn, lam: float,
-                      report: ConsistencyReport | None = None, n: int = 16,
+                      denominator: DenominatorFn, report: ConsistencyReport, n: int = 16,
                       burn_in: int = 2000, scan: int = 4000) -> list[SweepRow]:
     """Empirical check of the guarantee: verdicts at n log-spaced h from 1% to
-    99% of h_max.
+    99% of the report's h_max, for its window lam.
 
     Raises ValueError with `sweep_skip_reason` when there is no finite bound
     to sweep against.
     """
-    if report is None:
-        report = consistency_report(schedules, phi, psi, lam)
     reason = sweep_skip_reason(report)
     if reason:
         raise ValueError(reason)
@@ -291,106 +284,8 @@ def consistency_sweep(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn
     rows = []
     for h in np.geomspace(bound * _SWEEP_FRACS[0], bound * _SWEEP_FRACS[1], int(n)):
         dp = mickens_discretize(schedules, float(h), denominator)
-        rep = window_thresholds(dp, phi, psi, lam, burn_in=burn_in, scan=scan)
+        rep = window_thresholds(dp, phi, psi, report.lam, burn_in=burn_in, scan=scan)
         rows.append(SweepRow(h=dp.h, lam_steps=rep.lam, r_lower=rep.r_lower,
                              r_upper=rep.r_upper, verdict=rep.verdict,
                              matches=rep.verdict is report.continuous_verdict))
     return rows
-
-
-@dataclass(frozen=True)
-class InconsistencyExample:
-    """Period-1 counterexample scenario plus its closed-form diagnostics.
-
-    The transmission rate beta(t) = d [1 + c sin^2(2 pi L t)(1 + cos 2 pi t)]
-    vanishes down to d exactly at the sampling instants t = k/L, so the
-    discrete model at h = 1/L never sees the seasonal spikes:
-
-      * continuous window integral (closed form): R_C_l(1) = d(1 + c/2)
-        - mu - alpha - gamma, positive (permanence) once c > 2(mu+gamma+
-        alpha-d)/d;
-      * one-period product evaluated literally from its definition (the
-        value reported by `discrete_thresholds`);
-      * the simplified reported ratio (1 + d/L)/(1 + mu + alpha + gamma),
-        kept alongside because it differs from the literal evaluation (the
-        literal per-factor ratio is (1 + d/L)/(1 + (mu+alpha+gamma)/L)).
-    """
-
-    spec: object  # ScenarioSpec
-    r_c_lower_closed_form: float
-    discrete_reported_closed_form: float
-    continuous_permanent_regime: bool
-    discrete_subthreshold_regime: bool
-
-    @property
-    def inconsistency_expected(self) -> bool:
-        return self.continuous_permanent_regime and self.discrete_subthreshold_regime
-
-
-def inconsistency_example(L: int, d: float, c: float, mu: float, gamma: float,
-                          alpha: float, eta: float, p: float,
-                          t_end: float = 400.0) -> InconsistencyExample:
-    """Build the period-1 system that is inconsistent at step h = 1/L."""
-    L = int(L)
-    if L < 1:
-        raise ValueError("L must be a positive integer")
-    if c < 0:
-        raise ValueError("seasonal amplitude c must be >= 0")
-    for name, v in (("d", d), ("mu", mu), ("gamma", gamma),
-                    ("alpha", alpha), ("eta", eta), ("p", p)):
-        if v <= 0:
-            raise ValueError(f"parameter {name} must be positive")
-
-    def seasonal(t):
-        return d * (1.0 + c * np.sin(2.0 * np.pi * L * t) ** 2
-                    * (1.0 + np.cos(2.0 * np.pi * t)))
-
-    def seasonal_deriv(t):
-        return d * c * (2.0 * np.pi * L * np.sin(4.0 * np.pi * L * t)
-                        * (1.0 + np.cos(2.0 * np.pi * t))
-                        - 2.0 * np.pi * np.sin(2.0 * np.pi * L * t) ** 2
-                        * np.sin(2.0 * np.pi * t))
-
-    def make(name):
-        return ParamSchedule.custom(name, seasonal, derivative=seasonal_deriv, period=1.0)
-
-    schedules = ScheduleSet(
-        Lambda=ParamSchedule.constant("Lambda", mu),  # inflow matched to mortality
-        mu=ParamSchedule.constant("mu", mu),
-        p=ParamSchedule.constant("p", p),
-        eta=ParamSchedule.constant("eta", eta),
-        alpha=ParamSchedule.constant("alpha", alpha),
-        beta=make("beta"),
-        sigma=make("sigma"),
-        gamma=ParamSchedule.constant("gamma", gamma),
-    )
-
-    r_c_closed = d * (1.0 + c / 2.0) - mu - alpha - gamma
-    reported = (1.0 + d / L) / (1.0 + mu + alpha + gamma)
-    from .scenarios import ScenarioSpec  # deferred: scenarios imports this module
-
-    spec = ScenarioSpec(
-        name=f"inconsistency_L{L}",
-        schedules=schedules,
-        incidence_phi=IncidenceFn.mass_action(),
-        incidence_psi=IncidenceFn.mass_action(),
-        denominator=DenominatorFn.identity(),
-        h_values=(1.0 / L,),
-        lam=1.0,
-        t_end=t_end,
-        initial_state=State(0.3, 0.2, 0.1, 0.4),
-        notes=("Period-1 seasonal forcing whose spikes fall between the sampling "
-               f"instants t = k/{L}; the continuous model is permanent while the "
-               f"discrete model at h = 1/{L} is not."),
-        reference_values={
-            "r_c_lower_closed_form": r_c_closed,
-            "discrete_threshold_reported_closed_form": reported,
-        },
-    )
-    return InconsistencyExample(
-        spec=spec,
-        r_c_lower_closed_form=r_c_closed,
-        discrete_reported_closed_form=reported,
-        continuous_permanent_regime=r_c_closed > 0,
-        discrete_subthreshold_regime=reported < 1,
-    )

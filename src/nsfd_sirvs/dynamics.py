@@ -156,7 +156,9 @@ class Trajectory:
 def steps_for(span: float, h: float) -> int:
     """Number of steps of size h that cover span: ceil(span / h), at least one.
     The one rule for every stepper, so runs of each method at one h share
-    their times; a ConfigError when span / h is not finite."""
+    their times; a ConfigError when h or span / h is not finite."""
+    if not math.isfinite(h):
+        raise ConfigError(f"step size h = {h} is not finite")
     if not math.isfinite(span / h):
         raise ConfigError(f"a run of t_end / h = {span / h} steps does not fit in memory")
     return max(1, int(math.ceil(span / h - 1e-9)))

@@ -5,7 +5,9 @@ step denominator, the step sizes to examine, the threshold window, the run
 horizon and the initial state.  `run_scenario` turns one scenario into a
 full report: NSFD and Euler trajectories per step size, discrete and
 continuous threshold reports, the step-bound analysis when it applies, an
-RK4 reference run, and a verdict matrix.
+RK4 reference run, and a verdict matrix.  `inconsistency_example` builds the
+deliberate period-1 counterexample in which sampling at h = 1/L hits the
+minima of a spiky seasonal transmission rate and flips the verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .consistency import (ConsistencyReport, consistency_report, consistency_skip_reason,
-                          inconsistency_example, window_thresholds)
+                          window_thresholds)
 from .dynamics import (State, Trajectory, integrate_continuous, simulate_discrete,
                        steps_for, validate_state)
 from .errors import ConfigError
@@ -85,12 +87,14 @@ class ScenarioSpec:
         object.__setattr__(self, "h_values", tuple(float(h) for h in self.h_values))
         if not self.h_values:
             raise ConfigError("h_values must be nonempty")
-        if any(not h > 0 for h in self.h_values):
-            raise ConfigError("h_values must be positive")
+        if any(not 0 < h < math.inf for h in self.h_values):
+            raise ConfigError("h_values must be positive and finite")
         if len(set(self.h_values)) != len(self.h_values):
             raise ConfigError("h_values must be distinct")
-        if not self.lam > 0:
-            raise ConfigError("lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ConfigError("lambda must be positive and finite")
+        if not math.isfinite(self.t_end):
+            raise ConfigError(f"t_end {self.t_end} is not finite")
         if self.t_end < self.lam:
             raise ConfigError(f"t_end {self.t_end} shorter than window {self.lam}")
         validate_state(self.initial_state)
@@ -143,6 +147,102 @@ def _measles_beta_values(clamp: bool) -> list[float]:
         vals.append(max(raw, 0.0) if clamp else raw)
     vals.append(2.7)
     return vals
+
+
+@dataclass(frozen=True)
+class InconsistencyExample:
+    """Period-1 counterexample scenario plus its closed-form diagnostics.
+
+    The transmission rate beta(t) = d [1 + c sin^2(2 pi L t)(1 + cos 2 pi t)]
+    vanishes down to d exactly at the sampling instants t = k/L, so the
+    discrete model at h = 1/L never sees the seasonal spikes:
+
+      * continuous window integral (closed form): R_C_l(1) = d(1 + c/2)
+        - mu - alpha - gamma, positive (permanence) once c > 2(mu+gamma+
+        alpha-d)/d;
+      * one-period product evaluated literally from its definition (the
+        value reported by `discrete_thresholds`);
+      * the simplified reported ratio (1 + d/L)/(1 + mu + alpha + gamma),
+        kept alongside because it differs from the literal evaluation (the
+        literal per-factor ratio is (1 + d/L)/(1 + (mu+alpha+gamma)/L)).
+    """
+
+    spec: ScenarioSpec
+    r_c_lower_closed_form: float
+    discrete_reported_closed_form: float
+    continuous_permanent_regime: bool
+    discrete_subthreshold_regime: bool
+
+    @property
+    def inconsistency_expected(self) -> bool:
+        return self.continuous_permanent_regime and self.discrete_subthreshold_regime
+
+
+def inconsistency_example(L: int, d: float, c: float, mu: float, gamma: float,
+                          alpha: float, eta: float, p: float,
+                          t_end: float = 400.0) -> InconsistencyExample:
+    """Build the period-1 system that is inconsistent at step h = 1/L."""
+    L = int(L)
+    if L < 1:
+        raise ValueError("L must be a positive integer")
+    if c < 0:
+        raise ValueError("seasonal amplitude c must be >= 0")
+    for name, v in (("d", d), ("mu", mu), ("gamma", gamma),
+                    ("alpha", alpha), ("eta", eta), ("p", p)):
+        if v <= 0:
+            raise ValueError(f"parameter {name} must be positive")
+
+    def seasonal(t):
+        return d * (1.0 + c * np.sin(2.0 * np.pi * L * t) ** 2
+                    * (1.0 + np.cos(2.0 * np.pi * t)))
+
+    def seasonal_deriv(t):
+        return d * c * (2.0 * np.pi * L * np.sin(4.0 * np.pi * L * t)
+                        * (1.0 + np.cos(2.0 * np.pi * t))
+                        - 2.0 * np.pi * np.sin(2.0 * np.pi * L * t) ** 2
+                        * np.sin(2.0 * np.pi * t))
+
+    def make(name):
+        return ParamSchedule.custom(name, seasonal, derivative=seasonal_deriv, period=1.0)
+
+    schedules = ScheduleSet(
+        Lambda=ParamSchedule.constant("Lambda", mu),  # inflow matched to mortality
+        mu=ParamSchedule.constant("mu", mu),
+        p=ParamSchedule.constant("p", p),
+        eta=ParamSchedule.constant("eta", eta),
+        alpha=ParamSchedule.constant("alpha", alpha),
+        beta=make("beta"),
+        sigma=make("sigma"),
+        gamma=ParamSchedule.constant("gamma", gamma),
+    )
+
+    r_c_closed = d * (1.0 + c / 2.0) - mu - alpha - gamma
+    reported = (1.0 + d / L) / (1.0 + mu + alpha + gamma)
+    spec = ScenarioSpec(
+        name=f"inconsistency_L{L}",
+        schedules=schedules,
+        incidence_phi=IncidenceFn.mass_action(),
+        incidence_psi=IncidenceFn.mass_action(),
+        denominator=DenominatorFn.identity(),
+        h_values=(1.0 / L,),
+        lam=1.0,
+        t_end=t_end,
+        initial_state=State(0.3, 0.2, 0.1, 0.4),
+        notes=("Period-1 seasonal forcing whose spikes fall between the sampling "
+               f"instants t = k/{L}; the continuous model is permanent while the "
+               f"discrete model at h = 1/{L} is not."),
+        reference_values={
+            "r_c_lower_closed_form": r_c_closed,
+            "discrete_threshold_reported_closed_form": reported,
+        },
+    )
+    return InconsistencyExample(
+        spec=spec,
+        r_c_lower_closed_form=r_c_closed,
+        discrete_reported_closed_form=reported,
+        continuous_permanent_regime=r_c_closed > 0,
+        discrete_subthreshold_regime=reported < 1,
+    )
 
 
 def builtin(name: str, clamp_beta: bool = True) -> ScenarioSpec:
@@ -434,7 +534,7 @@ class ThresholdComparison:
     step-bound analysis does not apply, and `consistency_skip_reason` says why.
     """
 
-    continuous: ThresholdReport | None
+    continuous: ThresholdReport
     discrete: tuple
     consistency: ConsistencyReport | None
     consistency_skip_reason: str
@@ -442,7 +542,7 @@ class ThresholdComparison:
     @property
     def inconsistent_h(self) -> tuple:
         """(h, verdict) wherever it contradicts a decisive continuous verdict."""
-        cont = self.continuous.verdict if self.continuous else Verdict.INCONCLUSIVE
+        cont = self.continuous.verdict
         return tuple((h, rep.verdict) for h, rep in self.discrete
                      if cont is not Verdict.INCONCLUSIVE and rep.verdict is not cont)
 
@@ -513,13 +613,6 @@ def _rk4_reference(spec: ScenarioSpec, t_end: float) -> Trajectory:
                                 method="rk4")
 
 
-def _step_bound_report(spec: ScenarioSpec, lam: float,
-                       continuous: ThresholdReport | None) -> ConsistencyReport:
-    return consistency_report(spec.schedules, spec.incidence_phi, spec.incidence_psi,
-                              lam, continuous=continuous,
-                              notes=dict(spec.reference_values))
-
-
 def threshold_reports(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
                       burn_in: int = 2000, scan: int = 4000) -> tuple:
     """The continuous report for window lam, None for a zero-length window,
@@ -531,17 +624,18 @@ def threshold_reports(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
                                  burn_in=burn_in, scan=scan)) for dp in dps)
 
 
-def compare_thresholds(spec: ScenarioSpec, lam: float, burn_in: int = 2000,
-                       scan: int = 4000) -> ThresholdComparison:
-    """Threshold reports for window lam at the declared step sizes, with the
-    step-bound report; only the skip reason where that does not apply."""
+def compare_thresholds(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
+                       burn_in: int = 2000, scan: int = 4000) -> ThresholdComparison:
+    """Threshold reports for window lam > 0 at the step sizes of dps, with the
+    step-bound report where that analysis applies and the reason where not."""
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+    continuous, discrete = threshold_reports(spec, lam, dps, burn_in, scan)
     reason = consistency_skip_reason(spec.schedules)
-    if reason:
-        return ThresholdComparison(None, (), None, reason)
-    continuous, discrete = threshold_reports(spec, lam, discretize(spec, spec.h_values),
-                                             burn_in, scan)
-    return ThresholdComparison(continuous, discrete,
-                               _step_bound_report(spec, lam, continuous), "")
+    consistency = None if reason else consistency_report(
+        spec.schedules, spec.incidence_phi, spec.incidence_psi, continuous,
+        notes=dict(spec.reference_values))
+    return ThresholdComparison(continuous, discrete, consistency, reason)
 
 
 def compare_methods(spec: ScenarioSpec, hs, t_end: float) -> tuple[list, list]:
@@ -576,9 +670,7 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000,
         warnings.extend(f"incidence {label}: {n}" for n in rep.notes)
 
     dps = discretize(spec, spec.h_values)
-    continuous, discrete = threshold_reports(spec, spec.lam, dps, burn_in, scan)
-    skip_reason = consistency_skip_reason(spec.schedules)
-    consistency = None if skip_reason else _step_bound_report(spec, spec.lam, continuous)
+    comparison = compare_thresholds(spec, spec.lam, dps, burn_in, scan)
 
     per_h = {}
     for dp in dps:
@@ -600,12 +692,9 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000,
                                  residuals=res)
 
     return ScenarioReport(
+        **vars(comparison),
         name=spec.name,
         per_h=per_h,
-        continuous=continuous,
-        discrete=discrete,
-        consistency=consistency,
-        consistency_skip_reason=skip_reason,
         rk4_reference=_rk4_reference(spec, spec.t_end) if reference else None,
         warnings=tuple(warnings),
     )

@@ -198,8 +198,10 @@ def test_criterion_08_step_bound_sweep():
     t0 = time.perf_counter()
     for name in ("extinction_5_1", "persistence_5_1"):
         spec = builtin(name)
+        report = consistency_report(spec.schedules, MASS, MASS,
+                                    continuous_thresholds(spec.schedules, MASS, MASS, 4.0))
         rows = consistency_sweep(spec.schedules, MASS, MASS, spec.denominator,
-                                 4.0, n=16)
+                                 report, n=16)
         bad = [r for r in rows if not r.matches]
         if bad:
             failures.append(f"{name}: {len(bad)}/16 verdicts disagree "
@@ -255,7 +257,8 @@ def test_criterion_10_measles_smoke():
 def test_criterion_11_discrepancies_reported(tmp_path):
     failures = []
     spec = builtin("extinction_5_1")
-    rep = consistency_report(spec.schedules, MASS, MASS, 4.0,
+    rep = consistency_report(spec.schedules, MASS, MASS,
+                             continuous_thresholds(spec.schedules, MASS, MASS, 4.0),
                              notes=dict(spec.reference_values))
     if not (rep.h_max_upper and abs(rep.h_max_upper - 0.509) < 1e-3):
         failures.append(f"formula bound {rep.h_max_upper} not ~0.509")

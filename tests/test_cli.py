@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -356,14 +357,49 @@ def test_command_output_matches_golden_digest(tmp_path, argv):
     assert _dir_digest(tmp_path) == GOLDEN_COMMAND_DIGESTS[argv]
 
 
-@pytest.mark.parametrize("name", ["persistence_5_1", "measles_france_5_2"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_consistency_command_matches_bundle_payload(tmp_path, name):
-    # one serialiser: the subcommand's report equals the one in the bundle
+    # compare_thresholds makes both comparisons and one function serialises
+    # them: the subcommand's report equals the one in the bundle
     bundle, alone = tmp_path / "bundle", tmp_path / "alone"
     assert main(["scenario", "run", name, "--out", str(bundle)]) == 0
     assert main(["consistency", name, "--out", str(alone)]) == 0
     assert ((alone / "consistency.json").read_bytes()
             == (bundle / "consistency.json").read_bytes())
+
+
+@pytest.mark.parametrize("name", ["extinction_5_1", "measles_france_5_2"])
+def test_consistency_needs_a_positive_window(tmp_path, capsys, name):
+    # the comparison always holds the continuous report, whether or not the
+    # step-bound analysis applies (it does not for measles_france_5_2)
+    rc = main(["consistency", name, "--lambda", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "lam must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "consistency.json").exists()
+
+
+NON_FINITE_STEP = [
+    ["simulate", "extinction_5_1", "--h", "inf", "--method", "nsfd"],
+    ["simulate", "extinction_5_1", "--h", "inf", "--method", "euler"],
+    ["simulate", "extinction_5_1", "--h", "inf", "--method", "rk4"],
+    ["thresholds", "extinction_5_1", "--h", "inf"],
+    ["compare", "extinction_5_1", "--h", "inf"],
+    ["consistency", "infinite_step.json"],
+    ["scenario", "run", "infinite_step.json"],
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", NON_FINITE_STEP, ids=" ".join)
+def test_non_finite_step_is_a_config_error(tmp_path, capsys, argv):
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    cfg["h_values"] = [math.inf]  # written as the JSON token Infinity
+    (tmp_path / "infinite_step.json").write_text(json.dumps(cfg))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "finite" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 # each subcommand registers only the flags it reads; these were accepted and

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from nsfd_sirvs.consistency import (consistency_report, consistency_sweep, h_max,
-                                    inconsistency_example, lambda_steps,
-                                    net_growth_function, sup_abs_fprime,
+                                    lambda_steps, net_growth_function, sup_abs_fprime,
                                     sweep_skip_reason, window_thresholds)
 from nsfd_sirvs.dynamics import aux_equilibrium
 from nsfd_sirvs.incidence import IncidenceFn
+from nsfd_sirvs.scenarios import inconsistency_example
 from nsfd_sirvs.schedules import DenominatorFn, ParamSchedule, ScheduleSet, mickens_discretize
 from nsfd_sirvs.thresholds import Verdict, continuous_thresholds, discrete_thresholds
 
@@ -23,6 +23,12 @@ def constant_set(**overrides):
                 beta=0.3, sigma=0.3, gamma=0.3)
     vals.update(overrides)
     return ScheduleSet(**{k: ParamSchedule.constant(k, v) for k, v in vals.items()})
+
+
+def report_for(sched, lam, **kwargs):
+    """The step-bound report for mass action at window lam."""
+    return consistency_report(sched, MASS, MASS, continuous_thresholds(sched, MASS, MASS, lam),
+                              **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +119,7 @@ def test_h_max_sign_gates():
 
 
 def test_consistency_report_extinction_benchmark():
-    rep = consistency_report(full_set(0.3), MASS, MASS, 4.0,
-                             notes={"h_max_upper_reported": 0.05})
+    rep = report_for(full_set(0.3), 4.0, notes={"h_max_upper_reported": 0.05})
     assert rep.r_c_upper == pytest.approx(-0.6, abs=1e-3)
     assert rep.h_max_upper == pytest.approx(0.5093, abs=1e-3)
     assert rep.h_max_lower is None
@@ -122,18 +127,6 @@ def test_consistency_report_extinction_benchmark():
     assert rep.continuous_verdict is Verdict.EXTINCTION
     a, b = rep.equilibrium
     assert a + b == pytest.approx(5.0 / 3.0, rel=1e-12)
-
-
-def test_consistency_report_reuses_a_given_continuous_report():
-    sched = full_set(0.3)
-    cont = continuous_thresholds(sched, MASS, MASS, 4.0)
-    given = consistency_report(sched, MASS, MASS, 4.0, continuous=cont)
-    computed = consistency_report(sched, MASS, MASS, 4.0)
-    assert given == computed
-    assert np.array_equal(given.f_samples, computed.f_samples)
-    with pytest.raises(ValueError, match="window 4.0"):
-        consistency_report(sched, MASS, MASS, 4.0,
-                           continuous=continuous_thresholds(sched, MASS, MASS, 3.0))
 
 
 def test_window_thresholds_is_the_discrete_report_for_the_time_window():
@@ -156,34 +149,35 @@ def test_equilibrium_satisfies_stationarity():
 
 def test_sweep_matches_continuous_verdict():
     rows = consistency_sweep(full_set(0.3), MASS, MASS, DenominatorFn.quadratic(0.2),
-                             4.0, n=4)
+                             report_for(full_set(0.3), 4.0), n=4)
     assert len(rows) == 4
     assert all(r.matches for r in rows)
     assert all(r.verdict is Verdict.EXTINCTION for r in rows)
 
 
 def test_sweep_needs_a_decisive_verdict():
+    rep = report_for(_decay_only_set(), 1.0)
     with pytest.raises(ValueError):
-        consistency_sweep(_decay_only_set(), MASS, MASS, DenominatorFn.identity(), 1.0)
+        consistency_sweep(_decay_only_set(), MASS, MASS, DenominatorFn.identity(), rep)
 
 
 def test_sweep_needs_a_finite_bound():
     # constant coefficients: sup |f'| = 0, so the guarantee holds for every h
     sched = constant_set(beta=0.1, sigma=0.1)
-    rep = consistency_report(sched, MASS, MASS, 4.0)
+    rep = report_for(sched, 4.0)
     assert rep.continuous_verdict is Verdict.EXTINCTION
     assert rep.verdict_bound == math.inf
     reason = sweep_skip_reason(rep)
     assert reason == "step bound is unbounded or undefined; nothing to sweep"
     with pytest.raises(ValueError, match="nothing to sweep"):
-        consistency_sweep(sched, MASS, MASS, DenominatorFn.identity(), 4.0, report=rep)
+        consistency_sweep(sched, MASS, MASS, DenominatorFn.identity(), rep)
 
 
 def test_sweep_skip_reason_follows_the_verdict_side():
-    ext = consistency_report(full_set(0.3), MASS, MASS, 4.0)
+    ext = report_for(full_set(0.3), 4.0)
     assert ext.verdict_bound == ext.h_max_upper and math.isfinite(ext.verdict_bound)
     assert sweep_skip_reason(ext) == ""
-    per = consistency_report(full_set(0.9), MASS, MASS, 4.0)
+    per = report_for(full_set(0.9), 4.0)
     assert per.verdict_bound == per.h_max_lower and math.isfinite(per.verdict_bound)
     assert sweep_skip_reason(per) == ""
 

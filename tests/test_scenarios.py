@@ -34,6 +34,14 @@ def test_unknown_builtin_lists_valid_names():
         builtin("nope")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("h_values", (1.0, math.inf)), ("lam", math.nan), ("t_end", math.inf), ("t_end", math.nan),
+])
+def test_spec_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigError, match="finite"):
+        replace(builtin("extinction_5_1"), **{field: value})
+
+
 def test_seasonal_transmission_at_origin():
     spec = builtin("extinction_5_1")
     assert spec.schedules.beta.eval(0.0) == pytest.approx(0.39, abs=1e-15)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsfd_sirvs import thresholds
-from nsfd_sirvs.consistency import consistency_sweep, window_thresholds
+from nsfd_sirvs.consistency import consistency_report, consistency_sweep, window_thresholds
 from nsfd_sirvs.dynamics import AuxState, aux_equilibrium, periodic_aux_solution, simulate_aux
 from nsfd_sirvs.errors import ConfigError, StepError
 from nsfd_sirvs.incidence import IncidenceFn
@@ -148,8 +148,10 @@ def test_inconsistency_sweep_rows_follow_the_closed_form():
     spec = builtin("inconsistency_4")
     r_c = spec.reference_values["r_c_lower_closed_form"]
     assert r_c == pytest.approx(0.45)
-    rows = consistency_sweep(spec.schedules, spec.incidence_phi, spec.incidence_psi,
-                             spec.denominator, spec.lam)
+    phi, psi = spec.incidence_phi, spec.incidence_psi
+    report = consistency_report(spec.schedules, phi, psi,
+                                continuous_thresholds(spec.schedules, phi, psi, spec.lam))
+    rows = consistency_sweep(spec.schedules, phi, psi, spec.denominator, report)
     assert len(rows) == 16
     for row in rows:
         assert abs(math.log(row.r_lower) - r_c) <= 2e-3
