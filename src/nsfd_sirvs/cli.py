@@ -13,6 +13,7 @@ writing adds no memory that grows with the run length.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -294,6 +295,7 @@ def _add_common(sub, *options):
         sub.add_argument(name, **_OPTIONS[name])
 
 
+@functools.cache  # one parser per process, shared by every main() call and never changed
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsfd-sirvs",

@@ -110,7 +110,8 @@ def net_growth_function(schedules: ScheduleSet, phi: IncidenceFn,
     f' is assembled from the schedules' analytic derivatives when beta,
     sigma, alpha, gamma all carry one; otherwise it falls back to
     Richardson-extrapolated central differences with step 1e-5.  Returns
-    (f, fprime, analytic).
+    (f, fprime, analytic); an analytic fprime carries `harmonic`, the (Z, omega)
+    of `sup_abs_fprime`'s closed form, or None.
     """
     return _net_growth(schedules, phi, psi, _applicable_equilibrium(schedules))
 
@@ -134,6 +135,8 @@ def _net_growth(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
         def fprime(t):
             return (beta.derivative_at(t) * ga + sigma.derivative_at(t) * gb
                     - alpha.derivative_at(t) - gamma.derivative_at(t))
+
+        fprime.harmonic = _one_sinusoid((beta, sigma, alpha, gamma), (ga, gb, -1.0, -1.0))
     else:
         def fprime(t):
             # Richardson-extrapolated central differences; points closer to 0
@@ -147,14 +150,41 @@ def _net_growth(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
     return f, fprime, analytic
 
 
+def _one_sinusoid(coefficients, weights) -> tuple[complex, float] | None:
+    """(Z, omega) with sum_i c_i s_i'(t) = -omega Im(Z e^{i omega t}) and
+    Z = sum_i c_i A_i e^{i phase_i}, for schedules s_i and weights c_i, when every
+    non-constant s_i is harmonic with one omega; else None."""
+    z, omega = 0j, None
+    for s, c in zip(coefficients, weights):
+        if s.is_constant:
+            continue
+        if s.kind != "harmonic" or omega not in (None, s.params["omega"]):
+            return None
+        omega, amplitude, phase = s.params["omega"], s.params["amplitude"], s.params["phase"]
+        z += c * complex(amplitude * math.cos(phase), amplitude * math.sin(phase))
+    return None if omega is None else (z, omega)
+
+
 def sup_abs_fprime(fprime: Callable, scan: tuple[float, float]) -> FprimeSup:
-    """Maximum of |f'| over a grid of 1e5 steps across the scan range, with
-    its argmax.  One period suffices for periodic f; the result is exact up to
-    grid resolution.
+    """Maximum of |f'| over the scan range, with its argmax.
+
+    In closed form when f' is one sinusoid, -omega Im(Z e^{i omega t}) (the
+    `harmonic` attribute (Z, omega) that `net_growth_function` sets when each
+    non-constant beta, sigma, alpha, gamma is harmonic with one omega), over a
+    scan of at least half its period: the argmax is the first t* >= t0 with
+    omega t* + arg Z = pi/2 mod pi, and the value max(|Z| omega, |f'(t*)|), never
+    below f' at its own argmax.  Otherwise the maximum over a grid of 1e5 steps, exact up to grid
+    resolution; one period suffices for periodic f.
     """
     t0, t1 = (float(s) for s in scan)
     if not t1 > t0:
         raise ValueError("empty scan range")
+    harmonic = getattr(fprime, "harmonic", None)
+    if harmonic is not None and t1 - t0 >= math.pi / harmonic[1]:
+        z, omega = harmonic
+        arg_z = math.atan2(z.imag, z.real)
+        t = t0 + ((math.pi / 2.0 - arg_z - omega * t0) % math.pi) / omega
+        return FprimeSup(value=max(abs(z) * omega, abs(float(fprime(t)))), argmax=t)
     ts = np.linspace(t0, t1, _SUP_GRID + 1)
     vals = np.abs(np.asarray(fprime(ts), dtype=float))
     i = int(np.argmax(vals))

@@ -189,9 +189,7 @@ def _coefficient_rows(columns, n_rows: int):
 def _sequence_columns(dp: DiscreteParams, names):
     """`_coefficient_rows` columns of the named sequences of dp, indexed by step;
     a sequence built constant is its value."""
-    consts = [dp.constant(name) for name in names]
-    return lambda a, b: [dp.array(name, a, b) if c is None else c
-                         for name, c in zip(names, consts)]
+    return lambda a, b: [dp.column(name, a, b) for name in names]
 
 
 def _state_array(n_steps: int, width: int) -> np.ndarray:
@@ -265,11 +263,14 @@ def simulate_aux(dp: DiscreteParams, a0: AuxState, n_steps: int) -> np.ndarray:
 
 def verify_step_periodic(dp: DiscreteParams, omega: int, names=SCHEDULE_NAMES) -> None:
     """Raise unless every named sequence satisfies c_{n+omega} = c_n over the
-    first two periods."""
+    first two periods; a sequence built constant (`DiscreteParams.constant`)
+    satisfies it by construction and is not evaluated."""
     omega = int(omega)
     if omega < 1:
         raise ValueError("period must be a positive integer")
     for name in names:
+        if dp.constant(name) is not None:  # built constant: periodic for every omega
+            continue
         base = dp.array(name, 0, 2 * omega)
         shifted = dp.array(name, omega, 3 * omega)
         if np.any(np.abs(shifted - base) > 1e-12 * (1.0 + np.abs(base))):

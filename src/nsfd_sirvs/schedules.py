@@ -357,6 +357,14 @@ def eval_denominator(d: DenominatorFn, h: float) -> float:
     return -math.expm1(-d.c * h) / d.c
 
 
+def _check_step(h: float) -> None:
+    """A step size must be finite and positive: an infinite one gives NaN tables."""
+    if not math.isfinite(h):
+        raise ConfigError(f"step size h = {h} is not finite")
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
+
+
 def _wrap_sequence(name, value):
     """A callable sequence as given; a number as the constant sequence of its
     value, which is recorded on it for `DiscreteParams.constant`."""
@@ -408,8 +416,7 @@ class DiscreteParams:
         extra = [n for n in seqs if n not in SCHEDULE_NAMES]
         if extra:
             raise ConfigError(f"unknown sequences: {', '.join(sorted(extra))}")
-        if not h > 0:
-            raise ValueError(f"step size must be positive, got {h}")
+        _check_step(h)
         wrapped = {n: _wrap_sequence(n, seqs[n]) for n in SCHEDULE_NAMES}
         full, aux = (step_period if step_period is not None else
                      1 if all(hasattr(wrapped[n], "constant") for n in names) else None
@@ -429,6 +436,12 @@ class DiscreteParams:
         None; it equals every value of the sequence bit for bit."""
         return getattr(getattr(self, name), "constant", None)
 
+    def column(self, name: str, start: int, stop: int) -> np.ndarray | float:
+        """The sequence over the index range [start, stop): its value, one float,
+        when it is built constant, else `array(name, start, stop)`."""
+        value = self.constant(name)
+        return self.array(name, start, stop) if value is None else value
+
 
 def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> DiscreteParams:
     """Produce the discrete parameter sequences c_n = phi(h) * c(n*h).
@@ -438,8 +451,7 @@ def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> Di
     """
     if not isinstance(schedules, ScheduleSet):
         schedules = ScheduleSet.from_mapping(schedules)
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    _check_step(h)
     h = float(h)
     ph = eval_denominator(d, h)
 

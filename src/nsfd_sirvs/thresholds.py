@@ -22,6 +22,7 @@ compared against 0, evaluated by composite Simpson quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -96,29 +97,40 @@ def _window_products(ratios: np.ndarray, width: int) -> np.ndarray:
 
 
 def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
-                   orbit_next: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
-    """r_k for k in [k_lo, k_hi); row i of `orbit_next` is (x*, y*) at k_lo + i + 1."""
-    x_next, y_next = orbit_next[:, 0], orbit_next[:, 1]
-    pop = x_next + y_next if (phi.needs_population or psi.needs_population) else None
-    beta, sigma, mu, alpha, gamma = (dp.array(name, k_lo, k_hi) for name in
+                   orbit: np.ndarray, period: int | None, k_lo: int, k_hi: int) -> np.ndarray:
+    """r_k for k in [k_lo, k_hi), from `_disease_free_orbit`'s (orbit, period).
+
+    The incidence slopes are taken once per orbit row: on the period's rows,
+    then repeated by index (broadcast for period 1), so a scan costs one period
+    of slopes.  A sequence built constant is its value, not an array.  Every
+    element is the same IEEE result as on a scan-length orbit and columns."""
+    x, y = orbit[:, 0], orbit[:, 1]
+    pop = x + y if (phi.needs_population or psi.needs_population) else None
+    slope_x, slope_y = phi.slope(x, pop), psi.slope(y, pop)
+    if period is not None and period > 1:
+        at = np.arange(k_lo + 1, k_hi + 1) % period
+        slope_x, slope_y = slope_x[at], slope_y[at]
+    beta, sigma, mu, alpha, gamma = (dp.column(name, k_lo, k_hi) for name in
                                      ("beta", "sigma", "mu", "alpha", "gamma"))
-    num = 1.0 + beta * phi.slope(x_next, pop) + sigma * psi.slope(y_next, pop)
-    return num / (1.0 + mu + alpha + gamma)
+    ratios = (1.0 + beta * slope_x + sigma * slope_y) / (1.0 + mu + alpha + gamma)
+    return np.broadcast_to(ratios, (k_hi - k_lo,)).copy()  # one element per step, always
 
 
 def _disease_free_orbit(dp: DiscreteParams, omega: int | None, k_lo: int, k_hi: int,
-                        aux_start: AuxState | None) -> tuple[np.ndarray, bool]:
-    """(x*, y*) at steps k_lo + 1 .. k_hi and whether it is exact: the periodic orbit of
-    `omega`, a declared step period of Lambda, mu, p, eta (constancy is declared,
-    never observed).  Iterated from `aux_start` without one or when the period map
-    is singular; raised if no start."""
+                        aux_start: AuxState | None) -> tuple[np.ndarray, int | None]:
+    """The disease-free orbit over steps k_lo + 1 .. k_hi and its period, which is
+    None unless it is exact.  Exact: the omega rows of the periodic orbit (row j
+    at the steps j mod omega), for `omega` a declared step period of Lambda, mu,
+    p, eta (constancy is declared, never observed).  Iterated from `aux_start`
+    without one or when the period map is singular, one row per step; raised if
+    no start."""
     if omega is not None:
         try:
-            return periodic_aux_solution(dp, omega)[np.arange(k_lo + 1, k_hi + 1) % omega], True
+            return periodic_aux_solution(dp, omega), omega
         except (ValueError, StepError):
             if aux_start is None:
                 raise
-    return simulate_aux(dp, aux_start, k_hi)[k_lo + 1:], False
+    return simulate_aux(dp, aux_start, k_hi)[k_lo + 1:], None
 
 
 def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
@@ -138,13 +150,13 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         raise ValueError("need burn_in >= 0 and scan >= lam + 1")
 
     ks_lo, ks_hi = burn_in, burn_in + scan + lam + 1
-    try:  # the orbit is the largest of the window's arrays
+    try:  # an iterated orbit is the largest of the window's arrays
         np.empty((ks_hi - ks_lo, 2))
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
         raise ConfigError(f"a threshold window of {lam + 1:.3g} steps does not fit in memory "
                           f"({16 * (ks_hi - ks_lo):.3g} bytes of disease-free orbit)") from exc
-    orbit, exact_orbit = _disease_free_orbit(dp, dp.aux_step_period, ks_lo, ks_hi, aux_start)
-    ratios = _growth_ratios(dp, phi, psi, orbit, ks_lo, ks_hi)
+    orbit, period = _disease_free_orbit(dp, dp.aux_step_period, ks_lo, ks_hi, aux_start)
+    ratios = _growth_ratios(dp, phi, psi, orbit, period, ks_lo, ks_hi)
     window = _window_products(ratios, lam + 1)
     notes = ()
     if phi.needs_population or psi.needs_population:
@@ -154,7 +166,7 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     r_lower = float(window.min())
     r_upper = float(window.max())
     omega = dp.step_period
-    exact = exact_orbit and omega is not None and (lam + 1) % omega == 0
+    exact = period is not None and omega is not None and (lam + 1) % omega == 0
     if exact:
         try:  # the growth ratios read every coefficient, not only the orbit's four
             verify_step_periodic(dp, omega)
@@ -176,8 +188,9 @@ def periodic_discrete_threshold(dp: DiscreteParams, phi: IncidenceFn,
         verify_step_periodic(dp, omega)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    orbit, _ = _disease_free_orbit(dp, omega, 0, omega, None)
-    return float(_window_products(_growth_ratios(dp, phi, psi, orbit, 0, omega), omega)[0])
+    orbit, period = _disease_free_orbit(dp, omega, 0, omega, None)
+    return float(_window_products(_growth_ratios(dp, phi, psi, orbit, period, 0, omega),
+                                  omega)[0])
 
 
 def disease_free_equilibrium(schedules: ScheduleSet) -> AuxState:
@@ -205,8 +218,8 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     attraction transient (`_disease_free_solution`).
     """
     lam = float(lam)
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError("lam must be positive and finite")
     if quad_step is None:
         quad_step = min(0.05, lam / 64.0) / 4.0
     if quad_step > lam / 16.0:

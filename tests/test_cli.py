@@ -378,6 +378,15 @@ def test_consistency_needs_a_positive_window(tmp_path, capsys, name):
     assert not (tmp_path / "consistency.json").exists()
 
 
+@pytest.mark.parametrize("command", ["thresholds", "consistency"])
+def test_infinite_window_is_a_config_error(tmp_path, capsys, command):
+    # an infinite window was reported as a run of t_end / h = inf steps
+    rc = main([command, "extinction_5_1", "--lambda", "inf", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "lam must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 NON_FINITE_STEP = [
     ["simulate", "extinction_5_1", "--h", "inf", "--method", "nsfd"],
     ["simulate", "extinction_5_1", "--h", "inf", "--method", "euler"],

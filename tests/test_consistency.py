@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nsfd_sirvs.consistency import (consistency_report, consistency_sweep, h_max,
                                     lambda_steps, net_growth_function, sup_abs_fprime,
@@ -101,6 +103,101 @@ def test_sup_fprime_seasonal_benchmark():
     sup = sup_abs_fprime(fprime, (0.0, 4.0))
     assert sup.value == pytest.approx(0.15 * math.pi / 2.0, rel=1e-8)
     assert min(abs(sup.argmax - 1.0), abs(sup.argmax - 3.0)) < 1e-3
+
+
+_GRID_1E6 = 1_000_000
+
+
+def _grid_sup(fprime, t1, n):
+    """The maximum of |f'| over n steps across [0, t1], with its argmax."""
+    ts = np.linspace(0.0, t1, n + 1)
+    vals = np.abs(np.asarray(fprime(ts), dtype=float))
+    i = int(np.argmax(vals))
+    return float(vals[i]), float(ts[i])
+
+
+def _harmonic_or_constant(name, base):
+    """A schedule of base `base`: constant, or harmonic with a drawn amplitude
+    (0.001 to 0.9 base, either sign) and phase; the frequency is given later."""
+    return st.one_of(
+        st.just(lambda omega: ParamSchedule.constant(name, base)),
+        st.tuples(st.floats(0.001, 0.9), st.sampled_from([-1.0, 1.0]),
+                  st.floats(-math.pi, math.pi)).map(
+            lambda asp: lambda omega: ParamSchedule.harmonic(
+                name, base, asp[0] * asp[1] * base, omega, asp[2])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega=st.floats(0.2, 10.0), Lambda=st.floats(0.1, 2.0), mu=st.floats(0.05, 1.0),
+       p=st.one_of(st.just(0.0), st.floats(0.01, 1.0)), eta=st.floats(0.0, 1.0),
+       phi=st.sampled_from([MASS, IncidenceFn.saturated(0.7), IncidenceFn.standard()]),
+       beta=_harmonic_or_constant("beta", 0.4), sigma=_harmonic_or_constant("sigma", 0.2),
+       alpha=_harmonic_or_constant("alpha", 0.1), gamma=_harmonic_or_constant("gamma", 0.3))
+def test_one_frequency_sup_is_the_closed_form(omega, Lambda, mu, p, eta, phi,
+                                             beta, sigma, alpha, gamma):
+    sched = ScheduleSet(
+        Lambda=ParamSchedule.constant("Lambda", Lambda), mu=ParamSchedule.constant("mu", mu),
+        p=ParamSchedule.constant("p", p), eta=ParamSchedule.constant("eta", eta),
+        alpha=alpha(omega), beta=beta(omega), sigma=sigma(omega), gamma=gamma(omega))
+    _, fprime, analytic = net_growth_function(sched, phi, MASS)
+    assert analytic
+    varying = [s for s in (sched.beta, sched.sigma, sched.alpha, sched.gamma)
+               if not s.is_constant]
+    assert (fprime.harmonic is None) == (not varying)
+    assume(varying)
+    a, b = aux_equilibrium(Lambda, mu, eta, p)
+    pop = a + b if phi.needs_population else None
+    weights = {"beta": phi.d2_at_zero(a, pop), "sigma": b, "alpha": 1.0, "gamma": 1.0}
+    # an evaluation of f' rounds relative to its terms, not to their (cancelling)
+    # sum: a grid point next to a peak can evaluate a few ulp of `scale` above
+    # the true sup |Z| omega, so "at least the grid maximum" holds to that rounding
+    scale = omega * sum(abs(weights[s.name] * s.params["amplitude"]) for s in varying)
+    rounding = 1e-15 * scale
+    z, _ = fprime.harmonic
+    assume(abs(z) * omega >= 1e-6 * scale)  # a sinusoid, not the rounding of a zero sum
+
+    T = 2.0 * math.pi / omega
+    sup = sup_abs_fprime(fprime, (0.0, T))
+    grid_value, _ = _grid_sup(fprime, T, _GRID_1E6)
+    assert sup.value >= grid_value - rounding
+    assert sup.value <= grid_value * (1.0 + 1e-9)
+    assert 0.0 <= sup.argmax < T
+    assert abs(abs(fprime(sup.argmax)) - sup.value) <= rounding
+
+
+def test_sup_takes_the_grid_without_one_shared_frequency():
+    # two frequencies, a scan shorter than half a period, and the custom
+    # schedules of inconsistency_4: the 1e5-step grid, value and argmax unchanged
+    s = full_set(0.3)
+    mixed = ScheduleSet(Lambda=s.Lambda, mu=s.mu, p=s.p, eta=s.eta, alpha=s.alpha,
+                        beta=s.beta, sigma=ParamSchedule.harmonic("sigma", 0.3, 0.1, 1.0),
+                        gamma=s.gamma)
+    _, fprime, _ = net_growth_function(mixed, MASS, MASS)
+    assert fprime.harmonic is None
+    assert tuple(sup_abs_fprime(fprime, (0.0, 40.0))) == _grid_sup(fprime, 40.0, 100_000)
+
+    _, fprime, _ = net_growth_function(s, MASS, MASS)
+    assert fprime.harmonic is not None
+    assert tuple(sup_abs_fprime(fprime, (0.0, 1.5))) == _grid_sup(fprime, 1.5, 100_000)
+
+    spec = inconsistency_example(L=6, d=0.6, c=1.5, mu=0.25, gamma=0.3, alpha=0.05,
+                                 eta=0.05, p=2.0 / 3.0).spec
+    _, fprime, _ = net_growth_function(spec.schedules, spec.incidence_phi,
+                                       spec.incidence_psi)
+    assert fprime.harmonic is None
+    sup = sup_abs_fprime(fprime, (0.0, 1.0))
+    assert tuple(sup) == _grid_sup(fprime, 1.0, 100_000)
+    assert sup.value == 67.20598927168291
+
+
+def test_closed_form_sup_of_the_seasonal_benchmarks_is_the_grid_sup():
+    # beta and sigma share omega = pi/2 and phase 0: the peak is at t = 1 exactly,
+    # a grid point, and the value is the grid's bit for bit
+    for b in (0.3, 0.9):
+        _, fprime, _ = net_growth_function(full_set(b), MASS, MASS)
+        sup = sup_abs_fprime(fprime, (0.0, 4.0))
+        assert tuple(sup) == _grid_sup(fprime, 4.0, 100_000)
+        assert sup.argmax == 1.0
 
 
 def test_h_max_formula():

@@ -264,6 +264,16 @@ def test_mickens_rejects_nonpositive_h():
         mickens_discretize(full_set(), 0.0, DenominatorFn.identity())
 
 
+@pytest.mark.parametrize("h", [math.inf, math.nan])
+def test_non_finite_step_is_a_config_error(h):
+    # an infinite step gave NaN coefficient tables, and nan is no step size
+    with pytest.raises(ConfigError, match="not finite"):
+        mickens_discretize(full_set(), h, DenominatorFn.quadratic(0.2))
+    with pytest.raises(ConfigError, match="not finite"):
+        DiscreteParams.from_sequences(h, Lambda=0.5, mu=0.3, p=0.6, eta=0.05,
+                                      alpha=0.05, beta=0.3, sigma=0.3, gamma=0.3)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis validation
 # ---------------------------------------------------------------------------

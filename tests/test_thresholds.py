@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from nsfd_sirvs import thresholds
 from nsfd_sirvs.consistency import consistency_report, consistency_sweep, window_thresholds
-from nsfd_sirvs.dynamics import AuxState, aux_equilibrium, periodic_aux_solution, simulate_aux
+from nsfd_sirvs.dynamics import (AuxState, aux_equilibrium, periodic_aux_solution, simulate_aux,
+                                 verify_step_periodic)
 from nsfd_sirvs.errors import ConfigError, StepError
 from nsfd_sirvs.incidence import IncidenceFn
 from nsfd_sirvs.scenarios import builtin
@@ -17,6 +18,7 @@ from nsfd_sirvs.thresholds import (ThresholdReport, Verdict, classify,
                                    continuous_thresholds, discrete_thresholds,
                                    independence_check, periodic_discrete_threshold)
 
+from test_reference_equivalence import KINDS
 from test_schedules import full_set
 
 MASS = IncidenceFn.mass_action()
@@ -428,6 +430,76 @@ def test_aperiodic_inflow_notes_the_transient_start():
     s["Lambda"] = ParamSchedule.piecewise("Lambda", [0.0, 3.0], [0.5, 0.6])
     rep = continuous_thresholds(ScheduleSet.from_mapping(s), MASS, MASS, 4.0)
     assert any("(1, 1)" in note for note in rep.notes)
+
+
+# window products over a period-sized disease-free orbit against the tiled one
+
+def _tiled_window_products(dp, phi, psi, lam, burn_in, scan):
+    """The window products with the periodic orbit tiled to one row per step and
+    every coefficient evaluated as a scan-length array."""
+    omega = dp.aux_step_period
+    k_lo, k_hi = burn_in, burn_in + scan + lam + 1
+    orbit = periodic_aux_solution(dp, omega)[np.arange(k_lo + 1, k_hi + 1) % omega]
+    x, y = orbit[:, 0], orbit[:, 1]
+    pop = x + y if (phi.needs_population or psi.needs_population) else None
+    beta, sigma, mu, alpha, gamma = (dp.array(name, k_lo, k_hi) for name in
+                                     ("beta", "sigma", "mu", "alpha", "gamma"))
+    ratios = ((1.0 + beta * phi.slope(x, pop) + sigma * psi.slope(y, pop))
+              / (1.0 + mu + alpha + gamma))
+    c = np.concatenate([[0.0], np.cumsum(np.log(ratios))])
+    return np.exp(c[lam + 1:] - c[:-(lam + 1)])
+
+
+def _step_table(values):
+    """The sequence n -> values[n % len(values)]."""
+    table = np.array(values)
+    return lambda n: table[np.asarray(n) % table.size]
+
+
+_TABLE = st.lists(st.floats(0.05, 2.0), min_size=8, max_size=8)
+# a coefficient of the growth ratio: a number (built constant), an omega-periodic
+# table, or a drifting sequence with no period
+_RATIO_COEFF = st.one_of(st.floats(0.0, 1.0), _TABLE.map(lambda v: ("table", v)),
+                         st.floats(0.05, 1.0).map(lambda v: ("drift", v)))
+
+
+def _ratio_sequence(draw, omega):
+    if isinstance(draw, float):
+        return draw
+    kind, v = draw
+    if kind == "table":
+        return _step_table(v[:omega])
+    return lambda n: v * (1.0 + 0.5 * np.sin(0.37 * np.asarray(n, dtype=float)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(omega=st.integers(1, 8), lam=st.integers(0, 20), burn_in=st.integers(0, 60),
+       extra=st.integers(0, 150), phi=st.sampled_from(sorted(KINDS)),
+       psi=st.sampled_from(sorted(KINDS)), constant_inflow=st.booleans(),
+       Lambda=_TABLE, mu=_TABLE, p=_TABLE, eta=_TABLE,
+       coeffs=st.tuples(_RATIO_COEFF, _RATIO_COEFF, _RATIO_COEFF, _RATIO_COEFF))
+def test_window_products_equal_the_tiled_orbit_bit_for_bit(omega, lam, burn_in, extra, phi,
+                                                           psi, constant_inflow, Lambda, mu,
+                                                           p, eta, coeffs):
+    phi, psi = KINDS[phi], KINDS[psi]
+    inflow = {name: (v[0] if constant_inflow and omega == 1 else _step_table(v[:omega]))
+              for name, v in (("Lambda", Lambda), ("mu", mu), ("p", p), ("eta", eta))}
+    ratio = {name: _ratio_sequence(c, omega)
+             for name, c in zip(("alpha", "beta", "sigma", "gamma"), coeffs)}
+    dp = DiscreteParams.from_sequences(0.5, step_period=omega, **inflow, **ratio)
+    scan = lam + 1 + extra
+    rep = discrete_thresholds(dp, phi, psi, lam, burn_in=burn_in, scan=scan)
+    assert np.array_equal(rep.window_products,
+                          _tiled_window_products(dp, phi, psi, lam, burn_in, scan))
+    # a drifting coefficient is evaluated by the period check, and fails it
+    drifting = [name for name, c in zip(("alpha", "beta", "sigma", "gamma"), coeffs)
+                if isinstance(c, tuple) and c[0] == "drift"]
+    if drifting:
+        with pytest.raises(ValueError, match=drifting[0]):
+            verify_step_periodic(dp, omega)
+        assert not rep.exact_periodic
+    else:
+        verify_step_periodic(dp, omega)
 
 
 def test_exact_periodic_needs_every_coefficient_periodic():
