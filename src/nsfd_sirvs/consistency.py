@@ -27,7 +27,7 @@ from .dynamics import AuxState, steps_for
 from .errors import ConfigError
 from .incidence import IncidenceFn
 from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DenominatorFn,
-                        DiscreteParams, ScheduleSet, mickens_discretize)
+                        DiscreteParams, ParamSchedule, ScheduleSet, mickens_discretize)
 # consistency_report takes the continuous report from its caller; continuous_thresholds
 # stays importable here because perfbench/tracing.py looks it up in this module
 from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
@@ -36,6 +36,7 @@ from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noq
 _CD_STEP = 1e-5
 _SUP_GRID = 100_000
 _SWEEP_FRACS = (0.01, 0.99)  # the sweep's step sizes, as fractions of the bound
+_F_NAMES = ("beta", "sigma", "alpha", "gamma")  # the varying coefficients of f
 
 
 @dataclass
@@ -87,7 +88,7 @@ def consistency_skip_reason(schedules: ScheduleSet) -> str:
     for name in DISEASE_FREE_NAMES:
         if not getattr(schedules, name).is_constant:
             return f"schedule {name!r} is not constant"
-    for name in ("beta", "sigma", "alpha", "gamma"):
+    for name in _F_NAMES:
         s = getattr(schedules, name)
         if not (s.smooth or s.is_constant):
             return f"schedule {name!r} is a step function (not differentiable)"
@@ -123,20 +124,20 @@ def _net_growth(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
     ga = float(phi.d2_at_zero(a, pop))
     gb = float(psi.d2_at_zero(b, pop))
     mu = schedules.mu.constant_value()
-    beta, sigma, alpha, gamma = (schedules.beta, schedules.sigma,
-                                 schedules.alpha, schedules.gamma)
+    coefficients = [getattr(schedules, n) for n in _F_NAMES]
 
     def f(t):
-        return (beta.eval(t) * ga + sigma.eval(t) * gb
-                - mu - alpha.eval(t) - gamma.eval(t))
+        beta, sigma, alpha, gamma = schedules.evaluate(_F_NAMES, t, ParamSchedule.eval)
+        return beta * ga + sigma * gb - mu - alpha - gamma
 
-    analytic = all(s.has_derivative for s in (beta, sigma, alpha, gamma))
+    analytic = all(s.has_derivative for s in coefficients)
     if analytic:
         def fprime(t):
-            return (beta.derivative_at(t) * ga + sigma.derivative_at(t) * gb
-                    - alpha.derivative_at(t) - gamma.derivative_at(t))
+            beta, sigma, alpha, gamma = schedules.evaluate(_F_NAMES, t,
+                                                           ParamSchedule.derivative_at)
+            return beta * ga + sigma * gb - alpha - gamma
 
-        fprime.harmonic = _one_sinusoid((beta, sigma, alpha, gamma), (ga, gb, -1.0, -1.0))
+        fprime.harmonic = _one_sinusoid(coefficients, (ga, gb, -1.0, -1.0))
     else:
         def fprime(t):
             # Richardson-extrapolated central differences; points closer to 0
@@ -228,10 +229,12 @@ def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceF
     f, fprime, analytic = _net_growth(schedules, phi, psi, equilibrium)
     T = schedules.common_period()
     sup_scan = (0.0, T) if T is not None else (0.0, APERIODIC_HORIZON)
-    sup = sup_abs_fprime(fprime, sup_scan)
+    constant = all(getattr(schedules, n).is_constant for n in _F_NAMES)
+    # f' = 0 for constant coefficients: the scan's start, as the grid gives it
+    sup = FprimeSup(0.0, sup_scan[0]) if constant else sup_abs_fprime(fprime, sup_scan)
     ts = np.linspace(sup_scan[0], sup_scan[1], 257)
     report_notes = dict(notes or {})
-    if T is None:
+    if T is None and not constant:
         report_notes.setdefault(
             "sup_fprime_scan",
             f"aperiodic coefficients: sup |f'| taken over [0, {APERIODIC_HORIZON:g}] only")

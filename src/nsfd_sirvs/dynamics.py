@@ -43,7 +43,11 @@ Cost per step: every loop reads its coefficients as rows of Python floats
 from `_coefficient_rows`, the one producer of rows.  A coefficient known to be
 constant (`ParamSchedule.constant_value`, `DiscreteParams.constant`) is one
 float, repeated into every row, so it costs nothing per step; only the other
-columns are evaluated and converted, once per chunk.  The NSFD loop runs
+columns are evaluated and converted, once per chunk.  Coefficients that are
+the same function (`schedules.function_key`, e.g. beta and sigma of every
+built-in) are evaluated once per chunk: `ScheduleSet.evaluate` and
+`DiscreteParams.columns` give the twin the first one's column, so schedule
+and sequence callables are taken to be pure.  The NSFD loop runs
 inside `_nsfd_stepper`, one call per chunk, so what is left per step is the
 step's own arithmetic and its balance check.
 """
@@ -54,6 +58,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
@@ -61,7 +66,8 @@ import numpy as np
 
 from .errors import ConfigError, StepError
 from .incidence import IncidenceFn
-from .schedules import DISEASE_FREE_NAMES, SCHEDULE_NAMES, DiscreteParams, ScheduleSet
+from .schedules import (DISEASE_FREE_NAMES, SCHEDULE_NAMES, DiscreteParams, ParamSchedule,
+                        ScheduleSet)
 
 _BALANCE_RTOL = 1e-10
 _SOLVE_RTOL = 1e-13  # residual of each (S+, V+) equation, relative to its inflow
@@ -186,12 +192,6 @@ def _coefficient_rows(columns, n_rows: int):
     return chain.from_iterable(map(chunk, range(0, n_rows, _ROWS_PER_CHUNK)))
 
 
-def _sequence_columns(dp: DiscreteParams, names):
-    """`_coefficient_rows` columns of the named sequences of dp, indexed by step;
-    a sequence built constant is its value."""
-    return lambda a, b: [dp.column(name, a, b) for name in names]
-
-
 def _state_array(n_steps: int, width: int) -> np.ndarray:
     """The (n_steps + 1, width) output of a run, allocated before its first
     step: a run too long to hold fails here, not after hours of stepping."""
@@ -247,7 +247,7 @@ def simulate_aux(dp: DiscreteParams, a0: AuxState, n_steps: int) -> np.ndarray:
     out = _state_array(n_steps, 2)
     x, y = float(a0[0]), float(a0[1])
     out[0] = x, y
-    rows = _coefficient_rows(_sequence_columns(dp, DISEASE_FREE_NAMES), n_steps)
+    rows = _coefficient_rows(partial(dp.columns, DISEASE_FREE_NAMES), n_steps)
     try:
         for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
             chunk = array("d")
@@ -264,15 +264,15 @@ def simulate_aux(dp: DiscreteParams, a0: AuxState, n_steps: int) -> np.ndarray:
 def verify_step_periodic(dp: DiscreteParams, omega: int, names=SCHEDULE_NAMES) -> None:
     """Raise unless every named sequence satisfies c_{n+omega} = c_n over the
     first two periods; a sequence built constant (`DiscreteParams.constant`)
-    satisfies it by construction and is not evaluated."""
+    satisfies it by construction and is not evaluated, and twins are evaluated
+    once (`DiscreteParams.columns`)."""
     omega = int(omega)
     if omega < 1:
         raise ValueError("period must be a positive integer")
-    for name in names:
-        if dp.constant(name) is not None:  # built constant: periodic for every omega
+    for name, base, shifted in zip(names, dp.columns(names, 0, 2 * omega),
+                                   dp.columns(names, omega, 3 * omega)):
+        if isinstance(base, float):  # built constant: periodic for every omega
             continue
-        base = dp.array(name, 0, 2 * omega)
-        shifted = dp.array(name, omega, 3 * omega)
         if np.any(np.abs(shifted - base) > 1e-12 * (1.0 + np.abs(base))):
             raise ValueError(f"sequence {name!r} is not {omega}-periodic "
                              f"(max defect {np.max(np.abs(shifted - base)):.3g})")
@@ -299,7 +299,7 @@ def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
     verify_step_periodic(dp, omega, names=DISEASE_FREE_NAMES)
     q, e1, e2, shrink = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 1.0
     try:
-        rows = _coefficient_rows(_sequence_columns(dp, DISEASE_FREE_NAMES), omega)
+        rows = _coefficient_rows(partial(dp.columns, DISEASE_FREE_NAMES), omega)
         for lam, mu, p, eta in rows:
             q = _aux_advance(lam, mu, p, eta, *q)
             e1 = _aux_advance(0.0, mu, p, eta, *e1)
@@ -475,7 +475,7 @@ def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     advance = _nsfd_stepper(phi, psi)
     out = _state_array(n_steps, 4)
     out[0] = state = s0
-    rows = _coefficient_rows(_sequence_columns(dp, _STEP_COEFFS), n_steps)
+    rows = _coefficient_rows(partial(dp.columns, _STEP_COEFFS), n_steps)
     for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
         chunk = array("d")
         state = advance(islice(rows, _ROWS_PER_CHUNK), state, n0, chunk)
@@ -528,12 +528,9 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
                 gamma * I - mu * R,
                 p * S - (mu + eta) * V - inc_v)
 
-    scheds = [getattr(schedules, name) for name in SCHEDULE_NAMES]
-    consts = [s.constant_value() if s.is_constant else None for s in scheds]
-
     def half_step_columns(a, b):  # rows are times 0, h/2, h, .., n_steps h
-        t = np.arange(a, b) * (h / 2.0)
-        return [s.eval(t) if c is None else c for s, c in zip(scheds, consts)]
+        return schedules.evaluate(SCHEDULE_NAMES, np.arange(a, b) * (h / 2.0),
+                                  ParamSchedule.column)
 
     rows = _coefficient_rows(half_step_columns, 2 * n_steps + 1)
     out[0] = s0

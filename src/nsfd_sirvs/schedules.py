@@ -11,6 +11,15 @@ the map producing per-step parameter sequences
     c_n = phi(h) * c(n*h)
 
 from the continuous schedules.
+
+Two schedules are the same function (`function_key`) by declaration, never
+by sampled values: the same kind and period, bit-equal parameters (0.0 and
+-0.0 differ), and for `custom` the same callable and derivative objects.  Two
+sequences of `DiscreteParams` are the same when they are one object, which
+`mickens_discretize` makes of twin schedules.  Schedule and sequence
+callables are taken to be pure, so every reader of several coefficients on one
+grid (`ScheduleSet.evaluate`, `DiscreteParams.columns`) evaluates each
+distinct one once and hands its twins the same result.
 """
 
 from __future__ import annotations
@@ -238,6 +247,46 @@ class ParamSchedule:
             return self.params["base"]
         return self.params["values"][0]
 
+    def column(self, t):
+        """The schedule on the grid t: its value, one float, when it is constant,
+        else `eval(t)`; arithmetic with either gives the same elements."""
+        return self.constant_value() if self.is_constant else self.eval(t)
+
+
+def function_key(f):
+    """The one rule for when two coefficients are the same function: exactly
+    when their keys are equal.  It is declared, never inferred from values.
+    Schedules: the same kind, period and parameters, bit for bit (`repr` of a
+    float is exact, so 0.0 and -0.0 differ), and for `custom` the same `_fn`
+    and `_dfn` objects; dataclass `==` is not the rule, it ignores those.
+    Sequences of `DiscreteParams`: the same object."""
+    if not isinstance(f, ParamSchedule):
+        return id(f)
+    declared = repr((f.kind, f.period, f.params))
+    return (declared, id(f._fn), id(f._dfn)) if f.kind == "custom" else declared
+
+
+def _first_twins(functions: Mapping[str, Callable]) -> dict:
+    """name -> the first name, in order, of the same function (`function_key`):
+    itself when none before it is.  Taken from the declarations, once, when the
+    set or the sequences are built."""
+    first = {}
+    return {name: first.setdefault(function_key(f), name) for name, f in functions.items()}
+
+
+def _once_each(first: dict, names, evaluate: Callable) -> list:
+    """[evaluate(name) for name in names], with evaluate called once per distinct
+    function (`first`, from `_first_twins`): a twin gets that result, the same
+    object.  Nothing is kept after the call."""
+    done = {}
+    out = []
+    for name in names:
+        twin = first[name]
+        if twin not in done:
+            done[twin] = evaluate(name)
+        out.append(done[twin])
+    return out
+
 
 @dataclass(frozen=True)
 class ScheduleSet:
@@ -252,6 +301,8 @@ class ScheduleSet:
     sigma: ParamSchedule
     gamma: ParamSchedule
 
+    _first: dict = field(init=False, repr=False, compare=False)  # `_first_twins`
+
     def __post_init__(self):
         for name in SCHEDULE_NAMES:
             sched = getattr(self, name)
@@ -259,6 +310,7 @@ class ScheduleSet:
                 raise ConfigError(f"missing schedule {name!r}")
             if sched.name != name:
                 raise ConfigError(f"schedule named {sched.name!r} assigned to slot {name!r}")
+        object.__setattr__(self, "_first", _first_twins(self.as_dict()))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, ParamSchedule]) -> "ScheduleSet":
@@ -272,6 +324,12 @@ class ScheduleSet:
 
     def as_dict(self) -> dict:
         return {n: getattr(self, n) for n in SCHEDULE_NAMES}
+
+    def evaluate(self, names, t, evaluate: Callable) -> list:
+        """[evaluate(schedule, t) for each named schedule], e.g. with
+        `ParamSchedule.eval`, evaluating each distinct schedule (`function_key`)
+        once: a twin gets the first one's result."""
+        return _once_each(self._first, names, lambda name: evaluate(getattr(self, name), t))
 
     def common_period(self, names=SCHEDULE_NAMES) -> float | None:
         """Common declared period of the non-constant named schedules, if any.
@@ -403,13 +461,19 @@ class DiscreteParams:
     beta: Callable = field(compare=False)
     sigma: Callable = field(compare=False)
     gamma: Callable = field(compare=False)
+    _first: dict = field(init=False, repr=False, compare=False)  # `_first_twins`
+
+    def __post_init__(self):
+        object.__setattr__(self, "_first", _first_twins(
+            {name: getattr(self, name) for name in SCHEDULE_NAMES}))
 
     @classmethod
     def from_sequences(cls, h: float, step_period: int | None = None,
                        **seqs) -> "DiscreteParams":
         """Build directly from index sequences (callables or numbers); a declared
         period of all eight is one of the disease-free four, else names all
-        given as numbers have period 1."""
+        given as numbers have period 1.  One callable given for two names is
+        one sequence, evaluated once per grid (`columns`)."""
         missing = [n for n in SCHEDULE_NAMES if n not in seqs]
         if missing:
             raise ConfigError(f"missing sequences: {', '.join(missing)}")
@@ -436,18 +500,24 @@ class DiscreteParams:
         None; it equals every value of the sequence bit for bit."""
         return getattr(getattr(self, name), "constant", None)
 
-    def column(self, name: str, start: int, stop: int) -> np.ndarray | float:
-        """The sequence over the index range [start, stop): its value, one float,
-        when it is built constant, else `array(name, start, stop)`."""
-        value = self.constant(name)
-        return self.array(name, start, stop) if value is None else value
+    def columns(self, names, start: int, stop: int) -> list:
+        """The named sequences over the index range [start, stop): for each, its
+        value, one float, when it is built constant, else `array(name, start,
+        stop)`.  Each distinct sequence (`function_key`) is evaluated once: a
+        twin gets the first one's column."""
+        def column(name):
+            value = self.constant(name)
+            return self.array(name, start, stop) if value is None else value
+
+        return _once_each(self._first, names, column)
 
 
 def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> DiscreteParams:
     """Produce the discrete parameter sequences c_n = phi(h) * c(n*h).
 
     The multiplication is performed exactly as written, so values agree
-    bit-for-bit with eval_denominator(d, h) * schedule.eval(n*h).
+    bit-for-bit with eval_denominator(d, h) * schedule.eval(n*h).  Schedules
+    that are the same function (`function_key`) get one sequence object.
     """
     if not isinstance(schedules, ScheduleSet):
         schedules = ScheduleSet.from_mapping(schedules)
@@ -465,10 +535,10 @@ def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> Di
 
         return seq
 
-    seqs = {n: make(getattr(schedules, n)) for n in SCHEDULE_NAMES}
+    seqs = _once_each(schedules._first, SCHEDULE_NAMES, lambda n: make(getattr(schedules, n)))
     return DiscreteParams(h=h, step_period=_step_period(schedules, SCHEDULE_NAMES, h),
                           aux_step_period=_step_period(schedules, DISEASE_FREE_NAMES, h),
-                          **seqs)
+                          **dict(zip(SCHEDULE_NAMES, seqs)))
 
 
 def _step_period(schedules: ScheduleSet, names, h: float) -> int | None:
@@ -519,8 +589,8 @@ def validate_hypotheses(dp: DiscreteParams, horizons: tuple[int, int, int] = (1,
     p = dp.array("p", lo, hi + w_p + 1)
 
     warnings = []
-    for name in SCHEDULE_NAMES:
-        vals = dp.array(name, lo, lo + min(hi - lo, 1000) + w_max)
+    values = dp.columns(SCHEDULE_NAMES, lo, lo + min(hi - lo, 1000) + w_max)
+    for name, vals in zip(SCHEDULE_NAMES, values):
         if np.any(vals < 0):
             warnings.append(f"sequence {name!r} takes negative values on the scan range; "
                             "nonnegativity hypotheses are violated")

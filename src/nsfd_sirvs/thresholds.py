@@ -38,6 +38,7 @@ from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DiscreteParams,
                         ParamSchedule, ScheduleSet, validate_hypotheses)
 
 BOUNDARY_TOL = 1e-12
+_RATIO_NAMES = ("beta", "sigma", "mu", "alpha", "gamma")  # the coefficients of r_k and F
 
 
 class Verdict(str, Enum):
@@ -102,16 +103,16 @@ def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
 
     The incidence slopes are taken once per orbit row: on the period's rows,
     then repeated by index (broadcast for period 1), so a scan costs one period
-    of slopes.  A sequence built constant is its value, not an array.  Every
-    element is the same IEEE result as on a scan-length orbit and columns."""
+    of slopes.  A sequence built constant is its value, not an array, and twin
+    sequences are evaluated once (`DiscreteParams.columns`).  Every element is
+    the same IEEE result as on a scan-length orbit and columns."""
     x, y = orbit[:, 0], orbit[:, 1]
     pop = x + y if (phi.needs_population or psi.needs_population) else None
     slope_x, slope_y = phi.slope(x, pop), psi.slope(y, pop)
     if period is not None and period > 1:
         at = np.arange(k_lo + 1, k_hi + 1) % period
         slope_x, slope_y = slope_x[at], slope_y[at]
-    beta, sigma, mu, alpha, gamma = (dp.column(name, k_lo, k_hi) for name in
-                                     ("beta", "sigma", "mu", "alpha", "gamma"))
+    beta, sigma, mu, alpha, gamma = dp.columns(_RATIO_NAMES, k_lo, k_hi)
     ratios = (1.0 + beta * slope_x + sigma * slope_y) / (1.0 + mu + alpha + gamma)
     return np.broadcast_to(ratios, (k_hi - k_lo,)).copy()  # one element per step, always
 
@@ -254,11 +255,7 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
         notes.append("population-scaled incidence: population along the "
                      "disease-free solution taken as x* + y*")
 
-    beta = np.asarray(schedules.beta.eval(ts), dtype=float)
-    sigma = np.asarray(schedules.sigma.eval(ts), dtype=float)
-    mu = np.asarray(schedules.mu.eval(ts), dtype=float)
-    alpha = np.asarray(schedules.alpha.eval(ts), dtype=float)
-    gamma = np.asarray(schedules.gamma.eval(ts), dtype=float)
+    beta, sigma, mu, alpha, gamma = schedules.evaluate(_RATIO_NAMES, ts, ParamSchedule.column)
     integrand = (beta * phi.slope(x_star, pop)
                  + sigma * psi.slope(y_star, pop) - mu - alpha - gamma)
 

@@ -146,6 +146,22 @@ def test_consistency_unbounded_for_constant_coefficients(tmp_path):
     assert payload["h_max_upper"] == "unbounded"
 
 
+def test_constant_coefficients_take_no_sup_scan(tmp_path, monkeypatch):
+    # beta, sigma, alpha and gamma all constant: f' = 0, so sup |f'| is 0 at the
+    # scan's start without a scan, and no note calls the coefficients aperiodic
+    from nsfd_sirvs import consistency
+
+    def no_scan(fprime, scan):
+        raise AssertionError("sup |f'| scanned for constant coefficients")
+
+    monkeypatch.setattr(consistency, "sup_abs_fprime", no_scan)
+    cfg_path = _constant_rates_config(tmp_path)
+    assert main(["consistency", str(cfg_path), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "consistency.json").read_text())
+    assert (payload["sup_abs_fprime"], payload["fprime_argmax"]) == (0.0, 0.0)
+    assert "sup_fprime_scan" not in payload["notes"]
+
+
 def test_consistency_sweep_with_unbounded_bound_writes_the_report(tmp_path, capsys):
     cfg_path = _constant_rates_config(tmp_path)
     rc = main(["consistency", str(cfg_path), "--sweep", "--out", str(tmp_path / "sweep")])
