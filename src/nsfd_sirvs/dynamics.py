@@ -14,9 +14,11 @@ Three ways to advance a SIRVS model live here:
     The (S+, V+) pair is implicit.  When both incidences are linear in
     their first argument (f(x, y) = q(y) x: mass action, saturated,
     standard) it is a closed-form 2x2 solve; otherwise (separable) one
-    safeguarded Newton-secant solve of the pair, kept inside the brackets
-    that every evaluation shrinks (`_implicit_sv`).  Which one applies, and
-    every other per-kind form, comes from `IncidenceFn`, once per run.
+    Newton-secant solve of the pair from (S, V), calling g directly, with
+    brackets and bisection only from the first step that leaves [0, the
+    disease-free update] or fails to halve (`_nsfd_stepper`'s
+    `advance_solved`).  Which loop runs, and every per-kind form, comes from
+    `IncidenceFn`, once per run.
     Summing the four updates gives the exact balance identity
     (1 + mu_n) N+ + alpha_n I+ = N_n + Lam_n, which every step is checked
     against: it is the correctness oracle for the implicit solve and holds
@@ -175,6 +177,11 @@ def _zero_denominator(n: int) -> StepError:
     return StepError(f"zero denominator at step {n}", step=n)
 
 
+def _unbalanced(n: int, resid: float) -> StepError:
+    return StepError(f"balance identity violated at step {n} (residual {resid:.3g})",
+                     step=n, residual=resid)
+
+
 def _coefficient_rows(columns, n_rows: int):
     """Rows 0 .. n_rows-1 of a coefficient table, one tuple of Python floats per
     row; columns(a, b) gives the table's columns over rows [a, b), in the order
@@ -321,83 +328,6 @@ def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
 # NSFD discrete model
 # ---------------------------------------------------------------------------
 
-def _implicit_sv(lam, mu, p, eta, beta, sigma, f_phi, f_psi, S, I, V, pop):
-    """(S+, V+) and the terms beta f_phi(S+), sigma f_psi(V+) for incidences
-    not linear in x: the root of
-
-        F1(s, v) = (1+mu+p) s - eta v + beta f_phi(s, I) - (Lam + S)
-        F2(s, v) = (1+mu+eta) v - p s + sigma f_psi(v, I) - V,
-
-    an M-function (f nondecreasing in x) with its root between (0, 0) and the
-    disease-free update.  A residual (r1, r2) fixes the side of s* when r2 has
-    r1's sign or |r1| > eta |r2| / (1+mu+eta), and of v* when r1 has r2's sign
-    or |r2| > p |r1| / (1+mu+p); one always holds, so each evaluation shrinks
-    a bracket.  Steps from (S, V) are Newton steps with secant slopes of the
-    incidence terms; a coordinate bisects its bracket instead when the step
-    leaves it or exceeds half its step before last.  Stops when each equation
-    holds to `_SOLVE_RTOL` of its inflow (Lam + S + eta v, V + p s) or its
-    variable's bracket has collapsed.
-    """
-    a_s = 1.0 + mu + p
-    a_v = 1.0 + mu + eta
-    b_s = lam + S
-    c_s = eta / a_v  # |F1(s, v(s)) - r1| <= c_s |r2|
-    c_v = p / a_s  # |F2(s(v), v) - r2| <= c_v |r1|
-    s_lo = v_lo = 0.0
-    s_hi, v_hi = _aux_advance(lam, mu, p, eta, S, V)
-    s = S if S < s_hi else s_hi
-    v = V if V < v_hi else v_hi
-    u = beta * f_phi(s, I, pop)
-    w = sigma * f_psi(v, I, pop)
-    du = dw = 0.0  # secant slopes of u in s and of w in v
-    step_s = step_v = last_s = last_v = math.inf
-    for _ in range(_SOLVE_MAX_ITER):
-        r1 = a_s * s - eta * v + u - b_s
-        r2 = a_v * v - p * s + w - V
-        a1 = r1 if r1 >= 0.0 else -r1  # abs() is a call; this loop is hot
-        a2 = r2 if r2 >= 0.0 else -r2
-        s_done = s_hi - s_lo <= _COLLAPSED * s_hi
-        v_done = v_hi - v_lo <= _COLLAPSED * v_hi
-        if ((s_done or a1 <= _SOLVE_RTOL * (b_s + eta * v))
-                and (v_done or a2 <= _SOLVE_RTOL * (V + p * s))):
-            break
-        # a collapsed bracket pins its variable; the other one's side is then r's
-        m1 = 0.0 if v_done else c_s * a2
-        m2 = 0.0 if s_done else c_v * a1
-        if r1 > m1 or (r1 > 0.0 and r2 >= 0.0):
-            s_hi = s
-        elif r1 < -m1 or (r1 < 0.0 and r2 <= 0.0):
-            s_lo = s
-        if r2 > m2 or (r2 > 0.0 and r1 >= 0.0):
-            v_hi = v
-        elif r2 < -m2 or (r2 < 0.0 and r1 <= 0.0):
-            v_lo = v
-        j_s = a_s + du
-        j_v = a_v + dw
-        det = j_s * j_v - eta * p
-        s1 = s - (j_v * r1 + eta * r2) / det
-        v1 = v - (p * r1 + j_s * r2) / det
-        if not (s_lo <= s1 <= s_hi and (s1 - s) * (s1 - s) <= 0.25 * last_s):
-            s1 = 0.5 * (s_lo + s_hi)
-        if not (v_lo <= v1 <= v_hi and (v1 - v) * (v1 - v) <= 0.25 * last_v):
-            v1 = 0.5 * (v_lo + v_hi)
-        if s1 == s and v1 == v:
-            break
-        last_s, step_s = step_s, (s1 - s) * (s1 - s)  # squared step lengths
-        last_v, step_v = step_v, (v1 - v) * (v1 - v)
-        if s1 != s:
-            u1 = beta * f_phi(s1, I, pop)
-            du = (u1 - u) / (s1 - s)
-            du = du if du > 0.0 else 0.0
-            s, u = s1, u1
-        if v1 != v:
-            w1 = sigma * f_psi(v1, I, pop)
-            dw = (w1 - w) / (v1 - v)
-            dw = dw if dw > 0.0 else 0.0
-            v, w = v1, w1
-    return s, v, u, w
-
-
 def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
     """The NSFD scheme for one incidence pair, as a function
     advance(rows, state, n0, out): it steps `state` (S, I, R, V) once per row
@@ -405,18 +335,15 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
     each new state to `out`, an empty array("d"), and returns the last one.  The loop
     over steps runs here, one call per chunk of rows, so a step costs its
     arithmetic and its balance check but no call.  The per-kind forms are
-    taken from the incidences once, here; the closed-form (S+, V+) solve is
-    used exactly when both have a linear rate.  A failed balance check or a
-    zero denominator raises a StepError naming its step.
+    taken from the incidences once, here, and so is the loop: the closed-form
+    (S+, V+) update when both have a linear rate, else the solve.  A failed
+    balance check or a zero denominator raises a StepError naming its step.
     """
     q_phi = phi.linear_rate()
     q_psi = psi.linear_rate()
-    f_phi = phi.unchecked_f()
-    f_psi = psi.unchecked_f()
-    closed_form = q_phi is not None and q_psi is not None
     needs_pop = phi.needs_population or psi.needs_population
 
-    def advance(rows, state, n0, out):
+    def advance_closed_form(rows, state, n0, out):
         S, I, R, V = state
         try:
             for lam, mu, p, eta, alpha, gamma, beta, sigma in rows:
@@ -427,7 +354,7 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
                     # (S, V) update coincides with the auxiliary recurrence
                     S1, V1 = _aux_advance(lam, mu, p, eta, S, V)
                     phi_term = psi_term = 0.0
-                elif closed_form:
+                else:
                     qs = q_phi(I, pop)
                     qv = q_psi(I, pop)
                     A_s = 1.0 + mu + p + beta * qs
@@ -437,24 +364,157 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
                     V1 = (p * S1 + V) / A_v
                     phi_term = beta * qs * S1
                     psi_term = sigma * qv * V1
-                else:
-                    S1, V1, phi_term, psi_term = _implicit_sv(lam, mu, p, eta, beta, sigma,
-                                                              f_phi, f_psi, S, I, V, pop)
                 I = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
                 R = (gamma * I + R) / (1.0 + mu)
                 S, V = S1, V1
 
                 resid = abs((1.0 + mu) * (S + I + R + V) + alpha * I - (N + lam))
                 if not resid <= _BALANCE_RTOL * (1.0 + N):  # a NaN residual fails too
-                    n = n0 + len(out) // 4
-                    raise StepError(f"balance identity violated at step {n} "
-                                    f"(residual {resid:.3g})", step=n, residual=resid)
+                    raise _unbalanced(n0 + len(out) // 4, resid)
                 out.fromlist([S, I, R, V])
         except ZeroDivisionError as exc:
             raise _zero_denominator(n0 + len(out) // 4) from exc
         return S, I, R, V
 
-    return advance
+    if q_phi is not None and q_psi is not None:
+        return advance_closed_form
+    g_phi, d_phi = phi.factor_form()
+    g_psi, d_psi = psi.factor_form()
+    g_kept = math.nan, 0.0, math.nan, 0.0  # x, g_phi(x), y, g_psi(y) of the latest calls
+
+    def advance_solved(rows, state, n0, out):
+        """(S+, V+) is the root of
+
+            F1(s, v) = (1+mu+p) s - eta v + beta f_phi(s, I) - (Lam + S)
+            F2(s, v) = (1+mu+eta) v - p s + sigma f_psi(v, I) - V,
+
+        an M-function (f nondecreasing in x) with its root between (0, 0) and
+        the disease-free update (hi_s, hi_v).  Steps from (S, V) are Newton steps
+        with secant slopes of the incidence terms u, w.  While each step stays
+        in [0, hi] and is at most half its step before last, nothing else is
+        kept.  The first one that is not turns on the guard for the rest of the
+        solve, at the point it started from: brackets from [0, hi], which each
+        residual (r1, r2) shrinks (it fixes the side of s* when r2 has r1's
+        sign or |r1| > eta |r2| / (1+mu+eta), and of v* when r1 has r2's sign or
+        |r2| > p |r1| / (1+mu+p); one always holds), and a coordinate whose
+        step leaves its bracket or exceeds half its step before last bisects
+        the bracket instead.  Stops when each equation holds to `_SOLVE_RTOL`
+        of its inflow (Lam + S + eta v, V + p s) or, guarded, its variable's
+        bracket has collapsed.  Brackets only shrink inside [0, hi], so until
+        the guard engages the steps are those of a loop guarded from the start
+        that has neither bisected nor seen a bracket collapse.  g of the last
+        point of each solve is kept for the next step, which starts there
+        (`g_kept`, also across chunks); g is taken to be pure.
+        """
+        nonlocal g_kept
+        S, I, R, V = state
+        xs, gs, xv, gv = g_kept
+        try:
+            for lam, mu, p, eta, alpha, gamma, beta, sigma in rows:
+                N = S + I + R + V
+                a_s = 1.0 + mu + p
+                a_v = 1.0 + mu + eta
+                b_s = lam + S
+                hi_s = (a_v * b_s + eta * V) / (a_s * a_v - eta * p)  # `_aux_advance`, inlined
+                hi_v = (p * hi_s + V) / a_v
+                if I == 0.0:  # disease-free step, as in the closed form
+                    s, v = hi_s, hi_v
+                    u = w = 0.0
+                else:
+                    pop = N if needs_pop else None
+                    ds = 1.0 if d_phi is None else d_phi(I, pop)
+                    dv = 1.0 if d_psi is None else d_psi(I, pop)
+                    s = S if S < hi_s else hi_s
+                    v = V if V < hi_v else hi_v
+                    if s != xs:
+                        xs, gs = s, float(g_phi(s))
+                    if v != xv:
+                        xv, gv = v, float(g_psi(v))
+                    u = beta * (gs * I / ds)
+                    w = sigma * (gv * I / dv)
+                    du = dw = 0.0  # secant slopes of u in s and of w in v
+                    step_s = step_v = last_s = last_v = math.inf
+                    guarded = False
+                    for _ in range(_SOLVE_MAX_ITER):
+                        r1 = a_s * s - eta * v + u - b_s
+                        r2 = a_v * v - p * s + w - V
+                        if not guarded:
+                            tol = _SOLVE_RTOL * (b_s + eta * v)  # |r| <= tol, without a call
+                            if -tol <= r1 <= tol:
+                                tol = _SOLVE_RTOL * (V + p * s)
+                                if -tol <= r2 <= tol:
+                                    break
+                        else:
+                            a1 = r1 if r1 >= 0.0 else -r1  # abs() is a call; this loop is hot
+                            a2 = r2 if r2 >= 0.0 else -r2
+                            s_done = s_hi - s_lo <= _COLLAPSED * s_hi
+                            v_done = v_hi - v_lo <= _COLLAPSED * v_hi
+                            if ((s_done or a1 <= _SOLVE_RTOL * (b_s + eta * v))
+                                    and (v_done or a2 <= _SOLVE_RTOL * (V + p * s))):
+                                break
+                            # |F1(s, v(s)) - r1| <= eta / a_v |r2| and |F2(s(v), v) - r2|
+                            # <= p / a_s |r1|; a collapsed bracket pins its
+                            # variable, and the other one's side is then r's
+                            m1 = 0.0 if v_done else eta / a_v * a2
+                            m2 = 0.0 if s_done else p / a_s * a1
+                            if r1 > m1 or (r1 > 0.0 and r2 >= 0.0):
+                                s_hi = s
+                            elif r1 < -m1 or (r1 < 0.0 and r2 <= 0.0):
+                                s_lo = s
+                            if r2 > m2 or (r2 > 0.0 and r1 >= 0.0):
+                                v_hi = v
+                            elif r2 < -m2 or (r2 < 0.0 and r1 <= 0.0):
+                                v_lo = v
+                        j_s = a_s + du
+                        j_v = a_v + dw
+                        det = j_s * j_v - eta * p
+                        s1 = s - (j_v * r1 + eta * r2) / det
+                        v1 = v - (p * r1 + j_s * r2) / det
+                        e_s = (s1 - s) * (s1 - s)  # squared step lengths
+                        e_v = (v1 - v) * (v1 - v)
+                        if guarded:
+                            if not (s_lo <= s1 <= s_hi and e_s <= 0.25 * last_s):
+                                s1 = 0.5 * (s_lo + s_hi)
+                                e_s = (s1 - s) * (s1 - s)
+                            if not (v_lo <= v1 <= v_hi and e_v <= 0.25 * last_v):
+                                v1 = 0.5 * (v_lo + v_hi)
+                                e_v = (v1 - v) * (v1 - v)
+                        elif not (0.0 <= s1 <= hi_s and e_s <= 0.25 * last_s
+                                  and 0.0 <= v1 <= hi_v and e_v <= 0.25 * last_v):
+                            guarded = True
+                            s_lo = v_lo = 0.0
+                            s_hi, v_hi = hi_s, hi_v
+                            continue  # this point again, with brackets and bisection
+                        if s1 == s and v1 == v:
+                            break
+                        last_s, step_s = step_s, e_s
+                        last_v, step_v = step_v, e_v
+                        if s1 != s:
+                            g1 = float(g_phi(s1))
+                            u1 = beta * (g1 * I / ds)
+                            du = (u1 - u) / (s1 - s)
+                            du = du if du > 0.0 else 0.0
+                            s, u, gs = s1, u1, g1
+                        if v1 != v:
+                            g1 = float(g_psi(v1))
+                            w1 = sigma * (g1 * I / dv)
+                            dw = (w1 - w) / (v1 - v)
+                            dw = dw if dw > 0.0 else 0.0
+                            v, w, gv = v1, w1, g1
+                    xs, xv = s, v
+                I = (u + w + I) / (1.0 + mu + alpha + gamma)
+                R = (gamma * I + R) / (1.0 + mu)
+                S, V = s, v
+                resid = abs((1.0 + mu) * (S + I + R + V) + alpha * I - (N + lam))
+                if not resid <= _BALANCE_RTOL * (1.0 + N):
+                    raise _unbalanced(n0 + len(out) // 4, resid)
+                out.fromlist([S, I, R, V])
+        except ZeroDivisionError as exc:
+            raise _zero_denominator(n0 + len(out) // 4) from exc
+        g_kept = xs, gs, xv, gv
+        return S, I, R, V
+
+    return advance_solved
 
 
 def nsfd_step(dp: DiscreteParams, n: int, phi: IncidenceFn, psi: IncidenceFn,

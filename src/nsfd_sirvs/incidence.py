@@ -50,8 +50,9 @@ class IncidenceFn:
                      is not linear in x (separable).  The NSFD (S+, V+)
                      update is a closed-form 2x2 solve exactly when both
                      incidences have one.
-      unchecked_f()  f(x, y, pop); for separable, a closure that keeps g
-                     of its latest x (the next NSFD step starts there)
+      factor_form()  (g, d) with f(x, y, pop) = g(x) * y / d(y, pop): the
+                     form the NSFD solve of a separable pair evaluates
+      unchecked_f()  f(x, y, pop)
       slope(x, pop)  d2f(x, 0), scalars or arrays
       bridge()       g(x, pop) of the continuous model, scalars
     """
@@ -129,6 +130,20 @@ class IncidenceFn:
             return lambda y, pop: y / pop
         return None
 
+    def factor_form(self):
+        """(g, d) with f(x, y, pop) == float(g(x)) * y / d(y, pop), bit for bit
+        with `unchecked_f` on floats (x * y / 1.0 is x * y): g is the separable
+        g, or `float` (x itself) for the kinds linear in x, and d is None where
+        it is 1 (mass action, separable)."""
+        if self.kind == "separable":
+            return self._g, None
+        if self.kind == "saturated":
+            a = self.a
+            return float, lambda y, pop: 1.0 + a * y
+        if self.kind == "standard":
+            return float, lambda y, pop: pop
+        return float, None
+
     def unchecked_f(self):
         """Unchecked f(x, y, pop); scalars, or arrays for every kind but separable."""
         if self.kind == "mass_action":
@@ -139,15 +154,7 @@ class IncidenceFn:
         if self.kind == "standard":
             return lambda x, y, pop: x * y / pop
         g = self._g
-        x_last, g_last = math.nan, 0.0
-
-        def f(x, y, pop):
-            nonlocal x_last, g_last
-            if x != x_last:
-                x_last, g_last = x, float(g(x))
-            return g_last * y
-
-        return f
+        return lambda x, y, pop: float(g(x)) * y
 
     def slope(self, x, pop=None):
         """d2f(x, 0) without domain checks; scalars or arrays."""

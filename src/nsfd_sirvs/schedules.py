@@ -49,6 +49,20 @@ def _scalar_or_array(t, out):
     return float(out)
 
 
+class _Elementwise:
+    """A scalar-only callable `fn`, applied element by element to an ndarray.
+    `function_key` reads `fn` through it, so one callable wrapped for several
+    schedules is still one function."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __call__(self, t):
+        if isinstance(t, np.ndarray):
+            return np.array([float(self.fn(float(x))) for x in t.ravel()]).reshape(t.shape)
+        return self.fn(t)
+
+
 def _ensure_vectorized(fn: Callable) -> Callable:
     """Wrap a scalar-only callable so it also accepts ndarrays."""
     probe = np.array([0.0, 0.5])
@@ -58,13 +72,7 @@ def _ensure_vectorized(fn: Callable) -> Callable:
             return fn
     except Exception:
         pass
-
-    def wrapped(t, fn=fn):
-        if isinstance(t, np.ndarray):
-            return np.array([float(fn(float(x))) for x in t.ravel()]).reshape(t.shape)
-        return fn(t)
-
-    return wrapped
+    return _Elementwise(fn)
 
 
 @dataclass(frozen=True)
@@ -257,13 +265,17 @@ def function_key(f):
     """The one rule for when two coefficients are the same function: exactly
     when their keys are equal.  It is declared, never inferred from values.
     Schedules: the same kind, period and parameters, bit for bit (`repr` of a
-    float is exact, so 0.0 and -0.0 differ), and for `custom` the same `_fn`
-    and `_dfn` objects; dataclass `==` is not the rule, it ignores those.
+    float is exact, so 0.0 and -0.0 differ), and for `custom` the same
+    callable and derivative objects, as given (`_Elementwise` is seen
+    through); dataclass `==` is not the rule, it ignores those.
     Sequences of `DiscreteParams`: the same object."""
     if not isinstance(f, ParamSchedule):
         return id(f)
     declared = repr((f.kind, f.period, f.params))
-    return (declared, id(f._fn), id(f._dfn)) if f.kind == "custom" else declared
+    if f.kind != "custom":
+        return declared
+    given = [fn.fn if isinstance(fn, _Elementwise) else fn for fn in (f._fn, f._dfn)]
+    return (declared, *map(id, given))
 
 
 def _first_twins(functions: Mapping[str, Callable]) -> dict:

@@ -202,13 +202,12 @@ def test_saturated_step_matches_bisection_oracle():
 
 
 def test_linear_incidences_take_the_closed_form(monkeypatch):
-    # every kind linear in x (saturated included) avoids the iterative solve
-    import nsfd_sirvs.dynamics as dynamics
-
+    # every kind linear in x (saturated included) avoids the iterative solve,
+    # whose loop is the only reader of `factor_form`
     def no_iteration(*args):
         raise AssertionError("fixed-point solve used for an incidence linear in x")
 
-    monkeypatch.setattr(dynamics, "_implicit_sv", no_iteration)
+    monkeypatch.setattr(IncidenceFn, "factor_form", no_iteration)
     dp = seasonal_dp(b=0.9)
     for phi, psi in ((SAT, MASS), (MASS, SAT), (SAT, IncidenceFn.standard())):
         traj = simulate_discrete(dp, phi, psi, State(1.0, 0.2, 0.1, 1.0), 40)

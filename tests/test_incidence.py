@@ -147,6 +147,18 @@ def test_unchecked_f_equals_eval(inc):
 
 
 @pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
+def test_factor_form_equals_unchecked_f(inc):
+    pop = 50.0 if inc.needs_population else None
+    f = inc.unchecked_f()
+    g, d = inc.factor_form()
+    for x in _XS:
+        for y in _YS:
+            x, y = float(x), float(y)
+            factored = float(g(x)) * y / (1.0 if d is None else d(y, pop))
+            assert factored.hex() == f(x, y, pop).hex()  # bit for bit
+
+
+@pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
 def test_slope_equals_d2_at_zero(inc):
     pop = 50.0 if inc.needs_population else None
     assert inc.slope(_XS, pop).tobytes() == inc.d2_at_zero(_XS, **_kw(inc)).tobytes()

@@ -13,6 +13,7 @@ to a tolerance fixed beforehand; the separable solve also meets a bisection
 oracle and a budget of calls to g.
 """
 
+import hashlib
 import math
 from array import array
 
@@ -309,8 +310,13 @@ def test_separable_step_matches_fixed_point_reference(
         assert abs(new - x) <= abs(old - x) + tol
 
 
-def _separable_bisection_oracle(lam, mu, p, eta, beta, sigma, g_phi, g_psi, S, I, V):
-    """Nested bisection to a collapsed bracket: V+ for each trial S+, then S+."""
+def _separable_bisection_oracle(lam, mu, p, eta, beta, sigma, g_phi, g_psi, S, I, V,
+                                y_phi=None, y_psi=None):
+    """Nested bisection to a collapsed bracket: V+ for each trial S+, then S+.
+    Each incidence is g(x) times its y-factor, I unless given (a linear
+    partner: g(x) = x and y-factor q(I, N))."""
+    y_phi = I if y_phi is None else y_phi
+    y_psi = I if y_psi is None else y_psi
 
     def bisect(fn, hi):
         lo = 0.0
@@ -326,11 +332,11 @@ def _separable_bisection_oracle(lam, mu, p, eta, beta, sigma, g_phi, g_psi, S, I
                 lo = mid
 
     def v_of(s):
-        return bisect(lambda v: v * (1.0 + mu + eta) + sigma * g_psi(v) * I - (p * s + V),
+        return bisect(lambda v: v * (1.0 + mu + eta) + sigma * g_psi(v) * y_psi - (p * s + V),
                       p * s + V + 1.0)
 
-    s = bisect(lambda s: s * (1.0 + mu + p) + beta * g_phi(s) * I - (lam + S + eta * v_of(s)),
-               lam + S + 1.0)
+    s = bisect(lambda s: s * (1.0 + mu + p) + beta * g_phi(s) * y_phi
+               - (lam + S + eta * v_of(s)), lam + S + 1.0)
     return s, v_of(s)
 
 
@@ -346,6 +352,30 @@ def test_separable_step_matches_bisection_oracle(
     N = S + I + R + V
     assert abs(S1 - s_ref) <= 1e-12 * (1.0 + N)
     assert abs(V1 - v_ref) <= 1e-12 * (1.0 + N)
+
+
+@pytest.mark.parametrize("sep_slot", ["phi", "psi"])
+@pytest.mark.parametrize("partner", ["saturated", "standard"])
+@settings(max_examples=100, deadline=None)
+@given(g_name=st.sampled_from(sorted(_SEPARABLE_G)), **_STEP_DRAWS)
+def test_separable_with_linear_partner_matches_bisection_oracle(
+        sep_slot, partner, g_name, S, I, R, V, lam, mu, p, eta, alpha, gamma, beta, sigma):
+    # the solve evaluates a linear partner in its factor form; `standard` also
+    # carries the population into it
+    g, k = _SEPARABLE_G[g_name]
+    sep = IncidenceFn.separable(g, k)
+    N = S + I + R + V
+    y_lin = I / (1.0 + 0.7 * I) if partner == "saturated" else I / N
+    forms = [(sep, g, I), (KINDS[partner], lambda x: x, y_lin)]
+    if sep_slot == "psi":
+        forms.reverse()
+    (phi, g_phi, y_phi), (psi, g_psi, y_psi) = forms
+    got = _one_step(phi, psi, (lam, mu, p, eta, alpha, gamma, beta, sigma), S, I, R, V)
+    s_ref, v_ref = _separable_bisection_oracle(lam, mu, p, eta, beta, sigma, g_phi, g_psi,
+                                               S, I, V, y_phi, y_psi)
+    assert abs(got[0] - s_ref) <= 1e-12 * (1.0 + N)
+    assert abs(got[3] - v_ref) <= 1e-12 * (1.0 + N)
+    assert _balance_residual(got, N, lam, mu, alpha) <= 1e-10 * (1.0 + N)
 
 
 def _counted(g):
@@ -368,6 +398,18 @@ def test_separable_long_run_calls_g_at_most_six_times_per_step():
     calls[0] = 0
     simulate_discrete(dp, sep, sep, spec.initial_state, 20_000)
     assert calls[0] / 20_000 <= 6.0
+    # the same iterates make the same calls: this count is the solve's, not a budget
+    assert calls[0] == 85_310
+
+
+def test_separable_long_run_bytes_are_pinned():
+    # no CLI digest reaches `separable`; this run is the benchmark's long one
+    spec = builtin("persistence_5_1")
+    dp = mickens_discretize(spec.schedules, 0.01, spec.denominator)
+    sep = IncidenceFn.separable(lambda x: x / (1.0 + x), 1.0)
+    states = simulate_discrete(dp, sep, sep, spec.initial_state, 20_000).states
+    assert hashlib.sha256(states.tobytes()).hexdigest() == \
+        "063a5bd876e8dbf66cea1dad6a8877aa66ef83c40c5d926845034a329e024826"
 
 
 @pytest.mark.parametrize("h", [0.5, 2.0])

@@ -139,6 +139,38 @@ def test_custom_schedules_with_different_callables_are_not_twins(monkeypatch):
     assert not np.array_equal(beta, sigma)
 
 
+def test_one_scalar_only_callable_given_twice_is_one_function():
+    # `custom` wraps a callable that takes no ndarray for each schedule; the two
+    # wrappers of one callable (and of one derivative) are still twins, so a
+    # grid calls it once per point
+    calls = [0]
+
+    def f(t):
+        calls[0] += 1
+        return 0.5 + 0.25 * math.cos(t)
+
+    def df(t):
+        return -0.25 * math.sin(t)
+
+    sched = dataclasses.replace(builtin("inconsistency_4").schedules,
+                                beta=ParamSchedule.custom("beta", f, derivative=df),
+                                sigma=ParamSchedule.custom("sigma", f, derivative=df))
+    assert function_key(sched.beta) == function_key(sched.sigma)
+    assert function_key(ParamSchedule.custom("sigma", f)) != function_key(sched.beta)
+    t = np.linspace(0.0, 3.0, 7)
+    calls[0] = 0
+    beta, sigma = sched.evaluate(("beta", "sigma"), t, ParamSchedule.eval)
+    assert calls[0] == t.size
+    assert beta is sigma
+    dp = mickens_discretize(sched, 0.1, DenominatorFn.identity())
+    assert dp.beta is dp.sigma
+    calls[0] = 0
+    beta, sigma = dp.columns(("beta", "sigma"), 0, 10)
+    assert calls[0] == 10
+    assert beta is sigma
+    assert np.array_equal(beta, [0.1 * f(0.1 * n) for n in range(10)])
+
+
 @pytest.mark.parametrize("field, value", [("phase", -0.0), ("amplitude", -0.0)])
 def test_signed_zero_parameters_are_not_twins(field, value):
     params = dict(base=0.4, amplitude=0.0, omega=1.0, phase=0.0)
