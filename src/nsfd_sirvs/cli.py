@@ -87,6 +87,14 @@ def _manifest(out: Path, args, spec_echo: dict, extra: dict | None = None) -> No
 _TRAJECTORY_ROW = ",".join(["%.17g"] * 5) + "\n"  # same digits as _F
 
 
+def _t_end(args, spec) -> float:
+    """--t-end, else the spec's: the one t_end > 0 rule of every method."""
+    t_end = args.t_end if args.t_end is not None else spec.t_end
+    if not t_end > 0:  # also rejects NaN
+        raise ConfigError(f"t_end must be positive, got {t_end}")
+    return t_end
+
+
 def _write_trajectory(out: Path, traj: Trajectory, method: str, h: float) -> Path:
     """Stream `traj.rows()` to a CSV: the writer holds one chunk of rows, never
     the whole trajectory as Python floats."""
@@ -147,7 +155,7 @@ def _cmd_simulate(args) -> int:
     spec, echo = _load_spec(args.spec)
     out = _out_dir(args)
     h = args.h if args.h is not None else spec.h_values[0]
-    t_end = args.t_end if args.t_end is not None else spec.t_end
+    t_end = _t_end(args, spec)
     method = args.method
     if method == "nsfd":
         dp = mickens_discretize(spec.schedules, h, spec.denominator)
@@ -213,7 +221,7 @@ def _cmd_compare(args) -> int:
     spec, echo = _load_spec(args.spec)
     out = _out_dir(args)
     hs = args.h if args.h else list(spec.h_values)
-    t_end = args.t_end if args.t_end is not None else spec.t_end
+    t_end = _t_end(args, spec)
     rows, nsfd_worse = compare_methods(spec, hs, t_end)
     path = _write_rows(out / "compare.csv", ["h", "method", "sup_dev_I", "negativity_flag"],
                        rows)

@@ -11,14 +11,16 @@ Three ways to advance a SIRVS model live here:
         I+ = (beta_n f(S+, I_n) + sigma_n g(V+, I_n) + I_n) / (1 + mu_n + alpha_n + gamma_n)
         R+ = (gamma_n I+ + R_n) / (1 + mu_n)
 
-    The (S+, V+) pair is implicit.  When both incidences are linear in
-    their first argument (f(x, y) = q(y) x: mass action, saturated,
-    standard) it is a closed-form 2x2 solve; otherwise (separable) one
+    The (S+, V+) pair is implicit.  Each incidence is read as its factor
+    form, incidence(x, y) = G(x) y / D(y, N) (`IncidenceFn.factor_form`, the
+    one per-kind declaration).  When both are linear in their first argument
+    (G the identity: mass action, saturated, standard) the pair is a
+    closed-form 2x2 solve; otherwise (separable) one
     Newton-secant solve of the pair from (S, V), calling g directly, with
     brackets and bisection only from the first step that leaves [0, the
     disease-free update] or fails to halve (`_nsfd_stepper`'s
-    `advance_solved`).  Which loop runs, and every per-kind form, comes from
-    `IncidenceFn`, once per run.
+    `advance_solved`).  Which loop runs is read from the two factor forms,
+    once per run.
     Summing the four updates gives the exact balance identity
     (1 + mu_n) N+ + alpha_n I+ = N_n + Lam_n, which every step is checked
     against: it is the correctness oracle for the implicit solve and holds
@@ -336,27 +338,27 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
     over steps runs here, one call per chunk of rows, so a step costs its
     arithmetic and its balance check but no call.  The per-kind forms are
     taken from the incidences once, here, and so is the loop: the closed-form
-    (S+, V+) update when both have a linear rate, else the solve.  A failed
-    balance check or a zero denominator raises a StepError naming its step.
+    (S+, V+) update when both are linear in x (g is `float` in both factor
+    forms), else the solve.  A failed balance check or a zero denominator
+    raises a StepError naming its step.
     """
-    q_phi = phi.linear_rate()
-    q_psi = psi.linear_rate()
-    needs_pop = phi.needs_population or psi.needs_population
+    g_phi, d_phi = phi.factor_form()
+    g_psi, d_psi = psi.factor_form()
 
     def advance_closed_form(rows, state, n0, out):
         S, I, R, V = state
         try:
             for lam, mu, p, eta, alpha, gamma, beta, sigma in rows:
                 N = S + I + R + V
-                pop = N if needs_pop else None
                 if I == 0.0:
                     # disease-free step: incidence vanishes (f(x, 0) = 0) and the
                     # (S, V) update coincides with the auxiliary recurrence
                     S1, V1 = _aux_advance(lam, mu, p, eta, S, V)
                     phi_term = psi_term = 0.0
                 else:
-                    qs = q_phi(I, pop)
-                    qv = q_psi(I, pop)
+                    # f(x, I) = q x with q = I / d(I, N)
+                    qs = I if d_phi is None else I / d_phi(I, N)
+                    qv = I if d_psi is None else I / d_psi(I, N)
                     A_s = 1.0 + mu + p + beta * qs
                     A_v = 1.0 + mu + eta + sigma * qv
                     D = A_s * A_v - eta * p
@@ -376,10 +378,8 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
             raise _zero_denominator(n0 + len(out) // 4) from exc
         return S, I, R, V
 
-    if q_phi is not None and q_psi is not None:
+    if g_phi is float and g_psi is float:
         return advance_closed_form
-    g_phi, d_phi = phi.factor_form()
-    g_psi, d_psi = psi.factor_form()
     g_kept = math.nan, 0.0, math.nan, 0.0  # x, g_phi(x), y, g_psi(y) of the latest calls
 
     def advance_solved(rows, state, n0, out):
@@ -421,9 +421,8 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
                     s, v = hi_s, hi_v
                     u = w = 0.0
                 else:
-                    pop = N if needs_pop else None
-                    ds = 1.0 if d_phi is None else d_phi(I, pop)
-                    dv = 1.0 if d_psi is None else d_psi(I, pop)
+                    ds = 1.0 if d_phi is None else d_phi(I, N)
+                    dv = 1.0 if d_psi is None else d_psi(I, N)
                     s = S if S < hi_s else hi_s
                     v = V if V < hi_v else hi_v
                     if s != xs:

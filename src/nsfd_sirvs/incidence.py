@@ -1,10 +1,12 @@
 """Incidence (transmission) functions f(x, y).
 
-The discrete model consumes two-argument incidences f(susceptible-like, I);
-the continuous model consumes the separable form g(x)*I where
-g(x) = d/dy f(x, y) at y = 0.  Both views are bridged by that slope
-(`d2_at_zero`, unchecked `slope`), which is all the threshold machinery ever
-needs.
+Every incidence has the form f(x, y) = g(x) * y / d(y, P), and each kind is
+declared once as that pair (`IncidenceFn.factor_form`).  The discrete model
+consumes the two-argument f(susceptible-like, I); the continuous model
+consumes the separable form d2f(x, 0) * I, with the slope
+d2f(x, 0) = d/dy f(x, y) at y = 0 = g(x) / d(0, P).  Both views are bridged
+by that slope (`d2_at_zero`, unchecked `slope`), which is all the threshold
+machinery ever needs.
 
 Standing hypotheses on an incidence:
   * f(x, 0) = f(0, y) = 0,
@@ -31,6 +33,16 @@ def _check_xy(x, y):
         raise ValueError("incidence evaluated outside the nonnegative quadrant")
 
 
+def _g_at(g, x):
+    """float(g(x)) at every point of x, a scalar or an array; g = `float` (the
+    identity of the kinds linear in x) keeps x as it is, times 1.0."""
+    if g is float:
+        return x * 1.0
+    if isinstance(x, np.ndarray):  # g takes scalars
+        return np.array([float(g(v)) for v in x.ravel()]).reshape(x.shape)
+    return float(g(x))
+
+
 @dataclass(frozen=True)
 class IncidenceFn:
     """One incidence function, immutable and shareable.
@@ -41,20 +53,16 @@ class IncidenceFn:
       standard      f(x, y) = x*y / P   (P supplied per call, `needs_population`)
       separable(g)  f(x, y) = g(x)*y    (g nonnegative, nondecreasing, Lipschitz)
 
-    Every decision that depends on the kind is made here.  The checked
-    surface is `eval`, `d2_at_zero` and `d2_lipschitz`.  The stepper and the
-    threshold code use unchecked forms of the same formulas; the factories
-    resolve the kind once, so hot loops call the closures they return:
-
-      linear_rate()  q(y, pop) with f(x, y) = q(y, pop) * x, or None when f
-                     is not linear in x (separable).  The NSFD (S+, V+)
-                     update is a closed-form 2x2 solve exactly when both
-                     incidences have one.
-      factor_form()  (g, d) with f(x, y, pop) = g(x) * y / d(y, pop): the
-                     form the NSFD solve of a separable pair evaluates
-      unchecked_f()  f(x, y, pop)
-      slope(x, pop)  d2f(x, 0), scalars or arrays
-      bridge()       g(x, pop) of the continuous model, scalars
+    Each kind is declared once, by `factor_form()`: (g, d) with
+    f(x, y, pop) = g(x) * y / d(y, pop), g = `float` (the identity) for the
+    kinds linear in x.  Everything else is derived from it: `eval` is
+    g(x) * y / d(y, pop), `slope(x, pop)` (unchecked, scalars or arrays) and
+    `d2_at_zero` through it are g(x) / d(0, pop), and the NSFD stepper reads
+    the pair directly (closed-form (S+, V+) update when both g are `float`).
+    Only `bridge()`, g(x, pop) of the continuous model on scalars, has
+    branches of its own: it carries that model's conventions below the axis
+    and at a zero population.  The checked surface is `eval`, `d2_at_zero`
+    and `d2_lipschitz`.
     """
 
     # configuration schema: kind -> (required, optional) keyword params of the
@@ -117,24 +125,13 @@ class IncidenceFn:
             return pop
         return None
 
-    # -- unchecked forms ----------------------------------------------------
-
-    def linear_rate(self):
-        """q(y, pop) with f(x, y) = q(y, pop) * x, or None when f is not linear in x."""
-        if self.kind == "mass_action":
-            return lambda y, pop: y
-        if self.kind == "saturated":
-            a = self.a
-            return lambda y, pop: y / (1.0 + a * y)
-        if self.kind == "standard":
-            return lambda y, pop: y / pop
-        return None
+    # -- the per-kind declaration and the forms derived from it ------------
 
     def factor_form(self):
-        """(g, d) with f(x, y, pop) == float(g(x)) * y / d(y, pop), bit for bit
-        with `unchecked_f` on floats (x * y / 1.0 is x * y): g is the separable
-        g, or `float` (x itself) for the kinds linear in x, and d is None where
-        it is 1 (mass action, separable)."""
+        """(g, d) with f(x, y, pop) = float(g(x)) * y / d(y, pop): the one place
+        each kind's formula is written.  g is the separable g, or `float` (x
+        itself) for the kinds linear in x; d is None where it is 1 (mass action,
+        separable), so those forms skip the division."""
         if self.kind == "separable":
             return self._g, None
         if self.kind == "saturated":
@@ -144,27 +141,11 @@ class IncidenceFn:
             return float, lambda y, pop: pop
         return float, None
 
-    def unchecked_f(self):
-        """Unchecked f(x, y, pop); scalars, or arrays for every kind but separable."""
-        if self.kind == "mass_action":
-            return lambda x, y, pop: x * y
-        if self.kind == "saturated":
-            a = self.a
-            return lambda x, y, pop: x * y / (1.0 + a * y)
-        if self.kind == "standard":
-            return lambda x, y, pop: x * y / pop
-        g = self._g
-        return lambda x, y, pop: float(g(x)) * y
-
     def slope(self, x, pop=None):
-        """d2f(x, 0) without domain checks; scalars or arrays."""
-        if self.kind in ("mass_action", "saturated"):
-            return x * 1.0
-        if self.kind == "standard":
-            return x / pop
-        if isinstance(x, np.ndarray):  # g takes scalars
-            return np.array([float(self._g(v)) for v in x.ravel()]).reshape(x.shape)
-        return float(self._g(x))
+        """d2f(x, 0) = g(x) / d(0, pop) without domain checks; scalars or arrays."""
+        g, d = self.factor_form()
+        gx = _g_at(g, x)
+        return gx if d is None else gx / d(0.0, pop)
 
     def bridge(self):
         """g(x, pop) = d2f(x, 0) for the continuous model, on scalars.
@@ -185,12 +166,12 @@ class IncidenceFn:
     # -- checked surface ----------------------------------------------------
 
     def eval(self, x, y, pop=None):
-        """f(x, y); x, y >= 0 (scalars or arrays)."""
+        """f(x, y) = g(x) * y / d(y, pop); x, y >= 0 (scalars or arrays)."""
         _check_xy(x, y)
         pop = self._pop(pop)
-        if self.kind == "separable":
-            return self.slope(x) * y  # g(x) y, with g applied point by point
-        return self.unchecked_f()(x, y, pop)
+        g, d = self.factor_form()
+        f = _g_at(g, x) * y
+        return f if d is None else f / d(y, pop)
 
     def d2_at_zero(self, x, pop=None):
         """d/dy f(x, y) evaluated at y = 0."""

@@ -215,11 +215,19 @@ class ParamSchedule:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, t):
-        """Evaluate at time t (scalar or ndarray); t must be >= 0."""
+    def _times(self, t, what: str) -> np.ndarray:
+        """t as a float array; a ValueError unless every time is finite and >= 0
+        (n h overflowing to inf would give NaN values, cos(inf) = NaN)."""
         arr = np.asarray(t, dtype=float)
         if (arr < 0).any():
-            raise ValueError(f"schedule {self.name!r} evaluated at negative time")
+            raise ValueError(f"schedule {self.name!r} {what} at negative time")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"schedule {self.name!r} {what} at non-finite time")
+        return arr
+
+    def eval(self, t):
+        """Evaluate at time t (scalar or ndarray); t must be finite and >= 0."""
+        arr = self._times(t, "evaluated")
         return _scalar_or_array(t, self._fn(arr if isinstance(t, np.ndarray) else float(arr)))
 
     @property
@@ -229,9 +237,7 @@ class ParamSchedule:
     def derivative_at(self, t):
         if self._dfn is None:
             raise ValueError(f"schedule {self.name!r} has no derivative")
-        arr = np.asarray(t, dtype=float)
-        if (arr < 0).any():
-            raise ValueError(f"schedule {self.name!r} derivative at negative time")
+        arr = self._times(t, "derivative")
         return _scalar_or_array(t, self._dfn(arr if isinstance(t, np.ndarray) else float(arr)))
 
     @property

@@ -427,6 +427,28 @@ def test_non_finite_step_is_a_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_whose_times_overflow_is_a_config_error(tmp_path, capsys):
+    # n h overflows to inf from n = 2 on, and cos(inf) is NaN: the scan wrote
+    # r_lower = r_upper = nan, verdict Inconclusive, and exited 0
+    rc = main(["thresholds", "extinction_5_1", "--h", "1e308", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "non-finite time" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("t_end", ["-5", "0", "nan"])
+@pytest.mark.parametrize("method", ["nsfd", "euler", "rk4"])
+def test_simulate_needs_a_positive_t_end(tmp_path, capsys, method, t_end):
+    # NSFD ran one step to t = h and echoed t_end: -5 in its manifest
+    rc = main(["simulate", "extinction_5_1", "--method", method, "--t-end", t_end,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "t_end must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+    assert not list(tmp_path.glob("trajectory_*.csv"))
+
+
 # each subcommand registers only the flags it reads; these were accepted and
 # ignored before, and echoed in the manifest as if they had taken effect
 UNREAD_FLAGS = [

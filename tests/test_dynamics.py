@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsfd_sirvs import dynamics
 from nsfd_sirvs.dynamics import (AuxState, State, _aux_advance, aux_equilibrium,
                                  integrate_continuous, nsfd_step, periodic_aux_solution,
                                  simulate_aux, simulate_discrete)
@@ -203,11 +204,12 @@ def test_saturated_step_matches_bisection_oracle():
 
 def test_linear_incidences_take_the_closed_form(monkeypatch):
     # every kind linear in x (saturated included) avoids the iterative solve,
-    # whose loop is the only reader of `factor_form`
-    def no_iteration(*args):
-        raise AssertionError("fixed-point solve used for an incidence linear in x")
+    # whose loop is the only reader of `_SOLVE_MAX_ITER`
+    class NoIteration:
+        def __index__(self):
+            raise AssertionError("fixed-point solve used for an incidence linear in x")
 
-    monkeypatch.setattr(IncidenceFn, "factor_form", no_iteration)
+    monkeypatch.setattr(dynamics, "_SOLVE_MAX_ITER", NoIteration())
     dp = seasonal_dp(b=0.9)
     for phi, psi in ((SAT, MASS), (MASS, SAT), (SAT, IncidenceFn.standard())):
         traj = simulate_discrete(dp, phi, psi, State(1.0, 0.2, 0.1, 1.0), 40)

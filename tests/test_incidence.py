@@ -129,7 +129,7 @@ def test_growth_bound(inc):
 
 
 # ---------------------------------------------------------------------------
-# unchecked forms: the same formulas as the checked surface, bit for bit
+# derived forms: the factor form's formulas, bit for bit
 # ---------------------------------------------------------------------------
 
 _XS = np.linspace(0.0, 40.0, 33)
@@ -137,25 +137,19 @@ _YS = np.linspace(0.0, 40.0, 29)
 
 
 @pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
-def test_unchecked_f_equals_eval(inc):
+def test_eval_is_the_factor_form(inc):
+    # the factor form is the one declaration of each kind: f = g(x) y / d(y, pop)
     pop = 50.0 if inc.needs_population else None
-    f = inc.unchecked_f()
+    g, d = inc.factor_form()
     X, Y = np.meshgrid(_XS, _YS, indexing="ij")
     checked = inc.eval(X, Y, **_kw(inc))
-    unchecked = np.array([[f(float(x), float(y), pop) for y in _YS] for x in _XS])
-    assert checked.tobytes() == unchecked.tobytes()
-
-
-@pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
-def test_factor_form_equals_unchecked_f(inc):
-    pop = 50.0 if inc.needs_population else None
-    f = inc.unchecked_f()
-    g, d = inc.factor_form()
-    for x in _XS:
-        for y in _YS:
+    for i, x in enumerate(_XS):
+        for j, y in enumerate(_YS):
             x, y = float(x), float(y)
             factored = float(g(x)) * y / (1.0 if d is None else d(y, pop))
-            assert factored.hex() == f(x, y, pop).hex()  # bit for bit
+            assert factored.hex() == float(checked[i, j]).hex()  # bit for bit
+            assert factored.hex() == float(inc.eval(x, y, **_kw(inc))).hex()
+    assert (g is float) == (inc.kind != "separable")
 
 
 @pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
@@ -164,17 +158,9 @@ def test_slope_equals_d2_at_zero(inc):
     assert inc.slope(_XS, pop).tobytes() == inc.d2_at_zero(_XS, **_kw(inc)).tobytes()
     for x in (0.0, 0.3, 7.0):
         assert inc.slope(x, pop) == inc.d2_at_zero(x, **_kw(inc))
-
-
-@pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
-def test_linear_rate_is_eval_per_unit_x(inc):
-    q = inc.linear_rate()
-    if inc.kind == "separable":
-        assert q is None
-        return
-    pop = 50.0 if inc.needs_population else None
-    for y in _YS:
-        assert q(float(y), pop) == inc.eval(1.0, float(y), **_kw(inc))
+    g, d = inc.factor_form()  # d2f(x, 0) = g(x) / d(0, pop)
+    for x in _XS:
+        assert inc.slope(float(x), pop) == float(g(x)) / (1.0 if d is None else d(0.0, pop))
 
 
 @pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)

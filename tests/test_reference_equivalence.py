@@ -449,10 +449,18 @@ def _reference_simulate_aux(dp, a0, n_steps):
     return out
 
 
+def _linear_rate(inc):
+    """q(y, pop) with f(x, y) = q(y, pop) x, written out per kind."""
+    rates = {"mass_action": lambda y, pop: y,
+             "saturated": lambda y, pop: y / (1.0 + inc.a * y),
+             "standard": lambda y, pop: y / pop}
+    return rates[inc.kind]
+
+
 def _reference_simulate_linear(dp, phi, psi, s0, n_steps):
     """simulate_discrete as it was for incidences with a linear rate, on
     np.float64 scalars from the sequence arrays."""
-    q_phi, q_psi = phi.linear_rate(), psi.linear_rate()
+    q_phi, q_psi = _linear_rate(phi), _linear_rate(psi)
     needs_pop = phi.needs_population or psi.needs_population
     P = {name: dp.array(name, 0, n_steps) for name in SCHEDULE_NAMES}
     out = np.empty((n_steps + 1, 4))

@@ -107,6 +107,16 @@ def test_schedule_rejects_negative_time():
         seasonal_beta().eval(-0.1)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, np.array([0.0, 1.0, math.inf])])
+def test_schedule_rejects_non_finite_time(t):
+    # cos(inf) is NaN: a value at an infinite time is no value at all
+    s = seasonal_beta()
+    with pytest.raises(ValueError, match="evaluated at non-finite time"):
+        s.eval(t)
+    with pytest.raises(ValueError, match="derivative at non-finite time"):
+        s.derivative_at(t)
+
+
 def test_negative_constant_rejected():
     with pytest.raises(ValueError, match="mu"):
         ParamSchedule.constant("mu", -0.3)

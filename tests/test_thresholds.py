@@ -53,6 +53,13 @@ def test_persistence_window_product_h2():
     assert rep.verdict is Verdict.PERMANENCE
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_whose_times_overflow_is_rejected():
+    # n h = inf from n = 2 on: the products were NaN and the verdict Inconclusive
+    with pytest.raises(ValueError, match="non-finite time"):
+        discrete_thresholds(seasonal_dp(0.3, 1e308), MASS, MASS, 0, burn_in=2, scan=2)
+
+
 def test_window_products_series_exposed():
     rep = discrete_thresholds(seasonal_dp(0.3, 1.0), MASS, MASS, 3, burn_in=100, scan=200)
     assert rep.window_products.shape == (201,)
