@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Subcommands: simulate, thresholds, consistency, compare, scenario.  Every
-run writes a manifest echoing the resolved inputs; runs are deterministic,
-so identical inputs give byte-identical output files.
+Subcommands: simulate, thresholds, consistency, compare, scenario.  One
+runner, `_run`, frames them all.  It loads the scenario, and any --observed
+series, before it creates --out.  Each `_cmd_*` writes its files there and
+returns their paths with its own manifest entries; the runner then writes
+manifest.json (the resolved inputs, and `outputs`: the names of those files)
+and prints `wrote <path>`, or `wrote scenario bundle to <dir>`.  Runs are
+deterministic, so identical inputs give byte-identical output files.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
 A run too long to hold in memory is a configuration error, raised before its
@@ -64,24 +68,6 @@ def _load_spec(ref: str):
                           f"({', '.join(BUILTIN_NAMES)}) and no such file")
     spec = load_config(path)
     return spec, {"config": spec_to_config(spec)}
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _manifest(out: Path, args, spec_echo: dict, extra: dict | None = None) -> None:
-    entry = {
-        "tool": "nsfd-sirvs",
-        "version": __version__,
-        "command": args.command,
-        "argv": args._argv_no_out,
-        "spec": spec_echo,
-        **(extra or {}),
-    }
-    _write_json(out / "manifest.json", entry)
 
 
 _TRAJECTORY_ROW = ",".join(["%.17g"] * 5) + "\n"  # same digits as _F
@@ -148,12 +134,11 @@ def _consistency_payload(comparison) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, spec, out), writes its files into out and
+# returns (the paths it wrote, its own manifest entries); `_run` does the rest
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
-    spec, echo = _load_spec(args.spec)
-    out = _out_dir(args)
+def _cmd_simulate(args, spec, out: Path) -> tuple[list, dict]:
     h = args.h if args.h is not None else spec.h_values[0]
     t_end = _t_end(args, spec)
     method = args.method
@@ -168,31 +153,20 @@ def _cmd_simulate(args) -> int:
         if traj.negative_at is not None:
             print(f"warning: {method} trajectory has a negative component "
                   f"from step {traj.negative_at}", file=sys.stderr)
-    path = _write_trajectory(out, traj, method, h)
-    _manifest(out, args, echo, {"h": h, "t_end": t_end, "method": method,
-                                "outputs": [path.name]})
-    print(f"wrote {path}")
-    return 0
+    return ([_write_trajectory(out, traj, method, h)],
+            {"h": h, "t_end": t_end, "method": method})
 
 
-def _cmd_thresholds(args) -> int:
-    spec, echo = _load_spec(args.spec)
-    out = _out_dir(args)
+def _cmd_thresholds(args, spec, out: Path) -> tuple[list, dict]:
     hs = args.h if args.h else list(spec.h_values)
     lam = args.lam if args.lam is not None else spec.lam
     continuous, discrete = threshold_reports(spec, lam, discretize(spec, hs),
                                              burn_in=args.burn_in, scan=args.scan)
-    path = _write_thresholds(out, continuous, discrete)
-    _manifest(out, args, echo, {"lambda": lam, "h_values": hs,
-                                "burn_in": args.burn_in, "scan": args.scan,
-                                "outputs": [path.name]})
-    print(f"wrote {path}")
-    return 0
+    return ([_write_thresholds(out, continuous, discrete)],
+            {"lambda": lam, "h_values": hs, "burn_in": args.burn_in, "scan": args.scan})
 
 
-def _cmd_consistency(args) -> int:
-    spec, echo = _load_spec(args.spec)
-    out = _out_dir(args)
+def _cmd_consistency(args, spec, out: Path) -> tuple[list, dict]:
     lam = args.lam if args.lam is not None else spec.lam
     comparison = compare_thresholds(spec, lam, discretize(spec, spec.h_values),
                                     burn_in=args.burn_in, scan=args.scan)
@@ -211,61 +185,37 @@ def _cmd_consistency(args) -> int:
                  "r_upper": r.r_upper, "verdict": r.verdict.value, "matches": r.matches}
                 for r in rows]
             payload["sweep_all_match"] = all(r.matches for r in rows)
-    path = _write_json(out / "consistency.json", payload)
-    _manifest(out, args, echo, {"lambda": lam, "outputs": [path.name]})
-    print(f"wrote {path}")
-    return 0
+    return [_write_json(out / "consistency.json", payload)], {"lambda": lam}
 
 
-def _cmd_compare(args) -> int:
-    spec, echo = _load_spec(args.spec)
-    out = _out_dir(args)
+def _cmd_compare(args, spec, out: Path) -> tuple[list, dict]:
     hs = args.h if args.h else list(spec.h_values)
     t_end = _t_end(args, spec)
     rows, nsfd_worse = compare_methods(spec, hs, t_end)
-    path = _write_rows(out / "compare.csv", ["h", "method", "sup_dev_I", "negativity_flag"],
-                       rows)
-    _manifest(out, args, echo, {"t_end": t_end, "h_values": hs,
-                                "nsfd_worse_than_euler_at": nsfd_worse,
-                                "outputs": [path.name]})
-    print(f"wrote {path}")
-    return 0
+    return ([_write_rows(out / "compare.csv",
+                         ["h", "method", "sup_dev_I", "negativity_flag"], rows)],
+            {"t_end": t_end, "h_values": hs, "nsfd_worse_than_euler_at": nsfd_worse})
 
 
-def _cmd_scenario(args) -> int:
-    if args.action == "list":
-        for name in BUILTIN_NAMES:
-            print(f"{name}: {builtin_description(name)}")
-        return 0
-
-    spec, echo = _load_spec(args.spec)
-    if args.observed:
-        spec = spec.with_observed(load_observed(Path(args.observed)))
-    out = _out_dir(args)
+def _cmd_scenario(args, spec, out: Path) -> tuple[list, dict]:
     report = run_scenario(spec, burn_in=args.burn_in, scan=args.scan)
-
-    outputs = []
+    paths = []
     for h, res in report.per_h.items():
-        outputs.append(_write_trajectory(out, res.nsfd, "nsfd", h).name)
-        outputs.append(_write_trajectory(out, res.euler, "euler", h).name)
+        paths += [_write_trajectory(out, res.nsfd, "nsfd", h),
+                  _write_trajectory(out, res.euler, "euler", h)]
         if res.residuals is not None:
-            outputs.append(_write_rows(
+            paths.append(_write_rows(
                 out / f"residuals_h{h:g}.csv", ["t", "observed", "model_I", "residual"],
                 zip(res.residuals.times, res.residuals.observed,
-                    res.residuals.model, res.residuals.residual)).name)
+                    res.residuals.model, res.residuals.residual)))
     rk4 = report.rk4_reference
-    if rk4 is not None:
-        outputs.append(_write_trajectory(out, rk4, "rk4", rk4.dt).name)
-
-    outputs.append(_write_thresholds(out, report.continuous, report.discrete).name)
-
-    outputs.append(_write_rows(out / "verdicts.csv", ["method", "h", "verdict"],
-                               [[method, "" if h is None else h, v.value]
-                                for (method, h), v in report.verdict_matrix.items()]).name)
-    outputs.append(_write_json(out / "consistency.json", _consistency_payload(report)).name)
-
-    extra = {
-        "outputs": sorted(outputs),
+    paths += [_write_trajectory(out, rk4, "rk4", rk4.dt),
+              _write_thresholds(out, report.continuous, report.discrete),
+              _write_rows(out / "verdicts.csv", ["method", "h", "verdict"],
+                          [[method, "" if h is None else h, v.value]
+                           for (method, h), v in report.verdict_matrix.items()]),
+              _write_json(out / "consistency.json", _consistency_payload(report))]
+    entries = {
         "notes": spec.notes,
         "warnings": list(report.warnings),
         "inconsistency_flag": report.inconsistency_flag,
@@ -274,11 +224,31 @@ def _cmd_scenario(args) -> int:
                           if res.residuals is not None},
     }
     if spec.observed is not None:
-        extra["observed"] = {"label": spec.observed.label,
-                             "t": spec.observed.times.tolist(),
-                             "cases": spec.observed.cases.tolist()}
-    _manifest(out, args, echo, extra)
-    print(f"wrote scenario bundle to {out}")
+        entries["observed"] = {"label": spec.observed.label,
+                               "t": spec.observed.times.tolist(),
+                               "cases": spec.observed.cases.tolist()}
+    return paths, entries
+
+
+def _run(args, argv: list[str]) -> int:
+    """Run one subcommand with the framing in the module docstring;
+    `scenario list` only prints."""
+    if args.command == "scenario" and args.action == "list":
+        for name in BUILTIN_NAMES:
+            print(f"{name}: {builtin_description(name)}")
+        return 0
+    spec, echo = _load_spec(args.spec)
+    if getattr(args, "observed", None):
+        spec = spec.with_observed(load_observed(Path(args.observed)))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    paths, entries = args.func(args, spec, out)
+    _write_json(out / "manifest.json", {
+        "tool": "nsfd-sirvs", "version": __version__, "command": args.command,
+        "argv": _argv_without_out(argv), "spec": echo,
+        "outputs": sorted(p.name for p in paths), **entries})
+    print(f"wrote scenario bundle to {out}" if args.command == "scenario"
+          else f"wrote {paths[0]}")
     return 0
 
 
@@ -334,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scen = subs.add_parser("scenario", help="list built-ins or run a full scenario")
     scen_subs = scen.add_subparsers(dest="action", required=True)
-    scen_list = scen_subs.add_parser("list", help="print built-in scenario names")
-    scen_list.set_defaults(func=_cmd_scenario)
+    scen_subs.add_parser("list", help="print built-in scenario names")
     scen_run = scen_subs.add_parser("run", help="full scenario bundle")
     _add_common(scen_run, "--burn-in", "--scan")
     scen_run.add_argument("--observed", default=None,
@@ -363,11 +332,9 @@ def _argv_without_out(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv_no_out = _argv_without_out(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args, argv)
     except StepError as exc:
         where = f" at step {exc.step}" if exc.step is not None else ""
         print(f"numeric failure{where}: {exc}", file=sys.stderr)

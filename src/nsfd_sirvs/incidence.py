@@ -224,11 +224,13 @@ def validate_incidence(f, x_max: float, y_max: float, resolution: int = 256,
     if needs_pop and pop is None:
         raise ValueError("validate_incidence needs pop for population-scaled incidence")
 
-    # One evaluation on the whole grid, F[i, j] = f(xs[i], ys[j]); every check
-    # below reads it.  The Python max() folds keep the per-row semantics of a
-    # point-by-point scan, NaN rows included.
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    F = np.asarray(f.eval(X, Y, **kw), dtype=float)
+    # One evaluation on the whole grid, F[i, j] = f(xs[i], ys[j]), from the two
+    # axes broadcast against each other (a separable g runs once per x); every
+    # check below reads it.  The Python max() folds keep the per-row semantics
+    # of a point-by-point scan, NaN rows included.
+    X, Y = xs[:, None], ys[None, :]
+    F = np.broadcast_to(np.asarray(f.eval(X, Y, **kw), dtype=float),
+                        (resolution, resolution))
 
     # H2 exactness along both axes.
     h2 = 0.0

@@ -555,7 +555,7 @@ class ThresholdComparison:
 class ScenarioReport(ThresholdComparison):
     name: str
     per_h: dict
-    rk4_reference: Trajectory | None
+    rk4_reference: Trajectory
     warnings: tuple
 
     @property
@@ -654,8 +654,7 @@ def compare_methods(spec: ScenarioSpec, hs, t_end: float) -> tuple[list, list]:
     return rows, nsfd_worse
 
 
-def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000,
-                 reference: bool = True) -> ScenarioReport:
+def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000) -> ScenarioReport:
     """Execute a scenario across its declared step sizes."""
     warnings = []
 
@@ -695,6 +694,6 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000,
         **vars(comparison),
         name=spec.name,
         per_h=per_h,
-        rk4_reference=_rk4_reference(spec, spec.t_end) if reference else None,
+        rk4_reference=_rk4_reference(spec, spec.t_end),
         warnings=tuple(warnings),
     )

@@ -548,7 +548,11 @@ def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> Di
             return _wrap_sequence(sched.name, ph * sched.constant_value())
 
         def seq(n, sched=sched, ph=ph, h=h):
-            t = np.asarray(n, dtype=float) * h if isinstance(n, np.ndarray) else n * h
+            if isinstance(n, np.ndarray):
+                with np.errstate(over="ignore"):  # eval rejects an n h that is inf
+                    t = np.asarray(n, dtype=float) * h
+            else:
+                t = n * h
             return ph * sched.eval(t)
 
         return seq

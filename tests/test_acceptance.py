@@ -106,7 +106,7 @@ def test_criterion_03_inconsistency_example():
         failures.append(f"discrete side shows permanence (I_end={traj.I[-1]:.3g}, "
                         f"verdict {thr.verdict})")
 
-    report = run_scenario(spec, reference=False)
+    report = run_scenario(spec)
     if not report.inconsistency_flag:
         failures.append("scenario report does not flag the inconsistency")
     elapsed = time.perf_counter() - t0

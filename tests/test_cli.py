@@ -35,11 +35,12 @@ def test_simulate_extinction_trajectory(tmp_path, capsys):
 
 
 def test_simulate_unknown_name_exits_2(tmp_path, capsys):
-    rc = main(["simulate", "not_a_scenario", "--out", str(tmp_path)])
+    rc = main(["simulate", "not_a_scenario", "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     for name in BUILTIN_NAMES:
         assert name in err
+    assert not (tmp_path / "out").exists()  # the scenario loads before --out is made
 
 
 def test_simulate_measles_monthly(tmp_path):
@@ -273,8 +274,9 @@ def test_scenario_run_with_observed_writes_residuals(tmp_path):
 
 def test_scenario_missing_observed_is_io_error(tmp_path):
     rc = main(["scenario", "run", "measles_france_5_2",
-               "--observed", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
+               "--observed", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")])
     assert rc == 4
+    assert not (tmp_path / "out").exists()  # so does the observed series
 
 
 def test_scenario_run_from_config_with_relative_observed(tmp_path):
@@ -290,6 +292,32 @@ def test_scenario_run_from_config_with_relative_observed(tmp_path):
     assert (out / "residuals_h1.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["spec"]["config"]["name"] == "extinction_5_1"
+
+
+# ---------------------------------------------------------------------------
+# the framing every subcommand shares: the manifest and the stdout line
+# ---------------------------------------------------------------------------
+
+# each subcommand with the stdout line it prints, {out} standing for --out
+STDOUT_LINES = {
+    ("simulate", "extinction_5_1", "--h", "1", "--t-end", "20"):
+        "wrote {out}/trajectory_nsfd_h1.csv",
+    ("thresholds", "extinction_5_1", "--h", "1", "--lambda", "4"):
+        "wrote {out}/thresholds.csv",
+    ("consistency", "extinction_5_1", "--sweep"): "wrote {out}/consistency.json",
+    ("compare", "extinction_5_1", "--h", "1", "--t-end", "20"): "wrote {out}/compare.csv",
+    ("scenario", "run", "measles_france_5_2"): "wrote scenario bundle to {out}",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_LINES), ids=" ".join)
+def test_manifest_lists_every_file_written(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(list(argv) + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == STDOUT_LINES[argv].format(out=out) + "\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(p.name for p in out.iterdir()
+                                         if p.name != "manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +455,11 @@ def test_non_finite_step_is_a_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_whose_times_overflow_is_a_config_error(tmp_path, capsys):
     # n h overflows to inf from n = 2 on, and cos(inf) is NaN: the scan wrote
-    # r_lower = r_upper = nan, verdict Inconclusive, and exited 0
+    # r_lower = r_upper = nan, verdict Inconclusive, and exited 0.  The overflow
+    # itself raises no RuntimeWarning; the rejected time is the one message.
     rc = main(["thresholds", "extinction_5_1", "--h", "1e308", "--out", str(tmp_path)])
     assert rc == 2
     assert "non-finite time" in capsys.readouterr().err

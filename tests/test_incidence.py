@@ -225,3 +225,38 @@ def test_validator_flags_increasing_ratio():
 def test_validator_rejects_tiny_grids():
     with pytest.raises(ValueError):
         validate_incidence(IncidenceFn.mass_action(), 10.0, 10.0, resolution=8)
+
+
+class _OnMeshgrid:
+    """An incidence whose `eval` always runs on the full grid, X and Y of
+    np.meshgrid(xs, ys, indexing="ij"), whatever shapes it is handed."""
+
+    def __init__(self, inc):
+        self.inc = inc
+
+    def eval(self, x, y, **kw):
+        return self.inc.eval(*np.broadcast_arrays(x, y), **kw)
+
+    def __getattr__(self, name):
+        return getattr(self.inc, name)
+
+
+@pytest.mark.parametrize("resolution", [64, 256])
+def test_validator_calls_separable_g_once_per_axis_point(resolution):
+    # once per x for eval and once per x for d2_at_zero, not once per grid
+    # point; the report equals the one made on the full meshgrid, bit for bit
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return g_soft(x)
+
+    inc = IncidenceFn.separable(g, lipschitz_k=1.0)
+    calls.clear()  # the constructor samples g itself
+    rep = validate_incidence(inc, 10.0, 10.0, resolution=resolution)
+    assert len(calls) == 2 * resolution
+    ref = validate_incidence(_OnMeshgrid(inc), 10.0, 10.0, resolution=resolution)
+    for name, value in vars(rep).items():
+        want = getattr(ref, name)
+        assert (value.hex() == want.hex() if isinstance(value, float)
+                else value == want), name

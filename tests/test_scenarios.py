@@ -294,7 +294,7 @@ def test_load_observed_requires_header(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_run_extinction_scenario_verdicts():
-    rep = run_scenario(builtin("extinction_5_1"), reference=False)
+    rep = run_scenario(builtin("extinction_5_1"))
     vm = rep.verdict_matrix
     assert vm[("continuous", None)] is Verdict.EXTINCTION
     assert vm[("nsfd", 1.0)] is Verdict.EXTINCTION
@@ -309,7 +309,7 @@ def test_run_extinction_scenario_verdicts():
 
 
 def test_run_persistence_scenario_verdicts():
-    rep = run_scenario(builtin("persistence_5_1"), reference=False)
+    rep = run_scenario(builtin("persistence_5_1"))
     vm = rep.verdict_matrix
     assert vm[("continuous", None)] is Verdict.PERMANENCE
     for h in (2.0, 1.0, 0.5):
@@ -331,7 +331,7 @@ def test_saturation_leaves_thresholds_unchanged():
 
 
 def test_run_saturated_scenario_verdicts():
-    rep = run_scenario(builtin("saturated_5_1_ext"), reference=False)
+    rep = run_scenario(builtin("saturated_5_1_ext"))
     vm = rep.verdict_matrix
     assert vm[("continuous", None)] is Verdict.EXTINCTION
     assert vm[("nsfd", 1.0)] is Verdict.EXTINCTION
@@ -341,7 +341,7 @@ def test_run_saturated_scenario_verdicts():
 
 
 def test_run_inconsistency_scenario_flags():
-    rep = run_scenario(builtin("inconsistency_4"), reference=False)
+    rep = run_scenario(builtin("inconsistency_4"))
     assert rep.verdict_matrix[("continuous", None)] is Verdict.PERMANENCE
     h = builtin("inconsistency_4").h_values[0]
     assert rep.verdict_matrix[("nsfd", h)] is not Verdict.PERMANENCE
@@ -358,27 +358,27 @@ def test_run_inconsistency_scenario_flags():
 def test_measles_consistency_not_applicable():
     spec = builtin("measles_france_5_2")
     assert "beta" in consistency_skip_reason(spec.schedules)
-    rep = run_scenario(spec, reference=False)
+    rep = run_scenario(spec)
     assert rep.consistency is None
     assert rep.consistency_skip_reason
 
 
 def test_residuals_against_self_are_zero():
     spec = builtin("measles_france_5_2")
-    base = run_scenario(spec, reference=False)
+    base = run_scenario(spec)
     traj = base.per_h[1.0].nsfd
     series = ObservedSeries(times=traj.times[1::6], cases=traj.I[1::6])
-    rep = run_scenario(spec.with_observed(series), reference=False)
+    rep = run_scenario(spec.with_observed(series))
     res = rep.per_h[1.0].residuals
     assert res is not None
     assert res.rms == pytest.approx(0.0, abs=1e-9)
     assert np.all(res.observed == series.cases)
 
 
-def test_rk4_reference_attached_when_requested():
+def test_rk4_reference_is_always_attached():
     spec = builtin("extinction_5_1")
-    rep = run_scenario(spec, reference=True)
-    assert rep.rk4_reference is not None
+    rep = run_scenario(spec)
+    assert rep.rk4_reference.method == "rk4"
     assert rep.rk4_reference.dt == 0.01
     assert rep.rk4_reference.times[-1] == pytest.approx(spec.t_end, abs=1e-9)
 
@@ -432,7 +432,7 @@ def test_run_scenario_computes_the_continuous_report_once(monkeypatch):
 
     for module in (thresholds_module, consistency_module, scenarios_module):
         monkeypatch.setattr(module, "continuous_thresholds", counting)
-    rep = run_scenario(builtin("extinction_5_1"), reference=False)
+    rep = run_scenario(builtin("extinction_5_1"))
     assert rep.consistency is not None
     assert len(calls) == 1
 
