@@ -2,8 +2,9 @@
 
 Subcommands: simulate, thresholds, consistency, compare, scenario.  One
 runner, `_run`, frames them all.  It loads the scenario, and any --observed
-series, before it creates --out.  Each `_cmd_*` writes its files there and
-returns their paths with its own manifest entries; the runner then writes
+series, before it creates --out; a run that fails after that removes the
+directories it made while they are empty.  Each `_cmd_*` writes its files
+there and returns their paths with its own manifest entries; the runner writes
 manifest.json (the resolved inputs, and `outputs`: the names of those files)
 and prints `wrote <path>`, or `wrote scenario bundle to <dir>`.  Runs are
 deterministic, so identical inputs give byte-identical output files.
@@ -241,12 +242,21 @@ def _run(args, argv: list[str]) -> int:
     if getattr(args, "observed", None):
         spec = spec.with_observed(load_observed(Path(args.observed)))
     out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)
-    paths, entries = args.func(args, spec, out)
-    _write_json(out / "manifest.json", {
-        "tool": "nsfd-sirvs", "version": __version__, "command": args.command,
-        "argv": _argv_without_out(argv), "spec": echo,
-        "outputs": sorted(p.name for p in paths), **entries})
+    try:
+        paths, entries = args.func(args, spec, out)
+        _write_json(out / "manifest.json", {
+            "tool": "nsfd-sirvs", "version": __version__, "command": args.command,
+            "argv": _argv_without_out(argv), "spec": echo,
+            "outputs": sorted(p.name for p in paths), **entries})
+    except BaseException:
+        for d in made:  # a failed run leaves no empty directory it made
+            try:
+                d.rmdir()
+            except OSError:  # not empty
+                break
+        raise
     print(f"wrote scenario bundle to {out}" if args.command == "scenario"
           else f"wrote {paths[0]}")
     return 0
@@ -315,16 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _argv_without_out(argv: list[str]) -> list[str]:
+    """argv less --out and its value, in every spelling the parser reads as
+    --out: `--out D`, `--out=D` and the abbreviations `--o`, `--ou`."""
     cleaned = []
     skip = False
     for tok in argv:
         if skip:
             skip = False
             continue
-        if tok == "--out":
-            skip = True
-            continue
-        if tok.startswith("--out="):
+        name, eq, _ = tok.partition("=")
+        if len(name) > 2 and "--out".startswith(name):
+            skip = not eq
             continue
         cleaned.append(tok)
     return cleaned

@@ -36,12 +36,16 @@ Three ways to advance a SIRVS model live here:
     Explicit methods may leave the nonnegative cone; that is flagged on the
     returned trajectory, never clamped.
 
+Runs: every run, `nsfd_step` included, goes through `_drive`, the one owner
+of the run policies: n_steps >= 1, a finite start >= 0, the states allocated
+up front, one chunk of rows per stepper call, and a zero denominator raised as
+a StepError naming its step.  A stepper holds only its steps' arithmetic.
+
 Memory: a run holds its returned states (32 B per step; 16 B per disease-free
-step), allocated before the first step, so a run too long to hold fails at
-once with a ConfigError.  Everything else is bounded by one chunk of
-`_ROWS_PER_CHUNK` rows: `_coefficient_rows` evaluates the coefficients one
-chunk at a time, and each loop collects one chunk of new states before
-storing it.
+step), which `_drive` allocates before the first step, so a run too long to
+hold fails at once with a ConfigError.  Everything else is bounded by one
+chunk of `_ROWS_PER_CHUNK` rows: `_coefficient_rows` evaluates the
+coefficients one chunk at a time, and `_drive` stores each chunk of new states.
 
 Cost per step: every loop reads its coefficients as rows of Python floats
 from `_coefficient_rows`, the one producer of rows.  A coefficient known to be
@@ -51,9 +55,9 @@ columns are evaluated and converted, once per chunk.  Coefficients that are
 the same function (`schedules.function_key`, e.g. beta and sigma of every
 built-in) are evaluated once per chunk: `ScheduleSet.evaluate` and
 `DiscreteParams.columns` give the twin the first one's column, so schedule
-and sequence callables are taken to be pure.  The NSFD loop runs
-inside `_nsfd_stepper`, one call per chunk, so what is left per step is the
-step's own arithmetic and its balance check.
+and sequence callables are taken to be pure.  The loop over steps runs inside
+the stepper, one `_drive` call per chunk, so what is left per step is the
+step's own arithmetic and, for NSFD, its balance check.
 """
 
 from __future__ import annotations
@@ -99,13 +103,18 @@ class AuxState(NamedTuple):
     y: float
 
 
-def validate_state(s: State) -> State:
-    vals = [float(v) for v in s]
-    if not all(math.isfinite(v) for v in vals):
+def _checked_state(s) -> tuple[float, ...]:
+    """s as Python floats; ValueError unless each is finite and >= 0."""
+    vals = tuple(map(float, s))
+    if not all(map(math.isfinite, vals)):
         raise ValueError(f"non-finite state {s}")
-    if any(v < 0 for v in vals):
+    if min(vals) < 0:
         raise ValueError(f"negative state component in {s}")
-    return State(*vals)
+    return vals
+
+
+def validate_state(s: State) -> State:
+    return State(*_checked_state(s))
 
 
 @dataclass(eq=False)
@@ -174,11 +183,6 @@ def steps_for(span: float, h: float) -> int:
     return max(1, int(math.ceil(span / h - 1e-9)))
 
 
-def _zero_denominator(n: int) -> StepError:
-    # only coefficients summing to -1 (e.g. mu = -1) can zero a denominator
-    return StepError(f"zero denominator at step {n}", step=n)
-
-
 def _unbalanced(n: int, resid: float) -> StepError:
     return StepError(f"balance identity violated at step {n} (residual {resid:.3g})",
                      step=n, residual=resid)
@@ -201,20 +205,35 @@ def _coefficient_rows(columns, n_rows: int):
     return chain.from_iterable(map(chunk, range(0, n_rows, _ROWS_PER_CHUNK)))
 
 
-def _state_array(n_steps: int, width: int) -> np.ndarray:
-    """The (n_steps + 1, width) output of a run, allocated before its first
-    step: a run too long to hold fails here, not after hours of stepping."""
+def _drive(advance, rows, start, n_steps, first: int = 0) -> np.ndarray:
+    """The (n_steps + 1, width) states of a run of `advance` from `start`, its
+    first step being step `first`, under the policies in the module docstring.
+    A stepper advance(rows, state, n0, out) steps `state` once per row, the
+    first being step n0, appends each new state to `out`, an empty array("d"),
+    and returns the last one.  Only coefficients summing to -1 (e.g. mu = -1)
+    can zero a denominator."""
+    n_steps = int(n_steps)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    state = _checked_state(start)
+    width = len(state)
     try:
-        return np.empty((n_steps + 1, width))
+        out = np.empty((n_steps + 1, width))
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
         raise ConfigError(f"a run of {n_steps:.3g} steps does not fit in memory "
                           f"({8 * width * (n_steps + 1):.3g} bytes of states)") from exc
-
-
-def _put_rows(out: np.ndarray, n0: int, chunk: array) -> None:
-    """Store `chunk`, consecutive states flattened, as the rows of out after row n0."""
-    k = out.shape[1] * (n0 + 1)
-    out.reshape(-1)[k:k + len(chunk)] = chunk
+    out[0] = state
+    flat = out.reshape(-1)
+    rows = iter(rows)
+    for k in range(0, n_steps, _ROWS_PER_CHUNK):
+        chunk = array("d")
+        try:
+            state = advance(islice(rows, _ROWS_PER_CHUNK), state, first + k, chunk)
+        except ZeroDivisionError as exc:
+            n = first + k + len(chunk) // width
+            raise StepError(f"zero denominator at step {n}", step=n) from exc
+        flat[width * (k + 1):width * (k + 1) + len(chunk)] = chunk  # rows k+1 ..
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,28 +265,19 @@ def aux_equilibrium(lam: float, mu: float, eta: float, p: float) -> AuxState:
     return AuxState(lam * (mu + eta) / denom, p * lam / denom)
 
 
+def _aux_stepper(rows, state, n0, out):  # rows in `DISEASE_FREE_NAMES` order
+    x, y = state
+    for lam, mu, p, eta in rows:
+        x, y = _aux_advance(lam, mu, p, eta, x, y)
+        out.append(x)
+        out.append(y)
+    return x, y
+
+
 def simulate_aux(dp: DiscreteParams, a0: AuxState, n_steps: int) -> np.ndarray:
     """Iterate the auxiliary system; returns an (n_steps + 1, 2) array."""
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if a0[0] < 0 or a0[1] < 0:
-        raise ValueError(f"auxiliary state must be nonnegative, got {a0}")
-    out = _state_array(n_steps, 2)
-    x, y = float(a0[0]), float(a0[1])
-    out[0] = x, y
-    rows = _coefficient_rows(partial(dp.columns, DISEASE_FREE_NAMES), n_steps)
-    try:
-        for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
-            chunk = array("d")
-            for lam, mu, p, eta in islice(rows, _ROWS_PER_CHUNK):
-                x, y = _aux_advance(lam, mu, p, eta, x, y)
-                chunk.append(x)
-                chunk.append(y)
-            _put_rows(out, n0, chunk)
-    except ZeroDivisionError as exc:
-        raise _zero_denominator(n0 + len(chunk) // 2) from exc
-    return out
+    rows = _coefficient_rows(partial(dp.columns, DISEASE_FREE_NAMES), int(n_steps))
+    return _drive(_aux_stepper, rows, a0, n_steps)
 
 
 def verify_step_periodic(dp: DiscreteParams, omega: int, names=SCHEDULE_NAMES) -> None:
@@ -331,51 +341,44 @@ def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
-    """The NSFD scheme for one incidence pair, as a function
-    advance(rows, state, n0, out): it steps `state` (S, I, R, V) once per row
-    of coefficients (`_STEP_COEFFS` order), the first being step n0, appends
-    each new state to `out`, an empty array("d"), and returns the last one.  The loop
-    over steps runs here, one call per chunk of rows, so a step costs its
-    arithmetic and its balance check but no call.  The per-kind forms are
-    taken from the incidences once, here, and so is the loop: the closed-form
-    (S+, V+) update when both are linear in x (g is `float` in both factor
-    forms), else the solve.  A failed balance check or a zero denominator
-    raises a StepError naming its step.
+    """The NSFD scheme for one incidence pair, as a `_drive` stepper over
+    (S, I, R, V) with rows in `_STEP_COEFFS` order; `_drive` owns the run
+    policies.  The per-kind forms are taken from the incidences once, here,
+    and so is the loop: the closed-form (S+, V+) update when both are linear
+    in x (g is `float` in both factor forms), else the solve.  A failed
+    balance check raises a StepError naming its step.
     """
     g_phi, d_phi = phi.factor_form()
     g_psi, d_psi = psi.factor_form()
 
     def advance_closed_form(rows, state, n0, out):
         S, I, R, V = state
-        try:
-            for lam, mu, p, eta, alpha, gamma, beta, sigma in rows:
-                N = S + I + R + V
-                if I == 0.0:
-                    # disease-free step: incidence vanishes (f(x, 0) = 0) and the
-                    # (S, V) update coincides with the auxiliary recurrence
-                    S1, V1 = _aux_advance(lam, mu, p, eta, S, V)
-                    phi_term = psi_term = 0.0
-                else:
-                    # f(x, I) = q x with q = I / d(I, N)
-                    qs = I if d_phi is None else I / d_phi(I, N)
-                    qv = I if d_psi is None else I / d_psi(I, N)
-                    A_s = 1.0 + mu + p + beta * qs
-                    A_v = 1.0 + mu + eta + sigma * qv
-                    D = A_s * A_v - eta * p
-                    S1 = (A_v * (lam + S) + eta * V) / D
-                    V1 = (p * S1 + V) / A_v
-                    phi_term = beta * qs * S1
-                    psi_term = sigma * qv * V1
-                I = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
-                R = (gamma * I + R) / (1.0 + mu)
-                S, V = S1, V1
+        for lam, mu, p, eta, alpha, gamma, beta, sigma in rows:
+            N = S + I + R + V
+            if I == 0.0:
+                # disease-free step: incidence vanishes (f(x, 0) = 0) and the
+                # (S, V) update coincides with the auxiliary recurrence
+                S1, V1 = _aux_advance(lam, mu, p, eta, S, V)
+                phi_term = psi_term = 0.0
+            else:
+                # f(x, I) = q x with q = I / d(I, N)
+                qs = I if d_phi is None else I / d_phi(I, N)
+                qv = I if d_psi is None else I / d_psi(I, N)
+                A_s = 1.0 + mu + p + beta * qs
+                A_v = 1.0 + mu + eta + sigma * qv
+                D = A_s * A_v - eta * p
+                S1 = (A_v * (lam + S) + eta * V) / D
+                V1 = (p * S1 + V) / A_v
+                phi_term = beta * qs * S1
+                psi_term = sigma * qv * V1
+            I = (phi_term + psi_term + I) / (1.0 + mu + alpha + gamma)
+            R = (gamma * I + R) / (1.0 + mu)
+            S, V = S1, V1
 
-                resid = abs((1.0 + mu) * (S + I + R + V) + alpha * I - (N + lam))
-                if not resid <= _BALANCE_RTOL * (1.0 + N):  # a NaN residual fails too
-                    raise _unbalanced(n0 + len(out) // 4, resid)
-                out.fromlist([S, I, R, V])
-        except ZeroDivisionError as exc:
-            raise _zero_denominator(n0 + len(out) // 4) from exc
+            resid = abs((1.0 + mu) * (S + I + R + V) + alpha * I - (N + lam))
+            if not resid <= _BALANCE_RTOL * (1.0 + N):  # a NaN residual fails too
+                raise _unbalanced(n0 + len(out) // 4, resid)
+            out.fromlist([S, I, R, V])
         return S, I, R, V
 
     if g_phi is float and g_psi is float:
@@ -409,107 +412,104 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
         nonlocal g_kept
         S, I, R, V = state
         xs, gs, xv, gv = g_kept
-        try:
-            for lam, mu, p, eta, alpha, gamma, beta, sigma in rows:
-                N = S + I + R + V
-                a_s = 1.0 + mu + p
-                a_v = 1.0 + mu + eta
-                b_s = lam + S
-                hi_s = (a_v * b_s + eta * V) / (a_s * a_v - eta * p)  # `_aux_advance`, inlined
-                hi_v = (p * hi_s + V) / a_v
-                if I == 0.0:  # disease-free step, as in the closed form
-                    s, v = hi_s, hi_v
-                    u = w = 0.0
-                else:
-                    ds = 1.0 if d_phi is None else d_phi(I, N)
-                    dv = 1.0 if d_psi is None else d_psi(I, N)
-                    s = S if S < hi_s else hi_s
-                    v = V if V < hi_v else hi_v
-                    if s != xs:
-                        xs, gs = s, float(g_phi(s))
-                    if v != xv:
-                        xv, gv = v, float(g_psi(v))
-                    u = beta * (gs * I / ds)
-                    w = sigma * (gv * I / dv)
-                    du = dw = 0.0  # secant slopes of u in s and of w in v
-                    step_s = step_v = last_s = last_v = math.inf
-                    guarded = False
-                    for _ in range(_SOLVE_MAX_ITER):
-                        r1 = a_s * s - eta * v + u - b_s
-                        r2 = a_v * v - p * s + w - V
-                        if not guarded:
-                            tol = _SOLVE_RTOL * (b_s + eta * v)  # |r| <= tol, without a call
-                            if -tol <= r1 <= tol:
-                                tol = _SOLVE_RTOL * (V + p * s)
-                                if -tol <= r2 <= tol:
-                                    break
-                        else:
-                            a1 = r1 if r1 >= 0.0 else -r1  # abs() is a call; this loop is hot
-                            a2 = r2 if r2 >= 0.0 else -r2
-                            s_done = s_hi - s_lo <= _COLLAPSED * s_hi
-                            v_done = v_hi - v_lo <= _COLLAPSED * v_hi
-                            if ((s_done or a1 <= _SOLVE_RTOL * (b_s + eta * v))
-                                    and (v_done or a2 <= _SOLVE_RTOL * (V + p * s))):
+        for lam, mu, p, eta, alpha, gamma, beta, sigma in rows:
+            N = S + I + R + V
+            a_s = 1.0 + mu + p
+            a_v = 1.0 + mu + eta
+            b_s = lam + S
+            hi_s = (a_v * b_s + eta * V) / (a_s * a_v - eta * p)  # `_aux_advance`, inlined
+            hi_v = (p * hi_s + V) / a_v
+            if I == 0.0:  # disease-free step, as in the closed form
+                s, v = hi_s, hi_v
+                u = w = 0.0
+            else:
+                ds = 1.0 if d_phi is None else d_phi(I, N)
+                dv = 1.0 if d_psi is None else d_psi(I, N)
+                s = S if S < hi_s else hi_s
+                v = V if V < hi_v else hi_v
+                if s != xs:
+                    xs, gs = s, float(g_phi(s))
+                if v != xv:
+                    xv, gv = v, float(g_psi(v))
+                u = beta * (gs * I / ds)
+                w = sigma * (gv * I / dv)
+                du = dw = 0.0  # secant slopes of u in s and of w in v
+                step_s = step_v = last_s = last_v = math.inf
+                guarded = False
+                for _ in range(_SOLVE_MAX_ITER):
+                    r1 = a_s * s - eta * v + u - b_s
+                    r2 = a_v * v - p * s + w - V
+                    if not guarded:
+                        tol = _SOLVE_RTOL * (b_s + eta * v)  # |r| <= tol, without a call
+                        if -tol <= r1 <= tol:
+                            tol = _SOLVE_RTOL * (V + p * s)
+                            if -tol <= r2 <= tol:
                                 break
-                            # |F1(s, v(s)) - r1| <= eta / a_v |r2| and |F2(s(v), v) - r2|
-                            # <= p / a_s |r1|; a collapsed bracket pins its
-                            # variable, and the other one's side is then r's
-                            m1 = 0.0 if v_done else eta / a_v * a2
-                            m2 = 0.0 if s_done else p / a_s * a1
-                            if r1 > m1 or (r1 > 0.0 and r2 >= 0.0):
-                                s_hi = s
-                            elif r1 < -m1 or (r1 < 0.0 and r2 <= 0.0):
-                                s_lo = s
-                            if r2 > m2 or (r2 > 0.0 and r1 >= 0.0):
-                                v_hi = v
-                            elif r2 < -m2 or (r2 < 0.0 and r1 <= 0.0):
-                                v_lo = v
-                        j_s = a_s + du
-                        j_v = a_v + dw
-                        det = j_s * j_v - eta * p
-                        s1 = s - (j_v * r1 + eta * r2) / det
-                        v1 = v - (p * r1 + j_s * r2) / det
-                        e_s = (s1 - s) * (s1 - s)  # squared step lengths
-                        e_v = (v1 - v) * (v1 - v)
-                        if guarded:
-                            if not (s_lo <= s1 <= s_hi and e_s <= 0.25 * last_s):
-                                s1 = 0.5 * (s_lo + s_hi)
-                                e_s = (s1 - s) * (s1 - s)
-                            if not (v_lo <= v1 <= v_hi and e_v <= 0.25 * last_v):
-                                v1 = 0.5 * (v_lo + v_hi)
-                                e_v = (v1 - v) * (v1 - v)
-                        elif not (0.0 <= s1 <= hi_s and e_s <= 0.25 * last_s
-                                  and 0.0 <= v1 <= hi_v and e_v <= 0.25 * last_v):
-                            guarded = True
-                            s_lo = v_lo = 0.0
-                            s_hi, v_hi = hi_s, hi_v
-                            continue  # this point again, with brackets and bisection
-                        if s1 == s and v1 == v:
+                    else:
+                        a1 = r1 if r1 >= 0.0 else -r1  # abs() is a call; this loop is hot
+                        a2 = r2 if r2 >= 0.0 else -r2
+                        s_done = s_hi - s_lo <= _COLLAPSED * s_hi
+                        v_done = v_hi - v_lo <= _COLLAPSED * v_hi
+                        if ((s_done or a1 <= _SOLVE_RTOL * (b_s + eta * v))
+                                and (v_done or a2 <= _SOLVE_RTOL * (V + p * s))):
                             break
-                        last_s, step_s = step_s, e_s
-                        last_v, step_v = step_v, e_v
-                        if s1 != s:
-                            g1 = float(g_phi(s1))
-                            u1 = beta * (g1 * I / ds)
-                            du = (u1 - u) / (s1 - s)
-                            du = du if du > 0.0 else 0.0
-                            s, u, gs = s1, u1, g1
-                        if v1 != v:
-                            g1 = float(g_psi(v1))
-                            w1 = sigma * (g1 * I / dv)
-                            dw = (w1 - w) / (v1 - v)
-                            dw = dw if dw > 0.0 else 0.0
-                            v, w, gv = v1, w1, g1
-                    xs, xv = s, v
-                I = (u + w + I) / (1.0 + mu + alpha + gamma)
-                R = (gamma * I + R) / (1.0 + mu)
-                S, V = s, v
-                resid = abs((1.0 + mu) * (S + I + R + V) + alpha * I - (N + lam))
-                if not resid <= _BALANCE_RTOL * (1.0 + N):
-                    raise _unbalanced(n0 + len(out) // 4, resid)
-                out.fromlist([S, I, R, V])
-        except ZeroDivisionError as exc:
-            raise _zero_denominator(n0 + len(out) // 4) from exc
+                        # |F1(s, v(s)) - r1| <= eta / a_v |r2| and |F2(s(v), v) - r2|
+                        # <= p / a_s |r1|; a collapsed bracket pins its
+                        # variable, and the other one's side is then r's
+                        m1 = 0.0 if v_done else eta / a_v * a2
+                        m2 = 0.0 if s_done else p / a_s * a1
+                        if r1 > m1 or (r1 > 0.0 and r2 >= 0.0):
+                            s_hi = s
+                        elif r1 < -m1 or (r1 < 0.0 and r2 <= 0.0):
+                            s_lo = s
+                        if r2 > m2 or (r2 > 0.0 and r1 >= 0.0):
+                            v_hi = v
+                        elif r2 < -m2 or (r2 < 0.0 and r1 <= 0.0):
+                            v_lo = v
+                    j_s = a_s + du
+                    j_v = a_v + dw
+                    det = j_s * j_v - eta * p
+                    s1 = s - (j_v * r1 + eta * r2) / det
+                    v1 = v - (p * r1 + j_s * r2) / det
+                    e_s = (s1 - s) * (s1 - s)  # squared step lengths
+                    e_v = (v1 - v) * (v1 - v)
+                    if guarded:
+                        if not (s_lo <= s1 <= s_hi and e_s <= 0.25 * last_s):
+                            s1 = 0.5 * (s_lo + s_hi)
+                            e_s = (s1 - s) * (s1 - s)
+                        if not (v_lo <= v1 <= v_hi and e_v <= 0.25 * last_v):
+                            v1 = 0.5 * (v_lo + v_hi)
+                            e_v = (v1 - v) * (v1 - v)
+                    elif not (0.0 <= s1 <= hi_s and e_s <= 0.25 * last_s
+                              and 0.0 <= v1 <= hi_v and e_v <= 0.25 * last_v):
+                        guarded = True
+                        s_lo = v_lo = 0.0
+                        s_hi, v_hi = hi_s, hi_v
+                        continue  # this point again, with brackets and bisection
+                    if s1 == s and v1 == v:
+                        break
+                    last_s, step_s = step_s, e_s
+                    last_v, step_v = step_v, e_v
+                    if s1 != s:
+                        g1 = float(g_phi(s1))
+                        u1 = beta * (g1 * I / ds)
+                        du = (u1 - u) / (s1 - s)
+                        du = du if du > 0.0 else 0.0
+                        s, u, gs = s1, u1, g1
+                    if v1 != v:
+                        g1 = float(g_psi(v1))
+                        w1 = sigma * (g1 * I / dv)
+                        dw = (w1 - w) / (v1 - v)
+                        dw = dw if dw > 0.0 else 0.0
+                        v, w, gv = v1, w1, g1
+                xs, xv = s, v
+            I = (u + w + I) / (1.0 + mu + alpha + gamma)
+            R = (gamma * I + R) / (1.0 + mu)
+            S, V = s, v
+            resid = abs((1.0 + mu) * (S + I + R + V) + alpha * I - (N + lam))
+            if not resid <= _BALANCE_RTOL * (1.0 + N):
+                raise _unbalanced(n0 + len(out) // 4, resid)
+            out.fromlist([S, I, R, V])
         g_kept = xs, gs, xv, gv
         return S, I, R, V
 
@@ -518,27 +518,17 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
 
 def nsfd_step(dp: DiscreteParams, n: int, phi: IncidenceFn, psi: IncidenceFn,
               s: State) -> State:
-    """One step of the nonstandard scheme; preserves nonnegativity exactly."""
-    s = validate_state(s)
+    """One step of the nonstandard scheme; preserves nonnegativity exactly.
+    It is a one-row run at step n, so a run is iterated `nsfd_step`."""
     row = tuple(float(getattr(dp, name)(n)) for name in _STEP_COEFFS)
-    return State(*_nsfd_stepper(phi, psi)((row,), s, n, array("d")))
+    return State(*_drive(_nsfd_stepper(phi, psi), (row,), s, 1, first=n)[1].tolist())
 
 
 def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                       s0: State, n_steps: int) -> Trajectory:
     """Iterate the NSFD scheme; the balance identity is checked every step."""
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    s0 = validate_state(s0)
-    advance = _nsfd_stepper(phi, psi)
-    out = _state_array(n_steps, 4)
-    out[0] = state = s0
-    rows = _coefficient_rows(partial(dp.columns, _STEP_COEFFS), n_steps)
-    for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
-        chunk = array("d")
-        state = advance(islice(rows, _ROWS_PER_CHUNK), state, n0, chunk)
-        _put_rows(out, n0, chunk)
+    rows = _coefficient_rows(partial(dp.columns, _STEP_COEFFS), int(n_steps))
+    out = _drive(_nsfd_stepper(phi, psi), rows, s0, n_steps)
     return Trajectory(t0=0.0, dt=dp.h, states=out, method="nsfd")
 
 
@@ -569,9 +559,7 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
         raise ValueError(f"unknown method {method!r} (expected 'euler' or 'rk4')")
     if not (h > 0 and t_end > 0):
         raise ValueError("h and t_end must be positive")
-    s0 = validate_state(s0)
     n_steps = steps_for(t_end, h)
-    out = _state_array(n_steps, 4)
     g_phi = phi.bridge()
     g_psi = psi.bridge()
     needs_pop = phi.needs_population or psi.needs_population
@@ -591,30 +579,33 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
         return schedules.evaluate(SCHEDULE_NAMES, np.arange(a, b) * (h / 2.0),
                                   ParamSchedule.column)
 
-    rows = _coefficient_rows(half_step_columns, 2 * n_steps + 1)
-    out[0] = s0
-    S, I, R, V = s0
+    half_rows = _coefficient_rows(half_step_columns, 2 * n_steps + 1)
     hh, h6 = h / 2.0, h / 6.0
     negative_at = None
-    c0 = next(rows)
+    c0 = next(half_rows)  # the row at the start of the next step, kept across chunks
+
+    def advance(rows, state, n0, out):
+        # rows are the (midpoint, end) half-step pairs of steps n0, n0 + 1, ..
+        nonlocal c0, negative_at
+        S, I, R, V = state
+        for n, (c1, c2) in enumerate(rows, n0 + 1):
+            a1, b1, r1, v1 = rhs(c0, S, I, R, V)
+            if method == "euler":
+                S, I, R, V = S + h * a1, I + h * b1, R + h * r1, V + h * v1
+            else:
+                a2, b2, r2, v2 = rhs(c1, S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1)
+                a3, b3, r3, v3 = rhs(c1, S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2)
+                a4, b4, r4, v4 = rhs(c2, S + h * a3, I + h * b3, R + h * r3, V + h * v3)
+                S = S + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                I = I + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                R = R + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                V = V + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+            out.fromlist([S, I, R, V])
+            if negative_at is None and (S < 0 or I < 0 or R < 0 or V < 0):
+                negative_at = n
+            c0 = c2
+        return S, I, R, V
+
     with np.errstate(all="ignore"):
-        for n0 in range(0, n_steps, _ROWS_PER_CHUNK):
-            chunk = array("d")
-            for n, (c1, c2) in enumerate(islice(zip(rows, rows), _ROWS_PER_CHUNK), n0 + 1):
-                a1, b1, r1, v1 = rhs(c0, S, I, R, V)
-                if method == "euler":
-                    S, I, R, V = S + h * a1, I + h * b1, R + h * r1, V + h * v1
-                else:
-                    a2, b2, r2, v2 = rhs(c1, S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1)
-                    a3, b3, r3, v3 = rhs(c1, S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2)
-                    a4, b4, r4, v4 = rhs(c2, S + h * a3, I + h * b3, R + h * r3, V + h * v3)
-                    S = S + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                    I = I + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                    R = R + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-                    V = V + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-                chunk.fromlist([S, I, R, V])
-                if negative_at is None and (S < 0 or I < 0 or R < 0 or V < 0):
-                    negative_at = n
-                c0 = c2
-            _put_rows(out, n0, chunk)
+        out = _drive(advance, zip(half_rows, half_rows), s0, n_steps)
     return Trajectory(t0=0.0, dt=h, states=out, method=method, negative_at=negative_at)

@@ -334,7 +334,7 @@ def independence_check(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     starts = [AuxState(*s) for s in starts]
     if len(starts) < 2:
         raise ValueError("need at least two starting points")
-    if any(s.x <= 0 or s.y <= 0 for s in starts):
+    if any(not s.x > 0 or not s.y > 0 for s in starts):  # NaN fails too
         raise ValueError("starting points must be strictly positive")
 
     omega = dp.step_period or 1

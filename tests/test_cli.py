@@ -43,6 +43,21 @@ def test_simulate_unknown_name_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # the scenario loads before --out is made
 
 
+@pytest.mark.parametrize("argv", [["simulate", "extinction_5_1", "--t-end", "-5"],
+                                  ["consistency", "extinction_5_1", "--lambda", "-1"]],
+                         ids=" ".join)
+def test_failed_run_removes_the_empty_out_it_made(tmp_path, argv):
+    # these options are read after --out is made; the run that fails on them
+    # removes each directory it made while it is empty, and only those
+    out = tmp_path / "new" / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(argv + ["--out", str(kept)]) == 2
+    assert kept.is_dir()
+
+
 def test_simulate_measles_monthly(tmp_path):
     rc = main(["simulate", "measles_france_5_2", "--h", "1", "--t-end", "60",
                "--out", str(tmp_path)])
@@ -325,12 +340,14 @@ def test_manifest_lists_every_file_written(tmp_path, capsys, argv):
 # ---------------------------------------------------------------------------
 
 def test_byte_identical_reruns(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
+    # every spelling the parser reads as --out stays out of the manifest
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    for out_args in (["--out", str(a)], ["--ou", str(b)], [f"--o={c}"]):
         assert main(["thresholds", "extinction_5_1", "--h", "1", "--lambda", "4",
-                     "--out", str(out)]) == 0
-    assert (a / "thresholds.csv").read_bytes() == (b / "thresholds.csv").read_bytes()
-    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+                     *out_args]) == 0
+    for other in (b, c):
+        assert (a / "thresholds.csv").read_bytes() == (other / "thresholds.csv").read_bytes()
+        assert (a / "manifest.json").read_bytes() == (other / "manifest.json").read_bytes()
 
 
 def test_manifest_replay_reproduces_outputs(tmp_path):

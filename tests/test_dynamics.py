@@ -221,18 +221,36 @@ def test_linear_incidences_take_the_closed_form(monkeypatch):
 
 def test_zero_denominator_is_a_step_error():
     # mu = -1 zeroes 1 + mu: a named failure at its own step, not inf/nan states;
-    # step 1500 lies past the first chunk of coefficient rows
+    # step 1500 lies past the first chunk of coefficient rows.  A separable phi
+    # takes the solve, the others the closed form.
     s = State(1.0, 0.2, 0.1, 1.0)
+    sep = IncidenceFn.separable(lambda x: x / (1.0 + x), 1.0)
     for first in (0, 1500):
         dp = DiscreteParams.from_sequences(
             1.0, Lambda=0.5, mu=lambda n, k=first: np.where(np.asarray(n) >= k, -1.0, 0.3),
             p=0.0, eta=0.0, alpha=0.0, beta=0.3, sigma=0.3, gamma=0.0)
         for run in (lambda: simulate_discrete(dp, MASS, MASS, s, first + 3),
+                    lambda: simulate_discrete(dp, sep, MASS, s, first + 3),
                     lambda: nsfd_step(dp, first, MASS, MASS, s),
                     lambda: simulate_aux(dp, AuxState(1.0, 1.0), first + 3)):
             with pytest.raises(StepError, match=f"zero denominator at step {first}$") as exc:
                 run()
             assert exc.value.step == first
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_every_run_rejects_a_bad_start(bad):
+    # one start rule for every run, whatever its width: a NaN or inf
+    # disease-free start ran on to NaN or inf rows
+    dp = seasonal_dp()
+    s = State(1.0, 0.2, bad, 1.0)
+    for run in (lambda: simulate_aux(dp, AuxState(bad, 1.0), 3),
+                lambda: simulate_aux(dp, AuxState(1.0, bad), 3),
+                lambda: simulate_discrete(dp, MASS, MASS, s, 3),
+                lambda: nsfd_step(dp, 0, MASS, MASS, s),
+                lambda: integrate_continuous(full_set(), MASS, MASS, s, 3.0, 1.0)):
+        with pytest.raises(ValueError, match="^(non-finite state|negative state component)"):
+            run()
 
 
 def test_nan_coefficient_is_a_step_error():

@@ -182,9 +182,9 @@ def test_vanishing_mortality_falls_back_to_the_iterated_orbit():
     assert np.all(np.isfinite(rep.window_products))
 
 
-def test_independence_check_iterates_without_a_whole_period(monkeypatch):
+def _seasonal_inflow_dp():
     # harmonic Lambda with period 4 at h = 0.7: no whole number of steps per
-    # period, so the orbit is iterated from each start and must converge
+    # period, so the disease-free orbit is iterated from its start
     s = full_set(0.3)
     seasonal_inflow = ScheduleSet(
         Lambda=ParamSchedule.harmonic("Lambda", 0.5, 0.25, math.pi / 2.0),
@@ -192,6 +192,12 @@ def test_independence_check_iterates_without_a_whole_period(monkeypatch):
         gamma=s.gamma)
     dp = mickens_discretize(seasonal_inflow, 0.7, DenominatorFn.quadratic(0.2))
     assert dp.step_period is None
+    return dp
+
+
+def test_independence_check_iterates_without_a_whole_period(monkeypatch):
+    # the orbit is iterated from each start and must converge
+    dp = _seasonal_inflow_dp()
     calls = []
 
     def counting_simulate_aux(*args):
@@ -204,6 +210,17 @@ def test_independence_check_iterates_without_a_whole_period(monkeypatch):
     assert calls == starts
     assert not res.skipped
     assert res.spread <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_aux_start_is_rejected(bad):
+    # a NaN start gave NaN r values and an Inconclusive verdict; the
+    # independence check let it through, since nan <= 0 is false
+    dp = _seasonal_inflow_dp()
+    with pytest.raises(ValueError, match="non-finite state"):
+        discrete_thresholds(dp, MASS, MASS, 5, aux_start=AuxState(bad, 1.0))
+    with pytest.raises(ValueError, match="strictly positive|non-finite state"):
+        independence_check(dp, MASS, MASS, 5, [AuxState(1, 1), AuxState(bad, 1.0)])
 
 
 _POSITIVE = st.floats(0.05, 2.0)
