@@ -18,9 +18,8 @@ from .dynamics import (AuxState, State, Trajectory, aux_equilibrium, integrate_c
 from .thresholds import (IndependenceResult, ThresholdReport, Verdict, classify,
                          continuous_thresholds, discrete_thresholds, independence_check,
                          periodic_discrete_threshold)
-from .consistency import (ConsistencyReport, SweepRow, consistency_report,
-                          consistency_sweep, h_max, lambda_steps, net_growth_function,
-                          sup_abs_fprime)
+from .consistency import (ConsistencyReport, consistency_report, consistency_sweep, h_max,
+                          lambda_steps, net_growth_function, sup_abs_fprime)
 from .scenarios import (BUILTIN_NAMES, InconsistencyExample, ObservedSeries, ResidualReport,
                         ScenarioReport, ScenarioSpec, builtin, inconsistency_example,
                         load_config, load_observed, run_scenario, spec_to_config)
@@ -32,7 +31,7 @@ __all__ = [
     "DiscreteParams", "HypothesisReport", "IncidenceFn", "IncidenceReport",
     "IndependenceResult", "InconsistencyExample", "ObservedSeries", "ParamSchedule",
     "ResidualReport", "SCHEDULE_NAMES", "ScenarioReport", "ScenarioSpec", "ScheduleSet",
-    "SirvsError", "State", "StepError", "SweepRow", "ThresholdReport", "Trajectory",
+    "SirvsError", "State", "StepError", "ThresholdReport", "Trajectory",
     "Verdict", "aux_equilibrium", "builtin", "classify",
     "consistency_report", "consistency_sweep", "continuous_thresholds",
     "discrete_thresholds", "eval_denominator", "h_max", "inconsistency_example",

@@ -35,7 +35,8 @@ from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, compare_met
 from .schedules import mickens_discretize
 # the scenarios module computes every threshold report; the two *_thresholds names
 # stay importable here because perfbench/tracing.py looks them up in this module
-from .thresholds import continuous_thresholds, discrete_thresholds  # noqa: F401
+from .thresholds import (BURN_IN, SCAN, continuous_thresholds,  # noqa: F401
+                         discrete_thresholds)
 
 _F = "{:.17g}".format  # round-trip exact for doubles
 
@@ -56,7 +57,8 @@ def _write_rows(path: Path, header: list[str], rows) -> Path:
 
 
 def _write_json(path: Path, obj) -> Path:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)  # strict JSON only
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
@@ -102,6 +104,19 @@ def _write_thresholds(out: Path, continuous, discrete) -> Path:
                          r.exact_periodic] for h, r in pairs])
 
 
+def _discrete_json(pairs, continuous_verdict=None) -> list[dict]:
+    """One entry per (h, discrete report) pair; given the continuous verdict,
+    each entry also says whether its verdict `matches` it."""
+    entries = []
+    for h, d in pairs:
+        entry = {"h": h, "lambda_steps": d.lam, "r_lower": d.r_lower, "r_upper": d.r_upper,
+                 "verdict": d.verdict.value}
+        if continuous_verdict is not None:
+            entry["matches"] = d.verdict is continuous_verdict
+        entries.append(entry)
+    return entries
+
+
 def _h_bound_json(value):
     return "unbounded" if value == float("inf") else value
 
@@ -114,10 +129,10 @@ def _consistency_payload(comparison) -> dict:
         return {"applicable": False, "reason": comparison.consistency_skip_reason}
     return {
         "applicable": True,
-        "lambda": rep.lam,
-        "r_c_lower": rep.r_c_lower,
-        "r_c_upper": rep.r_c_upper,
-        "continuous_verdict": rep.continuous_verdict.value,
+        "lambda": rep.continuous.lam,
+        "r_c_lower": rep.continuous.r_lower,
+        "r_c_upper": rep.continuous.r_upper,
+        "continuous_verdict": rep.continuous.verdict.value,
         "sup_abs_fprime": rep.sup_abs_fprime,
         "fprime_argmax": rep.fprime_argmax,
         "h_max_upper": _h_bound_json(rep.h_max_upper),
@@ -126,9 +141,7 @@ def _consistency_payload(comparison) -> dict:
         "notes": rep.notes,  # key order is fixed by sort_keys
         "f_samples": {"t": rep.f_samples[0, ::4].tolist(),
                       "f": rep.f_samples[1, ::4].tolist()},
-        "discrete_literal": [
-            {"h": h, "lambda_steps": d.lam, "r_lower": d.r_lower, "r_upper": d.r_upper,
-             "verdict": d.verdict.value} for h, d in comparison.discrete],
+        "discrete_literal": _discrete_json(comparison.discrete),
         "inconsistent_h": [h for h, _ in comparison.inconsistent_h],
         "inconsistency_flag": comparison.inconsistency_flag,
     }
@@ -178,14 +191,11 @@ def _cmd_consistency(args, spec, out: Path) -> tuple[list, dict]:
         if skip:
             print(f"no sweep: {skip}")
         else:
-            rows = consistency_sweep(spec.schedules, spec.incidence_phi,
-                                     spec.incidence_psi, spec.denominator, rep,
-                                     burn_in=args.burn_in, scan=args.scan)
-            payload["sweep"] = [
-                {"h": r.h, "lambda_steps": r.lam_steps, "r_lower": r.r_lower,
-                 "r_upper": r.r_upper, "verdict": r.verdict.value, "matches": r.matches}
-                for r in rows]
-            payload["sweep_all_match"] = all(r.matches for r in rows)
+            pairs = consistency_sweep(spec.schedules, spec.incidence_phi,
+                                      spec.incidence_psi, spec.denominator, rep,
+                                      burn_in=args.burn_in, scan=args.scan)
+            payload["sweep"] = _discrete_json(pairs, rep.continuous.verdict)
+            payload["sweep_all_match"] = all(e["matches"] for e in payload["sweep"])
     return [_write_json(out / "consistency.json", payload)], {"lambda": lam}
 
 
@@ -267,8 +277,8 @@ def _run(args, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 _OPTIONS = {
-    "--burn-in": {"dest": "burn_in", "type": int, "default": 2000},
-    "--scan": {"type": int, "default": 4000},
+    "--burn-in": {"dest": "burn_in", "type": int, "default": BURN_IN},
+    "--scan": {"type": int, "default": SCAN},
     "--lambda": {"dest": "lam", "type": float, "help": "threshold window (time units)"},
     "--t-end": {"dest": "t_end", "type": float},
     "--h": {"action": "append", "type": float, "help": "step size (repeatable)"},

@@ -12,7 +12,10 @@ discrete window product at step h keeps the same verdict for every
 
 the upper bound using R_C^u < 0, the lower one R_C^l > 0.  A constant f
 (sup |f'| = 0) yields an unbounded guarantee.  This module builds f, takes
-the sup, evaluates the bounds and runs empirical h-sweeps.
+the sup and evaluates the bounds into a `ConsistencyReport`, which holds the
+continuous `ThresholdReport` they come from.  The empirical h-sweep returns
+(h, discrete ThresholdReport) pairs, the one shape of a per-step-size result,
+so a sweep is read like a scenario's discrete reports.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DenominatorFn,
                         DiscreteParams, ParamSchedule, ScheduleSet, mickens_discretize)
 # consistency_report takes the continuous report from its caller; continuous_thresholds
 # stays importable here because perfbench/tracing.py looks it up in this module
-from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
-                         discrete_thresholds, disease_free_equilibrium)
+from .thresholds import (BURN_IN, SCAN, ThresholdReport, Verdict,  # noqa: F401
+                         continuous_thresholds, discrete_thresholds, disease_free_equilibrium)
 
 _CD_STEP = 1e-5
 _SUP_GRID = 100_000
@@ -41,34 +44,31 @@ _F_NAMES = ("beta", "sigma", "alpha", "gamma")  # the varying coefficients of f
 
 @dataclass
 class ConsistencyReport:
-    """Continuous thresholds, sup |f'|, and the step bounds they imply.
+    """The continuous report, sup |f'|, and the step bounds they imply.
 
-    `h_max_upper` is populated only when r_c_upper < 0 (extinction side),
-    `h_max_lower` only when r_c_lower > 0 (permanence side); math.inf means
-    the guarantee holds for every step size in the small-step regime.
+    `h_max_upper` is populated only when the continuous r_upper < 0 (extinction
+    side), `h_max_lower` only when its r_lower > 0 (permanence side); math.inf
+    means the guarantee holds for every step size in the small-step regime.
     `notes` carries labeled reference values so documented discrepancies
     stay visible next to the computed numbers.
     """
 
-    lam: float
-    r_c_lower: float
-    r_c_upper: float
+    continuous: ThresholdReport  # its lam is the window of the bounds
     sup_abs_fprime: float
     fprime_argmax: float
     h_max_upper: float | None
     h_max_lower: float | None
     equilibrium: tuple[float, float]
     f_samples: np.ndarray = field(compare=False, repr=False)  # shape (2, K): times and f values
-    continuous_verdict: Verdict
     notes: dict = field(default_factory=dict)
 
     @property
     def verdict_bound(self) -> float | None:
         """The step bound on the side of the continuous verdict; None when
         the verdict is inconclusive."""
-        if self.continuous_verdict is Verdict.EXTINCTION:
+        if self.continuous.verdict is Verdict.EXTINCTION:
             return self.h_max_upper
-        if self.continuous_verdict is Verdict.PERMANENCE:
+        if self.continuous.verdict is Verdict.PERMANENCE:
             return self.h_max_lower
         return None
 
@@ -241,16 +241,13 @@ def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceF
     if not analytic:
         report_notes.setdefault("fprime", "central differences (no analytic derivative)")
     return ConsistencyReport(
-        lam=lam,
-        r_c_lower=continuous.r_lower,
-        r_c_upper=continuous.r_upper,
+        continuous=continuous,
         sup_abs_fprime=sup.value,
         fprime_argmax=sup.argmax,
         h_max_upper=h_max(continuous.r_upper, sup.value, lam, "upper"),
         h_max_lower=h_max(continuous.r_lower, sup.value, lam, "lower"),
         equilibrium=tuple(equilibrium),
         f_samples=np.vstack([ts, np.asarray(f(ts), dtype=float)]),
-        continuous_verdict=continuous.verdict,
         notes=report_notes,
     )
 
@@ -271,9 +268,11 @@ def lambda_steps(lam: float, h: float) -> int:
 
 
 def window_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
-                      lam: float, burn_in: int = 2000, scan: int = 4000) -> ThresholdReport:
+                      lam: float, burn_in: int = BURN_IN, scan: int = SCAN) -> ThresholdReport:
     """Discrete thresholds at dp's step for the continuous window lam: window
     index `lambda_steps(lam, dp.h)` (the report's `lam`), scan at least one window."""
+    if scan < 0:
+        raise ValueError(f"scan must be >= 0, got {scan}")
     lam_d = lambda_steps(lam, dp.h)
     return discrete_thresholds(dp, phi, psi, lam_d, burn_in=burn_in,
                                scan=max(scan, lam_d + 1))
@@ -282,7 +281,7 @@ def window_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
 def sweep_skip_reason(report: ConsistencyReport) -> str:
     """Empty string when the report has a finite step bound to sweep below,
     else the reason there is nothing to sweep."""
-    if report.continuous_verdict is Verdict.INCONCLUSIVE:
+    if report.continuous.verdict is Verdict.INCONCLUSIVE:
         return "continuous verdict is inconclusive; no bound to sweep"
     bound = report.verdict_bound
     if bound is None or not math.isfinite(bound):
@@ -290,21 +289,11 @@ def sweep_skip_reason(report: ConsistencyReport) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    h: float
-    lam_steps: int
-    r_lower: float
-    r_upper: float
-    verdict: Verdict
-    matches: bool
-
-
 def consistency_sweep(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
                       denominator: DenominatorFn, report: ConsistencyReport, n: int = 16,
-                      burn_in: int = 2000, scan: int = 4000) -> list[SweepRow]:
-    """Empirical check of the guarantee: verdicts at n log-spaced h from 1% to
-    99% of the report's h_max, for its window lam.
+                      burn_in: int = BURN_IN, scan: int = SCAN) -> list[tuple]:
+    """Empirical check of the guarantee: the (h, discrete report) pairs at n
+    log-spaced h from 1% to 99% of the report's h_max, for its window lam.
 
     Raises ValueError with `sweep_skip_reason` when there is no finite bound
     to sweep against.
@@ -313,12 +302,9 @@ def consistency_sweep(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn
     if reason:
         raise ValueError(reason)
     bound = report.verdict_bound
-
-    rows = []
+    lam = report.continuous.lam
+    pairs = []
     for h in np.geomspace(bound * _SWEEP_FRACS[0], bound * _SWEEP_FRACS[1], int(n)):
         dp = mickens_discretize(schedules, float(h), denominator)
-        rep = window_thresholds(dp, phi, psi, report.lam, burn_in=burn_in, scan=scan)
-        rows.append(SweepRow(h=dp.h, lam_steps=rep.lam, r_lower=rep.r_lower,
-                             r_upper=rep.r_upper, verdict=rep.verdict,
-                             matches=rep.verdict is report.continuous_verdict))
-    return rows
+        pairs.append((dp.h, window_thresholds(dp, phi, psi, lam, burn_in=burn_in, scan=scan)))
+    return pairs

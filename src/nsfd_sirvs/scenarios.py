@@ -29,8 +29,8 @@ from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSche
                         ScheduleSet, mickens_discretize, validate_hypotheses)
 # discrete_thresholds is called through consistency.window_thresholds; it stays
 # importable here because perfbench/tracing.py looks it up in this module
-from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
-                         discrete_thresholds)
+from .thresholds import (BURN_IN, SCAN, ThresholdReport, Verdict,  # noqa: F401
+                         continuous_thresholds, discrete_thresholds)
 
 RK4_REFERENCE_STEP = 0.01
 
@@ -53,6 +53,8 @@ class ObservedSeries:
             raise ConfigError("observed series needs a nonempty 1-d time array")
         if self.times.size != self.cases.size:
             raise ConfigError("observed times and cases differ in length")
+        if not np.all(np.isfinite(self.times)):
+            raise ConfigError("observed times must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("observed times must be strictly increasing")
         if np.any(self.cases < 0) or not np.all(np.isfinite(self.cases)):
@@ -515,7 +517,7 @@ class ResidualReport:
     observed: np.ndarray
     model: np.ndarray
     residual: np.ndarray
-    rms: float
+    rms: float | None  # None when no observation falls inside the run
 
 
 @dataclass(eq=False)
@@ -589,7 +591,7 @@ def _residuals(traj: Trajectory, observed: ObservedSeries) -> ResidualReport:
     obs = observed.cases[keep]
     model = np.interp(ts, traj.times, traj.I)
     residual = model - obs
-    rms = float(np.sqrt(np.mean(residual ** 2))) if residual.size else float("nan")
+    rms = float(np.sqrt(np.mean(residual ** 2))) if residual.size else None
     return ResidualReport(times=ts, observed=obs, model=model, residual=residual, rms=rms)
 
 
@@ -614,7 +616,7 @@ def _rk4_reference(spec: ScenarioSpec, t_end: float) -> Trajectory:
 
 
 def threshold_reports(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
-                      burn_in: int = 2000, scan: int = 4000) -> tuple:
+                      burn_in: int = BURN_IN, scan: int = SCAN) -> tuple:
     """The continuous report for window lam, None for a zero-length window,
     and the (h, discrete report) pairs for the discrete models dps."""
     continuous = continuous_thresholds(spec.schedules, spec.incidence_phi,
@@ -625,7 +627,7 @@ def threshold_reports(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
 
 
 def compare_thresholds(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
-                       burn_in: int = 2000, scan: int = 4000) -> ThresholdComparison:
+                       burn_in: int = BURN_IN, scan: int = SCAN) -> ThresholdComparison:
     """Threshold reports for window lam > 0 at the step sizes of dps, with the
     step-bound report where that analysis applies and the reason where not."""
     if not lam > 0:
@@ -654,7 +656,7 @@ def compare_methods(spec: ScenarioSpec, hs, t_end: float) -> tuple[list, list]:
     return rows, nsfd_worse
 
 
-def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000) -> ScenarioReport:
+def run_scenario(spec: ScenarioSpec, burn_in: int = BURN_IN, scan: int = SCAN) -> ScenarioReport:
     """Execute a scenario across its declared step sizes."""
     warnings = []
 
@@ -675,8 +677,7 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = 2000, scan: int = 4000) -> S
     for dp in dps:
         h = dp.h
         omega = dp.step_period or 1
-        hyp = validate_hypotheses(dp, horizons=(omega, omega, omega),
-                                  scan=(0, max(100, 2 * omega)))
+        hyp = validate_hypotheses(dp, window=omega, stop=max(100, 2 * omega))
         if not (hyp.h3_holds and hyp.h4_holds):
             warnings.append(f"h={h:g}: attractivity hypotheses fail (H3/H4)")
         warnings.extend(f"h={h:g}: {w}" for w in hyp.warnings)

@@ -577,16 +577,15 @@ def _step_period(schedules: ScheduleSet, names, h: float) -> int | None:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Numeric check of the standing hypotheses on the parameter sequences.
+    """Numeric check of the standing hypotheses on the parameter sequences,
+    over the window starts n = 0 .. stop - 1 and one window w:
 
-    H3: limsup_n prod_{k=n}^{n+w_mu} 1/(1+mu_k) < 1  (mortality does not vanish)
+    H3: limsup_n prod_{k=n}^{n+w} 1/(1+mu_k) < 1  (mortality does not vanish)
     H4: liminf_n sum_{k=n+1}^{n+w} of Lambda_k and of p_k are positive
     """
 
-    w_mu: int
-    w_Lambda: int
-    w_p: int
-    scan: tuple[int, int]
+    window: int
+    stop: int
     h3_max_product: float
     h4_min_Lambda_sum: float
     h4_min_p_sum: float
@@ -595,45 +594,41 @@ class HypothesisReport:
     warnings: tuple[str, ...] = ()
 
 
-def validate_hypotheses(dp: DiscreteParams, horizons: tuple[int, int, int] = (1, 1, 1),
-                        scan: tuple[int, int] = (0, 1000)) -> HypothesisReport:
-    """Scan finite index windows for the H3/H4 hypothesis surrogates."""
-    w_mu, w_Lam, w_p = (int(w) for w in horizons)
-    lo, hi = (int(s) for s in scan)
-    if hi <= lo:
+def validate_hypotheses(dp: DiscreteParams, window: int = 1,
+                        stop: int = 1000) -> HypothesisReport:
+    """Scan the window starts 0 .. stop - 1 for the H3/H4 hypothesis surrogates."""
+    w, stop = int(window), int(stop)
+    if stop <= 0:
         raise ValueError("empty scan range")
-    if min(w_mu, w_Lam, w_p) < 1:
-        raise ValueError("horizons must be >= 1")
+    if w < 1:
+        raise ValueError("window must be >= 1")
 
-    w_max = max(w_mu, w_Lam, w_p)
-    mu = dp.array("mu", lo, hi + w_mu + 1)
-    lam = dp.array("Lambda", lo, hi + w_Lam + 1)
-    p = dp.array("p", lo, hi + w_p + 1)
+    mu, lam, p = (dp.array(name, 0, stop + w + 1) for name in ("mu", "Lambda", "p"))
 
     warnings = []
-    values = dp.columns(SCHEDULE_NAMES, lo, lo + min(hi - lo, 1000) + w_max)
+    values = dp.columns(SCHEDULE_NAMES, 0, min(stop, 1000) + w)
     for name, vals in zip(SCHEDULE_NAMES, values):
         if np.any(vals < 0):
             warnings.append(f"sequence {name!r} takes negative values on the scan range; "
                             "nonnegativity hypotheses are violated")
 
-    # H3: sliding products of 1/(1+mu_k), k = n .. n+w_mu
+    # H3: sliding products of 1/(1+mu_k), k = n .. n+w
     logs = -np.log1p(mu)
     c = np.concatenate([[0.0], np.cumsum(logs)])
-    prods = np.exp(c[w_mu + 1:] - c[:-(w_mu + 1)])
-    h3_max = float(prods[: hi - lo].max())
+    prods = np.exp(c[w + 1:] - c[:-(w + 1)])
+    h3_max = float(prods[:stop].max())
 
     # H4: sliding sums over k = n+1 .. n+w
-    def min_window_sum(vals, w):
+    def min_window_sum(vals):
         cs = np.concatenate([[0.0], np.cumsum(vals)])
-        sums = cs[w + 1:] - cs[1:-(w)]
-        return float(sums[: hi - lo].min())
+        sums = cs[w + 1:] - cs[1:-w]
+        return float(sums[:stop].min())
 
-    h4_lam = min_window_sum(lam, w_Lam)
-    h4_p = min_window_sum(p, w_p)
+    h4_lam = min_window_sum(lam)
+    h4_p = min_window_sum(p)
 
     return HypothesisReport(
-        w_mu=w_mu, w_Lambda=w_Lam, w_p=w_p, scan=(lo, hi),
+        window=w, stop=stop,
         h3_max_product=h3_max,
         h4_min_Lambda_sum=h4_lam,
         h4_min_p_sum=h4_p,

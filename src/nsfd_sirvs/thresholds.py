@@ -30,14 +30,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, StepError
-from .dynamics import (AuxState, State, aux_equilibrium, integrate_continuous,
-                       period_map_fixed_point, periodic_aux_solution, simulate_aux,
-                       steps_for, verify_step_periodic)
+from .dynamics import (AuxState, State, _checked_state, aux_equilibrium,
+                       integrate_continuous, period_map_fixed_point, periodic_aux_solution,
+                       simulate_aux, steps_for, verify_step_periodic)
 from .incidence import IncidenceFn
 from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DiscreteParams,
                         ParamSchedule, ScheduleSet, validate_hypotheses)
 
 BOUNDARY_TOL = 1e-12
+BURN_IN, SCAN = 2000, 4000  # default window starts skipped, then scanned, by a discrete report
 _RATIO_NAMES = ("beta", "sigma", "mu", "alpha", "gamma")  # the coefficients of r_k and F
 
 
@@ -124,7 +125,9 @@ def _disease_free_orbit(dp: DiscreteParams, omega: int | None, k_lo: int, k_hi: 
     at the steps j mod omega), for `omega` a declared step period of Lambda, mu,
     p, eta (constancy is declared, never observed).  Iterated from `aux_start`
     without one or when the period map is singular, one row per step; raised if
-    no start."""
+    no start.  A given start is checked first, whichever orbit is taken."""
+    if aux_start is not None:
+        _checked_state(aux_start)
     if omega is not None:
         try:
             return periodic_aux_solution(dp, omega), omega
@@ -135,7 +138,7 @@ def _disease_free_orbit(dp: DiscreteParams, omega: int | None, k_lo: int, k_hi: 
 
 
 def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
-                        lam: int, burn_in: int = 2000, scan: int = 4000,
+                        lam: int, burn_in: int = BURN_IN, scan: int = SCAN,
                         aux_start: AuxState = AuxState(1.0, 1.0)) -> ThresholdReport:
     """Window products of the per-step growth ratios along the aux orbit.
 
@@ -323,7 +326,7 @@ class IndependenceResult:
 
 def independence_check(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                        lam: int, starts: Sequence[AuxState],
-                       burn_in: int = 2000, scan: int = 4000) -> IndependenceResult:
+                       burn_in: int = BURN_IN, scan: int = SCAN) -> IndependenceResult:
     """Max pairwise threshold difference across aux starts.
 
     The window quantities do not depend on the particular positive
@@ -338,7 +341,7 @@ def independence_check(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         raise ValueError("starting points must be strictly positive")
 
     omega = dp.step_period or 1
-    hyp = validate_hypotheses(dp, horizons=(omega, omega, omega), scan=(0, max(burn_in, 100)))
+    hyp = validate_hypotheses(dp, window=omega, stop=max(burn_in, 100))
     if not (hyp.h3_holds and hyp.h4_holds):
         failing = []
         if not hyp.h3_holds:

@@ -200,12 +200,12 @@ def test_criterion_08_step_bound_sweep():
         spec = builtin(name)
         report = consistency_report(spec.schedules, MASS, MASS,
                                     continuous_thresholds(spec.schedules, MASS, MASS, 4.0))
-        rows = consistency_sweep(spec.schedules, MASS, MASS, spec.denominator,
-                                 report, n=16)
-        bad = [r for r in rows if not r.matches]
+        pairs = consistency_sweep(spec.schedules, MASS, MASS, spec.denominator,
+                                  report, n=16)
+        bad = [h for h, d in pairs if d.verdict is not report.continuous.verdict]
         if bad:
             failures.append(f"{name}: {len(bad)}/16 verdicts disagree "
-                            f"(first at h={bad[0].h:.4g})")
+                            f"(first at h={bad[0]:.4g})")
     elapsed = time.perf_counter() - t0
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 30 s")

@@ -44,7 +44,10 @@ def test_simulate_unknown_name_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["simulate", "extinction_5_1", "--t-end", "-5"],
-                                  ["consistency", "extinction_5_1", "--lambda", "-1"]],
+                                  ["consistency", "extinction_5_1", "--lambda", "-1"],
+                                  ["thresholds", "extinction_5_1", "--h", "1", "--scan", "-5"],
+                                  ["consistency", "extinction_5_1", "--scan", "-5"],
+                                  ["scenario", "run", "extinction_5_1", "--scan", "-5"]],
                          ids=" ".join)
 def test_failed_run_removes_the_empty_out_it_made(tmp_path, argv):
     # these options are read after --out is made; the run that fails on them
@@ -285,6 +288,22 @@ def test_scenario_run_with_observed_writes_residuals(tmp_path):
     assert (out / "residuals_h1.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert "1" in manifest["rms_residuals"]
+
+
+def test_observed_outside_the_run_writes_strict_json(tmp_path):
+    # no observation falls inside the 60-month run: the rms was written as a
+    # bare NaN, which strict JSON parsers reject; it is null now
+    obs = tmp_path / "obs.csv"
+    obs.write_text("t,cases\n100,5\n200,6\n")
+    out = tmp_path / "bundle"
+    assert main(["scenario", "run", "measles_france_5_2", "--observed", str(obs),
+                 "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    assert manifest["rms_residuals"] == {"1": None}
 
 
 def test_scenario_missing_observed_is_io_error(tmp_path):

@@ -217,11 +217,11 @@ def test_h_max_sign_gates():
 
 def test_consistency_report_extinction_benchmark():
     rep = report_for(full_set(0.3), 4.0, notes={"h_max_upper_reported": 0.05})
-    assert rep.r_c_upper == pytest.approx(-0.6, abs=1e-3)
+    assert rep.continuous.r_upper == pytest.approx(-0.6, abs=1e-3)
     assert rep.h_max_upper == pytest.approx(0.5093, abs=1e-3)
     assert rep.h_max_lower is None
     assert rep.notes["h_max_upper_reported"] == 0.05
-    assert rep.continuous_verdict is Verdict.EXTINCTION
+    assert rep.continuous.verdict is Verdict.EXTINCTION
     a, b = rep.equilibrium
     assert a + b == pytest.approx(5.0 / 3.0, rel=1e-12)
 
@@ -245,11 +245,12 @@ def test_equilibrium_satisfies_stationarity():
 
 
 def test_sweep_matches_continuous_verdict():
-    rows = consistency_sweep(full_set(0.3), MASS, MASS, DenominatorFn.quadratic(0.2),
-                             report_for(full_set(0.3), 4.0), n=4)
-    assert len(rows) == 4
-    assert all(r.matches for r in rows)
-    assert all(r.verdict is Verdict.EXTINCTION for r in rows)
+    rep = report_for(full_set(0.3), 4.0)
+    pairs = consistency_sweep(full_set(0.3), MASS, MASS, DenominatorFn.quadratic(0.2),
+                              rep, n=4)
+    assert len(pairs) == 4
+    assert all(d.verdict is rep.continuous.verdict for _, d in pairs)
+    assert all(d.verdict is Verdict.EXTINCTION for _, d in pairs)
 
 
 def test_sweep_needs_a_decisive_verdict():
@@ -262,7 +263,7 @@ def test_sweep_needs_a_finite_bound():
     # constant coefficients: sup |f'| = 0, so the guarantee holds for every h
     sched = constant_set(beta=0.1, sigma=0.1)
     rep = report_for(sched, 4.0)
-    assert rep.continuous_verdict is Verdict.EXTINCTION
+    assert rep.continuous.verdict is Verdict.EXTINCTION
     assert rep.verdict_bound == math.inf
     reason = sweep_skip_reason(rep)
     assert reason == "step bound is unbounded or undefined; nothing to sweep"

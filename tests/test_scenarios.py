@@ -82,7 +82,7 @@ def test_builtins_satisfy_hypotheses_and_incidence_checks():
         h = spec.h_values[-1]
         dp = mickens_discretize(spec.schedules, h, spec.denominator)
         omega = dp.step_period or 12
-        hyp = validate_hypotheses(dp, horizons=(omega, omega, omega), scan=(0, 200))
+        hyp = validate_hypotheses(dp, window=omega, stop=200)
         assert hyp.h3_holds and hyp.h4_holds, name
         assert hyp.warnings == (), name
         pop0 = float(sum(spec.initial_state))
@@ -272,6 +272,16 @@ def test_load_observed_repeated_time_rejected(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("t,cases\n0,106\n0,98\n")
     with pytest.raises(ConfigError, match="increasing"):
+        load_observed(path)
+
+
+@pytest.mark.parametrize("row", ["nan,6", "inf,3", "-inf,3"])
+def test_load_observed_non_finite_time_rejected(tmp_path, row):
+    # such rows were dropped from the residuals without a word, and the
+    # manifest echoed the times as the non-JSON tokens NaN and Infinity
+    path = tmp_path / "obs.csv"
+    path.write_text(f"t,cases\n0,106\n{row}\n")
+    with pytest.raises(ConfigError, match="observed times must be finite"):
         load_observed(path)
 
 

@@ -291,7 +291,7 @@ def test_non_finite_step_is_a_config_error(h):
 def test_hypotheses_constant_mu_closed_form():
     dp = DiscreteParams.from_sequences(1.0, Lambda=1.0, mu=0.3, p=0.5, eta=0.05,
                                        alpha=0.0, beta=0.1, sigma=0.1, gamma=0.1)
-    rep = validate_hypotheses(dp, horizons=(1, 1, 1), scan=(0, 100))
+    rep = validate_hypotheses(dp, window=1, stop=100)
     assert rep.h3_max_product == pytest.approx((1 / 1.3) ** 2, rel=1e-12)
     assert rep.h3_holds and rep.h4_holds
 
@@ -299,14 +299,14 @@ def test_hypotheses_constant_mu_closed_form():
 def test_hypotheses_zero_inflow_fails_h4():
     dp = DiscreteParams.from_sequences(1.0, Lambda=0.0, mu=0.3, p=0.5, eta=0.05,
                                        alpha=0.0, beta=0.1, sigma=0.1, gamma=0.1)
-    rep = validate_hypotheses(dp, horizons=(1, 1, 1), scan=(0, 100))
+    rep = validate_hypotheses(dp, window=1, stop=100)
     assert rep.h4_min_Lambda_sum == 0.0
     assert not rep.h4_holds
 
 
 def test_hypotheses_hold_for_seasonal_benchmark():
     dp = mickens_discretize(full_set(), 1.0, DenominatorFn.quadratic(0.2))
-    rep = validate_hypotheses(dp, horizons=(4, 4, 4), scan=(0, 500))
+    rep = validate_hypotheses(dp, window=4, stop=500)
     assert rep.h3_holds and rep.h4_holds
     assert rep.warnings == ()
 
@@ -314,5 +314,5 @@ def test_hypotheses_hold_for_seasonal_benchmark():
 def test_hypotheses_warn_on_negative_sequences():
     dp = DiscreteParams.from_sequences(1.0, Lambda=1.0, mu=0.3, p=0.5, eta=0.05,
                                        alpha=0.0, beta=-0.2, sigma=0.1, gamma=0.1)
-    rep = validate_hypotheses(dp, horizons=(1, 1, 1), scan=(0, 50))
+    rep = validate_hypotheses(dp, window=1, stop=50)
     assert any("beta" in w for w in rep.warnings)

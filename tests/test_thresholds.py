@@ -160,11 +160,11 @@ def test_inconsistency_sweep_rows_follow_the_closed_form():
     phi, psi = spec.incidence_phi, spec.incidence_psi
     report = consistency_report(spec.schedules, phi, psi,
                                 continuous_thresholds(spec.schedules, phi, psi, spec.lam))
-    rows = consistency_sweep(spec.schedules, phi, psi, spec.denominator, report)
-    assert len(rows) == 16
-    for row in rows:
-        assert abs(math.log(row.r_lower) - r_c) <= 2e-3
-        assert abs(math.log(row.r_upper) - r_c) <= 2e-3
+    pairs = consistency_sweep(spec.schedules, phi, psi, spec.denominator, report)
+    assert len(pairs) == 16
+    for _, d in pairs:
+        assert abs(math.log(d.r_lower) - r_c) <= 2e-3
+        assert abs(math.log(d.r_upper) - r_c) <= 2e-3
 
 
 def test_vanishing_mortality_falls_back_to_the_iterated_orbit():
@@ -221,6 +221,19 @@ def test_non_finite_aux_start_is_rejected(bad):
         discrete_thresholds(dp, MASS, MASS, 5, aux_start=AuxState(bad, 1.0))
     with pytest.raises(ValueError, match="strictly positive|non-finite state"):
         independence_check(dp, MASS, MASS, 5, [AuxState(1, 1), AuxState(bad, 1.0)])
+
+
+@pytest.mark.parametrize("bad, message", [(math.nan, "non-finite state"),
+                                          (math.inf, "non-finite state"),
+                                          (-5.0, "negative state component")])
+def test_bad_aux_start_is_rejected_on_a_periodic_orbit(bad, message):
+    # the periodic orbit never reads the start; a NaN or negative one gave
+    # r_lower 0.6446 and Extinction, where the iterated orbit raised
+    spec = builtin("extinction_5_1")
+    dp = mickens_discretize(spec.schedules, 1.0, spec.denominator)
+    assert dp.aux_step_period is not None
+    with pytest.raises(ValueError, match=message):
+        discrete_thresholds(dp, MASS, MASS, 3, aux_start=AuxState(bad, 1.0))
 
 
 _POSITIVE = st.floats(0.05, 2.0)
