@@ -85,12 +85,14 @@ def _t_end(args, spec) -> float:
 
 
 def _write_trajectory(out: Path, traj: Trajectory, method: str, h: float) -> Path:
-    """Stream `traj.rows()` to a CSV: the writer holds one chunk of rows, never
-    the whole trajectory as Python floats."""
+    """Stream `traj.rows()` to a CSV, one `%` format and one write per chunk:
+    the writer holds one chunk of rows, never the whole trajectory as Python
+    floats."""
     path = out / f"trajectory_{method}_h{h:g}.csv"
     with path.open("w", encoding="utf-8") as fh:
         fh.write("t,S,I,R,V\n")
-        fh.writelines(_TRAJECTORY_ROW % tuple(row) for row in traj.rows())
+        for flat in traj.rows():
+            fh.write(_TRAJECTORY_ROW * (len(flat) // 5) % tuple(flat))
     return path
 
 

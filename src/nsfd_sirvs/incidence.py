@@ -141,6 +141,14 @@ class IncidenceFn:
             return float, lambda y, pop: pop
         return float, None
 
+    @property
+    def bridge_is_identity(self) -> bool:
+        """True when `bridge()` is g(x, pop) = x: g is `float` in the factor
+        form and the kind is not population-scaled, so d(0, pop) = 1 (mass
+        action, saturated).  The RK4 integrator then writes the incidence
+        inline instead of calling the bridge."""
+        return self.factor_form()[0] is float and not self.needs_population
+
     def slope(self, x, pop=None):
         """d2f(x, 0) = g(x) / d(0, pop) without domain checks; scalars or arrays."""
         g, d = self.factor_form()
@@ -155,7 +163,7 @@ class IncidenceFn:
         gives 0 for x <= 0.  A zero population carries no infection (S, V <= N
         gives g*I <= I = 0), so `standard` gives 0 there rather than 0/0.
         """
-        if self.kind in ("mass_action", "saturated"):
+        if self.bridge_is_identity:
             return lambda x, pop: x
         if self.kind == "standard":
             return lambda x, pop: x / pop if pop else 0.0

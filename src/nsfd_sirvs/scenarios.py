@@ -687,6 +687,11 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = BURN_IN, scan: int = SCAN) -
             warnings.append(f"h={h:g}: euler trajectory leaves the nonnegative "
                             f"cone at step {euler.negative_at}")
         res = _residuals(nsfd, spec.observed) if spec.observed is not None else None
+        if res is not None and res.times.size < spec.observed.times.size:
+            warnings.append(f"h={h:g}: {spec.observed.times.size - res.times.size} of "
+                            f"{spec.observed.times.size} observations lie outside the "
+                            f"run's span [{nsfd.t0:g}, {nsfd.times[-1]:g}] and are left "
+                            f"out of the residuals")
         per_h[h] = PerStepResult(nsfd=nsfd, euler=euler,
                                  euler_empirical=_empirical_verdict(euler),
                                  residuals=res)

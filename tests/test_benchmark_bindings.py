@@ -4,26 +4,55 @@
 callers look them up; a name it cannot find is reported in `missing` and its
 per-layer metrics silently read 0.  Loading the tracer as the benchmark does
 (with `perfbench/` on sys.path) makes a refactor that drops or moves a traced
-name fail here instead.
+name, or changes what the tracer reads from its calls, fail here instead.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import nsfd_sirvs
 import nsfd_sirvs.cli  # noqa: F401  (the tracer looks up `cli.main`)
+from nsfd_sirvs.scenarios import builtin
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_finds_every_binding(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     loaded = {"tracing", "workloads"} - set(sys.modules)
     try:
-        tracing = importlib.import_module("tracing")
-        assert Path(tracing.__file__).resolve().parent == PERFBENCH
-        assert tracing.Tracer(nsfd_sirvs).missing == []
+        module = importlib.import_module("tracing")
+        assert Path(module.__file__).resolve().parent == PERFBENCH
+        yield module
     finally:
         for name in loaded:  # the benchmark's modules, not the package's
             sys.modules.pop(name, None)
+
+
+def test_tracer_finds_every_binding(tracing):
+    assert tracing.Tracer(nsfd_sirvs).missing == []
+
+
+def test_tracer_counts_the_continuous_steps(tracing):
+    # the tracer binds `method` and reads `.n_steps` of each integrate_continuous
+    # call; a change to either would zero these metrics without a failure
+    spec = builtin("persistence_5_1")
+    tracer = tracing.Tracer(nsfd_sirvs)
+    tracer.install()
+    try:
+        runs = {method: nsfd_sirvs.dynamics.integrate_continuous(
+                    spec.schedules, spec.incidence_phi, spec.incidence_psi,
+                    spec.initial_state, 3.0, h, method=method)
+                for method, h in (("rk4", 0.01), ("euler", 0.1))}
+    finally:
+        tracer.uninstall()
+    metrics = tracing.per_layer_metrics([tracer.take_pass()], tracer.missing, 0.0)
+    assert (runs["rk4"].n_steps, runs["euler"].n_steps) == (300, 30)
+    for method, traj in runs.items():
+        name = f"dynamics.integrate_continuous.{method}"
+        assert metrics[f"{name}.steps"]["value"] == traj.n_steps
+        assert metrics[f"{name}.ns_per_step"]["value"] > 0

@@ -288,6 +288,23 @@ def test_scenario_run_with_observed_writes_residuals(tmp_path):
     assert (out / "residuals_h1.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert "1" in manifest["rms_residuals"]
+    assert not any("observations" in w for w in manifest["warnings"])
+
+
+def test_observations_outside_the_run_are_named_in_the_warnings(tmp_path):
+    # t = -5 lies before the 60-month run: it is left out of the residuals, and
+    # the manifest says how many were left out and the run's span
+    obs = tmp_path / "obs.csv"
+    obs.write_text("t,cases\n-5,3\n0,106\n1,98\n")
+    out = tmp_path / "bundle"
+    assert main(["scenario", "run", "measles_france_5_2", "--observed", str(obs),
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "residuals_h1.csv")
+    assert [row[:2] for row in rows] == [["0", "106"], ["1", "98"]]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [w for w in manifest["warnings"] if "observations" in w] == [
+        "h=1: 1 of 3 observations lie outside the run's span [0, 60] and are left out "
+        "of the residuals"]
 
 
 def test_observed_outside_the_run_writes_strict_json(tmp_path):
@@ -428,6 +445,15 @@ GOLDEN_COMMAND_DIGESTS = {
         "59e2358896da5ab8cc96295e5e1585429e2879e3d2404162ac9e145ca64c03a0",
     ("compare", "extinction_5_1"):
         "11f4c0a8aecd3cfd90bc4251863659ff9ba19de0f6548184122f8399e2ca1682",
+    # the continuous integrators, pinned before RK4's stages were written out:
+    # mass action (RK4's inline-incidence loop) with RK4 and Euler, and
+    # standard incidence (RK4's called-bridge loop)
+    ("simulate", "persistence_5_1", "--h", "0.05", "--method", "rk4"):
+        "f3cbdd804c0d2c86446e4655464212e08d7f22bbcd64500758c074b560604d51",
+    ("simulate", "persistence_5_1", "--h", "0.05", "--method", "euler"):
+        "34d99e457ab9cb901da4b7835bd06465ba025d2bb9159cd7f06214745d1826f9",
+    ("simulate", "measles_france_5_2", "--method", "rk4"):
+        "50280cd508c514ba6f9da0c6b5e1cd0c0cb22916124efa7013b9ec25e83df32d",
 }
 
 

@@ -219,6 +219,24 @@ def test_linear_incidences_take_the_closed_form(monkeypatch):
         simulate_discrete(dp, sep, MASS, State(1.0, 0.2, 0.1, 1.0), 1)
 
 
+def test_identity_bridges_take_the_inline_rk4_loop(monkeypatch):
+    # mass action and saturated have the identity bridge, so their RK4 loop
+    # writes beta S I inline and calls no bridge; any other kind calls its own
+    def refusing_bridge(inc):
+        def bridge(x, pop):
+            raise AssertionError(f"{inc.kind} bridge called")
+        return bridge
+
+    monkeypatch.setattr(IncidenceFn, "bridge", refusing_bridge)
+    s0 = State(1.0, 0.2, 0.1, 1.0)
+    for phi, psi in ((MASS, SAT), (SAT, MASS), (MASS, MASS)):
+        traj = integrate_continuous(full_set(0.9), phi, psi, s0, 20.0, 0.01, method="rk4")
+        assert traj.n_steps == 2000 and traj.I[-1] > 0.0
+    with pytest.raises(AssertionError, match="bridge called"):
+        integrate_continuous(full_set(0.9), MASS, IncidenceFn.standard(), s0, 1.0, 0.5,
+                             method="rk4")
+
+
 def test_zero_denominator_is_a_step_error():
     # mu = -1 zeroes 1 + mu: a named failure at its own step, not inf/nan states;
     # step 1500 lies past the first chunk of coefficient rows.  A separable phi
@@ -497,11 +515,13 @@ def test_only_varying_coefficients_are_evaluated_per_chunk(monkeypatch):
     assert seen == []
     monkeypatch.setattr(ParamSchedule, "eval",
                         lambda self, t: seen.append(self.name) or evaluate(self, t))
-    for method in ("rk4", "euler"):
+    # 1024 steps: RK4 reads 2049 half-step rows (3 chunks), Euler only the 1024
+    # rows at the start of its steps (1 chunk)
+    for method, n_chunks in (("rk4", 3), ("euler", 1)):
         seen.clear()
         integrate_continuous(spec.schedules, MASS, MASS, spec.initial_state, 10.24, 0.01,
-                             method=method)  # 1024 steps: 2049 half-step rows, 3 chunks
-        assert seen == ["beta"] * 3
+                             method=method)
+        assert seen == ["beta"] * n_chunks
 
 
 def test_scalar_valued_sequence_is_a_sequence_of_its_value():

@@ -627,13 +627,12 @@ def _reference_write_rows(path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def test_trajectory_writer_bytes_match_per_value_format(tmp_path):
-    specials = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, 200.0,
-                -2.5e-7, 1.0 / 3.0, 123456789.125, 0.0]
-    states = np.array(specials).reshape(3, 4)
-    states = np.vstack([states, states[::-1, ::-1]])
-    traj = Trajectory(t0=0.1, dt=0.1, states=states, method="rk4")
+_SPECIALS = np.array([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, 200.0,
+                      -2.5e-7, 1.0 / 3.0, 123456789.125, 0.0]).reshape(3, 4)
 
+
+def _assert_writer_matches_per_value_format(tmp_path, states):
+    traj = Trajectory(t0=0.1, dt=0.1, states=states, method="rk4")
     path = _write_trajectory(tmp_path, traj, "rk4", 0.01)
     expected = tmp_path / "expected.csv"
     _reference_write_rows(expected, ["t", "S", "I", "R", "V"],
@@ -641,6 +640,19 @@ def test_trajectory_writer_bytes_match_per_value_format(tmp_path):
                            in zip(traj.times, traj.states)])
     assert path.name == "trajectory_rk4_h0.01.csv"
     assert path.read_bytes() == expected.read_bytes()
+
+
+def test_trajectory_writer_bytes_match_per_value_format(tmp_path):
+    _assert_writer_matches_per_value_format(
+        tmp_path, np.vstack([_SPECIALS, _SPECIALS[::-1, ::-1]]))
+
+
+def test_trajectory_writer_specials_across_a_chunk_boundary(tmp_path):
+    # rows 1023 .. 1025 hold the specials: the last row of the first chunk of
+    # 1024 rows and the first two of the second, each chunk one `%` format
+    states = np.random.default_rng(11).standard_normal((2049, 4))
+    states[1023:1026] = _SPECIALS
+    _assert_writer_matches_per_value_format(tmp_path, states)
 
 
 # ---------------------------------------------------------------------------
@@ -742,16 +754,17 @@ def _mixed_set():
 
 def _assert_chunked_loops_match(schedules, s0, h, n_steps, tmp_path):
     sep = KINDS["separable"]
-    for method in ("rk4", "euler"):
-        traj = integrate_continuous(schedules, sep, KINDS["mass_action"], s0,
-                                    n_steps * h, h, method=method)
-        states, negative_at = _whole_table_integrate(schedules, sep, KINDS["mass_action"],
-                                                     s0, n_steps * h, h, method)
-        assert traj.states.tobytes() == states.tobytes()
-        assert traj.negative_at == negative_at
-        path = _write_trajectory(tmp_path, traj, method, h)
-        _whole_trajectory_write(tmp_path / "whole.csv", traj)
-        assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # a called bridge, and a pair of identity bridges (RK4's inline loop)
+    for phi, psi in ((sep, KINDS["mass_action"]), (KINDS["mass_action"], KINDS["saturated"])):
+        for method in ("rk4", "euler"):
+            traj = integrate_continuous(schedules, phi, psi, s0, n_steps * h, h, method=method)
+            states, negative_at = _whole_table_integrate(schedules, phi, psi, s0,
+                                                         n_steps * h, h, method)
+            assert traj.states.tobytes() == states.tobytes()
+            assert traj.negative_at == negative_at
+            path = _write_trajectory(tmp_path, traj, method, h)
+            _whole_trajectory_write(tmp_path / "whole.csv", traj)
+            assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
     dp = mickens_discretize(schedules, h, DenominatorFn.quadratic(0.2))
     for phi, psi in ((KINDS["mass_action"], KINDS["standard"]), (sep, sep)):
         traj = simulate_discrete(dp, phi, psi, s0, n_steps)
