@@ -86,11 +86,11 @@ def consistency_skip_reason(schedules: ScheduleSet) -> str:
     non-constant step-function beta, sigma, alpha or gamma rules out.
     """
     for name in DISEASE_FREE_NAMES:
-        if not getattr(schedules, name).is_constant:
+        if getattr(schedules, name).constant is None:
             return f"schedule {name!r} is not constant"
     for name in _F_NAMES:
         s = getattr(schedules, name)
-        if not (s.smooth or s.is_constant):
+        if not s.smooth and s.constant is None:
             return f"schedule {name!r} is a step function (not differentiable)"
     return ""
 
@@ -123,21 +123,20 @@ def _net_growth(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
     pop = a + b if (phi.needs_population or psi.needs_population) else None
     ga = float(phi.d2_at_zero(a, pop))
     gb = float(psi.d2_at_zero(b, pop))
-    mu = schedules.mu.constant_value()
-    coefficients = [getattr(schedules, n) for n in _F_NAMES]
+    mu = schedules.mu.constant
 
     def f(t):
         beta, sigma, alpha, gamma = schedules.evaluate(_F_NAMES, t, ParamSchedule.eval)
         return beta * ga + sigma * gb - mu - alpha - gamma
 
-    analytic = all(s.has_derivative for s in coefficients)
+    analytic = all(getattr(schedules, n).has_derivative for n in _F_NAMES)
     if analytic:
         def fprime(t):
             beta, sigma, alpha, gamma = schedules.evaluate(_F_NAMES, t,
                                                            ParamSchedule.derivative_at)
             return beta * ga + sigma * gb - alpha - gamma
 
-        fprime.harmonic = _one_sinusoid(coefficients, (ga, gb, -1.0, -1.0))
+        fprime.harmonic = schedules.one_sinusoid(_F_NAMES, (ga, gb, -1.0, -1.0))
     else:
         def fprime(t):
             # Richardson-extrapolated central differences; points closer to 0
@@ -149,21 +148,6 @@ def _net_growth(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
             return out if isinstance(t, np.ndarray) else float(out)
 
     return f, fprime, analytic
-
-
-def _one_sinusoid(coefficients, weights) -> tuple[complex, float] | None:
-    """(Z, omega) with sum_i c_i s_i'(t) = -omega Im(Z e^{i omega t}) and
-    Z = sum_i c_i A_i e^{i phase_i}, for schedules s_i and weights c_i, when every
-    non-constant s_i is harmonic with one omega; else None."""
-    z, omega = 0j, None
-    for s, c in zip(coefficients, weights):
-        if s.is_constant:
-            continue
-        if s.kind != "harmonic" or omega not in (None, s.params["omega"]):
-            return None
-        omega, amplitude, phase = s.params["omega"], s.params["amplitude"], s.params["phase"]
-        z += c * complex(amplitude * math.cos(phase), amplitude * math.sin(phase))
-    return None if omega is None else (z, omega)
 
 
 def sup_abs_fprime(fprime: Callable, scan: tuple[float, float]) -> FprimeSup:
@@ -229,7 +213,7 @@ def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceF
     f, fprime, analytic = _net_growth(schedules, phi, psi, equilibrium)
     T = schedules.common_period()
     sup_scan = (0.0, T) if T is not None else (0.0, APERIODIC_HORIZON)
-    constant = all(getattr(schedules, n).is_constant for n in _F_NAMES)
+    constant = schedules.constants(_F_NAMES) is not None
     # f' = 0 for constant coefficients: the scan's start, as the grid gives it
     sup = FprimeSup(0.0, sup_scan[0]) if constant else sup_abs_fprime(fprime, sup_scan)
     ts = np.linspace(sup_scan[0], sup_scan[1], 257)

@@ -50,7 +50,7 @@ coefficients one chunk at a time, and `_drive` stores each chunk of new states.
 
 Cost per step: every loop reads its coefficients as rows of Python floats
 from `_coefficient_rows`, the one producer of rows.  A coefficient known to be
-constant (`ParamSchedule.constant_value`, `DiscreteParams.constant`) is one
+constant (`ParamSchedule.constant`, `DiscreteParams.constant`) is one
 float, repeated into every row, so it costs nothing per step; only the other
 columns are evaluated and converted, once per chunk.  Coefficients that are
 the same function (`schedules.function_key`, e.g. beta and sigma of every

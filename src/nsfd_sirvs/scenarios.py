@@ -93,6 +93,11 @@ class ScenarioSpec:
             raise ConfigError("h_values must be positive and finite")
         if len(set(self.h_values)) != len(self.h_values):
             raise ConfigError("h_values must be distinct")
+        spelled = {}  # h is written {h:g} in file names, warnings and manifest keys
+        for h in self.h_values:
+            other = spelled.setdefault(f"{h:g}", h)
+            if other != h:
+                raise ConfigError(f"h_values {other!r} and {h!r} are both written h{h:g}")
         if not 0 < self.lam < math.inf:
             raise ConfigError("lambda must be positive and finite")
         if not math.isfinite(self.t_end):

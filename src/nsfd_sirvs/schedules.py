@@ -25,6 +25,7 @@ distinct one once and hands its twins the same result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, Sequence
 
@@ -81,7 +82,10 @@ class ParamSchedule:
 
     Instances are immutable and safe to share across threads.  Use the
     classmethod constructors (`constant`, `harmonic`, `piecewise`, `custom`);
-    they validate nonnegativity, declared periods and supplied derivatives.
+    they validate finite parameters, nonnegativity, declared periods and
+    supplied derivatives, and declare `constant`: the value of a `constant`
+    schedule, a harmonic with amplitude 0 or a piecewise table of equal values.
+    Outside this module only the configuration codec reads `kind` and `params`.
     """
 
     # configuration schema: kind -> (required, optional) keyword params of the
@@ -96,10 +100,13 @@ class ParamSchedule:
     kind: str  # "constant" | "harmonic" | "piecewise" | "custom"
     params: dict
     period: float | None
-    nonnegative: bool
     smooth: bool
     _fn: Callable = field(compare=False, repr=False)
     _dfn: Callable | None = field(compare=False, repr=False, default=None)
+    # the value `eval` gives at every t, bit for bit, when declared constant,
+    # else None; on the class the name is the `constant` constructor, which
+    # dataclass takes as the default, so every constructor passes the field
+    constant: float | None
 
     # -- constructors -------------------------------------------------------
 
@@ -115,7 +122,7 @@ class ParamSchedule:
         def dfn(t):
             return np.zeros(t.shape) if isinstance(t, np.ndarray) else 0.0
 
-        return cls(name, "constant", {"value": value}, None, True, True, fn, dfn)
+        return cls(name, "constant", {"value": value}, None, True, fn, dfn, constant=value)
 
     @classmethod
     def harmonic(cls, name: str, base: float, amplitude: float,
@@ -123,6 +130,12 @@ class ParamSchedule:
         """Schedule c(t) = base + amplitude*cos(omega*t + phase)."""
         base, amplitude, omega, phase = map(float, (base, amplitude, omega, phase))
         base += 0.0  # -0.0 -> 0.0: with amplitude 0, c(t) is then `base` bit for bit
+        params = {"base": base, "amplitude": amplitude, "omega": omega, "phase": phase}
+        for key, value in params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"schedule {name!r}: harmonic {key} must be finite, got {value}")
+        if not math.isfinite(base + abs(amplitude)):  # the peak value would be inf
+            raise ValueError(f"schedule {name!r}: harmonic base + |amplitude| overflows")
         if omega <= 0:
             raise ValueError(f"schedule {name!r}: harmonic omega must be > 0 (use constant otherwise)")
         if base - abs(amplitude) < 0:
@@ -135,8 +148,8 @@ class ParamSchedule:
         def dfn(t):
             return -amplitude * omega * np.sin(omega * t + phase)
 
-        params = {"base": base, "amplitude": amplitude, "omega": omega, "phase": phase}
-        return cls(name, "harmonic", params, 2.0 * math.pi / omega, True, True, fn, dfn)
+        return cls(name, "harmonic", params, 2.0 * math.pi / omega, True, fn, dfn,
+                   constant=base if amplitude == 0.0 else None)
 
     @classmethod
     def piecewise(cls, name: str, breakpoints: Sequence[float], values: Sequence[float],
@@ -155,12 +168,12 @@ class ParamSchedule:
                 f"schedule {name!r}: {bp.size} breakpoints but {vals.size} values")
         if bp[0] != 0.0:
             raise ConfigError(f"schedule {name!r}: first breakpoint must be 0, got {bp[0]}")
-        if np.any(np.diff(bp) <= 0):
-            raise ConfigError(f"schedule {name!r}: breakpoints must be strictly increasing")
+        if not (np.all(np.diff(bp) > 0) and np.isfinite(bp[-1])):  # NaN compares False
+            raise ConfigError(f"schedule {name!r}: breakpoints must be finite and "
+                              "strictly increasing")
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"schedule {name!r}: non-finite table value")
-        nonneg = bool(np.all(vals >= 0))
-        if not nonneg and not allow_negative:
+        if not allow_negative and np.any(vals < 0):
             raise ValueError(f"schedule {name!r}: negative table value (min {vals.min()})")
 
         def fn(t, bp=bp, vals=vals):
@@ -168,7 +181,8 @@ class ParamSchedule:
             return vals[idx]
 
         params = {"breakpoints": bp.tolist(), "values": vals.tolist()}
-        return cls(name, "piecewise", params, None, nonneg, False, fn, None)
+        return cls(name, "piecewise", params, None, False, fn, None,
+                   constant=float(vals[0]) if np.all(vals == vals[0]) else None)
 
     @classmethod
     def custom(cls, name: str, fn: Callable, derivative: Callable | None = None,
@@ -179,8 +193,8 @@ class ParamSchedule:
         declared period, or over [0, 100] when aperiodic); a declared period
         and a supplied derivative are cross-checked numerically.
         """
-        if period is not None and period <= 0:
-            raise ValueError(f"schedule {name!r}: period must be positive")
+        if period is not None and not 0 < period < math.inf:
+            raise ValueError(f"schedule {name!r}: period must be positive and finite, got {period}")
         fn = _ensure_vectorized(fn)
         if derivative is not None:
             derivative = _ensure_vectorized(derivative)
@@ -190,8 +204,7 @@ class ParamSchedule:
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"schedule {name!r}: non-finite value on sample grid")
         scale = 1.0 + float(np.max(np.abs(vals)))
-        nonneg = bool(np.all(vals >= -1e-12 * scale))
-        if not nonneg and not allow_negative:
+        if not allow_negative and np.any(vals < -1e-12 * scale):
             raise ValueError(f"schedule {name!r}: negative value on sample grid "
                              f"(min {vals.min():.6g})")
         if period is not None:
@@ -211,7 +224,7 @@ class ParamSchedule:
             if np.any(bad):
                 raise ValueError(f"schedule {name!r}: derivative disagrees with central "
                                  f"differences (max defect {np.max(np.abs(fd - d)):.3g})")
-        return cls(name, "custom", {}, period, nonneg, True, fn, derivative)
+        return cls(name, "custom", {}, period, True, fn, derivative, constant=None)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -240,31 +253,10 @@ class ParamSchedule:
         arr = self._times(t, "derivative")
         return _scalar_or_array(t, self._dfn(arr if isinstance(t, np.ndarray) else float(arr)))
 
-    @property
-    def is_constant(self) -> bool:
-        if self.kind == "constant":
-            return True
-        if self.kind == "harmonic":
-            return self.params["amplitude"] == 0.0
-        if self.kind == "piecewise":
-            vals = self.params["values"]
-            return all(v == vals[0] for v in vals)
-        return False
-
-    def constant_value(self) -> float:
-        """The value of a constant schedule: `eval` gives it, bit for bit, at every t."""
-        if not self.is_constant:
-            raise ValueError(f"schedule {self.name!r} is not constant")
-        if self.kind == "constant":
-            return self.params["value"]
-        if self.kind == "harmonic":
-            return self.params["base"]
-        return self.params["values"][0]
-
     def column(self, t):
         """The schedule on the grid t: its value, one float, when it is constant,
         else `eval(t)`; arithmetic with either gives the same elements."""
-        return self.constant_value() if self.is_constant else self.eval(t)
+        return self.eval(t) if self.constant is None else self.constant
 
 
 def function_key(f):
@@ -349,27 +341,36 @@ class ScheduleSet:
         once: a twin gets the first one's result."""
         return _once_each(self._first, names, lambda name: evaluate(getattr(self, name), t))
 
+    def constants(self, names) -> tuple[float, ...] | None:
+        """The named schedules' `ParamSchedule.constant`s, in order; None unless all are set."""
+        values = tuple(getattr(self, name).constant for name in names)
+        return None if None in values else values
+
     def common_period(self, names=SCHEDULE_NAMES) -> float | None:
         """Common declared period of the non-constant named schedules, if any.
 
         Returns None when any of them is aperiodic or periods disagree;
         returns None as well when every one is constant.
         """
-        periods = []
-        for name in names:
-            s = getattr(self, name)
-            if s.is_constant:
-                continue
-            if s.period is None:
-                return None
-            periods.append(s.period)
-        if not periods:
+        periods = [getattr(self, n).period for n in names if getattr(self, n).constant is None]
+        if not periods or None in periods:
             return None
         ref = periods[0]
-        for T in periods[1:]:
-            if abs(T - ref) > 1e-12 * max(1.0, ref):
-                return None
-        return ref
+        return None if any(abs(T - ref) > 1e-12 * max(1.0, ref) for T in periods) else ref
+
+    def one_sinusoid(self, names, weights) -> tuple[complex, float] | None:
+        """(Z, omega) with sum_i c_i s_i'(t) = -omega Im(Z e^{i omega t}) and
+        Z = sum_i c_i A_i e^{i phase_i}, for the named schedules s_i and weights
+        c_i, when every non-constant s_i is harmonic with one omega; else None."""
+        z, omega = 0j, None
+        for name, c in zip(names, weights):
+            s = getattr(self, name)
+            if s.constant is None:
+                if s.kind != "harmonic" or omega not in (None, s.params["omega"]):
+                    return None
+                omega, amplitude, phase = (s.params[k] for k in ("omega", "amplitude", "phase"))
+                z += c * complex(amplitude * math.cos(phase), amplitude * math.sin(phase))
+        return None if omega is None else (z, omega)
 
 
 @dataclass(frozen=True)
@@ -401,15 +402,15 @@ class DenominatorFn:
     @classmethod
     def quadratic(cls, a: float) -> "DenominatorFn":
         a = float(a)
-        if a < 0:
-            raise ValueError(f"quadratic denominator needs a >= 0, got {a}")
+        if not 0 <= a < math.inf:
+            raise ValueError(f"quadratic denominator needs a finite a >= 0, got {a}")
         return cls("quadratic", a=a)
 
     @classmethod
     def exp_decay(cls, c: float) -> "DenominatorFn":
         c = float(c)
-        if c <= 0:
-            raise ValueError(f"exp_decay denominator needs c > 0, got {c}")
+        if not 0 < c < math.inf:
+            raise ValueError(f"exp_decay denominator needs a finite c > 0, got {c}")
         return cls("exp_decay", c=c)
 
     def __post_init__(self):
@@ -499,6 +500,9 @@ class DiscreteParams:
         if extra:
             raise ConfigError(f"unknown sequences: {', '.join(sorted(extra))}")
         _check_step(h)
+        if step_period is not None and not (isinstance(step_period, numbers.Integral)
+                                            and step_period >= 1):
+            raise ValueError(f"step_period must be an integer >= 1, got {step_period!r}")
         wrapped = {n: _wrap_sequence(n, seqs[n]) for n in SCHEDULE_NAMES}
         full, aux = (step_period if step_period is not None else
                      1 if all(hasattr(wrapped[n], "constant") for n in names) else None
@@ -544,8 +548,8 @@ def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> Di
     ph = eval_denominator(d, h)
 
     def make(sched):
-        if sched.is_constant:  # the same product, taken once instead of per index
-            return _wrap_sequence(sched.name, ph * sched.constant_value())
+        if sched.constant is not None:  # the same product, taken once instead of per index
+            return _wrap_sequence(sched.name, ph * sched.constant)
 
         def seq(n, sched=sched, ph=ph, h=h):
             if isinstance(n, np.ndarray):
@@ -568,7 +572,7 @@ def _step_period(schedules: ScheduleSet, names, h: float) -> int | None:
     are constant, None without a common period or a whole number of steps in it."""
     T = schedules.common_period(names)
     if T is None:
-        return 1 if all(getattr(schedules, n).is_constant for n in names) else None
+        return 1 if schedules.constants(names) is not None else None
     ratio = T / h  # inf for a subnormal h: no whole number of steps then
     if not math.isfinite(ratio) or round(ratio) < 1:
         return None

@@ -200,10 +200,10 @@ def periodic_discrete_threshold(dp: DiscreteParams, phi: IncidenceFn,
 def disease_free_equilibrium(schedules: ScheduleSet) -> AuxState:
     """The equilibrium (a, b) of the disease-free pair; needs constant
     Lambda, mu, eta and p."""
-    return aux_equilibrium(schedules.Lambda.constant_value(),
-                           schedules.mu.constant_value(),
-                           schedules.eta.constant_value(),
-                           schedules.p.constant_value())
+    values = schedules.constants(("Lambda", "mu", "eta", "p"))
+    if values is None:
+        raise ValueError("the disease-free equilibrium needs constant Lambda, mu, eta and p")
+    return aux_equilibrium(*values)
 
 
 def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
@@ -242,8 +242,7 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     ts = q * np.arange(n_grid + 1)
 
     notes = []
-    aux_constant = all(getattr(schedules, n).is_constant for n in DISEASE_FREE_NAMES)
-    if aux_constant:
+    if schedules.constants(DISEASE_FREE_NAMES) is not None:
         a, b = disease_free_equilibrium(schedules)
         x_star = np.full(ts.shape, a)
         y_star = np.full(ts.shape, b)
@@ -299,7 +298,7 @@ def _disease_free_solution(schedules: ScheduleSet, n_steps: int, q: float):
 
     T = schedules.common_period(DISEASE_FREE_NAMES)
     start, note = None, ""
-    if T is not None and not (schedules.mu.is_constant and schedules.mu.constant_value() == 0):
+    if T is not None and schedules.mu.constant != 0:
         h = T / steps_for(T, q)
         free = replace(schedules, Lambda=ParamSchedule.constant("Lambda", 0.0))
         start = period_map_fixed_point(run(schedules, 0.0, 0.0, T, h)[-1],

@@ -517,6 +517,31 @@ def test_non_finite_step_is_a_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_non_finite_schedule_parameter_is_a_config_error(tmp_path, capsys):
+    # a NaN phase passed the harmonic's checks: thresholds.csv was written with
+    # nan rows marked exact_periodic, then the strict manifest failed on the nan
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    cfg["schedules"]["beta"]["params"]["phase"] = math.nan  # the JSON token NaN
+    (tmp_path / "nan_phase.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["thresholds", str(tmp_path / "nan_phase.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: schedules.beta: ") and "phase" in err
+    assert not out.exists()
+
+
+def test_h_values_with_one_spelling_are_a_config_error(tmp_path, capsys):
+    # both were written to trajectory_nsfd_h1.csv, the second over the first
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    cfg["h_values"] = [1.0, 1.0000001]
+    (tmp_path / "same_name.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["scenario", "run", str(tmp_path / "same_name.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "1.0 and 1.0000001" in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_whose_times_overflow_is_a_config_error(tmp_path, capsys):
     # n h overflows to inf from n = 2 on, and cos(inf) is NaN: the scan wrote

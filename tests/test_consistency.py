@@ -142,7 +142,7 @@ def test_one_frequency_sup_is_the_closed_form(omega, Lambda, mu, p, eta, phi,
     _, fprime, analytic = net_growth_function(sched, phi, MASS)
     assert analytic
     varying = [s for s in (sched.beta, sched.sigma, sched.alpha, sched.gamma)
-               if not s.is_constant]
+               if s.constant is None]
     assert (fprime.harmonic is None) == (not varying)
     assume(varying)
     a, b = aux_equilibrium(Lambda, mu, eta, p)

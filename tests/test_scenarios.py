@@ -73,7 +73,6 @@ def test_measles_clamping_and_raw_variant():
     # month 8: 3.8 + 10 sin(9 pi/6) = -6.2
     assert clamped.schedules.beta.eval(8.0) == 0.0
     assert raw.schedules.beta.eval(8.0) == pytest.approx(-6.2, rel=1e-12)
-    assert not raw.schedules.beta.nonnegative
 
 
 def test_builtins_satisfy_hypotheses_and_incidence_checks():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nsfd_sirvs.errors import ConfigError
 from nsfd_sirvs.schedules import (DenominatorFn, DiscreteParams, ParamSchedule,
@@ -88,7 +90,7 @@ def test_constant_schedule():
 
 def test_degenerate_harmonic_is_constant():
     s = ParamSchedule.harmonic("beta", 0.4, 0.0, 1.0)
-    assert s.is_constant
+    assert s.constant == 0.4
     ts = np.linspace(0, 50, 101)
     assert np.all(s.eval(ts) == 0.4)
 
@@ -145,8 +147,54 @@ def test_piecewise_negative_needs_opt_in():
     with pytest.raises(ValueError):
         ParamSchedule.piecewise("beta", [0.0, 1.0], [1.0, -1.0])
     s = ParamSchedule.piecewise("beta", [0.0, 1.0], [1.0, -1.0], allow_negative=True)
-    assert not s.nonnegative
     assert s.eval(1.5) == -1.0
+
+
+@pytest.mark.parametrize("key", ["base", "amplitude", "omega", "phase"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_harmonic_rejects_non_finite_parameters(key, bad):
+    # a NaN base passed `base - |amplitude| < 0`, and a NaN phase every check
+    params = {"base": 0.5, "amplitude": 0.1, "omega": 1.0, "phase": 0.0, key: bad}
+    with pytest.raises(ValueError, match=f"'beta': harmonic {key} must be finite"):
+        ParamSchedule.harmonic("beta", **params)
+
+
+def test_harmonic_rejects_a_peak_that_overflows():
+    # base 1e308 and amplitude 1e308 evaluated to inf at t = 0, and thresholds wrote nan
+    with pytest.raises(ValueError, match="'beta': harmonic base \\+ \\|amplitude\\| overflows"):
+        ParamSchedule.harmonic("beta", 1e308, 1e308, 1.0)
+
+
+@pytest.mark.parametrize("breakpoints", [[0.0, math.nan, 2.0], [0.0, 1.0, math.inf],
+                                         [math.nan, 1.0, 2.0]])
+def test_piecewise_rejects_non_finite_breakpoints(breakpoints):
+    # [0, nan, 2] passed `diff <= 0` and read 0.1 at t = 1.5
+    with pytest.raises(ConfigError, match="'beta': (breakpoints must be finite"
+                                          "|first breakpoint must be 0)"):
+        ParamSchedule.piecewise("beta", breakpoints, [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf])
+def test_custom_rejects_non_finite_period(period):
+    with pytest.raises(ValueError, match="'beta': period must be positive and finite"):
+        ParamSchedule.custom("beta", lambda t: 1.0 + 0.0 * t, period=period)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_denominators_reject_non_finite_parameters(bad):
+    # quadratic(nan) and exp_decay(nan) passed the phi(h)/h check, a NaN comparison
+    with pytest.raises(ValueError, match="quadratic denominator needs a finite a"):
+        DenominatorFn.quadratic(bad)
+    with pytest.raises(ValueError, match="exp_decay denominator needs a finite c"):
+        DenominatorFn.exp_decay(bad)
+
+
+@pytest.mark.parametrize("step_period", [0, -2, 2.0, math.nan])
+def test_from_sequences_rejects_a_step_period_below_one(step_period):
+    with pytest.raises(ValueError, match="step_period must be an integer >= 1"):
+        DiscreteParams.from_sequences(0.5, step_period=step_period, Lambda=0.5, mu=0.3,
+                                      p=0.6, eta=0.05, alpha=0.05, beta=0.3, sigma=0.3,
+                                      gamma=0.3)
 
 
 def test_custom_schedule_validates_period_and_derivative():
@@ -240,15 +288,61 @@ _T = np.linspace(0.0, 200.0, 4001)
     ParamSchedule.piecewise("mu", [0.0, 1.0], [-0.0, -0.0]),
 ], ids=lambda s: f"{s.kind}{s.params}")
 def test_constant_value_is_every_evaluation_bit_for_bit(sched):
-    # the stepping loops repeat constant_value() instead of evaluating the schedule
-    assert sched.is_constant
-    assert sched.eval(_T).tobytes() == np.full(_T.shape, sched.constant_value()).tobytes()
+    # the stepping loops repeat `constant` instead of evaluating the schedule
+    assert type(sched.constant) is float
+    assert sched.eval(_T).tobytes() == np.full(_T.shape, sched.constant).tobytes()
     dp = mickens_discretize(ScheduleSet.from_mapping({**full_set().as_dict(), "mu": sched}),
                             0.01, DenominatorFn.quadratic(0.2))
     value = dp.constant("mu")
     assert type(value) is float
-    assert value == eval_denominator(DenominatorFn.quadratic(0.2), 0.01) * sched.constant_value()
+    assert value == eval_denominator(DenominatorFn.quadratic(0.2), 0.01) * sched.constant
     assert dp.array("mu", 0, 4001).tobytes() == np.full(4001, value).tobytes()
+
+
+_values = st.sampled_from([0.0, -0.0, 0.3, 2.0 / 3.0, 5e-324, 7.25])
+_zero_or_not = st.sampled_from([0.0, -0.0]) | st.floats(-0.2, 0.2, allow_nan=False)
+
+
+@st.composite
+def _schedule_and_constancy(draw):
+    """A drawn schedule of each constructor and whether it declares itself
+    constant: a `constant`, a harmonic with amplitude +-0, a table of equal values."""
+    kind = draw(st.sampled_from(["constant", "harmonic", "piecewise", "custom"]))
+    if kind == "constant":
+        return ParamSchedule.constant("mu", draw(_values)), True
+    if kind == "harmonic":
+        amplitude, value = draw(_zero_or_not), draw(_values)
+        base = value if amplitude == 0.0 else value + abs(amplitude)  # never dips below 0
+        return ParamSchedule.harmonic("mu", base, amplitude, draw(st.floats(0.1, 10.0)),
+                                      draw(st.floats(-4.0, 4.0))), amplitude == 0.0
+    if kind == "piecewise":
+        n = draw(st.integers(1, 4))
+        values = draw(st.lists(_values, min_size=n, max_size=n))
+        breakpoints = [0.0] + sorted(draw(st.sets(st.floats(0.5, 50.0), min_size=n - 1,
+                                                  max_size=n - 1)))
+        return (ParamSchedule.piecewise("mu", breakpoints, values),
+                all(v == values[0] for v in values))
+    value = draw(_values)
+    return ParamSchedule.custom("mu", lambda t: value + 0.0 * t, period=1.0), False
+
+
+@given(_schedule_and_constancy(), st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8))
+def test_constant_is_declared_and_is_every_evaluation(drawn, times):
+    sched, declared = drawn
+    # set exactly where the constructor declares it: never read off the values,
+    # so a custom callable that is constant in fact is not constant
+    assert (sched.constant is not None) == declared
+    constants = ScheduleSet.from_mapping({**full_set().as_dict(), "mu": sched}).constants(
+        ("Lambda", "mu"))
+    if sched.constant is None:
+        assert constants is None
+        return
+    assert constants[0] == 0.5 and constants[1] is sched.constant
+    assert type(sched.constant) is float
+    ts = np.array(times)
+    assert sched.eval(ts).tobytes() == np.full(ts.shape, sched.constant).tobytes()
+    for t in times:
+        assert np.float64(sched.eval(t)).tobytes() == np.float64(sched.constant).tobytes()
 
 
 def test_sequence_constants_are_recorded_where_built():
