@@ -27,11 +27,11 @@ import numpy as np
 
 from . import __version__
 from .consistency import consistency_sweep, sweep_skip_reason
-from .dynamics import Trajectory, integrate_continuous, simulate_discrete, steps_for
+from .dynamics import Trajectory, h_label, integrate_continuous, simulate_discrete, steps_for
 from .errors import ConfigError, StepError
 from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, compare_methods,
                         compare_thresholds, discretize, load_config, load_observed,
-                        run_scenario, spec_to_config, threshold_reports)
+                        method_runs, run_scenario, spec_to_config, threshold_reports)
 from .schedules import mickens_discretize
 # the scenarios module computes every threshold report; the two *_thresholds names
 # stay importable here because perfbench/tracing.py looks them up in this module
@@ -88,7 +88,7 @@ def _write_trajectory(out: Path, traj: Trajectory, method: str, h: float) -> Pat
     """Stream `traj.rows()` to a CSV, one `%` format and one write per chunk:
     the writer holds one chunk of rows, never the whole trajectory as Python
     floats."""
-    path = out / f"trajectory_{method}_h{h:g}.csv"
+    path = out / f"trajectory_{method}_h{h_label(h)}.csv"
     with path.open("w", encoding="utf-8") as fh:
         fh.write("t,S,I,R,V\n")
         for flat in traj.rows():
@@ -104,6 +104,14 @@ def _write_thresholds(out: Path, continuous, discrete) -> Path:
                         "exact_periodic"],
                        [[r.mode, h, r.lam, r.r_lower, r.r_upper, r.verdict.value,
                          r.exact_periodic] for h, r in pairs])
+
+
+def _write_compare(out: Path, runs, reference) -> tuple[Path, dict]:
+    """compare.csv from `method_runs`' runs and reference, and its manifest entry."""
+    rows, nsfd_worse = compare_methods(runs, reference)
+    return (_write_rows(out / "compare.csv",
+                        ["h", "method", "sup_dev_I", "negativity_flag"], rows),
+            {"nsfd_worse_than_euler_at": nsfd_worse})
 
 
 def _discrete_json(pairs, continuous_verdict=None) -> list[dict]:
@@ -204,10 +212,8 @@ def _cmd_consistency(args, spec, out: Path) -> tuple[list, dict]:
 def _cmd_compare(args, spec, out: Path) -> tuple[list, dict]:
     hs = args.h if args.h else list(spec.h_values)
     t_end = _t_end(args, spec)
-    rows, nsfd_worse = compare_methods(spec, hs, t_end)
-    return ([_write_rows(out / "compare.csv",
-                         ["h", "method", "sup_dev_I", "negativity_flag"], rows)],
-            {"t_end": t_end, "h_values": hs, "nsfd_worse_than_euler_at": nsfd_worse})
+    path, entries = _write_compare(out, *method_runs(spec, discretize(spec, hs), t_end))
+    return [path], {"t_end": t_end, "h_values": hs, **entries}
 
 
 def _cmd_scenario(args, spec, out: Path) -> tuple[list, dict]:
@@ -218,24 +224,26 @@ def _cmd_scenario(args, spec, out: Path) -> tuple[list, dict]:
                   _write_trajectory(out, res.euler, "euler", h)]
         if res.residuals is not None:
             paths.append(_write_rows(
-                out / f"residuals_h{h:g}.csv", ["t", "observed", "model_I", "residual"],
+                out / f"residuals_h{h_label(h)}.csv", ["t", "observed", "model_I", "residual"],
                 zip(res.residuals.times, res.residuals.observed,
                     res.residuals.model, res.residuals.residual)))
     rk4 = report.rk4_reference
-    paths += [_write_trajectory(out, rk4, "rk4", rk4.dt),
+    compare, entries = _write_compare(
+        out, [(h, res.nsfd, res.euler) for h, res in report.per_h.items()], rk4)
+    paths += [_write_trajectory(out, rk4, "rk4", rk4.dt), compare,
               _write_thresholds(out, report.continuous, report.discrete),
               _write_rows(out / "verdicts.csv", ["method", "h", "verdict"],
                           [[method, "" if h is None else h, v.value]
                            for (method, h), v in report.verdict_matrix.items()]),
               _write_json(out / "consistency.json", _consistency_payload(report))]
-    entries = {
+    entries.update({
         "notes": spec.notes,
         "warnings": list(report.warnings),
         "inconsistency_flag": report.inconsistency_flag,
         "inconsistent_h": [[h, v.value] for h, v in report.inconsistent_h],
-        "rms_residuals": {f"{h:g}": res.residuals.rms for h, res in report.per_h.items()
+        "rms_residuals": {h_label(h): res.residuals.rms for h, res in report.per_h.items()
                           if res.residuals is not None},
-    }
+    })
     if spec.observed is not None:
         entries["observed"] = {"label": spec.observed.label,
                                "t": spec.observed.times.tolist(),

@@ -192,6 +192,9 @@ def steps_for(span: float, h: float) -> int:
     return max(1, int(math.ceil(span / h - 1e-9)))
 
 
+h_label = "{:g}".format  # how file names, messages and manifest keys spell a step size h
+
+
 def _unbalanced(n: int, resid: float) -> StepError:
     return StepError(f"balance identity violated at step {n} (residual {resid:.3g})",
                      step=n, residual=resid)

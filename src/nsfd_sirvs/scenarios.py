@@ -21,7 +21,7 @@ import numpy as np
 
 from .consistency import (ConsistencyReport, consistency_report, consistency_skip_reason,
                           window_thresholds)
-from .dynamics import (State, Trajectory, integrate_continuous, simulate_discrete,
+from .dynamics import (State, Trajectory, h_label, integrate_continuous, simulate_discrete,
                        steps_for, validate_state)
 from .errors import ConfigError
 from .incidence import IncidenceFn, validate_incidence
@@ -93,11 +93,11 @@ class ScenarioSpec:
             raise ConfigError("h_values must be positive and finite")
         if len(set(self.h_values)) != len(self.h_values):
             raise ConfigError("h_values must be distinct")
-        spelled = {}  # h is written {h:g} in file names, warnings and manifest keys
+        spelled = {}  # h is written h_label(h) in file names, warnings and manifest keys
         for h in self.h_values:
-            other = spelled.setdefault(f"{h:g}", h)
+            other = spelled.setdefault(h_label(h), h)
             if other != h:
-                raise ConfigError(f"h_values {other!r} and {h!r} are both written h{h:g}")
+                raise ConfigError(f"h_values {other!r} and {h!r} are both written h{h_label(h)}")
         if not 0 < self.lam < math.inf:
             raise ConfigError("lambda must be positive and finite")
         if not math.isfinite(self.t_end):
@@ -604,22 +604,6 @@ def discretize(spec: ScenarioSpec, hs) -> list[DiscreteParams]:
     return [mickens_discretize(spec.schedules, h, spec.denominator) for h in hs]
 
 
-def _nsfd_and_euler(spec: ScenarioSpec, dp: DiscreteParams, t_end: float):
-    """The NSFD run and the Euler run at dp's step size, both `steps_for(t_end, dp.h)` long."""
-    nsfd = simulate_discrete(dp, spec.incidence_phi, spec.incidence_psi,
-                             spec.initial_state, steps_for(t_end, dp.h))
-    euler = integrate_continuous(spec.schedules, spec.incidence_phi,
-                                 spec.incidence_psi, spec.initial_state,
-                                 t_end, dp.h, method="euler")
-    return nsfd, euler
-
-
-def _rk4_reference(spec: ScenarioSpec, t_end: float) -> Trajectory:
-    return integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
-                                spec.initial_state, t_end, RK4_REFERENCE_STEP,
-                                method="rk4")
-
-
 def threshold_reports(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
                       burn_in: int = BURN_IN, scan: int = SCAN) -> tuple:
     """The continuous report for window lam, None for a zero-length window,
@@ -645,19 +629,31 @@ def compare_thresholds(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams]
     return ThresholdComparison(continuous, discrete, consistency, reason)
 
 
-def compare_methods(spec: ScenarioSpec, hs, t_end: float) -> tuple[list, list]:
-    """Rows (h, method, sup |I - I_ref|, left the nonnegative cone) for the NSFD
-    and Euler runs at each step size against one RK4 run, and the step sizes
-    where NSFD deviates more.  The reference runs to the latest time compared."""
-    dps = discretize(spec, hs)
-    ref = _rk4_reference(spec, max(steps_for(t_end, dp.h) * dp.h for dp in dps))
+def method_runs(spec: ScenarioSpec, dps: list[DiscreteParams],
+                t_end: float) -> tuple[list, Trajectory]:
+    """The runs a scenario compares: (h, NSFD run, Euler run) at each discrete
+    model's step, each `steps_for(t_end, h)` steps long, and one RK4 reference at
+    `RK4_REFERENCE_STEP` that reaches the last of their times."""
+    model = (spec.incidence_phi, spec.incidence_psi, spec.initial_state)
+    runs = [(dp.h, simulate_discrete(dp, *model, steps_for(t_end, dp.h)),
+             integrate_continuous(spec.schedules, *model, t_end, dp.h, method="euler"))
+            for dp in dps]
+    t_last = max(float(nsfd.times[-1]) for _, nsfd, _ in runs)
+    return runs, integrate_continuous(spec.schedules, *model, t_last, RK4_REFERENCE_STEP,
+                                      method="rk4")
+
+
+def compare_methods(runs, reference: Trajectory) -> tuple[list, list]:
+    """Rows (h, method, sup |I - I_ref|, left the nonnegative cone) for each
+    (h, NSFD run, Euler run) of `method_runs` against its reference, and the
+    step sizes where NSFD deviates more."""
     rows, nsfd_worse = [], []
-    for dp in dps:
-        runs = _nsfd_and_euler(spec, dp, t_end)
-        devs = [float(np.max(np.abs(t.I - np.interp(t.times, ref.times, ref.I)))) for t in runs]
-        rows += [(dp.h, t.method, d, t.negative_at is not None) for t, d in zip(runs, devs)]
+    ref_t, ref_I = reference.times, reference.I
+    for h, *pair in runs:
+        devs = [float(np.max(np.abs(t.I - np.interp(t.times, ref_t, ref_I)))) for t in pair]
+        rows += [(h, t.method, d, t.negative_at is not None) for t, d in zip(pair, devs)]
         if devs[0] > devs[1]:
-            nsfd_worse.append(dp.h)
+            nsfd_worse.append(h)
     return rows, nsfd_worse
 
 
@@ -677,23 +673,22 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = BURN_IN, scan: int = SCAN) -
 
     dps = discretize(spec, spec.h_values)
     comparison = compare_thresholds(spec, spec.lam, dps, burn_in, scan)
+    runs, reference = method_runs(spec, dps, spec.t_end)
 
     per_h = {}
-    for dp in dps:
-        h = dp.h
+    for dp, (h, nsfd, euler) in zip(dps, runs):
         omega = dp.step_period or 1
         hyp = validate_hypotheses(dp, window=omega, stop=max(100, 2 * omega))
         if not (hyp.h3_holds and hyp.h4_holds):
-            warnings.append(f"h={h:g}: attractivity hypotheses fail (H3/H4)")
-        warnings.extend(f"h={h:g}: {w}" for w in hyp.warnings)
+            warnings.append(f"h={h_label(h)}: attractivity hypotheses fail (H3/H4)")
+        warnings.extend(f"h={h_label(h)}: {w}" for w in hyp.warnings)
 
-        nsfd, euler = _nsfd_and_euler(spec, dp, spec.t_end)
         if euler.negative_at is not None:
-            warnings.append(f"h={h:g}: euler trajectory leaves the nonnegative "
+            warnings.append(f"h={h_label(h)}: euler trajectory leaves the nonnegative "
                             f"cone at step {euler.negative_at}")
         res = _residuals(nsfd, spec.observed) if spec.observed is not None else None
         if res is not None and res.times.size < spec.observed.times.size:
-            warnings.append(f"h={h:g}: {spec.observed.times.size - res.times.size} of "
+            warnings.append(f"h={h_label(h)}: {spec.observed.times.size - res.times.size} of "
                             f"{spec.observed.times.size} observations lie outside the "
                             f"run's span [{nsfd.t0:g}, {nsfd.times[-1]:g}] and are left "
                             f"out of the residuals")
@@ -705,6 +700,6 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = BURN_IN, scan: int = SCAN) -
         **vars(comparison),
         name=spec.name,
         per_h=per_h,
-        rk4_reference=_rk4_reference(spec, spec.t_end),
+        rk4_reference=reference,
         warnings=tuple(warnings),
     )

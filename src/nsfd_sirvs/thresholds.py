@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, StepError
-from .dynamics import (AuxState, State, _checked_state, aux_equilibrium,
+from .dynamics import (AuxState, State, _checked_state, aux_equilibrium, h_label,
                        integrate_continuous, period_map_fixed_point, periodic_aux_solution,
                        simulate_aux, steps_for, verify_step_periodic)
 from .incidence import IncidenceFn
@@ -92,10 +92,12 @@ def _classify(r_lower: float, r_upper: float, neutral: float, tol: float) -> Ver
 
 
 def _window_products(ratios: np.ndarray, width: int) -> np.ndarray:
-    # log-space sliding sums: safe against over/underflow for wide windows
+    # log-space sliding sums: safe against over/underflow for wide windows; a
+    # product past the largest double is inf, which still classifies
     logs = np.log(ratios)
     c = np.concatenate([[0.0], np.cumsum(logs)])
-    return np.exp(c[width:] - c[:-width])
+    with np.errstate(over="ignore"):
+        return np.exp(c[width:] - c[:-width])
 
 
 def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
@@ -114,7 +116,10 @@ def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         at = np.arange(k_lo + 1, k_hi + 1) % period
         slope_x, slope_y = slope_x[at], slope_y[at]
     beta, sigma, mu, alpha, gamma = dp.columns(_RATIO_NAMES, k_lo, k_hi)
-    ratios = (1.0 + beta * slope_x + sigma * slope_y) / (1.0 + mu + alpha + gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = (1.0 + beta * slope_x + sigma * slope_y) / (1.0 + mu + alpha + gamma)
+    if not np.isfinite(ratios).all():  # a NaN must never reach a verdict or `exact_periodic`
+        raise StepError(f"discrete threshold report at h={h_label(dp.h)}: non-finite growth ratio")
     return np.broadcast_to(ratios, (k_hi - k_lo,)).copy()  # one element per step, always
 
 
@@ -258,8 +263,9 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
                      "disease-free solution taken as x* + y*")
 
     beta, sigma, mu, alpha, gamma = schedules.evaluate(_RATIO_NAMES, ts, ParamSchedule.column)
-    integrand = (beta * phi.slope(x_star, pop)
-                 + sigma * psi.slope(y_star, pop) - mu - alpha - gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite F is raised below
+        integrand = (beta * phi.slope(x_star, pop)
+                     + sigma * psi.slope(y_star, pop) - mu - alpha - gamma)
 
     weights = np.ones(2 * m + 1)
     weights[1:-1:2] = 4.0
@@ -272,6 +278,8 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     F = F[keep]
     if F.size == 0:
         raise ValueError("scan range contains no quadrature grid points")
+    if not np.isfinite(F).all():
+        raise StepError("continuous threshold report: non-finite window integral")
 
     r_lower = float(F.min())
     r_upper = float(F.max())

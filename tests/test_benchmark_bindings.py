@@ -7,6 +7,7 @@ per-layer metrics silently read 0.  Loading the tracer as the benchmark does
 name, or changes what the tracer reads from its calls, fail here instead.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -56,3 +57,33 @@ def test_tracer_counts_the_continuous_steps(tracing):
         name = f"dynamics.integrate_continuous.{method}"
         assert metrics[f"{name}.steps"]["value"] == traj.n_steps
         assert metrics[f"{name}.ns_per_step"]["value"] > 0
+
+
+def _unused_imports(source: str) -> set:
+    """Names a module imports (`from __future__` aside) and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_unused_import_finder_sees_an_unused_name():
+    source = "import json\nfrom math import inf, pi\nfrom .a import b as c\nx = pi + json.X\n"
+    assert _unused_imports(source) == {"inf", "c"}
+
+
+def test_every_unused_import_is_a_tracer_binding(tracing):
+    # an import a module does not use may stay only where perfbench/tracing.py
+    # wraps that name in that module; any other is left over from a refactor
+    package = Path(nsfd_sirvs.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        bound = {func.split(".")[1] for func, (_, callers) in tracing.BINDINGS.items()
+                 if path.stem in callers}
+        assert _unused_imports(path.read_text(encoding="utf-8")) <= bound, path.name

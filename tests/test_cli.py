@@ -406,13 +406,16 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
 # thresholds moved onto the exact disease-free orbit: only their discrete
 # threshold values changed, to 1 (the closed form, was 1 - 1.3e-15) and to
 # 49.638... on both sides (the long burn-in's value, was 50.80 and 80.21).
+# All six were re-pinned when the bundle gained compare.csv (byte-identical to
+# `compare <name>`) and manifest.json its entry in `outputs` and the key
+# nsfd_worse_than_euler_at; every other file kept its bytes.
 GOLDEN_BUNDLE_DIGESTS = {
-    "extinction_5_1": "8bf6ffe578acb072201aa28463a1a0ce671f4c50c8569cc005daccc861c32a93",
-    "persistence_5_1": "a8c2bda1512546324adb868184e8101a9a63cdb589c07bd49ba31a9eeb69731c",
-    "saturated_5_1_ext": "fdbbfd78cbd05b8adda13e63b76db07f723673d971dfa572a4e1c628ab2d38fc",
-    "saturated_5_1_per": "e1c74a56aab6d981ad4e320688fb124fb703b28f902f489c3301ee52d52d1c93",
-    "inconsistency_4": "704f129baf097a41f8d40c6ce081cb45c94b9fb1cb097a5d9b5eebd4cd87081f",
-    "measles_france_5_2": "5e2a36461cd915364663a8ffdc3b5c3809c7f04147025a379b677c629f01eeed",
+    "extinction_5_1": "6795d5eac714c2803a57a5dba8f187aff5e984de8a1f5a89370c4be32e2945a1",
+    "persistence_5_1": "4ed5b90716dc7273a5f292aa321bb125ab7a17d7e0628fffd553423b43ad7685",
+    "saturated_5_1_ext": "35354eb8db920ba6f85561ba709f8ed5d4f9a060ac13ecfef4fae9bfdcc36f84",
+    "saturated_5_1_per": "7e529e056ba744ac8a1efad590e55c5f8cf5f0b351746006d200e813d398c0d3",
+    "inconsistency_4": "ce137025ab3942b48eb9ec0d8592e3655a68c84e0a49fd0bebaaee572286800e",
+    "measles_france_5_2": "3b6612bb53f2b89419c46434635e0fd5047001aee243e9be3a6addc640a5a5a2",
 }
 
 
@@ -461,6 +464,35 @@ GOLDEN_COMMAND_DIGESTS = {
 def test_command_output_matches_golden_digest(tmp_path, argv):
     assert main(list(argv) + ["--out", str(tmp_path)]) == 0
     assert _dir_digest(tmp_path) == GOLDEN_COMMAND_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_bundle_compare_is_the_compare_command(tmp_path, name):
+    # one producer makes the runs and one writer scores them: the bundle's
+    # compare.csv and nsfd_worse_than_euler_at are those of `compare <name>`
+    bundle, alone = tmp_path / "bundle", tmp_path / "alone"
+    assert main(["scenario", "run", name, "--out", str(bundle)]) == 0
+    assert main(["compare", name, "--out", str(alone)]) == 0
+    assert (alone / "compare.csv").read_bytes() == (bundle / "compare.csv").read_bytes()
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (bundle, alone)]
+    assert manifests[0]["nsfd_worse_than_euler_at"] == manifests[1]["nsfd_worse_than_euler_at"]
+
+
+def test_bundle_reference_reaches_the_last_run_time(tmp_path):
+    # at h = 0.4 the runs end at t = 1.2, past t_end = 1: the bundle's RK4
+    # reference runs on to 1.2, as `compare`'s always did
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    cfg["h_values"], cfg["t_end"], cfg["lambda"] = [0.4], 1.0, 1.0
+    (tmp_path / "short.json").write_text(json.dumps(cfg))
+    bundle, alone = tmp_path / "bundle", tmp_path / "alone"
+    assert main(["scenario", "run", str(tmp_path / "short.json"), "--out", str(bundle)]) == 0
+    assert main(["compare", "extinction_5_1", "--h", "0.4", "--t-end", "1",
+                 "--out", str(alone)]) == 0
+    _, rows = _read_csv(bundle / "trajectory_rk4_h0.01.csv")
+    assert float(rows[-1][0]) == pytest.approx(1.2)
+    _, rows = _read_csv(bundle / "trajectory_nsfd_h0.4.csv")
+    assert float(rows[-1][0]) == pytest.approx(1.2)
+    assert (alone / "compare.csv").read_bytes() == (bundle / "compare.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -540,6 +572,34 @@ def test_h_values_with_one_spelling_are_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "1.0 and 1.0000001" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["thresholds"], ["consistency"], ["scenario", "run"]],
+                         ids=" ".join)
+def test_non_finite_threshold_is_a_numeric_failure(tmp_path, capsys, argv):
+    # finite coefficients of 1e308 overflow the window integral and the growth
+    # ratios: thresholds wrote inf and nan rows (the nan one marked
+    # exact_periodic) and exited 0, consistency failed on its strict JSON, and
+    # numpy's warnings reached stderr (a RuntimeWarning is an error here)
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    for name in ("beta", "sigma"):
+        cfg["schedules"][name] = {"kind": "constant", "params": {"value": 1e308}}
+    (tmp_path / "huge.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(argv + [str(tmp_path / "huge.json"), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numeric failure: continuous threshold report: "
+                                       "non-finite window integral\n")
+    assert not out.exists()
+
+
+def test_window_product_past_the_largest_double_is_inf(tmp_path, capsys):
+    # finite growth ratios whose product overflows keep their inf row, quietly
+    rc = main(["thresholds", "persistence_5_1", "--lambda", "5000", "--h", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = _read_csv(tmp_path / "thresholds.csv")
+    assert rows[1] == ["discrete", "1", "4999", "inf", "inf", "Permanence", "true"]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -235,6 +235,36 @@ def test_window_thresholds_is_the_discrete_report_for_the_time_window():
     assert (rep.r_lower, rep.r_upper) == (direct.r_lower, direct.r_upper)
 
 
+@settings(max_examples=400, deadline=None)
+@given(Lambda=st.floats(0.01, 10.0), mu=st.floats(0.01, 2.0), p=st.floats(0.0, 2.0),
+       eta=st.floats(0.0, 2.0), alpha=st.floats(0.0, 2.0), beta=st.floats(0.0, 5.0),
+       sigma=st.floats(0.0, 5.0), gamma=st.floats(0.0, 2.0),
+       phi=st.one_of(st.just(MASS), st.floats(0.0, 5.0).map(IncidenceFn.saturated),
+                     st.just(IncidenceFn.standard())),
+       psi=st.one_of(st.just(MASS), st.floats(0.0, 5.0).map(IncidenceFn.saturated),
+                     st.just(IncidenceFn.standard())),
+       denominator=st.one_of(st.just(DenominatorFn.identity()),
+                             st.floats(0.0, 2.0).map(DenominatorFn.quadratic),
+                             st.floats(0.05, 5.0).map(DenominatorFn.exp_decay)),
+       h=st.floats(1e-3, 10.0), lam=st.floats(0.5, 10.0))
+def test_constant_coefficients_keep_the_continuous_verdict_at_every_step(
+        Lambda, mu, p, eta, alpha, beta, sigma, gamma, phi, psi, denominator, h, lam):
+    # elementary stability (Anguelov & Lubuma 2001): with every coefficient
+    # constant the discrete equilibrium is the continuous one, so each window
+    # product lies on the side of 1 that R_C lies on of 0, whatever h and phi(h);
+    # and sup |f'| = 0 makes the step bound unbounded
+    sched = constant_set(Lambda=Lambda, mu=mu, p=p, eta=eta, alpha=alpha, beta=beta,
+                         sigma=sigma, gamma=gamma)
+    continuous = continuous_thresholds(sched, phi, psi, lam)
+    assume(continuous.verdict is not Verdict.INCONCLUSIVE)
+    # R_C within 1e-6 of its removal terms is left out: there the sign of the
+    # window product is decided by rounding, not by the model
+    assume(abs(continuous.r_upper) >= 1e-6 * lam * (mu + alpha + gamma))
+    dp = mickens_discretize(sched, h, denominator)
+    assert window_thresholds(dp, phi, psi, lam).verdict is continuous.verdict
+    assert consistency_report(sched, phi, psi, continuous).verdict_bound == math.inf
+
+
 def test_equilibrium_satisfies_stationarity():
     rng = np.random.default_rng(17)
     for _ in range(200):

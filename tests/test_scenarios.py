@@ -11,9 +11,9 @@ from nsfd_sirvs.dynamics import State, integrate_continuous
 from nsfd_sirvs.errors import ConfigError
 from nsfd_sirvs.incidence import IncidenceFn, validate_incidence
 from nsfd_sirvs.consistency import consistency_skip_reason
-from nsfd_sirvs.scenarios import (BUILTIN_NAMES, RK4_REFERENCE_STEP, ObservedSeries,
-                                  _nsfd_and_euler, builtin, compare_methods, config_to_spec,
-                                  load_config, load_observed, run_scenario, spec_to_config)
+from nsfd_sirvs.scenarios import (BUILTIN_NAMES, RK4_REFERENCE_STEP, ObservedSeries, builtin,
+                                  compare_methods, config_to_spec, discretize, load_config,
+                                  load_observed, method_runs, run_scenario, spec_to_config)
 from nsfd_sirvs.schedules import (SCHEDULE_NAMES, DenominatorFn, ParamSchedule, ScheduleSet,
                                   mickens_discretize, validate_hypotheses)
 from nsfd_sirvs.thresholds import Verdict
@@ -399,7 +399,7 @@ def test_every_method_runs_over_the_same_times(t_end, h):
     # divide t_end
     spec = builtin("extinction_5_1")
     dp = mickens_discretize(spec.schedules, h, spec.denominator)
-    nsfd, euler = _nsfd_and_euler(spec, dp, t_end)
+    [(_, nsfd, euler)], reference = method_runs(spec, [dp], t_end)
     rk4 = integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
                                spec.initial_state, t_end, h, method="rk4")
     assert np.array_equal(nsfd.times, euler.times)
@@ -407,23 +407,43 @@ def test_every_method_runs_over_the_same_times(t_end, h):
     assert nsfd.n_steps == max(1, math.ceil(t_end / h - 1e-9))
     assert nsfd.times[-1] >= t_end * (1.0 - 1e-9)
     assert nsfd.n_steps == 1 or nsfd.times[-2] < t_end
+    assert reference.times[-1] >= nsfd.times[-1] * (1.0 - 1e-9)  # it reaches every run's end
 
 
 def test_compare_reads_the_reference_at_every_compared_time():
     # at h = 0.4 both runs end at t = 1.2, past t_end = 1; the RK4 reference
     # must reach 1.2 instead of being held at its value at t = 1
     spec = builtin("extinction_5_1")
-    rows, _ = compare_methods(spec, [0.4], 1.0)
+    runs, reference = method_runs(spec, discretize(spec, [0.4]), 1.0)
+    rows, _ = compare_methods(runs, reference)
     ref = integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
                                spec.initial_state, 1.2, RK4_REFERENCE_STEP)
+    assert np.array_equal(reference.states, ref.states)
     assert ref.times[-1] == pytest.approx(1.2)
     assert ref.I[-1] == pytest.approx(0.19958, abs=1e-5)
-    dp = mickens_discretize(spec.schedules, 0.4, spec.denominator)
-    runs = _nsfd_and_euler(spec, dp, 1.0)
     assert [(row[1], row[0]) for row in rows] == [("nsfd", 0.4), ("euler", 0.4)]
-    for run, row in zip(runs, rows):
+    [(_, *pair)] = runs
+    for run, row in zip(pair, rows):
         assert run.times[-1] == pytest.approx(1.2)
         assert row[2] == float(np.max(np.abs(run.I - np.interp(run.times, ref.times, ref.I))))
+
+
+def test_compare_methods_scores_the_runs_it_is_given(monkeypatch):
+    # runs are made in one place, method_runs; compare_methods calls no stepper
+    import nsfd_sirvs.scenarios as scenarios_module
+
+    spec = builtin("persistence_5_1")
+    runs, reference = method_runs(spec, discretize(spec, [2.0, 1.0]), 20.0)
+
+    def no_stepper(*args, **kwargs):
+        raise AssertionError("compare_methods ran a stepper")
+
+    for name in ("simulate_discrete", "integrate_continuous"):
+        monkeypatch.setattr(scenarios_module, name, no_stepper)
+    rows, nsfd_worse = compare_methods(runs, reference)
+    assert [(row[0], row[1]) for row in rows] == [
+        (2.0, "nsfd"), (2.0, "euler"), (1.0, "nsfd"), (1.0, "euler")]
+    assert nsfd_worse == [h for h, n, e in zip((2.0, 1.0), rows[::2], rows[1::2]) if n[2] > e[2]]
 
 
 def test_run_scenario_computes_the_continuous_report_once(monkeypatch):

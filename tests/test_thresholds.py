@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,37 @@ def test_step_whose_times_overflow_is_rejected():
     # n h = inf from n = 2 on: the products were NaN and the verdict Inconclusive
     with pytest.raises(ValueError, match="non-finite time"):
         discrete_thresholds(seasonal_dp(0.3, 1e308), MASS, MASS, 0, burn_in=2, scan=2)
+
+
+def _huge_transmission():
+    # finite coefficients whose growth ratios and window integrals overflow
+    return replace(full_set(0.3), beta=ParamSchedule.constant("beta", 1e308),
+                   sigma=ParamSchedule.constant("sigma", 1e308))
+
+
+@pytest.mark.parametrize("h", [4.0, 2.0])
+def test_non_finite_growth_ratio_is_a_step_error(h):
+    # the ratios overflowed to inf and the log-space products became nan, marked
+    # exact_periodic: now one StepError names the report by its step size
+    dp = mickens_discretize(_huge_transmission(), h, DenominatorFn.quadratic(0.2))
+    with pytest.raises(StepError, match=f"discrete threshold report at h={h:g}: "
+                                        "non-finite growth ratio"):
+        window_thresholds(dp, MASS, MASS, 4.0)
+    with pytest.raises(StepError, match="non-finite growth ratio"):
+        periodic_discrete_threshold(dp, MASS, MASS, dp.step_period)
+
+
+def test_non_finite_window_integral_is_a_step_error():
+    with pytest.raises(StepError, match="continuous threshold report: non-finite window integral"):
+        continuous_thresholds(_huge_transmission(), MASS, MASS, 4.0)
+
+
+def test_product_past_the_largest_double_is_inf_without_a_warning():
+    # finite ratios whose window product overflows: inf is a decisive value,
+    # and numpy's overflow warning stays off stderr (RuntimeWarning is an error here)
+    rep = discrete_thresholds(seasonal_dp(0.9, 1.0), MASS, MASS, 4999, scan=5000)
+    assert rep.r_lower == rep.r_upper == math.inf
+    assert rep.verdict is Verdict.PERMANENCE
 
 
 def test_window_products_series_exposed():
