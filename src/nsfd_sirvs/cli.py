@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .consistency import consistency_sweep, sweep_skip_reason
-from .dynamics import Trajectory, h_label, integrate_continuous, simulate_discrete, steps_for
+from .dynamics import (h_label, integrate_continuous, simulate_discrete, state_rows,
+                       steps_for)
 from .errors import ConfigError, StepError
 from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, compare_methods,
                         compare_thresholds, discretize, load_config, load_observed,
@@ -84,14 +85,14 @@ def _t_end(args, spec) -> float:
     return t_end
 
 
-def _write_trajectory(out: Path, traj: Trajectory, method: str, h: float) -> Path:
-    """Stream `traj.rows()` to a CSV, one `%` format and one write per chunk:
-    the writer holds one chunk of rows, never the whole trajectory as Python
-    floats."""
+def _write_trajectory(out: Path, rows, method: str, h: float) -> Path:
+    """Stream `rows`, the chunks of `dynamics.state_rows` (`Trajectory.rows()`),
+    to a CSV, one `%` format and one write per chunk: the writer holds one chunk
+    of rows, never the whole trajectory as Python floats."""
     path = out / f"trajectory_{method}_h{h_label(h)}.csv"
     with path.open("w", encoding="utf-8") as fh:
         fh.write("t,S,I,R,V\n")
-        for flat in traj.rows():
+        for flat in rows:
             fh.write(_TRAJECTORY_ROW * (len(flat) // 5) % tuple(flat))
     return path
 
@@ -106,12 +107,13 @@ def _write_thresholds(out: Path, continuous, discrete) -> Path:
                          r.exact_periodic] for h, r in pairs])
 
 
-def _write_compare(out: Path, runs, reference) -> tuple[Path, dict]:
-    """compare.csv from `method_runs`' runs and reference, and its manifest entry."""
-    rows, nsfd_worse = compare_methods(runs, reference)
+def _write_compare(out: Path, runs, reference) -> tuple[Path, dict, tuple]:
+    """compare.csv from `method_runs`' runs and reference, its manifest entry,
+    and the (times, states) table of the reference that `compare_methods` scored."""
+    rows, nsfd_worse, table = compare_methods(runs, reference)
     return (_write_rows(out / "compare.csv",
                         ["h", "method", "sup_dev_I", "negativity_flag"], rows),
-            {"nsfd_worse_than_euler_at": nsfd_worse})
+            {"nsfd_worse_than_euler_at": nsfd_worse}, table)
 
 
 def _discrete_json(pairs, continuous_verdict=None) -> list[dict]:
@@ -177,7 +179,7 @@ def _cmd_simulate(args, spec, out: Path) -> tuple[list, dict]:
         if traj.negative_at is not None:
             print(f"warning: {method} trajectory has a negative component "
                   f"from step {traj.negative_at}", file=sys.stderr)
-    return ([_write_trajectory(out, traj, method, h)],
+    return ([_write_trajectory(out, traj.rows(), method, h)],
             {"h": h, "t_end": t_end, "method": method})
 
 
@@ -212,7 +214,7 @@ def _cmd_consistency(args, spec, out: Path) -> tuple[list, dict]:
 def _cmd_compare(args, spec, out: Path) -> tuple[list, dict]:
     hs = args.h if args.h else list(spec.h_values)
     t_end = _t_end(args, spec)
-    path, entries = _write_compare(out, *method_runs(spec, discretize(spec, hs), t_end))
+    path, entries, _ = _write_compare(out, *method_runs(spec, discretize(spec, hs), t_end))
     return [path], {"t_end": t_end, "h_values": hs, **entries}
 
 
@@ -220,17 +222,19 @@ def _cmd_scenario(args, spec, out: Path) -> tuple[list, dict]:
     report = run_scenario(spec, burn_in=args.burn_in, scan=args.scan)
     paths = []
     for h, res in report.per_h.items():
-        paths += [_write_trajectory(out, res.nsfd, "nsfd", h),
-                  _write_trajectory(out, res.euler, "euler", h)]
+        paths += [_write_trajectory(out, res.nsfd.rows(), "nsfd", h),
+                  _write_trajectory(out, res.euler.rows(), "euler", h)]
         if res.residuals is not None:
             paths.append(_write_rows(
                 out / f"residuals_h{h_label(h)}.csv", ["t", "observed", "model_I", "residual"],
                 zip(res.residuals.times, res.residuals.observed,
                     res.residuals.model, res.residuals.residual)))
     rk4 = report.rk4_reference
-    compare, entries = _write_compare(
+    compare, entries, (times, states) = _write_compare(
         out, [(h, res.nsfd, res.euler) for h, res in report.per_h.items()], rk4)
-    paths += [_write_trajectory(out, rk4, "rk4", rk4.dt), compare,
+    # the reference at the times compare.csv scored, the very values it read
+    rk4_rows = state_rows(states, lambda a, b: times[a:b])
+    paths += [_write_trajectory(out, rk4_rows, "rk4", rk4.dt), compare,
               _write_thresholds(out, report.continuous, report.discrete),
               _write_rows(out / "verdicts.csv", ["method", "h", "verdict"],
                           [[method, "" if h is None else h, v.value]

@@ -171,14 +171,19 @@ class Trajectory:
         return self.states[:, 3]
 
     def rows(self):
-        """(t, S, I, R, V) of every state as Python floats, one flat list
-        t_a, S_a, I_a, R_a, V_a, t_{a+1}, .. per chunk of up to `_ROWS_PER_CHUNK`
-        states; t equals `times`."""
-        n_rows = self.states.shape[0]
-        for a in range(0, n_rows, _ROWS_PER_CHUNK):
-            b = min(a + _ROWS_PER_CHUNK, n_rows)
-            times = self.t0 + self.dt * np.arange(a, b)
-            yield np.column_stack((times, self.states[a:b])).ravel().tolist()
+        """`state_rows` of the states, each chunk's times t0 + dt k built for
+        that chunk alone; t equals `times`."""
+        return state_rows(self.states, lambda a, b: self.t0 + self.dt * np.arange(a, b))
+
+
+def state_rows(states: np.ndarray, times):
+    """(t, S, I, R, V) of each row of the (n, 4) `states` as Python floats, one
+    flat list t_a, S_a, I_a, R_a, V_a, t_{a+1}, .. per chunk of up to
+    `_ROWS_PER_CHUNK` rows, where times(a, b) gives t_a .. t_{b-1}."""
+    n_rows = states.shape[0]
+    for a in range(0, n_rows, _ROWS_PER_CHUNK):
+        b = min(a + _ROWS_PER_CHUNK, n_rows)
+        yield np.column_stack((times(a, b), states[a:b])).ravel().tolist()
 
 
 def steps_for(span: float, h: float) -> int:

@@ -643,18 +643,23 @@ def method_runs(spec: ScenarioSpec, dps: list[DiscreteParams],
                                       method="rk4")
 
 
-def compare_methods(runs, reference: Trajectory) -> tuple[list, list]:
+def compare_methods(runs, reference: Trajectory) -> tuple[list, list, tuple]:
     """Rows (h, method, sup |I - I_ref|, left the nonnegative cone) for each
-    (h, NSFD run, Euler run) of `method_runs` against its reference, and the
-    step sizes where NSFD deviates more."""
+    (h, NSFD run, Euler run) of `method_runs` against its reference, the step
+    sizes where NSFD deviates more, and the table (times, states) they were
+    scored on: the sorted union of the runs' times, with the reference's states
+    interpolated linearly there."""
+    times = np.unique(np.concatenate([run.times for _, *pair in runs for run in pair]))
+    ref_t = reference.times
+    states = np.column_stack([np.interp(times, ref_t, col) for col in reference.states.T])
     rows, nsfd_worse = [], []
-    ref_t, ref_I = reference.times, reference.I
     for h, *pair in runs:
-        devs = [float(np.max(np.abs(t.I - np.interp(t.times, ref_t, ref_I)))) for t in pair]
+        devs = [float(np.max(np.abs(t.I - states[np.searchsorted(times, t.times), 1])))
+                for t in pair]
         rows += [(h, t.method, d, t.negative_at is not None) for t, d in zip(pair, devs)]
         if devs[0] > devs[1]:
             nsfd_worse.append(h)
-    return rows, nsfd_worse
+    return rows, nsfd_worse, (times, states)
 
 
 def run_scenario(spec: ScenarioSpec, burn_in: int = BURN_IN, scan: int = SCAN) -> ScenarioReport:

@@ -120,6 +120,9 @@ def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         ratios = (1.0 + beta * slope_x + sigma * slope_y) / (1.0 + mu + alpha + gamma)
     if not np.isfinite(ratios).all():  # a NaN must never reach a verdict or `exact_periodic`
         raise StepError(f"discrete threshold report at h={h_label(dp.h)}: non-finite growth ratio")
+    if not (ratios > 0).all():  # whose log in `_window_products` would be NaN
+        raise StepError(f"discrete threshold report at h={h_label(dp.h)}: "
+                        "non-positive growth ratio")
     return np.broadcast_to(ratios, (k_hi - k_lo,)).copy()  # one element per step, always
 
 

@@ -6,11 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsfd_sirvs
 from nsfd_sirvs.cli import main
-from nsfd_sirvs.scenarios import BUILTIN_NAMES, builtin, spec_to_config
+from nsfd_sirvs.dynamics import h_label
+from nsfd_sirvs.scenarios import (BUILTIN_NAMES, builtin, config_to_spec, run_scenario,
+                                  spec_to_config)
 
 
 def _read_csv(path):
@@ -409,13 +414,18 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
 # All six were re-pinned when the bundle gained compare.csv (byte-identical to
 # `compare <name>`) and manifest.json its entry in `outputs` and the key
 # nsfd_worse_than_euler_at; every other file kept its bytes.
+# All six were re-pinned when trajectory_rk4_h0.01.csv became the reference at
+# the times compare.csv scores (the sorted union of the NSFD and Euler times),
+# in place of every 0.01 step: it is the only file whose bytes changed, so the
+# written reference and compare.csv are one table and a pass writes 1.4 MB,
+# not 13.1 MB.
 GOLDEN_BUNDLE_DIGESTS = {
-    "extinction_5_1": "6795d5eac714c2803a57a5dba8f187aff5e984de8a1f5a89370c4be32e2945a1",
-    "persistence_5_1": "4ed5b90716dc7273a5f292aa321bb125ab7a17d7e0628fffd553423b43ad7685",
-    "saturated_5_1_ext": "35354eb8db920ba6f85561ba709f8ed5d4f9a060ac13ecfef4fae9bfdcc36f84",
-    "saturated_5_1_per": "7e529e056ba744ac8a1efad590e55c5f8cf5f0b351746006d200e813d398c0d3",
-    "inconsistency_4": "ce137025ab3942b48eb9ec0d8592e3655a68c84e0a49fd0bebaaee572286800e",
-    "measles_france_5_2": "3b6612bb53f2b89419c46434635e0fd5047001aee243e9be3a6addc640a5a5a2",
+    "extinction_5_1": "9ab95971e63be1a5742f6469d876c7c752fc2e5630ea2d485da2cd419778e7e0",
+    "persistence_5_1": "b138fc006fc1224223d91eeab8b65d3350defc759e86b1279d4e0d1c27e1b534",
+    "saturated_5_1_ext": "62eebc77d141f3220124f8483c274b790d79728070977d3bf0aab5cc077e5e90",
+    "saturated_5_1_per": "def16f2a7c2f1c6f7da05b2a8fccebf11774324b88b28d602d294fa9f1be4696",
+    "inconsistency_4": "a2d7c970e17c291d0dc9cbb1a8fdf2b9b0984aa984dfcef816bd81118e894278",
+    "measles_france_5_2": "4ee94913d08ee587204466a26efc82b620f92d5a50b326f555a7978900eae7f0",
 }
 
 
@@ -493,6 +503,48 @@ def test_bundle_reference_reaches_the_last_run_time(tmp_path):
     _, rows = _read_csv(bundle / "trajectory_nsfd_h0.4.csv")
     assert float(rows[-1][0]) == pytest.approx(1.2)
     assert (alone / "compare.csv").read_bytes() == (bundle / "compare.csv").read_bytes()
+
+
+def _table(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _assert_rk4_file_is_what_compare_scores(bundle):
+    """The bundle's RK4 file holds the reference at the sorted union of its runs'
+    times, and every sup_dev_I of compare.csv is recomputed from the CSVs alone,
+    bit for bit; returns the RK4 file's rows."""
+    ref = _table(bundle / "trajectory_rk4_h0.01.csv")
+    _, rows = _read_csv(bundle / "compare.csv")
+    runs = [_table(bundle / f"trajectory_{method}_h{h_label(float(h))}.csv")
+            for h, method, _, _ in rows]
+    assert np.array_equal(ref[:, 0], np.unique(np.concatenate([run[:, 0] for run in runs])))
+    for (_, _, dev, _), run in zip(rows, runs):
+        at = np.searchsorted(ref[:, 0], run[:, 0])
+        assert "%.17g" % np.max(np.abs(run[:, 2] - ref[at, 2])) == dev
+    return ref
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_bundle_reference_is_written_at_the_compared_times(tmp_path, name):
+    assert main(["scenario", "run", name, "--out", str(tmp_path)]) == 0
+    _assert_rk4_file_is_what_compare_scores(tmp_path)
+
+
+@settings(max_examples=15, deadline=None)
+@given(hs=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3, unique_by=h_label),
+       t_end=st.floats(1.0, 6.0))
+def test_bundle_reference_at_non_nested_step_sizes(tmp_path_factory, hs, t_end):
+    # step sizes such as {0.3, 0.7}, whose times do not nest: the RK4 rows are
+    # their union, not a uniform grid, and hold rk4_reference interpolated there
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    cfg["h_values"], cfg["t_end"], cfg["lambda"] = hs, t_end, 1.0
+    tmp = tmp_path_factory.mktemp("nested")
+    (tmp / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["scenario", "run", str(tmp / "cfg.json"), "--out", str(tmp / "b")]) == 0
+    ref = _assert_rk4_file_is_what_compare_scores(tmp / "b")
+    rk4 = run_scenario(config_to_spec(cfg)).rk4_reference
+    for k in range(4):
+        assert np.array_equal(ref[:, 1 + k], np.interp(ref[:, 0], rk4.times, rk4.states[:, k]))
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -69,7 +69,7 @@ def test_aux_peak_is_the_orbit(spec):
 def test_writer_peak_does_not_grow_with_rows(tmp_path):
     states = np.random.default_rng(3).random((_STEPS + 1, 4))
     traj = Trajectory(t0=0.0, dt=0.01, states=states, method="nsfd")
-    path, peak = _traced_peak(lambda: _write_trajectory(tmp_path, traj, "nsfd", 0.01))
+    path, peak = _traced_peak(lambda: _write_trajectory(tmp_path, traj.rows(), "nsfd", 0.01))
     assert path.stat().st_size > 80 * _STEPS
     assert peak <= _SLACK, peak
 

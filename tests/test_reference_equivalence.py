@@ -26,7 +26,7 @@ from nsfd_sirvs.cli import _write_trajectory
 from nsfd_sirvs.dynamics import (_STEP_COEFFS, State, Trajectory, _aux_advance, _nsfd_stepper,
                                  integrate_continuous, period_map_fixed_point,
                                  periodic_aux_solution, simulate_aux, simulate_discrete,
-                                 validate_state)
+                                 state_rows, validate_state)
 from nsfd_sirvs.incidence import IncidenceFn, IncidenceReport, validate_incidence
 from nsfd_sirvs.scenarios import builtin
 from nsfd_sirvs.schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSchedule,
@@ -631,13 +631,16 @@ _SPECIALS = np.array([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, 2
                       -2.5e-7, 1.0 / 3.0, 123456789.125, 0.0]).reshape(3, 4)
 
 
-def _assert_writer_matches_per_value_format(tmp_path, states):
-    traj = Trajectory(t0=0.1, dt=0.1, states=states, method="rk4")
-    path = _write_trajectory(tmp_path, traj, "rk4", 0.01)
+def _assert_writer_matches_per_value_format(tmp_path, states, times=None):
+    if times is None:
+        traj = Trajectory(t0=0.1, dt=0.1, states=states, method="rk4")
+        times, rows = traj.times, traj.rows()
+    else:
+        rows = state_rows(states, lambda a, b: times[a:b])
+    path = _write_trajectory(tmp_path, rows, "rk4", 0.01)
     expected = tmp_path / "expected.csv"
     _reference_write_rows(expected, ["t", "S", "I", "R", "V"],
-                          [[t, s, i, r, v] for t, (s, i, r, v)
-                           in zip(traj.times, traj.states)])
+                          [[t, s, i, r, v] for t, (s, i, r, v) in zip(times, states)])
     assert path.name == "trajectory_rk4_h0.01.csv"
     assert path.read_bytes() == expected.read_bytes()
 
@@ -653,6 +656,15 @@ def test_trajectory_writer_specials_across_a_chunk_boundary(tmp_path):
     states = np.random.default_rng(11).standard_normal((2049, 4))
     states[1023:1026] = _SPECIALS
     _assert_writer_matches_per_value_format(tmp_path, states)
+
+
+def test_trajectory_writer_non_uniform_times(tmp_path):
+    # the union of the times of runs at h = 0.3 and h = 0.7, as a bundle writes
+    # its RK4 reference: no uniform grid, and past a chunk boundary
+    times = np.unique(np.concatenate([0.3 * np.arange(1500), 0.7 * np.arange(650)]))
+    assert len(times) > 1024 and np.ptp(np.diff(times)) > 0.1
+    states = np.random.default_rng(13).standard_normal((len(times), 4))
+    _assert_writer_matches_per_value_format(tmp_path, states, times)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +774,7 @@ def _assert_chunked_loops_match(schedules, s0, h, n_steps, tmp_path):
                                                          n_steps * h, h, method)
             assert traj.states.tobytes() == states.tobytes()
             assert traj.negative_at == negative_at
-            path = _write_trajectory(tmp_path, traj, method, h)
+            path = _write_trajectory(tmp_path, traj.rows(), method, h)
             _whole_trajectory_write(tmp_path / "whole.csv", traj)
             assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
     dp = mickens_discretize(schedules, h, DenominatorFn.quadratic(0.2))
@@ -817,7 +829,7 @@ def test_chunked_writer_bytes_match_whole_trajectory(tmp_path):
     # a trajectory that starts after t = 0 and crosses two chunk boundaries
     states = np.random.default_rng(5).standard_normal((2049, 4)) * 1e3
     traj = Trajectory(t0=7.25, dt=0.1, states=states, method="euler")
-    path = _write_trajectory(tmp_path, traj, "euler", 0.1)
+    path = _write_trajectory(tmp_path, traj.rows(), "euler", 0.1)
     _whole_trajectory_write(tmp_path / "whole.csv", traj)
     assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 

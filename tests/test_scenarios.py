@@ -415,7 +415,7 @@ def test_compare_reads_the_reference_at_every_compared_time():
     # must reach 1.2 instead of being held at its value at t = 1
     spec = builtin("extinction_5_1")
     runs, reference = method_runs(spec, discretize(spec, [0.4]), 1.0)
-    rows, _ = compare_methods(runs, reference)
+    rows, _, _ = compare_methods(runs, reference)
     ref = integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
                                spec.initial_state, 1.2, RK4_REFERENCE_STEP)
     assert np.array_equal(reference.states, ref.states)
@@ -440,7 +440,7 @@ def test_compare_methods_scores_the_runs_it_is_given(monkeypatch):
 
     for name in ("simulate_discrete", "integrate_continuous"):
         monkeypatch.setattr(scenarios_module, name, no_stepper)
-    rows, nsfd_worse = compare_methods(runs, reference)
+    rows, nsfd_worse, _ = compare_methods(runs, reference)
     assert [(row[0], row[1]) for row in rows] == [
         (2.0, "nsfd"), (2.0, "euler"), (1.0, "nsfd"), (1.0, "euler")]
     assert nsfd_worse == [h for h, n, e in zip((2.0, 1.0), rows[::2], rows[1::2]) if n[2] > e[2]]

@@ -79,6 +79,18 @@ def test_non_finite_growth_ratio_is_a_step_error(h):
         periodic_discrete_threshold(dp, MASS, MASS, dp.step_period)
 
 
+def test_non_positive_growth_ratio_is_a_step_error():
+    # a negative beta, which only `piecewise(..., allow_negative=True)` accepts,
+    # gave ratios <= 0 whose logs were nan: r = (nan, nan), a RuntimeWarning and
+    # an Inconclusive report marked exact_periodic
+    spec = builtin("extinction_5_1")
+    beta = ParamSchedule.piecewise("beta", [0], [-20], allow_negative=True)
+    dp = mickens_discretize(replace(spec.schedules, beta=beta), 1.0, spec.denominator)
+    with pytest.raises(StepError, match="discrete threshold report at h=1: "
+                                        "non-positive growth ratio"):
+        window_thresholds(dp, spec.incidence_phi, spec.incidence_psi, 4.0)
+
+
 def test_non_finite_window_integral_is_a_step_error():
     with pytest.raises(StepError, match="continuous threshold report: non-finite window integral"):
         continuous_thresholds(_huge_transmission(), MASS, MASS, 4.0)
