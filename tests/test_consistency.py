@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nsfd_sirvs.consistency import (consistency_report, consistency_sweep, h_max,
-                                    lambda_steps, net_growth_function, sup_abs_fprime,
-                                    sweep_skip_reason, window_thresholds)
+from nsfd_sirvs.consistency import (_SUP_CHUNK, _SUP_GRID, consistency_report,
+                                    consistency_sweep, h_max, lambda_steps, net_growth_function,
+                                    sup_abs_fprime, sweep_skip_reason, window_thresholds)
 from nsfd_sirvs.dynamics import aux_equilibrium
+from nsfd_sirvs.errors import StepError
 from nsfd_sirvs.incidence import IncidenceFn
 from nsfd_sirvs.scenarios import inconsistency_example
 from nsfd_sirvs.schedules import DenominatorFn, ParamSchedule, ScheduleSet, mickens_discretize
@@ -198,6 +200,78 @@ def test_closed_form_sup_of_the_seasonal_benchmarks_is_the_grid_sup():
         sup = sup_abs_fprime(fprime, (0.0, 4.0))
         assert tuple(sup) == _grid_sup(fprime, 4.0, 100_000)
         assert sup.argmax == 1.0
+
+
+def _near_chunk_edges():
+    """Grid indices at the grid's ends and on either side of a chunk boundary."""
+    edges = list(range(_SUP_CHUNK, _SUP_GRID + 1, _SUP_CHUNK))
+    return st.one_of(
+        st.sampled_from([0, 1, _SUP_GRID - 1, _SUP_GRID]),
+        st.tuples(st.sampled_from(edges), st.integers(-2, 1)).map(sum))
+
+
+@settings(max_examples=60, deadline=None)
+@given(t1=st.floats(0.5, 100.0), peaks=st.lists(_near_chunk_edges(), min_size=1, max_size=2,
+                                                 unique=True),
+       tie=st.booleans(), signs=st.tuples(st.sampled_from([-1.0, 1.0]),
+                                          st.sampled_from([-1.0, 1.0])))
+def test_chunked_sup_is_the_whole_grid_sup(t1, peaks, tie, signs):
+    # |f'| < 1 off the drawn peaks; the peaks are 2 and 2 (a tie) or 2 and 3
+    grid = np.linspace(0.0, t1, _SUP_GRID + 1)
+    values = 0.9 * np.sin(np.arange(_SUP_GRID + 1.0))
+    for k, (index, sign) in enumerate(zip(peaks, signs)):
+        values[index] = sign * (2.0 if tie else 2.0 + k)
+
+    def fprime(t):
+        return values[np.searchsorted(grid, t)]
+
+    sup = sup_abs_fprime(fprime, (0.0, t1))
+    assert tuple(sup) == _grid_sup(fprime, t1, _SUP_GRID)
+    first = min(peaks) if tie else peaks[-1]
+    assert sup == (abs(values[first]), grid[first])
+
+
+def _nan_near(t_nan, width, fn):
+    def with_nan(t):
+        out = np.asarray(fn(t), dtype=float)
+        return np.where(np.abs(t - t_nan) < width, np.nan, out)
+    return with_nan
+
+
+def _seasonal(t):
+    return 0.5 + 0.25 * np.cos(2.0 * np.pi * t)
+
+
+def _seasonal_deriv(t):
+    return -0.5 * np.pi * np.sin(2.0 * np.pi * t)
+
+
+def _with_beta_and_sigma(schedule_of):
+    sched = inconsistency_example(L=6, d=0.6, c=1.5, mu=0.25, gamma=0.3, alpha=0.05,
+                                  eta=0.05, p=2.0 / 3.0).spec.schedules
+    return dataclasses.replace(sched, beta=schedule_of("beta"), sigma=schedule_of("sigma"))
+
+
+def test_non_finite_analytic_fprime_is_a_step_error():
+    # f' NaN on a 2e-4 window that the schedule's checks miss gave
+    # sup |f'| = nan and h_max = nan, and the sweep was skipped as unbounded
+    dfn = _nan_near(0.123456, 1e-4, _seasonal_deriv)
+    sched = _with_beta_and_sigma(
+        lambda name: ParamSchedule.custom(name, _seasonal, derivative=dfn, period=1.0))
+    continuous = continuous_thresholds(sched, MASS, MASS, 1.0)
+    with pytest.raises(StepError, match=r"consistency report: non-finite f' at t=0\.12336$"):
+        consistency_report(sched, MASS, MASS, continuous)
+
+
+def test_non_finite_central_difference_fprime_is_a_step_error():
+    # f NaN within 2e-6 of 0.123456: between the schedule's samples, but the
+    # stencil of the grid point 0.12345 reaches 0.123455
+    fn = _nan_near(0.123456, 2e-6, _seasonal)
+    sched = _with_beta_and_sigma(lambda name: ParamSchedule.custom(name, fn, period=1.0))
+    _, fprime, analytic = net_growth_function(sched, MASS, MASS)
+    assert not analytic
+    with pytest.raises(StepError, match=r"consistency report: non-finite f' at t=0\.12345$"):
+        sup_abs_fprime(fprime, (0.0, 1.0))
 
 
 def test_h_max_formula():

@@ -1,21 +1,24 @@
-"""Working memory of the steppers and the trajectory writer.
+"""Working memory of the steppers, the trajectory writer and the sup |f'| scan.
 
 A run keeps its returned states (32 B per step, 16 B per disease-free step);
 everything else it holds is at most one fixed-size chunk of rows, so the peak
 traced allocation stays within a small factor of the state bytes plus a fixed
-slack, and the writer's peak does not depend on the number of rows.
+slack, and the writer's peak does not depend on the number of rows.  The
+sup |f'| scan holds its grid and the values of f' on one chunk of it.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nsfd_sirvs.cli import _write_trajectory
+from nsfd_sirvs.consistency import _SUP_CHUNK, _SUP_GRID, net_growth_function, sup_abs_fprime
 from nsfd_sirvs.dynamics import Trajectory, integrate_continuous, simulate_aux, simulate_discrete
 from nsfd_sirvs.incidence import IncidenceFn
 from nsfd_sirvs.scenarios import builtin
-from nsfd_sirvs.schedules import mickens_discretize
+from nsfd_sirvs.schedules import ParamSchedule, mickens_discretize
 
 # Tracing costs microseconds per Python float allocated, so the RK4 and NSFD runs,
 # which box a float per coefficient and per state value, are kept shorter.
@@ -73,3 +76,30 @@ def test_writer_peak_does_not_grow_with_rows(tmp_path):
     assert path.stat().st_size > 80 * _STEPS
     assert peak <= _SLACK, peak
 
+
+# f' of one chunk: measured 7 (analytic) and 11 (central differences) float
+# temporaries of the chunk's length
+_CHUNK_SLACK = 16 * 8 * _SUP_CHUNK
+
+
+def _inconsistency_fprimes():
+    spec = builtin("inconsistency_4")
+    sched, phi, psi = spec.schedules, spec.incidence_phi, spec.incidence_psi
+    _, analytic, _ = net_growth_function(sched, phi, psi)
+    # the same seasonal values, declared without a derivative
+    seasonal = sched.beta.eval
+    no_derivative = dataclasses.replace(
+        sched, beta=ParamSchedule.custom("beta", seasonal, period=1.0),
+        sigma=ParamSchedule.custom("sigma", seasonal, period=1.0))
+    _, central, is_analytic = net_growth_function(no_derivative, phi, psi)
+    assert not is_analytic
+    return {"analytic": analytic, "central differences": central}
+
+
+@pytest.mark.parametrize("kind", ["analytic", "central differences"])
+def test_sup_scan_peak_is_the_grid_and_one_chunk(kind):
+    fprime = _inconsistency_fprimes()[kind]
+    assert getattr(fprime, "harmonic", None) is None  # the grid scan, not the closed form
+    sup, peak = _traced_peak(lambda: sup_abs_fprime(fprime, (0.0, 1.0)))
+    assert sup.value > 0.0
+    assert peak <= 8 * (_SUP_GRID + 1) + _CHUNK_SLACK, peak

@@ -77,7 +77,9 @@ def test_inconsistency_sweep_evaluates_seasonal_once_per_report(monkeypatch, tmp
     # more periods of the sequences; then the sweep's 16 reports
     assert reports == ([{"seasonal": 3, "seasonal_deriv": 0}]
                        + [{"seasonal": 1, "seasonal_deriv": 0}] * 16)
-    assert scans == [{"seasonal": 0, "seasonal_deriv": 1}]
+    # the sup |f'| grid is scanned one chunk at a time: one call per chunk for the pair
+    chunks = math.ceil((consistency._SUP_GRID + 1) / consistency._SUP_CHUNK)
+    assert scans == [{"seasonal": 0, "seasonal_deriv": chunks}]
 
 
 def test_extinction_sweep_evaluates_the_harmonic_once_per_report(monkeypatch, tmp_path):
