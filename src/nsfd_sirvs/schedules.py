@@ -598,6 +598,13 @@ class HypothesisReport:
     warnings: tuple[str, ...] = ()
 
 
+def window_sums(values: np.ndarray, width: int) -> np.ndarray:
+    """The sums of `width` consecutive values, one per start 0 .. len - width,
+    as differences of one prefix sum; the package's only sliding-window rule."""
+    c = np.concatenate([[0.0], np.cumsum(values)])
+    return c[width:] - c[:-width]
+
+
 def validate_hypotheses(dp: DiscreteParams, window: int = 1,
                         stop: int = 1000) -> HypothesisReport:
     """Scan the window starts 0 .. stop - 1 for the H3/H4 hypothesis surrogates."""
@@ -617,19 +624,9 @@ def validate_hypotheses(dp: DiscreteParams, window: int = 1,
                             "nonnegativity hypotheses are violated")
 
     # H3: sliding products of 1/(1+mu_k), k = n .. n+w
-    logs = -np.log1p(mu)
-    c = np.concatenate([[0.0], np.cumsum(logs)])
-    prods = np.exp(c[w + 1:] - c[:-(w + 1)])
-    h3_max = float(prods[:stop].max())
-
+    h3_max = float(np.exp(window_sums(-np.log1p(mu), w + 1))[:stop].max())
     # H4: sliding sums over k = n+1 .. n+w
-    def min_window_sum(vals):
-        cs = np.concatenate([[0.0], np.cumsum(vals)])
-        sums = cs[w + 1:] - cs[1:-w]
-        return float(sums[:stop].min())
-
-    h4_lam = min_window_sum(lam)
-    h4_p = min_window_sum(p)
+    h4_lam, h4_p = (float(window_sums(vals, w)[1:stop + 1].min()) for vals in (lam, p))
 
     return HypothesisReport(
         window=w, stop=stop,

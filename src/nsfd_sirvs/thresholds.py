@@ -7,10 +7,10 @@ per-step growth ratio of the infectives is
           / (1 + mu_k + alpha_k + gamma_k)
 
 and the window quantities are products of lam + 1 consecutive ratios.  The
-liminf/limsup over the window start are approximated by the min/max over a
-finite scan after a burn-in.  The disease-free orbit is exact where known
-(`_disease_free_orbit`), so burn-in and scan only place the window starts; with
-step-periodic coefficients and a window of whole periods the surrogate is exact.
+liminf/limsup over the window start are the min/max of log-space sliding sums
+over a scan after a burn-in; the disease-free orbit is exact where known, so
+these only place the window starts.  With step-periodic coefficients and a window
+of k whole periods every window is the one-period product to the k: no scan.
 A window product above 1 forces permanence; below 1, extinction.
 
 Continuous side: the analogous quantity is the sliding integral
@@ -22,6 +22,7 @@ compared against 0, evaluated by composite Simpson quadrature.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -35,7 +36,7 @@ from .dynamics import (AuxState, State, _checked_state, aux_equilibrium, h_label
                        simulate_aux, steps_for, verify_step_periodic)
 from .incidence import IncidenceFn
 from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DiscreteParams,
-                        ParamSchedule, ScheduleSet, validate_hypotheses)
+                        ParamSchedule, ScheduleSet, validate_hypotheses, window_sums)
 
 BOUNDARY_TOL = 1e-12
 BURN_IN, SCAN = 2000, 4000  # default window starts skipped, then scanned, by a discrete report
@@ -55,7 +56,7 @@ class ThresholdReport:
     `window_products` holds the per-window series so non-stabilizing scans
     can be diagnosed.  `exact_periodic` marks reports where the finite
     surrogate is exact (exact disease-free orbit, step-periodic coefficients,
-    window a whole number of periods); then r_lower == r_upper up to rounding.
+    window of k whole periods); then r_lower == r_upper == (period product)^k.
     """
 
     mode: str  # "discrete" | "continuous"
@@ -91,15 +92,6 @@ def _classify(r_lower: float, r_upper: float, neutral: float, tol: float) -> Ver
     return Verdict.INCONCLUSIVE
 
 
-def _window_products(ratios: np.ndarray, width: int) -> np.ndarray:
-    # log-space sliding sums: safe against over/underflow for wide windows; a
-    # product past the largest double is inf, which still classifies
-    logs = np.log(ratios)
-    c = np.concatenate([[0.0], np.cumsum(logs)])
-    with np.errstate(over="ignore"):
-        return np.exp(c[width:] - c[:-width])
-
-
 def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                    orbit: np.ndarray, period: int | None, k_lo: int, k_hi: int) -> np.ndarray:
     """r_k for k in [k_lo, k_hi), from `_disease_free_orbit`'s (orbit, period).
@@ -120,7 +112,7 @@ def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         ratios = (1.0 + beta * slope_x + sigma * slope_y) / (1.0 + mu + alpha + gamma)
     if not np.isfinite(ratios).all():  # a NaN must never reach a verdict or `exact_periodic`
         raise StepError(f"discrete threshold report at h={h_label(dp.h)}: non-finite growth ratio")
-    if not (ratios > 0).all():  # whose log in `_window_products` would be NaN
+    if not (ratios > 0).all():  # whose log in the window scan would be NaN
         raise StepError(f"discrete threshold report at h={h_label(dp.h)}: "
                         "non-positive growth ratio")
     return np.broadcast_to(ratios, (k_hi - k_lo,)).copy()  # one element per step, always
@@ -168,15 +160,6 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         raise ConfigError(f"a threshold window of {lam + 1:.3g} steps does not fit in memory "
                           f"({16 * (ks_hi - ks_lo):.3g} bytes of disease-free orbit)") from exc
     orbit, period = _disease_free_orbit(dp, dp.aux_step_period, ks_lo, ks_hi, aux_start)
-    ratios = _growth_ratios(dp, phi, psi, orbit, period, ks_lo, ks_hi)
-    window = _window_products(ratios, lam + 1)
-    notes = ()
-    if phi.needs_population or psi.needs_population:
-        notes = ("population-scaled incidence: population along the "
-                 "disease-free orbit taken as x* + y*",)
-
-    r_lower = float(window.min())
-    r_upper = float(window.max())
     omega = dp.step_period
     exact = period is not None and omega is not None and (lam + 1) % omega == 0
     if exact:
@@ -184,6 +167,20 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
             verify_step_periodic(dp, omega)
         except ValueError:
             exact = False
+    if exact:  # every window is the period product, (lam + 1) / omega times over
+        r = math.prod(itertools.repeat(_period_product(dp, phi, psi, orbit, period, omega),
+                                       (lam + 1) // omega))
+        window = np.full(scan + 1, r)
+    else:  # a product past the largest double is inf, which still classifies
+        ratios = _growth_ratios(dp, phi, psi, orbit, period, ks_lo, ks_hi)
+        with np.errstate(over="ignore"):
+            window = np.exp(window_sums(np.log(ratios), lam + 1))
+    notes = ()
+    if phi.needs_population or psi.needs_population:
+        notes = ("population-scaled incidence: population along the "
+                 "disease-free orbit taken as x* + y*",)
+    r_lower = float(window.min())
+    r_upper = float(window.max())
     return ThresholdReport(
         mode="discrete", lam=lam, r_lower=r_lower, r_upper=r_upper,
         window_products=window, burn_in=burn_in, scan=scan,
@@ -194,15 +191,20 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
 
 def periodic_discrete_threshold(dp: DiscreteParams, phi: IncidenceFn,
                                 psi: IncidenceFn, omega: int) -> float:
-    """Exact one-period product for omega-periodic coefficients."""
+    """Exact one-period product for omega-periodic coefficients: an exact report's factor."""
     omega = int(omega)
     try:
         verify_step_periodic(dp, omega)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    orbit, period = _disease_free_orbit(dp, omega, 0, omega, None)
-    return float(_window_products(_growth_ratios(dp, phi, psi, orbit, period, 0, omega),
-                                  omega)[0])
+    orbit, period = _disease_free_orbit(dp, dp.aux_step_period or omega, 0, omega, None)
+    return _period_product(dp, phi, psi, orbit, period, omega)
+
+
+def _period_product(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
+                    orbit: np.ndarray, period: int, omega: int) -> float:
+    """r_0 * .. * r_{omega-1} in step order, the product of every whole-period window."""
+    return math.prod(_growth_ratios(dp, phi, psi, orbit, period, 0, omega).tolist())
 
 
 def disease_free_equilibrium(schedules: ScheduleSet) -> AuxState:

@@ -419,11 +419,16 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
 # in place of every 0.01 step: it is the only file whose bytes changed, so the
 # written reference and compare.csv are one table and a pass writes 1.4 MB,
 # not 13.1 MB.
+# The four seasonal bundles were re-pinned when an exact_periodic report became
+# its one-period product, multiplied in step order (no log, exp or prefix sum):
+# only the r_lower/r_upper of those rows in thresholds.csv and discrete_literal
+# in consistency.json changed, each within 6.0e-13 relative, now one value per
+# row; no verdict or flag moved, and extinction_5_1's h = 4 row kept its bytes.
 GOLDEN_BUNDLE_DIGESTS = {
-    "extinction_5_1": "9ab95971e63be1a5742f6469d876c7c752fc2e5630ea2d485da2cd419778e7e0",
-    "persistence_5_1": "b138fc006fc1224223d91eeab8b65d3350defc759e86b1279d4e0d1c27e1b534",
-    "saturated_5_1_ext": "62eebc77d141f3220124f8483c274b790d79728070977d3bf0aab5cc077e5e90",
-    "saturated_5_1_per": "def16f2a7c2f1c6f7da05b2a8fccebf11774324b88b28d602d294fa9f1be4696",
+    "extinction_5_1": "deae0f230b3fc09afd49e3aaedb3c3f46ac7872d870bee4e3aa488dc5e65320a",
+    "persistence_5_1": "d96246a550ac5084fa55821ebfbcc5b8c92278de50a61f3bd266c9dffec1cf8a",
+    "saturated_5_1_ext": "438fba06776169e1b802ba38574ac81f6d6003df795511efa5ad97e12e48cd3b",
+    "saturated_5_1_per": "86930de50fde01da660d4011cb95082d8fbb0fa590b28613107e8f1b5b986397",
     "inconsistency_4": "a2d7c970e17c291d0dc9cbb1a8fdf2b9b0984aa984dfcef816bd81118e894278",
     "measles_france_5_2": "4ee94913d08ee587204466a26efc82b620f92d5a50b326f555a7978900eae7f0",
 }
@@ -447,15 +452,19 @@ def test_scenario_bundle_matches_golden_digest(tmp_path, name):
 # included.  The three sweeps were re-pinned with the exact disease-free orbit:
 # only their r_lower/r_upper changed, onto the values along the closed-form
 # equilibrium orbit (within 7.4e-12 relative); every verdict is unchanged.
+# The extinction_5_1 and persistence_5_1 sweeps and `thresholds persistence_5_1`
+# were re-pinned when an exact_periodic report became its one-period product:
+# only the discrete_literal rows (all exact) and the exact thresholds.csv rows
+# moved, within 6.0e-13 relative; the swept rows kept their bytes.
 GOLDEN_COMMAND_DIGESTS = {
     ("consistency", "extinction_5_1", "--sweep"):
-        "0ffdcfd6ef6be37e8041b078d6176d7a4537a1192d145498c9d15714ffc2de61",
+        "ce071038b5c26da40043836ec209ba65f29241262727d5900f4eb3a12c9ed098",
     ("consistency", "persistence_5_1", "--sweep"):
-        "ebad9c4eb13e890a102d7481af55fc7e3959aeb6762a5597f248a760bf73f77f",
+        "323bc9664247d5529c31faeafd54b1c40874bd83689f7b4b0e322e1615a6e520",
     ("consistency", "inconsistency_4", "--sweep"):
         "a7c75338fafea93ca720e2388d884ba9a0aa0713ff65f7128efe5c64b188238b",
     ("thresholds", "persistence_5_1"):
-        "59e2358896da5ab8cc96295e5e1585429e2879e3d2404162ac9e145ca64c03a0",
+        "cca6003e1927507373806c78915bde565f1eeceaaddd6ada665008f7a676bc89",
     ("compare", "extinction_5_1"):
         "11f4c0a8aecd3cfd90bc4251863659ff9ba19de0f6548184122f8399e2ca1682",
     # the continuous integrators, pinned before RK4's stages were written out:
@@ -474,6 +483,56 @@ GOLDEN_COMMAND_DIGESTS = {
 def test_command_output_matches_golden_digest(tmp_path, argv):
     assert main(list(argv) + ["--out", str(tmp_path)]) == 0
     assert _dir_digest(tmp_path) == GOLDEN_COMMAND_DIGESTS[argv]
+
+
+def _golden_runs():
+    """(argv, pinned digest) of every golden bundle and command."""
+    return ([(["scenario", "run", name], d) for name, d in GOLDEN_BUNDLE_DIGESTS.items()]
+            + [(list(argv), d) for argv, d in GOLDEN_COMMAND_DIGESTS.items()])
+
+
+# numpy's AVX-512 code paths, switched off for the dispatch test below
+_DISPATCH_OFF = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+# FOUND, open: the swept rows are not exact_periodic, so their window products
+# are exp of differences of cumulative sums of log, and numpy's exp and log give
+# other last bits on the AVX2 paths.  A mend of the sweeps empties this set.
+_DISPATCH_DEPENDENT = {("consistency", "extinction_5_1", "--sweep"),
+                       ("consistency", "persistence_5_1", "--sweep"),
+                       ("consistency", "inconsistency_4", "--sweep")}
+_DIGESTS_UNDER_DISPATCH = """
+import json, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+from nsfd_sirvs.cli import main
+from test_cli import _DISPATCH_OFF, _dir_digest, _golden_runs
+assert not any(__cpu_features__[f] for f in _DISPATCH_OFF), "dispatch not switched off"
+out, digests = Path(sys.argv[1]), []
+for i, (argv, _) in enumerate(_golden_runs()):
+    assert main(argv + ["--out", str(out / str(i))]) == 0, argv
+    digests.append(_dir_digest(out / str(i)))
+(out / "digests.json").write_text(json.dumps(digests))
+"""
+
+
+def test_golden_digests_on_another_simd_dispatch(tmp_path):
+    # every golden output rerun on numpy's AVX2 paths: exactly the outputs named
+    # in _DISPATCH_DEPENDENT change their bytes
+    from numpy._core._multiarray_umath import __cpu_features__
+    missing = [f for f in _DISPATCH_OFF if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"this CPU has no {', '.join(missing)}: only one dispatch path to run")
+    src = str(Path(nsfd_sirvs.__file__).resolve().parent.parent)
+    path = [src, str(Path(__file__).parent)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_DISPATCH_OFF),
+               PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _DIGESTS_UNDER_DISPATCH, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digests = json.loads((tmp_path / "digests.json").read_text())
+    changed = {tuple(argv) for (argv, pinned), got in zip(_golden_runs(), digests)
+               if got != pinned}
+    assert changed == _DISPATCH_DEPENDENT
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

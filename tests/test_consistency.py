@@ -339,6 +339,47 @@ def test_constant_coefficients_keep_the_continuous_verdict_at_every_step(
     assert consistency_report(sched, phi, psi, continuous).verdict_bound == math.inf
 
 
+_MASS_OR_SATURATED = st.one_of(st.just(MASS), st.floats(0.0, 2.0).map(IncidenceFn.saturated))
+
+
+@settings(max_examples=250, deadline=None)
+@given(T=st.floats(0.5, 12.0), periods=st.integers(1, 2), finer=st.integers(1, 4),
+       Lambda=st.floats(0.05, 2.0), mu=st.floats(0.05, 1.0), p=st.floats(0.0, 1.0),
+       eta=st.floats(0.0, 1.0), alpha=st.floats(0.0, 1.0), gamma=st.floats(0.0, 1.0),
+       beta=st.floats(0.05, 2.0), sigma=st.floats(0.05, 2.0),
+       beta_amp=st.floats(0.05, 0.9), sigma_amp=st.floats(0.05, 0.9),
+       phi=_MASS_OR_SATURATED, psi=_MASS_OR_SATURATED,
+       denominator=st.one_of(st.just(DenominatorFn.identity()),
+                             st.floats(0.0, 1.0).map(DenominatorFn.quadratic),
+                             st.floats(0.01, 2.0).map(DenominatorFn.exp_decay)))
+def test_steps_below_the_bound_keep_the_continuous_verdict(
+        T, periods, finer, Lambda, mu, p, eta, alpha, gamma, beta, sigma, beta_amp,
+        sigma_amp, phi, psi, denominator):
+    # the paper's consistency theorem: at every h <= the printed verdict bound,
+    # the discrete verdict is the continuous one.  Seasonal beta and sigma of one
+    # period T, a window of whole periods and h = T / m make the report exact.
+    w = 2.0 * math.pi / T
+    sched = ScheduleSet(
+        Lambda=ParamSchedule.constant("Lambda", Lambda), mu=ParamSchedule.constant("mu", mu),
+        p=ParamSchedule.constant("p", p), eta=ParamSchedule.constant("eta", eta),
+        alpha=ParamSchedule.constant("alpha", alpha),
+        beta=ParamSchedule.harmonic("beta", beta, beta_amp * beta, w),
+        sigma=ParamSchedule.harmonic("sigma", sigma, sigma_amp * sigma, w, 1.0),
+        gamma=ParamSchedule.constant("gamma", gamma))
+    lam = periods * T
+    continuous = continuous_thresholds(sched, phi, psi, lam)
+    report = consistency_report(sched, phi, psi, continuous)
+    assume(not sweep_skip_reason(report))  # the theorem needs a finite bound
+    bound = report.verdict_bound
+    m = math.ceil(T / bound)
+    while T / m > bound:
+        m += 1
+    dp = mickens_discretize(sched, T / (finer * m), denominator)
+    rep = window_thresholds(dp, phi, psi, lam)
+    assert rep.exact_periodic
+    assert rep.verdict is continuous.verdict
+
+
 def test_equilibrium_satisfies_stationarity():
     rng = np.random.default_rng(17)
     for _ in range(200):

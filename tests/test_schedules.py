@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsfd_sirvs.errors import ConfigError
@@ -410,3 +410,31 @@ def test_hypotheses_warn_on_negative_sequences():
                                        alpha=0.0, beta=-0.2, sigma=0.1, gamma=0.1)
     rep = validate_hypotheses(dp, window=1, stop=50)
     assert any("beta" in w for w in rep.warnings)
+
+
+def step_table(values):
+    """The sequence n -> values[n % len(values)]."""
+    table = np.array(values)
+    return lambda n: table[np.asarray(n) % table.size]
+
+
+_INFLOW_TABLE = st.lists(st.one_of(st.just(0.0), st.floats(0.1, 2.0)), min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), Lambda=_INFLOW_TABLE,
+       p=_INFLOW_TABLE, w=st.integers(1, 12), stop=st.integers(1, 60))
+def test_hypothesis_windows_are_the_direct_sums(mu, Lambda, p, w, stop):
+    # the window of start n: H3 over k = n .. n + w, H4 over k = n + 1 .. n + w,
+    # for n = 0 .. stop - 1, each against a direct loop to 1e-12 relative
+    dp = DiscreteParams.from_sequences(1.0, Lambda=step_table(Lambda), mu=step_table(mu),
+                                       p=step_table(p), eta=0.05, alpha=0.0, beta=0.1,
+                                       sigma=0.1, gamma=0.1)
+    rep = validate_hypotheses(dp, window=w, stop=stop)
+    h3 = max(math.prod(1.0 / (1.0 + mu[k % len(mu)]) for k in range(n, n + w + 1))
+             for n in range(stop))
+    h4_Lambda, h4_p = (min(math.fsum(v[k % len(v)] for k in range(n + 1, n + w + 1))
+                           for n in range(stop)) for v in (Lambda, p))
+    for got, want in ((rep.h3_max_product, h3), (rep.h4_min_Lambda_sum, h4_Lambda),
+                      (rep.h4_min_p_sum, h4_p)):
+        assert abs(got - want) <= 1e-12 * abs(want)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from nsfd_sirvs.dynamics import (AuxState, aux_equilibrium, periodic_aux_solutio
                                  simulate_discrete, verify_step_periodic)
 from nsfd_sirvs.errors import ConfigError, StepError
 from nsfd_sirvs.incidence import IncidenceFn
-from nsfd_sirvs.scenarios import builtin
+from nsfd_sirvs.scenarios import BUILTIN_NAMES, builtin
 from nsfd_sirvs.schedules import (DenominatorFn, DiscreteParams, ParamSchedule,
                                   ScheduleSet, mickens_discretize)
 from nsfd_sirvs.thresholds import (ThresholdReport, Verdict, classify,
@@ -20,7 +21,7 @@ from nsfd_sirvs.thresholds import (ThresholdReport, Verdict, classify,
                                    independence_check, periodic_discrete_threshold)
 
 from test_reference_equivalence import KINDS
-from test_schedules import full_set
+from test_schedules import full_set, step_table
 
 MASS = IncidenceFn.mass_action()
 
@@ -164,19 +165,27 @@ def _builtin_dp(name, h):
     return spec, mickens_discretize(spec.schedules, h, spec.denominator)
 
 
-@pytest.mark.parametrize("h", [1.0, 0.5, 0.1, 0.01])
-def test_exact_periodic_report_is_the_periodic_threshold(h):
-    # one period of persistence_5_1 (400 steps at h = 0.01, far past the
-    # default 2000-step burn-in's reach): the window product cannot depend on
-    # where the scan sits
-    spec, dp = _builtin_dp("persistence_5_1", h)
-    rep = window_thresholds(dp, spec.incidence_phi, spec.incidence_psi, spec.lam)
+# every built-in row at its h_values but measles_france_5_2's (its beta has no
+# period), and one period of persistence_5_1 of 400 steps (h = 0.01, far past
+# the default 2000-step burn-in's reach)
+_EXACT_ROWS = ([(name, h) for name in BUILTIN_NAMES if name != "measles_france_5_2"
+                for h in builtin(name).h_values]
+               + [("persistence_5_1", 0.1), ("persistence_5_1", 0.01)])
+
+
+@pytest.mark.parametrize("name, h", _EXACT_ROWS)
+def test_exact_periodic_report_is_the_periodic_threshold(name, h):
+    # an exact_periodic report prints one value, the period product raised by a
+    # left fold.  Read off a scan of log-space prefix sums, its r_lower and
+    # r_upper were up to 8e-13 apart.
+    spec, dp = _builtin_dp(name, h)
+    phi, psi = spec.incidence_phi, spec.incidence_psi
+    rep = window_thresholds(dp, phi, psi, spec.lam)
     assert rep.exact_periodic
-    assert (rep.r_upper - rep.r_lower) / rep.r_lower <= 1e-10
-    per = periodic_discrete_threshold(dp, spec.incidence_phi, spec.incidence_psi,
-                                      dp.step_period)
-    assert rep.r_lower == pytest.approx(per, rel=1e-10)
-    assert rep.r_upper == pytest.approx(per, rel=1e-10)
+    per = periodic_discrete_threshold(dp, phi, psi, dp.step_period)
+    k = (rep.lam + 1) // dp.step_period
+    assert rep.r_lower == rep.r_upper == math.prod(itertools.repeat(per, k))
+    assert np.all(rep.window_products == rep.r_lower)
 
 
 # The infectives of an extinct run decay at the periodic threshold: once S and
@@ -333,9 +342,8 @@ def test_exact_periodic_reports_are_exact(T, k, periods, Lambda, mu, p, eta, alp
     lam = periods * k - 1
     rep = discrete_thresholds(dp, phi, psi, lam, burn_in=100, scan=3 * k)
     assert rep.exact_periodic  # mu > 0 and k steps per period
-    assert (rep.r_upper - rep.r_lower) / rep.r_lower <= 1e-10
     per = periodic_discrete_threshold(dp, phi, psi, dp.step_period)
-    assert rep.r_lower == pytest.approx(per ** periods, rel=1e-10)
+    assert rep.r_lower == rep.r_upper == math.prod(itertools.repeat(per, periods))
     other = discrete_thresholds(dp, phi, psi, lam, burn_in=100, scan=3 * k,
                                 aux_start=AuxState(*start))
     assert (other.r_lower, other.r_upper) == (rep.r_lower, rep.r_upper)
@@ -537,26 +545,35 @@ def test_aperiodic_inflow_notes_the_transient_start():
 
 # window products over a period-sized disease-free orbit against the tiled one
 
-def _tiled_window_products(dp, phi, psi, lam, burn_in, scan):
-    """The window products with the periodic orbit tiled to one row per step and
-    every coefficient evaluated as a scan-length array."""
+def _tiled_ratios(dp, phi, psi, k_lo, k_hi):
+    """r_k for k in [k_lo, k_hi), with the periodic orbit tiled to one row per
+    step and every coefficient evaluated as an array of that length."""
     omega = dp.aux_step_period
-    k_lo, k_hi = burn_in, burn_in + scan + lam + 1
     orbit = periodic_aux_solution(dp, omega)[np.arange(k_lo + 1, k_hi + 1) % omega]
     x, y = orbit[:, 0], orbit[:, 1]
     pop = x + y if (phi.needs_population or psi.needs_population) else None
     beta, sigma, mu, alpha, gamma = (dp.array(name, k_lo, k_hi) for name in
                                      ("beta", "sigma", "mu", "alpha", "gamma"))
-    ratios = ((1.0 + beta * phi.slope(x, pop) + sigma * psi.slope(y, pop))
-              / (1.0 + mu + alpha + gamma))
+    return ((1.0 + beta * phi.slope(x, pop) + sigma * psi.slope(y, pop))
+            / (1.0 + mu + alpha + gamma))
+
+
+def _tiled_window_products(dp, phi, psi, lam, burn_in, scan, exact):
+    """The window products from `_tiled_ratios`: when the report is exact, every
+    window is the step-order product of one period, multiplied (lam + 1) / omega
+    times from the left; otherwise exp of differences of cumulative sums of log."""
+    if exact:
+        omega = dp.step_period
+        period = 1.0
+        for r in _tiled_ratios(dp, phi, psi, 0, omega).tolist():
+            period *= r
+        window = 1.0
+        for _ in range((lam + 1) // omega):
+            window *= period
+        return np.full(scan + 1, window)
+    ratios = _tiled_ratios(dp, phi, psi, burn_in, burn_in + scan + lam + 1)
     c = np.concatenate([[0.0], np.cumsum(np.log(ratios))])
     return np.exp(c[lam + 1:] - c[:-(lam + 1)])
-
-
-def _step_table(values):
-    """The sequence n -> values[n % len(values)]."""
-    table = np.array(values)
-    return lambda n: table[np.asarray(n) % table.size]
 
 
 _TABLE = st.lists(st.floats(0.05, 2.0), min_size=8, max_size=8)
@@ -571,32 +588,38 @@ def _ratio_sequence(draw, omega):
         return draw
     kind, v = draw
     if kind == "table":
-        return _step_table(v[:omega])
+        return step_table(v[:omega])
     return lambda n: v * (1.0 + 0.5 * np.sin(0.37 * np.asarray(n, dtype=float)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(omega=st.integers(1, 8), lam=st.integers(0, 20), burn_in=st.integers(0, 60),
+@given(omega=st.integers(1, 8), lam=st.integers(0, 20), periods=st.integers(2, 4),
+       whole=st.booleans(), burn_in=st.integers(0, 60),
        extra=st.integers(0, 150), phi=st.sampled_from(sorted(KINDS)),
        psi=st.sampled_from(sorted(KINDS)), constant_inflow=st.booleans(),
        Lambda=_TABLE, mu=_TABLE, p=_TABLE, eta=_TABLE,
        coeffs=st.tuples(_RATIO_COEFF, _RATIO_COEFF, _RATIO_COEFF, _RATIO_COEFF))
-def test_window_products_equal_the_tiled_orbit_bit_for_bit(omega, lam, burn_in, extra, phi,
-                                                           psi, constant_inflow, Lambda, mu,
+def test_window_products_equal_the_tiled_orbit_bit_for_bit(omega, lam, periods, whole,
+                                                           burn_in, extra, phi, psi,
+                                                           constant_inflow, Lambda, mu,
                                                            p, eta, coeffs):
     phi, psi = KINDS[phi], KINDS[psi]
-    inflow = {name: (v[0] if constant_inflow and omega == 1 else _step_table(v[:omega]))
+    if whole:  # a window of 2 to 4 whole periods
+        lam = periods * omega - 1
+    inflow = {name: (v[0] if constant_inflow and omega == 1 else step_table(v[:omega]))
               for name, v in (("Lambda", Lambda), ("mu", mu), ("p", p), ("eta", eta))}
     ratio = {name: _ratio_sequence(c, omega)
              for name, c in zip(("alpha", "beta", "sigma", "gamma"), coeffs)}
     dp = DiscreteParams.from_sequences(0.5, step_period=omega, **inflow, **ratio)
     scan = lam + 1 + extra
     rep = discrete_thresholds(dp, phi, psi, lam, burn_in=burn_in, scan=scan)
-    assert np.array_equal(rep.window_products,
-                          _tiled_window_products(dp, phi, psi, lam, burn_in, scan))
     # a drifting coefficient is evaluated by the period check, and fails it
     drifting = [name for name, c in zip(("alpha", "beta", "sigma", "gamma"), coeffs)
                 if isinstance(c, tuple) and c[0] == "drift"]
+    assert rep.exact_periodic == (not drifting and (lam + 1) % omega == 0)
+    assert np.array_equal(rep.window_products,
+                          _tiled_window_products(dp, phi, psi, lam, burn_in, scan,
+                                                 rep.exact_periodic))
     if drifting:
         with pytest.raises(ValueError, match=drifting[0]):
             verify_step_periodic(dp, omega)
