@@ -32,7 +32,8 @@ from .dynamics import (h_label, integrate_continuous, simulate_discrete, state_r
 from .errors import ConfigError, StepError
 from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, compare_methods,
                         compare_thresholds, discretize, load_config, load_observed,
-                        method_runs, run_scenario, spec_to_config, threshold_reports)
+                        method_runs, run_scenario, spec_to_config, threshold_notes,
+                        threshold_reports)
 from .schedules import mickens_discretize
 # the scenarios module computes every threshold report; the two *_thresholds names
 # stay importable here because perfbench/tracing.py looks them up in this module
@@ -129,6 +130,12 @@ def _discrete_json(pairs, continuous_verdict=None) -> list[dict]:
     return entries
 
 
+def _with_warnings(entries: dict, notes: list) -> dict:
+    """Manifest entries with the reports' notes as `warnings`, a key written
+    only when there is a note."""
+    return {**entries, "warnings": notes} if notes else entries
+
+
 def _h_bound_json(value):
     return "unbounded" if value == float("inf") else value
 
@@ -188,8 +195,9 @@ def _cmd_thresholds(args, spec, out: Path) -> tuple[list, dict]:
     lam = args.lam if args.lam is not None else spec.lam
     continuous, discrete = threshold_reports(spec, lam, discretize(spec, hs),
                                              burn_in=args.burn_in, scan=args.scan)
-    return ([_write_thresholds(out, continuous, discrete)],
-            {"lambda": lam, "h_values": hs, "burn_in": args.burn_in, "scan": args.scan})
+    entries = {"lambda": lam, "h_values": hs, "burn_in": args.burn_in, "scan": args.scan}
+    return [_write_thresholds(out, continuous, discrete)], _with_warnings(
+        entries, threshold_notes(continuous, discrete))
 
 
 def _cmd_consistency(args, spec, out: Path) -> tuple[list, dict]:
@@ -198,6 +206,7 @@ def _cmd_consistency(args, spec, out: Path) -> tuple[list, dict]:
                                     burn_in=args.burn_in, scan=args.scan)
     payload = _consistency_payload(comparison)
     rep = comparison.consistency
+    notes = threshold_notes(comparison.continuous, comparison.discrete)
     if args.sweep and rep is not None:
         skip = sweep_skip_reason(rep)
         if skip:
@@ -208,7 +217,9 @@ def _cmd_consistency(args, spec, out: Path) -> tuple[list, dict]:
                                       burn_in=args.burn_in, scan=args.scan)
             payload["sweep"] = _discrete_json(pairs, rep.continuous.verdict)
             payload["sweep_all_match"] = all(e["matches"] for e in payload["sweep"])
-    return [_write_json(out / "consistency.json", payload)], {"lambda": lam}
+            notes += threshold_notes(None, pairs)
+    return [_write_json(out / "consistency.json", payload)], _with_warnings(
+        {"lambda": lam}, notes)
 
 
 def _cmd_compare(args, spec, out: Path) -> tuple[list, dict]:

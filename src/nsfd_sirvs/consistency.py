@@ -271,12 +271,9 @@ def lambda_steps(lam: float, h: float) -> int:
 def window_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                       lam: float, burn_in: int = BURN_IN, scan: int = SCAN) -> ThresholdReport:
     """Discrete thresholds at dp's step for the continuous window lam: window
-    index `lambda_steps(lam, dp.h)` (the report's `lam`), scan at least one window."""
-    if scan < 0:
-        raise ValueError(f"scan must be >= 0, got {scan}")
-    lam_d = lambda_steps(lam, dp.h)
-    return discrete_thresholds(dp, phi, psi, lam_d, burn_in=burn_in,
-                               scan=max(scan, lam_d + 1))
+    index `lambda_steps(lam, dp.h)` (the report's `lam`); `discrete_thresholds`
+    decides which window starts it reads."""
+    return discrete_thresholds(dp, phi, psi, lambda_steps(lam, dp.h), burn_in=burn_in, scan=scan)
 
 
 def sweep_skip_reason(report: ConsistencyReport) -> str:

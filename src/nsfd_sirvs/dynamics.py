@@ -91,9 +91,6 @@ _SOLVE_MAX_ITER = 200
 _COLLAPSED = 4.0 * sys.float_info.epsilon  # relative width of a spent bracket
 _ROWS_PER_CHUNK = 1024
 
-# coefficient order of the NSFD update (`_nsfd_stepper`'s `advance`)
-_STEP_COEFFS = ("Lambda", "mu", "p", "eta", "alpha", "gamma", "beta", "sigma")
-
 
 class State(NamedTuple):
     """Population state (susceptible, infective, recovered, vaccinated)."""
@@ -359,7 +356,7 @@ def periodic_aux_solution(dp: DiscreteParams, omega: int) -> np.ndarray:
 
 def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
     """The NSFD scheme for one incidence pair, as a `_drive` stepper over
-    (S, I, R, V) with rows in `_STEP_COEFFS` order; `_drive` owns the run
+    (S, I, R, V) with rows in `SCHEDULE_NAMES` order; `_drive` owns the run
     policies.  The per-kind forms are taken from the incidences once, here,
     and so is the loop: the closed-form (S+, V+) update when both are linear
     in x (g is `float` in both factor forms), else the solve.  A failed
@@ -370,7 +367,7 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
 
     def advance_closed_form(rows, state, n0, out):
         S, I, R, V = state
-        for lam, mu, p, eta, alpha, gamma, beta, sigma in rows:
+        for lam, mu, p, eta, alpha, beta, sigma, gamma in rows:
             N = S + I + R + V
             if I == 0.0:
                 # disease-free step: incidence vanishes (f(x, 0) = 0) and the
@@ -429,7 +426,7 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
         nonlocal g_kept
         S, I, R, V = state
         xs, gs, xv, gv = g_kept
-        for lam, mu, p, eta, alpha, gamma, beta, sigma in rows:
+        for lam, mu, p, eta, alpha, beta, sigma, gamma in rows:
             N = S + I + R + V
             a_s = 1.0 + mu + p
             a_v = 1.0 + mu + eta
@@ -537,14 +534,14 @@ def nsfd_step(dp: DiscreteParams, n: int, phi: IncidenceFn, psi: IncidenceFn,
               s: State) -> State:
     """One step of the nonstandard scheme; preserves nonnegativity exactly.
     It is a one-row run at step n, so a run is iterated `nsfd_step`."""
-    row = tuple(float(getattr(dp, name)(n)) for name in _STEP_COEFFS)
+    row = tuple(float(getattr(dp, name)(n)) for name in SCHEDULE_NAMES)
     return State(*_drive(_nsfd_stepper(phi, psi), (row,), s, 1, first=n)[1].tolist())
 
 
 def simulate_discrete(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                       s0: State, n_steps: int) -> Trajectory:
     """Iterate the NSFD scheme; the balance identity is checked every step."""
-    rows = _coefficient_rows(partial(dp.columns, _STEP_COEFFS), int(n_steps))
+    rows = _coefficient_rows(partial(dp.columns, SCHEDULE_NAMES), int(n_steps))
     out = _drive(_nsfd_stepper(phi, psi), rows, s0, n_steps)
     return Trajectory(t0=0.0, dt=dp.h, states=out, method="nsfd")
 

@@ -63,6 +63,13 @@ class IncidenceFn:
     branches of its own: it carries that model's conventions below the axis
     and at a zero population.  The checked surface is `eval`, `d2_at_zero`
     and `d2_lipschitz`.
+
+    The declared kinds (`CONFIG_KINDS`) meet the standing hypotheses by
+    construction: f(x, 0) = f(0, y) = 0 (H2), y -> f(x, y)/y non-increasing
+    (H5), and the Lipschitz bound of d2f(x, 0) = x / d(0, P) with the k = 1
+    their constructors set (per unit population for `standard`), so
+    f <= k x y.  Only a separable g, a user callable, can miss them, so only
+    such an incidence `needs_validation`.
     """
 
     # configuration schema: kind -> (required, optional) keyword params of the
@@ -112,6 +119,12 @@ class IncidenceFn:
             raise ValueError("lipschitz_k must be >= 0")
         if self.kind == "separable" and not callable(self._g):
             raise ValueError("separable incidence needs a callable g")
+
+    @property
+    def needs_validation(self) -> bool:
+        """True when g is a user callable (`separable`), the only kind that
+        `validate_incidence` can find at fault."""
+        return self._g is not None
 
     @property
     def needs_population(self) -> bool:

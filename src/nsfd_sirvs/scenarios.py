@@ -615,6 +615,13 @@ def threshold_reports(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
                                  burn_in=burn_in, scan=scan)) for dp in dps)
 
 
+def threshold_notes(continuous: ThresholdReport | None, discrete) -> list[str]:
+    """Every note of the continuous report and of the (h, discrete report)
+    pairs, labelled `continuous: ` or `h=<h>: `: what a run adds to its warnings."""
+    notes = [f"continuous: {note}" for note in (continuous.notes if continuous is not None else ())]
+    return notes + [f"h={h_label(h)}: {note}" for h, rep in discrete for note in rep.notes]
+
+
 def compare_thresholds(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
                        burn_in: int = BURN_IN, scan: int = SCAN) -> ThresholdComparison:
     """Threshold reports for window lam > 0 at the step sizes of dps, with the
@@ -666,9 +673,12 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = BURN_IN, scan: int = SCAN) -
     """Execute a scenario across its declared step sizes."""
     warnings = []
 
-    # hygiene checks on the inputs; failures are warnings on the report
+    # hygiene checks on a user g (`IncidenceFn.needs_validation`); failures are
+    # warnings on the report
     pop0 = float(sum(spec.initial_state)) or 1.0
     for label, inc in (("phi", spec.incidence_phi), ("psi", spec.incidence_psi)):
+        if not inc.needs_validation:
+            continue
         rep = validate_incidence(inc, x_max=2.0 * pop0, y_max=2.0 * pop0,
                                  resolution=64,
                                  pop=pop0 if inc.needs_population else None)
@@ -678,6 +688,7 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = BURN_IN, scan: int = SCAN) -
 
     dps = discretize(spec, spec.h_values)
     comparison = compare_thresholds(spec, spec.lam, dps, burn_in, scan)
+    warnings += threshold_notes(comparison.continuous, comparison.discrete)
     runs, reference = method_runs(spec, dps, spec.t_end)
 
     per_h = {}

@@ -6,11 +6,15 @@ per-step growth ratio of the infectives is
     r_k = (1 + beta_k d2f(x*_{k+1}, 0) + sigma_k d2g(y*_{k+1}, 0))
           / (1 + mu_k + alpha_k + gamma_k)
 
-and the window quantities are products of lam + 1 consecutive ratios.  The
-liminf/limsup over the window start are the min/max of log-space sliding sums
-over a scan after a burn-in; the disease-free orbit is exact where known, so
-these only place the window starts.  With step-periodic coefficients and a window
-of k whole periods every window is the one-period product to the k: no scan.
+and the window quantities are products of lam + 1 consecutive ratios.  Their
+liminf/limsup over the window start decide the verdict.  `discrete_thresholds`
+alone decides which starts a report reads.  With an exact disease-free orbit and
+step-periodic coefficients (period omega) the window products are omega-periodic
+in the start, so the liminf and limsup are the min and max over the omega phases
+(Wang & Zhao 2008): the report reads exactly those.  A window of k whole periods
+is the one-period product to the k; any other window is read off log-space
+sliding sums.  Only without a step period or an exact orbit does a report scan
+the starts after a burn-in, and there the min/max only approximate them.
 A window product above 1 forces permanence; below 1, extinction.
 
 Continuous side: the analogous quantity is the sliding integral
@@ -53,10 +57,12 @@ class Verdict(str, Enum):
 class ThresholdReport:
     """Computed window quantities plus the classification they imply.
 
-    `window_products` holds the per-window series so non-stabilizing scans
-    can be diagnosed.  `exact_periodic` marks reports where the finite
-    surrogate is exact (exact disease-free orbit, step-periodic coefficients,
-    window of k whole periods); then r_lower == r_upper == (period product)^k.
+    `window_products` holds the product of every window start the report read,
+    from `burn_in` to `burn_in + scan`, so non-stabilizing scans can be
+    diagnosed.  `exact_periodic` marks reports that read every phase of a step
+    period omega along the exact disease-free orbit (starts 0 .. omega - 1), so
+    their min and max are the liminf and limsup themselves; with a window of k
+    whole periods, r_lower == r_upper == (period product)^k.
     """
 
     mode: str  # "discrete" | "continuous"
@@ -94,7 +100,8 @@ def _classify(r_lower: float, r_upper: float, neutral: float, tol: float) -> Ver
 
 def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                    orbit: np.ndarray, period: int | None, k_lo: int, k_hi: int) -> np.ndarray:
-    """r_k for k in [k_lo, k_hi), from `_disease_free_orbit`'s (orbit, period).
+    """r_k for k in [k_lo, k_hi), along the exact orbit's rows and its period,
+    or an iterated orbit's rows for steps k_lo + 1 .. k_hi and period None.
 
     The incidence slopes are taken once per orbit row: on the period's rows,
     then repeated by index (broadcast for period 1), so a scan costs one period
@@ -118,74 +125,100 @@ def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     return np.broadcast_to(ratios, (k_hi - k_lo,)).copy()  # one element per step, always
 
 
-def _disease_free_orbit(dp: DiscreteParams, omega: int | None, k_lo: int, k_hi: int,
-                        aux_start: AuxState | None) -> tuple[np.ndarray, int | None]:
-    """The disease-free orbit over steps k_lo + 1 .. k_hi and its period, which is
-    None unless it is exact.  Exact: the omega rows of the periodic orbit (row j
-    at the steps j mod omega), for `omega` a declared step period of Lambda, mu,
-    p, eta (constancy is declared, never observed).  Iterated from `aux_start`
-    without one or when the period map is singular, one row per step; raised if
-    no start.  A given start is checked first, whichever orbit is taken."""
+def _disease_free_orbit(dp: DiscreteParams, omega: int | None,
+                        aux_start: AuxState | None) -> np.ndarray | None:
+    """The omega rows of the exact disease-free orbit (row j at the steps j mod
+    omega), for `omega` a declared step period of Lambda, mu, p, eta (constancy
+    is declared, never observed); None without one or when the period map is
+    singular (raised instead if there is no `aux_start`), and a report then
+    iterates the orbit from `aux_start`.  A given start is checked first,
+    whichever orbit is taken."""
     if aux_start is not None:
         _checked_state(aux_start)
     if omega is not None:
         try:
-            return periodic_aux_solution(dp, omega), omega
+            return periodic_aux_solution(dp, omega)
         except (ValueError, StepError):
             if aux_start is None:
                 raise
-    return simulate_aux(dp, aux_start, k_hi)[k_lo + 1:], None
+    return None
+
+
+def _check_held(lam: int, n_ratios: int) -> None:
+    """ConfigError unless the n_ratios growth ratios of a report's window starts
+    fit in memory; an iterated orbit, one row per ratio, is the largest of its
+    arrays.  Raised before those ratios' orbit is computed."""
+    try:
+        np.empty((n_ratios, 2))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise ConfigError(f"a threshold window of {lam + 1:.3g} steps does not fit in memory "
+                          f"({16 * n_ratios:.3g} bytes of disease-free orbit)") from exc
 
 
 def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                         lam: int, burn_in: int = BURN_IN, scan: int = SCAN,
                         aux_start: AuxState = AuxState(1.0, 1.0)) -> ThresholdReport:
-    """Window products of the per-step growth ratios along the aux orbit.
+    """Window products of the per-step growth ratios along the disease-free orbit.
 
     The product for window start n runs over k = n .. n + lam (lam + 1
-    factors); n scans [burn_in, burn_in + scan].
+    factors).  This is the one place that decides which starts a report reads.
+    With an exact orbit and a step period omega of every coefficient
+    (`verify_step_periodic`) the products are omega-periodic in n, so the report
+    reads exactly n = 0 .. omega - 1 and is `exact_periodic`: a window of whole
+    periods is the one-period product, multiplied by a left fold; any other
+    takes its omega products over the omega + lam ratios from step 0.  Only
+    otherwise does it scan n = burn_in .. burn_in + max(scan, lam), at least one
+    window of starts, along an orbit iterated from `aux_start` when it is not
+    exact; `burn_in` and `scan` are read there alone.
     """
     lam = int(lam)
     if lam < 0:
         raise ValueError("lam must be >= 0")
     burn_in = int(burn_in)
     scan = int(scan)
-    if burn_in < 0 or scan < lam + 1:
-        raise ValueError("need burn_in >= 0 and scan >= lam + 1")
+    if burn_in < 0 or scan < 0:
+        raise ValueError("need burn_in >= 0 and scan >= 0")
 
-    ks_lo, ks_hi = burn_in, burn_in + scan + lam + 1
-    try:  # an iterated orbit is the largest of the window's arrays
-        np.empty((ks_hi - ks_lo, 2))
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
-        raise ConfigError(f"a threshold window of {lam + 1:.3g} steps does not fit in memory "
-                          f"({16 * (ks_hi - ks_lo):.3g} bytes of disease-free orbit)") from exc
-    orbit, period = _disease_free_orbit(dp, dp.aux_step_period, ks_lo, ks_hi, aux_start)
     omega = dp.step_period
-    exact = period is not None and omega is not None and (lam + 1) % omega == 0
+    scan_starts = (burn_in, max(scan, lam) + 1)  # (first start, number of starts)
+    first, n_starts = (0, omega) if omega is not None else scan_starts
+    _check_held(lam, n_starts + lam)
+    orbit = _disease_free_orbit(dp, dp.aux_step_period, aux_start)
+    exact = omega is not None and orbit is not None
     if exact:
         try:  # the growth ratios read every coefficient, not only the orbit's four
             verify_step_periodic(dp, omega)
         except ValueError:
             exact = False
-    if exact:  # every window is the period product, (lam + 1) / omega times over
+    if omega is not None and not exact:  # the scan after all
+        first, n_starts = scan_starts
+        _check_held(lam, n_starts + lam)
+    notes = []
+    period = dp.aux_step_period
+    if orbit is None:  # iterated: one row per step of the scan, and no period
+        orbit, period = simulate_aux(dp, aux_start, first + n_starts + lam)[first + 1:], None
+        notes.append("no periodic disease-free orbit (no step period of Lambda, mu, p, "
+                     f"eta, or a singular period map): iterated from ({aux_start.x:g}, "
+                     f"{aux_start.y:g}) at step 0, so the scan may read the attraction "
+                     "transient")
+    if exact and (lam + 1) % omega == 0:  # every window is the period product, k times over
         r = math.prod(itertools.repeat(_period_product(dp, phi, psi, orbit, period, omega),
                                        (lam + 1) // omega))
-        window = np.full(scan + 1, r)
+        window = np.full(omega, r)
     else:  # a product past the largest double is inf, which still classifies
-        ratios = _growth_ratios(dp, phi, psi, orbit, period, ks_lo, ks_hi)
+        ratios = _growth_ratios(dp, phi, psi, orbit, period, first, first + n_starts + lam)
         with np.errstate(over="ignore"):
             window = np.exp(window_sums(np.log(ratios), lam + 1))
-    notes = ()
     if phi.needs_population or psi.needs_population:
-        notes = ("population-scaled incidence: population along the "
-                 "disease-free orbit taken as x* + y*",)
+        notes.append("population-scaled incidence: population along the "
+                     "disease-free orbit taken as x* + y*")
     r_lower = float(window.min())
     r_upper = float(window.max())
     return ThresholdReport(
         mode="discrete", lam=lam, r_lower=r_lower, r_upper=r_upper,
-        window_products=window, burn_in=burn_in, scan=scan,
+        window_products=window, burn_in=first, scan=n_starts - 1,
         verdict=_classify(r_lower, r_upper, 1.0, BOUNDARY_TOL),
-        exact_periodic=exact, notes=notes,
+        exact_periodic=exact, notes=tuple(notes),
     )
 
 
@@ -197,8 +230,8 @@ def periodic_discrete_threshold(dp: DiscreteParams, phi: IncidenceFn,
         verify_step_periodic(dp, omega)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    orbit, period = _disease_free_orbit(dp, dp.aux_step_period or omega, 0, omega, None)
-    return _period_product(dp, phi, psi, orbit, period, omega)
+    period = dp.aux_step_period or omega
+    return _period_product(dp, phi, psi, _disease_free_orbit(dp, period, None), period, omega)
 
 
 def _period_product(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,

@@ -312,6 +312,47 @@ def test_observations_outside_the_run_are_named_in_the_warnings(tmp_path):
         "of the residuals"]
 
 
+_POPULATION_NOTES = [
+    "continuous: population-scaled incidence: population along the disease-free "
+    "solution taken as x* + y*",
+    "h=1: population-scaled incidence: population along the disease-free orbit taken "
+    "as x* + y*"]
+
+
+@pytest.mark.parametrize("argv", [["thresholds", "measles_france_5_2"],
+                                  ["consistency", "measles_france_5_2"],
+                                  ["scenario", "run", "measles_france_5_2"]], ids=" ".join)
+def test_threshold_notes_reach_the_manifest_warnings(tmp_path, argv):
+    # standard incidence: each threshold report notes how it scales the
+    # population.  The notes were computed, then written nowhere.
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["warnings"] == _POPULATION_NOTES
+
+
+def test_iterated_orbit_note_reaches_the_manifest(tmp_path):
+    # a seasonal Lambda has no whole number of steps per period at h = 0.7, so that
+    # orbit is iterated from (1, 1) and its report says so; at h = 1 it is exact.
+    # Without a note the manifest has no warnings key.
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    cfg["schedules"]["Lambda"] = {"kind": "harmonic", "params": {
+        "base": 0.5, "amplitude": 0.25, "omega": math.pi / 2.0, "phase": 0.0}}
+    path = tmp_path / "inflow.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["thresholds", str(path), "--h", "0.7", "--h", "1",
+                 "--out", str(tmp_path / "a")]) == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["warnings"] == [
+        "h=0.7: no periodic disease-free orbit (no step period of Lambda, mu, p, eta, or "
+        "a singular period map): iterated from (1, 1) at step 0, so the scan may read "
+        "the attraction transient"]
+    for argv in (["thresholds", str(path)], ["consistency", str(path)],
+                 ["thresholds", "extinction_5_1"]):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "warnings" not in json.loads((out / "manifest.json").read_text()), argv
+
+
 def test_observed_outside_the_run_writes_strict_json(tmp_path):
     # no observation falls inside the 60-month run: the rms was written as a
     # bare NaN, which strict JSON parsers reject; it is null now
@@ -424,13 +465,18 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
 # only the r_lower/r_upper of those rows in thresholds.csv and discrete_literal
 # in consistency.json changed, each within 6.0e-13 relative, now one value per
 # row; no verdict or flag moved, and extinction_5_1's h = 4 row kept its bytes.
+# measles_france_5_2 was re-pinned when a run stopped grid-validating the
+# declared incidence kinds and wrote its threshold reports' notes: only the two
+# `warnings` of manifest.json changed, from the two `incidence phi/psi:
+# population-scaled ... checked at pop=6.56598e+07 only` to the `continuous:`
+# and `h=1:` population-scaled notes of its threshold reports.
 GOLDEN_BUNDLE_DIGESTS = {
     "extinction_5_1": "deae0f230b3fc09afd49e3aaedb3c3f46ac7872d870bee4e3aa488dc5e65320a",
     "persistence_5_1": "d96246a550ac5084fa55821ebfbcc5b8c92278de50a61f3bd266c9dffec1cf8a",
     "saturated_5_1_ext": "438fba06776169e1b802ba38574ac81f6d6003df795511efa5ad97e12e48cd3b",
     "saturated_5_1_per": "86930de50fde01da660d4011cb95082d8fbb0fa590b28613107e8f1b5b986397",
     "inconsistency_4": "a2d7c970e17c291d0dc9cbb1a8fdf2b9b0984aa984dfcef816bd81118e894278",
-    "measles_france_5_2": "4ee94913d08ee587204466a26efc82b620f92d5a50b326f555a7978900eae7f0",
+    "measles_france_5_2": "08634e42472587488afd841c281c773c538db41d92083194c7b6811031a22da7",
 }
 
 

@@ -300,13 +300,17 @@ def test_consistency_report_extinction_benchmark():
     assert a + b == pytest.approx(5.0 / 3.0, rel=1e-12)
 
 
-def test_window_thresholds_is_the_discrete_report_for_the_time_window():
-    dp = mickens_discretize(full_set(0.3), 0.5, DenominatorFn.quadratic(0.2))
+@pytest.mark.parametrize("h, lam_d, starts", [(0.5, 7, (0, 7)), (0.7, 5, (100, 5))])
+def test_window_thresholds_is_the_discrete_report_for_the_time_window(h, lam_d, starts):
+    # window_thresholds passes burn_in and scan on as given: the step-periodic
+    # report (h = 0.5) reads its 8 phases, the other one at least one window of
+    # starts (a scan of 4 reads lam_d + 1 of them)
+    dp = mickens_discretize(full_set(0.3), h, DenominatorFn.quadratic(0.2))
     rep = window_thresholds(dp, MASS, MASS, 4.0, burn_in=100, scan=4)
-    assert rep.lam == lambda_steps(4.0, 0.5) == 7
-    assert rep.scan == 8  # widened to one whole window
-    direct = discrete_thresholds(dp, MASS, MASS, 7, burn_in=100, scan=8)
-    assert (rep.r_lower, rep.r_upper) == (direct.r_lower, direct.r_upper)
+    assert rep.lam == lambda_steps(4.0, h) == lam_d
+    assert (rep.burn_in, rep.scan) == starts
+    direct = discrete_thresholds(dp, MASS, MASS, lam_d, burn_in=100, scan=4)
+    assert rep.window_products.tobytes() == direct.window_products.tobytes()
 
 
 @settings(max_examples=400, deadline=None)

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsfd_sirvs.cli import _write_trajectory
-from nsfd_sirvs.dynamics import (_STEP_COEFFS, State, Trajectory, _aux_advance, _nsfd_stepper,
+from nsfd_sirvs.dynamics import (State, Trajectory, _aux_advance, _nsfd_stepper,
                                  integrate_continuous, period_map_fixed_point,
                                  periodic_aux_solution, simulate_aux, simulate_discrete,
                                  state_rows, validate_state)
@@ -232,9 +232,16 @@ def _reference_fixed_point_step(lam, mu, p, eta, alpha, gamma, beta, sigma,
     return out
 
 
+# the coefficient order of `_one_step` and `_reference_fixed_point_step`
+_REFERENCE_ORDER = ("Lambda", "mu", "p", "eta", "alpha", "gamma", "beta", "sigma")
+
+
 def _one_step(phi, psi, coeffs, S, I, R, V, n=0):
-    """One NSFD step through the chunk stepper: a single row of coefficients."""
-    return _nsfd_stepper(phi, psi)((tuple(coeffs),), (S, I, R, V), n, array("d"))
+    """One NSFD step through the chunk stepper: a single row of coefficients,
+    given in `_REFERENCE_ORDER` and passed on in `SCHEDULE_NAMES` order."""
+    named = dict(zip(_REFERENCE_ORDER, coeffs))
+    row = tuple(named[name] for name in SCHEDULE_NAMES)
+    return _nsfd_stepper(phi, psi)((row,), (S, I, R, V), n, array("d"))
 
 
 def _balance_residual(state, N, lam, mu, alpha):
@@ -732,7 +739,7 @@ def _whole_table_simulate_discrete(dp, phi, psi, s0, n_steps):
     """simulate_discrete with its (n, 8) coefficient table."""
     out = [list(s0)]
     S, I, R, V = s0
-    for n, c in enumerate(_whole_table(dp, _STEP_COEFFS, n_steps)):
+    for n, c in enumerate(_whole_table(dp, _REFERENCE_ORDER, n_steps)):
         S, I, R, V = _one_step(phi, psi, c, S, I, R, V, n)
         out.append([S, I, R, V])
     return np.array(out)

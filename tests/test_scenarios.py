@@ -471,3 +471,26 @@ def test_duplicate_step_sizes_rejected():
     cfg["h_values"] = [1.0, 0.5, 1.0]
     with pytest.raises(ConfigError, match="distinct"):
         config_to_spec(cfg)
+
+
+def test_run_scenario_grid_validates_only_a_user_g(monkeypatch):
+    # the declared kinds meet the hypotheses by construction; only a separable g,
+    # a user callable, is checked on the grid (a pass of the six built-ins made 12)
+    import nsfd_sirvs.scenarios as scenarios_module
+
+    assert not any(inc.needs_validation for inc in (
+        IncidenceFn.mass_action(), IncidenceFn.saturated(0.7), IncidenceFn.standard()))
+    checked = []
+
+    def recording(inc, *args, **kwargs):
+        checked.append(inc)
+        return validate_incidence(inc, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios_module, "validate_incidence", recording)
+    spec = replace(builtin("extinction_5_1"), h_values=(1.0,), t_end=8.0)
+    assert run_scenario(spec).warnings == ()
+    assert checked == []
+    sep = IncidenceFn.separable(lambda x: x / (1.0 + x), 1.0)
+    assert sep.needs_validation
+    run_scenario(replace(spec, incidence_phi=sep))
+    assert checked == [sep]

@@ -2,6 +2,7 @@ import itertools
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,14 @@ from nsfd_sirvs.dynamics import (AuxState, aux_equilibrium, periodic_aux_solutio
                                  simulate_discrete, verify_step_periodic)
 from nsfd_sirvs.errors import ConfigError, StepError
 from nsfd_sirvs.incidence import IncidenceFn
-from nsfd_sirvs.scenarios import BUILTIN_NAMES, builtin
+from nsfd_sirvs.scenarios import BUILTIN_NAMES, _seasonal_schedules, builtin
 from nsfd_sirvs.schedules import (DenominatorFn, DiscreteParams, ParamSchedule,
                                   ScheduleSet, mickens_discretize)
 from nsfd_sirvs.thresholds import (ThresholdReport, Verdict, classify,
                                    continuous_thresholds, discrete_thresholds,
                                    independence_check, periodic_discrete_threshold)
 
+from test_consistency import _MASS_OR_SATURATED
 from test_reference_equivalence import KINDS
 from test_schedules import full_set, step_table
 
@@ -106,21 +108,49 @@ def test_product_past_the_largest_double_is_inf_without_a_warning():
 
 
 def test_window_products_series_exposed():
-    rep = discrete_thresholds(seasonal_dp(0.3, 1.0), MASS, MASS, 3, burn_in=100, scan=200)
-    assert rep.window_products.shape == (201,)
-    assert np.all(rep.window_products > 0)
+    # the series holds the products of the starts the report read: every phase
+    # of a step-periodic report, the scan of any other
+    for lam in (3, 2):  # a window of one whole period, and of 3 of its 4 steps
+        rep = discrete_thresholds(seasonal_dp(0.3, 1.0), MASS, MASS, lam,
+                                  burn_in=100, scan=200)
+        assert rep.exact_periodic
+        assert (rep.burn_in, rep.scan, rep.window_products.shape) == (0, 3, (4,))
+        assert np.all(rep.window_products > 0)
+    rep = discrete_thresholds(seasonal_dp(0.3, 0.7), MASS, MASS, 3, burn_in=100, scan=200)
+    assert not rep.exact_periodic  # 4 / 0.7 is not a whole number of steps
+    assert (rep.burn_in, rep.scan, rep.window_products.shape) == (100, 200, (201,))
 
 
-def test_scan_must_cover_a_window():
-    with pytest.raises(ValueError):
-        discrete_thresholds(seasonal_dp(0.3, 1.0), MASS, MASS, 10, scan=5)
+def test_scan_shorter_than_a_window_reads_one_window_of_starts():
+    # a scan shorter than the window was a ValueError: without a step period the
+    # report now reads at least the lam + 1 starts burn_in .. burn_in + lam
+    dp = seasonal_dp(0.3, 0.7)
+    short = discrete_thresholds(dp, MASS, MASS, 10, burn_in=50, scan=5)
+    assert (short.burn_in, short.scan, short.window_products.size) == (50, 10, 11)
+    one = discrete_thresholds(dp, MASS, MASS, 10, burn_in=50, scan=10)
+    assert short.window_products.tobytes() == one.window_products.tobytes()
+    # a step-periodic report reads its phases, whatever the scan
+    dp = seasonal_dp(0.3, 1.0)
+    reports = [discrete_thresholds(dp, MASS, MASS, 10, burn_in=b, scan=s)
+               for b, s in ((0, 0), (50, 5), (2000, 4000))]
+    assert all(r.window_products.tobytes() == reports[0].window_products.tobytes()
+               and (r.burn_in, r.scan) == (0, 3) for r in reports)
+
+
+@pytest.mark.parametrize("burn_in, scan", [(-1, 10), (0, -5)])
+def test_negative_burn_in_or_scan_is_rejected(burn_in, scan):
+    # whichever starts the report reads
+    for h in (1.0, 0.7):
+        with pytest.raises(ValueError, match="need burn_in >= 0 and scan >= 0"):
+            discrete_thresholds(seasonal_dp(0.3, h), MASS, MASS, 3, burn_in=burn_in, scan=scan)
 
 
 def test_widening_scan_only_widens_the_bracket():
+    # at h = 0.7 there is no step period, so the report scans
     rng = np.random.default_rng(13)
     for _ in range(5):
         b = float(rng.uniform(0.2, 1.0))
-        dp = seasonal_dp(b, 1.0)
+        dp = seasonal_dp(b, 0.7)
         lam = int(rng.integers(0, 6))
         narrow = discrete_thresholds(dp, MASS, MASS, lam, burn_in=50, scan=100)
         wide = discrete_thresholds(dp, MASS, MASS, lam, burn_in=50, scan=200)
@@ -559,19 +589,23 @@ def _tiled_ratios(dp, phi, psi, k_lo, k_hi):
 
 
 def _tiled_window_products(dp, phi, psi, lam, burn_in, scan, exact):
-    """The window products from `_tiled_ratios`: when the report is exact, every
-    window is the step-order product of one period, multiplied (lam + 1) / omega
-    times from the left; otherwise exp of differences of cumulative sums of log."""
-    if exact:
-        omega = dp.step_period
+    """The window products from `_tiled_ratios` at the starts a report reads.
+    When it is exact, these are the omega phases 0 .. omega - 1: with a window of
+    whole periods each is the step-order product of one period, multiplied
+    (lam + 1) / omega times from the left.  Otherwise they are the starts
+    burn_in .. burn_in + max(scan, lam).  Every other window is exp of
+    differences of cumulative sums of log."""
+    omega = dp.step_period
+    if exact and (lam + 1) % omega == 0:
         period = 1.0
         for r in _tiled_ratios(dp, phi, psi, 0, omega).tolist():
             period *= r
         window = 1.0
         for _ in range((lam + 1) // omega):
             window *= period
-        return np.full(scan + 1, window)
-    ratios = _tiled_ratios(dp, phi, psi, burn_in, burn_in + scan + lam + 1)
+        return np.full(omega, window)
+    first, n_starts = (0, omega) if exact else (burn_in, max(scan, lam) + 1)
+    ratios = _tiled_ratios(dp, phi, psi, first, first + n_starts + lam)
     c = np.concatenate([[0.0], np.cumsum(np.log(ratios))])
     return np.exp(c[lam + 1:] - c[:-(lam + 1)])
 
@@ -611,12 +645,15 @@ def test_window_products_equal_the_tiled_orbit_bit_for_bit(omega, lam, periods, 
     ratio = {name: _ratio_sequence(c, omega)
              for name, c in zip(("alpha", "beta", "sigma", "gamma"), coeffs)}
     dp = DiscreteParams.from_sequences(0.5, step_period=omega, **inflow, **ratio)
-    scan = lam + 1 + extra
+    scan = extra  # shorter than a window too: the report then reads one window of starts
     rep = discrete_thresholds(dp, phi, psi, lam, burn_in=burn_in, scan=scan)
-    # a drifting coefficient is evaluated by the period check, and fails it
+    # a drifting coefficient is evaluated by the period check, and fails it; the
+    # orbit is exact (mu > 0), so every other draw reads all omega phases
     drifting = [name for name, c in zip(("alpha", "beta", "sigma", "gamma"), coeffs)
                 if isinstance(c, tuple) and c[0] == "drift"]
-    assert rep.exact_periodic == (not drifting and (lam + 1) % omega == 0)
+    assert rep.exact_periodic == (not drifting)
+    first, n_starts = (0, omega) if rep.exact_periodic else (burn_in, max(scan, lam) + 1)
+    assert (rep.burn_in, rep.scan) == (first, n_starts - 1)
     assert np.array_equal(rep.window_products,
                           _tiled_window_products(dp, phi, psi, lam, burn_in, scan,
                                                  rep.exact_periodic))
@@ -642,6 +679,79 @@ def test_exact_periodic_needs_every_coefficient_periodic():
                                         beta=lambda n: 0.3 + 0.1 * (np.asarray(n) % 2),
                                         sigma=0.3, gamma=0.3)
     assert discrete_thresholds(dp2, MASS, MASS, 1).exact_periodic
+
+
+def test_seasonal_window_shorter_than_the_period_reads_every_phase():
+    # b = 0.5 at lam = 0.5, h = 1e-4: omega = 40 000 steps and a 5 000-step
+    # window.  A scan of the 5 001 starts 2000 .. 7000 gave 1.10653 / 1.20236 and
+    # Permanence; all 40 000 phases give 0.970306 / 1.237959 and Inconclusive,
+    # which is also the continuous verdict.
+    sched = _seasonal_schedules(0.5)
+    rep = window_thresholds(mickens_discretize(sched, 1e-4, DenominatorFn.quadratic(0.2)),
+                            MASS, MASS, 0.5)
+    assert rep.exact_periodic
+    assert (rep.lam, rep.burn_in, rep.scan, rep.window_products.size) == (4999, 0, 39999, 40000)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.r_lower == pytest.approx(0.9703058110274914, rel=1e-9)
+    assert rep.r_upper == pytest.approx(1.2379594539157202, rel=1e-9)
+    assert continuous_thresholds(sched, MASS, MASS, 0.5).verdict is Verdict.INCONCLUSIVE
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=st.floats(0.5, 12.0), k=st.integers(2, 24), periods=st.integers(0, 2),
+       rest=st.integers(1, 23),
+       Lambda=st.floats(0.05, 2.0), mu=st.floats(0.05, 1.0), p=st.floats(0.0, 1.0),
+       eta=st.floats(0.0, 1.0), alpha=st.floats(0.0, 1.0), gamma=st.floats(0.0, 1.0),
+       beta=st.floats(0.05, 2.0), sigma=st.floats(0.05, 2.0),
+       beta_amp=st.floats(0.05, 0.9), sigma_amp=st.floats(0.05, 0.9),
+       phi=_MASS_OR_SATURATED, psi=_MASS_OR_SATURATED, denominator=_DENOMINATORS)
+def test_step_periodic_extremes_are_the_min_and_max_over_every_phase(
+        T, k, periods, rest, Lambda, mu, p, eta, alpha, gamma, beta, sigma, beta_amp,
+        sigma_amp, phi, psi, denominator):
+    # the Bound property's seasonal models at h = T / k, with a window of lam + 1 =
+    # periods * k + rest steps, never whole periods: r_lower and r_upper are the
+    # min and max over all k starts of the window products, each taken at 50
+    # digits from growth ratios tiled here, one per step, along the equilibrium
+    # orbit (the slope of mass action and of saturated incidence at I = 0 is x)
+    rest = 1 + (rest - 1) % (k - 1)
+    lam = periods * k + rest - 1
+    w = 2.0 * math.pi / T
+    sched = ScheduleSet(
+        Lambda=ParamSchedule.constant("Lambda", Lambda), mu=ParamSchedule.constant("mu", mu),
+        p=ParamSchedule.constant("p", p), eta=ParamSchedule.constant("eta", eta),
+        alpha=ParamSchedule.constant("alpha", alpha),
+        beta=ParamSchedule.harmonic("beta", beta, beta_amp * beta, w),
+        sigma=ParamSchedule.harmonic("sigma", sigma, sigma_amp * sigma, w, 1.0),
+        gamma=ParamSchedule.constant("gamma", gamma))
+    dp = mickens_discretize(sched, T / k, denominator)
+    assert dp.step_period == k
+    rep = discrete_thresholds(dp, phi, psi, lam)
+    assert rep.exact_periodic and rep.window_products.size == k
+    (x, y), = periodic_aux_solution(dp, dp.aux_step_period).tolist()
+    n = k + lam
+    beta_n, sigma_n, mu_n, alpha_n, gamma_n = (
+        [mpmath.mpf(v) for v in dp.array(name, 0, n).tolist()]
+        for name in ("beta", "sigma", "mu", "alpha", "gamma"))
+    with mpmath.workdps(50):
+        prefix = [mpmath.mpf(1)]
+        for i in range(n):
+            prefix.append(prefix[-1] * (1 + beta_n[i] * x + sigma_n[i] * y)
+                          / (1 + mu_n[i] + alpha_n[i] + gamma_n[i]))
+        windows = [prefix[i + lam + 1] / prefix[i] for i in range(k)]
+        lo, hi = min(windows), max(windows)
+        assert abs(rep.r_lower - lo) <= 1e-12 * lo
+        assert abs(rep.r_upper - hi) <= 1e-12 * hi
+
+
+def test_iterated_orbit_notes_its_transient_start():
+    # as the continuous side does: an orbit iterated from a start may put its
+    # attraction transient into the scan; an exact orbit needs no note
+    dp = _seasonal_inflow_dp()
+    rep = discrete_thresholds(dp, MASS, MASS, 5, aux_start=AuxState(2.0, 0.5))
+    assert rep.notes == ("no periodic disease-free orbit (no step period of Lambda, mu, p, "
+                         "eta, or a singular period map): iterated from (2, 0.5) at step 0, "
+                         "so the scan may read the attraction transient",)
+    assert discrete_thresholds(seasonal_dp(0.3, 0.7), MASS, MASS, 5).notes == ()
 
 
 # ---------------------------------------------------------------------------
