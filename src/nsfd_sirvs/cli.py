@@ -37,8 +37,7 @@ from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, compare_met
 from .schedules import mickens_discretize
 # the scenarios module computes every threshold report; the two *_thresholds names
 # stay importable here because perfbench/tracing.py looks them up in this module
-from .thresholds import (BURN_IN, SCAN, continuous_thresholds,  # noqa: F401
-                         discrete_thresholds)
+from .thresholds import continuous_thresholds, discrete_thresholds  # noqa: F401
 
 _F = "{:.17g}".format  # round-trip exact for doubles
 
@@ -193,17 +192,14 @@ def _cmd_simulate(args, spec, out: Path) -> tuple[list, dict]:
 def _cmd_thresholds(args, spec, out: Path) -> tuple[list, dict]:
     hs = args.h if args.h else list(spec.h_values)
     lam = args.lam if args.lam is not None else spec.lam
-    continuous, discrete = threshold_reports(spec, lam, discretize(spec, hs),
-                                             burn_in=args.burn_in, scan=args.scan)
-    entries = {"lambda": lam, "h_values": hs, "burn_in": args.burn_in, "scan": args.scan}
+    continuous, discrete = threshold_reports(spec, lam, discretize(spec, hs))
     return [_write_thresholds(out, continuous, discrete)], _with_warnings(
-        entries, threshold_notes(continuous, discrete))
+        {"lambda": lam, "h_values": hs}, threshold_notes(continuous, discrete))
 
 
 def _cmd_consistency(args, spec, out: Path) -> tuple[list, dict]:
     lam = args.lam if args.lam is not None else spec.lam
-    comparison = compare_thresholds(spec, lam, discretize(spec, spec.h_values),
-                                    burn_in=args.burn_in, scan=args.scan)
+    comparison = compare_thresholds(spec, lam, discretize(spec, spec.h_values))
     payload = _consistency_payload(comparison)
     rep = comparison.consistency
     notes = threshold_notes(comparison.continuous, comparison.discrete)
@@ -213,8 +209,7 @@ def _cmd_consistency(args, spec, out: Path) -> tuple[list, dict]:
             print(f"no sweep: {skip}")
         else:
             pairs = consistency_sweep(spec.schedules, spec.incidence_phi,
-                                      spec.incidence_psi, spec.denominator, rep,
-                                      burn_in=args.burn_in, scan=args.scan)
+                                      spec.incidence_psi, spec.denominator, rep)
             payload["sweep"] = _discrete_json(pairs, rep.continuous.verdict)
             payload["sweep_all_match"] = all(e["matches"] for e in payload["sweep"])
             notes += threshold_notes(None, pairs)
@@ -230,7 +225,7 @@ def _cmd_compare(args, spec, out: Path) -> tuple[list, dict]:
 
 
 def _cmd_scenario(args, spec, out: Path) -> tuple[list, dict]:
-    report = run_scenario(spec, burn_in=args.burn_in, scan=args.scan)
+    report = run_scenario(spec)
     paths = []
     for h, res in report.per_h.items():
         paths += [_write_trajectory(out, res.nsfd.rows(), "nsfd", h),
@@ -302,8 +297,6 @@ def _run(args, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 _OPTIONS = {
-    "--burn-in": {"dest": "burn_in", "type": int, "default": BURN_IN},
-    "--scan": {"type": int, "default": SCAN},
     "--lambda": {"dest": "lam", "type": float, "help": "threshold window (time units)"},
     "--t-end": {"dest": "t_end", "type": float},
     "--h": {"action": "append", "type": float, "help": "step size (repeatable)"},
@@ -334,11 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     thr = subs.add_parser("thresholds", help="discrete and continuous threshold table")
-    _add_common(thr, "--h", "--lambda", "--burn-in", "--scan")
+    _add_common(thr, "--h", "--lambda")
     thr.set_defaults(func=_cmd_thresholds)
 
     cons = subs.add_parser("consistency", help="step-size bound report")
-    _add_common(cons, "--lambda", "--burn-in", "--scan")
+    _add_common(cons, "--lambda")
     cons.add_argument("--sweep", action="store_true",
                       help="empirically verify verdicts below the computed bound")
     cons.set_defaults(func=_cmd_consistency)
@@ -351,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen_subs = scen.add_subparsers(dest="action", required=True)
     scen_subs.add_parser("list", help="print built-in scenario names")
     scen_run = scen_subs.add_parser("run", help="full scenario bundle")
-    _add_common(scen_run, "--burn-in", "--scan")
+    _add_common(scen_run)
     scen_run.add_argument("--observed", default=None,
                           help="path to a t,cases series to compare against")
     scen_run.set_defaults(func=_cmd_scenario)

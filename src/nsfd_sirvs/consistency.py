@@ -33,8 +33,8 @@ from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DenominatorFn,
                         DiscreteParams, ParamSchedule, ScheduleSet, mickens_discretize)
 # consistency_report takes the continuous report from its caller; continuous_thresholds
 # stays importable here because perfbench/tracing.py looks it up in this module
-from .thresholds import (BURN_IN, SCAN, ThresholdReport, Verdict,  # noqa: F401
-                         continuous_thresholds, discrete_thresholds, disease_free_equilibrium)
+from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
+                         discrete_thresholds, disease_free_equilibrium)
 
 _CD_STEP = 1e-5
 _SUP_GRID = 100_000
@@ -269,11 +269,11 @@ def lambda_steps(lam: float, h: float) -> int:
 
 
 def window_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
-                      lam: float, burn_in: int = BURN_IN, scan: int = SCAN) -> ThresholdReport:
+                      lam: float) -> ThresholdReport:
     """Discrete thresholds at dp's step for the continuous window lam: window
     index `lambda_steps(lam, dp.h)` (the report's `lam`); `discrete_thresholds`
     decides which window starts it reads."""
-    return discrete_thresholds(dp, phi, psi, lambda_steps(lam, dp.h), burn_in=burn_in, scan=scan)
+    return discrete_thresholds(dp, phi, psi, lambda_steps(lam, dp.h))
 
 
 def sweep_skip_reason(report: ConsistencyReport) -> str:
@@ -288,8 +288,8 @@ def sweep_skip_reason(report: ConsistencyReport) -> str:
 
 
 def consistency_sweep(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
-                      denominator: DenominatorFn, report: ConsistencyReport, n: int = 16,
-                      burn_in: int = BURN_IN, scan: int = SCAN) -> list[tuple]:
+                      denominator: DenominatorFn, report: ConsistencyReport,
+                      n: int = 16) -> list[tuple]:
     """Empirical check of the guarantee: the (h, discrete report) pairs at n
     log-spaced h from 1% to 99% of the report's h_max, for its window lam.
 
@@ -304,5 +304,5 @@ def consistency_sweep(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn
     pairs = []
     for h in np.geomspace(bound * _SWEEP_FRACS[0], bound * _SWEEP_FRACS[1], int(n)):
         dp = mickens_discretize(schedules, float(h), denominator)
-        pairs.append((dp.h, window_thresholds(dp, phi, psi, lam, burn_in=burn_in, scan=scan)))
+        pairs.append((dp.h, window_thresholds(dp, phi, psi, lam)))
     return pairs

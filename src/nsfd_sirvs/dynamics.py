@@ -297,18 +297,22 @@ def simulate_aux(dp: DiscreteParams, a0: AuxState, n_steps: int) -> np.ndarray:
 def verify_step_periodic(dp: DiscreteParams, omega: int, names=SCHEDULE_NAMES) -> None:
     """Raise unless every named sequence satisfies c_{n+omega} = c_n over the
     first two periods; a sequence built constant (`DiscreteParams.constant`)
-    satisfies it by construction and is not evaluated, and twins are evaluated
-    once (`DiscreteParams.columns`)."""
+    satisfies it by construction and is not evaluated.  Each distinct sequence
+    (`DiscreteParams.distinct`) is compared one `_ROWS_PER_CHUNK` chunk of
+    indices at a time, so the check holds no array that grows with omega."""
     omega = int(omega)
     if omega < 1:
         raise ValueError("period must be a positive integer")
-    for name, base, shifted in zip(names, dp.columns(names, 0, 2 * omega),
-                                   dp.columns(names, omega, 3 * omega)):
-        if isinstance(base, float):  # built constant: periodic for every omega
+    for name in dp.distinct(names):
+        if dp.constant(name) is not None:  # built constant: periodic for every omega
             continue
-        if np.any(np.abs(shifted - base) > 1e-12 * (1.0 + np.abs(base))):
-            raise ValueError(f"sequence {name!r} is not {omega}-periodic "
-                             f"(max defect {np.max(np.abs(shifted - base)):.3g})")
+        for a in range(0, 2 * omega, _ROWS_PER_CHUNK):
+            b = min(a + _ROWS_PER_CHUNK, 2 * omega)
+            base = dp.array(name, a, b)
+            defect = np.abs(dp.array(name, a + omega, b + omega) - base)
+            if np.any(defect > 1e-12 * (1.0 + np.abs(base))):
+                raise ValueError(f"sequence {name!r} is not {omega}-periodic "
+                                 f"(defect {defect.max():.3g} at index {a + np.argmax(defect)})")
 
 
 def period_map_fixed_point(q, e1, e2) -> tuple[float, float] | None:

@@ -29,8 +29,8 @@ from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSche
                         ScheduleSet, mickens_discretize, validate_hypotheses)
 # discrete_thresholds is called through consistency.window_thresholds; it stays
 # importable here because perfbench/tracing.py looks it up in this module
-from .thresholds import (BURN_IN, SCAN, ThresholdReport, Verdict,  # noqa: F401
-                         continuous_thresholds, discrete_thresholds)
+from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
+                         discrete_thresholds)
 
 RK4_REFERENCE_STEP = 0.01
 
@@ -604,15 +604,14 @@ def discretize(spec: ScenarioSpec, hs) -> list[DiscreteParams]:
     return [mickens_discretize(spec.schedules, h, spec.denominator) for h in hs]
 
 
-def threshold_reports(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
-                      burn_in: int = BURN_IN, scan: int = SCAN) -> tuple:
+def threshold_reports(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams]) -> tuple:
     """The continuous report for window lam, None for a zero-length window,
     and the (h, discrete report) pairs for the discrete models dps."""
     continuous = continuous_thresholds(spec.schedules, spec.incidence_phi,
                                        spec.incidence_psi, lam) if lam > 0 else None
     return continuous, tuple(
-        (dp.h, window_thresholds(dp, spec.incidence_phi, spec.incidence_psi, lam,
-                                 burn_in=burn_in, scan=scan)) for dp in dps)
+        (dp.h, window_thresholds(dp, spec.incidence_phi, spec.incidence_psi, lam))
+        for dp in dps)
 
 
 def threshold_notes(continuous: ThresholdReport | None, discrete) -> list[str]:
@@ -622,13 +621,13 @@ def threshold_notes(continuous: ThresholdReport | None, discrete) -> list[str]:
     return notes + [f"h={h_label(h)}: {note}" for h, rep in discrete for note in rep.notes]
 
 
-def compare_thresholds(spec: ScenarioSpec, lam: float, dps: list[DiscreteParams],
-                       burn_in: int = BURN_IN, scan: int = SCAN) -> ThresholdComparison:
+def compare_thresholds(spec: ScenarioSpec, lam: float,
+                       dps: list[DiscreteParams]) -> ThresholdComparison:
     """Threshold reports for window lam > 0 at the step sizes of dps, with the
     step-bound report where that analysis applies and the reason where not."""
     if not lam > 0:
         raise ValueError("lam must be positive")
-    continuous, discrete = threshold_reports(spec, lam, dps, burn_in, scan)
+    continuous, discrete = threshold_reports(spec, lam, dps)
     reason = consistency_skip_reason(spec.schedules)
     consistency = None if reason else consistency_report(
         spec.schedules, spec.incidence_phi, spec.incidence_psi, continuous,
@@ -669,7 +668,7 @@ def compare_methods(runs, reference: Trajectory) -> tuple[list, list, tuple]:
     return rows, nsfd_worse, (times, states)
 
 
-def run_scenario(spec: ScenarioSpec, burn_in: int = BURN_IN, scan: int = SCAN) -> ScenarioReport:
+def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """Execute a scenario across its declared step sizes."""
     warnings = []
 
@@ -687,7 +686,7 @@ def run_scenario(spec: ScenarioSpec, burn_in: int = BURN_IN, scan: int = SCAN) -
         warnings.extend(f"incidence {label}: {n}" for n in rep.notes)
 
     dps = discretize(spec, spec.h_values)
-    comparison = compare_thresholds(spec, spec.lam, dps, burn_in, scan)
+    comparison = compare_thresholds(spec, spec.lam, dps)
     warnings += threshold_notes(comparison.continuous, comparison.discrete)
     runs, reference = method_runs(spec, dps, spec.t_end)
 

@@ -522,6 +522,11 @@ class DiscreteParams:
         None; it equals every value of the sequence bit for bit."""
         return getattr(getattr(self, name), "constant", None)
 
+    def distinct(self, names) -> list:
+        """One name of each distinct sequence (`function_key`) among `names`: the
+        first of its twins."""
+        return list(dict.fromkeys(self._first[name] for name in names))
+
     def columns(self, names, start: int, stop: int) -> list:
         """The named sequences over the index range [start, stop): for each, its
         value, one float, when it is built constant, else `array(name, start,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -44,6 +45,9 @@ from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DiscreteParams,
 
 BOUNDARY_TOL = 1e-12
 BURN_IN, SCAN = 2000, 4000  # default window starts skipped, then scanned, by a discrete report
+# a report's traced peak per growth ratio or quadrature point: at most 112 B
+# measured (every coefficient seasonal, standard incidence), rounded up
+_BYTES_PER_POINT = 128
 _RATIO_NAMES = ("beta", "sigma", "mu", "alpha", "gamma")  # the coefficients of r_k and F
 
 
@@ -144,15 +148,17 @@ def _disease_free_orbit(dp: DiscreteParams, omega: int | None,
     return None
 
 
-def _check_held(lam: int, n_ratios: int) -> None:
-    """ConfigError unless the n_ratios growth ratios of a report's window starts
-    fit in memory; an iterated orbit, one row per ratio, is the largest of its
-    arrays.  Raised before those ratios' orbit is computed."""
+def _check_fits(window: str, n_points: int) -> None:
+    """ConfigError unless a report over n_points growth ratios or quadrature
+    points fits in memory: its peak, `_BYTES_PER_POINT` per point, is mapped
+    before the report builds any array of that length.  No page of the mapping
+    is touched, so the probe adds nothing to the resident memory."""
     try:
-        np.empty((n_ratios, 2))
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
-        raise ConfigError(f"a threshold window of {lam + 1:.3g} steps does not fit in memory "
-                          f"({16 * n_ratios:.3g} bytes of disease-free orbit)") from exc
+        with mmap.mmap(-1, n_points * _BYTES_PER_POINT):
+            pass
+    except (OSError, OverflowError) as exc:  # OverflowError: beyond the address space
+        raise ConfigError(f"a {window} does not fit in memory ({float(n_points):.3g} points "
+                          f"at {_BYTES_PER_POINT} bytes each)") from exc
 
 
 def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
@@ -182,7 +188,8 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     omega = dp.step_period
     scan_starts = (burn_in, max(scan, lam) + 1)  # (first start, number of starts)
     first, n_starts = (0, omega) if omega is not None else scan_starts
-    _check_held(lam, n_starts + lam)
+    label = f"threshold window of {lam + 1:.3g} steps"
+    _check_fits(label, n_starts + lam)
     orbit = _disease_free_orbit(dp, dp.aux_step_period, aux_start)
     exact = omega is not None and orbit is not None
     if exact:
@@ -192,7 +199,7 @@ def discrete_thresholds(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
             exact = False
     if omega is not None and not exact:  # the scan after all
         first, n_starts = scan_starts
-        _check_held(lam, n_starts + lam)
+        _check_fits(label, n_starts + lam)
     notes = []
     period = dp.aux_step_period
     if orbit is None:  # iterated: one row per step of the scan, and no period
@@ -282,6 +289,8 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     m = max(8, steps_for(lam, 2.0 * quad_step))
     q = lam / (2.0 * m)
     n_grid = steps_for(t1, q) + 2 * m
+    _check_fits(f"continuous threshold window of {lam:.3g} time units over the starts "
+                f"[{t0:g}, {t1:g}]", n_grid + 1)
     ts = q * np.arange(n_grid + 1)
 
     notes = []
@@ -370,8 +379,7 @@ class IndependenceResult:
 
 
 def independence_check(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
-                       lam: int, starts: Sequence[AuxState],
-                       burn_in: int = BURN_IN, scan: int = SCAN) -> IndependenceResult:
+                       lam: int, starts: Sequence[AuxState]) -> IndependenceResult:
     """Max pairwise threshold difference across aux starts.
 
     The window quantities do not depend on the particular positive
@@ -386,7 +394,7 @@ def independence_check(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
         raise ValueError("starting points must be strictly positive")
 
     omega = dp.step_period or 1
-    hyp = validate_hypotheses(dp, window=omega, stop=max(burn_in, 100))
+    hyp = validate_hypotheses(dp, window=omega, stop=BURN_IN)
     if not (hyp.h3_holds and hyp.h4_holds):
         failing = []
         if not hyp.h3_holds:
@@ -397,8 +405,7 @@ def independence_check(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
             spread=None, skipped=True,
             reason="attractivity hypotheses fail: " + "; ".join(failing))
 
-    reports = [discrete_thresholds(dp, phi, psi, lam, burn_in, scan, aux_start=s)
-               for s in starts]
+    reports = [discrete_thresholds(dp, phi, psi, lam, aux_start=s) for s in starts]
     spread = 0.0
     for i in range(len(reports)):
         for j in range(i + 1, len(reports)):

@@ -170,8 +170,7 @@ def test_criterion_05_positivity():
 def test_criterion_06_aux_start_independence():
     _, dp = _spec_dp("extinction_5_1", 1.0)
     res = independence_check(dp, MASS, MASS, 3,
-                             [AuxState(1, 1), AuxState(100, 5), AuxState(0.01, 0.01)],
-                             burn_in=2000)
+                             [AuxState(1, 1), AuxState(100, 5), AuxState(0.01, 0.01)])
     failures = []
     if res.skipped:
         failures.append(f"check skipped: {res.reason}")

@@ -50,13 +50,18 @@ def test_simulate_unknown_name_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["simulate", "extinction_5_1", "--t-end", "-5"],
                                   ["consistency", "extinction_5_1", "--lambda", "-1"],
-                                  ["thresholds", "extinction_5_1", "--h", "1", "--scan", "-5"],
-                                  ["consistency", "extinction_5_1", "--scan", "-5"],
-                                  ["scenario", "run", "extinction_5_1", "--scan", "-5"]],
+                                  ["thresholds", "extinction_5_1", "--h", "1", "--lambda", "1e9"],
+                                  ["consistency", "extinction_5_1", "--lambda", "1e9"],
+                                  ["scenario", "run", "huge_window.json"]],
                          ids=" ".join)
-def test_failed_run_removes_the_empty_out_it_made(tmp_path, argv):
+def test_failed_run_removes_the_empty_out_it_made(tmp_path, monkeypatch, argv):
     # these options are read after --out is made; the run that fails on them
-    # removes each directory it made while it is empty, and only those
+    # removes each directory it made while it is empty, and only those.  A
+    # window of 1e9 time units fails its memory probe, before any array is built
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    cfg["lambda"] = cfg["t_end"] = 1e9
+    (tmp_path / "huge_window.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "new" / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert not (tmp_path / "new").exists()
@@ -64,6 +69,22 @@ def test_failed_run_removes_the_empty_out_it_made(tmp_path, argv):
     kept.mkdir()
     assert main(argv + ["--out", str(kept)]) == 2
     assert kept.is_dir()
+
+
+@pytest.mark.parametrize("argv", [["thresholds", "extinction_5_1", "--h", "1", "--lambda", "1e9"],
+                                  ["consistency", "persistence_5_1", "--lambda", "1e-9"],
+                                  ["consistency", "extinction_5_1", "--lambda", "1e-300"]],
+                         ids=" ".join)
+def test_continuous_window_beyond_memory_is_a_config_error(tmp_path, capsys, argv):
+    # the quadrature grid is probed before it is built: these exited 1 with
+    # numpy's traceback for a 596 GiB or 7.45 TiB array, or 2 with its bare
+    # "Maximum allowed size exceeded"
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: a continuous threshold window of ")
+    assert "does not fit in memory" in err
+    assert not out.exists()
 
 
 def test_simulate_measles_monthly(tmp_path):
@@ -218,8 +239,7 @@ def test_window_longer_than_the_period(tmp_path, command):
 
 
 def test_consistency_sweep_flag(tmp_path):
-    rc = main(["consistency", "extinction_5_1", "--sweep", "--scan", "500",
-               "--burn-in", "200", "--out", str(tmp_path)])
+    rc = main(["consistency", "extinction_5_1", "--sweep", "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "consistency.json").read_text())
     assert len(payload["sweep"]) == 16
@@ -502,6 +522,8 @@ def test_scenario_bundle_matches_golden_digest(tmp_path, name):
 # were re-pinned when an exact_periodic report became its one-period product:
 # only the discrete_literal rows (all exact) and the exact thresholds.csv rows
 # moved, within 6.0e-13 relative; the swept rows kept their bytes.
+# `thresholds persistence_5_1` was re-pinned when --burn-in and --scan were
+# retired: only its manifest.json changed, losing the keys burn_in and scan.
 GOLDEN_COMMAND_DIGESTS = {
     ("consistency", "extinction_5_1", "--sweep"):
         "ce071038b5c26da40043836ec209ba65f29241262727d5900f4eb3a12c9ed098",
@@ -510,7 +532,7 @@ GOLDEN_COMMAND_DIGESTS = {
     ("consistency", "inconsistency_4", "--sweep"):
         "a7c75338fafea93ca720e2388d884ba9a0aa0713ff65f7128efe5c64b188238b",
     ("thresholds", "persistence_5_1"):
-        "cca6003e1927507373806c78915bde565f1eeceaaddd6ada665008f7a676bc89",
+        "39fd3d1a30b9bbe5da0484d3becf0189d8cb6785c49cd1e32be63a8015b1ebd9",
     ("compare", "extinction_5_1"):
         "11f4c0a8aecd3cfd90bc4251863659ff9ba19de0f6548184122f8399e2ca1682",
     # the continuous integrators, pinned before RK4's stages were written out:
@@ -795,6 +817,14 @@ UNREAD_FLAGS = [
     ["scenario", "run", "extinction_5_1", "--t-end", "10"],
     ["thresholds", "extinction_5_1", "--t-end", "10"],
     ["consistency", "extinction_5_1", "--t-end", "10"],
+    # the window starts an aperiodic report scans are `thresholds.BURN_IN` and
+    # `thresholds.SCAN`, options of no subcommand
+    ["thresholds", "extinction_5_1", "--burn-in", "10"],
+    ["thresholds", "extinction_5_1", "--scan", "10"],
+    ["consistency", "extinction_5_1", "--burn-in", "10"],
+    ["consistency", "extinction_5_1", "--scan", "10"],
+    ["scenario", "run", "extinction_5_1", "--burn-in", "10"],
+    ["scenario", "run", "extinction_5_1", "--scan", "10"],
 ]
 
 

@@ -300,16 +300,16 @@ def test_consistency_report_extinction_benchmark():
     assert a + b == pytest.approx(5.0 / 3.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("h, lam_d, starts", [(0.5, 7, (0, 7)), (0.7, 5, (100, 5))])
+@pytest.mark.parametrize("h, lam_d, starts", [(0.5, 7, (0, 7)), (0.7, 5, (2000, 4000))])
 def test_window_thresholds_is_the_discrete_report_for_the_time_window(h, lam_d, starts):
-    # window_thresholds passes burn_in and scan on as given: the step-periodic
-    # report (h = 0.5) reads its 8 phases, the other one at least one window of
-    # starts (a scan of 4 reads lam_d + 1 of them)
+    # window_thresholds reads the starts discrete_thresholds chooses: the
+    # step-periodic report (h = 0.5) its 8 phases, the other one the default
+    # scan, `thresholds.SCAN` starts after `thresholds.BURN_IN`
     dp = mickens_discretize(full_set(0.3), h, DenominatorFn.quadratic(0.2))
-    rep = window_thresholds(dp, MASS, MASS, 4.0, burn_in=100, scan=4)
+    rep = window_thresholds(dp, MASS, MASS, 4.0)
     assert rep.lam == lambda_steps(4.0, h) == lam_d
     assert (rep.burn_in, rep.scan) == starts
-    direct = discrete_thresholds(dp, MASS, MASS, lam_d, burn_in=100, scan=4)
+    direct = discrete_thresholds(dp, MASS, MASS, lam_d)
     assert rep.window_products.tobytes() == direct.window_products.tobytes()
 
 

@@ -16,7 +16,7 @@ from nsfd_sirvs.schedules import DenominatorFn, DiscreteParams, ParamSchedule, S
     mickens_discretize
 
 from test_reference_equivalence import (_STEP_DRAWS, _balance_residual, _one_step,
-                                        _separable_bisection_oracle)
+                                        _separable_root_oracle)
 from test_schedules import full_set
 
 MASS = IncidenceFn.mass_action()
@@ -383,7 +383,7 @@ def test_barely_monotone_separable_step(shape, a, flat, psi_kind, S, I, R, V,
     assert I1 >= 0.0 and R1 >= 0.0
     N = S + I + R + V
     assert _balance_residual((S1, I1, R1, V1), N, lam, mu, alpha) <= 1e-10 * (1.0 + N)
-    s_ref, v_ref = _separable_bisection_oracle(lam, mu, p, eta, beta, sigma, g, g_psi, S, I, V)
+    s_ref, v_ref = _separable_root_oracle(lam, mu, p, eta, beta, sigma, g, g_psi, S, I, V)
     assert abs(S1 - s_ref) <= 1e-12 * (1.0 + N)
     assert abs(V1 - v_ref) <= 1e-12 * (1.0 + N)
 

@@ -1,24 +1,29 @@
-"""Working memory of the steppers, the trajectory writer and the sup |f'| scan.
+"""Working memory of the steppers, the trajectory writer, the sup |f'| scan and
+the threshold reports.
 
 A run keeps its returned states (32 B per step, 16 B per disease-free step);
 everything else it holds is at most one fixed-size chunk of rows, so the peak
 traced allocation stays within a small factor of the state bytes plus a fixed
 slack, and the writer's peak does not depend on the number of rows.  The
-sup |f'| scan holds its grid and the values of f' on one chunk of it.
+sup |f'| scan holds its grid and the values of f' on one chunk of it.  A
+threshold report stays within the bytes its memory probe asks for.
 """
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from nsfd_sirvs import thresholds
 from nsfd_sirvs.cli import _write_trajectory
-from nsfd_sirvs.consistency import _SUP_CHUNK, _SUP_GRID, net_growth_function, sup_abs_fprime
+from nsfd_sirvs.consistency import (_SUP_CHUNK, _SUP_GRID, lambda_steps, net_growth_function,
+                                    sup_abs_fprime)
 from nsfd_sirvs.dynamics import Trajectory, integrate_continuous, simulate_aux, simulate_discrete
 from nsfd_sirvs.incidence import IncidenceFn
 from nsfd_sirvs.scenarios import builtin
-from nsfd_sirvs.schedules import ParamSchedule, mickens_discretize
+from nsfd_sirvs.schedules import DenominatorFn, ParamSchedule, ScheduleSet, mickens_discretize
 
 # Tracing costs microseconds per Python float allocated, so the RK4 and NSFD runs,
 # which box a float per coefficient and per state value, are kept shorter.
@@ -103,3 +108,44 @@ def test_sup_scan_peak_is_the_grid_and_one_chunk(kind):
     sup, peak = _traced_peak(lambda: sup_abs_fprime(fprime, (0.0, 1.0)))
     assert sup.value > 0.0
     assert peak <= 8 * (_SUP_GRID + 1) + _CHUNK_SLACK, peak
+
+
+def _all_seasonal(mu_frequency):
+    """Every coefficient harmonic, each with its own phase, so none are twins;
+    mu at `mu_frequency`, the others at 2 pi (period 1)."""
+    names = ("Lambda", "mu", "p", "eta", "alpha", "beta", "sigma", "gamma")
+    bases = (0.5, 0.3, 0.6, 0.05, 0.05, 0.9, 0.5, 0.3)
+    return ScheduleSet(**{
+        name: ParamSchedule.harmonic(name, base, 0.4 * base,
+                                     mu_frequency if name == "mu" else 2.0 * math.pi, 0.1 * k)
+        for k, (name, base) in enumerate(zip(names, bases))})
+
+
+_STANDARD = IncidenceFn.standard()
+_REPORTS = {
+    # omega = 10 000 phases of a 100-step window, along the exact periodic orbit
+    "step-periodic": lambda: thresholds.discrete_thresholds(
+        mickens_discretize(_all_seasonal(2.0 * math.pi), 1e-4, DenominatorFn.quadratic(0.2)),
+        _STANDARD, _STANDARD, lambda_steps(0.01, 1e-4)),
+    # no step period: 20 000 starts along an iterated orbit
+    "scan": lambda: thresholds.discrete_thresholds(
+        mickens_discretize(_all_seasonal(2.0 * math.sqrt(2.0) * math.pi), 1e-4,
+                           DenominatorFn.quadratic(0.2)),
+        _STANDARD, _STANDARD, lambda_steps(0.01, 1e-4), scan=20_000),
+    # 6 657 grid points, along an RK4 periodic solution
+    "continuous": lambda: thresholds.continuous_thresholds(
+        _all_seasonal(2.0 * math.pi), _STANDARD, _STANDARD, 1.0, scan=(0.0, 25.0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_REPORTS))
+def test_threshold_report_peak_is_within_its_probe(monkeypatch, kind):
+    # each report maps `_BYTES_PER_POINT` per growth ratio or quadrature point
+    # before it builds any array of that length; the probe is recorded, not
+    # mapped, here, so the trace is the report's own.  Every coefficient
+    # seasonal with standard incidence is the largest peak measured
+    asked = []
+    monkeypatch.setattr(thresholds, "_check_fits", lambda window, n: asked.append(n))
+    _, peak = _traced_peak(_REPORTS[kind])
+    assert asked and min(asked) > 5_000
+    assert peak <= thresholds._BYTES_PER_POINT * max(asked) + _SLACK, (peak, asked)

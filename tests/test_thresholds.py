@@ -137,6 +137,15 @@ def test_scan_shorter_than_a_window_reads_one_window_of_starts():
                and (r.burn_in, r.scan) == (0, 3) for r in reports)
 
 
+@pytest.mark.parametrize("h", [1.0, 0.7])
+def test_discrete_window_beyond_memory_is_a_config_error(h):
+    # probed before the orbit is built, for the step-periodic report (h = 1)
+    # and the scan (h = 0.7)
+    with pytest.raises(ConfigError,
+                       match=r"threshold window of 1e\+12 steps does not fit in memory"):
+        discrete_thresholds(seasonal_dp(0.3, h), MASS, MASS, 10**12 - 1)
+
+
 @pytest.mark.parametrize("burn_in, scan", [(-1, 10), (0, -5)])
 def test_negative_burn_in_or_scan_is_rejected(burn_in, scan):
     # whichever starts the report reads
