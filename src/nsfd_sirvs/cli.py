@@ -157,8 +157,7 @@ def _consistency_payload(comparison) -> dict:
         "h_max_lower": _h_bound_json(rep.h_max_lower),
         "equilibrium": list(rep.equilibrium),
         "notes": rep.notes,  # key order is fixed by sort_keys
-        "f_samples": {"t": rep.f_samples[0, ::4].tolist(),
-                      "f": rep.f_samples[1, ::4].tolist()},
+        "f_samples": {"t": rep.f_samples[0].tolist(), "f": rep.f_samples[1].tolist()},
         "discrete_literal": _discrete_json(comparison.discrete),
         "inconsistent_h": [h for h, _ in comparison.inconsistent_h],
         "inconsistency_flag": comparison.inconsistency_flag,

@@ -233,7 +233,7 @@ def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceF
     constant = schedules.constants(_F_NAMES) is not None
     # f' = 0 for constant coefficients: the scan's start, as the grid gives it
     sup = FprimeSup(0.0, sup_scan[0]) if constant else sup_abs_fprime(fprime, sup_scan)
-    ts = np.linspace(sup_scan[0], sup_scan[1], 257)
+    ts = np.linspace(sup_scan[0], sup_scan[1], 65)
     report_notes = dict(notes or {})
     if T is None and not constant:
         report_notes.setdefault(

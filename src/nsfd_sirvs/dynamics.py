@@ -59,13 +59,10 @@ built-in) are evaluated once per chunk: `ScheduleSet.evaluate` and
 and sequence callables are taken to be pure.  The loop over steps runs inside
 the stepper, one `_drive` call per chunk, so what is left per step is the
 step's own arithmetic and, for NSFD, its balance check.  RK4 writes its four
-stages out in the loop body, and when both bridges are the identity (mass
-action, saturated: `IncidenceFn.bridge_is_identity`) it writes the incidence
-beta S I inline too, so such a step makes no call at all: on
-`persistence_5_1` at h = 0.01 a step takes about 0.7x the time of one that
-calls a right-hand side and two bridges per stage.  Every floating-point
-operation keeps the order of the vector form y' = F(t, y), so the states are
-bit-identical either way.
+stages out in the loop body, once, and reads an identity bridge (mass action,
+saturated) inline, so it calls only the bridges that are not the identity.
+Every floating-point operation keeps the order of the vector form
+y' = F(t, y), so the states are bit-identical to calling F.
 """
 
 from __future__ import annotations
@@ -626,72 +623,24 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
     The four stages are written out in the loop, each the right-hand side in
     the operation order of its vector form, with each coefficient row unpacked
     once and its sums mu + p, mu + alpha + gamma, mu + eta taken once (the end
-    row's serve the next step's first stage).  The loop is chosen here, once:
-    when both bridges are the identity (`IncidenceFn.bridge_is_identity`) the
-    incidences are beta S I and sigma V I, inline; otherwise each stage calls
-    the bridges.
+    row's serve the next step's first stage).  An identity bridge
+    (`IncidenceFn.bridge_is_identity`: mass action, saturated) is read inline,
+    beta x y, so it costs no call; any other bridge is called at each stage.
     """
     hh, h6 = h / 2.0, h / 6.0
-
-    def advance_identity(rows, state, n0, out):
-        nonlocal c0
-        S, I, R, V = state
-        lam, mu, p, eta, alpha, beta, sigma, gamma = c0
-        m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
-        for c1, c2 in rows:
-            inc_s = beta * S * I
-            inc_v = sigma * V * I
-            a1 = lam - inc_s - m_s * S + eta * V
-            b1 = inc_s + inc_v - m_i * I
-            r1 = gamma * I - mu * R
-            v1 = p * S - m_v * V - inc_v
-            lam, mu, p, eta, alpha, beta, sigma, gamma = c1
-            m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
-            x, y, z, w = S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1
-            inc_s = beta * x * y
-            inc_v = sigma * w * y
-            a2 = lam - inc_s - m_s * x + eta * w
-            b2 = inc_s + inc_v - m_i * y
-            r2 = gamma * y - mu * z
-            v2 = p * x - m_v * w - inc_v
-            x, y, z, w = S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2
-            inc_s = beta * x * y
-            inc_v = sigma * w * y
-            a3 = lam - inc_s - m_s * x + eta * w
-            b3 = inc_s + inc_v - m_i * y
-            r3 = gamma * y - mu * z
-            v3 = p * x - m_v * w - inc_v
-            lam, mu, p, eta, alpha, beta, sigma, gamma = c2
-            m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
-            x, y, z, w = S + h * a3, I + h * b3, R + h * r3, V + h * v3
-            inc_s = beta * x * y
-            inc_v = sigma * w * y
-            a4 = lam - inc_s - m_s * x + eta * w
-            b4 = inc_s + inc_v - m_i * y
-            r4 = gamma * y - mu * z
-            v4 = p * x - m_v * w - inc_v
-            S = S + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            I = I + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            R = R + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-            V = V + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-            out.fromlist([S, I, R, V])
-        c0 = c2
-        return S, I, R, V
-
-    if phi.bridge_is_identity and psi.bridge_is_identity:
-        return advance_identity
     g_phi, g_psi = phi.bridge(), psi.bridge()
+    id_phi, id_psi = phi.bridge_is_identity, psi.bridge_is_identity
     needs_pop = phi.needs_population or psi.needs_population
 
-    def advance_bridged(rows, state, n0, out):
+    def advance(rows, state, n0, out):
         nonlocal c0
         S, I, R, V = state
         lam, mu, p, eta, alpha, beta, sigma, gamma = c0
         m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
         for c1, c2 in rows:
             pop = (S + I + R + V) if needs_pop else None
-            inc_s = beta * g_phi(S, pop) * I
-            inc_v = sigma * g_psi(V, pop) * I
+            inc_s = beta * (S if id_phi else g_phi(S, pop)) * I
+            inc_v = sigma * (V if id_psi else g_psi(V, pop)) * I
             a1 = lam - inc_s - m_s * S + eta * V
             b1 = inc_s + inc_v - m_i * I
             r1 = gamma * I - mu * R
@@ -700,16 +649,16 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
             m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
             x, y, z, w = S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1
             pop = (x + y + z + w) if needs_pop else None
-            inc_s = beta * g_phi(x, pop) * y
-            inc_v = sigma * g_psi(w, pop) * y
+            inc_s = beta * (x if id_phi else g_phi(x, pop)) * y
+            inc_v = sigma * (w if id_psi else g_psi(w, pop)) * y
             a2 = lam - inc_s - m_s * x + eta * w
             b2 = inc_s + inc_v - m_i * y
             r2 = gamma * y - mu * z
             v2 = p * x - m_v * w - inc_v
             x, y, z, w = S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2
             pop = (x + y + z + w) if needs_pop else None
-            inc_s = beta * g_phi(x, pop) * y
-            inc_v = sigma * g_psi(w, pop) * y
+            inc_s = beta * (x if id_phi else g_phi(x, pop)) * y
+            inc_v = sigma * (w if id_psi else g_psi(w, pop)) * y
             a3 = lam - inc_s - m_s * x + eta * w
             b3 = inc_s + inc_v - m_i * y
             r3 = gamma * y - mu * z
@@ -718,8 +667,8 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
             m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
             x, y, z, w = S + h * a3, I + h * b3, R + h * r3, V + h * v3
             pop = (x + y + z + w) if needs_pop else None
-            inc_s = beta * g_phi(x, pop) * y
-            inc_v = sigma * g_psi(w, pop) * y
+            inc_s = beta * (x if id_phi else g_phi(x, pop)) * y
+            inc_v = sigma * (w if id_psi else g_psi(w, pop)) * y
             a4 = lam - inc_s - m_s * x + eta * w
             b4 = inc_s + inc_v - m_i * y
             r4 = gamma * y - mu * z
@@ -732,4 +681,4 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
         c0 = c2
         return S, I, R, V
 
-    return advance_bridged
+    return advance

@@ -536,8 +536,8 @@ GOLDEN_COMMAND_DIGESTS = {
     ("compare", "extinction_5_1"):
         "11f4c0a8aecd3cfd90bc4251863659ff9ba19de0f6548184122f8399e2ca1682",
     # the continuous integrators, pinned before RK4's stages were written out:
-    # mass action (RK4's inline-incidence loop) with RK4 and Euler, and
-    # standard incidence (RK4's called-bridge loop)
+    # mass action (identity bridges, which RK4 reads inline) with RK4 and
+    # Euler, and standard incidence (bridges RK4 calls at each stage)
     ("simulate", "persistence_5_1", "--h", "0.05", "--method", "rk4"):
         "f3cbdd804c0d2c86446e4655464212e08d7f22bbcd64500758c074b560604d51",
     ("simulate", "persistence_5_1", "--h", "0.05", "--method", "euler"):

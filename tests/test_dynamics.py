@@ -220,8 +220,8 @@ def test_linear_incidences_take_the_closed_form(monkeypatch):
 
 
 def test_identity_bridges_take_the_inline_rk4_loop(monkeypatch):
-    # mass action and saturated have the identity bridge, so their RK4 loop
-    # writes beta S I inline and calls no bridge; any other kind calls its own
+    # mass action and saturated have the identity bridge, which each RK4 stage
+    # reads inline as beta S I, calling no bridge; any other kind calls its own
     def refusing_bridge(inc):
         def bridge(x, pop):
             raise AssertionError(f"{inc.kind} bridge called")

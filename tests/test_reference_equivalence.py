@@ -772,8 +772,10 @@ def _mixed_set():
 
 def _assert_chunked_loops_match(schedules, s0, h, n_steps, tmp_path):
     sep = KINDS["separable"]
-    # a called bridge, and a pair of identity bridges (RK4's inline loop)
-    for phi, psi in ((sep, KINDS["mass_action"]), (KINDS["mass_action"], KINDS["saturated"])):
+    # a called phi bridge, two identity bridges (no call), and an identity phi
+    # with a called psi: RK4 reads each bridge's identity on its own
+    for phi, psi in ((sep, KINDS["mass_action"]), (KINDS["mass_action"], KINDS["saturated"]),
+                     (KINDS["mass_action"], KINDS["standard"])):
         for method in ("rk4", "euler"):
             traj = integrate_continuous(schedules, phi, psi, s0, n_steps * h, h, method=method)
             states, negative_at = _whole_table_integrate(schedules, phi, psi, s0,
