@@ -13,12 +13,12 @@ Three ways to advance a SIRVS model live here:
 
     The (S+, V+) pair is implicit.  Each incidence is read as its factor
     form, incidence(x, y) = G(x) y / D(y, N) (`IncidenceFn.factor_form`, the
-    one per-kind declaration).  When both are linear in their first argument
-    (G the identity: mass action, saturated, standard) the pair is a
-    closed-form 2x2 solve; otherwise (separable) one
-    Newton-secant solve of the pair from (S, V), calling g directly, with
-    brackets and bisection only from the first step that leaves [0, the
-    disease-free update] or fails to halve (`_nsfd_stepper`'s
+    one per-kind declaration, which every stepper here reads inline).  When
+    both are linear in their first argument (G the identity: mass action,
+    saturated, standard) the pair is a closed-form 2x2 solve; otherwise
+    (separable) one Newton-secant solve of the pair from (S, V), calling g
+    directly, with brackets and bisection only from the first step that
+    leaves [0, the disease-free update] or fails to halve (`_nsfd_stepper`'s
     `advance_solved`).  Which loop runs is read from the two factor forms,
     once per run.
     Summing the four updates gives the exact balance identity
@@ -31,11 +31,10 @@ Three ways to advance a SIRVS model live here:
     as the exact periodic orbit of its period map.  It feeds the thresholds.
 
   * `integrate_continuous` — fixed-step Euler and classical RK4 for the
-    continuous model, using the separable incidence bridge g(x) * I
-    (`IncidenceFn.bridge`).  Euler reads the coefficients at the start of
-    each step, RK4 also at its midpoint and end.
-    Explicit methods may leave the nonnegative cone; that is flagged on the
-    returned trajectory, never clamped.
+    continuous model with the same incidences, beta (G(x) / D(I, N)) I.
+    Euler reads the coefficients at the start of each step, RK4 also at its
+    midpoint and end.  Explicit methods may leave the nonnegative cone; that
+    is flagged on the returned trajectory, never clamped.
 
 Runs: every run, `nsfd_step` included, goes through `_drive`, the one owner
 of the run policies: n_steps >= 1, a finite start >= 0, the states allocated
@@ -49,19 +48,14 @@ chunk of `_ROWS_PER_CHUNK` rows: `_coefficient_rows` evaluates the
 coefficients one chunk at a time, and `_drive` stores each chunk of new states.
 
 Cost per step: every loop reads its coefficients as rows of Python floats
-from `_coefficient_rows`, the one producer of rows.  A coefficient known to be
-constant (`ParamSchedule.constant`, `DiscreteParams.constant`) is one
-float, repeated into every row, so it costs nothing per step; only the other
-columns are evaluated and converted, once per chunk.  Coefficients that are
-the same function (`schedules.function_key`, e.g. beta and sigma of every
-built-in) are evaluated once per chunk: `ScheduleSet.evaluate` and
-`DiscreteParams.columns` give the twin the first one's column, so schedule
-and sequence callables are taken to be pure.  The loop over steps runs inside
-the stepper, one `_drive` call per chunk, so what is left per step is the
-step's own arithmetic and, for NSFD, its balance check.  RK4 writes its four
-stages out in the loop body, once, and reads an identity bridge (mass action,
-saturated) inline, so it calls only the bridges that are not the identity.
-Every floating-point operation keeps the order of the vector form
+from `_coefficient_rows`, the one producer of rows, where a declared constant
+costs nothing per step and twins (`schedules.function_key`, e.g. beta and
+sigma of every built-in) are evaluated once per chunk, so schedule and
+sequence callables are taken to be pure.  The loop over steps runs inside the
+stepper, one `_drive` call per chunk, and reads the factor forms' fields
+inline, so what is left per step is its own arithmetic, a call only for a
+separable G, and, for NSFD, its balance check.  RK4 writes its four stages
+out in the loop body, once, each in the operation order of the vector form
 y' = F(t, y), so the states are bit-identical to calling F.
 """
 
@@ -363,8 +357,8 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
     in x (g is `float` in both factor forms), else the solve.  A failed
     balance check raises a StepError naming its step.
     """
-    g_phi, d_phi = phi.factor_form()
-    g_psi, d_psi = psi.factor_form()
+    g_phi, a_phi, pop_phi = phi.factor_form()
+    g_psi, a_psi, pop_psi = psi.factor_form()
 
     def advance_closed_form(rows, state, n0, out):
         S, I, R, V = state
@@ -377,8 +371,8 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
                 phi_term = psi_term = 0.0
             else:
                 # f(x, I) = q x with q = I / d(I, N)
-                qs = I if d_phi is None else I / d_phi(I, N)
-                qv = I if d_psi is None else I / d_psi(I, N)
+                qs = I / (1.0 + a_phi * I) if a_phi else I / N if pop_phi else I
+                qv = I / (1.0 + a_psi * I) if a_psi else I / N if pop_psi else I
                 A_s = 1.0 + mu + p + beta * qs
                 A_v = 1.0 + mu + eta + sigma * qv
                 D = A_s * A_v - eta * p
@@ -438,8 +432,8 @@ def _nsfd_stepper(phi: IncidenceFn, psi: IncidenceFn):
                 s, v = hi_s, hi_v
                 u = w = 0.0
             else:
-                ds = 1.0 if d_phi is None else d_phi(I, N)
-                dv = 1.0 if d_psi is None else d_psi(I, N)
+                ds = 1.0 + a_phi * I if a_phi else N if pop_phi else 1.0
+                dv = 1.0 + a_psi * I if a_psi else N if pop_psi else 1.0
                 s = S if S < hi_s else hi_s
                 v = V if V < hi_v else hi_v
                 if s != xs:
@@ -556,18 +550,18 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
                          method: str = "rk4") -> Trajectory:
     """Fixed-step integration of the continuous model.
 
-    S' = Lam(t) - beta(t) g_phi(S) I - (mu(t) + p(t)) S + eta(t) V
-    I' = [beta(t) g_phi(S) + sigma(t) g_psi(V) - mu(t) - alpha(t) - gamma(t)] I
+    S' = Lam(t) - beta(t) f_phi(S, I) - (mu(t) + p(t)) S + eta(t) V
+    I' = beta(t) f_phi(S, I) + sigma(t) f_psi(V, I) - (mu(t) + alpha(t) + gamma(t)) I
     R' = gamma(t) I - mu(t) R
-    V' = p(t) S - (mu(t) + eta(t)) V - sigma(t) g_psi(V) I
+    V' = p(t) S - (mu(t) + eta(t)) V - sigma(t) f_psi(V, I)
 
-    with g_phi, g_psi the separable bridge of the supplied incidence pair.
-    For `standard` incidence the bridge g(x) = x/N is taken as 0 when the
-    population N = S + I + R + V is 0, its limit there (S, V <= N forces
-    g I <= I = 0); a zero initial population thus gives the disease-free run.
-    Explicit methods may produce negative components at large h; the
-    trajectory is still returned, carrying the first offending index in
-    `negative_at`.
+    with f(x, I) = (g(x) / d(I, N)) I, N = S + I + R + V, the factor form of
+    each incidence (`IncidenceFn.factor_form`) that the NSFD scheme
+    discretises.  A run that leaves the nonnegative cone is returned as it
+    is, never clamped, with its first negative state in `negative_at`.  There
+    a separable g is 0 for x <= 0, and g(x) / d is 0 where d is 0: standard
+    at N = 0, its limit (S, V <= N), so a zero population gives the
+    disease-free run, and saturated at I = -1/a; a negative d is used as is.
     """
     method = method.lower()
     if method not in ("euler", "rk4"):
@@ -593,18 +587,32 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
                       negative_at=int(negative[0]) if negative.size else None)
 
 
+def _explicit_form(inc: IncidenceFn):
+    """inc's factor form (g, a, by_pop) as Euler and RK4 read it: g None for
+    the kinds linear in x, else g extended by 0 for x <= 0 and called on a
+    NumPy scalar, so an overflow inside a user g gives inf, not an exception."""
+    g, a, by_pop = inc.factor_form()
+    g_x = None if g is float else lambda x: float(g(np.float64(x))) if x > 0.0 else 0.0
+    return g_x, a, by_pop
+
+
 def _euler_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float):
     """Euler steps of `integrate_continuous`'s model, as a `_drive` stepper
-    over (S, I, R, V) with rows in `SCHEDULE_NAMES` order."""
-    g_phi, g_psi = phi.bridge(), psi.bridge()
-    needs_pop = phi.needs_population or psi.needs_population
+    over (S, I, R, V) with rows in `SCHEDULE_NAMES` order; the incidences
+    are read as in `_rk4_stepper`."""
+    g_phi, a_phi, pop_phi = _explicit_form(phi)
+    g_psi, a_psi, pop_psi = _explicit_form(psi)
+    divides = bool(a_phi or pop_phi or a_psi or pop_psi)  # some d is not 1
 
     def advance(rows, state, n0, out):
         S, I, R, V = state
         for lam, mu, p, eta, alpha, beta, sigma, gamma in rows:
-            pop = (S + I + R + V) if needs_pop else None
-            inc_s = beta * g_phi(S, pop) * I
-            inc_v = sigma * g_psi(V, pop) * I
+            qs, qv = S if g_phi is None else g_phi(S), V if g_psi is None else g_psi(V)
+            if divides:
+                ds = 1.0 + a_phi * I if a_phi else S + I + R + V if pop_phi else 1.0
+                dv = 1.0 + a_psi * I if a_psi else S + I + R + V if pop_psi else 1.0
+                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
+            inc_s, inc_v = beta * qs * I, sigma * qv * I
             S, I, R, V = (S + h * (lam - inc_s - (mu + p) * S + eta * V),
                           I + h * (inc_s + inc_v - (mu + alpha + gamma) * I),
                           R + h * (gamma * I - mu * R),
@@ -623,14 +631,14 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
     The four stages are written out in the loop, each the right-hand side in
     the operation order of its vector form, with each coefficient row unpacked
     once and its sums mu + p, mu + alpha + gamma, mu + eta taken once (the end
-    row's serve the next step's first stage).  An identity bridge
-    (`IncidenceFn.bridge_is_identity`: mass action, saturated) is read inline,
-    beta x y, so it costs no call; any other bridge is called at each stage.
+    row's serve the next step's first stage).  Each incidence is
+    beta (g(x) / d(y, N)) y, read inline (`_explicit_form`); a stage divides
+    only when some d is not 1.
     """
     hh, h6 = h / 2.0, h / 6.0
-    g_phi, g_psi = phi.bridge(), psi.bridge()
-    id_phi, id_psi = phi.bridge_is_identity, psi.bridge_is_identity
-    needs_pop = phi.needs_population or psi.needs_population
+    g_phi, a_phi, pop_phi = _explicit_form(phi)
+    g_psi, a_psi, pop_psi = _explicit_form(psi)
+    divides = bool(a_phi or pop_phi or a_psi or pop_psi)  # some d is not 1
 
     def advance(rows, state, n0, out):
         nonlocal c0
@@ -638,9 +646,12 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
         lam, mu, p, eta, alpha, beta, sigma, gamma = c0
         m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
         for c1, c2 in rows:
-            pop = (S + I + R + V) if needs_pop else None
-            inc_s = beta * (S if id_phi else g_phi(S, pop)) * I
-            inc_v = sigma * (V if id_psi else g_psi(V, pop)) * I
+            qs, qv = S if g_phi is None else g_phi(S), V if g_psi is None else g_psi(V)
+            if divides:
+                ds = 1.0 + a_phi * I if a_phi else S + I + R + V if pop_phi else 1.0
+                dv = 1.0 + a_psi * I if a_psi else S + I + R + V if pop_psi else 1.0
+                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
+            inc_s, inc_v = beta * qs * I, sigma * qv * I
             a1 = lam - inc_s - m_s * S + eta * V
             b1 = inc_s + inc_v - m_i * I
             r1 = gamma * I - mu * R
@@ -648,17 +659,23 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
             lam, mu, p, eta, alpha, beta, sigma, gamma = c1
             m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
             x, y, z, w = S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1
-            pop = (x + y + z + w) if needs_pop else None
-            inc_s = beta * (x if id_phi else g_phi(x, pop)) * y
-            inc_v = sigma * (w if id_psi else g_psi(w, pop)) * y
+            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
+            if divides:
+                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
+                dv = 1.0 + a_psi * y if a_psi else x + y + z + w if pop_psi else 1.0
+                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
+            inc_s, inc_v = beta * qs * y, sigma * qv * y
             a2 = lam - inc_s - m_s * x + eta * w
             b2 = inc_s + inc_v - m_i * y
             r2 = gamma * y - mu * z
             v2 = p * x - m_v * w - inc_v
             x, y, z, w = S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2
-            pop = (x + y + z + w) if needs_pop else None
-            inc_s = beta * (x if id_phi else g_phi(x, pop)) * y
-            inc_v = sigma * (w if id_psi else g_psi(w, pop)) * y
+            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
+            if divides:
+                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
+                dv = 1.0 + a_psi * y if a_psi else x + y + z + w if pop_psi else 1.0
+                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
+            inc_s, inc_v = beta * qs * y, sigma * qv * y
             a3 = lam - inc_s - m_s * x + eta * w
             b3 = inc_s + inc_v - m_i * y
             r3 = gamma * y - mu * z
@@ -666,9 +683,12 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
             lam, mu, p, eta, alpha, beta, sigma, gamma = c2
             m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
             x, y, z, w = S + h * a3, I + h * b3, R + h * r3, V + h * v3
-            pop = (x + y + z + w) if needs_pop else None
-            inc_s = beta * (x if id_phi else g_phi(x, pop)) * y
-            inc_v = sigma * (w if id_psi else g_psi(w, pop)) * y
+            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
+            if divides:
+                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
+                dv = 1.0 + a_psi * y if a_psi else x + y + z + w if pop_psi else 1.0
+                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
+            inc_s, inc_v = beta * qs * y, sigma * qv * y
             a4 = lam - inc_s - m_s * x + eta * w
             b4 = inc_s + inc_v - m_i * y
             r4 = gamma * y - mu * z

@@ -1,12 +1,11 @@
 """Incidence (transmission) functions f(x, y).
 
-Every incidence has the form f(x, y) = g(x) * y / d(y, P), and each kind is
-declared once as that pair (`IncidenceFn.factor_form`).  The discrete model
-consumes the two-argument f(susceptible-like, I); the continuous model
-consumes the separable form d2f(x, 0) * I, with the slope
-d2f(x, 0) = d/dy f(x, y) at y = 0 = g(x) / d(0, P).  Both views are bridged
-by that slope (`d2_at_zero`, unchecked `slope`), which is all the threshold
-machinery ever needs.
+Every incidence has the form f(x, y, P) = g(x) * y / d(y, P), and each kind is
+declared once as that form (`IncidenceFn.factor_form`), which the NSFD scheme,
+the Euler and RK4 integrators of the continuous model and the evaluations here
+all read, so the discrete and the continuous model share their incidence.  The
+threshold machinery needs only its slope d2f(x, 0) = d/dy f(x, y) at y = 0 =
+g(x) / d(0, P) (`d2_at_zero`, unchecked `slope`).
 
 Standing hypotheses on an incidence:
   * f(x, 0) = f(0, y) = 0,
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -43,6 +42,18 @@ def _g_at(g, x):
     return float(g(x))
 
 
+class FactorForm(NamedTuple):
+    """f(x, y, pop) = float(g(x)) * y / d(y, pop), one kind's declaration:
+    g is the separable g, or `float` (x itself) for the kinds linear in x;
+    d(y, pop) is 1 + a*y (saturated), pop when `by_pop` (standard; a is 0),
+    or exactly 1, with no division, when neither is set (mass action,
+    separable)."""
+
+    g: Callable
+    a: float = 0.0
+    by_pop: bool = False
+
+
 @dataclass(frozen=True)
 class IncidenceFn:
     """One incidence function, immutable and shareable.
@@ -53,16 +64,11 @@ class IncidenceFn:
       standard      f(x, y) = x*y / P   (P supplied per call, `needs_population`)
       separable(g)  f(x, y) = g(x)*y    (g nonnegative, nondecreasing, Lipschitz)
 
-    Each kind is declared once, by `factor_form()`: (g, d) with
-    f(x, y, pop) = g(x) * y / d(y, pop), g = `float` (the identity) for the
-    kinds linear in x.  Everything else is derived from it: `eval` is
-    g(x) * y / d(y, pop), `slope(x, pop)` (unchecked, scalars or arrays) and
-    `d2_at_zero` through it are g(x) / d(0, pop), and the NSFD stepper reads
-    the pair directly (closed-form (S+, V+) update when both g are `float`).
-    Only `bridge()`, g(x, pop) of the continuous model on scalars, has
-    branches of its own: it carries that model's conventions below the axis
-    and at a zero population.  The checked surface is `eval`, `d2_at_zero`
-    and `d2_lipschitz`.
+    Each kind is declared once, by `factor_form()`, and everything else is
+    derived from it: `eval` is g(x) * y / d(y, pop), `slope(x, pop)`
+    (unchecked, scalars or arrays) and `d2_at_zero` through it are
+    g(x) / d(0, pop).  The checked surface is `eval`, `d2_at_zero` and
+    `d2_lipschitz`.
 
     The declared kinds (`CONFIG_KINDS`) meet the standing hypotheses by
     construction: f(x, 0) = f(0, y) = 0 (H2), y -> f(x, y)/y non-increasing
@@ -129,7 +135,7 @@ class IncidenceFn:
     @property
     def needs_population(self) -> bool:
         """True when f is scaled by the total population (`standard`)."""
-        return self.kind == "standard"
+        return self.factor_form().by_pop
 
     def _pop(self, pop):
         if self.needs_population:
@@ -140,49 +146,19 @@ class IncidenceFn:
 
     # -- the per-kind declaration and the forms derived from it ------------
 
-    def factor_form(self):
-        """(g, d) with f(x, y, pop) = float(g(x)) * y / d(y, pop): the one place
-        each kind's formula is written.  g is the separable g, or `float` (x
-        itself) for the kinds linear in x; d is None where it is 1 (mass action,
-        separable), so those forms skip the division."""
+    def factor_form(self) -> FactorForm:
+        """The one place each kind's formula is written (`FactorForm`)."""
         if self.kind == "separable":
-            return self._g, None
+            return FactorForm(self._g)
         if self.kind == "saturated":
-            a = self.a
-            return float, lambda y, pop: 1.0 + a * y
-        if self.kind == "standard":
-            return float, lambda y, pop: pop
-        return float, None
-
-    @property
-    def bridge_is_identity(self) -> bool:
-        """True when `bridge()` is g(x, pop) = x: g is `float` in the factor
-        form and the kind is not population-scaled, so d(0, pop) = 1 (mass
-        action, saturated).  The RK4 integrator then writes the incidence
-        inline instead of calling the bridge."""
-        return self.factor_form()[0] is float and not self.needs_population
+            return FactorForm(float, a=self.a)
+        return FactorForm(float, by_pop=self.kind == "standard")
 
     def slope(self, x, pop=None):
         """d2f(x, 0) = g(x) / d(0, pop) without domain checks; scalars or arrays."""
-        g, d = self.factor_form()
+        g, _, by_pop = self.factor_form()
         gx = _g_at(g, x)
-        return gx if d is None else gx / d(0.0, pop)
-
-    def bridge(self):
-        """g(x, pop) = d2f(x, 0) for the continuous model, on scalars.
-
-        Extended below the axis so explicit integrators can keep running
-        after an overshoot (flagged by the caller, not clamped): `separable`
-        gives 0 for x <= 0.  A zero population carries no infection (S, V <= N
-        gives g*I <= I = 0), so `standard` gives 0 there rather than 0/0.
-        """
-        if self.bridge_is_identity:
-            return lambda x, pop: x
-        if self.kind == "standard":
-            return lambda x, pop: x / pop if pop else 0.0
-        g = self._g
-        # g sees a NumPy scalar, so overflow inside a user g gives inf, not an exception
-        return lambda x, pop: float(g(np.float64(x))) if x > 0.0 else 0.0
+        return gx / pop if by_pop else gx  # d(0, pop) = 1 + a*0 = 1
 
     # -- checked surface ----------------------------------------------------
 
@@ -190,9 +166,11 @@ class IncidenceFn:
         """f(x, y) = g(x) * y / d(y, pop); x, y >= 0 (scalars or arrays)."""
         _check_xy(x, y)
         pop = self._pop(pop)
-        g, d = self.factor_form()
+        g, a, by_pop = self.factor_form()
         f = _g_at(g, x) * y
-        return f if d is None else f / d(y, pop)
+        if by_pop:
+            return f / pop
+        return f / (1.0 + a * y) if a else f
 
     def d2_at_zero(self, x, pop=None):
         """d/dy f(x, y) evaluated at y = 0."""

@@ -9,6 +9,8 @@ defining product gives 10.2825 (a 0.81% gap); see the assertion message.
 import time
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsfd_sirvs.cli import main
 from nsfd_sirvs.consistency import consistency_report, consistency_sweep, lambda_steps
@@ -16,7 +18,7 @@ from nsfd_sirvs.dynamics import (AuxState, State, integrate_continuous, nsfd_ste
                                  simulate_discrete)
 from nsfd_sirvs.incidence import IncidenceFn
 from nsfd_sirvs.scenarios import builtin, run_scenario
-from nsfd_sirvs.schedules import DiscreteParams, mickens_discretize
+from nsfd_sirvs.schedules import DiscreteParams, ParamSchedule, ScheduleSet, mickens_discretize
 from nsfd_sirvs.thresholds import (Verdict, continuous_thresholds, discrete_thresholds,
                                    independence_check, periodic_discrete_threshold)
 
@@ -116,43 +118,69 @@ def test_criterion_03_inconsistency_example():
             failures)
 
 
+_KINDS = (MASS, SAT, STD, SEP)
+_HS = (1e-3, 0.1, 1.0, 10.0)
+
+
+def _case(h, raw, state, phi, psi):
+    dp = DiscreteParams.from_sequences(
+        h, Lambda=raw[0] * h, mu=raw[1] * h, p=raw[2] * h, eta=raw[3] * h,
+        alpha=raw[4] * h, beta=raw[5] * h, sigma=raw[6] * h, gamma=raw[7] * h)
+    return dp, phi, psi, State(*state)
+
+
 def _random_cases(n, seed):
+    """The seeded draws, a fixed regression set for the properties below."""
     rng = np.random.default_rng(seed)
-    kinds = (MASS, SAT, STD, SEP)
-    hs = (1e-3, 0.1, 1.0, 10.0)
     for i in range(n):
-        h = hs[i % 4]
         raw = rng.uniform(0.0, 1.0, 8)
-        dp = DiscreteParams.from_sequences(
-            h, Lambda=raw[0] * h, mu=raw[1] * h, p=raw[2] * h, eta=raw[3] * h,
-            alpha=raw[4] * h, beta=raw[5] * h, sigma=raw[6] * h, gamma=raw[7] * h)
         state = rng.uniform(0.0, 100.0, 4)
         if i % 7 == 0:
             state[rng.integers(0, 4)] = 0.0
-        yield dp, kinds[i % 4], kinds[(i + 1) % 4], State(*state)
+        yield _case(_HS[i % 4], raw, state, _KINDS[i % 4], _KINDS[(i + 1) % 4])
+
+
+# the same ranges drawn by hypothesis, a zero component included or not
+_CASES = st.builds(
+    _case, st.sampled_from(_HS), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    st.tuples(st.lists(st.floats(0.0, 100.0), min_size=4, max_size=4),
+              st.sampled_from([None, 0, 1, 2, 3])).map(
+        lambda sz: [0.0 if k == sz[1] else x for k, x in enumerate(sz[0])]),
+    st.sampled_from(_KINDS), st.sampled_from(_KINDS))
+
+
+def _residual(dp, phi, psi, s):
+    """The balance residual of one step and its scale, 1 + N."""
+    out = nsfd_step(dp, 0, phi, psi, s)
+    n_before = sum(s)
+    return (abs((1.0 + dp.mu(0)) * sum(out) + dp.alpha(0) * out.I - n_before - dp.Lambda(0)),
+            1.0 + n_before)
 
 
 def test_criterion_04_exact_step_balance():
     failures = []
     worst = 0.0
     for dp, phi, psi, s in _random_cases(10_000, seed=20260810):
-        out = nsfd_step(dp, 0, phi, psi, s)
-        n_before = sum(s)
-        resid = abs((1.0 + dp.mu(0)) * sum(out) + dp.alpha(0) * out.I
-                    - n_before - dp.Lambda(0))
-        worst = max(worst, resid / (1.0 + n_before))
-        if resid > 1e-10 * (1.0 + n_before):
+        resid, scale = _residual(dp, phi, psi, s)
+        worst = max(worst, resid / scale)
+        if resid > 1e-10 * scale:
             failures.append(f"residual {resid:.3g} at state {s}")
             break
     print(f"    worst scaled residual {worst:.3g}")
     _report(4, "balance identity holds to 1e-10 over 1e4 random draws", failures)
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=_CASES)
+def test_criterion_04_exact_step_balance_property(case):
+    resid, scale = _residual(*case)
+    assert resid <= 1e-10 * scale
+
+
 def test_criterion_05_positivity():
     failures = []
     for dp, phi, psi, s in _random_cases(10_000, seed=42):
-        out = nsfd_step(dp, 0, phi, psi, s)
-        if min(out) < 0.0:
+        if min(nsfd_step(dp, 0, phi, psi, s)) < 0.0:
             failures.append(f"negative component from state {s}")
             break
     # forward Euler may fail, but the failure must be flagged and not clamped
@@ -167,11 +195,25 @@ def test_criterion_05_positivity():
             failures)
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=_CASES)
+def test_criterion_05_positivity_property(case):
+    dp, phi, psi, s = case
+    assert min(nsfd_step(dp, 0, phi, psi, s)) >= 0.0
+
+
 def test_criterion_06_aux_start_independence():
-    _, dp = _spec_dp("extinction_5_1", 1.0)
-    res = independence_check(dp, MASS, MASS, 3,
-                             [AuxState(1, 1), AuxState(100, 5), AuxState(0.01, 0.01)])
-    failures = []
+    # extinction_5_1 with an inflow that steps from 0.5 to 0.6 at t = 50: no
+    # step period, so each report reads the orbit iterated from its own start
+    # (an exact periodic one would never read the start at all)
+    spec = builtin("extinction_5_1")
+    sched = spec.schedules.as_dict()
+    sched["Lambda"] = ParamSchedule.piecewise("Lambda", [0.0, 50.0], [0.5, 0.6])
+    dp = mickens_discretize(ScheduleSet.from_mapping(sched), 1.0, spec.denominator)
+    starts = [AuxState(1, 1), AuxState(100, 5), AuxState(0.01, 0.01)]
+    res = independence_check(dp, MASS, MASS, 3, starts)
+    failures = [f"start {s}: exact periodic report" for s in starts
+                if discrete_thresholds(dp, MASS, MASS, 3, aux_start=s).exact_periodic]
     if res.skipped:
         failures.append(f"check skipped: {res.reason}")
     elif res.spread > 1e-6:

@@ -490,11 +490,17 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
 # `warnings` of manifest.json changed, from the two `incidence phi/psi:
 # population-scaled ... checked at pop=6.56598e+07 only` to the `continuous:`
 # and `h=1:` population-scaled notes of its threshold reports.
+# saturated_5_1_ext and saturated_5_1_per were re-pinned when Euler and RK4
+# moved onto the factor form, so they integrate S I/(1 + 0.7 I), the model the
+# NSFD scheme discretises, in place of the mass-action S I: only the six files
+# Euler and RK4 feed changed, compare.csv, trajectory_euler_h{4,2,1,0.5}.csv and
+# trajectory_rk4_h0.01.csv.  NSFD's sup|dI| at h = 0.5 went 0.235 -> 0.137 (per)
+# and 0.00638 -> 0.0127 (ext); verdicts, thresholds and NSFD runs kept their bytes.
 GOLDEN_BUNDLE_DIGESTS = {
     "extinction_5_1": "deae0f230b3fc09afd49e3aaedb3c3f46ac7872d870bee4e3aa488dc5e65320a",
     "persistence_5_1": "d96246a550ac5084fa55821ebfbcc5b8c92278de50a61f3bd266c9dffec1cf8a",
-    "saturated_5_1_ext": "438fba06776169e1b802ba38574ac81f6d6003df795511efa5ad97e12e48cd3b",
-    "saturated_5_1_per": "86930de50fde01da660d4011cb95082d8fbb0fa590b28613107e8f1b5b986397",
+    "saturated_5_1_ext": "58c5ec68d8c0f73a2b914b5167d2ed848ed8ae40bebf9a2a465204cad145cbce",
+    "saturated_5_1_per": "2e11c0df893a7659fefd53885b9ab698644a8f64cfe9ec434998bf240fa096b7",
     "inconsistency_4": "a2d7c970e17c291d0dc9cbb1a8fdf2b9b0984aa984dfcef816bd81118e894278",
     "measles_france_5_2": "08634e42472587488afd841c281c773c538db41d92083194c7b6811031a22da7",
 }
@@ -536,8 +542,7 @@ GOLDEN_COMMAND_DIGESTS = {
     ("compare", "extinction_5_1"):
         "11f4c0a8aecd3cfd90bc4251863659ff9ba19de0f6548184122f8399e2ca1682",
     # the continuous integrators, pinned before RK4's stages were written out:
-    # mass action (identity bridges, which RK4 reads inline) with RK4 and
-    # Euler, and standard incidence (bridges RK4 calls at each stage)
+    # mass action (d = 1) with RK4 and Euler, and standard incidence (d = N)
     ("simulate", "persistence_5_1", "--h", "0.05", "--method", "rk4"):
         "f3cbdd804c0d2c86446e4655464212e08d7f22bbcd64500758c074b560604d51",
     ("simulate", "persistence_5_1", "--h", "0.05", "--method", "euler"):

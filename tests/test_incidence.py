@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nsfd_sirvs.incidence import IncidenceFn, validate_incidence
+from nsfd_sirvs.dynamics import _explicit_form
+from nsfd_sirvs.incidence import FactorForm, IncidenceFn, validate_incidence
 
 
 def g_soft(x):
@@ -136,20 +137,32 @@ _XS = np.linspace(0.0, 40.0, 33)
 _YS = np.linspace(0.0, 40.0, 29)
 
 
+def _d(form, y, pop):
+    """d(y, pop) of a factor form as `FactorForm` declares it."""
+    return pop if form.by_pop else 1.0 + form.a * y
+
+
+def test_each_kind_declares_its_factor_form():
+    mass, sat, std, sep = (inc.factor_form() for inc in ALL_KINDS)
+    assert mass == FactorForm(float, 0.0, False)
+    assert sat == FactorForm(float, 0.7, False)
+    assert std == FactorForm(float, 0.0, True)
+    assert sep == FactorForm(g_soft, 0.0, False)
+
+
 @pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
 def test_eval_is_the_factor_form(inc):
     # the factor form is the one declaration of each kind: f = g(x) y / d(y, pop)
     pop = 50.0 if inc.needs_population else None
-    g, d = inc.factor_form()
+    form = inc.factor_form()
     X, Y = np.meshgrid(_XS, _YS, indexing="ij")
     checked = inc.eval(X, Y, **_kw(inc))
     for i, x in enumerate(_XS):
         for j, y in enumerate(_YS):
             x, y = float(x), float(y)
-            factored = float(g(x)) * y / (1.0 if d is None else d(y, pop))
+            factored = float(form.g(x)) * y / _d(form, y, pop)
             assert factored.hex() == float(checked[i, j]).hex()  # bit for bit
             assert factored.hex() == float(inc.eval(x, y, **_kw(inc))).hex()
-    assert (g is float) == (inc.kind != "separable")
 
 
 @pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
@@ -158,23 +171,24 @@ def test_slope_equals_d2_at_zero(inc):
     assert inc.slope(_XS, pop).tobytes() == inc.d2_at_zero(_XS, **_kw(inc)).tobytes()
     for x in (0.0, 0.3, 7.0):
         assert inc.slope(x, pop) == inc.d2_at_zero(x, **_kw(inc))
-    g, d = inc.factor_form()  # d2f(x, 0) = g(x) / d(0, pop)
+    form = inc.factor_form()  # d2f(x, 0) = g(x) / d(0, pop)
     for x in _XS:
-        assert inc.slope(float(x), pop) == float(g(x)) / (1.0 if d is None else d(0.0, pop))
+        assert inc.slope(float(x), pop) == float(form.g(x)) / _d(form, 0.0, pop)
 
 
 @pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
-def test_bridge_is_d2_on_the_quadrant_with_its_edge_conventions(inc):
+def test_explicit_form_is_d2_on_the_quadrant_with_its_edge_conventions(inc):
+    # Euler and RK4 read g of the factor form inline (None: x itself), a
+    # separable g extended by 0 below the axis, and a and by_pop as declared
     pop = 50.0 if inc.needs_population else None
-    g = inc.bridge()
+    g, a, by_pop = _explicit_form(inc)
     for x in _XS[1:]:
-        assert g(float(x), pop) == inc.d2_at_zero(float(x), **_kw(inc))
-    if inc.kind == "standard":
-        assert g(3.0, 0.0) == 0.0
-    elif inc.kind == "separable":
-        assert g(0.0, None) == 0.0 and g(-2.0, None) == 0.0
-    else:
-        assert g(-2.0, None) == -2.0
+        gx = float(x) if g is None else g(float(x))
+        assert (gx / pop if by_pop else gx) == inc.d2_at_zero(float(x), **_kw(inc))
+    assert (g is None) == (inc.kind != "separable")
+    if g is not None:
+        assert g(0.0) == 0.0 and g(-2.0) == 0.0
+    assert (a, by_pop) == inc.factor_form()[1:]
 
 
 # ---------------------------------------------------------------------------

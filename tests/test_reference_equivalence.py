@@ -48,13 +48,19 @@ KINDS = {
 # integrate_continuous: array-based reference
 # ---------------------------------------------------------------------------
 
-def _reference_bridge(inc):
-    if inc.kind in ("mass_action", "saturated"):
-        return lambda x, pop: x
-    if inc.kind == "standard":
-        return lambda x, pop: x / pop
-    g = inc._g
-    return lambda x, pop: float(g(x)) if x > 0.0 else 0.0
+def _reference_rate(inc):
+    """(x, y, pop) -> g(x) / d(y, pop) of inc's factor form, a separable g
+    taken as 0 for x <= 0 and the ratio as 0 where d is 0."""
+    g, a, by_pop = inc.factor_form()
+
+    def rate(x, y, pop):
+        gx = x if g is float else float(g(x)) if x > 0.0 else 0.0
+        if not (a or by_pop):  # d = 1
+            return gx
+        d = pop if by_pop else 1.0 + a * y
+        return gx / d if d else 0.0
+
+    return rate
 
 
 def _reference_integrate(schedules, phi, psi, s0, t_end, h, method):
@@ -63,15 +69,13 @@ def _reference_integrate(schedules, phi, psi, s0, t_end, h, method):
     ts_half = np.arange(2 * n_steps + 1) * (h / 2.0)
     P = {name: np.asarray(getattr(schedules, name).eval(ts_half), dtype=float)
          for name in SCHEDULE_NAMES}
-    g_phi = _reference_bridge(phi)
-    g_psi = _reference_bridge(psi)
-    needs_pop = phi.needs_population or psi.needs_population
+    q_phi, q_psi = _reference_rate(phi), _reference_rate(psi)
 
     def rhs(j, y):
         S, I, R, V = y
-        pop = (S + I + R + V) if needs_pop else None
-        inc_s = P["beta"][j] * g_phi(S, pop) * I
-        inc_v = P["sigma"][j] * g_psi(V, pop) * I
+        pop = S + I + R + V
+        inc_s = P["beta"][j] * q_phi(S, I, pop) * I
+        inc_v = P["sigma"][j] * q_psi(V, I, pop) * I
         mu = P["mu"][j]
         dS = P["Lambda"][j] - inc_s - (mu + P["p"][j]) * S + P["eta"][j] * V
         dI = inc_s + inc_v - (mu + P["alpha"][j] + P["gamma"][j]) * I
@@ -685,15 +689,13 @@ def _whole_table_integrate(schedules, phi, psi, s0, t_end, h, method):
     table = np.empty((ts_half.size, len(SCHEDULE_NAMES)))
     for k, name in enumerate(SCHEDULE_NAMES):
         table[:, k] = getattr(schedules, name).eval(ts_half)
-    g_phi = phi.bridge()
-    g_psi = psi.bridge()
-    needs_pop = phi.needs_population or psi.needs_population
+    q_phi, q_psi = _reference_rate(phi), _reference_rate(psi)
 
     def rhs(c, S, I, R, V):
         lam, mu, p, eta, alpha, beta, sigma, gamma = c
-        pop = (S + I + R + V) if needs_pop else None
-        inc_s = beta * g_phi(S, pop) * I
-        inc_v = sigma * g_psi(V, pop) * I
+        pop = S + I + R + V
+        inc_s = beta * q_phi(S, I, pop) * I
+        inc_v = sigma * q_psi(V, I, pop) * I
         return (lam - inc_s - (mu + p) * S + eta * V,
                 inc_s + inc_v - (mu + alpha + gamma) * I,
                 gamma * I - mu * R,
@@ -772,8 +774,8 @@ def _mixed_set():
 
 def _assert_chunked_loops_match(schedules, s0, h, n_steps, tmp_path):
     sep = KINDS["separable"]
-    # a called phi bridge, two identity bridges (no call), and an identity phi
-    # with a called psi: RK4 reads each bridge's identity on its own
+    # a called separable g with d = 1, and d = 1 beside d = 1 + a y and d = N:
+    # each stage reads each incidence's form on its own
     for phi, psi in ((sep, KINDS["mass_action"]), (KINDS["mass_action"], KINDS["saturated"]),
                      (KINDS["mass_action"], KINDS["standard"])):
         for method in ("rk4", "euler"):
