@@ -11,7 +11,7 @@ from .errors import ConfigError, SirvsError, StepError
 from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, HypothesisReport,
                         ParamSchedule, ScheduleSet, eval_denominator, mickens_discretize,
                         validate_hypotheses)
-from .incidence import IncidenceFn, IncidenceReport, validate_incidence
+from .incidence import IncidenceFn, validate_incidence
 from .dynamics import (AuxState, State, Trajectory, aux_equilibrium, integrate_continuous,
                        nsfd_step, periodic_aux_solution, simulate_aux, simulate_discrete,
                        validate_state)
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxState", "BUILTIN_NAMES", "ConfigError", "ConsistencyReport", "DenominatorFn",
-    "DiscreteParams", "HypothesisReport", "IncidenceFn", "IncidenceReport",
+    "DiscreteParams", "HypothesisReport", "IncidenceFn",
     "IndependenceResult", "InconsistencyExample", "ObservedSeries", "ParamSchedule",
     "ResidualReport", "SCHEDULE_NAMES", "ScenarioReport", "ScenarioSpec", "ScheduleSet",
     "SirvsError", "State", "StepError", "ThresholdReport", "Trajectory",

@@ -34,7 +34,8 @@ from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DenominatorFn,
 # consistency_report takes the continuous report from its caller; continuous_thresholds
 # stays importable here because perfbench/tracing.py looks it up in this module
 from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
-                         discrete_thresholds, disease_free_equilibrium)
+                         _disease_free_population, discrete_thresholds,
+                         disease_free_equilibrium)
 
 _CD_STEP = 1e-5
 _SUP_GRID = 100_000
@@ -121,7 +122,7 @@ def net_growth_function(schedules: ScheduleSet, phi: IncidenceFn,
 def _net_growth(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
                 equilibrium: AuxState) -> tuple[Callable, Callable, bool]:
     a, b = equilibrium
-    pop = a + b if (phi.needs_population or psi.needs_population) else None
+    pop = _disease_free_population(phi, psi, a, b)
     ga = float(phi.d2_at_zero(a, pop))
     gb = float(psi.d2_at_zero(b, pop))
     mu = schedules.mu.constant

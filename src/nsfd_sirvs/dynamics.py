@@ -265,7 +265,7 @@ def aux_equilibrium(lam: float, mu: float, eta: float, p: float) -> AuxState:
     discrete recurrence for any step denominator.
     """
     if mu <= 0:
-        raise ValueError("disease-free equilibrium needs mu > 0")
+        raise ConfigError("disease-free equilibrium needs mu > 0")
     denom = mu * (mu + eta + p)
     return AuxState(lam * (mu + eta) / denom, p * lam / denom)
 

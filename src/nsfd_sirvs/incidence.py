@@ -8,12 +8,14 @@ threshold machinery needs only its slope d2f(x, 0) = d/dy f(x, y) at y = 0 =
 g(x) / d(0, P) (`d2_at_zero`, unchecked `slope`).
 
 Standing hypotheses on an incidence:
-  * f(x, 0) = f(0, y) = 0,
+  * f(x, 0) = f(0, y) = 0 (H2),
   * f >= 0 on the nonnegative quadrant,
-  * y -> f(x, y)/y non-increasing for fixed x,
+  * y -> f(x, y)/y non-increasing for fixed x (H5),
   * x -> d2f(x, 0) nondecreasing and Lipschitz (constant `lipschitz_k`),
-which together imply f(x, y) <= k * x * y.  `validate_incidence` checks all
-of these numerically on a grid.
+which together imply f(x, y) <= k * x * y.  H2 and H5 hold by the factor form
+(with g(0) = 0, and d(y, P) nondecreasing in y), and so does the rest for the
+kinds linear in x.  What is left is a property of a separable g alone, which
+`validate_incidence` checks once, when the incidence is built, on [0, 100].
 """
 
 from __future__ import annotations
@@ -67,15 +69,15 @@ class IncidenceFn:
     Each kind is declared once, by `factor_form()`, and everything else is
     derived from it: `eval` is g(x) * y / d(y, pop), `slope(x, pop)`
     (unchecked, scalars or arrays) and `d2_at_zero` through it are
-    g(x) / d(0, pop).  The checked surface is `eval`, `d2_at_zero` and
-    `d2_lipschitz`.
+    g(x) / d(0, pop).  The checked surface is `eval` and `d2_at_zero`.
 
-    The declared kinds (`CONFIG_KINDS`) meet the standing hypotheses by
-    construction: f(x, 0) = f(0, y) = 0 (H2), y -> f(x, y)/y non-increasing
-    (H5), and the Lipschitz bound of d2f(x, 0) = x / d(0, P) with the k = 1
-    their constructors set (per unit population for `standard`), so
-    f <= k x y.  Only a separable g, a user callable, can miss them, so only
-    such an incidence `needs_validation`.
+    Every kind meets f(x, 0) = f(0, y) = 0 (H2) and y -> f(x, y)/y
+    non-increasing (H5) by its factor form.  The declared kinds
+    (`CONFIG_KINDS`) also meet the Lipschitz bound of d2f(x, 0) = x / d(0, P)
+    with the k = 1 their constructors set (per unit population for
+    `standard`), so f <= k x y.  Only a separable g, a user callable, can miss
+    the hypotheses, so building a separable incidence checks g once, on
+    [0, 100] (`validate_incidence`), and refuses a bad g with a ConfigError.
     """
 
     # configuration schema: kind -> (required, optional) keyword params of the
@@ -106,14 +108,6 @@ class IncidenceFn:
 
     @classmethod
     def separable(cls, g: Callable, lipschitz_k: float) -> "IncidenceFn":
-        if abs(float(g(0.0))) > 1e-12:
-            raise ValueError(f"separable incidence needs g(0) = 0, got {g(0.0)}")
-        xs = np.linspace(0.0, 100.0, 1024)
-        gv = np.asarray([float(g(x)) for x in xs])
-        if np.any(gv < -1e-12):
-            raise ValueError("separable incidence needs g >= 0")
-        if np.any(np.diff(gv) < -1e-9 * (1.0 + np.max(np.abs(gv)))):
-            raise ValueError("separable incidence needs nondecreasing g")
         return cls("separable", lipschitz_k=float(lipschitz_k), _g=g)
 
     def __post_init__(self):
@@ -123,14 +117,10 @@ class IncidenceFn:
             raise ValueError(f"saturation coefficient must be finite and >= 0, got {self.a}")
         if not self.lipschitz_k >= 0.0:  # also rejects NaN
             raise ValueError("lipschitz_k must be >= 0")
-        if self.kind == "separable" and not callable(self._g):
-            raise ValueError("separable incidence needs a callable g")
-
-    @property
-    def needs_validation(self) -> bool:
-        """True when g is a user callable (`separable`), the only kind that
-        `validate_incidence` can find at fault."""
-        return self._g is not None
+        if self.kind == "separable":
+            if not callable(self._g):
+                raise ValueError("separable incidence needs a callable g")
+            validate_incidence(self._g, self.lipschitz_k)
 
     @property
     def needs_population(self) -> bool:
@@ -177,97 +167,37 @@ class IncidenceFn:
         _check_xy(x, 0.0)
         return self.slope(x, self._pop(pop))
 
-    def d2_lipschitz(self, pop=None) -> float:
-        """Effective Lipschitz constant of x -> d2_at_zero(x)."""
-        if self.needs_population:
-            return self.lipschitz_k / float(self._pop(pop))
-        return self.lipschitz_k
+
+# the samples of a separable g that `validate_incidence` reads
+_G_SAMPLES = np.linspace(0.0, 100.0, 1024)
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
-    """Grid validation results for one incidence function."""
-
-    grid: tuple[float, float, int]
-    h2_max_abs: float
-    h5_max_increase: float
-    lipschitz_estimate: float
-    lipschitz_ok: bool
-    bound_max_violation: float  # relative to 1 + k*x*y
-    notes: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return (self.h2_max_abs <= 1e-12 and self.h5_max_increase <= 0.0
-                and self.lipschitz_ok and self.bound_max_violation <= 1e-12)
-
-
-def validate_incidence(f, x_max: float, y_max: float, resolution: int = 256,
-                       pop: float | None = None) -> IncidenceReport:
-    """Check the standing hypotheses on [0, x_max] x [0, y_max].
-
-    Accepts any object with the IncidenceFn evaluation surface, so broken
-    candidates can be screened before being promoted to model inputs.
-    """
-    if not (x_max > 0 and y_max > 0):
-        raise ValueError("grid extents must be positive")
-    resolution = int(resolution)
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16 points per axis")
-
-    xs = np.linspace(0.0, x_max, resolution)
-    ys = np.linspace(0.0, y_max, resolution)
-
-    needs_pop = getattr(f, "needs_population", False)
-    kw = {"pop": pop} if needs_pop else {}
-    if needs_pop and pop is None:
-        raise ValueError("validate_incidence needs pop for population-scaled incidence")
-
-    # One evaluation on the whole grid, F[i, j] = f(xs[i], ys[j]), from the two
-    # axes broadcast against each other (a separable g runs once per x); every
-    # check below reads it.  The Python max() folds keep the per-row semantics
-    # of a point-by-point scan, NaN rows included.
-    X, Y = xs[:, None], ys[None, :]
-    F = np.broadcast_to(np.asarray(f.eval(X, Y, **kw), dtype=float),
-                        (resolution, resolution))
-
-    # H2 exactness along both axes.
-    h2 = 0.0
-    h2 = max(h2, float(np.max(np.abs(F[:, 0]))))
-    h2 = max(h2, float(np.max(np.abs(F[0, :]))))
-
-    # H5: y -> f(x, y)/y non-increasing on y > 0 (sampled), one row per x > 0.
-    ratios = F[1:, 1:] / ys[1:]
-    ratio_scale = max([0.0] + np.max(np.abs(ratios), axis=1).tolist())
-    h5_violation = max([-np.inf] + np.max(np.diff(ratios, axis=1), axis=1).tolist())
-    tol = 1e-9 * (1.0 + ratio_scale)
-    h5_excess = max(0.0, h5_violation) if h5_violation > tol else 0.0
-
-    # Lipschitz estimate for x -> d2 f(x, 0).
-    d2 = np.asarray(f.d2_at_zero(xs, **kw), dtype=float)
-    slopes = np.abs(np.diff(d2) / np.diff(xs))
-    lip_est = float(np.max(slopes))
-    k_eff = f.d2_lipschitz(**kw) if hasattr(f, "d2_lipschitz") else f.lipschitz_k
-    lip_ok = lip_est <= k_eff * (1.0 + 1e-9)
-
-    # Derived bound f(x, y) <= k * x * y, measured relative to the product's
-    # own magnitude so the check is meaningful at population scales.
-    kxy = k_eff * X * Y
-    bound_violation = float(np.max((F - kxy) / (1.0 + kxy)))
-
-    notes = []
-    if needs_pop:
-        notes.append(
-            "population-scaled incidence: the d2 slope varies with the supplied "
-            "population, so the fixed-family hypotheses are checked at pop="
-            f"{pop:g} only")
-
-    return IncidenceReport(
-        grid=(float(x_max), float(y_max), resolution),
-        h2_max_abs=h2,
-        h5_max_increase=h5_excess,
-        lipschitz_estimate=lip_est,
-        lipschitz_ok=lip_ok,
-        bound_max_violation=max(0.0, bound_violation),
-        notes=tuple(notes),
-    )
+def validate_incidence(g: Callable, lipschitz_k: float) -> None:
+    """Check a separable g on [0, 100]; a ConfigError names the first hypothesis
+    it breaks and where: g(0) = 0 (to 1e-12), g >= 0 (to -1e-12), g
+    nondecreasing (to 1e-9 of 1 + max |g|) and Lipschitz, every difference
+    quotient of the samples at most lipschitz_k * (1 + 1e-9).  Calls g at 0 and
+    at each of the 1024 samples, once."""
+    g0 = float(g(0.0))
+    if abs(g0) > 1e-12:
+        raise ConfigError(f"separable incidence needs g(0) = 0, got {g0}")
+    xs = _G_SAMPLES
+    gv = np.asarray([float(g(x)) for x in xs])
+    negative = gv < -1e-12
+    if np.any(negative):
+        i = int(np.argmax(negative))
+        raise ConfigError(f"separable incidence needs g >= 0, got g({xs[i]:g}) = {gv[i]:g}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite g is refused below
+        rises = np.diff(gv)
+        quotients = np.abs(rises / np.diff(xs))
+    falls = rises < -1e-9 * (1.0 + np.max(np.abs(gv)))
+    if np.any(falls):
+        i = int(np.argmax(falls))
+        raise ConfigError(f"separable incidence needs nondecreasing g, but g falls from "
+                          f"{gv[i]:g} to {gv[i + 1]:g} on [{xs[i]:g}, {xs[i + 1]:g}]")
+    steep = ~(quotients <= lipschitz_k * (1.0 + 1e-9))  # NaN included
+    if np.any(steep):
+        i = int(np.argmax(steep))
+        raise ConfigError(f"separable incidence needs g Lipschitz with constant "
+                          f"lipschitz_k = {lipschitz_k:g}, but its difference quotient "
+                          f"on [{xs[i]:g}, {xs[i + 1]:g}] is {quotients[i]:g}")

@@ -24,7 +24,9 @@ from .consistency import (ConsistencyReport, consistency_report, consistency_ski
 from .dynamics import (State, Trajectory, h_label, integrate_continuous, simulate_discrete,
                        steps_for, validate_state)
 from .errors import ConfigError
-from .incidence import IncidenceFn, validate_incidence
+# a separable g is checked once, when its IncidenceFn is built; validate_incidence
+# stays importable here because perfbench/tracing.py looks it up in this module
+from .incidence import IncidenceFn, validate_incidence  # noqa: F401
 from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSchedule,
                         ScheduleSet, mickens_discretize, validate_hypotheses)
 # discrete_thresholds is called through consistency.window_thresholds; it stays
@@ -670,24 +672,9 @@ def compare_methods(runs, reference: Trajectory) -> tuple[list, list, tuple]:
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """Execute a scenario across its declared step sizes."""
-    warnings = []
-
-    # hygiene checks on a user g (`IncidenceFn.needs_validation`); failures are
-    # warnings on the report
-    pop0 = float(sum(spec.initial_state)) or 1.0
-    for label, inc in (("phi", spec.incidence_phi), ("psi", spec.incidence_psi)):
-        if not inc.needs_validation:
-            continue
-        rep = validate_incidence(inc, x_max=2.0 * pop0, y_max=2.0 * pop0,
-                                 resolution=64,
-                                 pop=pop0 if inc.needs_population else None)
-        if not rep.passed:
-            warnings.append(f"incidence {label} failed grid validation")
-        warnings.extend(f"incidence {label}: {n}" for n in rep.notes)
-
     dps = discretize(spec, spec.h_values)
     comparison = compare_thresholds(spec, spec.lam, dps)
-    warnings += threshold_notes(comparison.continuous, comparison.discrete)
+    warnings = threshold_notes(comparison.continuous, comparison.discrete)
     runs, reference = method_runs(spec, dps, spec.t_end)
 
     per_h = {}

@@ -102,6 +102,19 @@ def _classify(r_lower: float, r_upper: float, neutral: float, tol: float) -> Ver
     return Verdict.INCONCLUSIVE
 
 
+def _disease_free_population(phi: IncidenceFn, psi: IncidenceFn, x, y):
+    """x + y, the population that a `standard` incidence divides by along the
+    disease-free solution (x, y), or None when neither incidence reads it; a
+    ConfigError where it is 0, at which the slope x / (x + y) is 0 / 0."""
+    if not (phi.needs_population or psi.needs_population):
+        return None
+    pop = x + y
+    if not np.all(pop > 0):
+        raise ConfigError("standard incidence divides by the disease-free population "
+                          "x* + y*, which is 0 here")
+    return pop
+
+
 def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
                    orbit: np.ndarray, period: int | None, k_lo: int, k_hi: int) -> np.ndarray:
     """r_k for k in [k_lo, k_hi), along the exact orbit's rows and its period,
@@ -113,7 +126,7 @@ def _growth_ratios(dp: DiscreteParams, phi: IncidenceFn, psi: IncidenceFn,
     sequences are evaluated once (`DiscreteParams.columns`).  Every element is
     the same IEEE result as on a scan-length orbit and columns."""
     x, y = orbit[:, 0], orbit[:, 1]
-    pop = x + y if (phi.needs_population or psi.needs_population) else None
+    pop = _disease_free_population(phi, psi, x, y)
     slope_x, slope_y = phi.slope(x, pop), psi.slope(y, pop)
     if period is not None and period > 1:
         at = np.arange(k_lo + 1, k_hi + 1) % period
@@ -303,9 +316,8 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
         if note:
             notes.append(note)
 
-    pop = None
-    if phi.needs_population or psi.needs_population:
-        pop = x_star + y_star
+    pop = _disease_free_population(phi, psi, x_star, y_star)
+    if pop is not None:
         notes.append("population-scaled incidence: population along the "
                      "disease-free solution taken as x* + y*")
 

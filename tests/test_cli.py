@@ -776,6 +776,27 @@ def test_non_finite_threshold_is_a_numeric_failure(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["thresholds"], ["consistency"], ["scenario", "run"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("zero, kind, message", [
+    ("mu", "mass_action", "disease-free equilibrium needs mu > 0"),
+    ("Lambda", "standard",
+     "standard incidence divides by the disease-free population x* + y*, which is 0 here"),
+], ids=["mu = 0", "standard at Lambda = 0"])
+def test_a_disease_free_state_without_population_is_a_config_error(tmp_path, capsys, argv,
+                                                                    zero, kind, message):
+    # mu = 0 has no disease-free equilibrium, and Lambda = 0 makes the population
+    # x* + y* that a standard incidence divides by 0: 0 / 0 was a numeric failure
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    cfg["schedules"][zero] = {"kind": "constant", "params": {"value": 0.0}}
+    cfg["incidence"] = {"phi": {"kind": kind}, "psi": {"kind": kind}}
+    (tmp_path / "edge.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(argv + [str(tmp_path / "edge.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 def test_window_product_past_the_largest_double_is_inf(tmp_path, capsys):
     # finite growth ratios whose product overflows keep their inf row, quietly
     rc = main(["thresholds", "persistence_5_1", "--lambda", "5000", "--h", "1",

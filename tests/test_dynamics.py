@@ -460,12 +460,17 @@ def test_positivity_property(h, raw, state, zeros, scale, phi, psi):
 
 def _barely_monotone(shape, a, flat):
     """A nondecreasing g with g(0) = 0 whose slope vanishes, or all but does,
-    somewhere: on [a, a + 1] (slope `flat`), at x = a, or at x = 2 pi n."""
+    somewhere: on [a, a + 1] (slope `flat`), at x = a, or at x = 2 pi n.  Its
+    Lipschitz constant on [0, 100] is `_BARELY_MONOTONE_K[shape]`."""
     if shape == "plateau":
         return lambda x: min(x, a) + flat * min(max(x - a, 0.0), 1.0) + max(x - a - 1.0, 0.0)
     if shape == "cubic":
         return lambda x: (x - a) ** 3 + a ** 3
     return lambda x: x - math.sin(x)
+
+
+# sup g' on [0, 100] for a <= 4: 1, 3 (100 - a)^2 <= 3e4, and 1 - cos x <= 2
+_BARELY_MONOTONE_K = {"plateau": 1.0, "cubic": 3e4, "x - sin x": 2.0}
 
 
 @settings(max_examples=300, deadline=None)
@@ -477,7 +482,7 @@ def test_barely_monotone_separable_step(shape, a, flat, psi_kind, S, I, R, V,
     # the solve keeps (S+, V+) between (0, 0) and the disease-free update, meets
     # the balance identity and finds the root, or fails with a named StepError
     g = _barely_monotone(shape, a, flat)
-    phi = IncidenceFn.separable(g, 1.0)
+    phi = IncidenceFn.separable(g, _BARELY_MONOTONE_K[shape])
     psi = phi if psi_kind == "g" else MASS
     g_psi = g if psi_kind == "g" else (lambda x: x)
     try:

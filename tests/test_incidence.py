@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsfd_sirvs.dynamics import _explicit_form
-from nsfd_sirvs.incidence import FactorForm, IncidenceFn, validate_incidence
+from nsfd_sirvs.errors import ConfigError
+from nsfd_sirvs.incidence import _G_SAMPLES, FactorForm, IncidenceFn, validate_incidence
 
 
 def g_soft(x):
@@ -124,7 +127,7 @@ def test_growth_bound(inc):
     # f(x, y) <= k x y over 1e4 random points in [0, 100]^2
     rng = np.random.default_rng(42)
     xy = rng.uniform(0.0, 100.0, size=(10_000, 2))
-    k = inc.d2_lipschitz(**_kw(inc))
+    k = inc.lipschitz_k / 50.0 if inc.needs_population else inc.lipschitz_k
     f = inc.eval(xy[:, 0], xy[:, 1], **_kw(inc))
     assert np.all(f <= k * xy[:, 0] * xy[:, 1] + 1e-12)
 
@@ -192,85 +195,107 @@ def test_explicit_form_is_d2_on_the_quadrant_with_its_edge_conventions(inc):
 
 
 # ---------------------------------------------------------------------------
-# grid validation
+# the standing hypotheses: H2 and H5 by the factor form, g by its one check
 # ---------------------------------------------------------------------------
 
-def test_validate_mass_action_passes_with_unit_slope():
-    rep = validate_incidence(IncidenceFn.mass_action(), 10.0, 10.0)
-    assert rep.passed
-    assert rep.lipschitz_estimate == pytest.approx(1.0, rel=1e-9)
+@pytest.mark.parametrize("inc", ALL_KINDS, ids=lambda i: i.kind)
+def test_factor_form_meets_h2_and_h5(inc):
+    # f(x, 0) = f(0, y) = 0 and y -> f(x, y)/y non-increasing, on a grid
+    X, Y = np.meshgrid(_XS, _YS, indexing="ij")
+    F = inc.eval(X, Y, **_kw(inc))
+    assert np.all(F[:, 0] == 0.0) and np.all(F[0, :] == 0.0)
+    ratios = F[1:, 1:] / _YS[1:]
+    assert np.all(np.diff(ratios, axis=1) <= 1e-12 * (1.0 + np.max(ratios)))
 
 
-def test_validate_saturated_ratio_monotone():
-    rep = validate_incidence(IncidenceFn.saturated(0.7), 10.0, 10.0)
-    assert rep.passed
-    assert rep.h5_max_increase == 0.0
+@pytest.mark.parametrize("inc", [i for i in ALL_KINDS if i.kind != "separable"],
+                         ids=lambda i: i.kind)
+def test_linear_kinds_pass_the_check_at_their_unit_slope(inc):
+    # g = x itself has difference quotient 1: k = 1 passes, anything below fails
+    g = inc.factor_form().g
+    validate_incidence(g, inc.lipschitz_k)
+    with pytest.raises(ConfigError, match="Lipschitz"):
+        validate_incidence(g, 1.0 - 1e-6)
 
 
-def test_validate_standard_is_flagged():
-    rep = validate_incidence(IncidenceFn.standard(), 10.0, 10.0, pop=100.0)
-    assert rep.passed
-    assert any("population" in n for n in rep.notes)
+def _largest_quotient(g):
+    gv = np.asarray([g(float(x)) for x in _G_SAMPLES])
+    return float(np.max(np.diff(gv) / np.diff(_G_SAMPLES)))
 
 
-class _BrokenIncidence:
-    """f(x, y) = x y^2: violates the non-increasing-ratio hypothesis."""
-
-    kind = "broken"
-    needs_population = False
-    lipschitz_k = 1.0
-
-    def eval(self, x, y, pop=None):
-        return x * y ** 2
-
-    def d2_at_zero(self, x, pop=None):
-        return 0.0 * x
-
-    def d2_lipschitz(self, pop=None):
-        return self.lipschitz_k
+def _ramp(knots, slopes):
+    """The piecewise-linear g with g(0) = 0 and slope slopes[i] from knots[i]."""
+    changes = np.diff(slopes, prepend=0.0)
+    return lambda x: sum(c * max(x - k, 0.0) for k, c in zip(knots, changes))
 
 
-def test_validator_flags_increasing_ratio():
-    rep = validate_incidence(_BrokenIncidence(), 10.0, 10.0)
-    assert rep.h5_max_increase > 0
-    assert not rep.passed
+# (g, sup g') on [0, 100]: saturating, steep at a (tanh), and piecewise linear
+_G_WITH_SUP_SLOPE = st.one_of(
+    st.builds(lambda c, a: (lambda x: c * x / (1.0 + a * x), c),
+              st.floats(0.01, 50.0), st.floats(0.0, 20.0)),
+    st.builds(lambda c, a: (lambda x: c * math.tanh(a * x), c * a),
+              st.floats(0.01, 50.0), st.floats(0.0, 20.0)),
+    st.builds(lambda knots, slopes: (_ramp(knots, slopes), max(slopes)),
+              st.lists(st.floats(0.0, 99.0), min_size=3, max_size=3).map(sorted),
+              st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3)),
+)
 
 
-def test_validator_rejects_tiny_grids():
-    with pytest.raises(ValueError):
-        validate_incidence(IncidenceFn.mass_action(), 10.0, 10.0, resolution=8)
+@settings(max_examples=150, deadline=None)
+@given(g_sup=_G_WITH_SUP_SLOPE)
+def test_check_accepts_the_largest_quotient_and_refuses_below(g_sup):
+    # the check reads the samples' largest difference quotient, at most sup g',
+    # and compares it with k (1 + 1e-9)
+    g, sup = g_sup
+    q = _largest_quotient(g)
+    assert q <= sup * (1.0 + 1e-12) + 1e-12
+    assert IncidenceFn.separable(g, q).lipschitz_k == q
+    IncidenceFn.separable(g, sup)
+    if q > 1e-6:
+        with pytest.raises(ConfigError, match="Lipschitz"):
+            IncidenceFn.separable(g, q * (1.0 - 1e-6))
 
 
-class _OnMeshgrid:
-    """An incidence whose `eval` always runs on the full grid, X and Y of
-    np.meshgrid(xs, ys, indexing="ij"), whatever shapes it is handed."""
-
-    def __init__(self, inc):
-        self.inc = inc
-
-    def eval(self, x, y, **kw):
-        return self.inc.eval(*np.broadcast_arrays(x, y), **kw)
-
-    def __getattr__(self, name):
-        return getattr(self.inc, name)
+@pytest.mark.parametrize("g, hypothesis, where", [
+    (lambda x: x + 1.0, "g\\(0\\) = 0", "got 1.0"),
+    (lambda x: -1e-6 * x, "g >= 0", "got g\\(0.0977517\\) = -9.77517e-08"),
+    (lambda x: x - 2.0 * max(x - 50.0, 0.0), "nondecreasing g", "on \\[50.0489, 50.1466\\]"),
+], ids=["g(0) != 0", "g < 0", "decreasing g"])
+def test_check_names_the_hypothesis_a_g_breaks(g, hypothesis, where):
+    with pytest.raises(ConfigError, match=hypothesis) as info:
+        IncidenceFn.separable(g, 1.0)
+    assert info.match(where)
 
 
-@pytest.mark.parametrize("resolution", [64, 256])
-def test_validator_calls_separable_g_once_per_axis_point(resolution):
-    # once per x for eval and once per x for d2_at_zero, not once per grid
-    # point; the report equals the one made on the full meshgrid, bit for bit
+def test_check_names_where_g_is_steeper_than_its_constant():
+    g = _ramp([0.0, 40.0, 60.0], [0.5, 3.0, 0.5])
+    with pytest.raises(ConfigError, match="lipschitz_k = 1, but its difference "
+                                          "quotient on \\[39.9804, 40.0782\\] is 2.5"):
+        IncidenceFn.separable(g, 1.0)
+    IncidenceFn.separable(g, 3.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_check_refuses_a_non_finite_g(value):
+    with pytest.raises(ConfigError, match="Lipschitz"):
+        IncidenceFn.separable(lambda x: value if x > 10.0 else x, 1.0)
+
+
+def test_a_separable_incidence_built_directly_is_checked():
+    # the constructor runs the check, so no path to a separable incidence skips it
+    with pytest.raises(ConfigError, match="nondecreasing g"):
+        IncidenceFn("separable", _g=lambda x: math.sin(x) ** 2)
+    with pytest.raises(ConfigError, match="Lipschitz"):
+        IncidenceFn("separable", lipschitz_k=0.5, _g=g_soft)
+    assert IncidenceFn("separable", _g=g_soft) == IncidenceFn.separable(g_soft, 1.0)
+
+
+def test_check_calls_g_once_at_zero_and_once_per_sample():
     calls = []
 
     def g(x):
-        calls.append(x)
+        calls.append(float(x))
         return g_soft(x)
 
-    inc = IncidenceFn.separable(g, lipschitz_k=1.0)
-    calls.clear()  # the constructor samples g itself
-    rep = validate_incidence(inc, 10.0, 10.0, resolution=resolution)
-    assert len(calls) == 2 * resolution
-    ref = validate_incidence(_OnMeshgrid(inc), 10.0, 10.0, resolution=resolution)
-    for name, value in vars(rep).items():
-        want = getattr(ref, name)
-        assert (value.hex() == want.hex() if isinstance(value, float)
-                else value == want), name
+    IncidenceFn.separable(g, lipschitz_k=1.0)
+    assert calls == [0.0] + _G_SAMPLES.tolist()

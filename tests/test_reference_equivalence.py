@@ -1,9 +1,8 @@
 """Fast paths against straightforward reference copies of the code they replaced.
 
-The scalar Euler/RK4 loop, the Python-float NSFD and disease-free loops, the
-whole-grid incidence validator and the streaming trajectory writer must give
-exactly the numbers (and bytes) of the array-based, np.float64, point-by-point
-and per-value implementations kept below.  The loops and the writer read and
+The scalar Euler/RK4 loop, the Python-float NSFD and disease-free loops and
+the streaming trajectory writer must give exactly the numbers (and bytes) of
+the array-based, np.float64 and per-value implementations kept below.  The loops and the writer read and
 write one fixed-size chunk of rows at a time, so they must also give the bytes
 of the whole-table versions kept below, across chunk boundaries, also where a
 constant coefficient is repeated into the rows instead of evaluated.  The
@@ -28,12 +27,11 @@ from nsfd_sirvs.dynamics import (State, Trajectory, _aux_advance, _nsfd_stepper,
                                  integrate_continuous, period_map_fixed_point,
                                  periodic_aux_solution, simulate_aux, simulate_discrete,
                                  state_rows, validate_state)
-from nsfd_sirvs.incidence import IncidenceFn, IncidenceReport, validate_incidence
+from nsfd_sirvs.incidence import IncidenceFn
 from nsfd_sirvs.scenarios import builtin
 from nsfd_sirvs.schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSchedule,
                                   ScheduleSet, mickens_discretize)
 
-from test_incidence import _BrokenIncidence
 from test_schedules import full_set
 
 KINDS = {
@@ -551,72 +549,6 @@ def test_builtin_nsfd_runs_bit_identical_to_float64_reference(kind):
     assert traj.states.tobytes() == ref.tobytes()
     out = simulate_aux(dp, (1.0, 1.0), 2000)
     assert out.tobytes() == _reference_simulate_aux(dp, (1.0, 1.0), 2000).tobytes()
-
-
-# ---------------------------------------------------------------------------
-# validate_incidence: point-by-point reference
-# ---------------------------------------------------------------------------
-
-def _reference_validate(f, x_max, y_max, resolution, pop=None):
-    xs = np.linspace(0.0, x_max, resolution)
-    ys = np.linspace(0.0, y_max, resolution)
-    needs_pop = getattr(f, "needs_population", False)
-    kw = {"pop": pop} if needs_pop else {}
-
-    h2 = 0.0
-    h2 = max(h2, float(np.max(np.abs([f.eval(x, 0.0, **kw) for x in xs]))))
-    h2 = max(h2, float(np.max(np.abs([f.eval(0.0, y, **kw) for y in ys]))))
-
-    ypos = ys[1:]
-    ratio_scale = 0.0
-    h5_violation = -np.inf
-    for x in xs[1:]:
-        fx = np.asarray([float(f.eval(x, y, **kw)) for y in ypos])
-        ratios = fx / ypos
-        ratio_scale = max(ratio_scale, float(np.max(np.abs(ratios))))
-        h5_violation = max(h5_violation, float(np.max(np.diff(ratios))))
-    tol = 1e-9 * (1.0 + ratio_scale)
-    h5_excess = max(0.0, h5_violation) if h5_violation > tol else 0.0
-
-    d2 = np.asarray([float(f.d2_at_zero(x, **kw)) for x in xs])
-    slopes = np.abs(np.diff(d2) / np.diff(xs))
-    lip_est = float(np.max(slopes))
-    k_eff = f.d2_lipschitz(**kw) if hasattr(f, "d2_lipschitz") else f.lipschitz_k
-    lip_ok = lip_est <= k_eff * (1.0 + 1e-9)
-
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    F = np.asarray(f.eval(X, Y, **kw), dtype=float)
-    kxy = k_eff * X * Y
-    bound_violation = float(np.max((F - kxy) / (1.0 + kxy)))
-
-    notes = []
-    if needs_pop:
-        notes.append(
-            "population-scaled incidence: the d2 slope varies with the supplied "
-            "population, so the fixed-family hypotheses are checked at pop="
-            f"{pop:g} only")
-    return IncidenceReport(
-        grid=(float(x_max), float(y_max), resolution),
-        h2_max_abs=h2,
-        h5_max_increase=h5_excess,
-        lipschitz_estimate=lip_est,
-        lipschitz_ok=lip_ok,
-        bound_max_violation=max(0.0, bound_violation),
-        notes=tuple(notes),
-    )
-
-
-_VALIDATED = {**KINDS, "broken": _BrokenIncidence()}
-
-
-@pytest.mark.parametrize("resolution", [16, 64])
-@pytest.mark.parametrize("kind", sorted(_VALIDATED))
-def test_grid_validator_equals_point_by_point_reference(kind, resolution):
-    f = _VALIDATED[kind]
-    pop = 100.0 if kind == "standard" else None
-    for x_max, y_max in ((10.0, 10.0), (7.5, 3.0), (200.0, 200.0)):
-        rep = validate_incidence(f, x_max, y_max, resolution=resolution, pop=pop)
-        assert rep == _reference_validate(f, x_max, y_max, resolution, pop=pop)
 
 
 # ---------------------------------------------------------------------------

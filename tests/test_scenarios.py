@@ -84,13 +84,8 @@ def test_builtins_satisfy_hypotheses_and_incidence_checks():
         hyp = validate_hypotheses(dp, window=omega, stop=200)
         assert hyp.h3_holds and hyp.h4_holds, name
         assert hyp.warnings == (), name
-        pop0 = float(sum(spec.initial_state))
         for inc in (spec.incidence_phi, spec.incidence_psi):
-            rep = validate_incidence(inc, 2 * pop0, 2 * pop0, resolution=32,
-                                     pop=pop0 if inc.needs_population else None)
-            assert rep.passed, name
-            if inc.needs_population:
-                assert rep.notes  # the population-scaled caveat must be visible
+            validate_incidence(inc.factor_form().g, inc.lipschitz_k)
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +468,15 @@ def test_duplicate_step_sizes_rejected():
         config_to_spec(cfg)
 
 
-def test_run_scenario_grid_validates_only_a_user_g(monkeypatch):
-    # the declared kinds meet the hypotheses by construction; only a separable g,
-    # a user callable, is checked on the grid (a pass of the six built-ins made 12)
-    import nsfd_sirvs.scenarios as scenarios_module
-
-    assert not any(inc.needs_validation for inc in (
-        IncidenceFn.mass_action(), IncidenceFn.saturated(0.7), IncidenceFn.standard()))
-    checked = []
-
-    def recording(inc, *args, **kwargs):
-        checked.append(inc)
-        return validate_incidence(inc, *args, **kwargs)
-
-    monkeypatch.setattr(scenarios_module, "validate_incidence", recording)
+def test_a_separable_incidence_adds_no_warning_and_a_wrong_k_fails_before_a_run():
+    # g is checked once, when the incidence is built: run_scenario adds no
+    # incidence warning of its own, and a k below g's slope is refused there,
+    # also when a checked incidence is copied with a new k
     spec = replace(builtin("extinction_5_1"), h_values=(1.0,), t_end=8.0)
-    assert run_scenario(spec).warnings == ()
-    assert checked == []
     sep = IncidenceFn.separable(lambda x: x / (1.0 + x), 1.0)
-    assert sep.needs_validation
-    run_scenario(replace(spec, incidence_phi=sep))
-    assert checked == [sep]
+    assert run_scenario(spec).warnings == ()
+    assert run_scenario(replace(spec, incidence_phi=sep, incidence_psi=sep)).warnings == ()
+    with pytest.raises(ConfigError, match="Lipschitz"):
+        IncidenceFn.separable(lambda x: 2.0 * x, 1.0)
+    with pytest.raises(ConfigError, match="Lipschitz"):
+        replace(sep, lipschitz_k=0.5)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsfd_sirvs import thresholds
-from nsfd_sirvs.consistency import consistency_report, consistency_sweep, window_thresholds
+from nsfd_sirvs.consistency import (consistency_report, consistency_sweep, net_growth_function,
+                                    window_thresholds)
 from nsfd_sirvs.dynamics import (AuxState, aux_equilibrium, periodic_aux_solution, simulate_aux,
                                  simulate_discrete, verify_step_periodic)
 from nsfd_sirvs.errors import ConfigError, StepError
 from nsfd_sirvs.incidence import IncidenceFn
-from nsfd_sirvs.scenarios import BUILTIN_NAMES, _seasonal_schedules, builtin
+from nsfd_sirvs.scenarios import BUILTIN_NAMES, _seasonal_schedules, builtin, run_scenario
 from nsfd_sirvs.schedules import (DenominatorFn, DiscreteParams, ParamSchedule,
                                   ScheduleSet, mickens_discretize)
 from nsfd_sirvs.thresholds import (ThresholdReport, Verdict, classify,
@@ -26,6 +28,7 @@ from test_reference_equivalence import KINDS
 from test_schedules import full_set, step_table
 
 MASS = IncidenceFn.mass_action()
+STANDARD = IncidenceFn.standard()
 
 
 def seasonal_dp(b, h):
@@ -97,6 +100,39 @@ def test_non_positive_growth_ratio_is_a_step_error():
 def test_non_finite_window_integral_is_a_step_error():
     with pytest.raises(StepError, match="continuous threshold report: non-finite window integral"):
         continuous_thresholds(_huge_transmission(), MASS, MASS, 4.0)
+
+
+def test_mu_zero_is_a_config_error():
+    # the disease-free equilibrium divides by mu: a bare ValueError before
+    spec = builtin("extinction_5_1")
+    spec = replace(spec, schedules=replace(spec.schedules, mu=ParamSchedule.constant("mu", 0.0)))
+    with pytest.raises(ConfigError, match="disease-free equilibrium needs mu > 0"):
+        continuous_thresholds(spec.schedules, MASS, MASS, 4.0)
+    with pytest.raises(ConfigError, match="disease-free equilibrium needs mu > 0"):
+        run_scenario(spec)
+
+
+@pytest.mark.parametrize("phi, psi", [(STANDARD, STANDARD), (MASS, STANDARD)],
+                         ids=["both", "psi"])
+def test_standard_incidence_at_zero_population_is_a_config_error(phi, psi):
+    # with Lambda = 0 the disease-free population x* + y* is 0, and the slope
+    # x / (x* + y*) was 0 / 0: a non-finite window integral (a StepError) in the
+    # continuous report, a non-finite growth ratio in the discrete one and a
+    # bare ValueError in the step-bound analysis
+    spec = builtin("extinction_5_1")
+    spec = replace(spec, schedules=replace(spec.schedules,
+                                           Lambda=ParamSchedule.constant("Lambda", 0.0)))
+    dp = mickens_discretize(spec.schedules, 1.0, spec.denominator)
+    message = re.escape("standard incidence divides by the disease-free population x* + y*, "
+                        "which is 0 here")
+    with pytest.raises(ConfigError, match=message):
+        continuous_thresholds(spec.schedules, phi, psi, 4.0)
+    with pytest.raises(ConfigError, match=message):
+        discrete_thresholds(dp, phi, psi, 3)
+    with pytest.raises(ConfigError, match=message):  # the step-bound analysis reads it too
+        net_growth_function(spec.schedules, phi, psi)
+    # without a population-scaled incidence the same schedules have a report
+    assert continuous_thresholds(spec.schedules, MASS, MASS, 4.0).verdict is Verdict.EXTINCTION
 
 
 def test_product_past_the_largest_double_is_inf_without_a_warning():
