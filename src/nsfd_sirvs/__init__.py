@@ -13,8 +13,8 @@ from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, Hypothesi
                         validate_hypotheses)
 from .incidence import IncidenceFn, validate_incidence
 from .dynamics import (AuxState, State, Trajectory, aux_equilibrium, integrate_continuous,
-                       nsfd_step, periodic_aux_solution, simulate_aux, simulate_discrete,
-                       validate_state)
+                       nsfd_step, periodic_aux_solution, rk4_reference, simulate_aux,
+                       simulate_discrete, validate_state)
 from .thresholds import (IndependenceResult, ThresholdReport, Verdict, classify,
                          continuous_thresholds, discrete_thresholds, independence_check,
                          periodic_discrete_threshold)
@@ -37,7 +37,7 @@ __all__ = [
     "discrete_thresholds", "eval_denominator", "h_max", "inconsistency_example",
     "independence_check", "integrate_continuous", "lambda_steps", "load_config",
     "load_observed", "mickens_discretize", "net_growth_function", "nsfd_step",
-    "periodic_aux_solution", "periodic_discrete_threshold", "run_scenario",
+    "periodic_aux_solution", "periodic_discrete_threshold", "rk4_reference", "run_scenario",
     "simulate_aux", "simulate_discrete", "spec_to_config", "sup_abs_fprime",
     "validate_hypotheses", "validate_incidence", "validate_state",
 ]

@@ -108,12 +108,16 @@ def _write_thresholds(out: Path, continuous, discrete) -> Path:
 
 
 def _write_compare(out: Path, runs, reference) -> tuple[Path, dict, tuple]:
-    """compare.csv from `method_runs`' runs and reference, its manifest entry,
-    and the (times, states) table of the reference that `compare_methods` scored."""
+    """compare.csv from `method_runs`' runs and reference, its manifest entries
+    (with `reference`: how the reference was integrated, deterministic, no
+    wall time), and the (times, states) table of the reference that
+    `compare_methods` scored."""
     rows, nsfd_worse, table = compare_methods(runs, reference)
     return (_write_rows(out / "compare.csv",
                         ["h", "method", "sup_dev_I", "negativity_flag"], rows),
-            {"nsfd_worse_than_euler_at": nsfd_worse}, table)
+            {"nsfd_worse_than_euler_at": nsfd_worse,
+             "reference": {"method": reference.method, "steps": reference.n_steps,
+                           "max_step": reference.dt}}, table)
 
 
 def _discrete_json(pairs, continuous_verdict=None) -> list[dict]:

@@ -33,8 +33,12 @@ Three ways to advance a SIRVS model live here:
   * `integrate_continuous` — fixed-step Euler and classical RK4 for the
     continuous model with the same incidences, beta (G(x) / D(I, N)) I.
     Euler reads the coefficients at the start of each step, RK4 also at its
-    midpoint and end.  Explicit methods may leave the nonnegative cone; that
-    is flagged on the returned trajectory, never clamped.
+    midpoint and, from the left, at its end (`_rk4_rows`), so a step that ends
+    on a breakpoint of a piecewise schedule stays fourth order.
+    `rk4_reference` is the same RK4 loop over unequal steps: it stops exactly
+    at given times and at every breakpoint, with equal steps of at most a
+    given size between two stops.  Explicit methods may leave the nonnegative
+    cone; that is flagged on the returned trajectory, never clamped.
 
 Runs: every run, `nsfd_step` included, goes through `_drive`, the one owner
 of the run policies: n_steps >= 1, a finite start >= 0, the states allocated
@@ -43,7 +47,8 @@ a StepError naming its step.  A stepper holds only its steps' arithmetic.
 
 Memory: a run holds its returned states (32 B per step; 16 B per disease-free
 step), which `_drive` allocates before the first step, so a run too long to
-hold fails at once with a ConfigError.  Everything else is bounded by one
+hold fails at once with a ConfigError; `rk4_reference` adds its node times
+(8 B per step) and a few numbers per stop.  Everything else is bounded by one
 chunk of `_ROWS_PER_CHUNK` rows: `_coefficient_rows` evaluates the
 coefficients one chunk at a time, and `_drive` stores each chunk of new states.
 
@@ -66,7 +71,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, tee
 from typing import NamedTuple
 
 import numpy as np
@@ -117,8 +122,10 @@ def validate_state(s: State) -> State:
 class Trajectory:
     """A time-indexed sequence of states produced by one stepper.
 
-    `negative_at` is the index of the first state with a negative component
-    (explicit methods only; the NSFD scheme cannot produce one).
+    The states are at t0 + dt k, or, for a run of unequal steps
+    (`rk4_reference`), at the times `nodes`, and dt is then the bound on
+    its steps.  `negative_at` is the index of the first state with a negative
+    component (explicit methods only; the NSFD scheme cannot produce one).
     """
 
     t0: float
@@ -126,6 +133,7 @@ class Trajectory:
     states: np.ndarray  # shape (n_steps + 1, 4), columns S, I, R, V
     method: str
     negative_at: int | None = None
+    nodes: np.ndarray | None = None
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
@@ -133,6 +141,8 @@ class Trajectory:
             raise ValueError("trajectory needs an (n, 4) state array with n >= 1")
         if not self.dt > 0:
             raise ValueError("trajectory dt must be positive")
+        if self.nodes is not None and self.nodes.shape != self.states.shape[:1]:
+            raise ValueError("trajectory nodes need one time per state")
 
     @property
     def n_steps(self) -> int:
@@ -140,6 +150,8 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
+        if self.nodes is not None:
+            return self.nodes
         return self.t0 + self.dt * np.arange(self.states.shape[0])
 
     @property
@@ -161,6 +173,8 @@ class Trajectory:
     def rows(self):
         """`state_rows` of the states, each chunk's times t0 + dt k built for
         that chunk alone; t equals `times`."""
+        if self.nodes is not None:
+            return state_rows(self.states, lambda a, b: self.nodes[a:b])
         return state_rows(self.states, lambda a, b: self.t0 + self.dt * np.arange(a, b))
 
 
@@ -562,6 +576,13 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
     a separable g is 0 for x <= 0, and g(x) / d is 0 where d is 0: standard
     at N = 0, its limit (S, V <= N), so a zero population gives the
     disease-free run, and saturated at I = -1/a; a negative d is used as is.
+
+    RK4 reads each step's end stage at the left limit of the coefficients
+    (`ParamSchedule.left_column`), and the next step's first stage at their
+    value: the two differ only where a step ends exactly on a breakpoint of a
+    piecewise schedule, and there the step integrates the one interval it
+    lies in, so RK4 keeps its fourth order (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4-II.6).
     """
     method = method.lower()
     if method not in ("euler", "rk4"):
@@ -576,15 +597,87 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
     if method == "euler":  # rows at 0, h, .., (n_steps - 1) h: the only ones it reads
         advance = _euler_stepper(phi, psi, h)
         rows = _coefficient_rows(partial(columns, h), n_steps)
-    else:  # rows at 0, h/2, h, .., n_steps h, as (midpoint, end) pairs after the first
-        half_rows = _coefficient_rows(partial(columns, h / 2.0), 2 * n_steps + 1)
-        advance = _rk4_stepper(phi, psi, h, next(half_rows))
-        rows = zip(half_rows, half_rows)
+    else:  # nodes at 0, h, .., n_steps h and the midpoints between, on one half-step grid
+        half = h / 2.0
+        advance, rows = _rk4_rows(schedules, phi, psi, n_steps, repeat((h, half, h / 6.0)),
+                                  lambda a, b: np.arange(2 * a, 2 * b, 2) * half,
+                                  lambda a, b: np.arange(2 * a + 1, 2 * b + 1, 2) * half)
     with np.errstate(all="ignore"):
         out = _drive(advance, rows, s0, n_steps)
+    return _explicit_trajectory(out, h, method)
+
+
+def rk4_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
+                  s0: State, times, max_step: float) -> Trajectory:
+    """RK4 for `integrate_continuous`'s model from t = 0 that stops exactly at
+    each of `times` (>= 0) and at every breakpoint up to the last of them
+    (`ScheduleSet.breakpoints`).  Each gap between two stops takes
+    `steps_for(gap, max_step)` equal steps, the last of which ends on the stop
+    itself, so no step crosses a breakpoint and each of `times` is a node.  The
+    trajectory holds every node, at the times `nodes`, with dt = max_step.
+    Node times are computed one chunk at a time from the stops, so beyond its
+    states (32 B per step) the run holds only its node times (8 B per step)."""
+    times = np.asarray(times, dtype=float)
+    if not (max_step > 0 and times.size and np.isfinite(times).all() and times.min() >= 0):
+        raise ValueError("rk4_reference needs max_step > 0 and finite times >= 0")
+    stops = np.union1d(np.append(times, 0.0),
+                       schedules.breakpoints(0.0, float(times.max())))
+    gaps = np.diff(stops)
+    if not gaps.size:
+        raise ValueError("rk4_reference needs a time after t = 0")
+    counts = np.fromiter(map(steps_for, gaps.tolist(), repeat(max_step)), int, gaps.size)
+    hs = np.append(gaps / counts, 0.0)
+    first = np.append(0, np.cumsum(counts))  # the first step of each gap; the last is n_steps
+    n_steps = int(first[-1])
+
+    def at(a, b, offset):  # stop + (i + offset) h for steps a .. b-1, step i of its gap
+        k = np.arange(a, b)
+        g = np.searchsorted(first, k, side="right") - 1
+        return stops[g] + (k - first[g] + offset) * hs[g]  # offset 0: a gap's first node is its stop
+
+    steps = chain.from_iterable(map(repeat, [(h, h / 2.0, h / 6.0) for h in hs[:-1].tolist()],
+                                    counts.tolist()))
+    advance, rows = _rk4_rows(schedules, phi, psi, n_steps, steps, partial(at, offset=0.0),
+                              partial(at, offset=0.5))
+    with np.errstate(all="ignore"):
+        out = _drive(advance, rows, s0, n_steps)
+    nodes = np.empty(n_steps + 1)
+    for a in range(0, n_steps + 1, _ROWS_PER_CHUNK):
+        b = min(a + _ROWS_PER_CHUNK, n_steps + 1)
+        nodes[a:b] = at(a, b, 0.0)
+    return _explicit_trajectory(out, max_step, "rk4", nodes)
+
+
+def _explicit_trajectory(out: np.ndarray, dt: float, method: str,
+                         nodes: np.ndarray | None = None) -> Trajectory:
     negative = np.flatnonzero((out < 0.0).any(axis=1))
-    return Trajectory(t0=0.0, dt=h, states=out, method=method,
-                      negative_at=int(negative[0]) if negative.size else None)
+    return Trajectory(t0=0.0, dt=dt, states=out, method=method,
+                      negative_at=int(negative[0]) if negative.size else None, nodes=nodes)
+
+
+def _rk4_rows(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn, n_steps: int,
+              steps, node_times, mid_times):
+    """The `_drive` stepper and rows of an RK4 run of n_steps steps: step k takes
+    the (h, h/2, h/6) of `steps` from node k to node k + 1, node_times(a, b) and
+    mid_times(a, b) being the times of nodes a .. b-1 and the midpoints of steps
+    a .. b-1.  A row is (h, h/2, h/6), then the coefficients at the step's
+    midpoint, at its end read from the left, and at its end: one tuple twice
+    unless some schedule has a breakpoint in the run (`ScheduleSet.breakpoints`),
+    where the two differ only at a step that ends exactly on one."""
+    def columns(times, read):
+        return lambda a, b: schedules.evaluate(SCHEDULE_NAMES, times(a, b), read)
+
+    def ends(a, b):
+        return node_times(a + 1, b + 1)
+
+    right = _coefficient_rows(columns(ends, ParamSchedule.column), n_steps)
+    if schedules.breakpoints(0.0, float(ends(n_steps - 1, n_steps)[0])).size:
+        left = _coefficient_rows(columns(ends, ParamSchedule.left_column), n_steps)
+    else:  # the left limit is the value everywhere: one tuple serves as both
+        left, right = tee(right)
+    c0 = next(_coefficient_rows(columns(node_times, ParamSchedule.column), 1))
+    mids = _coefficient_rows(columns(mid_times, ParamSchedule.column), n_steps)
+    return _rk4_stepper(phi, psi, c0), zip(steps, mids, left, right)
 
 
 def _explicit_form(inc: IncidenceFn):
@@ -623,33 +716,36 @@ def _euler_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float):
     return advance
 
 
-def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
+def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, c0):
     """Classical RK4 steps of `integrate_continuous`'s model, as a `_drive`
-    stepper over (S, I, R, V); a row is the (midpoint, end) pair of
-    coefficient rows of one step, c0 the row at the start of the first.
+    stepper over (S, I, R, V); a row is one step's (h, h/2, h/6) and its
+    midpoint, end (read from the left) and next-start coefficient rows
+    (`_rk4_rows`), c0 the row at the start of the first.
 
     The four stages are written out in the loop, each the right-hand side in
     the operation order of its vector form, with each coefficient row unpacked
     once and its sums mu + p, mu + alpha + gamma, mu + eta taken once (the end
-    row's serve the next step's first stage).  Each incidence is
+    row's serve the next step's first stage when the next-start row is the
+    same tuple).  Each incidence is
     beta (g(x) / d(y, N)) y, read inline (`_explicit_form`); a stage divides
-    only when some d is not 1.
+    only when some d is not 1, and sums N once when both d are N.
     """
-    hh, h6 = h / 2.0, h / 6.0
     g_phi, a_phi, pop_phi = _explicit_form(phi)
     g_psi, a_psi, pop_psi = _explicit_form(psi)
     divides = bool(a_phi or pop_phi or a_psi or pop_psi)  # some d is not 1
+    same_n = bool(pop_phi and not a_phi)  # phi's d is N, so psi's d = N is ds
 
     def advance(rows, state, n0, out):
         nonlocal c0
         S, I, R, V = state
         lam, mu, p, eta, alpha, beta, sigma, gamma = c0
         m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
-        for c1, c2 in rows:
+        for (h, hh, h6), c1, c2, c3 in rows:
             qs, qv = S if g_phi is None else g_phi(S), V if g_psi is None else g_psi(V)
             if divides:
                 ds = 1.0 + a_phi * I if a_phi else S + I + R + V if pop_phi else 1.0
-                dv = 1.0 + a_psi * I if a_psi else S + I + R + V if pop_psi else 1.0
+                dv = (1.0 + a_psi * I if a_psi else
+                      (ds if same_n else S + I + R + V) if pop_psi else 1.0)
                 qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
             inc_s, inc_v = beta * qs * I, sigma * qv * I
             a1 = lam - inc_s - m_s * S + eta * V
@@ -662,7 +758,8 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
             qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
             if divides:
                 ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = 1.0 + a_psi * y if a_psi else x + y + z + w if pop_psi else 1.0
+                dv = (1.0 + a_psi * y if a_psi else
+                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
                 qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
             inc_s, inc_v = beta * qs * y, sigma * qv * y
             a2 = lam - inc_s - m_s * x + eta * w
@@ -673,7 +770,8 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
             qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
             if divides:
                 ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = 1.0 + a_psi * y if a_psi else x + y + z + w if pop_psi else 1.0
+                dv = (1.0 + a_psi * y if a_psi else
+                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
                 qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
             inc_s, inc_v = beta * qs * y, sigma * qv * y
             a3 = lam - inc_s - m_s * x + eta * w
@@ -686,7 +784,8 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
             qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
             if divides:
                 ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = 1.0 + a_psi * y if a_psi else x + y + z + w if pop_psi else 1.0
+                dv = (1.0 + a_psi * y if a_psi else
+                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
                 qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
             inc_s, inc_v = beta * qs * y, sigma * qv * y
             a4 = lam - inc_s - m_s * x + eta * w
@@ -698,7 +797,10 @@ def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float, c0):
             R = R + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
             V = V + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
             out.fromlist([S, I, R, V])
-        c0 = c2
+            if c3 is not c2:
+                lam, mu, p, eta, alpha, beta, sigma, gamma = c3
+                m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
+        c0 = c3
         return S, I, R, V
 
     return advance

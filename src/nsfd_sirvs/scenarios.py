@@ -5,9 +5,10 @@ step denominator, the step sizes to examine, the threshold window, the run
 horizon and the initial state.  `run_scenario` turns one scenario into a
 full report: NSFD and Euler trajectories per step size, discrete and
 continuous threshold reports, the step-bound analysis when it applies, an
-RK4 reference run, and a verdict matrix.  `inconsistency_example` builds the
-deliberate period-1 counterexample in which sampling at h = 1/L hits the
-minima of a spiky seasonal transmission rate and flips the verdict.
+RK4 reference run that stops at every time the runs are scored at, and a
+verdict matrix.  `inconsistency_example` builds the deliberate period-1
+counterexample in which sampling at h = 1/L hits the minima of a spiky
+seasonal transmission rate and flips the verdict.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .consistency import (ConsistencyReport, consistency_report, consistency_skip_reason,
                           window_thresholds)
-from .dynamics import (State, Trajectory, h_label, integrate_continuous, simulate_discrete,
-                       steps_for, validate_state)
+from .dynamics import (State, Trajectory, h_label, integrate_continuous, rk4_reference,
+                       simulate_discrete, steps_for, validate_state)
 from .errors import ConfigError
 # a separable g is checked once, when its IncidenceFn is built; validate_incidence
 # stays importable here because perfbench/tracing.py looks it up in this module
@@ -34,7 +35,7 @@ from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSche
 from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
                          discrete_thresholds)
 
-RK4_REFERENCE_STEP = 0.01
+RK4_REFERENCE_STEP = 0.02  # the largest step of the RK4 reference (`method_runs`)
 
 BUILTIN_NAMES = ("extinction_5_1", "persistence_5_1", "saturated_5_1_ext",
                  "saturated_5_1_per", "inconsistency_4", "measles_france_5_2")
@@ -640,26 +641,33 @@ def compare_thresholds(spec: ScenarioSpec, lam: float,
 def method_runs(spec: ScenarioSpec, dps: list[DiscreteParams],
                 t_end: float) -> tuple[list, Trajectory]:
     """The runs a scenario compares: (h, NSFD run, Euler run) at each discrete
-    model's step, each `steps_for(t_end, h)` steps long, and one RK4 reference at
-    `RK4_REFERENCE_STEP` that reaches the last of their times."""
+    model's step, each `steps_for(t_end, h)` steps long, and one RK4 reference
+    (`dynamics.rk4_reference`) that stops exactly at every one of their times
+    and at every breakpoint of the schedules, with equal steps of at most
+    `RK4_REFERENCE_STEP` between two stops."""
     model = (spec.incidence_phi, spec.incidence_psi, spec.initial_state)
     runs = [(dp.h, simulate_discrete(dp, *model, steps_for(t_end, dp.h)),
              integrate_continuous(spec.schedules, *model, t_end, dp.h, method="euler"))
             for dp in dps]
-    t_last = max(float(nsfd.times[-1]) for _, nsfd, _ in runs)
-    return runs, integrate_continuous(spec.schedules, *model, t_last, RK4_REFERENCE_STEP,
-                                      method="rk4")
+    return runs, rk4_reference(spec.schedules, *model, _scored_times(runs), RK4_REFERENCE_STEP)
+
+
+def _scored_times(runs) -> np.ndarray:
+    """The sorted union of the times of the (h, NSFD run, Euler run) triples."""
+    return np.unique(np.concatenate([run.times for _, *pair in runs for run in pair]))
 
 
 def compare_methods(runs, reference: Trajectory) -> tuple[list, list, tuple]:
     """Rows (h, method, sup |I - I_ref|, left the nonnegative cone) for each
     (h, NSFD run, Euler run) of `method_runs` against its reference, the step
     sizes where NSFD deviates more, and the table (times, states) they were
-    scored on: the sorted union of the runs' times, with the reference's states
-    interpolated linearly there."""
-    times = np.unique(np.concatenate([run.times for _, *pair in runs for run in pair]))
-    ref_t = reference.times
-    states = np.column_stack([np.interp(times, ref_t, col) for col in reference.states.T])
+    scored on: the sorted union of the runs' times and the reference's own
+    states there, each time being one of its nodes (a ValueError if not)."""
+    times = _scored_times(runs)
+    at = np.searchsorted(reference.times, times)
+    if at[-1] >= reference.times.size or not np.array_equal(reference.times[at], times):
+        raise ValueError("the reference has no state at some compared time")
+    states = reference.states[at]
     rows, nsfd_worse = [], []
     for h, *pair in runs:
         devs = [float(np.max(np.abs(t.I - states[np.searchsorted(times, t.times), 1])))

@@ -258,6 +258,16 @@ class ParamSchedule:
         else `eval(t)`; arithmetic with either gives the same elements."""
         return self.eval(t) if self.constant is None else self.constant
 
+    def left_column(self, t):
+        """`column` read as the limit from the left at each t > 0: the same
+        except at a breakpoint of a piecewise table, where it is the value of
+        the interval that ends there."""
+        if self.kind != "piecewise" or self.constant is not None:
+            return self.column(t)
+        arr = self._times(t, "evaluated")
+        idx = np.searchsorted(self.params["breakpoints"], arr, side="left") - 1
+        return np.asarray(self.params["values"])[np.maximum(idx, 0)]
+
 
 def function_key(f):
     """The one rule for when two coefficients are the same function: exactly
@@ -345,6 +355,15 @@ class ScheduleSet:
         """The named schedules' `ParamSchedule.constant`s, in order; None unless all are set."""
         values = tuple(getattr(self, name).constant for name in names)
         return None if None in values else values
+
+    def breakpoints(self, t0: float, t1: float) -> np.ndarray:
+        """The times in [t0, t1] where a piecewise schedule starts a new table
+        entry, sorted and distinct: its declared breakpoints after 0 (a table
+        declared constant has none).  No other kind declares a jump."""
+        cuts = [bp for name in SCHEDULE_NAMES
+                if (s := getattr(self, name)).kind == "piecewise" and s.constant is None
+                for bp in s.params["breakpoints"][1:] if t0 <= bp <= t1]
+        return np.unique(np.asarray(cuts, dtype=float))
 
     def common_period(self, names=SCHEDULE_NAMES) -> float | None:
         """Common declared period of the non-constant named schedules, if any.

@@ -496,13 +496,24 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
 # Euler and RK4 feed changed, compare.csv, trajectory_euler_h{4,2,1,0.5}.csv and
 # trajectory_rk4_h0.01.csv.  NSFD's sup|dI| at h = 0.5 went 0.235 -> 0.137 (per)
 # and 0.00638 -> 0.0127 (ext); verdicts, thresholds and NSFD runs kept their bytes.
+# All six were re-pinned when the RK4 reference began to stop exactly at every
+# scored time and breakpoint, with equal steps of at most 0.02 between stops and
+# a left-limit end stage, in place of fixed steps of 0.01 read by np.interp:
+# only compare.csv, the RK4 file (trajectory_rk4_h0.01.csv became
+# trajectory_rk4_h0.02.csv) and manifest.json (its `outputs` and the new
+# `reference` entry) changed.  The largest relative move of a sup_dev_I was
+# 1.9e-10 (extinction_5_1), 1.4e-8 (persistence_5_1), 1.7e-10
+# (saturated_5_1_ext), 5.8e-9 (saturated_5_1_per), 2.1e-5 (inconsistency_4,
+# whose k/6 times were interpolated) and 3.4e-3 (measles_france_5_2, whose
+# reference was first order); verdicts, thresholds, consistency.json and the
+# NSFD and Euler runs kept their bytes.
 GOLDEN_BUNDLE_DIGESTS = {
-    "extinction_5_1": "deae0f230b3fc09afd49e3aaedb3c3f46ac7872d870bee4e3aa488dc5e65320a",
-    "persistence_5_1": "d96246a550ac5084fa55821ebfbcc5b8c92278de50a61f3bd266c9dffec1cf8a",
-    "saturated_5_1_ext": "58c5ec68d8c0f73a2b914b5167d2ed848ed8ae40bebf9a2a465204cad145cbce",
-    "saturated_5_1_per": "2e11c0df893a7659fefd53885b9ab698644a8f64cfe9ec434998bf240fa096b7",
-    "inconsistency_4": "a2d7c970e17c291d0dc9cbb1a8fdf2b9b0984aa984dfcef816bd81118e894278",
-    "measles_france_5_2": "08634e42472587488afd841c281c773c538db41d92083194c7b6811031a22da7",
+    "extinction_5_1": "35bb78781ca3a4bfafda2eab2775b2027f4459895e0b02181d4fac9d8a6bfc9d",
+    "persistence_5_1": "8cfc0cfce4cc55c18a707c058d11e4b91d1515cf2cce0cb9e285d7c541fad19d",
+    "saturated_5_1_ext": "40e2d229f81046d167dab101a5892de1a8a5db45e8bcc0eb2c834fecad530770",
+    "saturated_5_1_per": "4f6fbb56e6d69fe6f2566630c9a2806d7c5a13b71da7ec1912a554f02c3eb1fa",
+    "inconsistency_4": "bde1e329fb8ccd9d1d3a3ec586b38f21f7cef9844da1dbb20c250526119ee921",
+    "measles_france_5_2": "68834aea41080c0f4791f35e4e00dc7bedfe1646027561d36c8fac60d7a79925",
 }
 
 
@@ -539,16 +550,22 @@ GOLDEN_COMMAND_DIGESTS = {
         "a7c75338fafea93ca720e2388d884ba9a0aa0713ff65f7128efe5c64b188238b",
     ("thresholds", "persistence_5_1"):
         "39fd3d1a30b9bbe5da0484d3becf0189d8cb6785c49cd1e32be63a8015b1ebd9",
+    # re-pinned with the reference that stops at every scored time: compare.csv
+    # (largest relative move of a sup_dev_I 1.9e-10) and manifest.json (the new
+    # `reference` entry) changed
     ("compare", "extinction_5_1"):
-        "11f4c0a8aecd3cfd90bc4251863659ff9ba19de0f6548184122f8399e2ca1682",
+        "0a64669d4c3a2fd39281411827fef0f6243095c1538319e62c0b86ca9a86a213",
     # the continuous integrators, pinned before RK4's stages were written out:
     # mass action (d = 1) with RK4 and Euler, and standard incidence (d = N)
     ("simulate", "persistence_5_1", "--h", "0.05", "--method", "rk4"):
         "f3cbdd804c0d2c86446e4655464212e08d7f22bbcd64500758c074b560604d51",
     ("simulate", "persistence_5_1", "--h", "0.05", "--method", "euler"):
         "34d99e457ab9cb901da4b7835bd06465ba025d2bb9159cd7f06214745d1826f9",
+    # re-pinned when RK4's end stage began to read the left limit: at h = 1 every
+    # step ends on a month boundary, where it read the next month's beta.  Only
+    # trajectory_rk4_h1.csv changed; I moved by up to 0.12 of its largest value
     ("simulate", "measles_france_5_2", "--method", "rk4"):
-        "50280cd508c514ba6f9da0c6b5e1cd0c0cb22916124efa7013b9ec25e83df32d",
+        "7f6db0e18d76d4e86c0125aafba96b2ca5033483e85655ea92fe1b92d000a65a",
 }
 
 
@@ -630,7 +647,7 @@ def test_bundle_reference_reaches_the_last_run_time(tmp_path):
     assert main(["scenario", "run", str(tmp_path / "short.json"), "--out", str(bundle)]) == 0
     assert main(["compare", "extinction_5_1", "--h", "0.4", "--t-end", "1",
                  "--out", str(alone)]) == 0
-    _, rows = _read_csv(bundle / "trajectory_rk4_h0.01.csv")
+    _, rows = _read_csv(bundle / "trajectory_rk4_h0.02.csv")
     assert float(rows[-1][0]) == pytest.approx(1.2)
     _, rows = _read_csv(bundle / "trajectory_nsfd_h0.4.csv")
     assert float(rows[-1][0]) == pytest.approx(1.2)
@@ -645,7 +662,7 @@ def _assert_rk4_file_is_what_compare_scores(bundle):
     """The bundle's RK4 file holds the reference at the sorted union of its runs'
     times, and every sup_dev_I of compare.csv is recomputed from the CSVs alone,
     bit for bit; returns the RK4 file's rows."""
-    ref = _table(bundle / "trajectory_rk4_h0.01.csv")
+    ref = _table(bundle / "trajectory_rk4_h0.02.csv")
     _, rows = _read_csv(bundle / "compare.csv")
     runs = [_table(bundle / f"trajectory_{method}_h{h_label(float(h))}.csv")
             for h, method, _, _ in rows]
@@ -667,16 +684,38 @@ def test_bundle_reference_is_written_at_the_compared_times(tmp_path, name):
        t_end=st.floats(1.0, 6.0))
 def test_bundle_reference_at_non_nested_step_sizes(tmp_path_factory, hs, t_end):
     # step sizes such as {0.3, 0.7}, whose times do not nest: the RK4 rows are
-    # their union, not a uniform grid, and hold rk4_reference interpolated there
+    # exactly their union, not a uniform grid; every one of those times is a
+    # node of rk4_reference, whose own state is written there, and nothing is
+    # interpolated on the way
     cfg = spec_to_config(builtin("extinction_5_1"))
     cfg["h_values"], cfg["t_end"], cfg["lambda"] = hs, t_end, 1.0
     tmp = tmp_path_factory.mktemp("nested")
     (tmp / "cfg.json").write_text(json.dumps(cfg))
-    assert main(["scenario", "run", str(tmp / "cfg.json"), "--out", str(tmp / "b")]) == 0
+
+    def no_interp(*args, **kwargs):
+        raise AssertionError("the reference was interpolated")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "interp", no_interp)
+        assert main(["scenario", "run", str(tmp / "cfg.json"), "--out", str(tmp / "b")]) == 0
     ref = _assert_rk4_file_is_what_compare_scores(tmp / "b")
     rk4 = run_scenario(config_to_spec(cfg)).rk4_reference
-    for k in range(4):
-        assert np.array_equal(ref[:, 1 + k], np.interp(ref[:, 0], rk4.times, rk4.states[:, k]))
+    at = np.searchsorted(rk4.times, ref[:, 0])
+    assert np.array_equal(rk4.times[at], ref[:, 0])
+    assert np.array_equal(rk4.states[at], ref[:, 1:])
+    assert np.all(np.diff(rk4.times) <= 0.02 + 2.0 * np.spacing(rk4.times[1:]))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_manifest_says_how_the_reference_was_integrated(tmp_path, name):
+    # the same deterministic entry from `scenario run` and `compare`: the
+    # method, its step count and the bound on its steps, and no wall time
+    steps = {"inconsistency_4": 21_600, "measles_france_5_2": 3_000}.get(name, 10_000)
+    for argv in (["scenario", "run", name], ["compare", name]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["reference"] == {"method": "rk4", "steps": steps, "max_step": 0.02}
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -560,6 +560,66 @@ def test_rk4_matches_exponential_decay():
         assert traj.states[-1, col] == pytest.approx(expected, abs=1e-9)
 
 
+def _one_jump_set():
+    """persistence_5_1's model with beta = sigma = 2 on [0, 1) and 0.4 after."""
+    s = full_set(0.9).as_dict()
+    for name in ("beta", "sigma"):
+        s[name] = ParamSchedule.piecewise(name, [0.0, 1.0], [2.0, 0.4])
+    return ScheduleSet.from_mapping(s)
+
+
+def test_rk4_is_fourth_order_across_a_breakpoint():
+    # steps that end on the breakpoint read their end stage at the left limit,
+    # so each halving of h shrinks the error at t = 2 about 16-fold; a fourth
+    # stage that reads the next interval's beta halves it only (order 1)
+    from scipy.integrate import solve_ivp
+    sched = _one_jump_set()
+    s0 = State(1.0, 0.2, 0.1, 1.0)
+
+    def rhs_until(end):  # the coefficients of the interval that ends at `end`
+        def rhs(t, y):
+            S, I, R, V = y
+            lam, mu, p, eta, alpha, beta, sigma, gamma = (
+                float(getattr(sched, name).eval(min(t, np.nextafter(end, 0.0))))
+                for name in SCHEDULE_NAMES)
+            inc_s, inc_v = beta * S * I, sigma * V * I
+            return [lam - inc_s - (mu + p) * S + eta * V,
+                    inc_s + inc_v - (mu + alpha + gamma) * I,
+                    gamma * I - mu * R,
+                    p * S - (mu + eta) * V - inc_v]
+        return rhs
+
+    y1 = solve_ivp(rhs_until(1.0), (0.0, 1.0), list(s0), method="DOP853",
+                   rtol=1e-13, atol=1e-14).y[:, -1]
+    exact = solve_ivp(rhs_until(2.0), (1.0, 2.0), y1, method="DOP853",
+                      rtol=1e-13, atol=1e-14).y[:, -1]
+    errs = [np.max(np.abs(integrate_continuous(sched, MASS, MASS, s0, 2.0, h).states[-1]
+                          - exact))
+            for h in (1 / 8, 1 / 16, 1 / 32, 1 / 64)]
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    assert all(12.0 <= r <= 20.0 for r in ratios), (errs, ratios)
+
+
+def test_rk4_reference_stops_at_every_time_and_breakpoint():
+    # stops at 0.3, 0.5 (beta's breakpoint), 0.7 and 1; each gap in equal steps
+    # of at most 0.1, the last ending on the stop itself
+    sched = _one_jump_set().as_dict()
+    for name in ("beta", "sigma"):
+        sched[name] = ParamSchedule.piecewise(name, [0.0, 0.5, 3.0], [2.0, 0.4, 1.0])
+    sched = ScheduleSet.from_mapping(sched)
+    s0 = State(1.0, 0.2, 0.1, 1.0)
+    ref = dynamics.rk4_reference(sched, MASS, MASS, s0, [1.0, 0.3, 0.7, 0.3], 0.1)
+    assert (ref.method, ref.dt, ref.n_steps) == ("rk4", 0.1, 10)  # 3 + 2 + 2 + 3 steps
+    assert [ref.times[k] for k in (0, 3, 5, 7, 10)] == [0.0, 0.3, 0.5, 0.7, 1.0]
+    assert np.all(np.diff(ref.times) <= 0.1 + 2.0 * np.spacing(ref.times[1:]))
+    # up to 0.3 it is fixed-step RK4 at 0.1, up to the rounding of its node times
+    fixed = integrate_continuous(sched, MASS, MASS, s0, 0.3, 0.1)
+    np.testing.assert_allclose(ref.states[:4], fixed.states, rtol=1e-14, atol=0.0)
+    for times, step in (([], 0.1), ([0.0], 0.1), ([-1.0, 1.0], 0.1), ([1.0], 0.0)):
+        with pytest.raises(ValueError):
+            dynamics.rk4_reference(sched, MASS, MASS, s0, times, step)
+
+
 def test_euler_is_first_order_on_decay():
     errs = []
     for h in (0.02, 0.01):
@@ -627,8 +687,8 @@ def test_only_varying_coefficients_are_evaluated_per_chunk(monkeypatch):
     assert seen == []
     monkeypatch.setattr(ParamSchedule, "eval",
                         lambda self, t: seen.append(self.name) or evaluate(self, t))
-    # 1024 steps: RK4 reads 2049 half-step rows (3 chunks), Euler only the 1024
-    # rows at the start of its steps (1 chunk)
+    # 1024 steps: RK4 reads the row at t = 0, 1024 midpoint rows and 1024 end
+    # rows (a chunk each), Euler only the 1024 rows at the start of its steps
     for method, n_chunks in (("rk4", 3), ("euler", 1)):
         seen.clear()
         integrate_continuous(spec.schedules, MASS, MASS, spec.initial_state, 10.24, 0.01,

@@ -614,13 +614,21 @@ def test_trajectory_writer_non_uniform_times(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _whole_table_integrate(schedules, phi, psi, s0, t_end, h, method):
-    """integrate_continuous with its (2n+1, 8) table of half-step coefficients."""
+    """integrate_continuous with its (2n+1, 8) table of half-step coefficients,
+    and the (n, 8) table of each step's end from the left, which RK4's fourth
+    stage reads: a piecewise table is constant on [b_i, b_i+1), so its limit
+    from the left at t is its value one ulp below t."""
     s0 = validate_state(s0)
     n_steps = max(1, int(math.ceil(t_end / h - 1e-9)))
     ts_half = np.arange(2 * n_steps + 1) * (h / 2.0)
     table = np.empty((ts_half.size, len(SCHEDULE_NAMES)))
+    left = np.empty((n_steps, len(SCHEDULE_NAMES)))
+    ends = ts_half[2::2]
     for k, name in enumerate(SCHEDULE_NAMES):
-        table[:, k] = getattr(schedules, name).eval(ts_half)
+        sched = getattr(schedules, name)
+        table[:, k] = sched.eval(ts_half)
+        left[:, k] = sched.eval(np.nextafter(ends, -np.inf) if sched.kind == "piecewise"
+                                else ends)
     q_phi, q_psi = _reference_rate(phi), _reference_rate(psi)
 
     def rhs(c, S, I, R, V):
@@ -649,7 +657,8 @@ def _whole_table_integrate(schedules, phi, psi, s0, t_end, h, method):
                 c1 = table[2 * n + 1].tolist()
                 a2, b2, r2, v2 = rhs(c1, S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1)
                 a3, b3, r3, v3 = rhs(c1, S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2)
-                a4, b4, r4, v4 = rhs(c2, S + h * a3, I + h * b3, R + h * r3, V + h * v3)
+                a4, b4, r4, v4 = rhs(left[n].tolist(), S + h * a3, I + h * b3, R + h * r3,
+                                     V + h * v3)
                 S = S + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
                 I = I + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                 R = R + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)

@@ -380,11 +380,18 @@ def test_residuals_against_self_are_zero():
 
 
 def test_rk4_reference_is_always_attached():
+    # the reference stops at every run time, with equal steps of at most
+    # RK4_REFERENCE_STEP between two stops, and reaches the last run time
     spec = builtin("extinction_5_1")
     rep = run_scenario(spec)
-    assert rep.rk4_reference.method == "rk4"
-    assert rep.rk4_reference.dt == 0.01
-    assert rep.rk4_reference.times[-1] == pytest.approx(spec.t_end, abs=1e-9)
+    ref = rep.rk4_reference
+    assert ref.method == "rk4"
+    assert ref.dt == RK4_REFERENCE_STEP == 0.02
+    # its node times, each rounded to its own ulp, are at most a step apart
+    assert np.all(np.diff(ref.times) <= RK4_REFERENCE_STEP + 2.0 * np.spacing(ref.times[1:]))
+    assert ref.times[-1] == max(res.nsfd.times[-1] for res in rep.per_h.values())
+    assert ref.times[-1] == pytest.approx(spec.t_end, abs=1e-9)
+    assert ref.n_steps == 10_000  # 25 steps across each 0.5 between two run times
 
 
 @settings(max_examples=40, deadline=None)
@@ -407,20 +414,99 @@ def test_every_method_runs_over_the_same_times(t_end, h):
 
 def test_compare_reads_the_reference_at_every_compared_time():
     # at h = 0.4 both runs end at t = 1.2, past t_end = 1; the RK4 reference
-    # must reach 1.2 instead of being held at its value at t = 1
+    # must reach 1.2 instead of being held at its value at t = 1.  It stops at
+    # 0, 0.4, 0.8 and 1.2, 20 equal steps of 0.02 apart, so it is fixed-step
+    # RK4 at 0.02 but for the rounding of its node times, and compare reads
+    # its own states at those times
     spec = builtin("extinction_5_1")
     runs, reference = method_runs(spec, discretize(spec, [0.4]), 1.0)
-    rows, _, _ = compare_methods(runs, reference)
+    rows, _, (times, states) = compare_methods(runs, reference)
     ref = integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
                                spec.initial_state, 1.2, RK4_REFERENCE_STEP)
-    assert np.array_equal(reference.states, ref.states)
-    assert ref.times[-1] == pytest.approx(1.2)
-    assert ref.I[-1] == pytest.approx(0.19958, abs=1e-5)
+    assert reference.n_steps == ref.n_steps == 60
+    assert np.array_equal(reference.times[::20], times)
+    assert np.array_equal(states, reference.states[::20])
+    np.testing.assert_allclose(states, ref.states[::20], rtol=1e-13, atol=0.0)
+    assert times[-1] == 1.2000000000000002 and ref.times[-1] == pytest.approx(1.2)
+    assert states[-1, 1] == pytest.approx(0.19958, abs=1e-5)
     assert [(row[1], row[0]) for row in rows] == [("nsfd", 0.4), ("euler", 0.4)]
     [(_, *pair)] = runs
     for run, row in zip(pair, rows):
-        assert run.times[-1] == pytest.approx(1.2)
-        assert row[2] == float(np.max(np.abs(run.I - np.interp(run.times, ref.times, ref.I))))
+        assert np.array_equal(run.times, times)
+        assert row[2] == float(np.max(np.abs(run.I - states[:, 1])))
+
+
+def test_compare_refuses_a_reference_without_a_node_at_a_compared_time():
+    # no interpolation: a reference that does not stop at every scored time is
+    # an error, not a table read between its nodes
+    spec = builtin("extinction_5_1")
+    runs, _ = method_runs(spec, discretize(spec, [0.3]), 1.0)
+    off_grid = integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
+                                    spec.initial_state, 1.2, 0.25)
+    with pytest.raises(ValueError, match="no state at some compared time"):
+        compare_methods(runs, off_grid)
+
+
+def _factor_rate(inc):
+    """f(x, I, N) of a kind linear in x, written from its factor form."""
+    g, a, by_pop = inc.factor_form()
+    assert g is float
+    return lambda x, i, n: x * i / (1.0 + a * i if a else n if by_pop else 1.0)
+
+
+def _dop853_at(spec, times):
+    """The model's states at `times` (sorted, from 0) by scipy's DOP853 at
+    rtol 1e-11, restarted at each breakpoint of a piecewise schedule, where
+    the coefficients of the interval that ends there are read up to its end."""
+    from scipy.integrate import solve_ivp
+    f_s, f_v = _factor_rate(spec.incidence_phi), _factor_rate(spec.incidence_psi)
+    sched = [getattr(spec.schedules, name) for name in SCHEDULE_NAMES]
+    cuts = sorted({b for s in sched if s.kind == "piecewise" for b in s.params["breakpoints"][1:]
+                   if b < times[-1]})
+    out = np.empty((times.size, 4))
+    out[0] = y = list(spec.initial_state)
+    for a, b in zip([0.0] + cuts, cuts + [float(times[-1])]):
+        inside = np.nextafter(b, -np.inf)
+
+        def rhs(t, state, inside=inside):
+            S, I, R, V = state
+            tt = min(t, inside)
+            lam, mu, p, eta, alpha, beta, sigma, gamma = (
+                s.constant if s.constant is not None else float(s.eval(tt)) for s in sched)
+            N = S + I + R + V
+            inc_s, inc_v = beta * f_s(S, I, N), sigma * f_v(V, I, N)
+            return [lam - inc_s - (mu + p) * S + eta * V,
+                    inc_s + inc_v - (mu + alpha + gamma) * I,
+                    gamma * I - mu * R,
+                    p * S - (mu + eta) * V - inc_v]
+
+        sel = np.flatnonzero((times > a) & (times <= b))
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-11,
+                        atol=1e-13 * max(1.0, max(y)), t_eval=times[sel])
+        assert sol.success and sol.t[-1] == b
+        out[sel] = sol.y.T
+        y = list(sol.y[:, -1])
+    return out
+
+
+# inconsistency_4 over 6 of its 400 time units: its off-grid times k/6 start at once
+_ORACLE_T_END = {"inconsistency_4": 6.0}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_reference_is_the_model_at_every_scored_time(name):
+    # at every time compare.csv scores, the reference is DOP853's solution to
+    # 1e-8 of max I, and to 1e-5 on inconsistency_4, whose spikes an RK4 step
+    # of 1/54 resolves to 5.5e-6.  A reference interpolated linearly between
+    # 0.01 steps reads 2.9e-5 there, and one whose steps end on a month
+    # boundary reading the next month's beta reads 1.1e-3 on measles
+    spec = builtin(name)
+    t_end = _ORACLE_T_END.get(name, spec.t_end)
+    runs, reference = method_runs(spec, discretize(spec, spec.h_values), t_end)
+    _, _, (times, states) = compare_methods(runs, reference)
+    exact = _dop853_at(spec, times)
+    bound = 1e-5 if name == "inconsistency_4" else 1e-8
+    assert np.max(np.abs(states[:, 1] - exact[:, 1])) <= bound * np.max(exact[:, 1])
 
 
 def test_compare_methods_scores_the_runs_it_is_given(monkeypatch):

@@ -138,6 +138,31 @@ def test_piecewise_left_closed_and_tail():
     assert s.eval(1e9) == 2.0
 
 
+def test_left_column_is_the_limit_from_the_left():
+    # at a breakpoint, the value of the interval that ends there; elsewhere,
+    # and for every other kind, the column itself
+    s = ParamSchedule.piecewise("beta", [0.0, 1.0, 2.0], [5.0, 7.0, 2.0])
+    t = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+    assert s.left_column(t).tolist() == [5.0, 5.0, 7.0, 7.0, 2.0]
+    assert s.column(t).tolist() == [5.0, 7.0, 7.0, 2.0, 2.0]
+    h = ParamSchedule.harmonic("beta", 1.0, 0.5, 2.0)
+    assert np.array_equal(h.left_column(t), h.column(t))
+    flat = ParamSchedule.piecewise("beta", [0.0, 1.0], [3.0, 3.0])
+    assert flat.left_column(t) == flat.column(t) == 3.0
+
+
+def test_breakpoints_are_the_jumps_of_the_piecewise_schedules():
+    s = full_set(0.9).as_dict()
+    s["beta"] = ParamSchedule.piecewise("beta", [0.0, 1.0, 2.5], [1.0, 2.0, 1.0])
+    s["gamma"] = ParamSchedule.piecewise("gamma", [0.0, 2.5, 4.0], [0.3, 0.2, 0.1])
+    s["mu"] = ParamSchedule.piecewise("mu", [0.0, 3.0], [0.3, 0.3])  # declared constant
+    sched = ScheduleSet.from_mapping(s)
+    assert sched.breakpoints(0.0, 10.0).tolist() == [1.0, 2.5, 4.0]
+    assert sched.breakpoints(1.0, 2.5).tolist() == [1.0, 2.5]
+    assert sched.breakpoints(1.5, 2.0).size == 0
+    assert full_set(0.9).breakpoints(0.0, 100.0).size == 0
+
+
 def test_piecewise_empty_table_rejected():
     with pytest.raises(ConfigError):
         ParamSchedule.piecewise("beta", [], [])
