@@ -2,7 +2,8 @@
 
 The package covers the full pipeline: coefficient schedules and their
 Mickens-style discretization, incidence functions, the NSFD / Euler / RK4
-steppers, extinction-permanence threshold quantities for both the discrete
+steppers and a Dormand-Prince reference whose error estimate picks its steps,
+extinction-permanence threshold quantities for both the discrete
 and continuous formulations, step-size bounds under which the two verdicts
 agree, and ready-made benchmark scenarios with a CLI front end.
 """
@@ -13,8 +14,9 @@ from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, Hypothesi
                         validate_hypotheses)
 from .incidence import IncidenceFn, validate_incidence
 from .dynamics import (AuxState, State, Trajectory, aux_equilibrium, integrate_continuous,
-                       nsfd_step, periodic_aux_solution, rk4_reference, simulate_aux,
-                       simulate_discrete, validate_state)
+                       nsfd_step, periodic_aux_solution, simulate_aux, simulate_discrete,
+                       validate_state)
+from .reference import Reference, dp5_reference
 from .thresholds import (IndependenceResult, ThresholdReport, Verdict, classify,
                          continuous_thresholds, discrete_thresholds, independence_check,
                          periodic_discrete_threshold)
@@ -30,14 +32,14 @@ __all__ = [
     "AuxState", "BUILTIN_NAMES", "ConfigError", "ConsistencyReport", "DenominatorFn",
     "DiscreteParams", "HypothesisReport", "IncidenceFn",
     "IndependenceResult", "InconsistencyExample", "ObservedSeries", "ParamSchedule",
-    "ResidualReport", "SCHEDULE_NAMES", "ScenarioReport", "ScenarioSpec", "ScheduleSet",
-    "SirvsError", "State", "StepError", "ThresholdReport", "Trajectory",
+    "Reference", "ResidualReport", "SCHEDULE_NAMES", "ScenarioReport", "ScenarioSpec",
+    "ScheduleSet", "SirvsError", "State", "StepError", "ThresholdReport", "Trajectory",
     "Verdict", "aux_equilibrium", "builtin", "classify",
     "consistency_report", "consistency_sweep", "continuous_thresholds",
-    "discrete_thresholds", "eval_denominator", "h_max", "inconsistency_example",
-    "independence_check", "integrate_continuous", "lambda_steps", "load_config",
-    "load_observed", "mickens_discretize", "net_growth_function", "nsfd_step",
-    "periodic_aux_solution", "periodic_discrete_threshold", "rk4_reference", "run_scenario",
+    "discrete_thresholds", "dp5_reference", "eval_denominator", "h_max",
+    "inconsistency_example", "independence_check", "integrate_continuous", "lambda_steps",
+    "load_config", "load_observed", "mickens_discretize", "net_growth_function", "nsfd_step",
+    "periodic_aux_solution", "periodic_discrete_threshold", "run_scenario",
     "simulate_aux", "simulate_discrete", "spec_to_config", "sup_abs_fprime",
     "validate_hypotheses", "validate_incidence", "validate_state",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .consistency import consistency_sweep, sweep_skip_reason
 from .dynamics import (h_label, integrate_continuous, simulate_discrete, state_rows,
                        steps_for)
 from .errors import ConfigError, StepError
+from .reference import REFERENCE_RTOL
 from .scenarios import (BUILTIN_NAMES, builtin, builtin_description, compare_methods,
                         compare_thresholds, discretize, load_config, load_observed,
                         method_runs, run_scenario, spec_to_config, threshold_notes,
@@ -85,11 +87,14 @@ def _t_end(args, spec) -> float:
     return t_end
 
 
-def _write_trajectory(out: Path, rows, method: str, h: float) -> Path:
+def _write_trajectory(out: Path, rows, method: str, h: float | None = None) -> Path:
     """Stream `rows`, the chunks of `dynamics.state_rows` (`Trajectory.rows()`),
     to a CSV, one `%` format and one write per chunk: the writer holds one chunk
-    of rows, never the whole trajectory as Python floats."""
-    path = out / f"trajectory_{method}_h{h_label(h)}.csv"
+    of rows, never the whole trajectory as Python floats.  The file is
+    trajectory_<method>_h<h>.csv for a run at step h, trajectory_<method>.csv
+    without one (the reference, whose steps vary)."""
+    path = out / (f"trajectory_{method}.csv" if h is None
+                  else f"trajectory_{method}_h{h_label(h)}.csv")
     with path.open("w", encoding="utf-8") as fh:
         fh.write("t,S,I,R,V\n")
         for flat in rows:
@@ -113,11 +118,14 @@ def _write_compare(out: Path, runs, reference) -> tuple[Path, dict, tuple]:
     wall time), and the (times, states) table of the reference that
     `compare_methods` scored."""
     rows, nsfd_worse, table = compare_methods(runs, reference)
+    estimate = reference.largest_estimate  # inf only where the run blew up: strict JSON says null
     return (_write_rows(out / "compare.csv",
                         ["h", "method", "sup_dev_I", "negativity_flag"], rows),
             {"nsfd_worse_than_euler_at": nsfd_worse,
              "reference": {"method": reference.method, "steps": reference.n_steps,
-                           "max_step": reference.dt}}, table)
+                           "max_step": reference.dt, "rtol": REFERENCE_RTOL,
+                           "largest_estimate": estimate if math.isfinite(estimate) else None,
+                           "capped_gaps": reference.capped_gaps}}, table)
 
 
 def _discrete_json(pairs, continuous_verdict=None) -> list[dict]:
@@ -238,12 +246,11 @@ def _cmd_scenario(args, spec, out: Path) -> tuple[list, dict]:
                 out / f"residuals_h{h_label(h)}.csv", ["t", "observed", "model_I", "residual"],
                 zip(res.residuals.times, res.residuals.observed,
                     res.residuals.model, res.residuals.residual)))
-    rk4 = report.rk4_reference
     compare, entries, (times, states) = _write_compare(
-        out, [(h, res.nsfd, res.euler) for h, res in report.per_h.items()], rk4)
+        out, [(h, res.nsfd, res.euler) for h, res in report.per_h.items()], report.reference)
     # the reference at the times compare.csv scored, the very values it read
-    rk4_rows = state_rows(states, lambda a, b: times[a:b])
-    paths += [_write_trajectory(out, rk4_rows, "rk4", rk4.dt), compare,
+    ref_rows = state_rows(states, lambda a, b: times[a:b])
+    paths += [_write_trajectory(out, ref_rows, "reference"), compare,
               _write_thresholds(out, report.continuous, report.discrete),
               _write_rows(out / "verdicts.csv", ["method", "h", "verdict"],
                           [[method, "" if h is None else h, v.value]
@@ -339,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="empirically verify verdicts below the computed bound")
     cons.set_defaults(func=_cmd_consistency)
 
-    cmp_ = subs.add_parser("compare", help="NSFD vs Euler deviation from an RK4 reference")
+    cmp_ = subs.add_parser("compare", help="NSFD vs Euler deviation from the continuous reference")
     _add_common(cmp_, "--h", "--t-end")
     cmp_.set_defaults(func=_cmd_compare)
 

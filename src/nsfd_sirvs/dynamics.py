@@ -35,10 +35,9 @@ Three ways to advance a SIRVS model live here:
     Euler reads the coefficients at the start of each step, RK4 also at its
     midpoint and, from the left, at its end (`_rk4_rows`), so a step that ends
     on a breakpoint of a piecewise schedule stays fourth order.
-    `rk4_reference` is the same RK4 loop over unequal steps: it stops exactly
-    at given times and at every breakpoint, with equal steps of at most a
-    given size between two stops.  Explicit methods may leave the nonnegative
-    cone; that is flagged on the returned trajectory, never clamped.
+
+  Explicit methods may leave the nonnegative cone; that is flagged on the
+  returned trajectory, never clamped.
 
 Runs: every run, `nsfd_step` included, goes through `_drive`, the one owner
 of the run policies: n_steps >= 1, a finite start >= 0, the states allocated
@@ -47,10 +46,10 @@ a StepError naming its step.  A stepper holds only its steps' arithmetic.
 
 Memory: a run holds its returned states (32 B per step; 16 B per disease-free
 step), which `_drive` allocates before the first step, so a run too long to
-hold fails at once with a ConfigError; `rk4_reference` adds its node times
-(8 B per step) and a few numbers per stop.  Everything else is bounded by one
-chunk of `_ROWS_PER_CHUNK` rows: `_coefficient_rows` evaluates the
-coefficients one chunk at a time, and `_drive` stores each chunk of new states.
+hold fails at once with a ConfigError (`reference.dp5_reference` allocates
+for its caps and returns fewer).  Everything else is bounded by one chunk of
+`_ROWS_PER_CHUNK` rows: `_coefficient_rows` evaluates the coefficients one
+chunk at a time, and `_drive` stores each chunk of new states.
 
 Cost per step: every loop reads its coefficients as rows of Python floats
 from `_coefficient_rows`, the one producer of rows, where a declared constant
@@ -123,9 +122,10 @@ class Trajectory:
     """A time-indexed sequence of states produced by one stepper.
 
     The states are at t0 + dt k, or, for a run of unequal steps
-    (`rk4_reference`), at the times `nodes`, and dt is then the bound on
-    its steps.  `negative_at` is the index of the first state with a negative
-    component (explicit methods only; the NSFD scheme cannot produce one).
+    (`reference.dp5_reference`), at the times `nodes`, and dt is then its
+    largest step.  `negative_at` is the index of the first state with a
+    negative component (explicit methods only; the NSFD scheme cannot produce
+    one).
     """
 
     t0: float
@@ -229,8 +229,10 @@ def _drive(advance, rows, start, n_steps, first: int = 0) -> np.ndarray:
     first step being step `first`, under the policies in the module docstring.
     A stepper advance(rows, state, n0, out) steps `state` once per row, the
     first being step n0, appends each new state to `out`, an empty array("d"),
-    and returns the last one.  Only coefficients summing to -1 (e.g. mu = -1)
-    can zero a denominator."""
+    and returns the last one.  n_steps bounds the run: rows that end sooner
+    end it there, and only its states are returned (`reference.dp5_reference`,
+    which chooses its steps as it runs).  Only coefficients summing to -1 (e.g.
+    mu = -1) can zero a denominator."""
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -252,6 +254,8 @@ def _drive(advance, rows, start, n_steps, first: int = 0) -> np.ndarray:
             n = first + k + len(chunk) // width
             raise StepError(f"zero denominator at step {n}", step=n) from exc
         flat[width * (k + 1):width * (k + 1) + len(chunk)] = chunk  # rows k+1 ..
+        if len(chunk) < width * min(_ROWS_PER_CHUNK, n_steps - k):  # the rows ran out
+            return out[:k + 1 + len(chunk) // width].copy()
     return out
 
 
@@ -597,87 +601,45 @@ def integrate_continuous(schedules: ScheduleSet, phi: IncidenceFn, psi: Incidenc
     if method == "euler":  # rows at 0, h, .., (n_steps - 1) h: the only ones it reads
         advance = _euler_stepper(phi, psi, h)
         rows = _coefficient_rows(partial(columns, h), n_steps)
-    else:  # nodes at 0, h, .., n_steps h and the midpoints between, on one half-step grid
-        half = h / 2.0
-        advance, rows = _rk4_rows(schedules, phi, psi, n_steps, repeat((h, half, h / 6.0)),
-                                  lambda a, b: np.arange(2 * a, 2 * b, 2) * half,
-                                  lambda a, b: np.arange(2 * a + 1, 2 * b + 1, 2) * half)
+    else:
+        advance, rows = _rk4_rows(schedules, phi, psi, n_steps, h)
     with np.errstate(all="ignore"):
         out = _drive(advance, rows, s0, n_steps)
-    return _explicit_trajectory(out, h, method)
+    return Trajectory(t0=0.0, dt=h, states=out, method=method, negative_at=_first_negative(out))
 
 
-def rk4_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
-                  s0: State, times, max_step: float) -> Trajectory:
-    """RK4 for `integrate_continuous`'s model from t = 0 that stops exactly at
-    each of `times` (>= 0) and at every breakpoint up to the last of them
-    (`ScheduleSet.breakpoints`).  Each gap between two stops takes
-    `steps_for(gap, max_step)` equal steps, the last of which ends on the stop
-    itself, so no step crosses a breakpoint and each of `times` is a node.  The
-    trajectory holds every node, at the times `nodes`, with dt = max_step.
-    Node times are computed one chunk at a time from the stops, so beyond its
-    states (32 B per step) the run holds only its node times (8 B per step)."""
-    times = np.asarray(times, dtype=float)
-    if not (max_step > 0 and times.size and np.isfinite(times).all() and times.min() >= 0):
-        raise ValueError("rk4_reference needs max_step > 0 and finite times >= 0")
-    stops = np.union1d(np.append(times, 0.0),
-                       schedules.breakpoints(0.0, float(times.max())))
-    gaps = np.diff(stops)
-    if not gaps.size:
-        raise ValueError("rk4_reference needs a time after t = 0")
-    counts = np.fromiter(map(steps_for, gaps.tolist(), repeat(max_step)), int, gaps.size)
-    hs = np.append(gaps / counts, 0.0)
-    first = np.append(0, np.cumsum(counts))  # the first step of each gap; the last is n_steps
-    n_steps = int(first[-1])
-
-    def at(a, b, offset):  # stop + (i + offset) h for steps a .. b-1, step i of its gap
-        k = np.arange(a, b)
-        g = np.searchsorted(first, k, side="right") - 1
-        return stops[g] + (k - first[g] + offset) * hs[g]  # offset 0: a gap's first node is its stop
-
-    steps = chain.from_iterable(map(repeat, [(h, h / 2.0, h / 6.0) for h in hs[:-1].tolist()],
-                                    counts.tolist()))
-    advance, rows = _rk4_rows(schedules, phi, psi, n_steps, steps, partial(at, offset=0.0),
-                              partial(at, offset=0.5))
-    with np.errstate(all="ignore"):
-        out = _drive(advance, rows, s0, n_steps)
-    nodes = np.empty(n_steps + 1)
-    for a in range(0, n_steps + 1, _ROWS_PER_CHUNK):
-        b = min(a + _ROWS_PER_CHUNK, n_steps + 1)
-        nodes[a:b] = at(a, b, 0.0)
-    return _explicit_trajectory(out, max_step, "rk4", nodes)
-
-
-def _explicit_trajectory(out: np.ndarray, dt: float, method: str,
-                         nodes: np.ndarray | None = None) -> Trajectory:
+def _first_negative(out: np.ndarray) -> int | None:
+    """The index of the first state with a negative component, if any."""
     negative = np.flatnonzero((out < 0.0).any(axis=1))
-    return Trajectory(t0=0.0, dt=dt, states=out, method=method,
-                      negative_at=int(negative[0]) if negative.size else None, nodes=nodes)
+    return int(negative[0]) if negative.size else None
 
 
-def _rk4_rows(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn, n_steps: int,
-              steps, node_times, mid_times):
-    """The `_drive` stepper and rows of an RK4 run of n_steps steps: step k takes
-    the (h, h/2, h/6) of `steps` from node k to node k + 1, node_times(a, b) and
-    mid_times(a, b) being the times of nodes a .. b-1 and the midpoints of steps
-    a .. b-1.  A row is (h, h/2, h/6), then the coefficients at the step's
-    midpoint, at its end read from the left, and at its end: one tuple twice
-    unless some schedule has a breakpoint in the run (`ScheduleSet.breakpoints`),
-    where the two differ only at a step that ends exactly on one."""
+def _rk4_rows(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn, n_steps: int, h: float):
+    """The `_drive` stepper and rows of an RK4 run of n_steps steps of h from
+    t = 0, its nodes at 0, h, .., n_steps h and the midpoints between, on one
+    half-step grid.  A row is (h, h/2, h/6), then the coefficients at the
+    step's midpoint, at its end read from the left, and at its end: one tuple
+    twice unless some schedule has a breakpoint in the run
+    (`ScheduleSet.breakpoints`), where the two differ only at a step that ends
+    exactly on one."""
+    half = h / 2.0
+
     def columns(times, read):
         return lambda a, b: schedules.evaluate(SCHEDULE_NAMES, times(a, b), read)
 
     def ends(a, b):
-        return node_times(a + 1, b + 1)
+        return np.arange(2 * a + 2, 2 * b + 2, 2) * half
 
     right = _coefficient_rows(columns(ends, ParamSchedule.column), n_steps)
     if schedules.breakpoints(0.0, float(ends(n_steps - 1, n_steps)[0])).size:
         left = _coefficient_rows(columns(ends, ParamSchedule.left_column), n_steps)
     else:  # the left limit is the value everywhere: one tuple serves as both
         left, right = tee(right)
-    c0 = next(_coefficient_rows(columns(node_times, ParamSchedule.column), 1))
-    mids = _coefficient_rows(columns(mid_times, ParamSchedule.column), n_steps)
-    return _rk4_stepper(phi, psi, c0), zip(steps, mids, left, right)
+    c0 = next(_coefficient_rows(columns(lambda a, b: np.zeros(1), ParamSchedule.column), 1))
+    mids = _coefficient_rows(
+        columns(lambda a, b: np.arange(2 * a + 1, 2 * b + 1, 2) * half, ParamSchedule.column),
+        n_steps)
+    return _rk4_stepper(phi, psi, c0), zip(repeat((h, half, h / 6.0)), mids, left, right)
 
 
 def _explicit_form(inc: IncidenceFn):
@@ -696,6 +658,7 @@ def _euler_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float):
     g_phi, a_phi, pop_phi = _explicit_form(phi)
     g_psi, a_psi, pop_psi = _explicit_form(psi)
     divides = bool(a_phi or pop_phi or a_psi or pop_psi)  # some d is not 1
+    same_n = bool(pop_phi and not a_phi)  # phi's d is N, so psi's d = N is ds
 
     def advance(rows, state, n0, out):
         S, I, R, V = state
@@ -703,7 +666,8 @@ def _euler_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float):
             qs, qv = S if g_phi is None else g_phi(S), V if g_psi is None else g_psi(V)
             if divides:
                 ds = 1.0 + a_phi * I if a_phi else S + I + R + V if pop_phi else 1.0
-                dv = 1.0 + a_psi * I if a_psi else S + I + R + V if pop_psi else 1.0
+                dv = (1.0 + a_psi * I if a_psi else
+                      (ds if same_n else S + I + R + V) if pop_psi else 1.0)
                 qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
             inc_s, inc_v = beta * qs * I, sigma * qv * I
             S, I, R, V = (S + h * (lam - inc_s - (mu + p) * S + eta * V),

@@ -4,9 +4,9 @@ A scenario bundles the eight coefficient schedules, the incidence pair, the
 step denominator, the step sizes to examine, the threshold window, the run
 horizon and the initial state.  `run_scenario` turns one scenario into a
 full report: NSFD and Euler trajectories per step size, discrete and
-continuous threshold reports, the step-bound analysis when it applies, an
-RK4 reference run that stops at every time the runs are scored at, and a
-verdict matrix.  `inconsistency_example` builds the deliberate period-1
+continuous threshold reports, the step-bound analysis when it applies, a
+Dormand-Prince reference run that stops at every time the runs are scored at,
+and a verdict matrix.  `inconsistency_example` builds the deliberate period-1
 counterexample in which sampling at h = 1/L hits the minima of a spiky
 seasonal transmission rate and flips the verdict.
 """
@@ -22,20 +22,19 @@ import numpy as np
 
 from .consistency import (ConsistencyReport, consistency_report, consistency_skip_reason,
                           window_thresholds)
-from .dynamics import (State, Trajectory, h_label, integrate_continuous, rk4_reference,
-                       simulate_discrete, steps_for, validate_state)
+from .dynamics import (State, Trajectory, h_label, integrate_continuous, simulate_discrete,
+                       steps_for, validate_state)
 from .errors import ConfigError
 # a separable g is checked once, when its IncidenceFn is built; validate_incidence
 # stays importable here because perfbench/tracing.py looks it up in this module
 from .incidence import IncidenceFn, validate_incidence  # noqa: F401
+from .reference import Reference, dp5_reference
 from .schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSchedule,
                         ScheduleSet, mickens_discretize, validate_hypotheses)
 # discrete_thresholds is called through consistency.window_thresholds; it stays
 # importable here because perfbench/tracing.py looks it up in this module
 from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
                          discrete_thresholds)
-
-RK4_REFERENCE_STEP = 0.02  # the largest step of the RK4 reference (`method_runs`)
 
 BUILTIN_NAMES = ("extinction_5_1", "persistence_5_1", "saturated_5_1_ext",
                  "saturated_5_1_per", "inconsistency_4", "measles_france_5_2")
@@ -565,7 +564,7 @@ class ThresholdComparison:
 class ScenarioReport(ThresholdComparison):
     name: str
     per_h: dict
-    rk4_reference: Trajectory
+    reference: Reference
     warnings: tuple
 
     @property
@@ -639,17 +638,17 @@ def compare_thresholds(spec: ScenarioSpec, lam: float,
 
 
 def method_runs(spec: ScenarioSpec, dps: list[DiscreteParams],
-                t_end: float) -> tuple[list, Trajectory]:
+                t_end: float) -> tuple[list, Reference]:
     """The runs a scenario compares: (h, NSFD run, Euler run) at each discrete
-    model's step, each `steps_for(t_end, h)` steps long, and one RK4 reference
-    (`dynamics.rk4_reference`) that stops exactly at every one of their times
-    and at every breakpoint of the schedules, with equal steps of at most
-    `RK4_REFERENCE_STEP` between two stops."""
+    model's step, each `steps_for(t_end, h)` steps long, and one reference
+    (`reference.dp5_reference`) that stops exactly at every one of their times
+    and at every breakpoint of the schedules, its steps chosen by its embedded
+    estimate."""
     model = (spec.incidence_phi, spec.incidence_psi, spec.initial_state)
     runs = [(dp.h, simulate_discrete(dp, *model, steps_for(t_end, dp.h)),
              integrate_continuous(spec.schedules, *model, t_end, dp.h, method="euler"))
             for dp in dps]
-    return runs, rk4_reference(spec.schedules, *model, _scored_times(runs), RK4_REFERENCE_STEP)
+    return runs, dp5_reference(spec.schedules, *model, _scored_times(runs))
 
 
 def _scored_times(runs) -> np.ndarray:
@@ -710,6 +709,6 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
         **vars(comparison),
         name=spec.name,
         per_h=per_h,
-        rk4_reference=reference,
+        reference=reference,
         warnings=tuple(warnings),
     )

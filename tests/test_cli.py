@@ -507,13 +507,22 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
 # whose k/6 times were interpolated) and 3.4e-3 (measles_france_5_2, whose
 # reference was first order); verdicts, thresholds, consistency.json and the
 # NSFD and Euler runs kept their bytes.
+# All six were re-pinned when the reference became a Dormand-Prince 5(4) pair
+# whose embedded estimate picks each gap's steps: only compare.csv, the
+# reference file (trajectory_rk4_h0.02.csv became trajectory_reference.csv)
+# and manifest.json (its `outputs`, and the `reference` entry, which gained
+# rtol, largest_estimate and capped_gaps) changed.  The largest relative move
+# of a sup_dev_I was 2.3e-10 (extinction_5_1), 1.5e-8 (persistence_5_1),
+# 1.8e-10 (saturated_5_1_ext), 6.3e-9 (saturated_5_1_per), 2.1e-6
+# (inconsistency_4) and 6.9e-10 (measles_france_5_2); verdicts, thresholds,
+# consistency.json and the NSFD and Euler runs kept their bytes.
 GOLDEN_BUNDLE_DIGESTS = {
-    "extinction_5_1": "35bb78781ca3a4bfafda2eab2775b2027f4459895e0b02181d4fac9d8a6bfc9d",
-    "persistence_5_1": "8cfc0cfce4cc55c18a707c058d11e4b91d1515cf2cce0cb9e285d7c541fad19d",
-    "saturated_5_1_ext": "40e2d229f81046d167dab101a5892de1a8a5db45e8bcc0eb2c834fecad530770",
-    "saturated_5_1_per": "4f6fbb56e6d69fe6f2566630c9a2806d7c5a13b71da7ec1912a554f02c3eb1fa",
-    "inconsistency_4": "bde1e329fb8ccd9d1d3a3ec586b38f21f7cef9844da1dbb20c250526119ee921",
-    "measles_france_5_2": "68834aea41080c0f4791f35e4e00dc7bedfe1646027561d36c8fac60d7a79925",
+    "extinction_5_1": "d8e6879dfe85f898013c504cc3707f1c6bd9941b03482de86c3a3eeb412320a5",
+    "persistence_5_1": "98785ef1512a93fa4797272a8b8c8e2b6dc30fed565bf5b825f2b47d0a847efb",
+    "saturated_5_1_ext": "c4892bc35109ddc49e989e9c47f2d8cdbed0eef00e3db68944b6687a5763f228",
+    "saturated_5_1_per": "2b88cae2bf0efec27a3c70bdf279186dd081348a6611b7e5629bdb423dfcc54c",
+    "inconsistency_4": "99d50779e784029f8c085b7114d826dba292f34eadbdfa9a8ea60c202f7d4edd",
+    "measles_france_5_2": "0812f9bee36c98eedebe78de9d281e27a357e718f1d690309b0bf5e5686145bd",
 }
 
 
@@ -552,9 +561,10 @@ GOLDEN_COMMAND_DIGESTS = {
         "39fd3d1a30b9bbe5da0484d3becf0189d8cb6785c49cd1e32be63a8015b1ebd9",
     # re-pinned with the reference that stops at every scored time: compare.csv
     # (largest relative move of a sup_dev_I 1.9e-10) and manifest.json (the new
-    # `reference` entry) changed
+    # `reference` entry) changed; and again with the Dormand-Prince reference:
+    # compare.csv (2.3e-10) and the `reference` entry changed
     ("compare", "extinction_5_1"):
-        "0a64669d4c3a2fd39281411827fef0f6243095c1538319e62c0b86ca9a86a213",
+        "f029954fd22d004f7f51659fe41c0635e5eb5d0dbc70637fa4e1cb732e259a6a",
     # the continuous integrators, pinned before RK4's stages were written out:
     # mass action (d = 1) with RK4 and Euler, and standard incidence (d = N)
     ("simulate", "persistence_5_1", "--h", "0.05", "--method", "rk4"):
@@ -638,7 +648,7 @@ def test_bundle_compare_is_the_compare_command(tmp_path, name):
 
 
 def test_bundle_reference_reaches_the_last_run_time(tmp_path):
-    # at h = 0.4 the runs end at t = 1.2, past t_end = 1: the bundle's RK4
+    # at h = 0.4 the runs end at t = 1.2, past t_end = 1: the bundle's
     # reference runs on to 1.2, as `compare`'s always did
     cfg = spec_to_config(builtin("extinction_5_1"))
     cfg["h_values"], cfg["t_end"], cfg["lambda"] = [0.4], 1.0, 1.0
@@ -647,7 +657,7 @@ def test_bundle_reference_reaches_the_last_run_time(tmp_path):
     assert main(["scenario", "run", str(tmp_path / "short.json"), "--out", str(bundle)]) == 0
     assert main(["compare", "extinction_5_1", "--h", "0.4", "--t-end", "1",
                  "--out", str(alone)]) == 0
-    _, rows = _read_csv(bundle / "trajectory_rk4_h0.02.csv")
+    _, rows = _read_csv(bundle / "trajectory_reference.csv")
     assert float(rows[-1][0]) == pytest.approx(1.2)
     _, rows = _read_csv(bundle / "trajectory_nsfd_h0.4.csv")
     assert float(rows[-1][0]) == pytest.approx(1.2)
@@ -658,11 +668,11 @@ def _table(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-def _assert_rk4_file_is_what_compare_scores(bundle):
-    """The bundle's RK4 file holds the reference at the sorted union of its runs'
-    times, and every sup_dev_I of compare.csv is recomputed from the CSVs alone,
-    bit for bit; returns the RK4 file's rows."""
-    ref = _table(bundle / "trajectory_rk4_h0.02.csv")
+def _assert_reference_file_is_what_compare_scores(bundle):
+    """The bundle's reference file holds the reference at the sorted union of its
+    runs' times, and every sup_dev_I of compare.csv is recomputed from the CSVs
+    alone, bit for bit; returns the reference file's rows."""
+    ref = _table(bundle / "trajectory_reference.csv")
     _, rows = _read_csv(bundle / "compare.csv")
     runs = [_table(bundle / f"trajectory_{method}_h{h_label(float(h))}.csv")
             for h, method, _, _ in rows]
@@ -676,17 +686,17 @@ def _assert_rk4_file_is_what_compare_scores(bundle):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_bundle_reference_is_written_at_the_compared_times(tmp_path, name):
     assert main(["scenario", "run", name, "--out", str(tmp_path)]) == 0
-    _assert_rk4_file_is_what_compare_scores(tmp_path)
+    _assert_reference_file_is_what_compare_scores(tmp_path)
 
 
 @settings(max_examples=15, deadline=None)
 @given(hs=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3, unique_by=h_label),
        t_end=st.floats(1.0, 6.0))
 def test_bundle_reference_at_non_nested_step_sizes(tmp_path_factory, hs, t_end):
-    # step sizes such as {0.3, 0.7}, whose times do not nest: the RK4 rows are
-    # exactly their union, not a uniform grid; every one of those times is a
-    # node of rk4_reference, whose own state is written there, and nothing is
-    # interpolated on the way
+    # step sizes such as {0.3, 0.7}, whose times do not nest: the reference rows
+    # are exactly their union, not a uniform grid; every one of those times is
+    # a node of the reference, whose own state is written there, no step is
+    # longer than its dt, and nothing is interpolated on the way
     cfg = spec_to_config(builtin("extinction_5_1"))
     cfg["h_values"], cfg["t_end"], cfg["lambda"] = hs, t_end, 1.0
     tmp = tmp_path_factory.mktemp("nested")
@@ -698,24 +708,51 @@ def test_bundle_reference_at_non_nested_step_sizes(tmp_path_factory, hs, t_end):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "interp", no_interp)
         assert main(["scenario", "run", str(tmp / "cfg.json"), "--out", str(tmp / "b")]) == 0
-    ref = _assert_rk4_file_is_what_compare_scores(tmp / "b")
-    rk4 = run_scenario(config_to_spec(cfg)).rk4_reference
-    at = np.searchsorted(rk4.times, ref[:, 0])
-    assert np.array_equal(rk4.times[at], ref[:, 0])
-    assert np.array_equal(rk4.states[at], ref[:, 1:])
-    assert np.all(np.diff(rk4.times) <= 0.02 + 2.0 * np.spacing(rk4.times[1:]))
+    ref = _assert_reference_file_is_what_compare_scores(tmp / "b")
+    reference = run_scenario(config_to_spec(cfg)).reference
+    at = np.searchsorted(reference.times, ref[:, 0])
+    assert np.array_equal(reference.times[at], ref[:, 0])
+    assert np.array_equal(reference.states[at], ref[:, 1:])
+    assert np.all(np.diff(reference.times)
+                  <= reference.dt + 2.0 * np.spacing(reference.times[1:]))
+
+
+def test_a_reference_that_blows_up_reports_no_estimate(tmp_path):
+    # beta = 1e4 overflows the reference at its cap step: the manifest stays
+    # strict JSON, its largest_estimate null, and compare.csv says nan
+    cfg = spec_to_config(builtin("extinction_5_1"))
+    cfg["schedules"]["beta"] = {"kind": "constant", "params": {"value": 1e4}}
+    cfg["h_values"], cfg["t_end"], cfg["lambda"] = [1.0], 4.0, 1.0
+    (tmp_path / "fast.json").write_text(json.dumps(cfg))
+    assert main(["compare", str(tmp_path / "fast.json"), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["reference"]["largest_estimate"] is None
+    _, rows = _read_csv(tmp_path / "o" / "compare.csv")
+    assert [row[2] for row in rows] == ["nan", "nan"]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_manifest_says_how_the_reference_was_integrated(tmp_path, name):
     # the same deterministic entry from `scenario run` and `compare`: the
-    # method, its step count and the bound on its steps, and no wall time
-    steps = {"inconsistency_4": 21_600, "measles_france_5_2": 3_000}.get(name, 10_000)
+    # method, its step count, its largest step, the tolerance, its largest
+    # estimate and the number of capped gaps, and no wall time
+    steps, capped = {"extinction_5_1": (1440, 0), "persistence_5_1": (1832, 0),
+                     "saturated_5_1_ext": (1440, 0), "saturated_5_1_per": (1800, 0),
+                     "inconsistency_4": (12_000, 2392), "measles_france_5_2": (896, 0)}[name]
+    entries = []
     for argv in (["scenario", "run", name], ["compare", name]):
         out = tmp_path / argv[0]
         assert main(argv + ["--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["reference"] == {"method": "rk4", "steps": steps, "max_step": 0.02}
+        entries.append(json.loads((out / "manifest.json").read_text())["reference"])
+    assert entries[0] == entries[1]
+    entry = entries[0]
+    assert sorted(entry) == ["capped_gaps", "largest_estimate", "max_step", "method", "rtol",
+                             "steps"]
+    assert (entry["method"], entry["steps"], entry["rtol"], entry["capped_gaps"]) == (
+        "dp5", steps, 1e-8, capped)
+    # where no gap is capped, the largest estimate is of the order of the
+    # tolerance (each block's steps are predicted from the block before)
+    assert 0.0 < entry["largest_estimate"] <= (1e-3 if capped else 3e-8)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

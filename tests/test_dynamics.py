@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsfd_sirvs import dynamics
+from nsfd_sirvs import dynamics, reference
 from nsfd_sirvs.dynamics import (AuxState, State, _aux_advance, aux_equilibrium,
                                  integrate_continuous, nsfd_step, periodic_aux_solution,
                                  simulate_aux, simulate_discrete)
@@ -568,31 +568,38 @@ def _one_jump_set():
     return ScheduleSet.from_mapping(s)
 
 
+def _mass_action_rhs(sched, end=None):
+    """y' = F(t, y) of the mass-action model, the coefficients read at t, or
+    up to `end` from the left: those of the interval that ends there."""
+    def rhs(t, y):
+        S, I, R, V = y
+        tt = t if end is None else min(t, np.nextafter(end, 0.0))
+        lam, mu, p, eta, alpha, beta, sigma, gamma = (
+            float(getattr(sched, name).eval(tt)) for name in SCHEDULE_NAMES)
+        inc_s, inc_v = beta * S * I, sigma * V * I
+        return [lam - inc_s - (mu + p) * S + eta * V,
+                inc_s + inc_v - (mu + alpha + gamma) * I,
+                gamma * I - mu * R,
+                p * S - (mu + eta) * V - inc_v]
+    return rhs
+
+
+def _one_jump_exact_at_2(sched, s0):
+    """The model's state at t = 2 by DOP853, restarted at the jump at t = 1."""
+    from scipy.integrate import solve_ivp
+    y1 = solve_ivp(_mass_action_rhs(sched, 1.0), (0.0, 1.0), list(s0), method="DOP853",
+                   rtol=1e-13, atol=1e-14).y[:, -1]
+    return solve_ivp(_mass_action_rhs(sched, 2.0), (1.0, 2.0), y1, method="DOP853",
+                     rtol=1e-13, atol=1e-14).y[:, -1]
+
+
 def test_rk4_is_fourth_order_across_a_breakpoint():
     # steps that end on the breakpoint read their end stage at the left limit,
     # so each halving of h shrinks the error at t = 2 about 16-fold; a fourth
     # stage that reads the next interval's beta halves it only (order 1)
-    from scipy.integrate import solve_ivp
     sched = _one_jump_set()
     s0 = State(1.0, 0.2, 0.1, 1.0)
-
-    def rhs_until(end):  # the coefficients of the interval that ends at `end`
-        def rhs(t, y):
-            S, I, R, V = y
-            lam, mu, p, eta, alpha, beta, sigma, gamma = (
-                float(getattr(sched, name).eval(min(t, np.nextafter(end, 0.0))))
-                for name in SCHEDULE_NAMES)
-            inc_s, inc_v = beta * S * I, sigma * V * I
-            return [lam - inc_s - (mu + p) * S + eta * V,
-                    inc_s + inc_v - (mu + alpha + gamma) * I,
-                    gamma * I - mu * R,
-                    p * S - (mu + eta) * V - inc_v]
-        return rhs
-
-    y1 = solve_ivp(rhs_until(1.0), (0.0, 1.0), list(s0), method="DOP853",
-                   rtol=1e-13, atol=1e-14).y[:, -1]
-    exact = solve_ivp(rhs_until(2.0), (1.0, 2.0), y1, method="DOP853",
-                      rtol=1e-13, atol=1e-14).y[:, -1]
+    exact = _one_jump_exact_at_2(sched, s0)
     errs = [np.max(np.abs(integrate_continuous(sched, MASS, MASS, s0, 2.0, h).states[-1]
                           - exact))
             for h in (1 / 8, 1 / 16, 1 / 32, 1 / 64)]
@@ -600,24 +607,118 @@ def test_rk4_is_fourth_order_across_a_breakpoint():
     assert all(12.0 <= r <= 20.0 for r in ratios), (errs, ratios)
 
 
-def test_rk4_reference_stops_at_every_time_and_breakpoint():
-    # stops at 0.3, 0.5 (beta's breakpoint), 0.7 and 1; each gap in equal steps
-    # of at most 0.1, the last ending on the stop itself
+# Dormand & Prince (1980) in vector form: (c_i, row a_i) per stage, the last row
+# being the fifth-order weights b, and the fourth-order weights b*
+_DP5_TABLEAU = (
+    (0.0, ()),
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+)
+_DP5_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _textbook_dp5(rhs, t, y, h):
+    """One Dormand-Prince step of y' = rhs(t, y), written from the tableau:
+    its fifth- and fourth-order solutions."""
+    y, k = np.asarray(y, dtype=float), []
+    for c, row in _DP5_TABLEAU:
+        k.append(np.asarray(rhs(t + c * h, y + h * sum(a * kj for a, kj in zip(row, k)))))
+    return (y + h * sum(b * kj for b, kj in zip(_DP5_TABLEAU[-1][1], k)),
+            y + h * sum(b * kj for b, kj in zip(_DP5_B4, k)))
+
+
+def test_dp5_is_fifth_order_across_a_breakpoint():
+    # one step per gap of 2/m <= REFERENCE_CAP_STEP, so doubling m halves every
+    # step; those that end on the jump read their last stages at the left
+    # limit, so the error at t = 2 shrinks about 32-fold each time
+    sched = _one_jump_set()
+    s0 = State(1.0, 0.2, 0.1, 1.0)
+    exact = _one_jump_exact_at_2(sched, s0)
+    refs = [reference.dp5_reference(sched, MASS, MASS, s0, np.arange(1, m + 1) * (2.0 / m))
+            for m in (64, 128, 256)]
+    assert [ref.n_steps for ref in refs] == [64, 128, 256]
+    errs = [np.max(np.abs(ref.states[-1] - exact)) for ref in refs]
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    assert all(24.0 <= r <= 40.0 for r in ratios), (errs, ratios)
+
+
+def test_dp5_reference_stops_at_every_time_and_breakpoint():
+    # stops at 0.3, 0.5 (beta's breakpoint), 0.7 and 1; one block, so each gap
+    # takes its cap, equal steps of at most REFERENCE_CAP_STEP = 0.04, the last
+    # ending on the stop itself
     sched = _one_jump_set().as_dict()
     for name in ("beta", "sigma"):
         sched[name] = ParamSchedule.piecewise(name, [0.0, 0.5, 3.0], [2.0, 0.4, 1.0])
     sched = ScheduleSet.from_mapping(sched)
     s0 = State(1.0, 0.2, 0.1, 1.0)
-    ref = dynamics.rk4_reference(sched, MASS, MASS, s0, [1.0, 0.3, 0.7, 0.3], 0.1)
-    assert (ref.method, ref.dt, ref.n_steps) == ("rk4", 0.1, 10)  # 3 + 2 + 2 + 3 steps
-    assert [ref.times[k] for k in (0, 3, 5, 7, 10)] == [0.0, 0.3, 0.5, 0.7, 1.0]
-    assert np.all(np.diff(ref.times) <= 0.1 + 2.0 * np.spacing(ref.times[1:]))
-    # up to 0.3 it is fixed-step RK4 at 0.1, up to the rounding of its node times
-    fixed = integrate_continuous(sched, MASS, MASS, s0, 0.3, 0.1)
-    np.testing.assert_allclose(ref.states[:4], fixed.states, rtol=1e-14, atol=0.0)
-    for times, step in (([], 0.1), ([0.0], 0.1), ([-1.0, 1.0], 0.1), ([1.0], 0.0)):
+    ref = reference.dp5_reference(sched, MASS, MASS, s0, [1.0, 0.3, 0.7, 0.3])
+    assert (ref.method, ref.n_steps, ref.capped_gaps) == ("dp5", 26, 0)  # 8 + 5 + 5 + 8 steps
+    assert ref.dt == 0.2 / 5 and reference.REFERENCE_RTOL == 1e-8
+    assert [ref.times[k] for k in (0, 8, 13, 18, 26)] == [0.0, 0.3, 0.5, 0.7, 1.0]
+    assert np.all(np.diff(ref.times) <= 0.04 + 2.0 * np.spacing(ref.times[1:]))
+    # up to 0.3 it is the textbook DP5 at 0.3 / 8, up to the rounding of its node times
+    y, rhs = np.array(s0), _mass_action_rhs(sched)
+    for k in range(8):
+        y = _textbook_dp5(rhs, ref.times[k], y, 0.3 / 8)[0]
+        np.testing.assert_allclose(ref.states[k + 1], y, rtol=1e-13, atol=0.0)
+    for times in ([], [0.0], [-1.0, 1.0], [1.0, np.inf]):
         with pytest.raises(ValueError):
-            dynamics.rk4_reference(sched, MASS, MASS, s0, times, step)
+            reference.dp5_reference(sched, MASS, MASS, s0, times)
+
+
+@pytest.mark.parametrize("h", [0.04, 0.02])
+def test_dp5_estimate_is_the_local_error_of_the_fourth_order_solution(h):
+    # y' = -mu(t) y in every component (no inflow, infection or transfer), whose
+    # exact solution is y0 exp(-int mu): one step's estimate is |y5 - y4|
+    # relative to max(|y0|, |y5|), the textbook pair's, and it is the fourth-
+    # order solution's true local error to within a few per cent
+    c = ParamSchedule.constant
+    sched = ScheduleSet(Lambda=c("Lambda", 0.0), mu=ParamSchedule.harmonic("mu", 0.5, 0.4, 3.0),
+                        p=c("p", 0.0), eta=c("eta", 0.0), alpha=c("alpha", 0.0),
+                        beta=c("beta", 0.0), sigma=c("sigma", 0.0), gamma=c("gamma", 0.0))
+    s0 = State(1.0, 0.2, 0.1, 1.0)
+    ref = reference.dp5_reference(sched, MASS, MASS, s0, [h])
+    assert ref.n_steps == 1
+    y5, y4 = _textbook_dp5(_mass_action_rhs(sched), 0.0, np.array(s0), h)
+    np.testing.assert_allclose(ref.states[1], y5, rtol=1e-14, atol=0.0)
+    exact = np.array(s0) * math.exp(-(0.5 * h + 0.4 / 3.0 * math.sin(3.0 * h)))
+    scale = np.maximum(np.abs(s0), np.abs(y5))
+    assert ref.largest_estimate == pytest.approx(np.max(np.abs(y5 - y4) / scale), rel=1e-4)
+    assert ref.largest_estimate == pytest.approx(np.max(np.abs(y4 - exact) / scale), rel=0.05)
+
+
+def test_a_component_at_zero_throughout_does_not_cap_the_reference():
+    # a disease-free run keeps I = R = 0: their estimates are 0 / 0, read as 0,
+    # so the steps still follow S and V and no gap is capped
+    spec = builtin("extinction_5_1")
+    ref = reference.dp5_reference(spec.schedules, MASS, MASS, State(1.0, 0.0, 0.0, 1.0),
+                                  np.arange(0.0, 40.25, 0.5))
+    assert np.all(ref.I == 0.0) and np.all(ref.R == 0.0)
+    assert ref.capped_gaps == 0 and 0.0 < ref.largest_estimate < 1e-7
+    assert ref.n_steps < 0.5 * 80 * dynamics.steps_for(0.5, reference.REFERENCE_CAP_STEP)
+
+
+def test_dp5_reference_runs_are_bit_identical(monkeypatch):
+    # the same run twice gives the same bytes, also when each chunk of rows is
+    # 7 steps long, so that most steps recompute the first stage their
+    # predecessor's last one gave (first same as last)
+    spec = builtin("persistence_5_1")
+    args = (spec.schedules, spec.incidence_phi, spec.incidence_psi, spec.initial_state,
+            np.arange(0.0, 40.25, 0.5))
+
+    def run():
+        ref = reference.dp5_reference(*args)
+        return (ref.states.tobytes(), ref.nodes.tobytes(), ref.largest_estimate,
+                ref.capped_gaps, ref.dt)
+
+    first = run()
+    assert run() == first
+    monkeypatch.setattr(dynamics, "_ROWS_PER_CHUNK", 7)
+    assert run() == first
 
 
 def test_euler_is_first_order_on_decay():

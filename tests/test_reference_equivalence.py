@@ -602,7 +602,7 @@ def test_trajectory_writer_specials_across_a_chunk_boundary(tmp_path):
 
 def test_trajectory_writer_non_uniform_times(tmp_path):
     # the union of the times of runs at h = 0.3 and h = 0.7, as a bundle writes
-    # its RK4 reference: no uniform grid, and past a chunk boundary
+    # its reference: no uniform grid, and past a chunk boundary
     times = np.unique(np.concatenate([0.3 * np.arange(1500), 0.7 * np.arange(650)]))
     assert len(times) > 1024 and np.ptp(np.diff(times)) > 0.1
     states = np.random.default_rng(13).standard_normal((len(times), 4))

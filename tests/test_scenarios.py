@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsfd_sirvs.dynamics import State, integrate_continuous
+from nsfd_sirvs.dynamics import State, integrate_continuous, steps_for
 from nsfd_sirvs.errors import ConfigError
 from nsfd_sirvs.incidence import IncidenceFn, validate_incidence
+from nsfd_sirvs.reference import REFERENCE_CAP_STEP
 from nsfd_sirvs.consistency import consistency_skip_reason
-from nsfd_sirvs.scenarios import (BUILTIN_NAMES, RK4_REFERENCE_STEP, ObservedSeries, builtin,
+from nsfd_sirvs.scenarios import (BUILTIN_NAMES, ObservedSeries, builtin,
                                   compare_methods, config_to_spec, discretize, load_config,
                                   load_observed, method_runs, run_scenario, spec_to_config)
 from nsfd_sirvs.schedules import (SCHEDULE_NAMES, DenominatorFn, ParamSchedule, ScheduleSet,
                                   mickens_discretize, validate_hypotheses)
 from nsfd_sirvs.thresholds import Verdict
+
+from conftest import _dop853_at
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +382,42 @@ def test_residuals_against_self_are_zero():
     assert np.all(res.observed == series.cases)
 
 
-def test_rk4_reference_is_always_attached():
-    # the reference stops at every run time, with equal steps of at most
-    # RK4_REFERENCE_STEP between two stops, and reaches the last run time
+def test_reference_is_always_attached():
+    # the reference stops at every run time, with equal steps between two
+    # stops of at most its dt, the largest, and reaches the last run time
     spec = builtin("extinction_5_1")
     rep = run_scenario(spec)
-    ref = rep.rk4_reference
-    assert ref.method == "rk4"
-    assert ref.dt == RK4_REFERENCE_STEP == 0.02
+    ref = rep.reference
+    assert ref.method == "dp5"
+    assert ref.dt == 0.5 / 3  # three steps across a gap of 0.5, where the estimate allows
     # its node times, each rounded to its own ulp, are at most a step apart
-    assert np.all(np.diff(ref.times) <= RK4_REFERENCE_STEP + 2.0 * np.spacing(ref.times[1:]))
+    assert np.all(np.diff(ref.times) <= ref.dt + 2.0 * np.spacing(ref.times[1:]))
     assert ref.times[-1] == max(res.nsfd.times[-1] for res in rep.per_h.values())
     assert ref.times[-1] == pytest.approx(spec.t_end, abs=1e-9)
-    assert ref.n_steps == 10_000  # 25 steps across each 0.5 between two run times
+    assert ref.n_steps == 1440  # 10 000 steps of 0.02 took RK4 there
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_no_reference_gap_exceeds_its_cap(name):
+    # between two stops (scored times and breakpoints) the reference takes equal
+    # steps, at least one and at most steps_for(gap, REFERENCE_CAP_STEP); the
+    # capped gaps are those where the estimate asked for more (every gap past
+    # the first block on inconsistency_4, whose spikes an rtol of 1e-8 would
+    # resolve with 19 steps per gap), and elsewhere it takes fewer
+    spec = builtin(name)
+    runs, ref = method_runs(spec, discretize(spec, spec.h_values), spec.t_end)
+    times = np.unique(np.concatenate([run.times for _, *pair in runs for run in pair]))
+    stops = np.union1d(times, spec.schedules.breakpoints(0.0, float(times[-1])))
+    at = np.searchsorted(ref.times, stops)
+    assert np.array_equal(ref.times[at], stops)
+    steps, caps = np.diff(at), [steps_for(gap, REFERENCE_CAP_STEP) for gap in np.diff(stops)]
+    assert np.all(steps >= 1) and np.all(steps <= caps)
+    for a, b in zip(at, at[1:]):
+        assert np.ptp(np.diff(ref.times[a:b + 1])) <= 1e-12 * (ref.times[b] - ref.times[a])
+    if name == "inconsistency_4":
+        assert ref.capped_gaps == len(caps) - 8 and np.array_equal(steps, caps)
+    else:
+        assert ref.capped_gaps == 0 and ref.n_steps < 0.6 * sum(caps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,21 +439,19 @@ def test_every_method_runs_over_the_same_times(t_end, h):
 
 
 def test_compare_reads_the_reference_at_every_compared_time():
-    # at h = 0.4 both runs end at t = 1.2, past t_end = 1; the RK4 reference
-    # must reach 1.2 instead of being held at its value at t = 1.  It stops at
-    # 0, 0.4, 0.8 and 1.2, 20 equal steps of 0.02 apart, so it is fixed-step
-    # RK4 at 0.02 but for the rounding of its node times, and compare reads
-    # its own states at those times
+    # at h = 0.4 both runs end at t = 1.2, past t_end = 1; the reference must
+    # reach 1.2 instead of being held at its value at t = 1.  It stops at 0,
+    # 0.4, 0.8 and 1.2, each gap at its cap of 10 equal steps (one block), so
+    # it is DP5 at 0.04 but for the rounding of its node times: DOP853's
+    # solution to 1e-10, and compare reads its own states at those times
     spec = builtin("extinction_5_1")
     runs, reference = method_runs(spec, discretize(spec, [0.4]), 1.0)
     rows, _, (times, states) = compare_methods(runs, reference)
-    ref = integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
-                               spec.initial_state, 1.2, RK4_REFERENCE_STEP)
-    assert reference.n_steps == ref.n_steps == 60
-    assert np.array_equal(reference.times[::20], times)
-    assert np.array_equal(states, reference.states[::20])
-    np.testing.assert_allclose(states, ref.states[::20], rtol=1e-13, atol=0.0)
-    assert times[-1] == 1.2000000000000002 and ref.times[-1] == pytest.approx(1.2)
+    assert reference.n_steps == 30
+    assert np.array_equal(reference.times[::10], times)
+    assert np.array_equal(states, reference.states[::10])
+    np.testing.assert_allclose(states, _dop853_at(spec, times), rtol=1e-10, atol=0.0)
+    assert times[-1] == 1.2000000000000002
     assert states[-1, 1] == pytest.approx(0.19958, abs=1e-5)
     assert [(row[1], row[0]) for row in rows] == [("nsfd", 0.4), ("euler", 0.4)]
     [(_, *pair)] = runs
@@ -445,48 +469,6 @@ def test_compare_refuses_a_reference_without_a_node_at_a_compared_time():
                                     spec.initial_state, 1.2, 0.25)
     with pytest.raises(ValueError, match="no state at some compared time"):
         compare_methods(runs, off_grid)
-
-
-def _factor_rate(inc):
-    """f(x, I, N) of a kind linear in x, written from its factor form."""
-    g, a, by_pop = inc.factor_form()
-    assert g is float
-    return lambda x, i, n: x * i / (1.0 + a * i if a else n if by_pop else 1.0)
-
-
-def _dop853_at(spec, times):
-    """The model's states at `times` (sorted, from 0) by scipy's DOP853 at
-    rtol 1e-11, restarted at each breakpoint of a piecewise schedule, where
-    the coefficients of the interval that ends there are read up to its end."""
-    from scipy.integrate import solve_ivp
-    f_s, f_v = _factor_rate(spec.incidence_phi), _factor_rate(spec.incidence_psi)
-    sched = [getattr(spec.schedules, name) for name in SCHEDULE_NAMES]
-    cuts = sorted({b for s in sched if s.kind == "piecewise" for b in s.params["breakpoints"][1:]
-                   if b < times[-1]})
-    out = np.empty((times.size, 4))
-    out[0] = y = list(spec.initial_state)
-    for a, b in zip([0.0] + cuts, cuts + [float(times[-1])]):
-        inside = np.nextafter(b, -np.inf)
-
-        def rhs(t, state, inside=inside):
-            S, I, R, V = state
-            tt = min(t, inside)
-            lam, mu, p, eta, alpha, beta, sigma, gamma = (
-                s.constant if s.constant is not None else float(s.eval(tt)) for s in sched)
-            N = S + I + R + V
-            inc_s, inc_v = beta * f_s(S, I, N), sigma * f_v(V, I, N)
-            return [lam - inc_s - (mu + p) * S + eta * V,
-                    inc_s + inc_v - (mu + alpha + gamma) * I,
-                    gamma * I - mu * R,
-                    p * S - (mu + eta) * V - inc_v]
-
-        sel = np.flatnonzero((times > a) & (times <= b))
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-11,
-                        atol=1e-13 * max(1.0, max(y)), t_eval=times[sel])
-        assert sol.success and sol.t[-1] == b
-        out[sel] = sol.y.T
-        y = list(sol.y[:, -1])
-    return out
 
 
 # inconsistency_4 over 6 of its 400 time units: its off-grid times k/6 start at once
@@ -507,6 +489,39 @@ def test_reference_is_the_model_at_every_scored_time(name):
     exact = _dop853_at(spec, times)
     bound = 1e-5 if name == "inconsistency_4" else 1e-8
     assert np.max(np.abs(states[:, 1] - exact[:, 1])) <= bound * np.max(exact[:, 1])
+
+
+# a coefficient of a generated model, at the built-ins' scale: constant, or
+# harmonic of period 1, with its values in [lo, hi].  Faster models can need
+# more steps than the cap allows (see `reference.dp5_reference`)
+_GENERATED_RANGES = {"Lambda": (0.0, 1.0), "mu": (0.1, 0.5), "p": (0.0, 0.7), "eta": (0.0, 0.3),
+                     "alpha": (0.0, 0.2), "beta": (0.0, 1.5), "sigma": (0.0, 1.0),
+                     "gamma": (0.0, 0.5)}
+
+
+def _generated_schedule(name):
+    lo, hi = _GENERATED_RANGES[name]
+    value = st.floats(lo, hi)
+    constant = value.map(lambda v: ParamSchedule.constant(name, v))
+    harmonic = st.tuples(value, st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)).map(
+        lambda d: ParamSchedule.harmonic(name, d[0], d[1] * d[0], 2.0 * math.pi, d[2]))
+    return constant | harmonic
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedules=st.fixed_dictionaries({n: _generated_schedule(n) for n in SCHEDULE_NAMES}),
+       phi=_INCIDENCES, psi=_INCIDENCES, state=st.tuples(*[st.floats(0.05, 1.5)] * 4),
+       h=st.sampled_from([0.1, 0.25]), t_end=st.floats(3.0, 6.0))
+def test_reference_is_the_model_on_generated_models(schedules, phi, psi, state, h, t_end):
+    # the gate above, on drawn constant and harmonic models: at every scored
+    # time the reference is DOP853's solution to 1e-8 of max I
+    spec = replace(builtin("extinction_5_1"), schedules=ScheduleSet.from_mapping(schedules),
+                   incidence_phi=phi, incidence_psi=psi, initial_state=State(*state),
+                   h_values=(h,), lam=1.0, t_end=t_end)
+    runs, reference = method_runs(spec, discretize(spec, spec.h_values), t_end)
+    _, _, (times, states) = compare_methods(runs, reference)
+    exact = _dop853_at(spec, times)
+    assert np.max(np.abs(states[:, 1] - exact[:, 1])) <= 1e-8 * np.max(exact[:, 1])
 
 
 def test_compare_methods_scores_the_runs_it_is_given(monkeypatch):
