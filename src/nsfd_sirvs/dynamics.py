@@ -58,18 +58,22 @@ sigma of every built-in) are evaluated once per chunk, so schedule and
 sequence callables are taken to be pure.  The loop over steps runs inside the
 stepper, one `_drive` call per chunk, and reads the factor forms' fields
 inline, so what is left per step is its own arithmetic, a call only for a
-separable G, and, for NSFD, its balance check.  RK4 writes its four stages
-out in the loop body, once, each in the operation order of the vector form
-y' = F(t, y), so the states are bit-identical to calling F.
+separable G, and, for NSFD, its balance check.  The continuous model's
+right-hand side is written once, as the stage template that
+`explicit_stepper` writes out into the loops of Euler, RK4 and
+`reference._dp5_stepper`, each stage in the operation order of the vector
+form y' = F(t, y), so the states are bit-identical to calling F.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
+import re
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice, repeat, tee
 from typing import NamedTuple
 
@@ -643,128 +647,124 @@ def _rk4_rows(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn, n_step
 
 
 def _explicit_form(inc: IncidenceFn):
-    """inc's factor form (g, a, by_pop) as Euler and RK4 read it: g None for
-    the kinds linear in x, else g extended by 0 for x <= 0 and called on a
+    """inc's factor form (g, a, by_pop) as the explicit steppers read it: g None
+    for the kinds linear in x, else g extended by 0 for x <= 0 and called on a
     NumPy scalar, so an overflow inside a user g gives inf, not an exception."""
     g, a, by_pop = inc.factor_form()
     g_x = None if g is float else lambda x: float(g(np.float64(x))) if x > 0.0 else 0.0
     return g_x, a, by_pop
 
 
-def _euler_stepper(phi: IncidenceFn, psi: IncidenceFn, h: float):
+# The model, written once for every explicit stepper (`explicit_stepper`).
+# RHS(k, x, y, z, w) is stage k's right-hand side (a_k, b_k, r_k, v_k) at the
+# state (x, y, z, w), in the operation order of the vector form y' = F(t, y);
+# each incidence beta (g(x) / d(y, N)) y is read inline, divides only when some
+# d is not 1 and sums N once when both d are N.  LOAD(row) unpacks a
+# coefficient row and takes its sums once; FORMS() reads both factor forms.
+_RHS = """\
+qs, qv = {x} if g_phi is None else g_phi({x}), {w} if g_psi is None else g_psi({w})
+if divides:
+    ds = 1.0 + a_phi * {y} if a_phi else {x} + {y} + {z} + {w} if pop_phi else 1.0
+    dv = (1.0 + a_psi * {y} if a_psi else
+          (ds if same_n else {x} + {y} + {z} + {w}) if pop_psi else 1.0)
+    qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
+inc_s, inc_v = beta * qs * {y}, sigma * qv * {y}
+a{k} = lam - inc_s - m_s * {x} + eta * {w}
+b{k} = inc_s + inc_v - m_i * {y}
+r{k} = gamma * {y} - mu * {z}
+v{k} = p * {x} - m_v * {w} - inc_v"""
+_LOAD = """\
+lam, mu, p, eta, alpha, beta, sigma, gamma = {row}
+m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta"""
+_FORMS = """\
+g_phi, a_phi, pop_phi = _explicit_form(phi)
+g_psi, a_psi, pop_psi = _explicit_form(psi)
+divides = bool(a_phi or pop_phi or a_psi or pop_psi)  # some d is not 1
+same_n = bool(pop_phi and not a_phi)  # phi's d is N, so psi's d = N is ds"""
+_TEMPLATES = {"RHS": (_RHS, "kxyzw"), "LOAD": (_LOAD, ("row",)), "FORMS": (_FORMS, ())}
+_TEMPLATE_LINE = re.compile(r"^( *)(RHS|LOAD|FORMS)\((.*)\)$", re.MULTILINE)
+
+
+def _write_out(line: re.Match) -> str:
+    indent, name, args = line.groups()
+    template, fields = _TEMPLATES[name]
+    text = template.format(**dict(zip(fields, map(str.strip, args.split(",")))))
+    return indent + text.replace("\n", "\n" + indent)
+
+
+def explicit_stepper(source: str, namespace: dict):
+    """The stepper factory that `source` defines, each of its RHS, LOAD and
+    FORMS lines written out from its template.  The text is compiled on the
+    factory's first call, so an import of the package that runs no explicit
+    stepper compiles none, in a copy of `namespace` that also holds
+    `_explicit_form`; `linecache` holds it under <module.factory>, so that
+    tracebacks and `inspect` show the code that ran."""
+    name = re.search(r"def (\w+)", source)[1]
+
+    @cache
+    def factory():
+        text = _TEMPLATE_LINE.sub(_write_out, source)
+        filename = f"<{namespace['__name__']}.{name}>"
+        linecache.cache[filename] = len(text), None, text.splitlines(True), filename
+        scope = dict(namespace, _explicit_form=_explicit_form)
+        exec(compile(text, filename, "exec"), scope)
+        return scope[name]
+
+    return lambda *args: factory()(*args)
+
+
+_euler_stepper = explicit_stepper('''
+def _euler_stepper(phi, psi, h):
     """Euler steps of `integrate_continuous`'s model, as a `_drive` stepper
-    over (S, I, R, V) with rows in `SCHEDULE_NAMES` order; the incidences
-    are read as in `_rk4_stepper`."""
-    g_phi, a_phi, pop_phi = _explicit_form(phi)
-    g_psi, a_psi, pop_psi = _explicit_form(psi)
-    divides = bool(a_phi or pop_phi or a_psi or pop_psi)  # some d is not 1
-    same_n = bool(pop_phi and not a_phi)  # phi's d is N, so psi's d = N is ds
+    over (S, I, R, V) with rows in `SCHEDULE_NAMES` order."""
+    FORMS()
 
     def advance(rows, state, n0, out):
         S, I, R, V = state
-        for lam, mu, p, eta, alpha, beta, sigma, gamma in rows:
-            qs, qv = S if g_phi is None else g_phi(S), V if g_psi is None else g_psi(V)
-            if divides:
-                ds = 1.0 + a_phi * I if a_phi else S + I + R + V if pop_phi else 1.0
-                dv = (1.0 + a_psi * I if a_psi else
-                      (ds if same_n else S + I + R + V) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * I, sigma * qv * I
-            S, I, R, V = (S + h * (lam - inc_s - (mu + p) * S + eta * V),
-                          I + h * (inc_s + inc_v - (mu + alpha + gamma) * I),
-                          R + h * (gamma * I - mu * R),
-                          V + h * (p * S - (mu + eta) * V - inc_v))
+        for row in rows:
+            LOAD(row)
+            RHS(1, S, I, R, V)
+            S, I, R, V = S + h * a1, I + h * b1, R + h * r1, V + h * v1
             out.fromlist([S, I, R, V])
         return S, I, R, V
 
     return advance
+''', globals())
 
 
-def _rk4_stepper(phi: IncidenceFn, psi: IncidenceFn, c0):
+_rk4_stepper = explicit_stepper('''
+def _rk4_stepper(phi, psi, c0):
     """Classical RK4 steps of `integrate_continuous`'s model, as a `_drive`
     stepper over (S, I, R, V); a row is one step's (h, h/2, h/6) and its
     midpoint, end (read from the left) and next-start coefficient rows
-    (`_rk4_rows`), c0 the row at the start of the first.
-
-    The four stages are written out in the loop, each the right-hand side in
-    the operation order of its vector form, with each coefficient row unpacked
-    once and its sums mu + p, mu + alpha + gamma, mu + eta taken once (the end
-    row's serve the next step's first stage when the next-start row is the
-    same tuple).  Each incidence is
-    beta (g(x) / d(y, N)) y, read inline (`_explicit_form`); a stage divides
-    only when some d is not 1, and sums N once when both d are N.
-    """
-    g_phi, a_phi, pop_phi = _explicit_form(phi)
-    g_psi, a_psi, pop_psi = _explicit_form(psi)
-    divides = bool(a_phi or pop_phi or a_psi or pop_psi)  # some d is not 1
-    same_n = bool(pop_phi and not a_phi)  # phi's d is N, so psi's d = N is ds
+    (`_rk4_rows`), c0 the row at the start of the first.  Each coefficient
+    row is loaded once: the end row's serves the next step's first stage when
+    the next-start row is the same tuple."""
+    FORMS()
 
     def advance(rows, state, n0, out):
         nonlocal c0
         S, I, R, V = state
-        lam, mu, p, eta, alpha, beta, sigma, gamma = c0
-        m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
+        LOAD(c0)
         for (h, hh, h6), c1, c2, c3 in rows:
-            qs, qv = S if g_phi is None else g_phi(S), V if g_psi is None else g_psi(V)
-            if divides:
-                ds = 1.0 + a_phi * I if a_phi else S + I + R + V if pop_phi else 1.0
-                dv = (1.0 + a_psi * I if a_psi else
-                      (ds if same_n else S + I + R + V) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * I, sigma * qv * I
-            a1 = lam - inc_s - m_s * S + eta * V
-            b1 = inc_s + inc_v - m_i * I
-            r1 = gamma * I - mu * R
-            v1 = p * S - m_v * V - inc_v
-            lam, mu, p, eta, alpha, beta, sigma, gamma = c1
-            m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
+            RHS(1, S, I, R, V)
+            LOAD(c1)
             x, y, z, w = S + hh * a1, I + hh * b1, R + hh * r1, V + hh * v1
-            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
-            if divides:
-                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = (1.0 + a_psi * y if a_psi else
-                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * y, sigma * qv * y
-            a2 = lam - inc_s - m_s * x + eta * w
-            b2 = inc_s + inc_v - m_i * y
-            r2 = gamma * y - mu * z
-            v2 = p * x - m_v * w - inc_v
+            RHS(2, x, y, z, w)
             x, y, z, w = S + hh * a2, I + hh * b2, R + hh * r2, V + hh * v2
-            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
-            if divides:
-                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = (1.0 + a_psi * y if a_psi else
-                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * y, sigma * qv * y
-            a3 = lam - inc_s - m_s * x + eta * w
-            b3 = inc_s + inc_v - m_i * y
-            r3 = gamma * y - mu * z
-            v3 = p * x - m_v * w - inc_v
-            lam, mu, p, eta, alpha, beta, sigma, gamma = c2
-            m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
+            RHS(3, x, y, z, w)
+            LOAD(c2)
             x, y, z, w = S + h * a3, I + h * b3, R + h * r3, V + h * v3
-            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
-            if divides:
-                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = (1.0 + a_psi * y if a_psi else
-                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * y, sigma * qv * y
-            a4 = lam - inc_s - m_s * x + eta * w
-            b4 = inc_s + inc_v - m_i * y
-            r4 = gamma * y - mu * z
-            v4 = p * x - m_v * w - inc_v
+            RHS(4, x, y, z, w)
             S = S + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             I = I + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             R = R + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
             V = V + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
             out.fromlist([S, I, R, V])
             if c3 is not c2:
-                lam, mu, p, eta, alpha, beta, sigma, gamma = c3
-                m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
+                LOAD(c3)
         c0 = c3
         return S, I, R, V
 
     return advance
+''', globals())

@@ -14,9 +14,8 @@ stage is the next step's first (FSAL), so the estimate costs no right-hand
 side.
 
 The run goes through `dynamics._drive`, with the states allocated for the caps;
-its stepper, `_dp5_stepper`, writes its seven stages out in the loop body as
-`dynamics._rk4_stepper` writes its four, each in the operation order of the
-vector form, and reads the incidences' factor forms inline.  A step costs
+its stepper, `_dp5_stepper`, writes out the model's one stage template
+(`dynamics.explicit_stepper`) seven times in its loop.  A step costs
 about 2.4 RK4 steps (six right-hand sides and denser stage sums against four),
 so the reference is cheaper than RK4 at 0.02 where its estimate lets a gap
 take under 0.4 of RK4's steps; a capped gap costs about 1.3 times RK4's.
@@ -31,8 +30,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .dynamics import (State, Trajectory, _coefficient_rows, _drive, _explicit_form,
-                       _first_negative)
+from .dynamics import (State, Trajectory, _coefficient_rows, _drive, _first_negative,
+                       explicit_stepper)
 from .incidence import IncidenceFn
 from .schedules import SCHEDULE_NAMES, ParamSchedule, ScheduleSet
 
@@ -180,7 +179,8 @@ def _step_counts(gaps: np.ndarray, h: float) -> np.ndarray:
     return np.maximum(1.0, np.ceil(gaps / h - 1e-9))
 
 
-def _dp5_stepper(phi: IncidenceFn, psi: IncidenceFn, c0):
+_dp5_stepper = explicit_stepper('''
+def _dp5_stepper(phi, psi, c0):
     """Dormand-Prince 5(4) steps of `dynamics.integrate_continuous`'s model,
     as a `_drive` stepper over (S, I, R, V), and the array("d") to which each
     step appends y_n, y_n+1 and its estimated error h sum_j e_j k_j
@@ -191,137 +191,56 @@ def _dp5_stepper(phi: IncidenceFn, psi: IncidenceFn, c0):
     7 read the left limit, the next step's first stage the value.  c0 is the
     row at the start of the first step.
 
-    The seven stages are written out in the loop as `dynamics._rk4_stepper`
-    writes its four, the incidences read inline (`_explicit_form`).  The
-    seventh stage is the next step's first (FSAL) wherever the end has no
+    The seventh stage is the next step's first (FSAL) wherever the end has no
     left row, so a step costs six right-hand sides; a chunk recomputes the
     first stage of its first step, from the same numbers.  The estimate's
     norm is taken per block, in NumPy, off the loop.
     """
-    g_phi, a_phi, pop_phi = _explicit_form(phi)
-    g_psi, a_psi, pop_psi = _explicit_form(psi)
-    divides = bool(a_phi or pop_phi or a_psi or pop_psi)  # some d is not 1
-    same_n = bool(pop_phi and not a_phi)  # phi's d is N, so psi's d = N is ds
+    FORMS()
     seen = array("d")  # each step's y_n, y_n+1 and estimated error, for the planner
 
     def advance(rows, state, n0, out):
         nonlocal c0
         S, I, R, V = state
-        lam, mu, p, eta, alpha, beta, sigma, gamma = c0
-        m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
+        LOAD(c0)
         fresh = True
         for ((h21, h31, h32, h41, h42, h43, h51, h52, h53, h54, h61, h62, h63, h64, h65,
               hb1, hb3, hb4, hb5, hb6, he1, he3, he4, he5, he6, he7),
              c2, c3, c4, c5, c7, left) in rows:
             if fresh:  # the first stage, unless the last step's seventh is it
-                qs, qv = S if g_phi is None else g_phi(S), V if g_psi is None else g_psi(V)
-                if divides:
-                    ds = 1.0 + a_phi * I if a_phi else S + I + R + V if pop_phi else 1.0
-                    dv = (1.0 + a_psi * I if a_psi else
-                          (ds if same_n else S + I + R + V) if pop_psi else 1.0)
-                    qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-                inc_s, inc_v = beta * qs * I, sigma * qv * I
-                a1 = lam - inc_s - m_s * S + eta * V
-                b1 = inc_s + inc_v - m_i * I
-                r1 = gamma * I - mu * R
-                v1 = p * S - m_v * V - inc_v
+                RHS(1, S, I, R, V)
             x, y, z, w = S + h21 * a1, I + h21 * b1, R + h21 * r1, V + h21 * v1
-            lam, mu, p, eta, alpha, beta, sigma, gamma = c2
-            m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
-            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
-            if divides:
-                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = (1.0 + a_psi * y if a_psi else
-                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * y, sigma * qv * y
-            a2 = lam - inc_s - m_s * x + eta * w
-            b2 = inc_s + inc_v - m_i * y
-            r2 = gamma * y - mu * z
-            v2 = p * x - m_v * w - inc_v
+            LOAD(c2)
+            RHS(2, x, y, z, w)
             x, y, z, w = (S + h31 * a1 + h32 * a2,
                           I + h31 * b1 + h32 * b2,
                           R + h31 * r1 + h32 * r2,
                           V + h31 * v1 + h32 * v2)
-            lam, mu, p, eta, alpha, beta, sigma, gamma = c3
-            m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
-            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
-            if divides:
-                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = (1.0 + a_psi * y if a_psi else
-                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * y, sigma * qv * y
-            a3 = lam - inc_s - m_s * x + eta * w
-            b3 = inc_s + inc_v - m_i * y
-            r3 = gamma * y - mu * z
-            v3 = p * x - m_v * w - inc_v
+            LOAD(c3)
+            RHS(3, x, y, z, w)
             x, y, z, w = (S + h41 * a1 + h42 * a2 + h43 * a3,
                           I + h41 * b1 + h42 * b2 + h43 * b3,
                           R + h41 * r1 + h42 * r2 + h43 * r3,
                           V + h41 * v1 + h42 * v2 + h43 * v3)
-            lam, mu, p, eta, alpha, beta, sigma, gamma = c4
-            m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
-            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
-            if divides:
-                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = (1.0 + a_psi * y if a_psi else
-                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * y, sigma * qv * y
-            a4 = lam - inc_s - m_s * x + eta * w
-            b4 = inc_s + inc_v - m_i * y
-            r4 = gamma * y - mu * z
-            v4 = p * x - m_v * w - inc_v
+            LOAD(c4)
+            RHS(4, x, y, z, w)
             x, y, z, w = (S + h51 * a1 + h52 * a2 + h53 * a3 + h54 * a4,
                           I + h51 * b1 + h52 * b2 + h53 * b3 + h54 * b4,
                           R + h51 * r1 + h52 * r2 + h53 * r3 + h54 * r4,
                           V + h51 * v1 + h52 * v2 + h53 * v3 + h54 * v4)
-            lam, mu, p, eta, alpha, beta, sigma, gamma = c5
-            m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
-            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
-            if divides:
-                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = (1.0 + a_psi * y if a_psi else
-                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * y, sigma * qv * y
-            a5 = lam - inc_s - m_s * x + eta * w
-            b5 = inc_s + inc_v - m_i * y
-            r5 = gamma * y - mu * z
-            v5 = p * x - m_v * w - inc_v
+            LOAD(c5)
+            RHS(5, x, y, z, w)
             x, y, z, w = (S + h61 * a1 + h62 * a2 + h63 * a3 + h64 * a4 + h65 * a5,
                           I + h61 * b1 + h62 * b2 + h63 * b3 + h64 * b4 + h65 * b5,
                           R + h61 * r1 + h62 * r2 + h63 * r3 + h64 * r4 + h65 * r5,
                           V + h61 * v1 + h62 * v2 + h63 * v3 + h64 * v4 + h65 * v5)
-            lam, mu, p, eta, alpha, beta, sigma, gamma = left or c7
-            m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
-            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
-            if divides:
-                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = (1.0 + a_psi * y if a_psi else
-                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * y, sigma * qv * y
-            a6 = lam - inc_s - m_s * x + eta * w
-            b6 = inc_s + inc_v - m_i * y
-            r6 = gamma * y - mu * z
-            v6 = p * x - m_v * w - inc_v
+            LOAD(left or c7)
+            RHS(6, x, y, z, w)
             x, y, z, w = (S + hb1 * a1 + hb3 * a3 + hb4 * a4 + hb5 * a5 + hb6 * a6,
                           I + hb1 * b1 + hb3 * b3 + hb4 * b4 + hb5 * b5 + hb6 * b6,
                           R + hb1 * r1 + hb3 * r3 + hb4 * r4 + hb5 * r5 + hb6 * r6,
                           V + hb1 * v1 + hb3 * v3 + hb4 * v4 + hb5 * v5 + hb6 * v6)
-            qs, qv = x if g_phi is None else g_phi(x), w if g_psi is None else g_psi(w)
-            if divides:
-                ds = 1.0 + a_phi * y if a_phi else x + y + z + w if pop_phi else 1.0
-                dv = (1.0 + a_psi * y if a_psi else
-                      (ds if same_n else x + y + z + w) if pop_psi else 1.0)
-                qs, qv = qs / ds if ds else 0.0, qv / dv if dv else 0.0
-            inc_s, inc_v = beta * qs * y, sigma * qv * y
-            a7 = lam - inc_s - m_s * x + eta * w
-            b7 = inc_s + inc_v - m_i * y
-            r7 = gamma * y - mu * z
-            v7 = p * x - m_v * w - inc_v
+            RHS(7, x, y, z, w)
             seen.fromlist([S, I, R, V, x, y, z, w,
                            he1 * a1 + he3 * a3 + he4 * a4 + he5 * a5 + he6 * a6 + he7 * a7,
                            he1 * b1 + he3 * b3 + he4 * b4 + he5 * b5 + he6 * b6 + he7 * b7,
@@ -333,13 +252,13 @@ def _dp5_stepper(phi: IncidenceFn, psi: IncidenceFn, c0):
                 a1, b1, r1, v1 = a7, b7, r7, v7
                 fresh = False
             else:  # the step ended on a breakpoint: the next one starts from its right
-                lam, mu, p, eta, alpha, beta, sigma, gamma = c7
-                m_s, m_i, m_v = mu + p, mu + alpha + gamma, mu + eta
+                LOAD(c7)
                 fresh = True
         c0 = lam, mu, p, eta, alpha, beta, sigma, gamma
         return S, I, R, V
 
     return advance, seen
+''', globals())
 
 
 def _largest_estimate(seen: array) -> float:

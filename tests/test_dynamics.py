@@ -1,5 +1,11 @@
+import inspect
+import itertools
 import math
+import os
+import subprocess
 import sys
+import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +253,21 @@ def test_linear_incidences_take_the_closed_form(monkeypatch):
         simulate_discrete(dp, sep, MASS, State(1.0, 0.2, 0.1, 1.0), 1)
 
 
+def _explicit_run(schedules, phi, psi, s0, n_steps, h, method):
+    """The trajectory of n_steps steps of h from t = 0 by Euler, RK4 or,
+    through its stepper alone, DP5 with every row read at t = 0 (constant
+    schedules)."""
+    if method != "dp5":
+        return integrate_continuous(schedules, phi, psi, s0, n_steps * h, h, method)
+    c = tuple(float(getattr(schedules, name).eval(np.zeros(1))[0]) for name in SCHEDULE_NAMES)
+    advance, _ = reference._dp5_stepper(phi, psi, c)
+    row = (tuple(h * w for w in reference._DP5_WEIGHTS), c, c, c, c, c, None)
+    with np.errstate(all="ignore"):
+        out = dynamics._drive(advance, itertools.repeat(row, n_steps), s0, n_steps)
+    return dynamics.Trajectory(t0=0.0, dt=h, states=out, method=method,
+                               negative_at=dynamics._first_negative(out))
+
+
 def _calls_per_step(phi, psi, method):
     """Python and C calls a run makes per step: the growth of the count seen by
     a profile hook from a 1024-step to a 2048-step run."""
@@ -259,44 +280,116 @@ def _calls_per_step(phi, psi, method):
 
         sys.setprofile(count)
         try:
-            integrate_continuous(full_set(0.9), phi, psi, State(1.0, 0.2, 0.1, 1.0),
-                                 n_steps * 0.01, 0.01, method=method)
+            _explicit_run(full_set(0.9), phi, psi, State(1.0, 0.2, 0.1, 1.0), n_steps, 0.01,
+                          method)
         finally:
             sys.setprofile(None)
         counts.append(calls[0])
     return (counts[1] - counts[0]) / 1024
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", ["rk4", "euler", "dp5"])
 def test_explicit_steps_read_the_factor_form_inline(method):
     # the kinds linear in x, with d = 1, 1 + a y or N, make no call per stage:
-    # a step's one call is `out.fromlist`, plus each chunk's share of its own;
-    # a separable g is called at each stage
+    # a step's calls are `out.fromlist` (and DP5's `seen.fromlist`), plus each
+    # chunk's share of its own; a separable g is called at each stage
+    own, stages = {"rk4": (1, 4), "euler": (1, 1), "dp5": (2, 6)}[method]
     std = IncidenceFn.standard()
     for phi, psi in ((MASS, MASS), (SAT, SAT), (std, std), (MASS, std), (SAT, MASS)):
-        assert _calls_per_step(phi, psi, method) < 1.2, (phi.kind, psi.kind)
+        assert _calls_per_step(phi, psi, method) < own + 0.2, (phi.kind, psi.kind)
     sep = IncidenceFn.separable(lambda x: x / (1.0 + x), 1.0)
-    assert _calls_per_step(sep, MASS, method) > (4 if method == "rk4" else 1)
+    assert _calls_per_step(sep, MASS, method) > own + stages
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("method", ["euler", "rk4", "dp5"])
 def test_zero_d_carries_no_infection(method):
-    # mu = 1 takes I = 1 to exactly -2 in Euler's first step (h = 3) or RK4's
-    # second stage (h = 6), where saturated d = 1 + 0.5 I is 0; a zero
-    # population is standard's d = 0.  Either ratio g / d is taken as 0: the
-    # run returns, Euler's below the axis and flagged, not with a StepError
+    # mu = 1 takes I = 1 to exactly -2 in Euler's first step (h = 3), RK4's
+    # second stage (h = 6) or DP5's (h = 15), where saturated d = 1 + 0.5 I is
+    # 0; a zero population is standard's d = 0.  Either ratio g / d is taken
+    # as 0: the run returns, Euler's below the axis and flagged, not with a
+    # StepError
     c = ParamSchedule.constant
     sched = ScheduleSet(Lambda=c("Lambda", 0.0), mu=c("mu", 1.0), p=c("p", 0.0),
                         eta=c("eta", 0.0), alpha=c("alpha", 0.0), beta=c("beta", 0.0),
                         sigma=c("sigma", 0.0), gamma=c("gamma", 0.0))
-    h = 3.0 if method == "euler" else 6.0
+    h = {"euler": 3.0, "rk4": 6.0, "dp5": 15.0}[method]
     sat = IncidenceFn.saturated(0.5)
-    traj = integrate_continuous(sched, sat, sat, State(1.0, 1.0, 0.0, 0.0), 2 * h, h, method)
+    traj = _explicit_run(sched, sat, sat, State(1.0, 1.0, 0.0, 0.0), 2, h, method)
     assert np.all(np.isfinite(traj.states))
     assert traj.negative_at == (1 if method == "euler" else None)
     std = IncidenceFn.standard()
-    traj = integrate_continuous(sched, std, std, State(0.0, 0.0, 0.0, 0.0), 2 * h, h, method)
+    traj = _explicit_run(sched, std, std, State(0.0, 0.0, 0.0, 0.0), 2, h, method)
     assert np.all(traj.states == 0.0)
+
+
+class _Armed(Exception):
+    pass
+
+
+def test_explicit_stepper_text_shows_in_tracebacks_and_inspect():
+    # a separable g that raises once its IncidenceFn has been built: each
+    # stepper's traceback runs through its generated text, named after it,
+    # at the stage line that calls g
+    armed = []
+
+    def g(x):
+        if armed:
+            raise _Armed
+        return x / (1.0 + x)
+
+    sep = IncidenceFn.separable(g, 1.0)
+    armed.append(True)
+    s0, sched = State(1.0, 0.2, 0.1, 1.0), full_set(0.9)
+    runs = {"euler": lambda: integrate_continuous(sched, sep, MASS, s0, 1.0, 0.1, "euler"),
+            "rk4": lambda: integrate_continuous(sched, sep, MASS, s0, 1.0, 0.1, "rk4"),
+            "dp5": lambda: reference.dp5_reference(sched, sep, MASS, s0, [1.0])}
+    for method, run in runs.items():
+        with pytest.raises(_Armed) as info:
+            run()
+        frames = [f for f in traceback.extract_tb(info.value.__traceback__)
+                  if f.filename.startswith("<nsfd_sirvs.")]
+        module = "reference" if method == "dp5" else "dynamics"
+        assert [f.filename for f in frames] == [f"<nsfd_sirvs.{module}._{method}_stepper>"]
+        assert "g_phi(" in frames[0].line, method
+    advance = dynamics._euler_stepper(sep, MASS, 0.1)
+    assert "S + h * a1" in inspect.getsource(advance)
+
+
+_LINECACHE_PROBE = """
+import linecache, sys
+import nsfd_sirvs
+from nsfd_sirvs import cli, dynamics, schedules
+from nsfd_sirvs.incidence import IncidenceFn
+texts = lambda: sorted(k for k in linecache.cache if k.startswith("<nsfd_sirvs."))
+cli.main(["consistency", "extinction_5_1", "--sweep", "--out", sys.argv[1]])
+print(texts())
+mass = IncidenceFn.mass_action()
+sched = schedules.ScheduleSet(**{n: schedules.ParamSchedule.constant(n, 0.5)
+                                 for n in schedules.SCHEDULE_NAMES})
+dynamics.integrate_continuous(sched, mass, mass, dynamics.State(1, 1, 1, 1), 1.0, 0.5, "rk4")
+print(texts())
+"""
+
+
+def test_explicit_steppers_are_compiled_on_first_use(tmp_path):
+    # importing the package and a consistency sweep, which integrates no
+    # continuous model, compile no stepper text; an RK4 run compiles its own
+    src = str(Path(dynamics.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _LINECACHE_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "['<nsfd_sirvs.dynamics._rk4_stepper>']"]
+
+
+def test_the_model_is_written_once():
+    # every explicit stepper writes out the one stage template: no stepper
+    # copies the model's equations back into its own text
+    package = Path(dynamics.__file__).resolve().parent
+    copies = sum(path.read_text(encoding="utf-8").count("inc_s + inc_v - m_i *")
+                 for path in package.glob("*.py"))
+    assert copies == 1
 
 
 def _persistence_rhs(inc):

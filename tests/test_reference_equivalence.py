@@ -1,8 +1,9 @@
 """Fast paths against straightforward reference copies of the code they replaced.
 
-The scalar Euler/RK4 loop, the Python-float NSFD and disease-free loops and
-the streaming trajectory writer must give exactly the numbers (and bytes) of
-the array-based, np.float64 and per-value implementations kept below.  The loops and the writer read and
+The scalar Euler, RK4 and DP5 loops, the Python-float NSFD and disease-free
+loops and the streaming trajectory writer must give exactly the numbers (and
+bytes) of the array-based, np.float64 and per-value implementations kept
+below.  The loops and the writer read and
 write one fixed-size chunk of rows at a time, so they must also give the bytes
 of the whole-table versions kept below, across chunk boundaries, also where a
 constant coefficient is repeated into the rows instead of evaluated.  The
@@ -22,12 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from nsfd_sirvs import dynamics
 from nsfd_sirvs.cli import _write_trajectory
 from nsfd_sirvs.dynamics import (State, Trajectory, _aux_advance, _nsfd_stepper,
                                  integrate_continuous, period_map_fixed_point,
                                  periodic_aux_solution, simulate_aux, simulate_discrete,
-                                 state_rows, validate_state)
+                                 state_rows, steps_for, validate_state)
 from nsfd_sirvs.incidence import IncidenceFn
+from nsfd_sirvs.reference import _DP5_WEIGHTS, _dp5_stepper, dp5_reference
 from nsfd_sirvs.scenarios import builtin
 from nsfd_sirvs.schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSchedule,
                                   ScheduleSet, mickens_discretize)
@@ -61,25 +64,35 @@ def _reference_rate(inc):
     return rate
 
 
+def _reference_rhs(phi, psi):
+    """F(c, y), the continuous model's right-hand side in vector form, c one
+    row of coefficients in `SCHEDULE_NAMES` order."""
+    q_phi, q_psi = _reference_rate(phi), _reference_rate(psi)
+
+    def rhs(c, y):
+        lam, mu, p, eta, alpha, beta, sigma, gamma = c
+        S, I, R, V = y
+        pop = S + I + R + V
+        inc_s = beta * q_phi(S, I, pop) * I
+        inc_v = sigma * q_psi(V, I, pop) * I
+        return np.array([lam - inc_s - (mu + p) * S + eta * V,
+                         inc_s + inc_v - (mu + alpha + gamma) * I,
+                         gamma * I - mu * R,
+                         p * S - (mu + eta) * V - inc_v])
+
+    return rhs
+
+
 def _reference_integrate(schedules, phi, psi, s0, t_end, h, method):
     s0 = validate_state(s0)
     n_steps = max(1, int(math.ceil(t_end / h - 1e-9)))
     ts_half = np.arange(2 * n_steps + 1) * (h / 2.0)
     P = {name: np.asarray(getattr(schedules, name).eval(ts_half), dtype=float)
          for name in SCHEDULE_NAMES}
-    q_phi, q_psi = _reference_rate(phi), _reference_rate(psi)
+    F = _reference_rhs(phi, psi)
 
     def rhs(j, y):
-        S, I, R, V = y
-        pop = S + I + R + V
-        inc_s = P["beta"][j] * q_phi(S, I, pop) * I
-        inc_v = P["sigma"][j] * q_psi(V, I, pop) * I
-        mu = P["mu"][j]
-        dS = P["Lambda"][j] - inc_s - (mu + P["p"][j]) * S + P["eta"][j] * V
-        dI = inc_s + inc_v - (mu + P["alpha"][j] + P["gamma"][j]) * I
-        dR = P["gamma"][j] * I - mu * R
-        dV = P["p"][j] * S - (mu + P["eta"][j]) * V - inc_v
-        return np.array([dS, dI, dR, dV])
+        return F([P[name][j] for name in SCHEDULE_NAMES], y)
 
     out = np.empty((n_steps + 1, 4))
     out[0] = s0
@@ -129,17 +142,82 @@ def test_euler_overshoot_flag_matches_array_reference(kind):
     assert traj.negative_at is not None
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+def _continuous_run(schedules, inc, s0, t_end, h, method):
+    """An Euler or RK4 run at h, or the DP5 reference stopping at h, 2 h, .., t_end."""
+    if method == "dp5":
+        return dp5_reference(schedules, inc, inc, s0, np.arange(1, steps_for(t_end, h) + 1) * h)
+    return integrate_continuous(schedules, inc, inc, s0, t_end, h, method=method)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4", "dp5"])
 def test_standard_incidence_from_zero_population_is_disease_free(method):
     zero = State(0.0, 0.0, 0.0, 0.0)
     std = IncidenceFn.standard()
-    traj = integrate_continuous(full_set(0.9), std, std, zero, 20.0, 0.5, method=method)
-    free = integrate_continuous(full_set(0.9), KINDS["mass_action"], KINDS["mass_action"],
-                                zero, 20.0, 0.5, method=method)
+    traj = _continuous_run(full_set(0.9), std, zero, 20.0, 0.5, method)
+    free = _continuous_run(full_set(0.9), KINDS["mass_action"], zero, 20.0, 0.5, method)
     assert np.all(np.isfinite(traj.states))
     assert traj.negative_at is None
     assert np.all(traj.I == 0.0)
     assert np.array_equal(traj.states, free.states)
+
+
+def _reference_dp5(phi, psi, c0, steps, s0):
+    """`reference._dp5_stepper` in vector form, in np.float64: each step
+    (h, c2, c3, c4, c5, c7, left) takes its tableau from `_DP5_WEIGHTS` times
+    h, its first stage at the row it starts from (c0, then the last step's c7)
+    and its last two at `left or c7`, and sums each stage input, the solution
+    and the error estimate term by term in the tableau's order.  Returns the
+    states and each step's y_n, y_n+1 and estimate, flat."""
+    rhs = _reference_rhs(phi, psi)
+    y, start = np.array(s0, dtype=float), np.array(c0)
+    states, seen = [y], []
+    for h, c2, c3, c4, c5, c7, left in steps:
+        w = [np.float64(h) * c for c in _DP5_WEIGHTS]
+        a, b, e = [w[0:1], w[1:3], w[3:6], w[6:10], w[10:15]], w[15:20], w[20:]
+        end = np.array(left or c7)
+        k = [rhs(start, y)]
+        for row, a_i in zip((c2, c3, c4, c5, end), a):
+            z = y
+            for a_ij, k_j in zip(a_i, k):
+                z = z + a_ij * k_j
+            k.append(rhs(np.array(row), z))
+        y1 = y
+        for b_j, k_j in zip(b, k[:1] + k[2:]):  # b2 = 0
+            y1 = y1 + b_j * k_j
+        k.append(rhs(end, y1))
+        err = e[0] * k[0]
+        for e_j, k_j in zip(e[1:], k[2:]):  # e2 = 0
+            err = err + e_j * k_j
+        seen.append(np.concatenate([y, y1, err]))
+        y, start = y1, np.array(c7)
+        states.append(y)
+    return np.array(states), np.concatenate(seen)
+
+
+def _random_row(rng):
+    """Coefficients in `SCHEDULE_NAMES` order at the built-ins' scale."""
+    return tuple(rng.uniform([0.2, 0.1, 0.0, 0.0, 0.0, 0.2, 0.2, 0.1],
+                             [1.0, 0.5, 0.5, 0.5, 0.5, 2.0, 2.0, 0.5]).tolist())
+
+
+@pytest.mark.parametrize("phi, psi",
+                         [(k, k) for k in sorted(KINDS)] + [("saturated", "standard")])
+def test_dp5_loop_bit_identical_to_vector_form(phi, psi, monkeypatch):
+    # 20 steps of unequal h in chunks of 7, so that two chunks recompute the
+    # first stage their predecessor's last one gave; step 9 ends on a
+    # breakpoint, its last two stages reading a left row
+    monkeypatch.setattr(dynamics, "_ROWS_PER_CHUNK", 7)
+    phi, psi = KINDS[phi], KINDS[psi]
+    rng = np.random.default_rng(46)
+    c0, s0 = _random_row(rng), State(1.3, 0.4, 0.2, 0.9)
+    steps = [(float(rng.uniform(0.05, 0.3)), *(_random_row(rng) for _ in range(5)),
+              _random_row(rng) if n == 9 else None) for n in range(20)]
+    rows = [(tuple((h * np.array(_DP5_WEIGHTS)).tolist()), *rest) for h, *rest in steps]
+    advance, seen = _dp5_stepper(phi, psi, c0)
+    out = dynamics._drive(advance, rows, s0, len(rows))
+    states, estimates = _reference_dp5(phi, psi, c0, steps, s0)
+    assert out.tobytes() == states.tobytes()
+    assert bytes(seen) == estimates.tobytes()
 
 
 # ---------------------------------------------------------------------------
