@@ -29,8 +29,8 @@ import numpy as np
 from .dynamics import AuxState, steps_for
 from .errors import ConfigError, StepError
 from .incidence import IncidenceFn
-from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DenominatorFn,
-                        DiscreteParams, ParamSchedule, ScheduleSet, mickens_discretize)
+from .schedules import (DISEASE_FREE_NAMES, DenominatorFn, DiscreteParams,
+                        ParamSchedule, ScheduleSet, mickens_discretize)
 # consistency_report takes the continuous report from its caller; continuous_thresholds
 # stays importable here because perfbench/tracing.py looks it up in this module
 from .thresholds import (ThresholdReport, Verdict, continuous_thresholds,  # noqa: F401
@@ -224,22 +224,22 @@ def consistency_report(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceF
     """Assemble the full step-bound report for one model.
 
     `continuous` is `continuous_thresholds(schedules, phi, psi, lam)`; the
-    bounds are for its window lam.
+    bounds are for its window lam.  f' is scanned over the `regime` span, and
+    is 0 where beta, sigma, alpha and gamma are constant.
     """
     lam = continuous.lam
     equilibrium = _applicable_equilibrium(schedules)
     f, fprime, analytic = _net_growth(schedules, phi, psi, equilibrium)
-    T = schedules.common_period()
-    sup_scan = (0.0, T) if T is not None else (0.0, APERIODIC_HORIZON)
-    constant = schedules.constants(_F_NAMES) is not None
+    regime = schedules.regime()
+    constant = schedules.regime(_F_NAMES).kind == "constant"
     # f' = 0 for constant coefficients: the scan's start, as the grid gives it
-    sup = FprimeSup(0.0, sup_scan[0]) if constant else sup_abs_fprime(fprime, sup_scan)
-    ts = np.linspace(sup_scan[0], sup_scan[1], 65)
+    sup = FprimeSup(0.0, 0.0) if constant else sup_abs_fprime(fprime, (0.0, regime.span))
+    ts = np.linspace(0.0, regime.span, 65)
     report_notes = dict(notes or {})
-    if T is None and not constant:
+    if regime.period is None and not constant:
         report_notes.setdefault(
             "sup_fprime_scan",
-            f"aperiodic coefficients: sup |f'| taken over [0, {APERIODIC_HORIZON:g}] only")
+            f"aperiodic coefficients: sup |f'| taken over [0, {regime.span:g}] only")
     if not analytic:
         report_notes.setdefault("fprime", "central differences (no analytic derivative)")
     return ConsistencyReport(

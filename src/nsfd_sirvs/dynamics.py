@@ -697,20 +697,22 @@ def explicit_stepper(source: str, namespace: dict):
     FORMS lines written out from its template.  The text is compiled on the
     factory's first call, so an import of the package that runs no explicit
     stepper compiles none, in a copy of `namespace` that also holds
-    `_explicit_form`; `linecache` holds it under <module.factory>, so that
-    tracebacks and `inspect` show the code that ran."""
+    `_explicit_form`; `linecache` holds it under <module.factory>, set again at
+    each call, so that tracebacks and `inspect` show the code that ran."""
     name = re.search(r"def (\w+)", source)[1]
+    filename = f"<{namespace['__name__']}.{name}>"
 
     @cache
     def factory():
         text = _TEMPLATE_LINE.sub(_write_out, source)
-        filename = f"<{namespace['__name__']}.{name}>"
-        linecache.cache[filename] = len(text), None, text.splitlines(True), filename
         scope = dict(namespace, _explicit_form=_explicit_form)
         exec(compile(text, filename, "exec"), scope)
-        return scope[name]
+        return scope[name], (len(text), None, text.splitlines(True), filename)
 
-    return lambda *args: factory()(*args)
+    def stepper(*args):  # `linecache.clearcache()` drops the entry: set it each time
+        built, linecache.cache[filename] = factory()
+        return built(*args)
+    return stepper
 
 
 _euler_stepper = explicit_stepper('''

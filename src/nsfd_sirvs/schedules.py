@@ -10,7 +10,8 @@ the map producing per-step parameter sequences
 
     c_n = phi(h) * c(n*h)
 
-from the continuous schedules.
+from the continuous schedules.  `ScheduleSet.regime` alone decides what stretch
+of time a liminf or limsup in t reads: one period T, any stretch or a finite horizon.
 
 Two schedules are the same function (`function_key`) by declaration, never
 by sampled values: the same kind and period, bit-equal parameters (0.0 and
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -308,6 +309,26 @@ def _once_each(first: dict, names, evaluate: Callable) -> list:
     return out
 
 
+class Regime(NamedTuple):
+    """The stretch of time that some schedules' liminf and limsup in t read
+    (`ScheduleSet.regime`): `kind` "constant", "periodic" or "aperiodic";
+    `period` T, else None; `span` T, which holds every phase, else `APERIODIC_HORIZON`."""
+
+    kind: str
+    period: float | None
+    span: float
+
+    def step_period(self, h: float) -> int | None:
+        """Steps of size h in one period: 1 when constant, None when aperiodic
+        or without a whole number of steps in T."""
+        if self.period is None:
+            return 1 if self.kind == "constant" else None
+        ratio = self.period / h  # inf for a subnormal h: no whole number of steps then
+        if not math.isfinite(ratio) or round(ratio) < 1:
+            return None
+        return int(round(ratio)) if abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio) else None
+
+
 @dataclass(frozen=True)
 class ScheduleSet:
     """The full set of eight coefficient schedules of one model."""
@@ -365,17 +386,16 @@ class ScheduleSet:
                 for bp in s.params["breakpoints"][1:] if t0 <= bp <= t1]
         return np.unique(np.asarray(cuts, dtype=float))
 
-    def common_period(self, names=SCHEDULE_NAMES) -> float | None:
-        """Common declared period of the non-constant named schedules, if any.
-
-        Returns None when any of them is aperiodic or periods disagree;
-        returns None as well when every one is constant.
-        """
+    def regime(self, names=SCHEDULE_NAMES) -> Regime:
+        """The named schedules' `Regime`: constant when all are declared so, periodic
+        when the others declare one period T (the first's, to 1e-12), else aperiodic."""
         periods = [getattr(self, n).period for n in names if getattr(self, n).constant is None]
-        if not periods or None in periods:
-            return None
-        ref = periods[0]
-        return None if any(abs(T - ref) > 1e-12 * max(1.0, ref) for T in periods) else ref
+        if not periods:
+            return Regime("constant", None, APERIODIC_HORIZON)
+        T = periods[0]
+        if None in periods or any(abs(t - T) > 1e-12 * max(1.0, T) for t in periods):
+            return Regime("aperiodic", None, APERIODIC_HORIZON)
+        return Regime("periodic", T, T)
 
     def one_sinusoid(self, names, weights) -> tuple[complex, float] | None:
         """(Z, omega) with sum_i c_i s_i'(t) = -omega Im(Z e^{i omega t}) and
@@ -586,21 +606,9 @@ def mickens_discretize(schedules: ScheduleSet, h: float, d: DenominatorFn) -> Di
         return seq
 
     seqs = _once_each(schedules._first, SCHEDULE_NAMES, lambda n: make(getattr(schedules, n)))
-    return DiscreteParams(h=h, step_period=_step_period(schedules, SCHEDULE_NAMES, h),
-                          aux_step_period=_step_period(schedules, DISEASE_FREE_NAMES, h),
+    return DiscreteParams(h=h, step_period=schedules.regime().step_period(h),
+                          aux_step_period=schedules.regime(DISEASE_FREE_NAMES).step_period(h),
                           **dict(zip(SCHEDULE_NAMES, seqs)))
-
-
-def _step_period(schedules: ScheduleSet, names, h: float) -> int | None:
-    """Steps of size h in one common period of the named schedules: 1 when all
-    are constant, None without a common period or a whole number of steps in it."""
-    T = schedules.common_period(names)
-    if T is None:
-        return 1 if schedules.constants(names) is not None else None
-    ratio = T / h  # inf for a subnormal h: no whole number of steps then
-    if not math.isfinite(ratio) or round(ratio) < 1:
-        return None
-    return int(round(ratio)) if abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio) else None
 
 
 @dataclass(frozen=True)

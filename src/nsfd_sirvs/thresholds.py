@@ -40,8 +40,8 @@ from .dynamics import (AuxState, State, _checked_state, aux_equilibrium, h_label
                        integrate_continuous, period_map_fixed_point, periodic_aux_solution,
                        simulate_aux, steps_for, verify_step_periodic)
 from .incidence import IncidenceFn
-from .schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, DiscreteParams,
-                        ParamSchedule, ScheduleSet, validate_hypotheses, window_sums)
+from .schedules import (DISEASE_FREE_NAMES, DiscreteParams, ParamSchedule,
+                        ScheduleSet, validate_hypotheses, window_sums)
 
 BOUNDARY_TOL = 1e-12
 BURN_IN, SCAN = 2000, 4000  # default window starts skipped, then scanned, by a discrete report
@@ -275,14 +275,14 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     """Sliding-window integrals F(t) over the scan range, by composite Simpson.
 
     The scan is the range of window starts t, of any length: the quadrature
-    grid runs on to its end plus one window.  The default is one common
-    period, which covers every start whatever lam is, because F is
-    T-periodic in t for T-periodic coefficients.  With Lambda, mu, eta, p
-    constant the disease-free solution is the exact equilibrium (a, b);
-    otherwise it is the periodic solution, integrated with RK4 on the
-    quadrature grid (same order as the quadrature) from its value at t = 0.
-    Only without a common period does the scan start need to sit past an
-    attraction transient (`_disease_free_solution`).
+    grid runs on to its end plus one window.  The default is the `regime`
+    span, one common period, which covers every start whatever lam is, as F
+    is T-periodic in t for T-periodic coefficients; else at least lam.  With
+    Lambda, mu, eta, p constant (their `regime`) the disease-free solution is
+    the exact equilibrium (a, b); otherwise it is the periodic solution,
+    integrated with RK4 on the quadrature grid (same order as the quadrature)
+    from its value at t = 0.  Only where their regime is aperiodic does the
+    scan start need to sit past an attraction transient.
     """
     lam = float(lam)
     if not (lam > 0 and math.isfinite(lam)):
@@ -293,8 +293,8 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
         raise ConfigError(f"quad_step {quad_step} too coarse for window {lam} "
                           "(need quad_step <= lam/16)")
     if scan is None:
-        T = schedules.common_period()
-        scan = (0.0, T if T is not None else max(lam, APERIODIC_HORIZON))
+        regime = schedules.regime()
+        scan = (0.0, regime.period or max(lam, regime.span))
     t0, t1 = (float(s) for s in scan)
 
     # quadrature grid from t = 0: the window is exactly 2m subintervals of
@@ -307,12 +307,13 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     ts = q * np.arange(n_grid + 1)
 
     notes = []
-    if schedules.constants(DISEASE_FREE_NAMES) is not None:
+    free = schedules.regime(DISEASE_FREE_NAMES)
+    if free.kind == "constant":
         a, b = disease_free_equilibrium(schedules)
         x_star = np.full(ts.shape, a)
         y_star = np.full(ts.shape, b)
     else:
-        x_star, y_star, note = _disease_free_solution(schedules, n_grid, q)
+        x_star, y_star, note = _disease_free_solution(schedules, free.period, n_grid, q)
         if note:
             notes.append(note)
 
@@ -350,20 +351,19 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     )
 
 
-def _disease_free_solution(schedules: ScheduleSet, n_steps: int, q: float):
+def _disease_free_solution(schedules: ScheduleSet, T: float | None, n_steps: int, q: float):
     """(x*, y*) at t = 0, q, .., n_steps q and a note: RK4 on the disease-free pair,
     which is the continuous model with I = R = 0.  The start is the fixed point
     of the period map z -> M z + c (Bacaer & Guernaoui 2006), composed from runs
-    over one common period T of Lambda, mu, p and eta (the pair reads no other
-    coefficient) from (0, 0) and, with Lambda = 0, from the unit vectors, so the
-    solution is the periodic one.  Without a common period, or with mu = 0 (the
-    map is singular), it starts at (1, 1) and the note says so."""
+    over T, the `regime` period of Lambda, mu, p and eta (the pair reads no other
+    coefficient), from (0, 0) and, with Lambda = 0, from the unit vectors, so the
+    solution is the periodic one.  With T None (no common period), or with
+    mu = 0 (the map is singular), it starts at (1, 1) and the note says so."""
     def run(sched, x, y, t_end, h):  # rows (x, y)
         inc = IncidenceFn.mass_action()  # I = 0 switches any incidence off
         return integrate_continuous(sched, inc, inc, State(x, 0.0, 0.0, y),
                                     t_end, h).states[:, [0, 3]]
 
-    T = schedules.common_period(DISEASE_FREE_NAMES)
     start, note = None, ""
     if T is not None and schedules.mu.constant != 0:
         h = T / steps_for(T, q)

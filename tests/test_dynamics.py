@@ -1,7 +1,9 @@
 import inspect
 import itertools
+import linecache
 import math
 import os
+import re
 import subprocess
 import sys
 import traceback
@@ -326,10 +328,11 @@ class _Armed(Exception):
     pass
 
 
-def test_explicit_stepper_text_shows_in_tracebacks_and_inspect():
+def test_explicit_stepper_text_shows_in_tracebacks_and_inspect(clear=False):
     # a separable g that raises once its IncidenceFn has been built: each
     # stepper's traceback runs through its generated text, named after it,
-    # at the stage line that calls g
+    # at the stage line that calls g; with `clear`, the same stepper ran and
+    # raised once before, and `linecache.clearcache()` ran after that
     armed = []
 
     def g(x):
@@ -344,6 +347,10 @@ def test_explicit_stepper_text_shows_in_tracebacks_and_inspect():
             "rk4": lambda: integrate_continuous(sched, sep, MASS, s0, 1.0, 0.1, "rk4"),
             "dp5": lambda: reference.dp5_reference(sched, sep, MASS, s0, [1.0])}
     for method, run in runs.items():
+        if clear:
+            with pytest.raises(_Armed):
+                run()
+            linecache.clearcache()
         with pytest.raises(_Armed) as info:
             run()
         frames = [f for f in traceback.extract_tb(info.value.__traceback__)
@@ -353,6 +360,12 @@ def test_explicit_stepper_text_shows_in_tracebacks_and_inspect():
         assert "g_phi(" in frames[0].line, method
     advance = dynamics._euler_stepper(sep, MASS, 0.1)
     assert "S + h * a1" in inspect.getsource(advance)
+
+
+def test_explicit_stepper_text_survives_a_linecache_clear():
+    # debuggers and doctest call `linecache.clearcache()`: the tracebacks of
+    # the runs after it still show the stepper's text
+    test_explicit_stepper_text_shows_in_tracebacks_and_inspect(clear=True)
 
 
 _LINECACHE_PROBE = """
@@ -390,6 +403,18 @@ def test_the_model_is_written_once():
     copies = sum(path.read_text(encoding="utf-8").count("inc_s + inc_v - m_i *")
                  for path in package.glob("*.py"))
     assert copies == 1
+
+
+def test_the_regime_is_decided_once():
+    # which stretch of time a report reads (one period, any, or a finite
+    # horizon) is `ScheduleSet.regime`'s decision alone: no module keeps a
+    # period finder or a horizon fallback of its own
+    package = Path(dynamics.__file__).resolve().parent
+    texts = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert [name for name, text in texts.items()
+            if re.search(r"\b(common_period|_step_period)\b", text)] == []
+    horizon = [name for name, text in texts.items() if "APERIODIC_HORIZON" in text]
+    assert horizon == ["schedules.py"]
 
 
 def _persistence_rhs(inc):

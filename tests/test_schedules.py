@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nsfd_sirvs import consistency
 from nsfd_sirvs.errors import ConfigError
-from nsfd_sirvs.schedules import (DenominatorFn, DiscreteParams, ParamSchedule,
+from nsfd_sirvs.scenarios import BUILTIN_NAMES, builtin, compare_thresholds, discretize
+from nsfd_sirvs.schedules import (APERIODIC_HORIZON, DISEASE_FREE_NAMES, SCHEDULE_NAMES,
+                                  DenominatorFn, DiscreteParams, ParamSchedule,
                                   ScheduleSet, eval_denominator, mickens_discretize,
                                   validate_hypotheses)
 
@@ -280,10 +283,57 @@ def test_mickens_array_access_matches_scalar():
     assert arr == pytest.approx([dp.beta(n) for n in range(3, 11)], rel=1e-15)
 
 
-@pytest.mark.parametrize("h,expected", [(1.0, 4), (0.5, 8), (4.0, 1), (2.0, 2), (0.7, None)])
-def test_step_period_detection(h, expected):
-    dp = mickens_discretize(full_set(), h, DenominatorFn.quadratic(0.2))
+_STEP_PERIOD_SETS = {
+    "seasonal": full_set,  # beta and sigma of period 4, the rest constant
+    "constant": lambda: ScheduleSet(**{n: ParamSchedule.constant(n, 0.5)
+                                       for n in SCHEDULE_NAMES}),
+    "aperiodic": lambda: ScheduleSet.from_mapping({
+        **full_set().as_dict(), "gamma": ParamSchedule.piecewise("gamma", [0.0, 50.0],
+                                                                 [0.3, 0.31])}),
+}
+
+
+@pytest.mark.parametrize("schedules,h,expected", [
+    ("seasonal", 1.0, 4), ("seasonal", 0.5, 8), ("seasonal", 4.0, 1), ("seasonal", 2.0, 2),
+    ("seasonal", 0.7, None),
+    ("constant", 0.7, 1), ("constant", 1e6, 1),
+    ("aperiodic", 1.0, None), ("aperiodic", 0.5, None),
+    ("seasonal", 5e-324, None),  # subnormal: T / h overflows to inf
+    ("seasonal", 6.5, None), ("seasonal", 100.0, None),  # h > 1.5 T: less than one step
+    ("seasonal", 4.0 / (3.0 * (1.0 + 9e-10)), 3),  # T / h within 1e-9 of 3, relative
+    ("seasonal", 4.0 / (3.0 * (1.0 + 1e-8)), None),  # 1e-8 off 3
+])
+def test_step_period_detection(schedules, h, expected):
+    dp = mickens_discretize(_STEP_PERIOD_SETS[schedules](), h, DenominatorFn.quadratic(0.2))
     assert dp.step_period == expected
+
+
+# (step_period, aux_step_period) of each built-in at its h_values, then at the
+# 16 steps of its `consistency --sweep` (None: it has no sweep)
+_BUILTIN_STEP_PERIODS = {
+    "extinction_5_1": ([(1, 1), (2, 1), (4, 1), (8, 1)], [(None, 1)] * 16),
+    "persistence_5_1": ([(1, 1), (2, 1), (4, 1), (8, 1)], [(None, 1)] * 16),
+    "saturated_5_1_ext": ([(1, 1), (2, 1), (4, 1), (8, 1)], [(None, 1)] * 16),
+    "saturated_5_1_per": ([(1, 1), (2, 1), (4, 1), (8, 1)], [(None, 1)] * 16),
+    "inconsistency_4": ([(6, 1)], [(None, 1)] * 16),
+    "measles_france_5_2": ([(None, 1)], None),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_step_periods(name, monkeypatch):
+    spec = builtin(name)
+    at_h_values = [(dp.step_period, dp.aux_step_period)
+                   for dp in discretize(spec, spec.h_values)]
+    report = compare_thresholds(spec, spec.lam, []).consistency
+    sweep = None
+    if report is not None and not consistency.sweep_skip_reason(report):
+        # the sweep's own steps, each discretized model read instead of reported
+        monkeypatch.setattr(consistency, "window_thresholds",
+                            lambda dp, *_: (dp.step_period, dp.aux_step_period))
+        sweep = [pair for _, pair in consistency.consistency_sweep(
+            spec.schedules, spec.incidence_phi, spec.incidence_psi, spec.denominator, report)]
+    assert (at_h_values, sweep) == _BUILTIN_STEP_PERIODS[name]
 
 
 def test_disease_free_step_period_reads_lambda_mu_p_eta_only():
@@ -294,6 +344,70 @@ def test_disease_free_step_period_reads_lambda_mu_p_eta_only():
     assert (dp.step_period, dp.aux_step_period) == (None, 4)
     dp = mickens_discretize(full_set(), 0.5, DenominatorFn.identity())  # Lambda .. eta constant
     assert (dp.step_period, dp.aux_step_period) == (8, 1)
+
+
+_OMEGAS = (math.pi / 2.0, math.pi, 1.0)  # periods 4, 2 and 2 pi: draws often share one
+
+
+def _regime_schedule(name, spec):
+    """The schedule `name` of a drawn spec: ("constant", value), ("harmonic",
+    base, amplitude, omega), ("piecewise", values) on fixed breakpoints, or
+    ("custom", base, amplitude, omega), a sine that declares its period."""
+    kind, *args = spec
+    if kind == "piecewise":
+        return ParamSchedule.piecewise(name, [0.0, 3.0, 7.5], args[0])
+    if kind == "custom":
+        base, amplitude, omega = args
+        return ParamSchedule.custom(name, lambda t: base + amplitude * np.sin(omega * t),
+                                    period=2.0 * math.pi / omega)
+    return getattr(ParamSchedule, kind)(name, *args)
+
+
+_REGIME_SPECS = st.one_of(
+    st.tuples(st.just("constant"), st.floats(0.0, 2.0)),
+    st.tuples(st.just("harmonic"), st.floats(1.0, 2.0), st.sampled_from([0.0, 0.5, 0.9]),
+              st.sampled_from(_OMEGAS)),
+    st.tuples(st.just("piecewise"), st.sampled_from([(0.3, 0.3, 0.3), (0.3, 0.4, 0.2)])),
+    st.tuples(st.just("custom"), st.floats(1.0, 2.0), st.floats(0.0, 0.9),
+              st.sampled_from(_OMEGAS)),
+)
+_REGIME_NAMES = (SCHEDULE_NAMES, DISEASE_FREE_NAMES, ("beta", "sigma", "alpha", "gamma"))
+_c, _seasonal = ("constant", 0.5), ("harmonic", 1.0, 0.5, math.pi / 2.0)
+
+
+# a fixed regression set: every kind of regime, and each way to be aperiodic
+@example(specs=(_c,) * 8, names=SCHEDULE_NAMES)
+@example(specs=(_c,) * 5 + (_seasonal, ("custom", 1.0, 0.5, math.pi / 2.0),
+                            ("piecewise", (0.3, 0.3, 0.3))), names=SCHEDULE_NAMES)
+@example(specs=(_c,) * 5 + (_seasonal, ("harmonic", 1.0, 0.5, math.pi), _c),
+         names=SCHEDULE_NAMES)  # periods 4 and 2: commensurate, still no common one
+@example(specs=(_seasonal,) + (_c,) * 6 + (("piecewise", (0.3, 0.4, 0.2)),),
+         names=SCHEDULE_NAMES)
+@example(specs=(_seasonal,) + (_c,) * 6 + (("piecewise", (0.3, 0.4, 0.2)),),
+         names=DISEASE_FREE_NAMES)
+@settings(max_examples=150, deadline=None)
+@given(specs=st.tuples(*[_REGIME_SPECS] * 8), names=st.sampled_from(_REGIME_NAMES))
+def test_regime_agrees_with_the_declared_periods_and_the_values(specs, names):
+    sched = ScheduleSet(**{n: _regime_schedule(n, spec) for n, spec in zip(SCHEDULE_NAMES, specs)})
+    regime = sched.regime(names)
+    varying = [getattr(sched, n) for n in names if getattr(sched, n).constant is None]
+    if regime.kind == "constant":
+        assert all(getattr(sched, n).constant is not None for n in names)
+    elif regime.kind == "periodic":
+        T = regime.period
+        assert varying and regime.span == T and regime.step_period(T / 3.0) == 3
+        ts = np.linspace(0.0, 3.0 * T, 301)
+        for s in varying:
+            assert s.period is not None and abs(s.period - T) <= 1e-12 * max(1.0, T)
+            np.testing.assert_allclose(s.eval(ts + T), s.eval(ts), rtol=1e-12, atol=0.0)
+        return
+    else:
+        assert regime.kind == "aperiodic"
+        periods = [s.period for s in varying]
+        assert None in periods or any(abs(T - periods[0]) > 1e-12 * max(1.0, periods[0])
+                                      for T in periods)
+    assert (regime.period, regime.span) == (None, APERIODIC_HORIZON)
+    assert regime.step_period(0.37) == (1 if regime.kind == "constant" else None)
 
 
 _T = np.linspace(0.0, 200.0, 4001)
