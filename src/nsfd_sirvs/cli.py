@@ -122,10 +122,11 @@ def _write_compare(out: Path, runs, reference) -> tuple[Path, dict, tuple]:
     return (_write_rows(out / "compare.csv",
                         ["h", "method", "sup_dev_I", "negativity_flag"], rows),
             {"nsfd_worse_than_euler_at": nsfd_worse,
-             "reference": {"method": reference.method, "steps": reference.n_steps,
+             "reference": {"method": reference.method, "steps": reference.steps,
                            "max_step": reference.dt, "rtol": REFERENCE_RTOL,
                            "largest_estimate": estimate if math.isfinite(estimate) else None,
-                           "capped_gaps": reference.capped_gaps}}, table)
+                           "capped_gaps": reference.capped_gaps, "tail": reference.tail}},
+            table)
 
 
 def _discrete_json(pairs, continuous_verdict=None) -> list[dict]:

@@ -19,6 +19,15 @@ its stepper, `_dp5_stepper`, writes out the model's one stage template
 about 2.4 RK4 steps (six right-hand sides and denser stage sums against four),
 so the reference is cheaper than RK4 at 0.02 where its estimate lets a gap
 take under 0.4 of RK4's steps; a capped gap costs about 1.3 times RK4's.
+
+Where the coefficients are T-periodic and the given times repeat with period
+T, the run settles onto a periodic solution (permanence) or the disease-free
+orbit (extinction; Wang & Zhao 2008).  The reference then stops integrating
+once the change from one period to the next, summed as a geometric series of
+its recent ratios, is below `_TAIL_BOUND`, and every later time takes the
+state at its offset in the last integrated period.  On the periodic built-ins
+it integrates 19 of 50 periods (persistence), 37 of 50 (extinction) and 93 of
+400 (inconsistency_4).
 """
 
 from __future__ import annotations
@@ -26,14 +35,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .dynamics import (State, Trajectory, _coefficient_rows, _drive, _first_negative,
                        explicit_stepper)
 from .incidence import IncidenceFn
-from .schedules import SCHEDULE_NAMES, ParamSchedule, ScheduleSet
+from .schedules import SCHEDULE_NAMES, ParamSchedule, Regime, ScheduleSet
 
 REFERENCE_RTOL = 1e-8  # the bound on `dp5_reference`'s embedded estimate
 REFERENCE_CAP_STEP = 0.04  # a reference gap takes at most steps_for(gap, 0.04) steps
@@ -42,6 +51,7 @@ REFERENCE_CAP_STEP = 0.04  # a reference gap takes at most steps_for(gap, 0.04) 
 # _BLOCK_STEPS steps at the cap, so that short gaps do not multiply the blocks
 _FIRST_BLOCK, _REFERENCE_BLOCK, _BLOCK_STEPS = 8, 32, 256
 _SAFETY, _GROWTH = 0.9, 2.0  # the step rule of `dp5_reference`
+_TAIL_BOUND = 1e-9  # `dp5_reference` repeats its last period once the change left is below it
 
 # Dormand & Prince (1980), as in Hairer, Norsett & Wanner, Solving ODEs I, Table
 # II.5.2: the nodes c2 .. c5 (c6 = c7 = 1); the rows a21, a31 a32, .., a61 .. a65;
@@ -62,12 +72,18 @@ _DP5_WEIGHTS = (
 
 @dataclass(eq=False, kw_only=True)
 class Reference(Trajectory):
-    """A `dp5_reference` run: its trajectory, its largest embedded estimate
-    and the number of gaps where the estimate asked for more steps than the
-    cap."""
+    """A `dp5_reference` run: its trajectory, its largest embedded estimate,
+    the number of gaps where the estimate asked for more steps than the cap,
+    and the steps it integrated (states 0 .. steps), all three up to its
+    tail.  `tail` is {"kind": "repeated", "from_period": k, "bound": b} where
+    every state past period k repeats period k's, b bounding the change that
+    integrating on would add; else kind "none", with from_period and bound
+    None."""
 
     largest_estimate: float
     capped_gaps: int
+    steps: int
+    tail: dict
 
 
 def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
@@ -92,9 +108,24 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
     A block's coefficient rows come from one `ScheduleSet.evaluate` call, and
     one more where some of its gaps end on a breakpoint.
 
-    The returned `Reference` holds every node, at the times `nodes`, with dt
-    its largest step.  Beyond its states (32 B per step, allocated for the
-    caps) the run holds its node times (8 B per step) and one block's rows."""
+    The settled tail.  Where `regime()` is periodic with period T and the
+    stops repeat with it over at least three periods (`_stops_per_period`:
+    every run's h divides T), the run reads the state at each stop as it
+    passes.  After each period k >= 2, d_k is the largest change of a state at
+    a stop from period k - 1, each component relative to its largest value so
+    far; rho is the largest of the last three ratios d_k / d_k-1.  Once
+    rho < 1 and d_k rho / (1 - rho) < `_TAIL_BOUND` (1e-9), the run ends, and
+    each later stop takes the state of the stop at its offset in period k,
+    matched by index.  Every node up to the cut is the one a run to the end
+    would have, bit for bit (the rows are the same; the run only stops
+    reading them).  Elsewhere (aperiodic or constant coefficients, an h that
+    does not divide T, fewer than three periods) it integrates to the end.
+
+    The returned `Reference` holds every node it integrated, at the times
+    `nodes`, then the later stops, with dt its largest step.  Beyond its
+    states (32 B per step, allocated for the caps) the run holds its node
+    times (8 B per step), one block's rows and, with a period, the state at
+    every stop (32 B each)."""
     times = np.asarray(times, dtype=float)
     if not (times.size and np.isfinite(times).all() and times.min() >= 0):
         raise ValueError("dp5_reference needs finite times >= 0")
@@ -106,6 +137,9 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
     caps = _step_counts(gaps, REFERENCE_CAP_STEP)
     on_jump = np.isin(stops[1:], jumps)  # the gap ends on a breakpoint
     counts = caps.astype(int)  # a block's own counts replace its caps when it is planned
+    capped = np.zeros(gaps.size, dtype=bool)
+    m = _stops_per_period(schedules.regime(), stops)
+    tail = {"kind": "none", "from_period": None, "bound": None}
 
     def rows_at(t, read=ParamSchedule.column):
         cols = schedules.evaluate(SCHEDULE_NAMES, t, read)
@@ -113,21 +147,48 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
             lambda a, b: [c if isinstance(c, float) else c[a:b] for c in cols], t.size)
 
     advance, seen = _dp5_stepper(phi, psi, next(rows_at(np.zeros(1))))
-    starts, estimates, capped = [], [], 0  # node times and largest estimate of each block
+    starts, estimates = [], []  # node times and largest estimate of each block
     edges = _block_edges(caps)
+    if m:  # the state at every stop (`settled` reads them), and each period's change
+        at_stops, top, changes = np.empty((stops.size, 4)), np.abs(np.asarray(s0, float)), []
+
+    def settled(i):
+        """Read the state at stop i off `seen`; where stop i ends a period,
+        whether the run has settled, and if so set the tail."""
+        nonlocal top
+        at_stops[i] = seen[-8:-4]  # y_n+1 of the last step, which ends on stop i
+        if i % m or i == stops.size - 1:
+            return False
+        now = at_stops[i - m + 1:i + 1]
+        top = np.maximum(top, np.abs(now).max(axis=0))
+        if i > m:  # d_k; a component that has been 0 throughout has not changed
+            change = np.abs(now - at_stops[i - 2 * m + 1:i - m + 1]).max(axis=0)
+            changes.append(float(np.max(change / np.where(top > 0.0, top, 1.0))))
+        if len(changes) < 4:
+            return False
+        # the largest of the last three ratios: NaN, and so never settled,
+        # where the run blew up or repeated a period exactly
+        rho = float(np.max(np.divide(changes[-3:], changes[-4:-1])))
+        if not rho < 1.0:
+            return False
+        bound = changes[-1] * rho / (1.0 - rho)
+        if not bound < _TAIL_BOUND:
+            return False
+        tail.update(kind="repeated", from_period=i // m, bound=bound)
+        return True
 
     def blocks():
-        nonlocal capped
         for a, b in zip(edges, edges[1:]):
+            if a and m and settled(a):
+                return
             if a:  # the previous block's largest estimate bounds this block's steps
                 estimates.append(_largest_estimate(seen))
                 e = estimates[-1]
                 grow = (min(_GROWTH, _SAFETY * (REFERENCE_RTOL / e) ** 0.2) if e > 0.0
                         else _GROWTH)
                 want = _step_counts(gaps[a:b], max_step * grow)  # inf where grow is 0
-                over = want > caps[a:b]
-                capped += int(over.sum())
-                counts[a:b] = np.where(over, caps[a:b], want)
+                capped[a:b] = want > caps[a:b]
+                counts[a:b] = np.where(capped[a:b], caps[a:b], want)
             n = counts[a:b]
             hs = gaps[a:b] / n
             max_step = float(hs.max())
@@ -150,16 +211,41 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
                                   rows_at(stage_times[last, 4], ParamSchedule.left_column)):
                     lefts[k] = row
             weights = map(tuple, np.multiply.outer(hs, _DP5_WEIGHTS).tolist())
-            yield zip(chain.from_iterable(map(repeat, weights, n.tolist())),
-                      stages, stages, stages, stages, stages, lefts)
+            block = zip(chain.from_iterable(map(repeat, weights, n.tolist())),
+                        stages, stages, stages, stages, stages, lefts)
+            for i, count in enumerate(n.tolist(), a):  # gap by gap, to read each stop
+                if i > a and m and settled(i):
+                    return
+                yield islice(block, count)
 
     with np.errstate(all="ignore"):  # also over `blocks`, which runs as `_drive` reads it
         out = _drive(advance, chain.from_iterable(blocks()), s0, int(caps.sum()))
     estimates.append(_largest_estimate(seen))
-    nodes = np.append(np.concatenate(starts), stops[-1])
-    return Reference(t0=0.0, dt=float(np.max(gaps / counts)), states=out, method="dp5",
-                     negative_at=_first_negative(out), nodes=nodes,
-                     largest_estimate=max(estimates), capped_gaps=capped)
+    steps = out.shape[0] - 1
+    end = stops.size - 1  # the last integrated stop
+    if tail["kind"] == "repeated":  # each later stop takes the last period's at its offset
+        end = tail["from_period"] * m
+        later = np.arange(end + 1, stops.size)
+        out = np.concatenate((out, at_stops[end - m + 1 + (later - end - 1) % m]))
+    nodes = np.concatenate((np.concatenate(starts)[:steps], stops[end:]))
+    return Reference(t0=0.0, dt=float(np.max(gaps[:end] / counts[:end])), states=out,
+                     method="dp5", negative_at=_first_negative(out), nodes=nodes,
+                     largest_estimate=max(estimates), capped_gaps=int(capped[:end].sum()),
+                     steps=steps, tail=tail)
+
+
+def _stops_per_period(regime: Regime, stops: np.ndarray) -> int | None:
+    """m where the schedules are T-periodic and the sorted `stops`, from 0,
+    repeat with period T: m of them in each [kT, (k + 1)T), stop j at stop
+    j mod m plus (j // m) T to 1e-9 T, over at least three periods; else None."""
+    if regime.kind != "periodic":
+        return None
+    T = regime.period
+    m = int(np.searchsorted(stops, T * (1.0 - 1e-9)))
+    j = np.arange(stops.size)
+    if stops.size <= 3 * m or np.any(np.abs(stops - stops[j % m] - j // m * T) > 1e-9 * T):
+        return None
+    return m
 
 
 def _block_edges(caps: np.ndarray) -> list[int]:

@@ -277,7 +277,8 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
     The scan is the range of window starts t, of any length: the quadrature
     grid runs on to its end plus one window.  The default is the `regime`
     span, one common period, which covers every start whatever lam is, as F
-    is T-periodic in t for T-periodic coefficients; else at least lam.  With
+    is T-periodic in t for T-periodic coefficients; the one start t = 0 when
+    all eight are constant, as F is then one value; else at least lam.  With
     Lambda, mu, eta, p constant (their `regime`) the disease-free solution is
     the exact equilibrium (a, b); otherwise it is the periodic solution,
     integrated with RK4 on the quadrature grid (same order as the quadrature)
@@ -294,7 +295,7 @@ def continuous_thresholds(schedules: ScheduleSet, phi: IncidenceFn, psi: Inciden
                           "(need quad_step <= lam/16)")
     if scan is None:
         regime = schedules.regime()
-        scan = (0.0, regime.period or max(lam, regime.span))
+        scan = (0.0, 0.0 if regime.kind == "constant" else regime.period or max(lam, regime.span))
     t0, t1 = (float(s) for s in scan)
 
     # quadrature grid from t = 0: the window is exactly 2m subintervals of

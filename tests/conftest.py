@@ -24,9 +24,9 @@ def _factor_rate(inc):
     return lambda x, i, n: x * i / (1.0 + a * i if a else n if by_pop else 1.0)
 
 
-def _dop853_at(spec, times):
+def _dop853_at(spec, times, rtol=1e-11):
     """The model's states at `times` (sorted, from 0) by scipy's DOP853 at
-    rtol 1e-11, restarted at each breakpoint of a piecewise schedule, where
+    `rtol`, restarted at each breakpoint of a piecewise schedule, where
     the coefficients of the interval that ends there are read up to its end."""
     from scipy.integrate import solve_ivp
     f_s, f_v = _factor_rate(spec.incidence_phi), _factor_rate(spec.incidence_psi)
@@ -51,7 +51,7 @@ def _dop853_at(spec, times):
                     p * S - (mu + eta) * V - inc_v]
 
         sel = np.flatnonzero((times > a) & (times <= b))
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-11,
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol,
                         atol=1e-13 * max(1.0, max(y)), t_eval=times[sel])
         assert sol.success and sol.t[-1] == b
         out[sel] = sol.y.T

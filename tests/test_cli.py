@@ -516,13 +516,20 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
 # 1.8e-10 (saturated_5_1_ext), 6.3e-9 (saturated_5_1_per), 2.1e-6
 # (inconsistency_4) and 6.9e-10 (measles_france_5_2); verdicts, thresholds,
 # consistency.json and the NSFD and Euler runs kept their bytes.
+# All six were re-pinned when the reference began to stop once its periodic
+# run had settled and to repeat its last period at every later scored time:
+# only manifest.json (the `reference` entry's steps, capped_gaps and max_step
+# count the integrated part, and it gained `tail`), the reference file of the
+# five periodic built-ins and inconsistency_4's compare.csv changed.  The
+# largest relative move of a sup_dev_I was 9.6e-10 (inconsistency_4) and 0
+# elsewhere; measles_france_5_2 has no tail, so only its manifest changed.
 GOLDEN_BUNDLE_DIGESTS = {
-    "extinction_5_1": "d8e6879dfe85f898013c504cc3707f1c6bd9941b03482de86c3a3eeb412320a5",
-    "persistence_5_1": "98785ef1512a93fa4797272a8b8c8e2b6dc30fed565bf5b825f2b47d0a847efb",
-    "saturated_5_1_ext": "c4892bc35109ddc49e989e9c47f2d8cdbed0eef00e3db68944b6687a5763f228",
-    "saturated_5_1_per": "2b88cae2bf0efec27a3c70bdf279186dd081348a6611b7e5629bdb423dfcc54c",
-    "inconsistency_4": "99d50779e784029f8c085b7114d826dba292f34eadbdfa9a8ea60c202f7d4edd",
-    "measles_france_5_2": "0812f9bee36c98eedebe78de9d281e27a357e718f1d690309b0bf5e5686145bd",
+    "extinction_5_1": "fd74a509627896f764849ff3fbd66b6f53c0fb0557a2f7129ac915cfafa909fc",
+    "persistence_5_1": "553916e04a8c7beee63efdb244a4ce6d66f8b05a788e2c4e3f172d6e3f38100e",
+    "saturated_5_1_ext": "42fa78ca366b685e8c34466dff2bbd8d155372ab4ed8f0b72e71d92f6a121671",
+    "saturated_5_1_per": "314243ff470b05fea8457d64aaec202a691ccc3aaf14fa3b8f67bf789cc477ae",
+    "inconsistency_4": "99d28be71f44c00dbc8fe0b3507061c6dca29789f7b5cbeaa3f46074d32a7b7c",
+    "measles_france_5_2": "70394b410611a7c0392ace9b246e408498c90761b4cff82f9eb955f320c48014",
 }
 
 
@@ -562,9 +569,10 @@ GOLDEN_COMMAND_DIGESTS = {
     # re-pinned with the reference that stops at every scored time: compare.csv
     # (largest relative move of a sup_dev_I 1.9e-10) and manifest.json (the new
     # `reference` entry) changed; and again with the Dormand-Prince reference:
-    # compare.csv (2.3e-10) and the `reference` entry changed
+    # compare.csv (2.3e-10) and the `reference` entry changed; and again with
+    # the repeated tail: only the `reference` entry changed
     ("compare", "extinction_5_1"):
-        "f029954fd22d004f7f51659fe41c0635e5eb5d0dbc70637fa4e1cb732e259a6a",
+        "edf9dd5e0216f23e5545d98e54f5cbaa087c8c5fd72f804c3be669aeb08401df",
     # the continuous integrators, pinned before RK4's stages were written out:
     # mass action (d = 1) with RK4 and Euler, and standard incidence (d = N)
     ("simulate", "persistence_5_1", "--h", "0.05", "--method", "rk4"):
@@ -735,10 +743,14 @@ def test_a_reference_that_blows_up_reports_no_estimate(tmp_path):
 def test_manifest_says_how_the_reference_was_integrated(tmp_path, name):
     # the same deterministic entry from `scenario run` and `compare`: the
     # method, its step count, its largest step, the tolerance, its largest
-    # estimate and the number of capped gaps, and no wall time
-    steps, capped = {"extinction_5_1": (1440, 0), "persistence_5_1": (1832, 0),
-                     "saturated_5_1_ext": (1440, 0), "saturated_5_1_per": (1800, 0),
-                     "inconsistency_4": (12_000, 2392), "measles_france_5_2": (896, 0)}[name]
+    # estimate, the number of capped gaps and its tail, and no wall time.
+    # Steps and capped gaps count what was integrated, up to the tail's period
+    # (to t_end there were 1440, 1832, 1440, 1800 and 12 000 steps, and 2392
+    # capped gaps on inconsistency_4)
+    steps, capped, period = {
+        "extinction_5_1": (1128, 0, 37), "persistence_5_1": (840, 0, 19),
+        "saturated_5_1_ext": (1128, 0, 37), "saturated_5_1_per": (808, 0, 19),
+        "inconsistency_4": (2790, 550, 93), "measles_france_5_2": (896, 0, None)}[name]
     entries = []
     for argv in (["scenario", "run", name], ["compare", name]):
         out = tmp_path / argv[0]
@@ -747,9 +759,16 @@ def test_manifest_says_how_the_reference_was_integrated(tmp_path, name):
     assert entries[0] == entries[1]
     entry = entries[0]
     assert sorted(entry) == ["capped_gaps", "largest_estimate", "max_step", "method", "rtol",
-                             "steps"]
+                             "steps", "tail"]
     assert (entry["method"], entry["steps"], entry["rtol"], entry["capped_gaps"]) == (
         "dp5", steps, 1e-8, capped)
+    tail = entry["tail"]
+    assert sorted(tail) == ["bound", "from_period", "kind"]
+    if period is None:
+        assert tail == {"kind": "none", "from_period": None, "bound": None}
+    else:
+        assert (tail["kind"], tail["from_period"]) == ("repeated", period)
+        assert 0.0 < tail["bound"] < 1e-9
     # where no gap is capped, the largest estimate is of the order of the
     # tolerance (each block's steps are predicted from the block before)
     assert 0.0 < entry["largest_estimate"] <= (1e-3 if capped else 3e-8)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsfd_sirvs.dynamics as dynamics_module
+import nsfd_sirvs.reference as reference_module
 from nsfd_sirvs.dynamics import State, integrate_continuous, steps_for
 from nsfd_sirvs.errors import ConfigError
 from nsfd_sirvs.incidence import IncidenceFn, validate_incidence
@@ -390,11 +393,14 @@ def test_reference_is_always_attached():
     ref = rep.reference
     assert ref.method == "dp5"
     assert ref.dt == 0.5 / 3  # three steps across a gap of 0.5, where the estimate allows
-    # its node times, each rounded to its own ulp, are at most a step apart
-    assert np.all(np.diff(ref.times) <= ref.dt + 2.0 * np.spacing(ref.times[1:]))
+    # its node times, each rounded to its own ulp, are at most a step apart up
+    # to the cut; past it, in the repeated tail, its nodes are the scored times
+    integrated = ref.times[:ref.steps + 1]
+    assert np.all(np.diff(integrated) <= ref.dt + 2.0 * np.spacing(integrated[1:]))
     assert ref.times[-1] == max(res.nsfd.times[-1] for res in rep.per_h.values())
     assert ref.times[-1] == pytest.approx(spec.t_end, abs=1e-9)
-    assert ref.n_steps == 1440  # 10 000 steps of 0.02 took RK4 there
+    # 37 of 50 periods; 1 440 steps to t_end, and 10 000 steps of 0.02 took RK4
+    assert (ref.steps, ref.tail["from_period"]) == (1128, 37)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -414,10 +420,12 @@ def test_no_reference_gap_exceeds_its_cap(name):
     assert np.all(steps >= 1) and np.all(steps <= caps)
     for a, b in zip(at, at[1:]):
         assert np.ptp(np.diff(ref.times[a:b + 1])) <= 1e-12 * (ref.times[b] - ref.times[a])
+    cut = int(np.searchsorted(at, ref.steps))  # the integrated gaps; the tail's are one node
+    assert at[cut] == ref.steps and np.all(steps[cut:] == 1)
     if name == "inconsistency_4":
-        assert ref.capped_gaps == len(caps) - 8 and np.array_equal(steps, caps)
+        assert ref.capped_gaps == cut - 8 and np.array_equal(steps[:cut], caps[:cut])
     else:
-        assert ref.capped_gaps == 0 and ref.n_steps < 0.6 * sum(caps)
+        assert ref.capped_gaps == 0 and ref.steps < 0.6 * sum(caps[:cut])
 
 
 @settings(max_examples=40, deadline=None)
@@ -522,6 +530,202 @@ def test_reference_is_the_model_on_generated_models(schedules, phi, psi, state, 
     _, _, (times, states) = compare_methods(runs, reference)
     exact = _dop853_at(spec, times)
     assert np.max(np.abs(states[:, 1] - exact[:, 1])) <= 1e-8 * np.max(exact[:, 1])
+
+
+# `reference.dp5_reference` on each built-in: (the period it integrates to,
+# whose states every later scored time repeats, or None for no tail; its
+# steps), and the sha256 of the states and node times of the same reference
+# integrated to t_end, as it was before it had a tail
+_TAILS = {"extinction_5_1": (37, 1128), "persistence_5_1": (19, 840),
+          "saturated_5_1_ext": (37, 1128), "saturated_5_1_per": (19, 808),
+          "inconsistency_4": (93, 2790), "measles_france_5_2": (None, 896)}
+_FULL_REFERENCE_DIGESTS = {
+    "extinction_5_1": "b1d1ae4b77d79341dbbea7053c005838c08d8e8ca3f16dd1dbe6f10263ce86fa",
+    "persistence_5_1": "557d6155f40025b2345850b8cb8b5fbdd935b2a40a6e7264ce88753bd9f1bd0b",
+    "saturated_5_1_ext": "612c5b7733046ef69d18db1bf30b6d0438b0608e91d12898d0eafa9c68a5ba39",
+    "saturated_5_1_per": "82646a69c01b6e4d727f938d48e02d83dc4edba3fa6a8aced921ed4874307dfb",
+    "inconsistency_4": "638106bb4d7c54717b716bb3e07bfc482ac459efad3d99ae3c148b4ed5aabf9d",
+    "measles_france_5_2": "d945b7ce52f3bb627f5a16cf0f598786bc258c772bd720dba5265b1f37ef31c0",
+}
+
+
+def _reference_digest(ref):
+    return hashlib.sha256(ref.states.tobytes() + ref.nodes.tobytes()).hexdigest()
+
+
+def _full_reference(spec, hs, t_end):
+    """`method_runs`' runs and their reference integrated to t_end, with no tail."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference_module, "_stops_per_period", lambda regime, stops: None)
+        return method_runs(spec, discretize(spec, hs), t_end)
+
+
+def _tail_deviation(spec, hs, t_end):
+    """The reference, the full run's, and the reference's largest deviation
+    from it at the scored times, per component relative to the full run's
+    largest value there."""
+    runs, ref = method_runs(spec, discretize(spec, hs), t_end)
+    _, _, (_, states) = compare_methods(runs, ref)
+    full_runs, full = _full_reference(spec, hs, t_end)
+    _, _, (_, at_full) = compare_methods(full_runs, full)
+    scale = np.max(np.abs(at_full), axis=0)
+    deviation = float(np.max(np.abs(states - at_full) / np.where(scale > 0.0, scale, 1.0)))
+    return ref, full, deviation
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_the_reference_repeats_its_last_period_once_settled(name):
+    # every periodic built-in settles: from the cut on, each scored time takes
+    # the state at its offset in the last integrated period, within 1e-9 of
+    # each component's largest value from the full run.  Up to the cut every
+    # node, time and state, is the full run's, bit for bit, and that run is
+    # the reference as it was before it had a tail.  measles_france_5_2 is not
+    # periodic (its table ends at 72 > t_end), so it has no tail
+    spec = builtin(name)
+    period, steps = _TAILS[name]
+    ref, full, deviation = _tail_deviation(spec, spec.h_values, spec.t_end)
+    assert full.tail["kind"] == "none" and _reference_digest(full) == _FULL_REFERENCE_DIGESTS[name]
+    assert (ref.tail["from_period"], ref.steps) == (period, steps)
+    assert np.array_equal(ref.nodes[:steps + 1], full.nodes[:steps + 1])
+    assert np.array_equal(ref.states[:steps + 1], full.states[:steps + 1])
+    if period is None:
+        assert ref.tail == {"kind": "none", "from_period": None, "bound": None}
+        assert _reference_digest(ref) == _reference_digest(full)
+        return
+    assert ref.tail["kind"] == "repeated" and 0.0 < ref.tail["bound"] < 1e-9
+    assert deviation <= 1e-9
+    # the cut ends a period: the node there is a scored time k T
+    T = spec.schedules.regime().period
+    assert ref.nodes[steps] == pytest.approx(period * T, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if _TAILS[n][0] is not None])
+def test_the_repeated_tail_is_the_model_over_the_next_two_periods(name):
+    # an oracle for what the tail replaces: DOP853 (rtol 1e-12) from the
+    # reference's state at the cut over the next two periods (the schedules
+    # repeat, so it starts at t = 0) agrees with the repeated states within
+    # the built-in's gate, 1e-8 of max I, 1e-5 on inconsistency_4
+    spec = builtin(name)
+    runs, ref = method_runs(spec, discretize(spec, spec.h_values), spec.t_end)
+    _, _, (times, states) = compare_methods(runs, ref)
+    T, cut = spec.schedules.regime().period, ref.nodes[ref.steps]
+    after = (times > cut) & (times <= cut + 2.0 * T * (1.0 + 1e-9))
+    assert np.count_nonzero(after) == 2 * np.count_nonzero((times > 0.0) & (times <= T))
+    exact = _dop853_at(replace(spec, initial_state=State(*ref.states[ref.steps])),
+                       np.append(0.0, times[after] - cut), rtol=1e-12)[1:]
+    bound = 1e-5 if name == "inconsistency_4" else 1e-8
+    assert np.max(np.abs(states[after, 1] - exact[:, 1])) <= bound * np.max(states[:, 1])
+
+
+def test_a_cut_reference_is_the_same_in_any_chunks(monkeypatch):
+    # the run ends where a period ends, whatever `_drive`'s chunk: with chunks
+    # of 7 steps the cut reference has the same bytes
+    spec = builtin("persistence_5_1")
+    ref = method_runs(spec, discretize(spec, spec.h_values), spec.t_end)[1]
+    monkeypatch.setattr(dynamics_module, "_ROWS_PER_CHUNK", 7)
+    again = method_runs(spec, discretize(spec, spec.h_values), spec.t_end)[1]
+    assert (_reference_digest(again), again.tail, again.steps) == (
+        _reference_digest(ref), ref.tail, ref.steps)
+
+
+
+def test_the_tail_needs_stops_that_repeat_with_the_period():
+    # m stops in each period, each a whole number of periods after its twin in
+    # the first, to 1e-9 T, over at least three periods; else no tail
+    seasonal = builtin("persistence_5_1").schedules.regime()  # T = 4
+    stops_per_period = reference_module._stops_per_period
+    assert stops_per_period(seasonal, np.arange(81) * 0.5) == 8
+    assert stops_per_period(seasonal, np.arange(25) * 0.5) == 8  # three periods
+    assert stops_per_period(seasonal, np.arange(24) * 0.5) is None
+    assert stops_per_period(seasonal, np.union1d(np.arange(81) * 0.5, np.arange(134) * 0.3)) is None
+    shifted = np.arange(81) * 0.5
+    shifted[-1] += 1e-8  # 2.5e-9 T off its twin
+    assert stops_per_period(seasonal, shifted) is None
+    assert stops_per_period(builtin("inconsistency_4").schedules.regime(),
+                            np.arange(2401) * (1.0 / 6.0)) == 6  # k/6, each rounded
+    measles = builtin("measles_france_5_2").schedules.regime()  # aperiodic
+    assert stops_per_period(measles, np.arange(81) * 0.5) is None
+    constant = ScheduleSet.from_mapping({n: ParamSchedule.constant(n, 0.5) for n in SCHEDULE_NAMES})
+    assert stops_per_period(constant.regime(), np.arange(81) * 0.5) is None
+
+def _piecewise_gamma():
+    spec = builtin("persistence_5_1")
+    sched = spec.schedules.as_dict()
+    sched["gamma"] = ParamSchedule.piecewise("gamma", [0.0, 50.0], [0.3, 0.4])
+    return replace(spec, schedules=ScheduleSet.from_mapping(sched))
+
+
+@pytest.mark.parametrize("make, hs, t_end, digest", [
+    pytest.param(lambda: builtin("persistence_5_1"), [0.3], 200.0,
+                 "205e04f443d16440b12e0c8bec4956a4e9e6fa6c5d9ed3a638a4cd9018284da9",
+                 id="h-does-not-divide-T"),
+    pytest.param(lambda: builtin("persistence_5_1"), [4.0, 2.0, 1.0, 0.5], 10.0,
+                 "1a98fea601a2c013ad11c41eb4ae18e91d174e974f4b0d70429d0f58ef34bb8e",
+                 id="under-three-periods"),
+    pytest.param(_piecewise_gamma, [4.0, 2.0, 1.0, 0.5], 200.0,
+                 "32a66fc7f3c18c62f393459f6df3f11ea78dad51426382c2ba8e9f40d26629fd",
+                 id="piecewise"),
+])
+def test_a_reference_without_a_periodic_grid_is_integrated_to_the_end(make, hs, t_end, digest):
+    # no tail where the scored times do not repeat with the period (`compare
+    # persistence_5_1 --h 0.3`), where the run spans under three periods, and
+    # where a piecewise schedule makes the coefficients aperiodic: the same
+    # bytes as the reference before it had a tail (measles_france_5_2 is
+    # pinned with the built-ins above)
+    spec = make()
+    _, ref = method_runs(spec, discretize(spec, hs), t_end)
+    assert ref.tail == {"kind": "none", "from_period": None, "bound": None}
+    assert ref.steps == ref.n_steps and _reference_digest(ref) == digest
+
+
+# a slow model: `_GENERATED_RANGES` but mu in [0.005, 0.05], so the population
+# relaxes by about exp(-mu) a period and the tail must wait for it
+_SLOW_RANGES = {**_GENERATED_RANGES, "mu": (0.005, 0.05)}
+
+
+def _slow_schedules(draw_value, harmonic):
+    """A schedule set of `_SLOW_RANGES`: each coefficient `draw_value(name,
+    lo, hi)`, harmonic of period 1 where `harmonic(name)` gives (relative
+    amplitude, phase), else constant."""
+    schedules = {}
+    for name, (lo, hi) in _SLOW_RANGES.items():
+        value, wave = draw_value(name, lo, hi), harmonic(name)
+        schedules[name] = (ParamSchedule.constant(name, value) if wave is None else
+                           ParamSchedule.harmonic(name, value, wave[0] * value, 2.0 * math.pi,
+                                                  wave[1]))
+    return ScheduleSet.from_mapping(schedules)
+
+
+def _assert_slow_model_is_not_cut_early(schedules, state, h, t_end):
+    spec = replace(builtin("extinction_5_1"), schedules=schedules, initial_state=State(*state),
+                   h_values=(h,), lam=1.0, t_end=t_end)
+    ref, _, deviation = _tail_deviation(spec, spec.h_values, t_end)
+    assert deviation <= 2e-9, (ref.tail, deviation)
+
+
+@settings(max_examples=20, deadline=None)
+@given(values=st.fixed_dictionaries({n: st.floats(*r) for n, r in _SLOW_RANGES.items()}),
+       waves=st.fixed_dictionaries({n: st.none() | st.tuples(st.floats(0.0, 1.0),
+                                                             st.floats(0.0, 2.0 * math.pi))
+                                    for n in _SLOW_RANGES}),
+       state=st.tuples(*[st.floats(0.05, 1.5)] * 4), h=st.sampled_from([0.25, 0.5]),
+       periods=st.integers(20, 80))
+def test_a_slow_model_is_never_cut_early(values, waves, state, h, periods):
+    # the cut waits for the slowest mode: wherever it repeats the last period,
+    # the tail is within 2e-9 of the full run's largest value of each component
+    _assert_slow_model_is_not_cut_early(
+        _slow_schedules(lambda n, lo, hi: values[n], waves.get), state, h, float(periods))
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29, 41])
+def test_slow_models_of_fixed_seeds_are_not_cut_early(seed):
+    # the property above on four fixed draws, a regression set that does not
+    # depend on how hypothesis draws
+    rng = np.random.default_rng(seed)
+    schedules = _slow_schedules(
+        lambda n, lo, hi: rng.uniform(lo, hi),
+        lambda n: (rng.uniform(), rng.uniform(0.0, 2.0 * math.pi)) if rng.random() < 0.5 else None)
+    _assert_slow_model_is_not_cut_early(schedules, rng.uniform(0.05, 1.5, 4), 0.25, 60.0)
 
 
 def test_compare_methods_scores_the_runs_it_is_given(monkeypatch):

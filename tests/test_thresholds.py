@@ -451,6 +451,34 @@ def test_full_period_window_is_constant_persistence():
     assert rep.verdict is Verdict.PERMANENCE
 
 
+
+# F of the all-constant set below (beta = 0.9, sigma = 0.3), as the scan over
+# max(lam, 100) time units of starts read it, bit for bit
+_ALL_CONSTANT_F = {("mass_action", 4.0): "0x1.8dd963e1c89a4p-1",
+                   ("standard", 4.0): "-0x1.25c53ef368eb1p-1",
+                   ("mass_action", 150.0): "0x1.d23ac10c97138p+4"}
+
+
+@pytest.mark.parametrize("phi", [MASS, STANDARD, IncidenceFn.saturated(0.7)],
+                         ids=lambda phi: phi.kind)
+@pytest.mark.parametrize("lam", [0.5, 4.0, 150.0])
+def test_all_constant_coefficients_scan_one_window_start(phi, lam):
+    # with all eight coefficients constant F(t) is one value, so the default
+    # scan reads the one start t = 0: the same extremes, bit for bit, as a
+    # scan over max(lam, 100) time units of starts, every one of them equal
+    sched = ScheduleSet.from_mapping({**full_set().as_dict(),
+                                      "beta": ParamSchedule.constant("beta", 0.9),
+                                      "sigma": ParamSchedule.constant("sigma", 0.3)})
+    assert sched.regime().kind == "constant"
+    rep = continuous_thresholds(sched, phi, phi, lam)
+    wide = continuous_thresholds(sched, phi, phi, lam, scan=(0.0, max(lam, 100.0)))
+    assert np.ptp(wide.window_products) == 0.0
+    assert (rep.burn_in, rep.scan, rep.window_products.size) == (0.0, 0.0, 1)
+    assert (rep.r_lower, rep.r_upper, rep.verdict, rep.notes) == (
+        wide.r_lower, wide.r_upper, wide.verdict, wide.notes)
+    if (phi.kind, lam) in _ALL_CONSTANT_F:
+        assert rep.r_lower == rep.r_upper == float.fromhex(_ALL_CONSTANT_F[phi.kind, lam])
+
 def test_partial_window_against_analytic_oracle():
     # For lam = 3 the sliding integral is
     #   F(t) = -0.45 + (0.3/pi) [sin((t+3) pi/2) - sin(t pi/2)]
