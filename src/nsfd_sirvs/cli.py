@@ -123,7 +123,7 @@ def _write_compare(out: Path, runs, reference) -> tuple[Path, dict, tuple]:
                         ["h", "method", "sup_dev_I", "negativity_flag"], rows),
             {"nsfd_worse_than_euler_at": nsfd_worse,
              "reference": {"method": reference.method, "steps": reference.steps,
-                           "max_step": reference.dt, "rtol": REFERENCE_RTOL,
+                           "max_step": reference.max_step, "rtol": REFERENCE_RTOL,
                            "largest_estimate": estimate if math.isfinite(estimate) else None,
                            "capped_gaps": reference.capped_gaps, "tail": reference.tail}},
             table)

@@ -46,10 +46,11 @@ a StepError naming its step.  A stepper holds only its steps' arithmetic.
 
 Memory: a run holds its returned states (32 B per step; 16 B per disease-free
 step), which `_drive` allocates before the first step, so a run too long to
-hold fails at once with a ConfigError (`reference.dp5_reference` allocates
-for its caps and returns fewer).  Everything else is bounded by one chunk of
-`_ROWS_PER_CHUNK` rows: `_coefficient_rows` evaluates the coefficients one
-chunk at a time, and `_drive` stores each chunk of new states.
+hold fails at once with a ConfigError (`reference.dp5_reference` keeps only
+its state at each stop, 32 B a stop).  Everything else is bounded by one
+chunk of `_ROWS_PER_CHUNK` rows: `_coefficient_rows` evaluates the
+coefficients one chunk at a time, and `_drive` stores each chunk of new
+states.
 
 Cost per step: every loop reads its coefficients as rows of Python floats
 from `_coefficient_rows`, the one producer of rows, where a declared constant
@@ -125,11 +126,9 @@ def validate_state(s: State) -> State:
 class Trajectory:
     """A time-indexed sequence of states produced by one stepper.
 
-    The states are at t0 + dt k, or, for a run of unequal steps
-    (`reference.dp5_reference`), at the times `nodes`, and dt is then its
-    largest step.  `negative_at` is the index of the first state with a
-    negative component (explicit methods only; the NSFD scheme cannot produce
-    one).
+    The states are at t0 + dt k.  `negative_at` is the index of the first
+    state with a negative component (explicit methods only; the NSFD scheme
+    cannot produce one).
     """
 
     t0: float
@@ -137,7 +136,6 @@ class Trajectory:
     states: np.ndarray  # shape (n_steps + 1, 4), columns S, I, R, V
     method: str
     negative_at: int | None = None
-    nodes: np.ndarray | None = None
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
@@ -145,8 +143,6 @@ class Trajectory:
             raise ValueError("trajectory needs an (n, 4) state array with n >= 1")
         if not self.dt > 0:
             raise ValueError("trajectory dt must be positive")
-        if self.nodes is not None and self.nodes.shape != self.states.shape[:1]:
-            raise ValueError("trajectory nodes need one time per state")
 
     @property
     def n_steps(self) -> int:
@@ -154,8 +150,6 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        if self.nodes is not None:
-            return self.nodes
         return self.t0 + self.dt * np.arange(self.states.shape[0])
 
     @property
@@ -177,8 +171,6 @@ class Trajectory:
     def rows(self):
         """`state_rows` of the states, each chunk's times t0 + dt k built for
         that chunk alone; t equals `times`."""
-        if self.nodes is not None:
-            return state_rows(self.states, lambda a, b: self.nodes[a:b])
         return state_rows(self.states, lambda a, b: self.t0 + self.dt * np.arange(a, b))
 
 
@@ -233,10 +225,9 @@ def _drive(advance, rows, start, n_steps, first: int = 0) -> np.ndarray:
     first step being step `first`, under the policies in the module docstring.
     A stepper advance(rows, state, n0, out) steps `state` once per row, the
     first being step n0, appends each new state to `out`, an empty array("d"),
-    and returns the last one.  n_steps bounds the run: rows that end sooner
-    end it there, and only its states are returned (`reference.dp5_reference`,
-    which chooses its steps as it runs).  Only coefficients summing to -1 (e.g.
-    mu = -1) can zero a denominator."""
+    and returns the last one; `rows` holds one row for each of the n_steps
+    steps.  Only coefficients summing to -1 (e.g. mu = -1) can zero a
+    denominator."""
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -258,8 +249,6 @@ def _drive(advance, rows, start, n_steps, first: int = 0) -> np.ndarray:
             n = first + k + len(chunk) // width
             raise StepError(f"zero denominator at step {n}", step=n) from exc
         flat[width * (k + 1):width * (k + 1) + len(chunk)] = chunk  # rows k+1 ..
-        if len(chunk) < width * min(_ROWS_PER_CHUNK, n_steps - k):  # the rows ran out
-            return out[:k + 1 + len(chunk) // width].copy()
     return out
 
 

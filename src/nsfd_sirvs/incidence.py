@@ -2,7 +2,8 @@
 
 Every incidence has the form f(x, y, P) = g(x) * y / d(y, P), and each kind is
 declared once as that form (`IncidenceFn.factor_form`), which the NSFD scheme,
-the Euler and RK4 integrators of the continuous model and the evaluations here
+the Euler and RK4 integrators and the Dormand-Prince reference
+(`reference.dp5_reference`) of the continuous model and the evaluations here
 all read, so the discrete and the continuous model share their incidence.  The
 threshold machinery needs only its slope d2f(x, 0) = d/dy f(x, y) at y = 0 =
 g(x) / d(0, P) (`d2_at_zero`, unchecked `slope`).

@@ -13,8 +13,8 @@ one interval it lies in and the pair keeps its fifth order there.  The last
 stage is the next step's first (FSAL), so the estimate costs no right-hand
 side.
 
-The run goes through `dynamics._drive`, with the states allocated for the caps;
-its stepper, `_dp5_stepper`, writes out the model's one stage template
+The run keeps only its state at each stop, read as it passes the stop; its
+stepper, `_dp5_stepper`, writes out the model's one stage template
 (`dynamics.explicit_stepper`) seven times in its loop.  A step costs
 about 2.4 RK4 steps (six right-hand sides and denser stage sums against four),
 so the reference is cheaper than RK4 at 0.02 where its estimate lets a gap
@@ -39,8 +39,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .dynamics import (State, Trajectory, _coefficient_rows, _drive, _first_negative,
-                       explicit_stepper)
+from .dynamics import State, _checked_state, _coefficient_rows, explicit_stepper
 from .incidence import IncidenceFn
 from .schedules import SCHEDULE_NAMES, ParamSchedule, Regime, ScheduleSet
 
@@ -70,19 +69,25 @@ _DP5_WEIGHTS = (
 )
 
 
-@dataclass(eq=False, kw_only=True)
-class Reference(Trajectory):
-    """A `dp5_reference` run: its trajectory, its largest embedded estimate,
-    the number of gaps where the estimate asked for more steps than the cap,
-    and the steps it integrated (states 0 .. steps), all three up to its
-    tail.  `tail` is {"kind": "repeated", "from_period": k, "bound": b} where
-    every state past period k repeats period k's, b bounding the change that
+@dataclass(frozen=True, eq=False)
+class Reference:
+    """A `dp5_reference` run: its stops `times` (t = 0, the given times and
+    the breakpoints, sorted) and its state at each, one row per stop, columns
+    S, I, R, V; the steps it integrated, its largest step, its largest
+    embedded estimate and the number of gaps where the estimate asked for
+    more steps than the cap, all four up to its tail.  `tail` is
+    {"kind": "repeated", "from_period": k, "bound": b} where every stop past
+    period k repeats period k's state, b bounding the change that
     integrating on would add; else kind "none", with from_period and bound
     None."""
 
+    times: np.ndarray
+    states: np.ndarray
+    method: str
+    steps: int
+    max_step: float
     largest_estimate: float
     capped_gaps: int
-    steps: int
     tail: dict
 
 
@@ -91,9 +96,9 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
     """The Dormand-Prince 5(4) pair for `dynamics.integrate_continuous`'s model
     from t = 0, stopping exactly at each of `times` (>= 0) and at every
     breakpoint up to the last of them (`ScheduleSet.breakpoints`), so each of
-    `times` is a node and no step crosses a breakpoint.  Each gap between two stops takes
-    equal steps, the last of which ends on the stop itself, and its end stages
-    read the coefficients from the left (`_dp5_stepper`).
+    `times` ends a step and no step crosses a breakpoint.  Each gap between
+    two stops takes equal steps, the last of which ends on the stop itself,
+    and its end stages read the coefficients from the left (`_dp5_stepper`).
 
     The embedded estimate chooses the steps, one block of gaps at a time
     (`_block_edges`).  The first block takes each gap's cap,
@@ -110,22 +115,21 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
 
     The settled tail.  Where `regime()` is periodic with period T and the
     stops repeat with it over at least three periods (`_stops_per_period`:
-    every run's h divides T), the run reads the state at each stop as it
-    passes.  After each period k >= 2, d_k is the largest change of a state at
-    a stop from period k - 1, each component relative to its largest value so
-    far; rho is the largest of the last three ratios d_k / d_k-1.  Once
-    rho < 1 and d_k rho / (1 - rho) < `_TAIL_BOUND` (1e-9), the run ends, and
-    each later stop takes the state of the stop at its offset in period k,
-    matched by index.  Every node up to the cut is the one a run to the end
-    would have, bit for bit (the rows are the same; the run only stops
-    reading them).  Elsewhere (aperiodic or constant coefficients, an h that
-    does not divide T, fewer than three periods) it integrates to the end.
+    every run's h divides T), after each period k >= 2, d_k is the largest
+    change of a state at a stop from period k - 1, each component relative
+    to its largest value so far; rho is the largest of the last three ratios
+    d_k / d_k-1.  Once rho < 1 and d_k rho / (1 - rho) < `_TAIL_BOUND`
+    (1e-9), the run ends, and each later stop takes the state of the stop at
+    its offset in period k, matched by index.  Every state up to the cut is
+    the one a run to the end would have, bit for bit (the rows are the same;
+    the run only stops reading them).  Elsewhere (aperiodic or constant
+    coefficients, an h that does not divide T, fewer than three periods) it
+    integrates to the end.
 
-    The returned `Reference` holds every node it integrated, at the times
-    `nodes`, then the later stops, with dt its largest step.  Beyond its
-    states (32 B per step, allocated for the caps) the run holds its node
-    times (8 B per step), one block's rows and, with a period, the state at
-    every stop (32 B each)."""
+    The returned `Reference` holds the state at every stop, read off the
+    stepper's record as the run passes the stop (32 B a stop).  Beyond them
+    the run holds one block's rows and the stepper's record of one block's
+    steps (96 B a step)."""
     times = np.asarray(times, dtype=float)
     if not (times.size and np.isfinite(times).all() and times.min() >= 0):
         raise ValueError("dp5_reference needs finite times >= 0")
@@ -134,6 +138,9 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
     gaps = np.diff(stops)
     if not gaps.size:
         raise ValueError("dp5_reference needs a time after t = 0")
+    start = _checked_state(s0)
+    at_stops = np.empty((stops.size, 4))  # the state at every stop
+    at_stops[0] = start
     caps = _step_counts(gaps, REFERENCE_CAP_STEP)
     on_jump = np.isin(stops[1:], jumps)  # the gap ends on a breakpoint
     counts = caps.astype(int)  # a block's own counts replace its caps when it is planned
@@ -147,17 +154,15 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
             lambda a, b: [c if isinstance(c, float) else c[a:b] for c in cols], t.size)
 
     advance, seen = _dp5_stepper(phi, psi, next(rows_at(np.zeros(1))))
-    starts, estimates = [], []  # node times and largest estimate of each block
-    edges = _block_edges(caps)
-    if m:  # the state at every stop (`settled` reads them), and each period's change
-        at_stops, top, changes = np.empty((stops.size, 4)), np.abs(np.asarray(s0, float)), []
+    estimates, edges = [], _block_edges(caps)  # the largest estimate of each block
+    top, changes = np.abs(at_stops[0]), []  # each component's largest value, each period's change
 
     def settled(i):
         """Read the state at stop i off `seen`; where stop i ends a period,
         whether the run has settled, and if so set the tail."""
         nonlocal top
         at_stops[i] = seen[-8:-4]  # y_n+1 of the last step, which ends on stop i
-        if i % m or i == stops.size - 1:
+        if not m or i % m:
             return False
         now = at_stops[i - m + 1:i + 1]
         top = np.maximum(top, np.abs(now).max(axis=0))
@@ -179,7 +184,7 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
 
     def blocks():
         for a, b in zip(edges, edges[1:]):
-            if a and m and settled(a):
+            if a and settled(a):
                 return
             if a:  # the previous block's largest estimate bounds this block's steps
                 estimates.append(_largest_estimate(seen))
@@ -195,7 +200,6 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
             ends = np.cumsum(n)  # of each gap, in steps from the block's start
             h = np.repeat(hs, n)
             t = np.repeat(stops[a:b], n) + (np.arange(ends[-1]) - np.repeat(ends - n, n)) * h
-            starts.append(t)
             # the rows of each step, one after another: its coefficients at
             # t + c2 h .. t + c5 h and at its end; and apart, its end from the
             # left where that is a breakpoint, else None
@@ -214,24 +218,23 @@ def dp5_reference(schedules: ScheduleSet, phi: IncidenceFn, psi: IncidenceFn,
             block = zip(chain.from_iterable(map(repeat, weights, n.tolist())),
                         stages, stages, stages, stages, stages, lefts)
             for i, count in enumerate(n.tolist(), a):  # gap by gap, to read each stop
-                if i > a and m and settled(i):
+                if i > a and settled(i):
                     return
                 yield islice(block, count)
 
-    with np.errstate(all="ignore"):  # also over `blocks`, which runs as `_drive` reads it
-        out = _drive(advance, chain.from_iterable(blocks()), s0, int(caps.sum()))
+    with np.errstate(all="ignore"):  # also over `blocks`, which runs as `advance` reads it
+        at_end = advance(chain.from_iterable(blocks()), start)
     estimates.append(_largest_estimate(seen))
-    steps = out.shape[0] - 1
     end = stops.size - 1  # the last integrated stop
     if tail["kind"] == "repeated":  # each later stop takes the last period's at its offset
         end = tail["from_period"] * m
-        later = np.arange(end + 1, stops.size)
-        out = np.concatenate((out, at_stops[end - m + 1 + (later - end - 1) % m]))
-    nodes = np.concatenate((np.concatenate(starts)[:steps], stops[end:]))
-    return Reference(t0=0.0, dt=float(np.max(gaps[:end] / counts[:end])), states=out,
-                     method="dp5", negative_at=_first_negative(out), nodes=nodes,
+        at_stops[end + 1:] = at_stops[end - m + 1 + np.arange(stops.size - end - 1) % m]
+    else:
+        at_stops[end] = at_end
+    return Reference(times=stops, states=at_stops, method="dp5", steps=int(counts[:end].sum()),
+                     max_step=float(np.max(gaps[:end] / counts[:end])),
                      largest_estimate=max(estimates), capped_gaps=int(capped[:end].sum()),
-                     steps=steps, tail=tail)
+                     tail=tail)
 
 
 def _stops_per_period(regime: Regime, stops: np.ndarray) -> int | None:
@@ -267,34 +270,31 @@ def _step_counts(gaps: np.ndarray, h: float) -> np.ndarray:
 
 _dp5_stepper = explicit_stepper('''
 def _dp5_stepper(phi, psi, c0):
-    """Dormand-Prince 5(4) steps of `dynamics.integrate_continuous`'s model,
-    as a `_drive` stepper over (S, I, R, V), and the array("d") to which each
-    step appends y_n, y_n+1 and its estimated error h sum_j e_j k_j
-    (`_largest_estimate` reads and empties it).  A row is one step's
-    `_DP5_WEIGHTS` times its step h, then the coefficient rows at
+    """Dormand-Prince 5(4) steps of `dynamics.integrate_continuous`'s model
+    over (S, I, R, V), and the array("d") to which each step appends y_n,
+    y_n+1 and its estimated error h sum_j e_j k_j (`_largest_estimate` reads
+    and empties it).  advance(rows, state) takes one step per row from
+    `state`, a tuple of floats, and returns the last state.  A row is one
+    step's `_DP5_WEIGHTS` times its step h, then the coefficient rows at
     t + c2 h .. t + c5 h and at its end, and its end read from the left where
     that differs (a step that ends on a breakpoint), else None: stages 6 and
     7 read the left limit, the next step's first stage the value.  c0 is the
     row at the start of the first step.
 
     The seventh stage is the next step's first (FSAL) wherever the end has no
-    left row, so a step costs six right-hand sides; a chunk recomputes the
-    first stage of its first step, from the same numbers.  The estimate's
-    norm is taken per block, in NumPy, off the loop.
+    left row, so a step costs six right-hand sides.  The estimate's norm is
+    taken per block, in NumPy, off the loop.
     """
     FORMS()
     seen = array("d")  # each step's y_n, y_n+1 and estimated error, for the planner
 
-    def advance(rows, state, n0, out):
-        nonlocal c0
+    def advance(rows, state):
         S, I, R, V = state
         LOAD(c0)
-        fresh = True
+        RHS(1, S, I, R, V)
         for ((h21, h31, h32, h41, h42, h43, h51, h52, h53, h54, h61, h62, h63, h64, h65,
               hb1, hb3, hb4, hb5, hb6, he1, he3, he4, he5, he6, he7),
              c2, c3, c4, c5, c7, left) in rows:
-            if fresh:  # the first stage, unless the last step's seventh is it
-                RHS(1, S, I, R, V)
             x, y, z, w = S + h21 * a1, I + h21 * b1, R + h21 * r1, V + h21 * v1
             LOAD(c2)
             RHS(2, x, y, z, w)
@@ -333,14 +333,11 @@ def _dp5_stepper(phi, psi, c0):
                            he1 * r1 + he3 * r3 + he4 * r4 + he5 * r5 + he6 * r6 + he7 * r7,
                            he1 * v1 + he3 * v3 + he4 * v4 + he5 * v5 + he6 * v6 + he7 * v7])
             S, I, R, V = x, y, z, w
-            out.fromlist([S, I, R, V])
             if left is None:  # first same as last
                 a1, b1, r1, v1 = a7, b7, r7, v7
-                fresh = False
             else:  # the step ended on a breakpoint: the next one starts from its right
                 LOAD(c7)
-                fresh = True
-        c0 = lam, mu, p, eta, alpha, beta, sigma, gamma
+                RHS(1, S, I, R, V)
         return S, I, R, V
 
     return advance, seen

@@ -656,12 +656,13 @@ def _scored_times(runs) -> np.ndarray:
     return np.unique(np.concatenate([run.times for _, *pair in runs for run in pair]))
 
 
-def compare_methods(runs, reference: Trajectory) -> tuple[list, list, tuple]:
+def compare_methods(runs, reference: Reference) -> tuple[list, list, tuple]:
     """Rows (h, method, sup |I - I_ref|, left the nonnegative cone) for each
     (h, NSFD run, Euler run) of `method_runs` against its reference, the step
     sizes where NSFD deviates more, and the table (times, states) they were
     scored on: the sorted union of the runs' times and the reference's own
-    states there, each time being one of its nodes (a ValueError if not)."""
+    states there, each time being one of its stops, `reference.times` (a
+    ValueError if not)."""
     times = _scored_times(runs)
     at = np.searchsorted(reference.times, times)
     if at[-1] >= reference.times.size or not np.array_equal(reference.times[at], times):

@@ -5,12 +5,16 @@ on every run, so a failure reproduces on rerun.  Example counts and deadlines
 are the library's defaults or each test's own settings.
 
 `_dop853_at` is the one continuous-model oracle of the reference's tests: the
-built-ins' gate and the property on generated models read it.
+built-ins' gate and the property on generated models read it.  The reference
+keeps only its states at its stops; `_recorded_reference` and `_gap_steps`
+read its steps from what its stepper was handed and recorded.
 """
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
+from nsfd_sirvs import reference
 from nsfd_sirvs.schedules import SCHEDULE_NAMES
 
 settings.register_profile("derandomized", derandomize=True)
@@ -57,3 +61,43 @@ def _dop853_at(spec, times, rtol=1e-11):
         out[sel] = sol.y.T
         y = list(sol.y[:, -1])
     return out
+
+
+def _recorded_reference(*args):
+    """`reference.dp5_reference(*args)`, the rows its stepper was handed, in
+    order, and the stepper's record of each step (y_n, y_n+1 and its
+    estimate, one row of 12), taken before each block's estimate empties it."""
+    rows, record = [], []
+    stepper, largest = reference._dp5_stepper, reference._largest_estimate
+
+    def recording_stepper(*given):
+        advance, seen = stepper(*given)
+        return lambda handed, state: advance((rows.append(r) or r for r in handed), state), seen
+
+    def recording_largest(seen):
+        record.append(np.frombuffer(seen).reshape(-1, 12).copy())
+        return largest(seen)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "_dp5_stepper", recording_stepper)
+        mp.setattr(reference, "_largest_estimate", recording_largest)
+        ref = reference.dp5_reference(*args)
+    return ref, rows, np.concatenate(record)
+
+
+def _gap_steps(rows, gaps):
+    """The number of steps of each gap in the rows a reference's stepper was
+    handed, from the first gap on, while rows are left: n where the next n rows
+    all take the step gap / n exactly (their weights are `_DP5_WEIGHTS` times
+    it), so that they end on the gap's stop."""
+    counts, k = [], 0
+    for gap in gaps:
+        if k == len(rows):
+            break
+        n = round(gap / (rows[k][0][0] / reference._DP5_WEIGHTS[0]))
+        weights = tuple(gap / n * w for w in reference._DP5_WEIGHTS)
+        assert n >= 1 and all(row[0] == weights for row in rows[k:k + n]), (len(counts), n)
+        counts.append(n)
+        k += n
+    assert k == len(rows)
+    return counts

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import inspect
 import itertools
 import linecache
@@ -24,6 +26,7 @@ from nsfd_sirvs.scenarios import builtin
 from nsfd_sirvs.schedules import (SCHEDULE_NAMES, DenominatorFn, DiscreteParams, ParamSchedule,
                                   ScheduleSet, mickens_discretize)
 
+from conftest import _gap_steps, _recorded_reference
 from test_reference_equivalence import (_STEP_DRAWS, _balance_residual, _one_step,
                                         _separable_root_oracle)
 from test_schedules import full_set
@@ -262,10 +265,12 @@ def _explicit_run(schedules, phi, psi, s0, n_steps, h, method):
     if method != "dp5":
         return integrate_continuous(schedules, phi, psi, s0, n_steps * h, h, method)
     c = tuple(float(getattr(schedules, name).eval(np.zeros(1))[0]) for name in SCHEDULE_NAMES)
-    advance, _ = reference._dp5_stepper(phi, psi, c)
+    advance, seen = reference._dp5_stepper(phi, psi, c)
     row = (tuple(h * w for w in reference._DP5_WEIGHTS), c, c, c, c, c, None)
     with np.errstate(all="ignore"):
-        out = dynamics._drive(advance, itertools.repeat(row, n_steps), s0, n_steps)
+        advance(itertools.repeat(row, n_steps), tuple(map(float, s0)))
+    steps = np.frombuffer(seen).reshape(-1, 12)  # y_n, y_n+1 and the estimate of each step
+    out = np.vstack((steps[:1, :4], steps[:, 4:8]))
     return dynamics.Trajectory(t0=0.0, dt=h, states=out, method=method,
                                negative_at=dynamics._first_negative(out))
 
@@ -293,9 +298,9 @@ def _calls_per_step(phi, psi, method):
 @pytest.mark.parametrize("method", ["rk4", "euler", "dp5"])
 def test_explicit_steps_read_the_factor_form_inline(method):
     # the kinds linear in x, with d = 1, 1 + a y or N, make no call per stage:
-    # a step's calls are `out.fromlist` (and DP5's `seen.fromlist`), plus each
+    # a step's calls are `out.fromlist` (DP5's `seen.fromlist`), plus each
     # chunk's share of its own; a separable g is called at each stage
-    own, stages = {"rk4": (1, 4), "euler": (1, 1), "dp5": (2, 6)}[method]
+    own, stages = {"rk4": (1, 4), "euler": (1, 1), "dp5": (1, 6)}[method]
     std = IncidenceFn.standard()
     for phi, psi in ((MASS, MASS), (SAT, SAT), (std, std), (MASS, std), (SAT, MASS)):
         assert _calls_per_step(phi, psi, method) < own + 0.2, (phi.kind, psi.kind)
@@ -758,7 +763,7 @@ def test_dp5_is_fifth_order_across_a_breakpoint():
     exact = _one_jump_exact_at_2(sched, s0)
     refs = [reference.dp5_reference(sched, MASS, MASS, s0, np.arange(1, m + 1) * (2.0 / m))
             for m in (64, 128, 256)]
-    assert [ref.n_steps for ref in refs] == [64, 128, 256]
+    assert [ref.steps for ref in refs] == [64, 128, 256]
     errs = [np.max(np.abs(ref.states[-1] - exact)) for ref in refs]
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     assert all(24.0 <= r <= 40.0 for r in ratios), (errs, ratios)
@@ -773,16 +778,22 @@ def test_dp5_reference_stops_at_every_time_and_breakpoint():
         sched[name] = ParamSchedule.piecewise(name, [0.0, 0.5, 3.0], [2.0, 0.4, 1.0])
     sched = ScheduleSet.from_mapping(sched)
     s0 = State(1.0, 0.2, 0.1, 1.0)
-    ref = reference.dp5_reference(sched, MASS, MASS, s0, [1.0, 0.3, 0.7, 0.3])
-    assert (ref.method, ref.n_steps, ref.capped_gaps) == ("dp5", 26, 0)  # 8 + 5 + 5 + 8 steps
-    assert ref.dt == 0.2 / 5 and reference.REFERENCE_RTOL == 1e-8
-    assert [ref.times[k] for k in (0, 8, 13, 18, 26)] == [0.0, 0.3, 0.5, 0.7, 1.0]
-    assert np.all(np.diff(ref.times) <= 0.04 + 2.0 * np.spacing(ref.times[1:]))
-    # up to 0.3 it is the textbook DP5 at 0.3 / 8, up to the rounding of its node times
+    ref, rows, steps = _recorded_reference(sched, MASS, MASS, s0, [1.0, 0.3, 0.7, 0.3])
+    assert (ref.method, ref.steps, ref.capped_gaps) == ("dp5", 26, 0)
+    assert ref.max_step == 0.2 / 5 and reference.REFERENCE_RTOL == 1e-8
+    assert ref.times.tolist() == [0.0, 0.3, 0.5, 0.7, 1.0]
+    assert _gap_steps(rows, np.diff(ref.times)) == [8, 5, 5, 8]
+    # the state at each stop is y_n+1 of the step that ends there, and only
+    # the step that ends on the breakpoint reads a left row
+    assert np.array_equal(ref.states, np.vstack((s0, steps[[7, 12, 17, 25], 4:8])))
+    assert [k for k, row in enumerate(rows) if row[-1] is not None] == [12]
+    # each step starts where the last ended; up to 0.3 it is the textbook DP5
+    # at 0.3 / 8, its node times k 0.3 / 8
+    assert np.array_equal(steps[1:, :4], steps[:-1, 4:8])
     y, rhs = np.array(s0), _mass_action_rhs(sched)
     for k in range(8):
-        y = _textbook_dp5(rhs, ref.times[k], y, 0.3 / 8)[0]
-        np.testing.assert_allclose(ref.states[k + 1], y, rtol=1e-13, atol=0.0)
+        y = _textbook_dp5(rhs, k * (0.3 / 8), y, 0.3 / 8)[0]
+        np.testing.assert_allclose(steps[k, 4:8], y, rtol=1e-13, atol=0.0)
     for times in ([], [0.0], [-1.0, 1.0], [1.0, np.inf]):
         with pytest.raises(ValueError):
             reference.dp5_reference(sched, MASS, MASS, s0, times)
@@ -800,7 +811,7 @@ def test_dp5_estimate_is_the_local_error_of_the_fourth_order_solution(h):
                         beta=c("beta", 0.0), sigma=c("sigma", 0.0), gamma=c("gamma", 0.0))
     s0 = State(1.0, 0.2, 0.1, 1.0)
     ref = reference.dp5_reference(sched, MASS, MASS, s0, [h])
-    assert ref.n_steps == 1
+    assert ref.steps == 1
     y5, y4 = _textbook_dp5(_mass_action_rhs(sched), 0.0, np.array(s0), h)
     np.testing.assert_allclose(ref.states[1], y5, rtol=1e-14, atol=0.0)
     exact = np.array(s0) * math.exp(-(0.5 * h + 0.4 / 3.0 * math.sin(3.0 * h)))
@@ -815,28 +826,36 @@ def test_a_component_at_zero_throughout_does_not_cap_the_reference():
     spec = builtin("extinction_5_1")
     ref = reference.dp5_reference(spec.schedules, MASS, MASS, State(1.0, 0.0, 0.0, 1.0),
                                   np.arange(0.0, 40.25, 0.5))
-    assert np.all(ref.I == 0.0) and np.all(ref.R == 0.0)
+    assert np.all(ref.states[:, 1:3] == 0.0)
     assert ref.capped_gaps == 0 and 0.0 < ref.largest_estimate < 1e-7
-    assert ref.n_steps < 0.5 * 80 * dynamics.steps_for(0.5, reference.REFERENCE_CAP_STEP)
+    assert ref.steps < 0.5 * 80 * dynamics.steps_for(0.5, reference.REFERENCE_CAP_STEP)
 
 
-def test_dp5_reference_runs_are_bit_identical(monkeypatch):
-    # the same run twice gives the same bytes, also when each chunk of rows is
-    # 7 steps long, so that most steps recompute the first stage their
-    # predecessor's last one gave (first same as last)
+def test_dp5_reference_runs_are_bit_identical():
+    # the same run twice gives the same bytes
     spec = builtin("persistence_5_1")
     args = (spec.schedules, spec.incidence_phi, spec.incidence_psi, spec.initial_state,
             np.arange(0.0, 40.25, 0.5))
 
     def run():
         ref = reference.dp5_reference(*args)
-        return (ref.states.tobytes(), ref.nodes.tobytes(), ref.largest_estimate,
-                ref.capped_gaps, ref.dt)
+        return (ref.states.tobytes(), ref.times.tobytes(), ref.largest_estimate,
+                ref.capped_gaps, ref.max_step, ref.steps)
 
-    first = run()
-    assert run() == first
-    monkeypatch.setattr(dynamics, "_ROWS_PER_CHUNK", 7)
-    assert run() == first
+    assert run() == run()
+
+
+def test_the_reference_keeps_no_node_level_trajectory():
+    # the reference keeps its states at its stops: `Trajectory` is again equal
+    # steps alone, the reference runs neither through `_drive` nor its
+    # negativity flag, and `_drive` returns its whole allocation, never a
+    # shortened copy
+    assert "nodes" not in {field.name for field in dataclasses.fields(dynamics.Trajectory)}
+    imported = {alias.name for node in ast.walk(ast.parse(inspect.getsource(reference)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"_drive", "_first_negative"}
+    drive = ast.parse(inspect.getsource(dynamics._drive))
+    assert sum(isinstance(node, ast.Return) for node in ast.walk(drive)) == 1
 
 
 def test_euler_is_first_order_on_decay():

@@ -1,12 +1,13 @@
 """Working memory of the steppers, the trajectory writer, the sup |f'| scan and
-the threshold reports.
+the threshold reports, and of the reference.
 
 A run keeps its returned states (32 B per step, 16 B per disease-free step);
 everything else it holds is at most one fixed-size chunk of rows, so the peak
 traced allocation stays within a small factor of the state bytes plus a fixed
 slack, and the writer's peak does not depend on the number of rows.  The
 sup |f'| scan holds its grid and the values of f' on one chunk of it.  A
-threshold report stays within the bytes its memory probe asks for.
+threshold report stays within the bytes its memory probe asks for.  The
+reference keeps its state at each stop (32 B a stop), not at each step.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from nsfd_sirvs.consistency import (_SUP_CHUNK, _SUP_GRID, lambda_steps, net_gro
                                     sup_abs_fprime)
 from nsfd_sirvs.dynamics import Trajectory, integrate_continuous, simulate_aux, simulate_discrete
 from nsfd_sirvs.incidence import IncidenceFn
+from nsfd_sirvs.reference import dp5_reference
 from nsfd_sirvs.scenarios import builtin
 from nsfd_sirvs.schedules import DenominatorFn, ParamSchedule, ScheduleSet, mickens_discretize
 
@@ -157,3 +159,26 @@ def test_threshold_report_peak_is_within_its_probe(monkeypatch, kind):
     _, peak = _traced_peak(_REPORTS[kind])
     assert asked and min(asked) > 5_000
     assert peak <= thresholds._BYTES_PER_POINT * max(asked) + _SLACK, (peak, asked)
+
+
+def _reference_peak(spec, t_end):
+    """The traced peak of `dp5_reference` on `spec` scored every period (4.0)
+    up to t_end."""
+    times = np.arange(0.0, t_end + 2.0, 4.0)
+    ref, peak = _traced_peak(lambda: dp5_reference(
+        spec.schedules, spec.incidence_phi, spec.incidence_psi, spec.initial_state, times))
+    assert ref.times[-1] == t_end and ref.tail["from_period"] == 18
+    return peak
+
+
+def test_reference_peak_is_its_stops(spec):
+    # 1 001 stops, the run cut at period 18: the stops' 32 KB of states, one
+    # block's rows and the stepper's record of one block's steps.  A reference
+    # that allocates its states for every gap's cap (1 000 gaps of 100 steps)
+    # peaks at 3.7 MB, and grows by 2.9 MB from t_end = 400; this one holds
+    # 0.49 MB and grows by 70 KB
+    dp5_reference(spec.schedules, spec.incidence_phi, spec.incidence_psi,
+                  spec.initial_state, [4.0])  # compiles the stepper's text, ~2 MB traced
+    small, large = _reference_peak(spec, 400.0), _reference_peak(spec, 4000.0)
+    assert large < 1 << 20, large
+    assert large - small < 128 << 10, (small, large)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nsfd_sirvs.dynamics as dynamics_module
 import nsfd_sirvs.reference as reference_module
 from nsfd_sirvs.dynamics import State, integrate_continuous, steps_for
 from nsfd_sirvs.errors import ConfigError
@@ -22,7 +21,7 @@ from nsfd_sirvs.schedules import (SCHEDULE_NAMES, DenominatorFn, ParamSchedule, 
                                   mickens_discretize, validate_hypotheses)
 from nsfd_sirvs.thresholds import Verdict
 
-from conftest import _dop853_at
+from conftest import _dop853_at, _gap_steps, _recorded_reference
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +385,15 @@ def test_residuals_against_self_are_zero():
 
 
 def test_reference_is_always_attached():
-    # the reference stops at every run time, with equal steps between two
-    # stops of at most its dt, the largest, and reaches the last run time
+    # the reference stops at every run time (extinction_5_1 has no
+    # breakpoint), and only there, and reaches the last run time
     spec = builtin("extinction_5_1")
     rep = run_scenario(spec)
     ref = rep.reference
     assert ref.method == "dp5"
-    assert ref.dt == 0.5 / 3  # three steps across a gap of 0.5, where the estimate allows
-    # its node times, each rounded to its own ulp, are at most a step apart up
-    # to the cut; past it, in the repeated tail, its nodes are the scored times
-    integrated = ref.times[:ref.steps + 1]
-    assert np.all(np.diff(integrated) <= ref.dt + 2.0 * np.spacing(integrated[1:]))
+    assert ref.max_step == 0.5 / 3  # three steps across a gap of 0.5, where the estimate allows
+    runs = [run for res in rep.per_h.values() for run in (res.nsfd, res.euler)]
+    assert np.array_equal(ref.times, np.unique(np.concatenate([run.times for run in runs])))
     assert ref.times[-1] == max(res.nsfd.times[-1] for res in rep.per_h.values())
     assert ref.times[-1] == pytest.approx(spec.t_end, abs=1e-9)
     # 37 of 50 periods; 1 440 steps to t_end, and 10 000 steps of 0.02 took RK4
@@ -409,23 +406,26 @@ def test_no_reference_gap_exceeds_its_cap(name):
     # steps, at least one and at most steps_for(gap, REFERENCE_CAP_STEP); the
     # capped gaps are those where the estimate asked for more (every gap past
     # the first block on inconsistency_4, whose spikes an rtol of 1e-8 would
-    # resolve with 19 steps per gap), and elsewhere it takes fewer
+    # resolve with 19 steps per gap), and elsewhere it takes fewer.  The steps
+    # are read off the rows its stepper is handed, the same run again
     spec = builtin(name)
     runs, ref = method_runs(spec, discretize(spec, spec.h_values), spec.t_end)
     times = np.unique(np.concatenate([run.times for _, *pair in runs for run in pair]))
     stops = np.union1d(times, spec.schedules.breakpoints(0.0, float(times[-1])))
-    at = np.searchsorted(ref.times, stops)
-    assert np.array_equal(ref.times[at], stops)
-    steps, caps = np.diff(at), [steps_for(gap, REFERENCE_CAP_STEP) for gap in np.diff(stops)]
-    assert np.all(steps >= 1) and np.all(steps <= caps)
-    for a, b in zip(at, at[1:]):
-        assert np.ptp(np.diff(ref.times[a:b + 1])) <= 1e-12 * (ref.times[b] - ref.times[a])
-    cut = int(np.searchsorted(at, ref.steps))  # the integrated gaps; the tail's are one node
-    assert at[cut] == ref.steps and np.all(steps[cut:] == 1)
+    assert np.array_equal(ref.times, stops)
+    again, rows, _ = _recorded_reference(spec.schedules, spec.incidence_phi, spec.incidence_psi,
+                                         spec.initial_state, times)
+    assert np.array_equal(again.states, ref.states)
+    gaps = np.diff(stops)
+    steps = _gap_steps(rows, gaps)  # of each integrated gap: up to the tail's cut
+    cut = len(steps)
+    caps = [steps_for(gap, REFERENCE_CAP_STEP) for gap in gaps[:cut]]
+    assert min(steps) >= 1 and np.all(np.array(steps) <= caps)
+    assert sum(steps) == ref.steps and ref.max_step == max(gaps[:cut] / steps)
     if name == "inconsistency_4":
-        assert ref.capped_gaps == cut - 8 and np.array_equal(steps[:cut], caps[:cut])
+        assert ref.capped_gaps == cut - 8 and steps == caps
     else:
-        assert ref.capped_gaps == 0 and ref.steps < 0.6 * sum(caps[:cut])
+        assert ref.capped_gaps == 0 and ref.steps < 0.6 * sum(caps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,9 +455,9 @@ def test_compare_reads_the_reference_at_every_compared_time():
     spec = builtin("extinction_5_1")
     runs, reference = method_runs(spec, discretize(spec, [0.4]), 1.0)
     rows, _, (times, states) = compare_methods(runs, reference)
-    assert reference.n_steps == 30
-    assert np.array_equal(reference.times[::10], times)
-    assert np.array_equal(states, reference.states[::10])
+    assert reference.steps == 30
+    assert np.array_equal(reference.times, times)
+    assert np.array_equal(states, reference.states)
     np.testing.assert_allclose(states, _dop853_at(spec, times), rtol=1e-10, atol=0.0)
     assert times[-1] == 1.2000000000000002
     assert states[-1, 1] == pytest.approx(0.19958, abs=1e-5)
@@ -470,7 +470,7 @@ def test_compare_reads_the_reference_at_every_compared_time():
 
 def test_compare_refuses_a_reference_without_a_node_at_a_compared_time():
     # no interpolation: a reference that does not stop at every scored time is
-    # an error, not a table read between its nodes
+    # an error, not a table read between its stops
     spec = builtin("extinction_5_1")
     runs, _ = method_runs(spec, discretize(spec, [0.3]), 1.0)
     off_grid = integrate_continuous(spec.schedules, spec.incidence_phi, spec.incidence_psi,
@@ -534,23 +534,25 @@ def test_reference_is_the_model_on_generated_models(schedules, phi, psi, state, 
 
 # `reference.dp5_reference` on each built-in: (the period it integrates to,
 # whose states every later scored time repeats, or None for no tail; its
-# steps), and the sha256 of the states and node times of the same reference
-# integrated to t_end, as it was before it had a tail
+# steps), and the sha256 of the states at the stops and the stop times of the
+# same reference integrated to t_end, as it was before it had a tail.  They
+# were re-pinned when the reference stopped keeping every node: each is the
+# node-level reference's states at its stops, the same numbers
 _TAILS = {"extinction_5_1": (37, 1128), "persistence_5_1": (19, 840),
           "saturated_5_1_ext": (37, 1128), "saturated_5_1_per": (19, 808),
           "inconsistency_4": (93, 2790), "measles_france_5_2": (None, 896)}
 _FULL_REFERENCE_DIGESTS = {
-    "extinction_5_1": "b1d1ae4b77d79341dbbea7053c005838c08d8e8ca3f16dd1dbe6f10263ce86fa",
-    "persistence_5_1": "557d6155f40025b2345850b8cb8b5fbdd935b2a40a6e7264ce88753bd9f1bd0b",
-    "saturated_5_1_ext": "612c5b7733046ef69d18db1bf30b6d0438b0608e91d12898d0eafa9c68a5ba39",
-    "saturated_5_1_per": "82646a69c01b6e4d727f938d48e02d83dc4edba3fa6a8aced921ed4874307dfb",
-    "inconsistency_4": "638106bb4d7c54717b716bb3e07bfc482ac459efad3d99ae3c148b4ed5aabf9d",
-    "measles_france_5_2": "d945b7ce52f3bb627f5a16cf0f598786bc258c772bd720dba5265b1f37ef31c0",
+    "extinction_5_1": "a61fa8aed56d5c947170d5d10ce7d465a94e424b970594de70fb8f99442c0967",
+    "persistence_5_1": "8aae15239afa7d2623181bf1e92db9a3e7162c7720da7153eb8ddc4ec0ce23bb",
+    "saturated_5_1_ext": "17164539171ea2eff7bcb4cc4663098f635e73fae5b0063387a2b15af8eccc84",
+    "saturated_5_1_per": "993189900d30cbee636924e3d757aba3446cae8834ad49fc6fd03b159e211673",
+    "inconsistency_4": "a9e7a2e2c2b50df08c8593e60aa14b835dde7fc52a41ab671190098ca92359ba",
+    "measles_france_5_2": "651ebad4c8dd87062794f8621ba9b9402d4df7ee4cd6c043b15fbed6ffb06a06",
 }
 
 
 def _reference_digest(ref):
-    return hashlib.sha256(ref.states.tobytes() + ref.nodes.tobytes()).hexdigest()
+    return hashlib.sha256(ref.states.tobytes() + ref.times.tobytes()).hexdigest()
 
 
 def _full_reference(spec, hs, t_end):
@@ -573,30 +575,37 @@ def _tail_deviation(spec, hs, t_end):
     return ref, full, deviation
 
 
+def _cut_stop(spec, ref):
+    """The index of the stop where a reference with a tail was cut: the first
+    at or after the end of its tail's period, to 1e-9."""
+    return int(np.searchsorted(ref.times, ref.tail["from_period"] * spec.schedules.regime().period
+                               - 1e-9))
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_the_reference_repeats_its_last_period_once_settled(name):
     # every periodic built-in settles: from the cut on, each scored time takes
     # the state at its offset in the last integrated period, within 1e-9 of
     # each component's largest value from the full run.  Up to the cut every
-    # node, time and state, is the full run's, bit for bit, and that run is
-    # the reference as it was before it had a tail.  measles_france_5_2 is not
+    # state at a stop is the full run's, bit for bit, and that run is the
+    # reference as it was before it had a tail.  measles_france_5_2 is not
     # periodic (its table ends at 72 > t_end), so it has no tail
     spec = builtin(name)
     period, steps = _TAILS[name]
     ref, full, deviation = _tail_deviation(spec, spec.h_values, spec.t_end)
     assert full.tail["kind"] == "none" and _reference_digest(full) == _FULL_REFERENCE_DIGESTS[name]
     assert (ref.tail["from_period"], ref.steps) == (period, steps)
-    assert np.array_equal(ref.nodes[:steps + 1], full.nodes[:steps + 1])
-    assert np.array_equal(ref.states[:steps + 1], full.states[:steps + 1])
+    assert np.array_equal(ref.times, full.times)
     if period is None:
         assert ref.tail == {"kind": "none", "from_period": None, "bound": None}
         assert _reference_digest(ref) == _reference_digest(full)
         return
     assert ref.tail["kind"] == "repeated" and 0.0 < ref.tail["bound"] < 1e-9
     assert deviation <= 1e-9
-    # the cut ends a period: the node there is a scored time k T
-    T = spec.schedules.regime().period
-    assert ref.nodes[steps] == pytest.approx(period * T, abs=1e-9)
+    # the cut ends a period: the stop there is a scored time k T
+    cut = _cut_stop(spec, ref)
+    assert ref.times[cut] == pytest.approx(period * spec.schedules.regime().period, abs=1e-9)
+    assert np.array_equal(ref.states[:cut + 1], full.states[:cut + 1])
 
 
 @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if _TAILS[n][0] is not None])
@@ -608,25 +617,14 @@ def test_the_repeated_tail_is_the_model_over_the_next_two_periods(name):
     spec = builtin(name)
     runs, ref = method_runs(spec, discretize(spec, spec.h_values), spec.t_end)
     _, _, (times, states) = compare_methods(runs, ref)
-    T, cut = spec.schedules.regime().period, ref.nodes[ref.steps]
+    T, k = spec.schedules.regime().period, _cut_stop(spec, ref)
+    cut = ref.times[k]
     after = (times > cut) & (times <= cut + 2.0 * T * (1.0 + 1e-9))
     assert np.count_nonzero(after) == 2 * np.count_nonzero((times > 0.0) & (times <= T))
-    exact = _dop853_at(replace(spec, initial_state=State(*ref.states[ref.steps])),
+    exact = _dop853_at(replace(spec, initial_state=State(*ref.states[k])),
                        np.append(0.0, times[after] - cut), rtol=1e-12)[1:]
     bound = 1e-5 if name == "inconsistency_4" else 1e-8
     assert np.max(np.abs(states[after, 1] - exact[:, 1])) <= bound * np.max(states[:, 1])
-
-
-def test_a_cut_reference_is_the_same_in_any_chunks(monkeypatch):
-    # the run ends where a period ends, whatever `_drive`'s chunk: with chunks
-    # of 7 steps the cut reference has the same bytes
-    spec = builtin("persistence_5_1")
-    ref = method_runs(spec, discretize(spec, spec.h_values), spec.t_end)[1]
-    monkeypatch.setattr(dynamics_module, "_ROWS_PER_CHUNK", 7)
-    again = method_runs(spec, discretize(spec, spec.h_values), spec.t_end)[1]
-    assert (_reference_digest(again), again.tail, again.steps) == (
-        _reference_digest(ref), ref.tail, ref.steps)
-
 
 
 def test_the_tail_needs_stops_that_repeat_with_the_period():
@@ -657,25 +655,26 @@ def _piecewise_gamma():
 
 @pytest.mark.parametrize("make, hs, t_end, digest", [
     pytest.param(lambda: builtin("persistence_5_1"), [0.3], 200.0,
-                 "205e04f443d16440b12e0c8bec4956a4e9e6fa6c5d9ed3a638a4cd9018284da9",
+                 "02c1045cbb60b3e15af6d05ca142059bc61638b72c7837a4df86b62d5e1c477b",
                  id="h-does-not-divide-T"),
     pytest.param(lambda: builtin("persistence_5_1"), [4.0, 2.0, 1.0, 0.5], 10.0,
-                 "1a98fea601a2c013ad11c41eb4ae18e91d174e974f4b0d70429d0f58ef34bb8e",
+                 "045a45ddc993d3829932a24bb0e528070dfc434b590f1fd46d6f18ca1c71bf0d",
                  id="under-three-periods"),
     pytest.param(_piecewise_gamma, [4.0, 2.0, 1.0, 0.5], 200.0,
-                 "32a66fc7f3c18c62f393459f6df3f11ea78dad51426382c2ba8e9f40d26629fd",
+                 "d6e3435f3138262afecd4a3b6a829a5bbb67636785eee47a611b3cec70a33412",
                  id="piecewise"),
 ])
 def test_a_reference_without_a_periodic_grid_is_integrated_to_the_end(make, hs, t_end, digest):
     # no tail where the scored times do not repeat with the period (`compare
     # persistence_5_1 --h 0.3`), where the run spans under three periods, and
     # where a piecewise schedule makes the coefficients aperiodic: the same
-    # bytes as the reference before it had a tail (measles_france_5_2 is
-    # pinned with the built-ins above)
+    # states at the stops as the reference before it had a tail (re-pinned as
+    # `_FULL_REFERENCE_DIGESTS` were; measles_france_5_2 is pinned with the
+    # built-ins above)
     spec = make()
     _, ref = method_runs(spec, discretize(spec, hs), t_end)
     assert ref.tail == {"kind": "none", "from_period": None, "bound": None}
-    assert ref.steps == ref.n_steps and _reference_digest(ref) == digest
+    assert _reference_digest(ref) == digest
 
 
 # a slow model: `_GENERATED_RANGES` but mu in [0.005, 0.05], so the population
